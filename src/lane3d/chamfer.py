@@ -42,8 +42,8 @@ polyline (boundary inclusive).
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +58,15 @@ from .kernels import (
     resample_polylines,
 )
 from .matching import hungarian
-from .report import FrameStats, MetricReport, ordering_hash, prf
+from .report import (
+    FrameStats,
+    MetricReport,
+    _assemble,
+    _frame_ids,
+    _map_frames,
+    _tau_list,
+    prf,
+)
 
 __all__ = [
     "MBD_VARIANTS",
@@ -110,26 +118,22 @@ class EvalConfig:
 # ---------------------------------------------------------------------------
 
 
-def _interp(lane: Lane3D, n: int) -> np.ndarray:
-    return interpolate_lane(lane, n)
-
-
 def unilateral_cd(gt: Lane3D, pred: Lane3D, n: int = 100) -> float:
     """Mean distance from interpolated GT points to the prediction polyline.
 
     Only the ground-truth side is charged: extra prediction length beyond
     the ground truth does not change the value.
     """
-    gt_pts = _interp(gt, n)
-    pred_pts = _interp(pred, n)
+    gt_pts = interpolate_lane(gt, n)
+    pred_pts = interpolate_lane(pred, n)
     mean, _ = point_to_polyline_stats(gt_pts, pred_pts)
     return mean
 
 
 def bidirectional_cd(gt: Lane3D, pred: Lane3D, n: int = 100) -> float:
     """Average of the two directed mean nearest-neighbor distances."""
-    gt_pts = _interp(gt, n)
-    pred_pts = _interp(pred, n)
+    gt_pts = interpolate_lane(gt, n)
+    pred_pts = interpolate_lane(pred, n)
     d_pg, _ = directed_point_stats(pred_pts, gt_pts)
     d_gp, _ = directed_point_stats(gt_pts, pred_pts)
     return (d_pg + d_gp) / 2.0
@@ -139,42 +143,40 @@ def _bcd_matrix(
     gt_lanes: list[Lane3D], pred_lanes: list[Lane3D], n: int
 ) -> np.ndarray:
     """Bidirectional distances for every (prediction, ground-truth) pair."""
-    pred_pts = [_interp(lane, n) for lane in pred_lanes]
-    gt_pts = [_interp(lane, n) for lane in gt_lanes]
+    pred_pts = [interpolate_lane(lane, n) for lane in pred_lanes]
+    gt_pts = [interpolate_lane(lane, n) for lane in gt_lanes]
     d_pg, d_gp = pair_mean_matrices(pred_pts, gt_pts)
     return (d_pg + d_gp) / 2.0
 
 
-def _bcd_from_matrix(
-    d: np.ndarray, tau: float
-) -> tuple[list[bool], list[bool], list[bool], list[float]]:
-    """Greedy acceptance sweep over predictions in input order.
+def _bcd_nearest(d: np.ndarray) -> list[tuple[int, float]]:
+    """Each prediction's nearest ground truth (lowest index on ties) and
+    its distance, from an ``(n_pred, n_gt)`` matrix; empty without ground
+    truths."""
+    if d.shape[1] == 0:
+        return []
+    nearest = d.argmin(axis=1)
+    return list(zip(nearest.tolist(), d[np.arange(d.shape[0]), nearest].tolist()))
 
-    Each prediction targets its nearest ground truth (lowest index on
-    ties); it is accepted when the distance is within ``tau`` and that
-    ground truth is not yet claimed.
+
+def _bcd_claim(
+    nearest: list[tuple[int, float]], n_pred: int, n_gt: int, tau: float
+) -> tuple[list[bool], list[bool], list[float]]:
+    """Greedy acceptance over predictions in input order.
+
+    Each prediction targets its nearest ground truth; it is accepted when
+    the distance is within ``tau`` and that ground truth is not yet
+    claimed.  Returns per-prediction TP flags, per-ground-truth covered
+    flags and the accepted distances.
     """
-    n_pred, n_gt = d.shape
+    tp_flags = [False] * n_pred
     covered = [False] * n_gt
-    tp_flags: list[bool] = []
-    fp_flags: list[bool] = []
     tp_errors: list[float] = []
-    for j in range(n_pred):
-        if n_gt == 0:
-            tp_flags.append(False)
-            fp_flags.append(True)
-            continue
-        i_star = int(np.argmin(d[j]))
-        dist = float(d[j, i_star])
-        if dist <= tau and not covered[i_star]:
-            covered[i_star] = True
-            tp_flags.append(True)
-            fp_flags.append(False)
+    for j, (i, dist) in enumerate(nearest):
+        if dist <= tau and not covered[i]:
+            covered[i] = tp_flags[j] = True
             tp_errors.append(dist)
-        else:
-            tp_flags.append(False)
-            fp_flags.append(True)
-    return tp_flags, fp_flags, covered, tp_errors
+    return tp_flags, covered, tp_errors
 
 
 # Lanes times their largest point count (input or interpolated) per frame
@@ -187,8 +189,8 @@ def _bcd_rows(frames, n: int, threads: int = 1) -> list[np.ndarray]:
 
     Entries a row's argmin and minimum can come from hold
     ``_bcd_matrix``'s values bitwise; every other entry is ``+inf``
-    (see ``nearest_pair_rows``), which ``_bcd_from_matrix`` reads the
-    same way.  Frames are searched in blocks of bounded size, and the
+    (see ``nearest_pair_rows``), which ``_bcd_nearest`` reads the same
+    way.  Frames are searched in blocks of bounded size, and the
     values depend neither on the blocks nor on ``threads``.
     """
     blocks, block, lanes, width = [], [], 0, n
@@ -301,8 +303,10 @@ def bcd_select_tp_fp(
     if not pred_lanes:
         return [], [], [False] * len(gt_lanes)
     d = _bcd_rows([(gt_lanes, pred_lanes)], config.n_interp)[0]
-    tp_flags, fp_flags, covered, _ = _bcd_from_matrix(d, config.tau_bcd)
-    return tp_flags, fp_flags, covered
+    tp_flags, covered, _ = _bcd_claim(
+        _bcd_nearest(d), len(pred_lanes), len(gt_lanes), config.tau_bcd
+    )
+    return tp_flags, [not tp for tp in tp_flags], covered
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +419,8 @@ def _iou_matched_pairs(
             "ucd": unilateral_cd(gt_lanes[i], pred_lanes[j], config.n_interp),
         }
         if with_maxes and iou[i, j] > config.tau_iou:
-            gt_pts = _interp(gt_lanes[i], config.n_interp)
-            pred_pts = _interp(pred_lanes[j], config.n_interp)
+            gt_pts = interpolate_lane(gt_lanes[i], config.n_interp)
+            pred_pts = interpolate_lane(pred_lanes[j], config.n_interp)
             _, max_pg = directed_point_stats(pred_pts, gt_pts)
             _, max_gp = directed_point_stats(gt_pts, pred_pts)
             record["max_pg"] = max_pg
@@ -446,61 +450,15 @@ def _pair_mbd(record: dict, variant: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _map_frames(worker, frames, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, frames))
-    return [worker(frame) for frame in frames]
+def _matched_frames(frames, config: EvalConfig, threads: int, with_maxes: bool):
+    """``(pairs, n_gt, n_pred)`` per frame; see ``_iou_matched_pairs``."""
 
+    def worker(frame):
+        gt_lanes, pred_lanes = frame
+        pairs = _iou_matched_pairs(gt_lanes, pred_lanes, config, with_maxes)
+        return pairs, len(gt_lanes), len(pred_lanes)
 
-def _frame_ids(frames, frame_ids) -> list[str]:
-    if frame_ids is None:
-        return [str(i) for i in range(len(frames))]
-    ids = list(frame_ids)
-    if len(ids) != len(frames):
-        raise ValueError(
-            f"{len(ids)} frame ids for {len(frames)} frames"
-        )
-    return ids
-
-
-def _assemble(
-    protocol: str,
-    stats: list[FrameStats],
-    error_name: str,
-    error_values: list[float],
-    variant: str | None = None,
-    aggregate: str = "mean",
-) -> MetricReport:
-    tp = sum(s.tp for s in stats)
-    fp = sum(s.fp for s in stats)
-    fn = sum(s.fn for s in stats)
-    precision, recall, f1 = prf(tp, fp, fn)
-    if error_values:
-        if aggregate == "max":
-            error_stat = max(error_values)
-        else:
-            error_stat = math.fsum(error_values) / len(error_values)
-    else:
-        error_stat = None
-    return MetricReport(
-        protocol=protocol,
-        tp=tp,
-        fp=fp,
-        fn=fn,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        error_name=error_name,
-        error_stat=error_stat,
-        per_frame=tuple(stats),
-        variant=variant,
-        ordering=ordering_hash(
-            [s.frame_id for s in stats],
-            [s.tp + s.fn for s in stats],
-            [s.tp + s.fp for s in stats],
-        ),
-    )
+    return _map_frames(worker, frames, threads)
 
 
 def bcd_report(
@@ -517,13 +475,15 @@ def bcd_report(
     stats = []
     all_errors: list[float] = []
     for fid, d in zip(ids, matrices):
-        tp_flags, fp_flags, covered, errors = _bcd_from_matrix(d, config.tau_bcd)
+        tp_flags, covered, errors = _bcd_claim(
+            _bcd_nearest(d), *d.shape, config.tau_bcd
+        )
         tp = sum(tp_flags)
         stats.append(
             FrameStats(
                 frame_id=fid,
                 tp=tp,
-                fp=sum(fp_flags),
+                fp=len(tp_flags) - tp,
                 fn=len(covered) - tp,
                 pair_errors=tuple(errors),
             )
@@ -542,12 +502,7 @@ def once_report(
     config = config or EvalConfig()
     ids = _frame_ids(frames, frame_ids)
 
-    def worker(frame):
-        gt_lanes, pred_lanes = frame
-        pairs = _iou_matched_pairs(gt_lanes, pred_lanes, config, with_maxes=False)
-        return pairs, len(gt_lanes), len(pred_lanes)
-
-    cores = _map_frames(worker, frames, threads)
+    cores = _matched_frames(frames, config, threads, with_maxes=False)
     stats = []
     all_errors: list[float] = []
     for fid, (pairs, n_gt, n_pred) in zip(ids, cores):
@@ -576,12 +531,7 @@ def mbd_report(
     config = config or EvalConfig()
     ids = _frame_ids(frames, frame_ids)
 
-    def worker(frame):
-        gt_lanes, pred_lanes = frame
-        pairs = _iou_matched_pairs(gt_lanes, pred_lanes, config, with_maxes=True)
-        return pairs, len(gt_lanes), len(pred_lanes)
-
-    cores = _map_frames(worker, frames, threads)
+    cores = _matched_frames(frames, config, threads, with_maxes=True)
     stats = []
     all_values: list[float] = []
     for fid, (pairs, n_gt, n_pred) in zip(ids, cores):
@@ -629,46 +579,21 @@ def threshold_sweep(
     exactly equivalent to running the protocol separately at each tau.
     """
     config = config or EvalConfig()
-    taus = [float(t) for t in taus]
-    if not taus:
-        raise ConfigError("tau sweep list is empty")
-    if any(not t > 0 for t in taus):
-        raise ConfigError(f"tau values must be > 0, got {taus}")
+    taus = _tau_list(taus)
 
     rows = []
     if protocol == "bcd":
         matrices = _bcd_rows(frames, config.n_interp, threads)
+        nearest = [(_bcd_nearest(d), *d.shape) for d in matrices]
+        n_pred = sum(d.shape[0] for d in matrices)
+        n_gt = sum(d.shape[1] for d in matrices)
         for tau in taus:
-            tp = fp = fn = 0
-            for d in matrices:
-                tp_flags, fp_flags, covered, _ = _bcd_from_matrix(d, tau)
-                tp += sum(tp_flags)
-                fp += sum(fp_flags)
-                fn += len(covered) - sum(tp_flags)
-            rows.append((tau, *prf(tp, fp, fn)))
+            tp = sum(sum(_bcd_claim(*frame, tau)[0]) for frame in nearest)
+            rows.append((tau, *prf(tp, n_pred - tp, n_gt - tp)))
     elif protocol in ("once", "mbd"):
-        def worker(frame):
-            gt_lanes, pred_lanes = frame
-            pairs = _iou_matched_pairs(
-                gt_lanes, pred_lanes, config, with_maxes=False
-            )
-            return pairs, len(gt_lanes), len(pred_lanes)
-
-        cores = _map_frames(worker, frames, threads)
-        base = {
-            f: getattr(config, f)
-            for f in (
-                "tau_cd",
-                "tau_iou",
-                "tau_bcd",
-                "lane_width",
-                "bev_resolution",
-                "n_interp",
-                "mbd_variant",
-            )
-        }
+        cores = _matched_frames(frames, config, threads, with_maxes=False)
         for tau in taus:
-            gated = EvalConfig(**{**base, "tau_cd": tau})
+            gated = dataclasses.replace(config, tau_cd=tau)
             tp = fp = fn = 0
             for pairs, n_gt, n_pred in cores:
                 t, f, n, _ = _once_counts(pairs, n_gt, n_pred, gated)

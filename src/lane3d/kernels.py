@@ -1,45 +1,29 @@
 """Numeric kernels for nearest-neighbor distance statistics.
 
-Two interchangeable backends compute every per-lane statistic:
+Every per-lane statistic is a vectorized NumPy computation over the full
+distance matrix of a lane pair.  The results are **bit-identical** to a
+plain double loop: the squared distance is evaluated with the operation
+order ``(dx*dx + dy*dy) + dz*dz``, minima are pure value selections,
+``sqrt`` is applied per source point, and sums accumulate in
+source-point order.  Nothing depends on the thread count, so reports
+are the same bytes whatever number of workers runs them.
 
-* a compiled backend (``numba.njit``) using a sorted-by-y candidate scan
-  that prunes points which provably cannot improve the running minimum,
-* a vectorized NumPy backend that materializes the full distance matrix
-  of a lane pair.
-
-Both backends are **bit-identical**: they evaluate the squared distance
-with the same operation order ``(dx*dx + dy*dy) + dz*dz``, select minima
-by strict ``<`` comparison (a pure value selection), apply ``sqrt`` per
-source point, and accumulate sums in source-point order.  The pruning
-rule only skips candidates whose ``dy*dy`` already reaches the current
-best squared distance, so the selected minimum value is exactly the
-minimum over the full candidate set.
-
-Backend selection: the compiled backend is used when numba imports
-successfully and the environment variable ``LANE3D_NUMBA`` is not set
-to ``0`` at import time.  Every public per-lane function also accepts an
-explicit ``backend=`` override (``"numba"`` or ``"numpy"``) for tests and
-benchmarks.
-
-The bidirectional protocol does not go through a backend.  It scores
-blocks of frames with batched NumPy kernels that give the same bits
-(``resample_polylines``, ``directed_mean_pairs``, ``nearest_pair_rows``):
-lanes are resampled all at once, each (prediction, ground truth) pair
-gets a lower bound from chunk bounding boxes, and exact means are
-computed only for pairs that can hold their row's minimum.  Those means
-scan a few target points around each source point's y and fall back to
-the whole target lane where the window does not prove the minimum.
-``pair_mean_matrices`` stays the full-matrix reference.
+The bidirectional protocol scores blocks of frames with batched kernels
+that give the same bits (``resample_polylines``, ``directed_mean_pairs``,
+``nearest_pair_rows``): lanes are resampled all at once, each
+(prediction, ground truth) pair gets a lower bound from chunk bounding
+boxes, and exact means are computed only for pairs that can hold their
+row's minimum.  Those means scan a few target points around each source
+point's y and fall back to the whole target lane where the window does
+not prove the minimum.  ``pair_mean_matrices`` stays the full-matrix
+reference.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "NUMBA_AVAILABLE",
     "active_backend",
     "directed_mean_pairs",
     "directed_point_stats",
@@ -50,40 +34,12 @@ __all__ = [
     "resample_polylines",
 ]
 
-try:  # pragma: no cover - exercised implicitly by backend selection
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-_DEFAULT_BACKEND = (
-    "numba"
-    if NUMBA_AVAILABLE and os.environ.get("LANE3D_NUMBA", "1") != "0"
-    else "numpy"
-)
-
 
 def active_backend() -> str:
-    """Name of the backend used when no explicit override is given."""
-    return _DEFAULT_BACKEND
-
-
-def _resolve_backend(backend: str | None) -> str:
-    if backend is None:
-        return _DEFAULT_BACKEND
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "numba" and not NUMBA_AVAILABLE:
-        raise ValueError("numba backend requested but numba is not importable")
-    return backend
+    """Name of the kernel implementation (NumPy is the only one)."""
+    # Kept as a constant for callers that record it, such as the
+    # environment block of e2ebench/run.py.
+    return "numpy"
 
 
 def _as_points(arr, name: str) -> np.ndarray:
@@ -103,183 +59,12 @@ def _sorted_by_y(pts: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# compiled backend
+# per-lane cores
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True, nogil=True)
-def _point_core_numba(ax, ay, az, bx, by, bz):
-    """Sum and max of nearest-neighbor distances from a-points to b-points.
-
-    ``b`` arrays must be sorted by y.  Returns ``(sum, max)`` where the sum
-    accumulates ``sqrt(min squared distance)`` in a-point order.
-    """
-    n = ax.shape[0]
-    m = bx.shape[0]
-    total = 0.0
-    biggest = 0.0
-    for i in range(n):
-        xa = ax[i]
-        ya = ay[i]
-        za = az[i]
-        # First index whose y is >= ya (binary search on the sorted b side).
-        lo = 0
-        hi = m
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if by[mid] < ya:
-                lo = mid + 1
-            else:
-                hi = mid
-        best = np.inf
-        # Scan upward: dy is non-negative and non-decreasing, so once
-        # dy*dy reaches the running best no later candidate can win.
-        k = lo
-        while k < m:
-            dy = by[k] - ya
-            if dy * dy >= best:
-                break
-            dx = bx[k] - xa
-            dz = bz[k] - za
-            d2 = (dx * dx + dy * dy) + dz * dz
-            if d2 < best:
-                best = d2
-            k += 1
-        # Scan downward symmetrically.
-        k = lo - 1
-        while k >= 0:
-            dy = by[k] - ya
-            if dy * dy >= best:
-                break
-            dx = bx[k] - xa
-            dz = bz[k] - za
-            d2 = (dx * dx + dy * dy) + dz * dz
-            if d2 < best:
-                best = d2
-            k -= 1
-        dist = np.sqrt(best)
-        total += dist
-        if dist > biggest:
-            biggest = dist
-    return total, biggest
-
-
-@njit(cache=True, nogil=True)
-def _pair_means_numba(px, py, pz, poff, gx, gy, gz, goff, d_pg, d_gp):
-    n_pred = poff.shape[0] - 1
-    n_gt = goff.shape[0] - 1
-    for i in range(n_pred):
-        p0 = poff[i]
-        p1 = poff[i + 1]
-        for j in range(n_gt):
-            g0 = goff[j]
-            g1 = goff[j + 1]
-            s_pg, _ = _point_core_numba(
-                px[p0:p1], py[p0:p1], pz[p0:p1], gx[g0:g1], gy[g0:g1], gz[g0:g1]
-            )
-            s_gp, _ = _point_core_numba(
-                gx[g0:g1], gy[g0:g1], gz[g0:g1], px[p0:p1], py[p0:p1], pz[p0:p1]
-            )
-            d_pg[i, j] = s_pg / (p1 - p0)
-            d_gp[i, j] = s_gp / (g1 - g0)
-
-
-@njit(cache=True, nogil=True)
-def _polyline_core_numba(ax, ay, az, qx, qy, qz):
-    """Sum and max of point-to-polyline distances in a-point order.
-
-    The polyline is the chain of segments joining consecutive q-points;
-    a single q-point degenerates to point-to-point distance.
-    """
-    n = ax.shape[0]
-    m = qx.shape[0]
-    total = 0.0
-    biggest = 0.0
-    for i in range(n):
-        xa = ax[i]
-        ya = ay[i]
-        za = az[i]
-        best = np.inf
-        if m == 1:
-            dx = xa - qx[0]
-            dy = ya - qy[0]
-            dz = za - qz[0]
-            best = (dx * dx + dy * dy) + dz * dz
-        for k in range(m - 1):
-            ex = qx[k + 1] - qx[k]
-            ey = qy[k + 1] - qy[k]
-            ez = qz[k + 1] - qz[k]
-            wx = xa - qx[k]
-            wy = ya - qy[k]
-            wz = za - qz[k]
-            c2 = (ex * ex + ey * ey) + ez * ez
-            if c2 > 0.0:
-                t = ((wx * ex + wy * ey) + wz * ez) / c2
-                if t < 0.0:
-                    t = 0.0
-                elif t > 1.0:
-                    t = 1.0
-            else:
-                t = 0.0
-            dx = wx - t * ex
-            dy = wy - t * ey
-            dz = wz - t * ez
-            d2 = (dx * dx + dy * dy) + dz * dz
-            if d2 < best:
-                best = d2
-        dist = np.sqrt(best)
-        total += dist
-        if dist > biggest:
-            biggest = dist
-    return total, biggest
-
-
-@njit(cache=True, nogil=True)
-def _resample_core_numba(x, y, z, n):
-    """Arc-length-uniform resampling of a polyline to n points.
-
-    Interior samples use the weight ``w = (t - cum[k]) / span`` applied
-    as ``p[k] + w * (p[k+1] - p[k])``; both endpoints are copied exactly.
-    The segment index k is the smallest with ``cum[k+1] >= t``.
-    """
-    m = x.shape[0]
-    cum = np.empty(m)
-    cum[0] = 0.0
-    for i in range(m - 1):
-        dx = x[i + 1] - x[i]
-        dy = y[i + 1] - y[i]
-        dz = z[i + 1] - z[i]
-        cum[i + 1] = cum[i] + np.sqrt((dx * dx + dy * dy) + dz * dz)
-    step = cum[m - 1] / (n - 1)
-    out = np.empty((n, 3))
-    out[0, 0] = x[0]
-    out[0, 1] = y[0]
-    out[0, 2] = z[0]
-    out[n - 1, 0] = x[m - 1]
-    out[n - 1, 1] = y[m - 1]
-    out[n - 1, 2] = z[m - 1]
-    k = 0
-    for j in range(1, n - 1):
-        t = step * j
-        while k < m - 2 and cum[k + 1] < t:
-            k += 1
-        span = cum[k + 1] - cum[k]
-        if span == 0.0:
-            w = 0.0
-        else:
-            w = (t - cum[k]) / span
-        out[j, 0] = x[k] + w * (x[k + 1] - x[k])
-        out[j, 1] = y[k] + w * (y[k + 1] - y[k])
-        out[j, 2] = z[k] + w * (z[k + 1] - z[k])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# NumPy backend
-# ---------------------------------------------------------------------------
-
-
-def _point_core_numpy(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+def _point_core(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Sum (in a-point order) and max of nearest-neighbor distances a -> b."""
     dx = a[:, 0][:, None] - b[None, :, 0]
     dy = a[:, 1][:, None] - b[None, :, 1]
     dz = a[:, 2][:, None] - b[None, :, 2]
@@ -288,7 +73,12 @@ def _point_core_numpy(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return float(np.cumsum(dist)[-1]), float(dist.max())
 
 
-def _polyline_core_numpy(a: np.ndarray, q: np.ndarray) -> tuple[float, float]:
+def _polyline_core(a: np.ndarray, q: np.ndarray) -> tuple[float, float]:
+    """Sum and max of point-to-polyline distances in a-point order.
+
+    The polyline is the chain of segments joining consecutive q-points;
+    a single q-point degenerates to point-to-point distance.
+    """
     if q.shape[0] == 1:
         d = a - q[0]
         d2 = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
@@ -311,8 +101,13 @@ def _polyline_core_numpy(a: np.ndarray, q: np.ndarray) -> tuple[float, float]:
     return float(np.cumsum(dist)[-1]), float(dist.max())
 
 
-def _resample_core_numpy(pts: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized twin of ``_resample_core_numba`` — same arithmetic."""
+def _resample_core(pts: np.ndarray, n: int) -> np.ndarray:
+    """Arc-length-uniform resampling of a polyline to n points.
+
+    Interior samples use the weight ``w = (t - cum[k]) / span`` applied
+    as ``p[k] + w * (p[k+1] - p[k])``; both endpoints are copied exactly.
+    The segment index k is the smallest with ``cum[k+1] >= t``.
+    """
     seg = pts[1:] - pts[:-1]
     d = np.sqrt(
         (seg[:, 0] * seg[:, 0] + seg[:, 1] * seg[:, 1]) + seg[:, 2] * seg[:, 2]
@@ -338,7 +133,7 @@ def _resample_core_numpy(pts: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def resample_polyline(points, n: int, backend: str | None = None) -> np.ndarray:
+def resample_polyline(points, n: int) -> np.ndarray:
     """Piecewise-linear resampling to ``n`` points uniform in arc length.
 
     The first and last input points are preserved exactly and every
@@ -346,41 +141,26 @@ def resample_polyline(points, n: int, backend: str | None = None) -> np.ndarray:
     tolerated (their zero-length segment is never selected for a strictly
     interior target).
     """
-    which = _resolve_backend(backend)
     pts = _as_points(points, "points")
     if n < 2:
         raise ValueError("n must be >= 2")
     if pts.shape[0] < 2:
         raise ValueError("need at least two points to resample")
-    if which == "numba":
-        return _resample_core_numba(
-            pts[:, 0].copy(), pts[:, 1].copy(), pts[:, 2].copy(), n
-        )
-    return _resample_core_numpy(pts, n)
+    return _resample_core(pts, n)
 
 
-def directed_point_stats(
-    a, b, backend: str | None = None
-) -> tuple[float, float]:
+def directed_point_stats(a, b) -> tuple[float, float]:
     """Mean and max nearest-neighbor distance from points ``a`` to set ``b``.
 
     Returns ``(mean, max)`` of ``min_j ||a_i - b_j||`` over a-points.
     """
-    which = _resolve_backend(backend)
     pa = _as_points(a, "a")
-    pb = _sorted_by_y(_as_points(b, "b"))
-    if which == "numba":
-        total, biggest = _point_core_numba(
-            pa[:, 0].copy(), pa[:, 1].copy(), pa[:, 2].copy(),
-            pb[:, 0].copy(), pb[:, 1].copy(), pb[:, 2].copy(),
-        )
-    else:
-        total, biggest = _point_core_numpy(pa, pb)
+    total, biggest = _point_core(pa, _as_points(b, "b"))
     return total / pa.shape[0], biggest
 
 
 def pair_mean_matrices(
-    pred_points: list, gt_points: list, backend: str | None = None
+    pred_points: list, gt_points: list
 ) -> tuple[np.ndarray, np.ndarray]:
     """Directed mean nearest-neighbor distances for every lane pair.
 
@@ -388,54 +168,30 @@ def pair_mean_matrices(
     Returns ``(d_pg, d_gp)``, both shaped ``(len(pred), len(gt))``:
     ``d_pg[i, j]`` is the mean distance from prediction ``i``'s points to
     ground-truth lane ``j``'s point set, ``d_gp[i, j]`` the reverse.
+    Each lane is sorted stably by y first, which sets the order its
+    distances are summed in.
     """
-    which = _resolve_backend(backend)
     preds = [_sorted_by_y(_as_points(p, f"pred_points[{i}]"))
              for i, p in enumerate(pred_points)]
     gts = [_sorted_by_y(_as_points(g, f"gt_points[{j}]"))
            for j, g in enumerate(gt_points)]
     d_pg = np.zeros((len(preds), len(gts)))
     d_gp = np.zeros((len(preds), len(gts)))
-    if which == "numba" and preds and gts:
-        pcat = np.concatenate(preds, axis=0)
-        gcat = np.concatenate(gts, axis=0)
-        poff = np.zeros(len(preds) + 1, dtype=np.int64)
-        goff = np.zeros(len(gts) + 1, dtype=np.int64)
-        np.cumsum([p.shape[0] for p in preds], out=poff[1:])
-        np.cumsum([g.shape[0] for g in gts], out=goff[1:])
-        _pair_means_numba(
-            pcat[:, 0].copy(), pcat[:, 1].copy(), pcat[:, 2].copy(), poff,
-            gcat[:, 0].copy(), gcat[:, 1].copy(), gcat[:, 2].copy(), goff,
-            d_pg, d_gp,
-        )
-    else:
-        for i, p in enumerate(preds):
-            for j, g in enumerate(gts):
-                s_pg, _ = _point_core_numpy(p, g)
-                s_gp, _ = _point_core_numpy(g, p)
-                d_pg[i, j] = s_pg / p.shape[0]
-                d_gp[i, j] = s_gp / g.shape[0]
+    for i, p in enumerate(preds):
+        for j, g in enumerate(gts):
+            d_pg[i, j] = _point_core(p, g)[0] / p.shape[0]
+            d_gp[i, j] = _point_core(g, p)[0] / g.shape[0]
     return d_pg, d_gp
 
 
-def point_to_polyline_stats(
-    points, polyline, backend: str | None = None
-) -> tuple[float, float]:
+def point_to_polyline_stats(points, polyline) -> tuple[float, float]:
     """Mean and max distance from each point to the polyline through ``polyline``.
 
     Distances are to the nearest point on any segment of the chain (its
     vertices included), not merely to the vertices.
     """
-    which = _resolve_backend(backend)
     pa = _as_points(points, "points")
-    q = _as_points(polyline, "polyline")
-    if which == "numba":
-        total, biggest = _polyline_core_numba(
-            pa[:, 0].copy(), pa[:, 1].copy(), pa[:, 2].copy(),
-            q[:, 0].copy(), q[:, 1].copy(), q[:, 2].copy(),
-        )
-    else:
-        total, biggest = _polyline_core_numpy(pa, q)
+    total, biggest = _polyline_core(pa, _as_points(polyline, "polyline"))
     return total / pa.shape[0], biggest
 
 
@@ -467,10 +223,10 @@ def resample_polylines(points, counts, n: int) -> np.ndarray:
 
     ``points`` stacks the polylines' points in order and ``counts`` holds
     their lengths (each at least 2).  Row ``l`` equals
-    ``resample_polyline(polyline_l, n, backend="numpy")`` bitwise: segment
-    lengths, the cumulative sum along each row, the sample positions and
-    the weights use the operations of ``_resample_core_numpy``.  Only the
-    segment search differs: every sample's segment comes from an exact
+    ``resample_polyline(polyline_l, n)`` bitwise: segment lengths, the
+    cumulative sum along each row, the sample positions and the weights
+    use the operations of ``_resample_core``.  Only the segment search
+    differs: every sample's segment comes from an exact
     count of the cumulative lengths below it, which equals the per-lane
     ``searchsorted``.  The result is a view of ``(3, L, n)`` planes.
     """
@@ -603,9 +359,9 @@ def directed_mean_pairs(src, dst) -> tuple[np.ndarray, int]:
 
     ``src`` is ``(q, n, 3)`` and ``dst`` ``(q, m, 3)``, both finite and
     sorted by y along axis 1.  ``means[i]`` equals
-    ``directed_point_stats(src[i], dst[i], backend="numpy")[0]`` bitwise:
-    the minima are the same values, and each row sums ``sqrt`` of its
-    minima in point order before dividing by ``n``.  Returns
+    ``directed_point_stats(src[i], dst[i])[0]`` bitwise: the minima are
+    the same values, and each row sums ``sqrt`` of its minima in point
+    order before dividing by ``n``.  Returns
     ``(means, fallbacks)``, the second the number of source points whose
     window test failed and that scanned their whole target lane.
     """

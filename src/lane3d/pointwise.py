@@ -24,8 +24,7 @@ how a short prediction fails to explain the far ground truth.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,15 @@ import numpy as np
 from .errors import AnchorMismatch, ConfigError
 from .geometry import Lane3D, SampleGrid, resample_at_y
 from .matching import MatchResult, hungarian
-from .report import FrameStats, MetricReport, ordering_hash, prf
+from .report import (
+    FrameStats,
+    MetricReport,
+    _assemble,
+    _frame_ids,
+    _map_frames,
+    _tau_list,
+    prf,
+)
 
 __all__ = [
     "PointwiseConfig",
@@ -273,13 +280,6 @@ def _gate_frame(
     return tp, arrays.n_pred - tp, arrays.n_gt - tp, tp_pairs
 
 
-def _map_frames(worker, frames, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, frames))
-    return [worker(frame) for frame in frames]
-
-
 def openlane_report(
     frames,
     config: PointwiseConfig | None = None,
@@ -295,12 +295,7 @@ def openlane_report(
     """
     config = config or PointwiseConfig()
     grid = grid or SampleGrid()
-    if frame_ids is None:
-        ids = [str(i) for i in range(len(frames))]
-    else:
-        ids = list(frame_ids)
-        if len(ids) != len(frames):
-            raise ValueError(f"{len(ids)} frame ids for {len(frames)} frames")
+    ids = _frame_ids(frames, frame_ids)
 
     cores = _map_frames(lambda f: _frame_core(f, grid), frames, threads)
     stats = []
@@ -316,36 +311,9 @@ def openlane_report(
             FrameStats(frame_id=fid, tp=tp, fp=fp, fn=fn, pair_errors=pair_costs)
         )
         _accumulate_errors(arrays, tp_pairs, config, sums, counts)
-    tp = sum(s.tp for s in stats)
-    fp = sum(s.fp for s in stats)
-    fn = sum(s.fn for s in stats)
-    precision, recall, f1 = prf(tp, fp, fn)
-    e_x_near, e_x_far, e_z_near, e_z_far = (
-        (s / c if c else None) for s, c in zip(sums, counts)
-    )
-    return MetricReport(
-        protocol="openlane",
-        tp=tp,
-        fp=fp,
-        fn=fn,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        error_name="e_xz",
-        error_stat=None,
-        per_frame=tuple(stats),
-        extra_stats={
-            "e_x_near": e_x_near,
-            "e_x_far": e_x_far,
-            "e_z_near": e_z_near,
-            "e_z_far": e_z_far,
-        },
-        ordering=ordering_hash(
-            [s.frame_id for s in stats],
-            [s.tp + s.fn for s in stats],
-            [s.tp + s.fp for s in stats],
-        ),
-    )
+    names = ("e_x_near", "e_x_far", "e_z_near", "e_z_far")
+    errors = {k: (s / c if c else None) for k, s, c in zip(names, sums, counts)}
+    return _assemble("openlane", stats, "e_xz", [], extra_stats=errors)
 
 
 def pointwise_sweep(
@@ -363,21 +331,11 @@ def pointwise_sweep(
     """
     config = config or PointwiseConfig()
     grid = grid or SampleGrid()
-    taus = [float(t) for t in taus]
-    if not taus:
-        raise ConfigError("tau sweep list is empty")
-    if any(not t > 0 for t in taus):
-        raise ConfigError(f"tau values must be > 0, got {taus}")
+    taus = _tau_list(taus)
     cores = _map_frames(lambda f: _frame_core(f, grid), frames, threads)
     rows = []
-    base = {
-        "tp_fraction": config.tp_fraction,
-        "near_range": config.near_range,
-        "far_range": config.far_range,
-        "cap_multiplier": config.cap_multiplier,
-    }
     for tau in taus:
-        gated = PointwiseConfig(tau_dist=tau, **base)
+        gated = dataclasses.replace(config, tau_dist=tau)
         tp = fp = fn = 0
         for arrays in cores:
             t, f, n, _ = _gate_frame(arrays, gated)

@@ -1,9 +1,19 @@
-"""Metric report containers shared by every evaluation protocol."""
+"""Metric report containers and the frame plumbing of every protocol.
+
+Besides the report types, this module holds what the protocol modules
+share: running a per-frame worker over the frames (``_map_frames``), the
+frame-id and tau-list checks, and the assembly of a ``MetricReport``
+from per-frame counts (``_assemble``).
+"""
 
 from __future__ import annotations
 
 import hashlib
+import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+
+from .errors import ConfigError
 
 __all__ = ["FrameStats", "MetricReport", "prf", "ordering_hash"]
 
@@ -110,3 +120,83 @@ class MetricReport:
         if self.sweep_rows is not None:
             out["sweep"] = [list(row) for row in self.sweep_rows]
         return out
+
+
+# ---------------------------------------------------------------------------
+# frame plumbing shared by the protocols
+# ---------------------------------------------------------------------------
+
+
+def _map_frames(worker, frames, threads: int) -> list:
+    """``worker`` over ``frames`` in order, on ``threads`` pool threads
+    when more than one."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(worker, frames))
+    return [worker(frame) for frame in frames]
+
+
+def _frame_ids(frames, frame_ids) -> list[str]:
+    """The given ids, one per frame, or ``"0"``, ``"1"``, ... by default."""
+    if frame_ids is None:
+        return [str(i) for i in range(len(frames))]
+    ids = list(frame_ids)
+    if len(ids) != len(frames):
+        raise ValueError(f"{len(ids)} frame ids for {len(frames)} frames")
+    return ids
+
+
+def _tau_list(taus) -> list[float]:
+    """A sweep's thresholds as floats: at least one, each > 0."""
+    taus = [float(t) for t in taus]
+    if not taus:
+        raise ConfigError("tau sweep list is empty")
+    if any(not t > 0 for t in taus):
+        raise ConfigError(f"tau values must be > 0, got {taus}")
+    return taus
+
+
+def _assemble(
+    protocol: str,
+    stats: list[FrameStats],
+    error_name: str,
+    error_values: list[float],
+    variant: str | None = None,
+    aggregate: str = "mean",
+    extra_stats: dict | None = None,
+) -> MetricReport:
+    """Sum the per-frame counts and aggregate the error values.
+
+    The error statistic is the mean (``math.fsum``) or the max of
+    ``error_values``, and ``None`` when there are none.
+    """
+    tp = sum(s.tp for s in stats)
+    fp = sum(s.fp for s in stats)
+    fn = sum(s.fn for s in stats)
+    precision, recall, f1 = prf(tp, fp, fn)
+    if error_values:
+        if aggregate == "max":
+            error_stat = max(error_values)
+        else:
+            error_stat = math.fsum(error_values) / len(error_values)
+    else:
+        error_stat = None
+    return MetricReport(
+        protocol=protocol,
+        tp=tp,
+        fp=fp,
+        fn=fn,
+        precision=precision,
+        recall=recall,
+        f1=f1,
+        error_name=error_name,
+        error_stat=error_stat,
+        per_frame=tuple(stats),
+        variant=variant,
+        extra_stats=extra_stats or {},
+        ordering=ordering_hash(
+            [s.frame_id for s in stats],
+            [s.tp + s.fn for s in stats],
+            [s.tp + s.fp for s in stats],
+        ),
+    )

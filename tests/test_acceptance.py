@@ -32,7 +32,7 @@ from lane3d.geometry import (
     sample_curve,
     unproject_to_ground,
 )
-from lane3d.kernels import NUMBA_AVAILABLE, directed_point_stats
+from lane3d.kernels import directed_point_stats
 from lane3d.losses import (
     FrameGroundTruth,
     FramePrediction,
@@ -43,9 +43,6 @@ from lane3d.losses import (
 from lane3d.matching import MatchResult, hungarian
 from lane3d.pointwise import openlane_report
 from lane3d.scenario_io import NoiseModel, generate_frames
-
-BACKENDS = ["numpy"] + (["numba"] if NUMBA_AVAILABLE else [])
-
 
 def announce(capsys, line):
     with capsys.disabled():
@@ -215,9 +212,8 @@ def test_c03_greedy_distance_fidelity(capsys):
         )
         want_ab = brute_directed(a, b)
         want_ba = brute_directed(b, a)
-        for backend in BACKENDS:
-            assert directed_point_stats(a, b, backend=backend) == want_ab
-            assert directed_point_stats(b, a, backend=backend) == want_ba
+        assert directed_point_stats(a, b) == want_ab
+        assert directed_point_stats(b, a) == want_ba
 
     # covered-flag unit cases
     cfg = EvalConfig(tau_bcd=0.3)
@@ -236,7 +232,7 @@ def test_c03_greedy_distance_fidelity(capsys):
     announce(
         capsys,
         f"C03 PASS — directed distances bit-identical to the O(N^2) oracle "
-        f"on {n_pairs} pairs (backends: {', '.join(BACKENDS)}); "
+        f"on {n_pairs} pairs; "
         "claim-order unit cases exact",
     )
 
@@ -528,7 +524,7 @@ def test_c09_determinism_and_throughput(capsys):
     rng = np.random.default_rng(109)
     big = bulk_frames(10_000, rng)
     cfg100 = EvalConfig(n_interp=100)
-    bcd_report(big[:20], cfg100)  # compile/warm the kernels
+    bcd_report(big[:20], cfg100)  # warm up
 
     t0 = time.perf_counter()
     bcd_report(big[:2000], cfg100)

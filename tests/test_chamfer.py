@@ -262,7 +262,7 @@ def test_row_search_sparse_lanes_take_the_full_scan():
     dst = interpolate_lane(gt, 100)[None]
     means, fallbacks = kernels.directed_mean_pairs(src, dst)
     assert fallbacks > 0
-    assert means[0] == kernels.directed_point_stats(src[0], dst[0], backend="numpy")[0]
+    assert means[0] == kernels.directed_point_stats(src[0], dst[0])[0]
 
 
 def test_row_search_independent_of_block_size(monkeypatch):
@@ -530,16 +530,30 @@ def sweep_fixture(seed=29, n_frames=10):
 
 
 def test_sweep_rows_match_standalone_reports_exactly():
-    frames = sweep_fixture()
-    for protocol, make_config in (
-        ("bcd", lambda t: EvalConfig(tau_bcd=t)),
-        ("once", lambda t: EvalConfig(tau_cd=t)),
+    # The first two predictions share their nearest ground truth: below
+    # 0.27 only the second one claims it, from 0.27 on the first does.
+    gts = [straight_lane(0.0), straight_lane(3.7)]
+    preds = [straight_lane(0.27), straight_lane(0.12), straight_lane(3.8)]
+    shared = [(gts, preds)]
+    assert bcd_select_tp_fp(gts, preds, EvalConfig(tau_bcd=0.2))[0] == [
+        False, True, True]
+    assert bcd_select_tp_fp(gts, preds, EvalConfig(tau_bcd=0.3))[0] == [
+        True, False, True]
+    for frames, taus in (
+        (sweep_fixture(), [0.1, 0.3]),
+        (shared, [0.05 * k for k in range(1, 11)]),
     ):
-        rows = threshold_sweep(frames, [0.1, 0.3], protocol)
-        report_fn = bcd_report if protocol == "bcd" else once_report
-        for tau, precision, recall, f1 in rows:
-            rep = report_fn(frames, make_config(tau))
-            assert (precision, recall, f1) == (rep.precision, rep.recall, rep.f1)
+        for protocol, make_config in (
+            ("bcd", lambda t: EvalConfig(tau_bcd=t)),
+            ("once", lambda t: EvalConfig(tau_cd=t)),
+        ):
+            rows = threshold_sweep(frames, taus, protocol)
+            assert [row[0] for row in rows] == taus
+            report_fn = bcd_report if protocol == "bcd" else once_report
+            for tau, precision, recall, f1 in rows:
+                rep = report_fn(frames, make_config(tau))
+                assert (precision, recall, f1) == (
+                    rep.precision, rep.recall, rep.f1)
 
 
 def test_sweep_bcd_f1_monotone():
@@ -579,6 +593,17 @@ def test_reports_thread_bit_identity():
         assert report_fn(frames, threads=1) == report_fn(frames, threads=4)
     assert threshold_sweep(frames, [0.1, 0.3], "bcd", threads=1) == \
         threshold_sweep(frames, [0.1, 0.3], "bcd", threads=4)
+
+
+@pytest.mark.parametrize("report_fn", [once_report, mbd_report, bcd_report])
+def test_reports_reject_frame_ids_of_the_wrong_length(report_fn):
+    frames = sweep_fixture(n_frames=2)
+    with pytest.raises(ValueError):
+        report_fn(frames, frame_ids=["a"])
+    with pytest.raises(ValueError):
+        report_fn(frames, frame_ids=["a", "b", "c"])
+    report = report_fn(frames, frame_ids=["a", "b"])
+    assert [s.frame_id for s in report.per_frame] == ["a", "b"]
 
 
 def test_config_validation():

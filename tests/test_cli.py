@@ -1,10 +1,15 @@
 """End-to-end CLI tests: exit codes, determinism, and config precedence."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lane3d
 from lane3d.cli import main
 from lane3d.geometry import CameraModel, Curve2D, Lane3D, SampleGrid, sample_curve
 from lane3d.scenario_io import FrameRecord, write_frames
@@ -342,3 +347,20 @@ def test_fit_malformed_inputs_are_exit_3(tmp_path):
     no_lanes.write_text(json.dumps({"something": 1}))
     assert run("fit", "--frame-2d", str(no_lanes), "--camera",
                str(camera_path)) == 3
+
+
+# ---------------------------------------------------------------------------
+# module entry point
+# ---------------------------------------------------------------------------
+
+
+def test_python_m_lane3d_runs_without_runtime_warning():
+    src = str(Path(lane3d.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "lane3d", "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: lane3d" in proc.stdout

@@ -1,6 +1,6 @@
 """Bit-identity tests for the distance kernels.
 
-The contract is exact: both backends must reproduce a pure-Python
+The contract is exact: the kernels must reproduce a pure-Python
 double-loop oracle bitwise, not merely within a tolerance.
 """
 
@@ -73,9 +73,6 @@ def oracle_polyline_stats(a, q):
     return total / len(al), biggest
 
 
-BACKENDS = ["numpy"] + (["numba"] if kernels.NUMBA_AVAILABLE else [])
-
-
 def random_lane(rng, n):
     """Random lane-like point cloud with sorted y and mild x/z spread."""
     y = np.sort(rng.uniform(0.0, 100.0, size=n))
@@ -85,50 +82,36 @@ def random_lane(rng, n):
 
 
 class TestDirectedPointStats:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_bit_identical_to_oracle(self, backend):
+    def test_bit_identical_to_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(1000):
             a = random_lane(rng, 100)
             b = random_lane(rng, 100)
-            mean, biggest = kernels.directed_point_stats(a, b, backend=backend)
+            mean, biggest = kernels.directed_point_stats(a, b)
             omean, obig = oracle_point_stats(a, b)
             assert mean == omean
             assert biggest == obig
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unsorted_input_matches_oracle(self, backend):
+    def test_unsorted_input_matches_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             a = rng.normal(0.0, 10.0, size=(40, 3))
             b = rng.normal(0.0, 10.0, size=(60, 3))
-            mean, biggest = kernels.directed_point_stats(a, b, backend=backend)
+            mean, biggest = kernels.directed_point_stats(a, b)
             omean, obig = oracle_point_stats(a, b)
             assert mean == omean
             assert biggest == obig
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_duplicate_y_values(self, backend):
+    def test_duplicate_y_values(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             a = random_lane(rng, 30)
             b = random_lane(rng, 30)
             b[:, 1] = np.round(b[:, 1] / 10.0) * 10.0  # many exact ties
-            mean, biggest = kernels.directed_point_stats(a, b, backend=backend)
+            mean, biggest = kernels.directed_point_stats(a, b)
             omean, obig = oracle_point_stats(a, b)
             assert mean == omean
             assert biggest == obig
-
-    def test_backends_agree_bitwise(self):
-        if not kernels.NUMBA_AVAILABLE:
-            pytest.skip("numba not importable")
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            a = random_lane(rng, 100)
-            b = random_lane(rng, 80)
-            assert kernels.directed_point_stats(
-                a, b, backend="numba"
-            ) == kernels.directed_point_stats(a, b, backend="numpy")
 
     def test_identical_sets_give_zero(self):
         rng = np.random.default_rng(19)
@@ -159,40 +142,19 @@ class TestDirectedPointStats:
         with pytest.raises(ValueError):
             kernels.directed_point_stats(good, np.empty((0, 3)))
 
-    def test_unknown_backend_rejected(self):
-        good = np.array([[0.0, 1.0, 0.0]])
-        with pytest.raises(ValueError):
-            kernels.directed_point_stats(good, good, backend="cuda")
-
 
 class TestPairMeanMatrices:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_per_pair_calls(self, backend):
+    def test_matches_per_pair_calls(self):
         rng = np.random.default_rng(23)
         preds = [random_lane(rng, rng.integers(5, 60)) for _ in range(4)]
         gts = [random_lane(rng, rng.integers(5, 60)) for _ in range(3)]
-        d_pg, d_gp = kernels.pair_mean_matrices(preds, gts, backend=backend)
+        d_pg, d_gp = kernels.pair_mean_matrices(preds, gts)
         assert d_pg.shape == (4, 3)
         assert d_gp.shape == (4, 3)
         for i, p in enumerate(preds):
             for j, g in enumerate(gts):
-                assert d_pg[i, j] == kernels.directed_point_stats(
-                    p, g, backend=backend
-                )[0]
-                assert d_gp[i, j] == kernels.directed_point_stats(
-                    g, p, backend=backend
-                )[0]
-
-    def test_backends_agree_bitwise(self):
-        if not kernels.NUMBA_AVAILABLE:
-            pytest.skip("numba not importable")
-        rng = np.random.default_rng(29)
-        preds = [random_lane(rng, 100) for _ in range(6)]
-        gts = [random_lane(rng, 100) for _ in range(6)]
-        a_pg, a_gp = kernels.pair_mean_matrices(preds, gts, backend="numba")
-        b_pg, b_gp = kernels.pair_mean_matrices(preds, gts, backend="numpy")
-        assert np.array_equal(a_pg, b_pg)
-        assert np.array_equal(a_gp, b_gp)
+                assert d_pg[i, j] == kernels.directed_point_stats(p, g)[0]
+                assert d_gp[i, j] == kernels.directed_point_stats(g, p)[0]
 
     def test_empty_lane_lists(self):
         d_pg, d_gp = kernels.pair_mean_matrices([], [])
@@ -203,33 +165,28 @@ class TestPairMeanMatrices:
 
 
 class TestPointToPolylineStats:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_bit_identical_to_oracle(self, backend):
+    def test_bit_identical_to_oracle(self):
         rng = np.random.default_rng(37)
         for _ in range(200):
             a = random_lane(rng, 50)
             q = random_lane(rng, 40)
-            mean, biggest = kernels.point_to_polyline_stats(
-                a, q, backend=backend
-            )
+            mean, biggest = kernels.point_to_polyline_stats(a, q)
             omean, obig = oracle_polyline_stats(a, q)
             assert mean == omean
             assert biggest == obig
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_single_vertex_polyline(self, backend):
+    def test_single_vertex_polyline(self):
         a = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         q = np.array([[0.0, 3.0, 4.0]])
-        mean, biggest = kernels.point_to_polyline_stats(a, q, backend=backend)
+        mean, biggest = kernels.point_to_polyline_stats(a, q)
         omean, obig = oracle_polyline_stats(a, q)
         assert mean == omean
         assert biggest == obig
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_zero_length_segment(self, backend):
+    def test_zero_length_segment(self):
         a = np.array([[1.0, 1.0, 0.0]])
         q = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        mean, biggest = kernels.point_to_polyline_stats(a, q, backend=backend)
+        mean, biggest = kernels.point_to_polyline_stats(a, q)
         omean, obig = oracle_polyline_stats(a, q)
         assert mean == omean
         assert biggest == obig
@@ -252,26 +209,14 @@ class TestPointToPolylineStats:
         assert poly_mean == 0.0
         assert pts_mean == 5.0
 
-    def test_backends_agree_bitwise(self):
-        if not kernels.NUMBA_AVAILABLE:
-            pytest.skip("numba not importable")
-        rng = np.random.default_rng(41)
-        for _ in range(100):
-            a = random_lane(rng, 60)
-            q = random_lane(rng, 30)
-            assert kernels.point_to_polyline_stats(
-                a, q, backend="numba"
-            ) == kernels.point_to_polyline_stats(a, q, backend="numpy")
-
 
 class TestResamplePolyline:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_interp_oracle(self, backend):
+    def test_matches_interp_oracle(self):
         rng = np.random.default_rng(57)
         for _ in range(50):
             pts = random_lane(rng, int(rng.integers(2, 40)))
             n = int(rng.integers(2, 150))
-            out = kernels.resample_polyline(pts, n, backend=backend)
+            out = kernels.resample_polyline(pts, n)
             assert out.shape == (n, 3)
             assert np.array_equal(out[0], pts[0])
             assert np.array_equal(out[-1], pts[-1])
@@ -285,44 +230,27 @@ class TestResamplePolyline:
             )
             assert np.allclose(out, ref, rtol=1e-12, atol=1e-9)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_samples_lie_on_the_chain(self, backend):
+    def test_samples_lie_on_the_chain(self):
         rng = np.random.default_rng(58)
         for _ in range(25):
             pts = random_lane(rng, 12)
-            out = kernels.resample_polyline(pts, 37, backend=backend)
+            out = kernels.resample_polyline(pts, 37)
             for p in out:
-                mean, _ = kernels.point_to_polyline_stats(
-                    p[None, :], pts, backend=backend
-                )
+                mean, _ = kernels.point_to_polyline_stats(p[None, :], pts)
                 assert mean < 1e-9
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_degenerate_duplicate_points(self, backend):
+    def test_degenerate_duplicate_points(self):
         pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
-        out = kernels.resample_polyline(pts, 6, backend=backend)
+        out = kernels.resample_polyline(pts, 6)
         assert np.array_equal(out[0], pts[0])
         assert np.array_equal(out[-1], pts[-1])
         assert np.all(np.isfinite(out))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_validation(self, backend):
+    def test_validation(self):
         with pytest.raises(ValueError):
-            kernels.resample_polyline(np.zeros((1, 3)) + 1.0, 5,
-                                      backend=backend)
+            kernels.resample_polyline(np.zeros((1, 3)) + 1.0, 5)
         with pytest.raises(ValueError):
-            kernels.resample_polyline(np.ones((4, 3)), 1, backend=backend)
-
-    def test_backends_agree_bitwise(self):
-        if not kernels.NUMBA_AVAILABLE:
-            pytest.skip("numba not importable")
-        rng = np.random.default_rng(59)
-        for _ in range(200):
-            pts = random_lane(rng, int(rng.integers(2, 50)))
-            n = int(rng.integers(2, 200))
-            got_nb = kernels.resample_polyline(pts, n, backend="numba")
-            got_np = kernels.resample_polyline(pts, n, backend="numpy")
-            assert np.array_equal(got_nb, got_np)
+            kernels.resample_polyline(np.ones((4, 3)), 1)
 
 
 class TestBatchedKernels:
@@ -338,7 +266,7 @@ class TestBatchedKernels:
             out = kernels.resample_polylines(np.concatenate(lanes), counts, n)
             assert out.shape == (len(lanes), n, 3)
             for lane, row in zip(lanes, out):
-                expected = kernels.resample_polyline(lane, n, backend="numpy")
+                expected = kernels.resample_polyline(lane, n)
                 assert np.array_equal(row, expected)
 
     @pytest.mark.parametrize("n, at, length", [
@@ -351,7 +279,7 @@ class TestBatchedKernels:
         y = length * np.array(at) / (n - 1)
         lane = np.column_stack([np.zeros_like(y), y, np.zeros_like(y)])
         out = kernels.resample_polylines(lane, [len(at)], n)
-        assert np.array_equal(out[0], kernels.resample_polyline(lane, n, backend="numpy"))
+        assert np.array_equal(out[0], kernels.resample_polyline(lane, n))
 
     @pytest.mark.parametrize("src, dst", [
         ([[1.0, 1.7, 0.0]],
@@ -382,14 +310,4 @@ class TestBatchedKernels:
 
 class TestBackendSelection:
     def test_active_backend_reports_a_known_name(self):
-        assert kernels.active_backend() in ("numba", "numpy")
-
-    def test_numba_is_default_when_available(self):
-        if not kernels.NUMBA_AVAILABLE:
-            pytest.skip("numba not importable")
-        import os
-
-        if os.environ.get("LANE3D_NUMBA", "1") == "0":
-            assert kernels.active_backend() == "numpy"
-        else:
-            assert kernels.active_backend() == "numba"
+        assert kernels.active_backend() == "numpy"
