@@ -33,11 +33,17 @@ vertex), so a prediction that merely extends past its ground truth is
 not charged for sampling misalignment.
 
 BEV rasterization uses a global grid of ``bev_resolution`` cells whose
-origin sits at integer multiples of the resolution: strokes are sets of
+origin sits at integer multiples of the resolution: strokes are runs of
 global cell indices, so the IoU of two lanes never depends on which
 other lanes share the frame.  Only x/y enter the rasterization; a
 stroke covers cells whose center lies within ``lane_width / 2`` of the
-polyline (boundary inclusive).
+polyline (boundary inclusive).  A stroke is a list of per-row runs
+``(iy, lo, hi)``, sorted and merged.  Each segment tests its predicate
+only on the cells of each row that lie within half a cell more than
+``lane_width / 2`` of its line, a window that holds every cell the
+predicate can pass, so the runs equal a cell-by-cell scan.  The IoU of
+two strokes counts the overlap of their runs; strokes whose row or
+column ranges are disjoint score 0 without that count.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -237,10 +244,6 @@ def _bcd_block(frames, n: int) -> list[np.ndarray]:
     if not keep.all():
         points = points.compress(keep, axis=0)
     curves = resample_polylines(points, counts, n)
-    # A non-finite visible coordinate reaches every interior sample (with
-    # n == 2 it is not sampled at all).  Frames holding one keep the full
-    # matrix, whose NaN ordering the row search does not reproduce.
-    finite = np.isfinite(curves).all(axis=(1, 2))
     # Rounding can leave a sample's y an ulp past the next vertex's; such
     # lanes are sorted stably by y, as pair_mean_matrices sorts them.
     y = curves[..., 1]
@@ -255,7 +258,7 @@ def _bcd_block(frames, n: int) -> list[np.ndarray]:
     at = pairs = 0
     for gt_lanes, pred_lanes in frames:
         n_pred, n_gt = len(pred_lanes), len(gt_lanes)
-        if n_pred and n_gt and finite[at:at + n_pred + n_gt].all():
+        if n_pred and n_gt:
             row_pred.extend(range(at, at + n_pred))
             row_gt.extend([at + n_pred] * n_pred)
             row_len.extend([n_gt] * n_pred)
@@ -282,8 +285,6 @@ def _bcd_block(frames, n: int) -> list[np.ndarray]:
         shape = (len(pred_lanes), len(gt_lanes))
         if start is not None:
             matrices.append(values[start:start + shape[0] * shape[1]].reshape(shape))
-        elif pred_lanes and gt_lanes:
-            matrices.append(_bcd_matrix(gt_lanes, pred_lanes, n))
         else:
             matrices.append(np.zeros(shape))
     return matrices
@@ -313,16 +314,40 @@ def bcd_select_tp_fp(
 # BEV rasterization and IoU
 # ---------------------------------------------------------------------------
 
-_KEY_OFFSET = np.uint64(2**31)
+class _Runs(NamedTuple):
+    """A stroke as per-row runs: row ``iy[k]`` covers the cells with
+    ``lo[k] <= ix <= hi[k]``.  Runs are sorted by row, then column, and
+    runs of one row neither overlap nor touch."""
+
+    iy: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
 
-def _stroke_cells(points: np.ndarray, config: EvalConfig) -> np.ndarray:
-    """Global grid-cell keys covered by the stroked polyline.
+def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(f, f + c)`` for each ``(f, c)``, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(first - (ends - counts), counts)
+
+
+# Rows are 2**32 apart on the key line, so runs of different rows never
+# touch while |ix| < 2**31 (1e8 m at 0.05 m cells).
+_ROW = np.int64(1) << np.int64(32)
+
+
+def _stroke_runs(points: np.ndarray, config: EvalConfig) -> _Runs:
+    """Grid cells covered by the stroked polyline, as per-row runs.
 
     Cell ``(ix, iy)`` has center ``((ix + 0.5) * res, (iy + 0.5) * res)``
     in ground x/y; a cell is covered when its center lies within half the
-    lane width of some polyline segment.  Keys pack both indices into a
-    uint64 so strokes from different lanes and frames are comparable.
+    lane width of some polyline segment, which the predicate below
+    decides cell by cell.  Each segment tests, in every row of its scan
+    box (its cell bounding box grown by ``margin``), only the cells
+    whose centers lie within half a cell more than half the lane width
+    of the segment's line.  That window holds every cell the predicate
+    can pass, since the rounding error of both stays far below half a
+    cell.  ``points`` must have strictly increasing y, as ``Lane3D``
+    guarantees.
     """
     if points.shape[0] < 2:
         raise DegenerateLane(
@@ -330,57 +355,132 @@ def _stroke_cells(points: np.ndarray, config: EvalConfig) -> np.ndarray:
         )
     res = config.bev_resolution
     half = config.lane_width / 2.0
-    xy = points[:, :2]
-    chunks = []
-    for k in range(xy.shape[0] - 1):
-        ax, ay = xy[k]
-        bx, by = xy[k + 1]
-        ix0 = math.ceil(min(ax, bx) / res - 0.5) - 1
-        ix1 = math.floor(max(ax, bx) / res - 0.5) + 1
-        iy0 = math.ceil(min(ay, by) / res - 0.5) - 1
-        iy1 = math.floor(max(ay, by) / res - 0.5) + 1
-        margin = int(math.ceil(half / res)) + 1
-        ixs = np.arange(ix0 - margin, ix1 + margin + 1, dtype=np.int64)
-        iys = np.arange(iy0 - margin, iy1 + margin + 1, dtype=np.int64)
-        cx = (ixs + 0.5) * res
-        cy = (iys + 0.5) * res
-        ex, ey = bx - ax, by - ay
-        c2 = ex * ex + ey * ey
-        wx = cx[None, :] - ax
-        wy = cy[:, None] - ay
-        if c2 > 0.0:
-            t = np.clip((wx * ex + wy * ey) / c2, 0.0, 1.0)
-        else:
-            t = 0.0
-        dx = wx - t * ex
-        dy = wy - t * ey
-        hit = (dx * dx + dy * dy) <= half * half
-        iy_hit, ix_hit = np.nonzero(hit)
-        if iy_hit.size:
-            keys = (
-                (ixs[ix_hit].astype(np.uint64) + _KEY_OFFSET) << np.uint64(32)
-            ) | (iys[iy_hit].astype(np.uint64) + _KEY_OFFSET)
-            chunks.append(keys)
-    if not chunks:
-        return np.empty(0, dtype=np.uint64)
-    return np.unique(np.concatenate(chunks))
+    margin = int(math.ceil(half / res)) + 1
+    ax, ay = points[:-1, 0], points[:-1, 1]
+    bx, by = points[1:, 0], points[1:, 1]
+    ex, ey = bx - ax, by - ay
+    c2 = ex * ex + ey * ey
+    # c2 is 0 only by underflow; t = num / inf is then 0, as for a point
+    c2 = np.where(c2 > 0.0, c2, np.inf)
+    ix0 = np.ceil(np.minimum(ax, bx) / res - 0.5) - 1 - margin
+    ix1 = np.floor(np.maximum(ax, bx) / res - 0.5) + 1 + margin
+    iy0 = np.ceil(ay / res - 0.5) - 1 - margin
+    iy1 = np.floor(by / res - 0.5) + 1 + margin
+
+    # (segment, row) pairs: rows within the window's reach of [ay, by]
+    reach = half + res / 2.0
+    first = np.maximum(iy0, np.ceil((ay - reach) / res - 0.5)).astype(np.int64)
+    last = np.minimum(iy1, np.floor((by + reach) / res - 0.5)).astype(np.int64)
+    n_rows = np.maximum(last - first + 1, 0)
+    seg = np.repeat(np.arange(ax.size), n_rows)
+    iy = _ranges(first, n_rows)
+    wy = (iy + 0.5) * res - ay[seg]
+    # each row's window: |signed distance to the segment's line| <= reach,
+    # with the unit direction (ux, uy).  uy rounds to 0 on a segment flat
+    # to the last bit: the scan box then wins over an infinite bound, and
+    # fmax/fmin make it win over a NaN one.
+    length = np.hypot(ex, ey)
+    ux, uy = (ex / length)[seg], (ey / length)[seg]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x0 = ax[seg] + (ux * wy - reach) / uy
+        x1 = ax[seg] + (ux * wy + reach) / uy
+    lo = np.fmax(np.ceil(x0 / res - 0.5), ix0[seg])
+    hi = np.fmin(np.floor(x1 / res - 0.5), ix1[seg])
+    n_cols = np.maximum(hi - lo + 1, 0)
+    some = n_cols > 0
+    seg, iy, wy = seg[some], iy[some], wy[some]
+    n_cols = n_cols[some].astype(np.int64)
+    if not n_cols.size:
+        return _Runs(*(np.empty(0, dtype=np.int64),) * 3)
+
+    # the predicate, on every cell of every window
+    def per_cell(values):
+        return np.repeat(values, n_cols)
+
+    ix = _ranges(lo[some], n_cols)  # integral floats
+    ex_c, ey_c = per_cell(ex[seg]), per_cell(ey[seg])
+    wx = (ix + 0.5) * res - per_cell(ax[seg])
+    wy_c = per_cell(wy)
+    t = np.clip((wx * ex_c + wy_c * ey_c) / per_cell(c2[seg]), 0.0, 1.0)
+    dx = wx - t * ex_c
+    dy = wy_c - t * ey_c
+    hit = (dx * dx + dy * dy) <= half * half
+
+    # runs of hits within each window
+    window_end = np.cumsum(n_cols) - 1
+    open_left = np.empty_like(hit)
+    open_left[0] = False
+    open_left[1:] = hit[:-1]
+    open_left[window_end[:-1] + 1] = False
+    open_right = np.empty_like(hit)
+    open_right[:-1] = hit[1:]
+    open_right[window_end] = False
+    begin = np.flatnonzero(hit & ~open_left)
+    end = np.flatnonzero(hit & ~open_right)
+    if not begin.size:
+        return _Runs(*(np.empty(0, dtype=np.int64),) * 3)
+
+    # merge the segments' runs row by row on the key line iy * 2**32 + ix
+    row = iy[np.searchsorted(window_end, begin)] * _ROW
+    key_lo = row + ix[begin].astype(np.int64)
+    order = np.argsort(key_lo, kind="stable")
+    key_lo = key_lo[order]
+    key_hi = np.maximum.accumulate((row + ix[end].astype(np.int64))[order])
+    fresh = np.flatnonzero(np.concatenate(([True], key_lo[1:] > key_hi[:-1] + 1)))
+    row = row[order][fresh]
+    stop = np.append(fresh[1:], key_lo.size) - 1
+    return _Runs(row // _ROW, key_lo[fresh] - row, key_hi[stop] - row)
 
 
-def _cells_iou(a: np.ndarray, b: np.ndarray) -> float:
-    if a.size == 0 and b.size == 0:
-        return 0.0
-    inter = np.intersect1d(a, b, assume_unique=True).size
-    union = a.size + b.size - inter
-    return inter / union if union else 0.0
+def _iou_matrix(rows: list[_Runs], cols: list[_Runs]) -> np.ndarray:
+    """BEV IoU of every (row, column) pair of strokes.
+
+    A pair whose row or column ranges are disjoint shares no cell, so its
+    IoU is 0 without further work, as is that of two empty strokes.
+    """
+    def summary(strokes):
+        size = np.array([int((s.hi - s.lo + 1).sum()) for s in strokes])
+        box = np.array([
+            (s.iy[0], s.iy[-1], s.lo.min(), s.hi.max()) if s.iy.size
+            else (0, 0, 0, 0)
+            for s in strokes
+        ]).T
+        return size, box
+
+    size_r, (r0, r1, c0, c1) = summary(rows)
+    size_c, (s0, s1, d0, d1) = summary(cols)
+    meet = (
+        (size_r[:, None] > 0) & (size_c > 0)
+        & (r0[:, None] <= s1) & (s0 <= r1[:, None])
+        & (c0[:, None] <= d1) & (d0 <= c1[:, None])
+    )
+    iou = np.zeros((len(rows), len(cols)))
+    for i, j in zip(*np.nonzero(meet)):
+        inter = _shared_cells(rows[i], cols[j])
+        iou[i, j] = inter / (int(size_r[i] + size_c[j]) - inter)
+    return iou
+
+
+def _shared_cells(a: _Runs, b: _Runs) -> int:
+    """Number of cells in both strokes."""
+    start = a.iy * _ROW + a.lo
+    stop = a.iy * _ROW + a.hi
+    before = np.concatenate(([0], np.cumsum(stop - start + 1)))
+
+    def up_to(key):  # cells of ``a`` on the key line at or below ``key``
+        k = np.searchsorted(start, key, side="right")
+        return before[k] - np.where(k > 0, np.maximum(stop[k - 1] - key, 0), 0)
+
+    return int((up_to(b.iy * _ROW + b.hi) - up_to(b.iy * _ROW + b.lo - 1)).sum())
 
 
 def bev_iou(gt: Lane3D, pred: Lane3D, config: EvalConfig | None = None) -> float:
     """IoU of the two lanes' stroked footprints on the BEV grid."""
     config = config or EvalConfig()
-    return _cells_iou(
-        _stroke_cells(gt.visible_points(), config),
-        _stroke_cells(pred.visible_points(), config),
-    )
+    return float(_iou_matrix(
+        [_stroke_runs(gt.visible_points(), config)],
+        [_stroke_runs(pred.visible_points(), config)],
+    )[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -401,26 +501,22 @@ def _iou_matched_pairs(
     """
     if not gt_lanes or not pred_lanes:
         return []
-    gt_cells = [_stroke_cells(lane.visible_points(), config) for lane in gt_lanes]
-    pred_cells = [
-        _stroke_cells(lane.visible_points(), config) for lane in pred_lanes
-    ]
-    iou = np.zeros((len(gt_lanes), len(pred_lanes)))
-    for i, gc in enumerate(gt_cells):
-        for j, pc in enumerate(pred_cells):
-            iou[i, j] = _cells_iou(gc, pc)
+    iou = _iou_matrix(
+        [_stroke_runs(lane.visible_points(), config) for lane in gt_lanes],
+        [_stroke_runs(lane.visible_points(), config) for lane in pred_lanes],
+    )
     match = hungarian(-iou)
     pairs = []
     for i, j in match.pairs:
+        gt_pts = interpolate_lane(gt_lanes[i], config.n_interp)
+        pred_pts = interpolate_lane(pred_lanes[j], config.n_interp)
         record = {
             "gt": i,
             "pred": j,
             "iou": float(iou[i, j]),
-            "ucd": unilateral_cd(gt_lanes[i], pred_lanes[j], config.n_interp),
+            "ucd": point_to_polyline_stats(gt_pts, pred_pts)[0],
         }
         if with_maxes and iou[i, j] > config.tau_iou:
-            gt_pts = interpolate_lane(gt_lanes[i], config.n_interp)
-            pred_pts = interpolate_lane(pred_lanes[j], config.n_interp)
             _, max_pg = directed_point_stats(pred_pts, gt_pts)
             _, max_gp = directed_point_stats(gt_pts, pred_pts)
             record["max_pg"] = max_pg
@@ -580,6 +676,7 @@ def threshold_sweep(
     """
     config = config or EvalConfig()
     taus = _tau_list(taus)
+    _frame_ids(frames, frame_ids)
 
     rows = []
     if protocol == "bcd":

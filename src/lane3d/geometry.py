@@ -68,6 +68,8 @@ class Lane3D:
         vis = np.asarray(self.visibility, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
             raise ValueError("points must be a non-empty (n, 3) array")
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite (no NaN or Inf)")
         if vis.shape != (pts.shape[0],):
             raise ValueError("visibility length must equal point count")
         if not np.all(np.diff(pts[:, 1]) > 0):

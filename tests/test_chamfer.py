@@ -10,7 +10,7 @@ from lane3d.chamfer import (
     EvalConfig,
     _bcd_matrix,
     _bcd_rows,
-    _stroke_cells,
+    _stroke_runs,
     bcd_report,
     bcd_select_tp_fp,
     bev_iou,
@@ -318,10 +318,22 @@ def oracle_cells(points, config):
     return cells
 
 
-def decode_keys(keys):
-    ix = (keys >> np.uint64(32)).astype(np.int64) - 2**31
-    iy = (keys & np.uint64(0xFFFFFFFF)).astype(np.int64) - 2**31
-    return set(zip(ix.tolist(), iy.tolist()))
+def decode_runs(runs):
+    """The cells ``(ix, iy)`` of a stroke's runs, checking that the runs
+    are sorted by row, then column, and that runs of one row neither
+    overlap nor touch."""
+    iy, lo, hi = (a.tolist() for a in runs)
+    assert all(first <= last for first, last in zip(lo, hi))
+    for k in range(1, len(iy)):
+        assert (iy[k - 1], hi[k - 1] + 1) < (iy[k], lo[k])
+    return {(ix, y) for y, first, last in zip(iy, lo, hi)
+            for ix in range(first, last + 1)}
+
+
+def random_polyline(rng, n, x_span=2.0, y_span=4.0, origin=(0.0, 0.0)):
+    y = origin[1] + np.cumsum(rng.uniform(0.05, y_span / n, n))
+    x = origin[0] + rng.uniform(-x_span, x_span, n)
+    return np.stack([x, y, np.zeros(n)], axis=1)
 
 
 def test_stroke_cells_match_brute_force():
@@ -334,14 +346,101 @@ def test_stroke_cells_match_brute_force():
         y = np.cumsum(np.concatenate([[y[0]], np.diff(y) + 0.05]))
         x = rng.uniform(-2.0, 2.0, n)
         pts = np.stack([x, y, np.zeros(n)], axis=1)
-        got = decode_keys(_stroke_cells(pts, config))
+        got = decode_runs(_stroke_runs(pts, config))
         assert got == oracle_cells(pts, config)
 
 
 def test_stroke_negative_coordinates():
     config = EvalConfig()
     pts = np.array([[-1.3, -0.9, 0.0], [-0.2, 1.4, 0.0]])
-    assert decode_keys(_stroke_cells(pts, config)) == oracle_cells(pts, config)
+    assert decode_runs(_stroke_runs(pts, config)) == oracle_cells(pts, config)
+
+
+@pytest.mark.parametrize("lane_width, res, origin", [
+    (0.31, 0.07, (0.0, 0.0)),  # width not a multiple of the cell
+    (0.3, 0.05, (1e4, 1e4)),  # far from the grid origin
+    (0.3, 0.05, (-1e4, 1e4)),
+    (0.3, 0.05, (1e4, -1e4)),
+    (0.3, 0.05, (-1e4, -1e4)),
+    (0.02, 0.05, (0.0, 0.0)),  # thinner than a cell: strokes can be empty
+])
+def test_stroke_random_lanes_match_brute_force(lane_width, res, origin):
+    rng = np.random.default_rng(5)
+    config = EvalConfig(lane_width=lane_width, bev_resolution=res)
+    for _ in range(20):
+        pts = random_polyline(rng, int(rng.integers(2, 7)), origin=origin)
+        assert decode_runs(_stroke_runs(pts, config)) == oracle_cells(pts, config)
+
+
+def test_stroke_near_axis_segments_and_distances_on_the_boundary():
+    res = 0.05
+    config = EvalConfig(lane_width=0.3, bev_resolution=res)
+    step = res / 2
+    lanes = [
+        # near-horizontal: y rises by far less than a cell over meters
+        [[-1.0, 1.0], [1.5, 1.0 + 1e-9], [1.6, 1.0 + 2e-9]],
+        [[0.0, 7 * step], [2.0, 7 * step + 1e-12]],
+        [[-2.0, -1.0], [0.0, -1.0 + 1e-6], [0.1, 2.0]],
+        [[0.0, 0.0], [3.0, 5e-324]],  # ey / length rounds to 0
+        # near-vertical and exactly vertical
+        [[0.0, 0.0], [1e-12, 2.0], [1e-12, 3.0]],
+        [[3 * step, 1 * step], [3 * step, 41 * step]],
+        # vertices on half-cell multiples: cell centers land exactly
+        # half a lane width from vertices and edges
+        [[3 * step, 3 * step], [9 * step, 15 * step], [9 * step, 27 * step],
+         [-5 * step, 33 * step]],
+        [[-6 * step, -6 * step], [0.0, 0.0], [6 * step, 30 * step]],
+        # ex * ex + ey * ey underflows to 0: the cap around the vertex
+        [[0.0, 0.0], [0.0, 5e-324]],
+    ]
+    for lane in lanes:
+        xy = np.array(lane)
+        pts = np.column_stack([xy, np.zeros(len(xy))])
+        assert decode_runs(_stroke_runs(pts, config)) == oracle_cells(pts, config)
+
+
+def lane_of(pts):
+    return Lane3D(points=pts, visibility=np.ones(len(pts)))
+
+
+def set_iou(a, b):
+    return len(a & b) / len(a | b) if a | b else 0.0
+
+
+def test_run_iou_matches_cell_set_iou():
+    config = EvalConfig(lane_width=0.3, bev_resolution=0.05)
+    rng = np.random.default_rng(31)
+    pairs = []
+    for _ in range(40):
+        a = random_polyline(rng, int(rng.integers(2, 6)), x_span=0.5)
+        b = a + [rng.normal(0.0, 0.2), rng.normal(0.0, 0.2), 0.0]
+        pairs.append((a, b))
+    diagonal = np.array([[0.0, 0.0, 0.0], [4.0, 4.0, 0.0]])
+    upright = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    thin = EvalConfig(lane_width=0.02, bev_resolution=0.05)
+    pairs += [
+        (diagonal, diagonal + [50.0, 0.0, 0.0]),  # boxes disjoint
+        (diagonal, diagonal + [1.0, 0.0, 0.0]),  # boxes overlap, cells do not
+        (diagonal, diagonal[::-1] * [1, -1, 1] + [0.0, 4.0, 0.0]),  # crossing
+        # boxes that share one column, or one row, and cells in it
+        (upright, upright + [0.25, 0.0, 0.0]),
+        (upright, upright + [0.0, 1.25, 0.0]),
+    ]
+    for a, b in pairs:
+        cells_a = decode_runs(_stroke_runs(a, config))
+        cells_b = decode_runs(_stroke_runs(b, config))
+        assert bev_iou(lane_of(a), lane_of(b), config) == set_iou(cells_a, cells_b)
+    # the box-overlapping pair really shares rows and columns but no cell
+    a = decode_runs(_stroke_runs(diagonal, config))
+    b = decode_runs(_stroke_runs(diagonal + [1.0, 0.0, 0.0], config))
+    assert not a & b
+    assert min(ix for ix, _ in b) < max(ix for ix, _ in a)
+    # one empty stroke, and two: cell centers sit 0.025 m off a lane on a
+    # cell edge, and nothing lies within 0.01 m of it
+    empty = np.array([[0.05, 0.0, 0.0], [0.05, 3.0, 0.0]])
+    assert decode_runs(_stroke_runs(empty, thin)) == set()
+    assert bev_iou(lane_of(empty), lane_of(diagonal), thin) == 0.0
+    assert bev_iou(lane_of(empty), lane_of(empty), thin) == 0.0
 
 
 def test_iou_translation_by_grid_multiples_is_exact():
@@ -378,8 +477,8 @@ def test_iou_parallel_offset_oracle():
     config = EvalConfig(lane_width=0.3, bev_resolution=0.05)
     gt = straight_lane(0.0)
     pred = straight_lane(0.1)
-    a = decode_keys(_stroke_cells(gt.visible_points(), config))
-    b = decode_keys(_stroke_cells(pred.visible_points(), config))
+    a = decode_runs(_stroke_runs(gt.visible_points(), config))
+    b = decode_runs(_stroke_runs(pred.visible_points(), config))
     shifted = {(ix + 2, iy) for ix, iy in a}
     assert shifted == b
     inter = len(a & b)
@@ -604,6 +703,17 @@ def test_reports_reject_frame_ids_of_the_wrong_length(report_fn):
         report_fn(frames, frame_ids=["a", "b", "c"])
     report = report_fn(frames, frame_ids=["a", "b"])
     assert [s.frame_id for s in report.per_frame] == ["a", "b"]
+
+
+@pytest.mark.parametrize("protocol", ["bcd", "once", "openlane"])
+def test_sweeps_reject_frame_ids_of_the_wrong_length(protocol):
+    frames = sweep_fixture(n_frames=2)
+    with pytest.raises(ValueError):
+        threshold_sweep(frames, [0.3], protocol, frame_ids=["only-one"])
+    with pytest.raises(ValueError):
+        threshold_sweep(frames, [0.3], protocol, frame_ids=["a", "b", "c"])
+    assert threshold_sweep(frames, [0.3], protocol, frame_ids=["a", "b"]) == \
+        threshold_sweep(frames, [0.3], protocol)
 
 
 def test_config_validation():

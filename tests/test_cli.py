@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, determinism, and config precedence."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -142,6 +143,48 @@ def test_eval_threads_bit_identical(tmp_path):
     assert run("eval", "--gt", str(gt), "--pred", str(pred), "--protocol",
                "once", "--threads", "4", "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("protocol", ["once", "mbd", "bcd", "openlane"])
+def test_eval_non_finite_coordinate_is_exit_3(tmp_path, capsys, protocol):
+    gt, pred = synth(tmp_path)
+    lines = pred.read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj["lanes"][0]["points"][2][0] = float("nan")
+    lines[1] = json.dumps(obj)
+    pred.write_text("".join(line + "\n" for line in lines))
+    assert run("eval", "--gt", str(gt), "--pred", str(pred),
+               "--protocol", protocol) == 3
+    err = capsys.readouterr().err
+    assert "finite" in err and "line 2" in err and "lanes[0]" in err
+
+
+# sha256 of the reports on one seeded scenario, taken before BEV strokes
+# became per-row runs; any change to a byte of these reports is a change
+# of the protocols' results.
+GOLDEN_IOU_REPORTS = {
+    ("eval", "once"):
+        "d29123265c26d1b34b8c9ba5c0daeea85890ebee935147bc41d0c4c62b6439f5",
+    ("eval", "mbd"):
+        "d868e6c1f02a222a9a1bcc3927d866257d7abe11b6abfcc4547f18213361b4f1",
+    ("sweep", "once"):
+        "7c4f6a600a79564e67b6479419ed2de1dd80d60d2abca588578922e403e7ff74",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_iou_protocol_reports_match_golden_digests(tmp_path, threads):
+    gt, pred = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
+    assert run("synth", "--frames", "40", "--seed", "5", "--sigma-w0", "0.1",
+               "--out", str(gt), "--emit-pred", str(pred)) == 0
+    # a gate near the median IoU, so that matching and gating both bite
+    for (command, protocol), digest in GOLDEN_IOU_REPORTS.items():
+        out = tmp_path / f"{command}_{protocol}_{threads}"
+        extra = ("--taus", "0.05:1.5:0.05") if command == "sweep" else ()
+        assert run(command, "--gt", str(gt), "--pred", str(pred),
+                   "--protocol", protocol, "--tau-iou", "0.65",
+                   "--threads", threads, "--out", str(out), *extra) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,14 @@ class TestLaneValidation:
             Lane3D(points=np.array([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]]),
                    visibility=np.ones(2), score=1.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_points_must_be_finite(self, bad, column):
+        pts = np.array([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 3.0, 0.0]])
+        pts[2, column] = bad
+        with pytest.raises(ValueError):
+            Lane3D(points=pts, visibility=np.ones(3))
+
 
 class TestFitCurves:
     IMAGE = (720, 960)
