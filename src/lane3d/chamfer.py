@@ -186,6 +186,12 @@ def _bcd_claim(
     return tp_flags, covered, tp_errors
 
 
+def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(f, f + c)`` for each ``(f, c)``, concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(first - (ends - counts), counts)
+
+
 # Lanes times their largest point count (input or interpolated) per frame
 # block: bounds the memory of one block of the bidirectional row search.
 _BLOCK_POINTS = 1 << 13
@@ -272,11 +278,10 @@ def _bcd_block(frames, n: int) -> list[np.ndarray]:
         row_len = np.array(row_len)
         row_starts = np.zeros(row_len.size, dtype=np.int64)
         np.cumsum(row_len[:-1], out=row_starts[1:])
-        within = np.arange(pairs) - np.repeat(row_starts, row_len)
         values = nearest_pair_rows(
             curves,
             np.repeat(row_pred, row_len),
-            np.repeat(row_gt, row_len) + within,
+            _ranges(np.array(row_gt), row_len),
             row_starts,
         )
 
@@ -322,12 +327,6 @@ class _Runs(NamedTuple):
     iy: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-
-
-def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``arange(f, f + c)`` for each ``(f, c)``, concatenated."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1]) + np.repeat(first - (ends - counts), counts)
 
 
 # Rows are 2**32 apart on the key line, so runs of different rows never

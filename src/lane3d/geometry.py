@@ -74,7 +74,7 @@ class Lane3D:
             raise ValueError("visibility length must equal point count")
         if not np.all(np.diff(pts[:, 1]) > 0):
             raise ValueError("y-coordinates must be strictly increasing")
-        if np.any(vis < 0) or np.any(vis > 1):
+        if not np.all((vis >= 0) & (vis <= 1)):
             raise ValueError("visibility entries must lie in [0, 1]")
         if self.score is not None and not 0.0 <= self.score <= 1.0:
             raise ValueError("score must lie in [0, 1]")

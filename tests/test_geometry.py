@@ -249,6 +249,12 @@ class TestLaneValidation:
             Lane3D(points=np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]),
                    visibility=np.ones(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+    def test_visibility_range(self, bad):
+        with pytest.raises(ValueError):
+            Lane3D(points=np.array([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]]),
+                   visibility=np.array([1.0, bad]))
+
     def test_visibility_length(self):
         with pytest.raises(ValueError):
             Lane3D(points=np.array([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]]),
