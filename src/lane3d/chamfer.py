@@ -329,8 +329,9 @@ class _Runs(NamedTuple):
     hi: np.ndarray
 
 
-# Rows are 2**32 apart on the key line, so runs of different rows never
-# touch while |ix| < 2**31 (1e8 m at 0.05 m cells).
+# Rows are 2**32 apart on the key line iy * 2**32 + ix, so runs of
+# different rows neither touch nor interleave while the columns in play
+# span fewer than 2**32 - 1 cells (2e8 m at 0.05 m cells).
 _ROW = np.int64(1) << np.int64(32)
 
 
@@ -419,7 +420,7 @@ def _stroke_runs(points: np.ndarray, config: EvalConfig) -> _Runs:
     if not begin.size:
         return _Runs(*(np.empty(0, dtype=np.int64),) * 3)
 
-    # merge the segments' runs row by row on the key line iy * 2**32 + ix
+    # merge the segments' runs row by row on the key line
     row = iy[np.searchsorted(window_end, begin)] * _ROW
     key_lo = row + ix[begin].astype(np.int64)
     order = np.argsort(key_lo, kind="stable")
