@@ -432,13 +432,14 @@ def _stroke_runs(points: np.ndarray, config: EvalConfig) -> _Runs:
     return _Runs(row // _ROW, key_lo[fresh] - row, key_hi[stop] - row)
 
 
-def _iou_matrix(rows: list[_Runs], cols: list[_Runs]) -> np.ndarray:
-    """BEV IoU of every (row, column) pair of strokes.
+def _iou_matrix(a: list[_Runs], b: list[_Runs]) -> np.ndarray:
+    """BEV IoU of every pair of strokes from ``a`` and ``b``.
 
     A pair whose row or column ranges are disjoint shares no cell, so its
-    IoU is 0 without further work, as is that of two empty strokes.
+    IoU is 0 without further work, as is a pair with an empty stroke.
     """
-    def summary(strokes):
+    def extent(strokes):
+        # cell counts, and first/last row and first/last column per stroke
         size = np.array([int((s.hi - s.lo + 1).sum()) for s in strokes])
         box = np.array([
             (s.iy[0], s.iy[-1], s.lo.min(), s.hi.max()) if s.iy.size
@@ -447,17 +448,17 @@ def _iou_matrix(rows: list[_Runs], cols: list[_Runs]) -> np.ndarray:
         ]).T
         return size, box
 
-    size_r, (r0, r1, c0, c1) = summary(rows)
-    size_c, (s0, s1, d0, d1) = summary(cols)
+    size_a, (row0_a, row1_a, col0_a, col1_a) = extent(a)
+    size_b, (row0_b, row1_b, col0_b, col1_b) = extent(b)
     meet = (
-        (size_r[:, None] > 0) & (size_c > 0)
-        & (r0[:, None] <= s1) & (s0 <= r1[:, None])
-        & (c0[:, None] <= d1) & (d0 <= c1[:, None])
+        (size_a[:, None] > 0) & (size_b > 0)
+        & (row0_a[:, None] <= row1_b) & (row0_b <= row1_a[:, None])
+        & (col0_a[:, None] <= col1_b) & (col0_b <= col1_a[:, None])
     )
-    iou = np.zeros((len(rows), len(cols)))
+    iou = np.zeros((len(a), len(b)))
     for i, j in zip(*np.nonzero(meet)):
-        inter = _shared_cells(rows[i], cols[j])
-        iou[i, j] = inter / (int(size_r[i] + size_c[j]) - inter)
+        inter = _shared_cells(a[i], b[j])
+        iou[i, j] = inter / (int(size_a[i] + size_b[j]) - inter)
     return iou
 
 
