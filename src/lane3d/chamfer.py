@@ -65,15 +65,7 @@ from .kernels import (
     resample_polylines,
 )
 from .matching import hungarian
-from .report import (
-    FrameStats,
-    MetricReport,
-    _assemble,
-    _frame_ids,
-    _map_frames,
-    _tau_list,
-    prf,
-)
+from .report import MetricReport, _assemble, _frame_ids, _tau_list, prf
 
 __all__ = [
     "MBD_VARIANTS",
@@ -108,6 +100,9 @@ class EvalConfig:
             value = float(getattr(self, name))
             if not value > 0:
                 raise ConfigError(f"{name} must be > 0, got {value!r}")
+            # the raster's cell arithmetic needs finite geometry
+            if name in ("lane_width", "bev_resolution") and value == math.inf:
+                raise ConfigError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
         n = int(self.n_interp)
         if n < 2:
@@ -197,14 +192,14 @@ def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
 _BLOCK_POINTS = 1 << 13
 
 
-def _bcd_rows(frames, n: int, threads: int = 1) -> list[np.ndarray]:
+def _bcd_rows(frames, n: int) -> list[np.ndarray]:
     """Per-frame ``(n_pred, n_gt)`` matrices for the bidirectional protocol.
 
     Entries a row's argmin and minimum can come from hold
     ``_bcd_matrix``'s values bitwise; every other entry is ``+inf``
     (see ``nearest_pair_rows``), which ``_bcd_nearest`` reads the same
     way.  Frames are searched in blocks of bounded size, and the
-    values depend neither on the blocks nor on ``threads``.
+    values do not depend on the blocks.
     """
     blocks, block, lanes, width = [], [], 0, n
     for frame in frames:
@@ -221,8 +216,7 @@ def _bcd_rows(frames, n: int, threads: int = 1) -> list[np.ndarray]:
         lanes += frame_lanes
         width = max(width, frame_width)
     blocks.append(block)
-    parts = _map_frames(lambda block: _bcd_block(block, n), blocks, threads)
-    return [d for part in parts for d in part]
+    return [d for block in blocks for d in _bcd_block(block, n)]
 
 
 def _bcd_block(frames, n: int) -> list[np.ndarray]:
@@ -547,77 +541,54 @@ def _pair_mbd(record: dict, variant: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _matched_frames(frames, config: EvalConfig, threads: int, with_maxes: bool):
+def _matched_frames(frames, config: EvalConfig, with_maxes: bool):
     """``(pairs, n_gt, n_pred)`` per frame; see ``_iou_matched_pairs``."""
+    return [
+        (_iou_matched_pairs(gt_lanes, pred_lanes, config, with_maxes),
+         len(gt_lanes), len(pred_lanes))
+        for gt_lanes, pred_lanes in frames
+    ]
 
-    def worker(frame):
-        gt_lanes, pred_lanes = frame
-        pairs = _iou_matched_pairs(gt_lanes, pred_lanes, config, with_maxes)
-        return pairs, len(gt_lanes), len(pred_lanes)
 
-    return _map_frames(worker, frames, threads)
+def _bcd_counts(d: np.ndarray, tau: float) -> tuple[int, int, int, list[float]]:
+    """``(tp, fp, fn, accepted distances)`` of one frame's matrix."""
+    tp_flags, covered, errors = _bcd_claim(_bcd_nearest(d), *d.shape, tau)
+    tp = sum(tp_flags)
+    return tp, len(tp_flags) - tp, len(covered) - tp, errors
 
 
 def bcd_report(
     frames,
     config: EvalConfig | None = None,
     frame_ids=None,
-    threads: int = 1,
 ) -> MetricReport:
     """Bidirectional-protocol evaluation over ``(gt_lanes, pred_lanes)`` frames."""
     config = config or EvalConfig()
     ids = _frame_ids(frames, frame_ids)
-
-    matrices = _bcd_rows(frames, config.n_interp, threads)
-    stats = []
-    all_errors: list[float] = []
-    for fid, d in zip(ids, matrices):
-        tp_flags, covered, errors = _bcd_claim(
-            _bcd_nearest(d), *d.shape, config.tau_bcd
-        )
-        tp = sum(tp_flags)
-        stats.append(
-            FrameStats(
-                frame_id=fid,
-                tp=tp,
-                fp=len(tp_flags) - tp,
-                fn=len(covered) - tp,
-                pair_errors=tuple(errors),
-            )
-        )
-        all_errors.extend(errors)
-    return _assemble("bcd", stats, "mean_bcd", all_errors)
+    counts = [
+        _bcd_counts(d, config.tau_bcd)
+        for d in _bcd_rows(frames, config.n_interp)
+    ]
+    return _assemble("bcd", ids, counts, "mean_bcd")
 
 
 def once_report(
     frames,
     config: EvalConfig | None = None,
     frame_ids=None,
-    threads: int = 1,
 ) -> MetricReport:
     """IoU-gated evaluation with the unilateral-CD acceptance test."""
     config = config or EvalConfig()
     ids = _frame_ids(frames, frame_ids)
-
-    cores = _matched_frames(frames, config, threads, with_maxes=False)
-    stats = []
-    all_errors: list[float] = []
-    for fid, (pairs, n_gt, n_pred) in zip(ids, cores):
-        tp, fp, fn, errors = _once_counts(pairs, n_gt, n_pred, config)
-        stats.append(
-            FrameStats(
-                frame_id=fid, tp=tp, fp=fp, fn=fn, pair_errors=tuple(errors)
-            )
-        )
-        all_errors.extend(errors)
-    return _assemble("once", stats, "cde", all_errors)
+    matched = _matched_frames(frames, config, with_maxes=False)
+    counts = [_once_counts(*frame, config) for frame in matched]
+    return _assemble("once", ids, counts, "cde")
 
 
 def mbd_report(
     frames,
     config: EvalConfig | None = None,
     frame_ids=None,
-    threads: int = 1,
 ) -> MetricReport:
     """Worst-case distances over IoU-matched pairs; counts as once_report.
 
@@ -627,29 +598,21 @@ def mbd_report(
     """
     config = config or EvalConfig()
     ids = _frame_ids(frames, frame_ids)
-
-    cores = _matched_frames(frames, config, threads, with_maxes=True)
-    stats = []
-    all_values: list[float] = []
-    for fid, (pairs, n_gt, n_pred) in zip(ids, cores):
+    counts = []
+    for pairs, n_gt, n_pred in _matched_frames(frames, config, with_maxes=True):
         tp, fp, fn, _ = _once_counts(pairs, n_gt, n_pred, config)
         values = [
             _pair_mbd(p, config.mbd_variant)
             for p in pairs
             if p["iou"] > config.tau_iou
         ]
-        stats.append(
-            FrameStats(
-                frame_id=fid, tp=tp, fp=fp, fn=fn, pair_errors=tuple(values)
-            )
-        )
-        all_values.extend(values)
+        counts.append((tp, fp, fn, values))
     aggregate = "max" if config.mbd_variant == "hausdorff_max" else "mean"
     return _assemble(
         "mbd",
-        stats,
+        ids,
+        counts,
         "mbd",
-        all_values,
         variant=config.mbd_variant,
         aggregate=aggregate,
     )
@@ -667,7 +630,6 @@ def threshold_sweep(
     config: EvalConfig | None = None,
     pointwise_config=None,
     frame_ids=None,
-    threads: int = 1,
 ) -> tuple[tuple[float, float, float, float], ...]:
     """(tau, precision, recall, f1) rows for a sweep of the protocol's
     distance threshold.
@@ -681,7 +643,7 @@ def threshold_sweep(
 
     rows = []
     if protocol == "bcd":
-        matrices = _bcd_rows(frames, config.n_interp, threads)
+        matrices = _bcd_rows(frames, config.n_interp)
         nearest = [(_bcd_nearest(d), *d.shape) for d in matrices]
         n_pred = sum(d.shape[0] for d in matrices)
         n_gt = sum(d.shape[1] for d in matrices)
@@ -689,7 +651,7 @@ def threshold_sweep(
             tp = sum(sum(_bcd_claim(*frame, tau)[0]) for frame in nearest)
             rows.append((tau, *prf(tp, n_pred - tp, n_gt - tp)))
     elif protocol in ("once", "mbd"):
-        cores = _matched_frames(frames, config, threads, with_maxes=False)
+        cores = _matched_frames(frames, config, with_maxes=False)
         for tau in taus:
             gated = dataclasses.replace(config, tau_cd=tau)
             tp = fp = fn = 0
@@ -702,9 +664,7 @@ def threshold_sweep(
     elif protocol == "openlane":
         from .pointwise import pointwise_sweep
 
-        rows = list(
-            pointwise_sweep(frames, taus, pointwise_config, threads=threads)
-        )
+        rows = list(pointwise_sweep(frames, taus, pointwise_config))
     else:
         raise ConfigError(f"unknown sweep protocol {protocol!r}")
     return tuple(rows)

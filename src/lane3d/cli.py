@@ -23,8 +23,7 @@ required component; 6 underdetermined curve fit; 7 file I/O failure;
 Output files are written to a temporary name and renamed into place, so
 a failing command never leaves a partial file.  Standard output is
 machine-parsable ``key = value`` lines (plus one line per pair/row in
-tables).  ``--threads`` controls frame-level parallelism and never
-changes results; outputs are bit-identical to ``--threads 1``.
+tables).  Frames are evaluated one after another on one thread.
 """
 
 from __future__ import annotations
@@ -91,7 +90,6 @@ _DEFAULTS = {
     "cap_multiplier": 1.5,
     "gammas": (0.5, 2.0, 10.0, 3.0, 5.0, 2.0),
     "background_weight": 1.0,
-    "threads": 0,  # 0 = all available cores
 }
 
 # Values with no reference anchor: always disclosed when left at default.
@@ -119,14 +117,11 @@ def _coerce(key: str, value):
         return _parse_gammas(value)
     if key == "mbd_variant":
         return str(value)
-    if key in ("n_interp", "threads"):
+    if key == "n_interp":
         try:
-            out = int(value)
+            return int(value)
         except (TypeError, ValueError):
             raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-        if key == "threads" and out < 0:
-            raise ConfigError(f"threads must be >= 0, got {out}")
-        return out
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -222,16 +217,9 @@ class CliConfig:
     def grid(self) -> SampleGrid:
         return SampleGrid()
 
-    @property
-    def threads(self) -> int:
-        n = self.values["threads"]
-        return n if n > 0 else (os.cpu_count() or 1)
-
     def echo(self) -> dict:
-        # Execution parameters (thread count) never enter the echoed config:
-        # reports produced with different --threads stay byte-identical.
         out = {key: (list(v) if isinstance(v := self.values[key], tuple) else v)
-               for key in sorted(self.values) if key != "threads"}
+               for key in sorted(self.values)}
         out["assumed_defaults"] = [
             key for key in _ASSUMED_KEYS if self.sources[key] == "default"
         ]
@@ -315,16 +303,15 @@ def cmd_eval(args) -> int:
     records = _load_records(args.gt, args.pred)
     frames = [(r.gt_lanes, r.pred_lanes) for r in records]
     ids = [r.frame_id for r in records]
-    threads = config.threads
     if args.protocol == "openlane":
         report = openlane_report(
-            frames, config.pointwise_config, config.grid, ids, threads
+            frames, config.pointwise_config, config.grid, ids
         )
     else:
         report_fn = {
             "once": once_report, "bcd": bcd_report, "mbd": mbd_report
         }[args.protocol]
-        report = report_fn(frames, config.eval_config, ids, threads)
+        report = report_fn(frames, config.eval_config, ids)
     if args.out:
         write_report(report, args.out, args.format, config.echo())
     pairs = [
@@ -366,7 +353,6 @@ def cmd_sweep(args) -> int:
         args.protocol,
         config.eval_config,
         pointwise_config=config.pointwise_config,
-        threads=config.threads,
     )
     # The sweep's product is its rows; headline ratios echo the last row
     # and counts are intentionally zero (they are per-threshold values).
@@ -649,9 +635,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("configuration")
     group.add_argument("--config", help="JSON config file (or a structured "
                        "report whose config block is reused)")
-    group.add_argument("--threads", type=int, default=None,
-                       help="worker threads; 0 or omitted uses all cores; "
-                       "results are bit-identical regardless")
     group.add_argument("--tau-cd", dest="tau_cd", type=float, default=None,
                        help="unilateral-CD acceptance threshold, meters "
                        "(default 0.3)")

@@ -123,6 +123,9 @@ class CameraModel:
     image_size: tuple[int, int]  # (H, W)
 
     def __post_init__(self):
+        values = (self.fx, self.fy, self.cx, self.cy, self.height)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("fx, fy, cx, cy and height must be finite")
         if self.fx <= 0 or self.fy <= 0 or self.height <= 0:
             raise ValueError("fx, fy and height must be positive")
         if not 0.0 <= self.pitch < math.pi / 2:

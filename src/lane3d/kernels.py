@@ -5,8 +5,7 @@ distance matrix of a lane pair.  The results are **bit-identical** to a
 plain double loop: the squared distance is evaluated with the operation
 order ``(dx*dx + dy*dy) + dz*dz``, minima are pure value selections,
 ``sqrt`` is applied per source point, and sums accumulate in
-source-point order.  Nothing depends on the thread count, so reports
-are the same bytes whatever number of workers runs them.
+source-point order, so reports are the same bytes on every run.
 
 The bidirectional protocol scores blocks of frames with batched kernels
 that give the same bits (``resample_polylines``, ``directed_mean_pairs``,

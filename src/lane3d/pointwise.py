@@ -32,15 +32,7 @@ import numpy as np
 from .errors import AnchorMismatch, ConfigError
 from .geometry import Lane3D, SampleGrid, resample_at_y
 from .matching import MatchResult, hungarian
-from .report import (
-    FrameStats,
-    MetricReport,
-    _assemble,
-    _frame_ids,
-    _map_frames,
-    _tau_list,
-    prf,
-)
+from .report import MetricReport, _assemble, _frame_ids, _tau_list, prf
 
 __all__ = [
     "PointwiseConfig",
@@ -262,12 +254,6 @@ def _accumulate_errors(
 # ---------------------------------------------------------------------------
 
 
-def _frame_core(frame, grid: SampleGrid) -> _FrameArrays | tuple:
-    gt_lanes, pred_lanes = frame
-    anchors = np.asarray(grid.y_anchors, dtype=float)
-    return _frame_arrays(gt_lanes, pred_lanes, anchors)
-
-
 def _gate_frame(
     arrays: _FrameArrays, config: PointwiseConfig
 ) -> tuple[int, int, int, list[tuple[int, int]]]:
@@ -285,7 +271,6 @@ def openlane_report(
     config: PointwiseConfig | None = None,
     grid: SampleGrid | None = None,
     frame_ids=None,
-    threads: int = 1,
 ) -> MetricReport:
     """Pointwise protocol over ``(gt_lanes, pred_lanes)`` frames.
 
@@ -296,24 +281,23 @@ def openlane_report(
     config = config or PointwiseConfig()
     grid = grid or SampleGrid()
     ids = _frame_ids(frames, frame_ids)
+    anchors = np.asarray(grid.y_anchors, dtype=float)
 
-    cores = _map_frames(lambda f: _frame_core(f, grid), frames, threads)
-    stats = []
+    counts = []
     sums = [0.0] * 4
-    counts = [0] * 4
-    for fid, arrays in zip(ids, cores):
+    n_anchors = [0] * 4
+    for gt_lanes, pred_lanes in frames:
+        arrays = _frame_arrays(gt_lanes, pred_lanes, anchors)
         tp, fp, fn, tp_pairs = _gate_frame(arrays, config)
-        pair_costs = tuple(
+        pair_costs = [
             float(np.minimum(arrays.dist[i, j][arrays.gt_vis[i]], config.cost_cap).mean())
             for i, j in tp_pairs
-        )
-        stats.append(
-            FrameStats(frame_id=fid, tp=tp, fp=fp, fn=fn, pair_errors=pair_costs)
-        )
-        _accumulate_errors(arrays, tp_pairs, config, sums, counts)
+        ]
+        counts.append((tp, fp, fn, pair_costs))
+        _accumulate_errors(arrays, tp_pairs, config, sums, n_anchors)
     names = ("e_x_near", "e_x_far", "e_z_near", "e_z_far")
-    errors = {k: (s / c if c else None) for k, s, c in zip(names, sums, counts)}
-    return _assemble("openlane", stats, "e_xz", [], extra_stats=errors)
+    errors = {k: (s / c if c else None) for k, s, c in zip(names, sums, n_anchors)}
+    return _assemble("openlane", ids, counts, "e_xz", [], extra_stats=errors)
 
 
 def pointwise_sweep(
@@ -321,7 +305,6 @@ def pointwise_sweep(
     taus,
     config: PointwiseConfig | None = None,
     grid: SampleGrid | None = None,
-    threads: int = 1,
 ) -> tuple[tuple[float, float, float, float], ...]:
     """(tau, precision, recall, f1) rows re-gating cached frame arrays.
 
@@ -332,7 +315,8 @@ def pointwise_sweep(
     config = config or PointwiseConfig()
     grid = grid or SampleGrid()
     taus = _tau_list(taus)
-    cores = _map_frames(lambda f: _frame_core(f, grid), frames, threads)
+    anchors = np.asarray(grid.y_anchors, dtype=float)
+    cores = [_frame_arrays(gt, pred, anchors) for gt, pred in frames]
     rows = []
     for tau in taus:
         gated = dataclasses.replace(config, tau_dist=tau)

@@ -1,16 +1,15 @@
 """Metric report containers and the frame plumbing of every protocol.
 
 Besides the report types, this module holds what the protocol modules
-share: running a per-frame worker over the frames (``_map_frames``), the
-frame-id and tau-list checks, and the assembly of a ``MetricReport``
-from per-frame counts (``_assemble``).
+share: the frame-id and tau-list checks, and the assembly of a
+``MetricReport`` from per-frame counts (``_assemble``).  Every protocol
+evaluates its frames in order on the calling thread.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -127,15 +126,6 @@ class MetricReport:
 # ---------------------------------------------------------------------------
 
 
-def _map_frames(worker, frames, threads: int) -> list:
-    """``worker`` over ``frames`` in order, on ``threads`` pool threads
-    when more than one."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, frames))
-    return [worker(frame) for frame in frames]
-
-
 def _frame_ids(frames, frame_ids) -> list[str]:
     """The given ids, one per frame, or ``"0"``, ``"1"``, ... by default."""
     if frame_ids is None:
@@ -158,18 +148,27 @@ def _tau_list(taus) -> list[float]:
 
 def _assemble(
     protocol: str,
-    stats: list[FrameStats],
+    frame_ids: list[str],
+    frame_counts,
     error_name: str,
-    error_values: list[float],
+    error_values: list[float] | None = None,
     variant: str | None = None,
     aggregate: str = "mean",
     extra_stats: dict | None = None,
 ) -> MetricReport:
-    """Sum the per-frame counts and aggregate the error values.
+    """A report from each frame's ``(tp, fp, fn, pair_errors)``.
 
-    The error statistic is the mean (``math.fsum``) or the max of
-    ``error_values``, and ``None`` when there are none.
+    Sums the per-frame counts and aggregates the error values, which
+    default to every frame's pair errors in frame order.  The error
+    statistic is the mean (``math.fsum``) or the max of the error
+    values, and ``None`` when there are none.
     """
+    stats = [
+        FrameStats(frame_id=fid, tp=tp, fp=fp, fn=fn, pair_errors=tuple(errors))
+        for fid, (tp, fp, fn, errors) in zip(frame_ids, frame_counts)
+    ]
+    if error_values is None:
+        error_values = [e for s in stats for e in s.pair_errors]
     tp = sum(s.tp for s in stats)
     fp = sum(s.fp for s in stats)
     fn = sum(s.fn for s in stats)

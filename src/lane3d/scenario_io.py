@@ -128,8 +128,8 @@ class NoiseModel:
     def __post_init__(self):
         for name in ("sigma_w0", "sigma_w_slope", "sigma_h0", "sigma_h_slope"):
             value = float(getattr(self, name))
-            if value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value!r}")
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
             object.__setattr__(self, name, value)
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -219,10 +219,11 @@ def _parse_lanes(objs, line: int, key: str):
                 arr = np.asarray(obj["uncertainty"], dtype=np.float64)
             except (TypeError, ValueError) as exc:
                 raise ParseError(str(exc), line, where + ".uncertainty") from None
-            if arr.ndim != 2 or arr.shape[1] != 2:
+            segments = lanes[-1].points.shape[0] - 1
+            if arr.shape != (segments, 2) or not np.isfinite(arr).all():
                 raise ParseError(
-                    "uncertainty must be an array of [lateral, vertical] "
-                    "pairs, one per segment",
+                    "uncertainty must be an array of finite [lateral, "
+                    f"vertical] pairs, one per segment ({segments})",
                     line,
                     where + ".uncertainty",
                 )
@@ -517,8 +518,10 @@ def generate_frames(
     if n_frames <= 0 or lanes_per_frame <= 0:
         raise ConfigError("n_frames and lanes_per_frame must be positive")
     lo, hi = (float(curvature_range[0]), float(curvature_range[1]))
-    if lo > hi:
-        raise ConfigError(f"curvature_range must be (low, high), got {lo, hi}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ConfigError(
+            f"curvature_range must be finite (low, high), got {lo, hi}"
+        )
     camera = camera or DEFAULT_CAMERA
     gt_seq, noise_seq = np.random.SeedSequence(noise.seed).spawn(2)
     gt_rng = np.random.default_rng(gt_seq)

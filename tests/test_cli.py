@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -48,6 +49,17 @@ def test_synth_deterministic_and_prints_manifest(tmp_path, capsys):
 def test_synth_bad_curvature_range(tmp_path):
     assert run("synth", "--frames", "1", "--curvature", "oops",
                "--out", str(tmp_path / "x.jsonl")) == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--sigma-w0", "nan"),
+    ("--sigma-h-slope", "inf"),
+    ("--curvature", "nan:0.001"),
+])
+def test_synth_non_finite_parameter_is_exit_2(tmp_path, flag, value):
+    out = tmp_path / "g.jsonl"
+    assert run("synth", "--frames", "2", flag, value, "--out", str(out)) == 2
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +118,11 @@ def test_eval_exit_codes_for_bad_files(tmp_path):
     versioned.write_text(json.dumps(obj) + "\n")
     assert run("eval", "--gt", str(versioned), "--pred", str(pred),
                "--protocol", "once") == 3
-    # 2: invalid threshold
+    # 2: invalid threshold or raster geometry
     assert run("eval", "--gt", str(gt), "--pred", str(pred),
                "--protocol", "once", "--tau-cd", "0") == 2
+    assert run("eval", "--gt", str(gt), "--pred", str(pred),
+               "--protocol", "once", "--lane-width", "inf") == 2
 
 
 def test_eval_unknown_prediction_frame_is_exit_4(tmp_path):
@@ -135,14 +149,13 @@ def test_eval_failure_leaves_no_output_file(tmp_path):
     assert leftovers == []
 
 
-def test_eval_threads_bit_identical(tmp_path):
-    gt, pred = synth(tmp_path, sigma_w0=0.08, frames=8)
-    a, b = tmp_path / "t1.json", tmp_path / "t4.json"
-    assert run("eval", "--gt", str(gt), "--pred", str(pred), "--protocol",
-               "once", "--threads", "1", "--out", str(a)) == 0
-    assert run("eval", "--gt", str(gt), "--pred", str(pred), "--protocol",
-               "once", "--threads", "4", "--out", str(b)) == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_threads_flag_is_gone(tmp_path):
+    gt, pred = synth(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run("eval", "--gt", str(gt), "--pred", str(pred),
+            "--protocol", "once", "--threads", "2")
+    assert exc.value.code == 2
+
 
 
 @pytest.mark.parametrize("protocol", ["once", "mbd", "bcd", "openlane"])
@@ -172,18 +185,17 @@ GOLDEN_IOU_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_iou_protocol_reports_match_golden_digests(tmp_path, threads):
+def test_iou_protocol_reports_match_golden_digests(tmp_path):
     gt, pred = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
     assert run("synth", "--frames", "40", "--seed", "5", "--sigma-w0", "0.1",
                "--out", str(gt), "--emit-pred", str(pred)) == 0
     # a gate near the median IoU, so that matching and gating both bite
     for (command, protocol), digest in GOLDEN_IOU_REPORTS.items():
-        out = tmp_path / f"{command}_{protocol}_{threads}"
+        out = tmp_path / f"{command}_{protocol}"
         extra = ("--taus", "0.05:1.5:0.05") if command == "sweep" else ()
         assert run(command, "--gt", str(gt), "--pred", str(pred),
                    "--protocol", protocol, "--tau-iou", "0.65",
-                   "--threads", threads, "--out", str(out), *extra) == 0
+                   "--out", str(out), *extra) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
@@ -316,6 +328,42 @@ def test_loss_gamma_override(tmp_path, capsys):
     assert "1.0,1.0,1.0,1.0,1.0,1.0" in capsys.readouterr().out
     assert run("loss", "--gt", str(gt), "--pred", str(pred),
                "--gammas", "1,2,3") == 2
+
+
+def edit_first_record(path, change):
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[0])
+    change(obj)
+    lines[0] = json.dumps(obj)
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("rows, bad", [(19, math.nan), (19, math.inf), (20, None)])
+def test_loss_malformed_uncertainty_is_exit_3(tmp_path, capsys, rows, bad):
+    gt, pred = synth(tmp_path, frames=2, lanes=2)  # 20 points per lane
+
+    def attach(obj):
+        unc = [[0.1, 0.1] for _ in range(rows)]
+        if bad is not None:
+            unc[3][0] = bad
+        for lane in obj["lanes"]:
+            lane["uncertainty"] = unc
+
+    edit_first_record(pred, attach)
+    assert run("loss", "--gt", str(gt), "--pred", str(pred)) == 3
+    assert "lanes[0].uncertainty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["fx", "cy", "height"])
+def test_non_finite_camera_is_exit_3(tmp_path, capsys, key):
+    gt, pred = synth(tmp_path, frames=2, lanes=2)
+
+    def spoil(obj):
+        obj["camera"][key] = math.nan
+
+    edit_first_record(gt, spoil)
+    assert run("loss", "--gt", str(gt), "--pred", str(pred)) == 3
+    assert "camera" in capsys.readouterr().err
 
 
 def test_loss_unfittable_lane_is_exit_5(tmp_path):

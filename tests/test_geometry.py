@@ -128,6 +128,17 @@ class TestSampleCurve:
         assert m[0] == 0 and u[0] == -1.0
 
 
+class TestCameraValidation:
+    @pytest.mark.parametrize("key", ["fx", "fy", "cx", "cy", "height"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_values_must_be_finite(self, key, bad):
+        values = dict(fx=1000.0, fy=1000.0, cx=480.0, cy=360.0, height=1.5,
+                      pitch=0.0, image_size=(720, 960))
+        values[key] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CameraModel(**values)
+
+
 class TestProjection:
     def test_hand_computed_point(self, camera):
         # p = (0, 10, 0): x_c=0, y_c=1.5, z_c=10 -> (480, 360 + 1000*0.15)

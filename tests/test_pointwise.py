@@ -307,14 +307,6 @@ def test_report_frame_ids_and_ordering():
         openlane_report([(gts, preds)], frame_ids=["a", "b"])
 
 
-def test_report_threads_bit_identical():
-    rng = np.random.default_rng(31)
-    frames = [random_frame(rng) for _ in range(20)]
-    one = openlane_report(frames, threads=1)
-    four = openlane_report(frames, threads=4)
-    assert one == four
-
-
 # ---------------------------------------------------------------------------
 # scale invariance
 # ---------------------------------------------------------------------------

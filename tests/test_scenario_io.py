@@ -245,6 +245,22 @@ def test_invalid_lane_geometry_is_a_parse_error(tmp_path):
     assert err.value.field == "lanes[0]"
 
 
+@pytest.mark.parametrize("uncertainty", [
+    [[0.1, math.nan]],
+    [[math.inf, 0.1]],
+    [[0.1, 0.1], [0.1, 0.1]],  # one row more than the lane's one segment
+    [],
+    [0.1, 0.1],
+])
+def test_malformed_uncertainty_is_a_parse_error(tmp_path, uncertainty):
+    obj = json.loads(valid_line())
+    obj["lanes"][0]["uncertainty"] = uncertainty
+    path = write_lines(tmp_path, json.dumps(obj))
+    with pytest.raises(ParseError) as err:
+        list(read_frames(path))
+    assert err.value.field == "lanes[0].uncertainty"
+
+
 def test_duplicate_frame_id_rejected(tmp_path):
     path = write_lines(tmp_path, valid_line("x"), valid_line("x"))
     with pytest.raises(ParseError) as err:
