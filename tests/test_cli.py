@@ -199,6 +199,38 @@ def test_iou_protocol_reports_match_golden_digests(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the remaining commands' reports on the same scenario, at
+# default settings, taken while matching still ran on scipy's solver.
+GOLDEN_REPORTS = {
+    ("eval", "bcd"):
+        "da27fc4fe39861ff3f06788829697185becea456d2ff75227dcf6b850624d642",
+    ("eval", "openlane"):
+        "21581963e6a87925b89975fc4883a9c834df47832261a0a6919c04e23900a9d1",
+    ("sweep", "bcd"):
+        "da81aee8d9dfeb5da7940bf185f73d10fbbc5ed0b4b1b37acae416cee649cf78",
+    ("sweep", "openlane"):
+        "5096c331e84e41354d5a792457bf70907204ad6bfd6ef34029bed5581a12d44e",
+    ("loss", None):
+        "348b2195239c6af5bc7e75aff5a1c6329b6b992faaba168ebb2e2584fa6960dc",
+}
+
+
+def test_reports_match_golden_digests(tmp_path):
+    gt, pred = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
+    assert run("synth", "--frames", "40", "--seed", "5", "--sigma-w0", "0.1",
+               "--out", str(gt), "--emit-pred", str(pred)) == 0
+    for (command, protocol), digest in GOLDEN_REPORTS.items():
+        out = tmp_path / f"{command}_{protocol}"
+        argv = [command, "--gt", str(gt), "--pred", str(pred)]
+        if protocol is not None:
+            argv += ["--protocol", protocol]
+        if command == "sweep":
+            argv += ["--taus", "0.05:1.5:0.05"]
+        assert run(*argv, "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, \
+            (command, protocol)
+
+
 # ---------------------------------------------------------------------------
 # config precedence
 # ---------------------------------------------------------------------------
