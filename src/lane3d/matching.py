@@ -7,11 +7,18 @@ row index first, then lowest column index.  ``inf`` entries mark
 forbidden pairs; an assignment is infeasible if every completion of the
 required size uses one.
 
-The optimizer is scipy's linear sum assignment; determinism is imposed
-on top by a fix-and-resolve pass that anchors each row in turn to the
-smallest column consistent with the optimal total.  Totals are compared
-with ``math.fsum`` so ties are decided in exact arithmetic, not in
-accumulation order.
+The solver works in exact integer arithmetic.  Every float is a dyadic
+rational, so the costs are scaled to Python ints without rounding, and
+the matrix is padded to square with zero-cost dummy rows or columns
+that take the highest indices.  One shortest-augmenting-path solve
+(Jonker & Volgenant, *Computing* 1987; the rectangular form in Crouse,
+IEEE TAES 2016) gives an optimal assignment and exact optimal duals
+``u, v``.  The optimal assignments are then exactly the perfect matchings
+on the tight pairs, where ``cost - u - v == 0``, so ties are decided
+exactly rather than in accumulation order: rows are walked in order and
+each takes the smallest tight column that an alternating path can free
+without moving an earlier row.  ``total_cost`` is the ``math.fsum`` of
+the chosen entries.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import NoFeasibleAssignment
 
@@ -53,11 +59,6 @@ class MatchResult:
         return frozenset(c for _, c in self.pairs)
 
 
-def _solve_work(work: np.ndarray) -> list[tuple[int, int]]:
-    rows, cols = linear_sum_assignment(work)
-    return list(zip(rows.tolist(), cols.tolist()))
-
-
 def hungarian(cost) -> MatchResult:
     """Minimum-cost assignment of ``min(n, m)`` row/column pairs.
 
@@ -77,84 +78,148 @@ def hungarian(cost) -> MatchResult:
         raise ValueError("cost matrix contains -inf")
 
     allowed = np.isfinite(c)
-    if allowed.all():
-        work = c
-    else:
-        finite_scale = float(np.abs(c[allowed]).sum()) if allowed.any() else 0.0
-        work = np.where(allowed, c, 2.0 * finite_scale + 1.0)
-
-    base = _solve_work(work)
-    if not all(allowed[r, col] for r, col in base):
+    work = _exact_costs(c, allowed)
+    col4row, row4col, u, v = _augment(work)
+    if not all(allowed[r, col] for r, col in enumerate(col4row[:n]) if col < m):
         raise NoFeasibleAssignment(
             "every full-size assignment uses a forbidden (inf) pair"
         )
-    target = math.fsum(work[r, col] for r, col in base)
-
-    pairs = _lexicographic_refinement(work, allowed, target, n, m)
+    _smallest_optimum(work, u, v, col4row, row4col, n, m)
+    pairs = tuple((r, col) for r, col in enumerate(col4row[:n]) if col < m)
     total = math.fsum(c[r, col] for r, col in pairs)
-    return MatchResult(pairs=tuple(pairs), total_cost=total)
+    return MatchResult(pairs=pairs, total_cost=total)
 
 
-def _lexicographic_refinement(
-    work: np.ndarray,
-    allowed: np.ndarray,
-    target: float,
-    n: int,
-    m: int,
-) -> list[tuple[int, int]]:
-    """Smallest (by row-sorted pair list) assignment achieving ``target``.
+def _exact_costs(c: np.ndarray, allowed: np.ndarray) -> list[list[int]]:
+    """``c`` as exact integers, padded with zero rows/columns to square.
 
-    Walks rows in increasing order, pinning each to its smallest column
-    for which some completion still reaches the optimal total; a row is
-    left unmatched only when no column admits one (possible only when
-    rows outnumber columns).
+    Every float is a dyadic rational, ``num / 2**k``, so shifting each
+    numerator up to the largest denominator scales all entries by one
+    power of two, exactly.  A forbidden entry costs more than the spread
+    of every all-finite total, so an assignment that avoids forbidden
+    pairs, when one exists, is always the cheaper.
     """
-    size = min(n, m)
-    fixed: list[tuple[int, int]] = []
-    free_cols = list(range(m))
-    for row in range(n):
-        remaining_rows = list(range(row + 1, n))
-        need = size - len(fixed)
-        if need == 0:
-            break
-        chosen = None
-        for col in free_cols:
-            if not allowed[row, col]:
-                continue
-            sub_cols = [x for x in free_cols if x != col]
-            if _completes_to_target(
-                work, fixed + [(row, col)], remaining_rows, sub_cols, target
-            ):
-                chosen = col
+    n, m = c.shape
+    ratios = [[x.as_integer_ratio() for x in line]
+              for line in np.where(allowed, c, 0.0).tolist()]
+    bits = max(den for line in ratios for _, den in line).bit_length()
+    work = [[num << (bits - den.bit_length()) for num, den in line]
+            for line in ratios]
+    forbidden = 2 * sum(abs(x) for line in work for x in line) + 1
+    for r, col in np.argwhere(~allowed).tolist():
+        work[r][col] = forbidden
+    size = max(n, m)
+    for line in work:
+        line.extend([0] * (size - m))
+    work.extend([0] * size for _ in range(size - n))
+    return work
+
+
+def _augment(cost: list[list[int]]):
+    """Shortest augmenting paths on a square integer matrix.
+
+    Each row in turn joins the matching along a shortest path in the
+    reduced costs ``cost - u - v`` (a Dijkstra scan over columns), after
+    which the duals are moved so that every reduced cost stays >= 0 and
+    every matched pair's is 0.  Returns ``col4row, row4col, u, v``: an
+    optimal assignment and exact optimal duals.
+    """
+    size = len(cost)
+    u = [0] * size
+    v = [0] * size
+    col4row = [-1] * size
+    row4col = [-1] * size
+    for start in range(size):
+        dist = [math.inf] * size
+        via = [-1] * size
+        rows_seen = []
+        cols_seen = []
+        todo = list(range(size))
+        row, reach, sink = start, 0, -1
+        while sink < 0:
+            rows_seen.append(row)
+            base = reach - u[row]
+            line = cost[row]
+            best, pick = math.inf, -1
+            for k, col in enumerate(todo):
+                d = base + line[col] - v[col]
+                if d < dist[col]:
+                    dist[col] = d
+                    via[col] = row
+                else:
+                    d = dist[col]
+                if d < best or (d == best and row4col[col] < 0):
+                    best, pick = d, k
+            reach = best
+            col = todo[pick]
+            todo[pick] = todo[-1]
+            todo.pop()
+            cols_seen.append(col)
+            if row4col[col] < 0:
+                sink = col
+            else:
+                row = row4col[col]
+        u[start] += reach
+        for row in rows_seen[1:]:
+            u[row] += reach - dist[col4row[row]]
+        for col in cols_seen:
+            v[col] -= reach - dist[col]
+        col = sink
+        while True:
+            row = via[col]
+            row4col[col] = row
+            col4row[row], col = col, col4row[row]
+            if row == start:
                 break
-        if chosen is not None:
-            fixed.append((row, chosen))
-            free_cols.remove(chosen)
-        else:
-            # Row must stay unmatched; only legal if enough rows remain.
-            if len(remaining_rows) < need:
-                raise AssertionError(
-                    "refinement lost the optimum it was given"
-                )
-    return fixed
+    return col4row, row4col, u, v
 
 
-def _completes_to_target(
-    work: np.ndarray,
-    fixed: list[tuple[int, int]],
-    rows: list[int],
-    cols: list[int],
-    target: float,
-) -> bool:
-    """Can ``fixed`` extend over ``rows``/``cols`` to total ``target``?"""
-    values = [work[r, c] for r, c in fixed]
-    if rows and cols:
-        sub = work[np.ix_(rows, cols)]
-        for i, j in _solve_work(sub):
-            values.append(sub[i, j])
-    # The completion must reach full size; otherwise it is not a valid
-    # min(n, m)-pair assignment at all.
-    full = min(work.shape)
-    if len(values) != full:
-        return False
-    return math.fsum(values) == target
+def _smallest_optimum(cost, u, v, col4row, row4col, n: int, m: int) -> None:
+    """Turn an optimal assignment into the lexicographically smallest one.
+
+    With optimal duals, the optimal assignments are exactly the perfect
+    matchings on the tight pairs (``cost - u - v == 0``).  Rows are
+    fixed in order; each takes its smallest tight real column that an
+    alternating path over the rows not yet fixed can free, or keeps the
+    column it holds.  Dummy columns (``>= m``) are all alike, so a row
+    held by one only tries real columns.  Works in place.
+    """
+    size = len(cost)
+    tight = [[col for col in range(size) if line[col] - ur - v[col] == 0]
+             for line, ur in zip(cost, u)]
+    for row in range(n):
+        limit = min(col4row[row], m)
+        for col in tight[row]:
+            if col >= limit:
+                break
+            if row4col[col] > row and _reroute(
+                tight, col4row, row4col, row, col
+            ):
+                break
+
+
+def _reroute(tight, col4row, row4col, row: int, col: int) -> bool:
+    """Move ``row`` to ``col`` without touching any row before it.
+
+    The row holding ``col`` must reach the column ``row`` gives up by an
+    alternating path of tight pairs through rows after ``row``; if it
+    can, the path is flipped and True returned.
+    """
+    goal = col4row[row]
+    start = row4col[col]
+    via = {col: row}
+    queue = [start]
+    for r in queue:
+        for c in tight[r]:
+            if c in via or row4col[c] < row:
+                continue
+            via[c] = r
+            if c == goal:
+                while True:
+                    r = via[c]
+                    row4col[c] = r
+                    col4row[r], c = c, col4row[r]
+                    if r == row:
+                        return True
+            queue.append(row4col[c])
+    return False

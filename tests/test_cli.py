@@ -477,13 +477,21 @@ def test_fit_malformed_inputs_are_exit_3(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_python_m_lane3d_runs_without_runtime_warning():
+def run_python(*args):
     src = str(Path(lane3d.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "lane3d", "--help"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_lane3d_runs_without_runtime_warning():
+    proc = run_python("-W", "error::RuntimeWarning", "-m", "lane3d", "--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage: lane3d" in proc.stdout
+
+
+def test_import_does_not_load_scipy():
+    proc = run_python("-c", "import lane3d, sys; assert not [m for m in "
+                      "sys.modules if m.split('.')[0] == 'scipy']")
+    assert proc.returncode == 0, proc.stderr

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from lane3d.errors import NoFeasibleAssignment
 from lane3d.matching import MatchResult, hungarian
@@ -179,3 +181,179 @@ class TestHungarianProperties:
         result = hungarian(c)
         assert result.pairs == ((0, 1), (1, 0))
         assert result.total_cost == 2.0
+
+
+# ---------------------------------------------------------------------------
+# differential test against the SciPy-based solver that hungarian replaced
+# ---------------------------------------------------------------------------
+
+
+def scipy_hungarian(cost) -> MatchResult:
+    """The former ``hungarian``: SciPy's optimum, then a fix-and-resolve
+    pass that pins each row to its smallest column whose completion still
+    reaches the optimal ``math.fsum`` total."""
+    c = np.asarray(cost, dtype=float)
+    n, m = c.shape
+    if n == 0 or m == 0:
+        return MatchResult(pairs=(), total_cost=0.0)
+    allowed = np.isfinite(c)
+    if allowed.all():
+        work = c
+    else:
+        finite_scale = float(np.abs(c[allowed]).sum()) if allowed.any() else 0.0
+        work = np.where(allowed, c, 2.0 * finite_scale + 1.0)
+
+    def solve(sub):
+        rows, cols = linear_sum_assignment(sub)
+        return list(zip(rows.tolist(), cols.tolist()))
+
+    def completes(fixed, rows, cols, target):
+        values = [work[r, k] for r, k in fixed]
+        if rows and cols:
+            sub = work[np.ix_(rows, cols)]
+            values += [sub[i, j] for i, j in solve(sub)]
+        return len(values) == min(n, m) and math.fsum(values) == target
+
+    base = solve(work)
+    if not all(allowed[r, k] for r, k in base):
+        raise NoFeasibleAssignment("every full-size assignment is forbidden")
+    target = math.fsum(work[r, k] for r, k in base)
+    fixed = []
+    free_cols = list(range(m))
+    for row in range(n):
+        if len(fixed) == min(n, m):
+            break
+        for col in free_cols:
+            if allowed[row, col] and completes(
+                fixed + [(row, col)], list(range(row + 1, n)),
+                [x for x in free_cols if x != col], target,
+            ):
+                fixed.append((row, col))
+                free_cols.remove(col)
+                break
+    return MatchResult(pairs=tuple(fixed),
+                       total_cost=math.fsum(c[r, k] for r, k in fixed))
+
+
+def outcome(solver, cost):
+    try:
+        result = solver(cost)
+    except NoFeasibleAssignment:
+        return "infeasible"
+    return result.pairs, result.total_cost
+
+
+def random_shape(rng, low=1, high=8):
+    return int(rng.integers(low, high)), int(rng.integers(low, high))
+
+
+def integer_ties(rng, shape):
+    return rng.integers(0, 3, size=shape).astype(float)
+
+
+def quarter_ties(rng, shape):
+    return rng.choice([0.0, 0.25, 0.5], size=shape)
+
+
+def capped(rng, shape):
+    # openlane: mean capped distances, and cost_cap for a gt row with no
+    # visible anchor
+    cap = 1.5
+    c = np.minimum(rng.uniform(0.0, 2.0 * cap, size=shape), cap)
+    c[rng.random(shape[0]) < 0.3] = cap
+    return c
+
+
+def negative_iou(rng, shape):
+    # once/mbd match -iou, and most lane pairs do not overlap at all
+    return -np.where(rng.random(shape) < 0.7, 0.0, rng.random(shape))
+
+
+def with_forbidden(rng, shape):
+    c = rng.uniform(0.0, 10.0, size=shape)
+    c[rng.random(shape) < 0.4] = np.inf
+    return c
+
+
+class TestAgreesWithScipySolver:
+    @pytest.mark.parametrize("make, seed", [
+        (integer_ties, 71), (quarter_ties, 73), (capped, 79),
+        (negative_iou, 83), (with_forbidden, 89),
+    ])
+    def test_random_small_matrices(self, make, seed):
+        rng = np.random.default_rng(seed)
+        shapes = {"tall": 0, "wide": 0, "infeasible": 0}
+        for _ in range(400):
+            n, m = random_shape(rng)
+            c = make(rng, (n, m))
+            want = outcome(scipy_hungarian, c)
+            assert outcome(hungarian, c) == want, c
+            shapes["tall"] += n > m
+            shapes["wide"] += n < m
+            shapes["infeasible"] += want == "infeasible"
+        assert shapes["tall"] > 50 and shapes["wide"] > 50
+        if make is with_forbidden:
+            assert shapes["infeasible"] > 20
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_matrices(self, shape):
+        c = np.zeros(shape)
+        assert outcome(hungarian, c) == outcome(scipy_hungarian, c)
+
+    @pytest.mark.parametrize("shape", [(20, 20), (30, 25), (25, 30)])
+    def test_large_matrices(self, shape):
+        rng = np.random.default_rng(97 + sum(shape))
+        for make in (integer_ties, capped, negative_iou, with_forbidden):
+            c = make(rng, shape)
+            assert outcome(hungarian, c) == outcome(scipy_hungarian, c)
+        c = rng.uniform(-5.0, 5.0, size=shape)
+        assert outcome(hungarian, c) == outcome(scipy_hungarian, c)
+
+
+def exact_oracle(cost):
+    """The exhaustive oracle with totals compared as exact rationals."""
+    c = np.asarray(cost, dtype=float)
+    n, m = c.shape
+    size = min(n, m)
+    best = None
+    for rows in itertools.combinations(range(n), size):
+        for cols in itertools.permutations(range(m), size):
+            pairs = tuple(sorted(zip(rows, cols)))
+            key = (sum(Fraction(c[r, k]) for r, k in pairs), pairs)
+            if best is None or key < best:
+                best = key
+    return best
+
+
+def test_magnitude_spread_is_decided_exactly():
+    # Entries from 1e-300 to 1e300 and the smallest subnormal: many
+    # different assignments share one rounded total, and only exact
+    # integer scaling tells them apart.
+    rng = np.random.default_rng(101)
+    scipy_not_exact = 0
+    for _ in range(200):
+        n, m = random_shape(rng, 1, 6)
+        c = rng.choice([-1.0, 1.0], size=(n, m)) * 10.0 ** rng.uniform(
+            -300.0, 300.0, size=(n, m))
+        c[rng.random((n, m)) < 0.2] = 5e-324
+        optimum, pairs = exact_oracle(c)
+        got = hungarian(c)
+        assert got.pairs == pairs
+        assert got.total_cost == math.fsum(c[r, k] for r, k in pairs)
+        old = scipy_hungarian(c).pairs
+        if old != pairs:
+            # The old solver compared rounded totals, so it could settle
+            # for an assignment that is not exactly optimal.
+            assert sum(Fraction(c[r, k]) for r, k in old) > optimum
+            scipy_not_exact += 1
+    assert scipy_not_exact > 0
+
+
+def test_totals_equal_after_rounding_are_not_a_tie():
+    # The diagonal sums to 2 + 2**-52, which rounds to the anti-diagonal's
+    # exact 2.0; the old solver took the diagonal as a lexicographic tie.
+    c = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -52]])
+    assert scipy_hungarian(c).pairs == ((0, 0), (1, 1))
+    result = hungarian(c)
+    assert result.pairs == ((0, 1), (1, 0))
+    assert result.total_cost == 2.0
