@@ -304,7 +304,7 @@ def read_frames(path):
 # ---------------------------------------------------------------------------
 
 
-def _lane_to_obj(lane: Lane3D, curve: Curve2D | None, unc) -> dict:
+def _lane_to_obj(lane: Lane3D, curve: Curve2D | None, unc, where: str) -> dict:
     obj = {
         "points": [[float(v) for v in row] for row in lane.points],
         "visibility": [float(v) for v in lane.visibility],
@@ -323,10 +323,11 @@ def _lane_to_obj(lane: Lane3D, curve: Curve2D | None, unc) -> dict:
         }
     if unc is not None:
         arr = np.asarray(unc, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 2:
+        segments = lane.points.shape[0] - 1
+        if arr.shape != (segments, 2) or not np.isfinite(arr).all():
             raise ValueError(
-                "uncertainty must be an (n_segments, 2) array of "
-                "(lateral, vertical) widths"
+                f"{where}.uncertainty must be an array of finite [lateral, "
+                f"vertical] pairs, one per segment ({segments})"
             )
         obj["uncertainty"] = [[float(w), float(h)] for w, h in arr]
     return obj
@@ -342,11 +343,12 @@ def _camera_to_obj(camera: CameraModel) -> dict:
 
 
 def _record_to_line(record: FrameRecord) -> str:
-    def lane_objs(lanes, curves, uncs):
+    def lane_objs(key, lanes, curves, uncs):
         curves = curves or [None] * len(lanes)
         uncs = uncs or [None] * len(lanes)
         return [
-            _lane_to_obj(lane, c, u) for lane, c, u in zip(lanes, curves, uncs)
+            _lane_to_obj(lane, c, u, f"frame {record.frame_id!r} {key}[{i}]")
+            for i, (lane, c, u) in enumerate(zip(lanes, curves, uncs))
         ]
 
     obj = {
@@ -354,12 +356,13 @@ def _record_to_line(record: FrameRecord) -> str:
         "frame_id": record.frame_id,
         "camera": _camera_to_obj(record.camera),
         "lanes": lane_objs(
-            record.gt_lanes, record.gt_curves, record.gt_uncertainties
+            "lanes", record.gt_lanes, record.gt_curves, record.gt_uncertainties
         ),
     }
     if record.pred_lanes is not None:
         obj["pred_lanes"] = lane_objs(
-            record.pred_lanes, record.pred_curves, record.pred_uncertainties
+            "pred_lanes", record.pred_lanes, record.pred_curves,
+            record.pred_uncertainties,
         )
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 

@@ -261,6 +261,42 @@ def test_malformed_uncertainty_is_a_parse_error(tmp_path, uncertainty):
     assert err.value.field == "lanes[0].uncertainty"
 
 
+def five_point_record(uncertainty):
+    y = np.linspace(3.0, 43.0, 5)
+    lane = Lane3D(points=np.stack([np.zeros(5), y, np.zeros(5)], axis=1),
+                  visibility=np.ones(5))
+    return FrameRecord(
+        frame_id="f", camera=random_camera(np.random.default_rng(0)),
+        gt_lanes=[lane], pred_lanes=[lane, lane],
+        pred_uncertainties=[None, uncertainty],
+    )
+
+
+@pytest.mark.parametrize("uncertainty", [
+    np.full((9, 2), math.nan),  # the wrong number of segments, and NaN
+    np.full((3, 2), 0.1),
+    np.full((4, 3), 0.1),
+    np.full(8, 0.1),
+    [[0.1, 0.1]] * 3 + [[0.1, math.inf]],
+])
+def test_writer_rejects_what_the_reader_rejects(tmp_path, uncertainty):
+    path = tmp_path / "f.jsonl"
+    with pytest.raises(ValueError, match=r"pred_lanes\[1\]\.uncertainty"):
+        write_frames(path, [five_point_record(uncertainty)])
+    assert not path.exists()
+
+
+def test_written_uncertainty_round_trips_exactly(tmp_path):
+    widths = np.array([[1e-300, 0.1], [5e-324, 1e300], [0.0, -0.0],
+                       [1234567.89012345678, 1.0 / 3.0]])
+    path = tmp_path / "f.jsonl"
+    record = five_point_record(widths)
+    write_frames(path, [record])
+    back = list(read_frames(path))[0]
+    assert records_equal(record, back)
+    assert back.pred_uncertainties[1].tobytes() == widths.tobytes()
+
+
 def test_duplicate_frame_id_rejected(tmp_path):
     path = write_lines(tmp_path, valid_line("x"), valid_line("x"))
     with pytest.raises(ParseError) as err:
