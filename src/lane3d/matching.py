@@ -38,8 +38,8 @@ class MatchResult:
     """Outcome of a bipartite matching.
 
     ``pairs`` lists ``(row, column)`` assignments sorted by row;
-    ``total_cost`` is the exact sum of the selected entries.  The
-    mapping is injective on both sides.
+    ``total_cost`` is the exact sum of the selected entries, correctly
+    rounded (``math.fsum``).  The mapping is injective on both sides.
     """
 
     pairs: tuple[tuple[int, int], ...]
