@@ -207,7 +207,7 @@ def _reroute(tight, col4row, row4col, row: int, col: int) -> bool:
     """
     goal = col4row[row]
     start = row4col[col]
-    via = {col: row}
+    via = {col: row}  # so that flipping the path ends by moving ``row``
     queue = [start]
     for r in queue:
         for c in tight[r]:
