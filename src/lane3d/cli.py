@@ -580,12 +580,19 @@ def cmd_fit(args) -> int:
     if not isinstance(frame, dict) or "lanes" not in frame:
         raise ParseError("frame-2d file must be an object with a 'lanes' key",
                          1, "lanes")
+    if not isinstance(frame["lanes"], list):
+        raise ParseError("'lanes' must be an array", 1, "lanes")
     lanes = []
     for i, lane in enumerate(frame["lanes"]):
-        arr = np.asarray(lane, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
+        try:
+            arr = np.asarray(lane, dtype=np.float64)
+        except (TypeError, ValueError):  # ragged or non-numeric
+            arr = None
+        if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
             raise ParseError("each lane must be a non-empty array of [u, v]",
                              1, f"lanes[{i}]")
+        if not np.isfinite(arr).all():
+            raise ParseError("lane points must be finite", 1, f"lanes[{i}]")
         lanes.append(arr)
     if not lanes:
         raise ParseError("frame-2d file holds no lanes", 1, "lanes")

@@ -22,6 +22,12 @@ two segment Gaussians are invariant under a common yaw rotation plus
 translation of both segments, but not under arbitrary 3D rotations
 (rolling the scene mixes pitch into a frame the parameterization cannot
 represent).
+
+Divergences have one implementation, over stacks of Gaussians:
+``segment_symmetric_klds`` scores a batch of segment pairs from their
+endpoints and widths, and ``kld_components`` / ``kld`` /
+``symmetric_kld`` are batches of one.  A batch fails on its first bad
+segment with the error and message that segment alone would raise.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ __all__ = [
     "kld_components",
     "symmetric_kld",
     "paired_segment_gaussians",
+    "segment_symmetric_klds",
 ]
 
 # Scales below this (meters) make the covariance too ill-conditioned for a
@@ -109,25 +116,30 @@ class SegmentGaussian:
         )
 
 
+def _segment_arrays(p_a: np.ndarray, p_b: np.ndarray):
+    """Midpoints, lengths, pitches and yaws of the segments p_a[i] -> p_b[i]."""
+    delta = p_b - p_a
+    length = np.sqrt((delta * delta).sum(axis=1))
+    theta_x = np.arctan2(delta[:, 2], np.hypot(delta[:, 0], delta[:, 1]))
+    theta_z = np.arctan2(delta[:, 1], delta[:, 0])
+    return (p_a + p_b) / 2.0, length, theta_x, theta_z
+
+
 def segment_params(p_a, p_b) -> tuple[np.ndarray, float, float, float]:
     """Midpoint, length, pitch, and yaw of the segment from p_a to p_b.
 
     Pitch is ``atan2(dz, hypot(dx, dy))``; yaw is ``atan2(dy, dx)``.
     Raises ZeroLengthSegment when the endpoints are closer than 1e-9 m.
     """
-    a = np.asarray(p_a, dtype=float).reshape(3)
-    b = np.asarray(p_b, dtype=float).reshape(3)
-    delta = b - a
-    length = float(np.linalg.norm(delta))
-    if length < _MIN_SEGMENT_LENGTH:
+    mu, length, theta_x, theta_z = _segment_arrays(
+        np.asarray(p_a, dtype=float).reshape(1, 3),
+        np.asarray(p_b, dtype=float).reshape(1, 3),
+    )
+    if length[0] < _MIN_SEGMENT_LENGTH:
         raise ZeroLengthSegment(
-            f"segment endpoints coincide (length {length:.3e} m)"
+            f"segment endpoints coincide (length {length[0]:.3e} m)"
         )
-    horizontal = math.hypot(delta[0], delta[1])
-    theta_x = math.atan2(delta[2], horizontal)
-    theta_z = math.atan2(delta[1], delta[0])
-    mu = (a + b) / 2.0
-    return mu, length, theta_x, theta_z
+    return mu[0], float(length[0]), float(theta_x[0]), float(theta_z[0])
 
 
 def segment_gaussian(p_a, p_b, lambda_w: float, lambda_h: float) -> SegmentGaussian:
@@ -148,6 +160,22 @@ def segment_gaussian(p_a, p_b, lambda_w: float, lambda_h: float) -> SegmentGauss
     )
 
 
+def _rotations(theta_x, theta_z, direction_aligned: bool) -> np.ndarray:
+    """Stack of orientation matrices (m, 3, 3); see ``rotation_matrix``."""
+    cx, sx = np.cos(theta_x), np.sin(theta_x)
+    cz, sz = np.cos(theta_z), np.sin(theta_z)
+    zero = np.zeros_like(cx)
+    if direction_aligned:
+        rows = ((cz * cx, -sz, -cz * sx),
+                (sz * cx, cz, -sz * sx),
+                (sx, zero, cx))
+    else:
+        rows = ((cz, -sz * cx, sz * sx),
+                (sz, cz * cx, -cz * sx),
+                (zero, sx, cx))
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
 def rotation_matrix(
     theta_x: float, theta_z: float, direction_aligned: bool = False
 ) -> np.ndarray:
@@ -159,25 +187,8 @@ def rotation_matrix(
     ``Rz(theta_z) @ Ry(-theta_x)``, whose first column is the true unit
     direction of the (possibly sloped) segment.
     """
-    cx = math.cos(theta_x)
-    sx = math.sin(theta_x)
-    cz = math.cos(theta_z)
-    sz = math.sin(theta_z)
-    if direction_aligned:
-        return np.array(
-            [
-                [cz * cx, -sz, -cz * sx],
-                [sz * cx, cz, -sz * sx],
-                [sx, 0.0, cx],
-            ]
-        )
-    return np.array(
-        [
-            [cz, -sz * cx, sz * sx],
-            [sz, cz * cx, -cz * sx],
-            [0.0, sx, cx],
-        ]
-    )
+    return _rotations(np.array([float(theta_x)]),
+                      np.array([float(theta_z)]), direction_aligned)[0]
 
 
 def covariance(
@@ -202,6 +213,34 @@ def _check_conditioning(seg: SegmentGaussian) -> None:
         )
 
 
+def _kld_terms(mu_a, s_a, rot_a, mu_b, s_b, rot_b):
+    """The three terms of KL(a || b) for stacks of m Gaussians.
+
+    ``mu`` is (m, 3), ``s`` the (m, 3) axis scales and ``rot`` the
+    (m, 3, 3) orientations.  Returns (trace, shift, logdet) arrays of
+    shape (m,), computed in whitened form from the factors.
+    """
+    cross = np.swapaxes(rot_b, 1, 2) @ rot_a
+    m = (cross * s_a[:, None, :]) / s_b[:, :, None]
+    trace = (m * m).sum(axis=(1, 2)) - 3.0
+    w = (np.swapaxes(rot_b, 1, 2) @ (mu_b - mu_a)[:, :, None])[:, :, 0] / s_b
+    shift = (w * w).sum(axis=1)
+    logdet = 2.0 * (np.log(s_b).sum(axis=1) - np.log(s_a).sum(axis=1))
+    return trace, shift, logdet
+
+
+def _kl(trace, shift, logdet):
+    """KL from its terms, clamped at zero against rounding."""
+    return np.maximum(0.5 * (trace + shift + logdet), 0.0)
+
+
+def _stacked(g: SegmentGaussian, direction_aligned: bool):
+    """One Gaussian as a batch of one: (mu, scales, rotation)."""
+    return (np.array([g.mu]), g.scales[None, :],
+            _rotations(np.array([g.theta_x]), np.array([g.theta_z]),
+                       direction_aligned))
+
+
 def kld_components(
     a: SegmentGaussian, b: SegmentGaussian, direction_aligned: bool = False
 ) -> dict[str, float]:
@@ -214,18 +253,10 @@ def kld_components(
     """
     _check_conditioning(a)
     _check_conditioning(b)
-    rot_a = rotation_matrix(a.theta_x, a.theta_z, direction_aligned)
-    rot_b = rotation_matrix(b.theta_x, b.theta_z, direction_aligned)
-    s_a = a.scales
-    s_b = b.scales
-    cross = rot_b.T @ rot_a
-    m = (cross * s_a[None, :]) / s_b[:, None]
-    trace = float((m * m).sum()) - 3.0
-    d = b.mu_array - a.mu_array
-    w = (rot_b.T @ d) / s_b
-    shift = float(w @ w)
-    logdet = 2.0 * float(np.log(s_b).sum() - np.log(s_a).sum())
-    return {"trace": trace, "shift": shift, "logdet": logdet}
+    trace, shift, logdet = _kld_terms(*_stacked(a, direction_aligned),
+                                      *_stacked(b, direction_aligned))
+    return {"trace": float(trace[0]), "shift": float(shift[0]),
+            "logdet": float(logdet[0])}
 
 
 def kld(
@@ -237,8 +268,7 @@ def kld(
     Sigma_a))``, clamped at zero against rounding on near-identical pairs.
     """
     parts = kld_components(a, b, direction_aligned)
-    value = 0.5 * (parts["trace"] + parts["shift"] + parts["logdet"])
-    return max(value, 0.0)
+    return float(_kl(parts["trace"], parts["shift"], parts["logdet"]))
 
 
 def symmetric_kld(
@@ -248,6 +278,54 @@ def symmetric_kld(
     return 0.5 * (
         kld(a, b, direction_aligned) + kld(b, a, direction_aligned)
     )
+
+
+def segment_symmetric_klds(
+    pred_a,
+    pred_b,
+    gt_a,
+    gt_b,
+    widths,
+    direction_aligned: bool = False,
+) -> np.ndarray:
+    """Symmetric divergences of m (prediction, ground-truth) segment pairs.
+
+    ``pred_a``/``pred_b`` and ``gt_a``/``gt_b`` are (m, 3) segment
+    endpoints; ``widths`` holds m predicted ``(lambda_w, lambda_h)``
+    pairs that both Gaussians of a pair carry (as in
+    ``paired_segment_gaussians``).  Entry i equals
+    ``symmetric_kld(*paired_segment_gaussians(...))`` of pair i up to
+    rounding.  The pairs are checked in order, and the first pair that
+    ``paired_segment_gaussians`` or ``kld`` would reject raises the same
+    error, with the same message: ``NumericallySingular``,
+    ``ZeroLengthSegment`` or ``ValueError``.
+    """
+    p_a, p_b, g_a, g_b = (np.asarray(p, dtype=np.float64).reshape(-1, 3)
+                          for p in (pred_a, pred_b, gt_a, gt_b))
+    w = np.asarray(widths, dtype=np.float64).reshape(-1, 2)
+    if not p_a.shape == p_b.shape == g_a.shape == g_b.shape == (len(w), 3):
+        raise ValueError("endpoints must be (m, 3) and widths (m, 2)")
+    mu_p, len_p, tx_p, tz_p = _segment_arrays(p_a, p_b)
+    mu_g, len_g, tx_g, tz_g = _segment_arrays(g_a, g_b)
+    # every condition under which the single-pair path raises
+    ok = (w >= MIN_SCALE).all(axis=1) & np.isfinite(w).all(axis=1)
+    for mu, length, theta_x, theta_z in ((mu_p, len_p, tx_p, tz_p),
+                                         (mu_g, len_g, tx_g, tz_g)):
+        ok &= (length >= MIN_SCALE) & np.isfinite(length)
+        ok &= np.isfinite(mu).all(axis=1) & np.isfinite(theta_z)
+        ok &= np.abs(theta_x) < math.pi / 2
+    for i in np.flatnonzero(~ok):
+        pred, gt = paired_segment_gaussians(
+            p_a[i], p_b[i], g_a[i], g_b[i], *widths[i])
+        _check_conditioning(pred)
+        _check_conditioning(gt)
+    half = w / 2.0
+    s_p = np.column_stack([len_p / 2.0, half])
+    s_g = np.column_stack([len_g / 2.0, half])
+    rot_p = _rotations(tx_p, tz_p, direction_aligned)
+    rot_g = _rotations(tx_g, tz_g, direction_aligned)
+    return 0.5 * (_kl(*_kld_terms(mu_p, s_p, rot_p, mu_g, s_g, rot_g))
+                  + _kl(*_kld_terms(mu_g, s_g, rot_g, mu_p, s_p, rot_p)))
 
 
 def paired_segment_gaussians(

@@ -23,6 +23,12 @@ is the "rational" form: a rational function of the image row whose
 poles sit on the horizon.  A plain cubic form ("poly3",
 u = rho1 + rho2*v + rho3*v^2 + rho4*v^3 + beta1*v + beta2) is available
 for testing.
+
+``fit_curves`` fits one frame.  In the rational form only rho2 enters
+nonlinearly: it is searched by a grid and golden-section refinement, each
+candidate scored by variable projection (the linear parameters eliminated
+in closed form), and the linear parameters are solved once at the chosen
+row.
 """
 
 from __future__ import annotations
@@ -321,6 +327,13 @@ class FitResult:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# A reduced rational column shorter than this fraction of its raw norm is
+# treated as dependent on the other columns; its candidate row is scored
+# by the full least-squares solve instead.
+_DEPENDENT = 1e-8
+# Golden-section steps scored per call (2 + 4 + 8 reachable points); it
+# divides the 6 steps of a round.
+_LOOKAHEAD = 3
 
 
 def _lstsq_scaled(a: np.ndarray, b: np.ndarray):
@@ -332,21 +345,114 @@ def _lstsq_scaled(a: np.ndarray, b: np.ndarray):
     return x, float(r @ r)
 
 
+def _rational_columns(v: np.ndarray, rho2: float, bias: np.ndarray):
+    den = v - rho2
+    return np.column_stack([1.0 / (den * den), 1.0 / den, bias])
+
+
+def _bias_basis(v: np.ndarray, lane_of: np.ndarray, k: int) -> np.ndarray:
+    """Orthonormal basis (n, 2k) of the per-lane [v, 1] bias columns.
+
+    Every lane must span at least two distinct rows.
+    """
+    q = np.zeros((v.shape[0], 2 * k))
+    for i in range(k):
+        sel = lane_of == i
+        c = v[sel] - v[sel].mean()
+        c -= c.mean()  # re-centre: one pass leaves a rounding offset
+        q[sel, 2 * i] = c / math.sqrt(float(c @ c))
+        q[sel, 2 * i + 1] = 1.0 / math.sqrt(c.shape[0])
+    return q
+
+
+def _projected_ss(v: np.ndarray, y: np.ndarray, basis: np.ndarray,
+                  rho2: np.ndarray) -> np.ndarray:
+    """Variable-projection residuals of the rational fit, one per rho2.
+
+    ``y`` is the target with the bias span already projected out.  For
+    each candidate the two rational columns are projected off the bias
+    span, orthogonalized by Gram-Schmidt with one reorthogonalization,
+    and taken off ``y``; the residual is formed explicitly and its
+    squared norm returned.  NaN marks a candidate whose reduced columns
+    are zero or dependent (see ``_DEPENDENT``).
+    """
+    ones = np.ones(v.shape[0])
+    cols = np.empty((2, rho2.shape[0], v.shape[0]))  # (column, rho2, point)
+    np.divide(1.0, v - rho2[:, None], out=cols[1])
+    np.multiply(cols[1], cols[1], out=cols[0])
+    raw = (cols * cols) @ ones
+    cols -= (cols @ basis) @ basis.T
+    a, b = cols
+    aa, ab = (cols * a) @ ones
+    dep = aa <= _DEPENDENT**2 * raw[0]
+    aa[dep] = 1.0
+    b -= a * (ab / aa)[:, None]
+    b -= a * (((a * b) @ ones) / aa)[:, None]
+    bb = (b * b) @ ones
+    dep |= bb <= _DEPENDENT**2 * raw[1]
+    bb[dep] = 1.0
+    r = y - a * ((a @ y) / aa)[:, None]
+    r -= b * (((b * r) @ ones) / bb)[:, None]
+    ss = (r * r) @ ones
+    ss[dep] = np.nan
+    return ss
+
+
+def _golden_step(bracket, left: bool):
+    """One golden-section step on the bracket (a, b, c, d).
+
+    ``left`` (f(c) < f(d)) keeps [a, d], otherwise [c, b] is kept.
+    Returns the new bracket and the one new point to evaluate.
+    """
+    a, b, c, d = bracket
+    if left:
+        b, d = d, c
+        c = b - _INVPHI * (b - a)
+        return (a, b, c, d), c
+    a, c = c, d
+    d = a + _INVPHI * (b - a)
+    return (a, b, c, d), d
+
+
+def _golden_tree(bracket, depth: int):
+    """Brackets and points of the next ``depth`` steps, in heap order.
+
+    Node 0 is ``bracket``; the step from node i leads to node 2i+1 when
+    f(c) < f(d) and to node 2i+2 otherwise, and reaching node j > 0
+    evaluates ``points[j - 1]``.
+    """
+    brackets, points = [bracket], []
+    for i in range(2**depth - 1):
+        for left in (True, False):
+            nxt, point = _golden_step(brackets[i], left)
+            brackets.append(nxt)
+            points.append(point)
+    return brackets, points
+
+
 def fit_curves(lanes_2d: Sequence[np.ndarray], image_size: tuple[int, int],
                form: str = "rational", n_iter: int = 10) -> FitResult:
     """Fit one frame of FV lanes with shared rho and per-lane biases.
 
     ``lanes_2d`` holds one (n_i, 2) array of (u, v) pixels per lane; all
-    points must lie inside the image.  Alternating least squares runs
-    for ``n_iter`` iterations: each pass refines the nonlinear horizon
-    row rho2 over a bracketed interval and re-solves the remaining
-    (linear) parameters jointly.  The best residual seen is kept, so the
-    reported rms_history is non-increasing.
+    points must be finite and lie inside the image, and each lane needs
+    at least 4 points on at least two distinct rows.
+
+    For the "rational" form the horizon row rho2 is the one nonlinear
+    parameter.  It is searched below the lowest sample row: a 33-point
+    grid, then ``n_iter`` rounds of 6 golden-section steps around the
+    best grid point.  Each candidate is scored by variable projection
+    (Golub & Pereyra 1973): with rho2 fixed the problem is linear, the
+    per-lane bias columns are projected out in closed form, and only the
+    two rational columns remain.  The best candidate seen is kept, so the
+    reported rms_history is non-increasing, and all linear parameters
+    are then solved once, by least squares at that rho2.
 
     The constant term rho4 is pinned to 0 in every fit: with per-lane
     beta'' biases a shared constant column is a pure gauge freedom.  The
     "poly3" form likewise pins its constant and linear shared
-    coefficients, keeping only the v^2 and v^3 columns shared.
+    coefficients, keeping only the v^2 and v^3 columns shared; it is one
+    least-squares solve.
     """
     if form not in CURVE_FORMS:
         raise ValueError(f"unknown curve form {form!r}")
@@ -357,9 +463,14 @@ def fit_curves(lanes_2d: Sequence[np.ndarray], image_size: tuple[int, int],
     for i, l in enumerate(lanes):
         if l.shape[0] < 4:
             raise Underdetermined(f"lane {i} has {l.shape[0]} points; need >= 4")
+        if not np.isfinite(l).all():
+            raise ValueError(f"lane {i} has a non-finite point")
         if (np.any(l[:, 0] < 0) or np.any(l[:, 0] >= w)
                 or np.any(l[:, 1] < 0) or np.any(l[:, 1] >= h)):
             raise ValueError("all points must lie inside the image")
+        if l[:, 1].min() == l[:, 1].max():
+            raise Underdetermined(
+                f"lane {i} lies on a single row; need >= 2 distinct rows")
     k = len(lanes)
     u_all = np.concatenate([l[:, 0] for l in lanes])
     v_all = np.concatenate([l[:, 1] for l in lanes])
@@ -369,15 +480,9 @@ def fit_curves(lanes_2d: Sequence[np.ndarray], image_size: tuple[int, int],
     if n_pts < n_params:
         raise Underdetermined(f"{n_pts} points for {n_params} parameters")
 
-    def bias_columns() -> np.ndarray:
-        cols = np.zeros((n_pts, 2 * k))
-        for i in range(k):
-            sel = lane_of == i
-            cols[sel, 2 * i] = v_all[sel]
-            cols[sel, 2 * i + 1] = 1.0
-        return cols
-
-    bias = bias_columns()
+    bias = np.zeros((n_pts, 2 * k))
+    bias[np.arange(n_pts), 2 * lane_of] = v_all
+    bias[np.arange(n_pts), 2 * lane_of + 1] = 1.0
 
     if form == "poly3":
         a = np.column_stack([v_all**2, v_all**3, bias])
@@ -388,53 +493,61 @@ def fit_curves(lanes_2d: Sequence[np.ndarray], image_size: tuple[int, int],
         return FitResult(curves, rms, _per_lane_rms(residual, lane_of, k),
                          [rms])
 
-    # rational: rho2 is the single nonlinear parameter.  Bracket it below
-    # the lowest sample row and refine by golden-section over the projected
-    # residual (all linear parameters re-solved at each candidate).
+    # rational: bracket rho2 below the lowest sample row and refine by
+    # golden-section over the projected residual.
     vmin = float(v_all.min())
     span = max(float(v_all.max()) - vmin, 32.0)
     hi = vmin - max(1.0, 1e-3 * span)
     lo = vmin - 5.0 * span
 
-    best = {"ss": math.inf, "rho2": hi, "x": None}
+    basis = _bias_basis(v_all, lane_of, k)
+    y = u_all - basis @ (basis.T @ u_all)
+    best = {"ss": math.inf, "rho2": hi}
 
-    def solve_at(rho2: float) -> float:
-        den = v_all - rho2
-        a = np.column_stack([1.0 / (den * den), 1.0 / den, bias])
-        x, ss = _lstsq_scaled(a, u_all)
+    def scored(rho2) -> np.ndarray:
+        return _projected_ss(v_all, y, basis, np.asarray(rho2, np.float64))
+
+    def accept(rho2, ss) -> float:
+        """A candidate on the search path, in evaluation order: solve it
+        in full if projection could not score it, then keep it if best."""
+        if math.isnan(ss):
+            ss = _lstsq_scaled(_rational_columns(v_all, rho2, bias), u_all)[1]
         if ss < best["ss"]:
-            best.update(ss=ss, rho2=rho2, x=x)
+            best.update(ss=float(ss), rho2=float(rho2))
         return ss
 
     grid = np.linspace(lo, hi, 33)
-    costs = [solve_at(r2) for r2 in grid]
+    costs = [accept(r2, ss) for r2, ss in zip(grid, scored(grid))]
     i0 = int(np.argmin(costs))
-    a_br = grid[max(i0 - 1, 0)]
-    b_br = grid[min(i0 + 1, len(grid) - 1)]
+    a_br = float(grid[max(i0 - 1, 0)])
+    b_br = float(grid[min(i0 + 1, len(grid) - 1)])
 
     history: list[float] = []
     c = b_br - _INVPHI * (b_br - a_br)
     d = a_br + _INVPHI * (b_br - a_br)
-    fc, fd = solve_at(c), solve_at(d)
+    fc, fd = (accept(p, ss) for p, ss in zip((c, d), scored([c, d])))
+    bracket = (a_br, b_br, c, d)
     for _ in range(n_iter):
-        for _ in range(6):
-            if fc < fd:
-                b_br, d, fd = d, c, fc
-                c = b_br - _INVPHI * (b_br - a_br)
-                fc = solve_at(c)
-            else:
-                a_br, c, fc = c, d, fd
-                d = a_br + _INVPHI * (b_br - a_br)
-                fd = solve_at(d)
+        for _ in range(6 // _LOOKAHEAD):
+            # the steps are sequential: score every point the next few
+            # can reach in one call, then follow the comparisons
+            brackets, points = _golden_tree(bracket, _LOOKAHEAD)
+            values = scored(points)
+            node = 0
+            for _ in range(_LOOKAHEAD):
+                left = bool(fc < fd)
+                node = 2 * node + (1 if left else 2)
+                f = accept(points[node - 1], values[node - 1])
+                fc, fd = (f, fc) if left else (fd, f)
+            bracket = brackets[node]
         history.append(math.sqrt(best["ss"] / n_pts))
 
-    x = best["x"]
-    rho = (float(x[0]), float(best["rho2"]), float(x[1]), 0.0)
-    den = v_all - best["rho2"]
-    a_fin = np.column_stack([1.0 / (den * den), 1.0 / den, bias])
+    a_fin = _rational_columns(v_all, best["rho2"], bias)
+    x, ss = _lstsq_scaled(a_fin, u_all)
+    rho = (float(x[0]), best["rho2"], float(x[1]), 0.0)
     residual = a_fin @ x - u_all
     curves = _build_curves(lanes, form, rho, x[2:])
-    rms = math.sqrt(best["ss"] / n_pts)
+    rms = math.sqrt(ss / n_pts)
     return FitResult(curves, rms, _per_lane_rms(residual, lane_of, k), history)
 
 

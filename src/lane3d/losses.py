@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AnchorMismatch
-from .gaussians import paired_segment_gaussians, symmetric_kld
+from .gaussians import segment_symmetric_klds
 from .geometry import CameraModel, Curve2D, Lane3D, SampleGrid, sample_curve
 from .matching import MatchResult, hungarian
 
@@ -177,23 +177,35 @@ def _clamped_log(p: float) -> float:
     return math.log(min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP))
 
 
-def _fit_terms(
-    gt_curve: Curve2D,
-    pred_curve: Curve2D,
+def _fit_matrix(
+    gt_curves: list[Curve2D],
+    pred_curves: list[Curve2D],
     camera: CameraModel,
     grid: SampleGrid,
     config: LossConfig,
-) -> float:
-    """Fitting cost: sampled-u L1 over rows valid in both curves, plus
-    the two extent-boundary absolute differences."""
-    u_gt, _, m_gt = sample_curve(gt_curve, camera, grid)
-    u_pred, _, m_pred = sample_curve(pred_curve, camera, grid)
-    both = m_gt & m_pred
-    u_term = float(np.abs(u_pred[both] - u_gt[both]).sum())
-    extent = abs(pred_curve.v_low - gt_curve.v_low) + abs(
-        pred_curve.v_up - gt_curve.v_up
-    )
-    return config.gamma[4] * u_term + config.gamma[5] * extent
+) -> np.ndarray:
+    """Fitting cost of every (ground truth, prediction) pair: sampled-u L1
+    over rows valid in both curves, plus the two extent-boundary absolute
+    differences.  Each curve is sampled once."""
+    gt_samples = [sample_curve(c, camera, grid) for c in gt_curves]
+    pred_samples = [sample_curve(c, camera, grid) for c in pred_curves]
+    fit = np.zeros((len(gt_curves), len(pred_curves)))
+    for k, (gt, (u_gt, _, m_gt)) in enumerate(zip(gt_curves, gt_samples)):
+        for j, (pred, (u_pred, _, m_pred)) in enumerate(
+            zip(pred_curves, pred_samples)
+        ):
+            both = m_gt & m_pred
+            u_term = float(np.abs(u_pred[both] - u_gt[both]).sum())
+            extent = abs(pred.v_low - gt.v_low) + abs(pred.v_up - gt.v_up)
+            fit[k, j] = config.gamma[4] * u_term + config.gamma[5] * extent
+    return fit
+
+
+def _match_cost(
+    fit: np.ndarray, pred_curves: list[Curve2D], config: LossConfig
+) -> np.ndarray:
+    confidence = np.array([pred.confidence for pred in pred_curves])
+    return config.gamma[3] * (1.0 - confidence) + fit
 
 
 def curve_match_cost(
@@ -208,13 +220,8 @@ def curve_match_cost(
     ``cost[k, k_hat] = gamma4 * (1 - confidence_k_hat) + fitting terms``.
     """
     config = config or LossConfig()
-    cost = np.zeros((len(gt_curves), len(pred_curves)))
-    for k, gt in enumerate(gt_curves):
-        for j, pred in enumerate(pred_curves):
-            cost[k, j] = config.gamma[3] * (1.0 - pred.confidence) + _fit_terms(
-                gt, pred, camera, grid, config
-            )
-    return cost
+    fit = _fit_matrix(gt_curves, pred_curves, camera, grid, config)
+    return _match_cost(fit, pred_curves, config)
 
 
 def _paired_lanes(
@@ -288,48 +295,56 @@ def loss_unc(
     A segment is valid when both of its ground-truth endpoints are
     visible.  Each divergence compares the predicted segment's Gaussian
     with its ground-truth counterpart, both carrying the predicted
-    uncertainty widths.
+    uncertainty widths.  The frame's valid segments are scored in one
+    ``segment_symmetric_klds`` batch, which raises for the first bad
+    segment in lane-pair then segment order.
     """
     if pred.uncertainties is None:
         raise ValueError(
             "prediction carries no uncertainties; the uncertainty loss "
             "is undefined (report it absent, not zero)"
         )
-    terms = []
+    pred_a, pred_b, gt_a, gt_b, widths = [], [], [], [], []
     assignment = match.assignment
     for k, gt, pred_lane in _paired_lanes(gt_lanes, pred.lanes, match):
         unc = pred.uncertainties[assignment[k]]
-        for seg in range(len(gt.points) - 1):
-            if gt.visibility[seg] > 0.5 and gt.visibility[seg + 1] > 0.5:
-                lw, lh = unc[seg]
-                pg, gg = paired_segment_gaussians(
-                    pred_lane.points[seg],
-                    pred_lane.points[seg + 1],
-                    gt.points[seg],
-                    gt.points[seg + 1],
-                    lw,
-                    lh,
-                )
-                terms.append(symmetric_kld(pg, gg))
-    return math.fsum(terms)
+        vis = gt.visibility > 0.5
+        valid = np.flatnonzero(vis[:-1] & vis[1:])
+        pred_a.append(pred_lane.points[valid])
+        pred_b.append(pred_lane.points[valid + 1])
+        gt_a.append(gt.points[valid])
+        gt_b.append(gt.points[valid + 1])
+        widths.extend(unc[seg] for seg in valid)
+    if not widths:
+        return 0.0
+    divergences = segment_symmetric_klds(
+        np.concatenate(pred_a),
+        np.concatenate(pred_b),
+        np.concatenate(gt_a),
+        np.concatenate(gt_b),
+        widths,
+    )
+    return math.fsum(divergences.tolist())
 
 
 def _curve_terms(
     gt_curves: list[Curve2D],
     pred_curves: list[Curve2D],
     match: MatchResult,
-    camera: CameraModel,
-    grid: SampleGrid,
+    fit: np.ndarray,
     config: LossConfig,
 ) -> tuple[float, float]:
-    """(classification sum, fitting sum) over matched and background curves."""
+    """(classification sum, fitting sum) over matched and background curves.
+
+    ``fit`` is the pairs' fitting-cost matrix from ``_fit_matrix``.
+    """
     ce_terms = []
     fit_terms = []
     for k, j in match.pairs:
         gt, pred = gt_curves[k], pred_curves[j]
         ce_terms.append(config.gamma[3] * -_clamped_log(pred.confidence))
         if gt.confidence != 0.0:
-            fit_terms.append(_fit_terms(gt, pred, camera, grid, config))
+            fit_terms.append(float(fit[k, j]))
     for j, pred in enumerate(pred_curves):
         if j not in match.matched_cols:
             ce_terms.append(
@@ -354,8 +369,9 @@ def loss_curve(
     ground truth; unmatched predictions as background.
     """
     config = config or LossConfig()
-    ce, fit = _curve_terms(gt_curves, pred_curves, match, camera, grid, config)
-    return ce + fit
+    fit = _fit_matrix(gt_curves, pred_curves, camera, grid, config)
+    ce, fit_sum = _curve_terms(gt_curves, pred_curves, match, fit, config)
+    return ce + fit_sum
 
 
 def loss_total(
@@ -374,8 +390,8 @@ def loss_total(
     """
     grid = grid or SampleGrid()
     config = config or LossConfig()
-    cost = curve_match_cost(gt.curves, pred.curves, camera, grid, config)
-    match = hungarian(cost)
+    fit_cost = _fit_matrix(gt.curves, pred.curves, camera, grid, config)
+    match = hungarian(_match_cost(fit_cost, pred.curves, config))
 
     vis = loss_vis(gt.lanes, pred.lanes, match)
     loc = loss_loc(gt.lanes, pred.lanes, match, config)
@@ -384,9 +400,7 @@ def loss_total(
         if pred.uncertainties is not None
         else None
     )
-    ce, fit = _curve_terms(
-        gt.curves, pred.curves, match, camera, grid, config
-    )
+    ce, fit = _curve_terms(gt.curves, pred.curves, match, fit_cost, config)
     curve = ce + fit
     if unc is None:
         point = vis + loc

@@ -472,6 +472,29 @@ def test_fit_malformed_inputs_are_exit_3(tmp_path):
                str(camera_path)) == 3
 
 
+@pytest.mark.parametrize("lane, code, words", [
+    # ragged: the last point lacks its row
+    ("[[100, 300], [110, 400], [120, 500], [130]]", 3, "[u, v]"),
+    ("[[100, 300], [110, 400], [120, \"x\"], [130, 600]]", 3, "[u, v]"),
+    ("[[100, 300], [110, 400], [120, NaN], [130, 600], [140, 700]]", 3,
+     "finite"),
+    # every point on one row: no rational or bias column can be fit
+    ("[[100, 500], [110, 500], [120, 500], [130, 500], [140, 500]]", 6,
+     "single row"),
+])
+def test_fit_bad_lane_is_typed(tmp_path, capsys, lane, code, words):
+    _, camera_path = write_fit_inputs(tmp_path)
+    frame_path = tmp_path / "bad_lane.json"
+    frame_path.write_text('{"lanes": [[[100, 300], [110, 400], [120, 500], '
+                          f'[130, 600]], {lane}]}}')
+    assert run("fit", "--frame-2d", str(frame_path), "--camera",
+               str(camera_path)) == code
+    err = capsys.readouterr().err
+    assert words in err and "Traceback" not in err
+    if code == 3:
+        assert "lanes[1]" in err
+
+
 # ---------------------------------------------------------------------------
 # module entry point
 # ---------------------------------------------------------------------------

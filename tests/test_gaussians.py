@@ -8,7 +8,10 @@ from scipy.stats import multivariate_normal
 
 from lane3d.errors import NumericallySingular, ZeroLengthSegment
 from lane3d.gaussians import (
+    MIN_SCALE,
     SegmentGaussian,
+    _kld_terms,
+    _rotations,
     covariance,
     kld,
     kld_components,
@@ -16,6 +19,7 @@ from lane3d.gaussians import (
     rotation_matrix,
     segment_gaussian,
     segment_params,
+    segment_symmetric_klds,
     symmetric_kld,
 )
 
@@ -339,3 +343,182 @@ class TestPairedSegmentGaussians:
             paired_segment_gaussians(
                 (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 5, 0), 0.3, 0.2
             )
+
+
+# ---------------------------------------------------------------------------
+# batched kernel against the per-pair code it replaced
+# ---------------------------------------------------------------------------
+
+
+def scalar_rotation(theta_x, theta_z, direction_aligned=False):
+    cx, sx = math.cos(theta_x), math.sin(theta_x)
+    cz, sz = math.cos(theta_z), math.sin(theta_z)
+    if direction_aligned:
+        return np.array([[cz * cx, -sz, -cz * sx],
+                         [sz * cx, cz, -sz * sx],
+                         [sx, 0.0, cx]])
+    return np.array([[cz, -sz * cx, sz * sx],
+                     [sz, cz * cx, -cz * sx],
+                     [0.0, sx, cx]])
+
+
+def scalar_check_conditioning(seg):
+    if min(seg.lambda_l, seg.lambda_w, seg.lambda_h) < MIN_SCALE:
+        raise NumericallySingular(
+            "segment Gaussian has an axis below the "
+            f"{MIN_SCALE} m floor: ({seg.lambda_l}, {seg.lambda_w}, "
+            f"{seg.lambda_h})"
+        )
+
+
+def scalar_kld_components(a, b, direction_aligned=False):
+    """The per-pair KL terms as computed before the batched kernel."""
+    scalar_check_conditioning(a)
+    scalar_check_conditioning(b)
+    rot_a = scalar_rotation(a.theta_x, a.theta_z, direction_aligned)
+    rot_b = scalar_rotation(b.theta_x, b.theta_z, direction_aligned)
+    m = (rot_b.T @ rot_a * a.scales[None, :]) / b.scales[:, None]
+    w = (rot_b.T @ (b.mu_array - a.mu_array)) / b.scales
+    return {
+        "trace": float((m * m).sum()) - 3.0,
+        "shift": float(w @ w),
+        "logdet": 2.0 * float(np.log(b.scales).sum() - np.log(a.scales).sum()),
+    }
+
+
+def scalar_symmetric_kld(a, b, direction_aligned=False):
+    def one(x, y):
+        parts = scalar_kld_components(x, y, direction_aligned)
+        return max(0.5 * (parts["trace"] + parts["shift"] + parts["logdet"]),
+                   0.0)
+    return 0.5 * (one(a, b) + one(b, a))
+
+
+def scalar_segment_gaussian(p_a, p_b, lambda_w, lambda_h):
+    """``segment_gaussian`` with the scalar segment geometry it used
+    before the batched kernel."""
+    if lambda_w < MIN_SCALE or lambda_h < MIN_SCALE:
+        raise NumericallySingular(
+            f"uncertainty widths must be >= {MIN_SCALE} m, "
+            f"got lambda_w={lambda_w!r}, lambda_h={lambda_h!r}"
+        )
+    a = np.asarray(p_a, dtype=float).reshape(3)
+    b = np.asarray(p_b, dtype=float).reshape(3)
+    delta = b - a
+    length = float(np.linalg.norm(delta))
+    if length < 1e-9:
+        raise ZeroLengthSegment(
+            f"segment endpoints coincide (length {length:.3e} m)"
+        )
+    return SegmentGaussian(
+        mu=tuple((a + b) / 2.0),
+        lambda_l=length,
+        lambda_w=float(lambda_w),
+        lambda_h=float(lambda_h),
+        theta_x=math.atan2(delta[2], math.hypot(delta[0], delta[1])),
+        theta_z=math.atan2(delta[1], delta[0]),
+    )
+
+
+def scalar_segment_klds(pred_a, pred_b, gt_a, gt_b, widths, aligned=False):
+    """The per-segment loop ``loss_unc`` ran before the batched kernel."""
+    out = []
+    for pa, pb, ga, gb, (lw, lh) in zip(pred_a, pred_b, gt_a, gt_b, widths):
+        pred = scalar_segment_gaussian(pa, pb, lw, lh)
+        gt = scalar_segment_gaussian(ga, gb, lw, lh)
+        out.append(scalar_symmetric_kld(pred, gt, aligned))
+    return out
+
+
+def random_segments(rng, m):
+    pred_a = rng.normal(0.0, 5.0, (m, 3))
+    pred_b = pred_a + rng.normal(0.0, 2.0, (m, 3)) + np.array([0.0, 3.0, 0.0])
+    gt_a = pred_a + rng.normal(0.0, 0.3, (m, 3))
+    gt_b = pred_b + rng.normal(0.0, 0.3, (m, 3))
+    widths = rng.uniform(0.05, 1.0, (m, 2))
+    return pred_a, pred_b, gt_a, gt_b, widths
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("aligned", [False, True])
+    def test_terms_match_scalar_oracle(self, aligned):
+        rng = np.random.default_rng(41)
+        pairs = [(random_gaussian(rng), random_gaussian(rng))
+                 for _ in range(1200)]
+
+        def stacked(gs):
+            return (np.array([g.mu for g in gs]),
+                    np.array([g.scales for g in gs]),
+                    _rotations(np.array([g.theta_x for g in gs]),
+                               np.array([g.theta_z for g in gs]), aligned))
+
+        terms = _kld_terms(*stacked([a for a, _ in pairs]),
+                           *stacked([b for _, b in pairs]))
+        for i, (a, b) in enumerate(pairs):
+            want = scalar_kld_components(a, b, aligned)
+            for name, got in zip(("trace", "shift", "logdet"), terms):
+                assert abs(got[i] - want[name]) <= 1e-12 * abs(want[name]), \
+                    (i, name)
+
+    @pytest.mark.parametrize("aligned", [False, True])
+    def test_wrappers_match_scalar_oracle(self, aligned):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            a, b = random_gaussian(rng), random_gaussian(rng)
+            want = scalar_kld_components(a, b, aligned)
+            got = kld_components(a, b, aligned)
+            for name in want:
+                assert got[name] == pytest.approx(want[name], rel=1e-12)
+            assert symmetric_kld(a, b, aligned) == pytest.approx(
+                scalar_symmetric_kld(a, b, aligned), rel=1e-12)
+
+    @pytest.mark.parametrize("aligned", [False, True])
+    def test_segment_klds_match_per_segment_loop(self, aligned):
+        rng = np.random.default_rng(47)
+        segments = random_segments(rng, 1200)
+        got = segment_symmetric_klds(*segments, direction_aligned=aligned)
+        want = scalar_segment_klds(*segments, aligned=aligned)
+        assert got.shape == (1200,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_empty_batch(self):
+        empty = np.zeros((0, 3))
+        got = segment_symmetric_klds(empty, empty, empty, empty,
+                                     np.zeros((0, 2)))
+        assert got.shape == (0,)
+
+    # (segment, field, value): one spoilt entry of a valid batch
+    SPOILERS = [
+        (0, "pred_b", (0.0, 0.0, 0.0)),  # zero-length prediction segment
+        (3, "gt_b", None),  # zero-length ground-truth segment
+        (2, "pred_b", (0.0, 0.0, 0.5)),  # vertical: pitch out of domain
+        (4, "gt_b", (0.0, 0.0, -2.0)),  # vertical, pointing down
+        (1, "pred_b", (0.0, 5e-7, 0.0)),  # shorter than the scale floor
+        (5, "width", (1e-7, 0.2)),  # lateral width below the floor
+        (5, "width", (0.2, 0.0)),  # vertical width below the floor
+        (2, "width", (float("nan"), 0.2)),  # NaN width: not positive
+        (2, "width", (0.2, float("inf"))),  # infinite width
+    ]
+
+    @pytest.mark.parametrize("seg, field, value", SPOILERS)
+    def test_errors_match_per_segment_loop(self, seg, field, value):
+        rng = np.random.default_rng(59)
+        pred_a, pred_b, gt_a, gt_b, widths = random_segments(rng, 8)
+        widths = [tuple(w) for w in widths]
+        if field == "width":
+            widths[seg] = value
+            widths[seg + 1] = (1e-9, 1e-9)  # a later offender must not win
+        elif field == "pred_b":
+            pred_b[seg] = pred_a[seg] + value
+            pred_b[seg + 2] = pred_a[seg + 2]
+        else:
+            gt_b[seg] = gt_a[seg] if value is None else gt_a[seg] + value
+            pred_b[seg + 1] = pred_a[seg + 1]
+        with pytest.raises(Exception) as want:
+            scalar_segment_klds(pred_a, pred_b, gt_a, gt_b, widths)
+        with pytest.raises(want.type) as got:
+            segment_symmetric_klds(pred_a, pred_b, gt_a, gt_b, widths)
+        assert got.type is want.type
+        assert str(got.value) == str(want.value)
+        assert want.type in (ZeroLengthSegment, NumericallySingular,
+                             ValueError)

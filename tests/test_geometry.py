@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import lane3d.geometry as geometry
 from lane3d.errors import (
     BehindCamera,
     DegenerateLane,
@@ -351,3 +352,177 @@ class TestFitCurves:
                          [1000.0, 500.0], [1000.0, 600.0]])
         with pytest.raises(ValueError):
             fit_curves([lane], self.IMAGE)
+
+
+# ---------------------------------------------------------------------------
+# variable-projection fit against the least-squares search it replaced
+# ---------------------------------------------------------------------------
+
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def lstsq_fit(lanes_2d, n_iter=10):
+    """Rational fit as computed before variable projection: the same
+    bracket and golden-section schedule, with every rho2 candidate scored
+    by a full least-squares solve (95 per fit).  Returns (rms, rho2, x)
+    with x = (rho1, rho3, beta'_0, beta''_0, ...)."""
+    lanes = [np.asarray(l, dtype=np.float64) for l in lanes_2d]
+    u = np.concatenate([l[:, 0] for l in lanes])
+    v = np.concatenate([l[:, 1] for l in lanes])
+    lane_of = np.concatenate([np.full(len(l), i) for i, l in enumerate(lanes)])
+    bias = np.zeros((len(u), 2 * len(lanes)))
+    bias[np.arange(len(u)), 2 * lane_of] = v
+    bias[np.arange(len(u)), 2 * lane_of + 1] = 1.0
+    best = [math.inf, None, None]
+
+    def f(rho2):
+        den = v - rho2
+        a = np.column_stack([1.0 / (den * den), 1.0 / den, bias])
+        scale = np.sqrt((a * a).sum(axis=0))
+        scale[scale == 0.0] = 1.0
+        x = np.linalg.lstsq(a / scale, u, rcond=None)[0] / scale
+        r = a @ x - u
+        ss = float(r @ r)
+        if ss < best[0]:
+            best[:] = [ss, rho2, x]
+        return ss
+
+    vmin = float(v.min())
+    span = max(float(v.max()) - vmin, 32.0)
+    grid = np.linspace(vmin - 5.0 * span, vmin - max(1.0, 1e-3 * span), 33)
+    i0 = int(np.argmin([f(r2) for r2 in grid]))
+    a, b = grid[max(i0 - 1, 0)], grid[min(i0 + 1, 32)]
+    c, d = b - INVPHI * (b - a), a + INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(6 * n_iter):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + INVPHI * (b - a)
+            fd = f(d)
+    ss, rho2, x = best
+    return math.sqrt(ss / len(u)), rho2, x
+
+
+def random_fit_frame(rng, noise):
+    """1-5 lanes of a random shared rational curve, 5-24 rows each."""
+    r1, r2, r3 = (rng.uniform(1e3, 1e5), rng.uniform(150.0, 330.0),
+                  rng.uniform(-3000.0, 3000.0))
+    lanes = []
+    for _ in range(int(rng.integers(1, 6))):
+        rows = np.sort(rng.uniform(rng.uniform(r2 + 20.0, 600.0), 719.0,
+                                   int(rng.integers(5, 25))))
+        den = rows - r2
+        u = (r1 / den**2 + r3 / den + rng.uniform(-0.5, 0.5) * rows
+             + rng.uniform(100.0, 800.0) + rng.normal(0.0, noise, len(rows)))
+        lanes.append(np.stack([np.clip(u, 0.0, 959.0), rows], axis=1))
+    return lanes
+
+
+def straight_fit_frame(rng):
+    """1-5 exactly straight lanes: u is linear in v on every lane."""
+    lanes = []
+    for _ in range(int(rng.integers(1, 6))):
+        rows = np.arange(rng.integers(300, 500), 720, rng.integers(5, 40),
+                         dtype=np.float64)
+        u = rng.uniform(200.0, 700.0) + rng.uniform(-0.3, 0.3) * (rows - 300)
+        lanes.append(np.stack([u, rows], axis=1))
+    return lanes
+
+
+def assert_fit_matches_oracle(lanes):
+    fit = fit_curves(lanes, TestFitCurves.IMAGE)
+    rms, rho2, x = lstsq_fit(lanes)
+    assert fit.rms <= rms * (1.0 + 1e-9) + 1e-9
+    for i, curve in enumerate(fit.curves):
+        rows = np.arange(math.ceil(curve.v_low), math.floor(curve.v_up) + 1.0)
+        rows = np.concatenate([rows, [curve.v_low, curve.v_up]])
+        den = rows - rho2
+        want = (x[0] / den**2 + x[1] / den + x[2 + 2 * i] * rows
+                + x[3 + 2 * i])
+        assert np.abs(curve_eval(curve, rows) - want).max() <= 1e-3
+
+
+class TestFitOracle:
+    @pytest.mark.parametrize("noise", [0.0, 0.05, 1.0, 4.0])
+    def test_random_frames(self, noise):
+        rng = np.random.default_rng([61, int(noise * 100)])
+        for _ in range(40):
+            assert_fit_matches_oracle(random_fit_frame(rng, noise))
+
+    def test_straight_lane_frames(self):
+        # rho2 is decided by roundoff alone here, so only the fits compare
+        rng = np.random.default_rng(67)
+        for _ in range(60):
+            assert_fit_matches_oracle(straight_fit_frame(rng))
+
+    def test_projected_straight_lanes(self, pitched_camera):
+        for xs in ([-1.85, 1.85], [-5.5, -1.85, 1.85, 5.5], [0.3]):
+            lanes = [project_ground_to_image(
+                pitched_camera, straight_lane(x, 10.0, 103.0, 20).points)
+                for x in xs]
+            lanes = [uv[(uv[:, 0] >= 0) & (uv[:, 0] < 960)] for uv in lanes]
+            assert_fit_matches_oracle(lanes)
+
+
+def count_solves(monkeypatch):
+    calls = []
+    real = geometry._lstsq_scaled
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return real(a, b)
+
+    monkeypatch.setattr(geometry, "_lstsq_scaled", counted)
+    return calls
+
+
+class TestFitSolves:
+    IMAGE = (720, 960)
+
+    @pytest.mark.parametrize("form", ["rational", "poly3"])
+    def test_one_solve_per_fit(self, monkeypatch, form):
+        rng = np.random.default_rng(71)
+        lanes = random_fit_frame(rng, 1.0)
+        calls = count_solves(monkeypatch)
+        fit_curves(lanes, self.IMAGE, form=form)
+        assert len(calls) == 1
+
+    def test_dependent_columns_fall_back_to_lstsq(self, monkeypatch):
+        # two rows per lane: the per-lane [v, 1] columns span every
+        # function of v, so both rational columns reduce to zero
+        lanes = [np.array([[300.0, 400.0], [302.0, 400.0],
+                           [340.0, 500.0], [338.0, 500.0]]),
+                 np.array([[600.0, 450.0], [604.0, 450.0],
+                           [650.0, 650.0], [651.0, 650.0]])]
+        calls = count_solves(monkeypatch)
+        fit = fit_curves(lanes, self.IMAGE)
+        assert len(calls) == 95 + 1  # every candidate, then the final fit
+        rms, rho2, _ = lstsq_fit(lanes)
+        assert fit.rms == pytest.approx(rms, rel=1e-12, abs=1e-12)
+        assert fit.curves[0].rho[1] == rho2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_point_rejected_before_solving(self, monkeypatch,
+                                                      bad, column):
+        lanes = random_fit_frame(np.random.default_rng(73), 0.5)
+        lanes[-1][2, column] = bad
+        calls = count_solves(monkeypatch)
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_curves(lanes, self.IMAGE)
+        assert calls == []
+
+    @pytest.mark.parametrize("form", ["rational", "poly3"])
+    def test_single_row_lane_underdetermined(self, monkeypatch, form):
+        lanes = [np.array([[100.0, 300.0], [110.0, 400.0], [120.0, 500.0],
+                           [130.0, 600.0]]),
+                 np.array([[400.0, 500.0], [410.0, 500.0], [420.0, 500.0],
+                           [430.0, 500.0], [440.0, 500.0]])]
+        calls = count_solves(monkeypatch)
+        with pytest.raises(Underdetermined, match="lane 1"):
+            fit_curves(lanes, self.IMAGE, form=form)
+        assert calls == []

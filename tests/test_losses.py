@@ -97,6 +97,33 @@ class TestCurveMatchCost:
         )
         assert cost.shape == (1, 3)
 
+    def test_each_curve_sampled_once_per_frame(self, camera, monkeypatch):
+        import lane3d.losses as losses
+
+        sampled = []
+        real = losses.sample_curve
+
+        def counted(curve, *args):
+            sampled.append(curve)
+            return real(curve, *args)
+
+        monkeypatch.setattr(losses, "sample_curve", counted)
+        gt = FrameGroundTruth(
+            lanes=[flat_lane(-2.0), flat_lane(2.0)],
+            curves=[const_curve(300), const_curve(500)],
+        )
+        pred = FramePrediction(
+            lanes=[flat_lane(-2.0), flat_lane(2.1), flat_lane(9.0)],
+            curves=[const_curve(310), const_curve(480, confidence=0.5),
+                    const_curve(700, confidence=0.2)],
+        )
+        breakdown = loss_total(gt, pred, camera, GRID)
+        assert len(sampled) == 5
+        assert len({id(c) for c in sampled}) == 5
+        monkeypatch.undo()
+        assert breakdown.loss_fit + breakdown.loss_ce == loss_curve(
+            gt.curves, pred.curves, breakdown.match, camera, GRID)
+
 
 class TestLossLoc:
     def test_perfect_prediction_is_zero(self):
@@ -212,6 +239,41 @@ class TestLossUnc:
         )
         assert got == symmetric_kld(pg, gg)
         assert got > 0.0
+
+    def test_frame_is_one_batch_without_segment_objects(self, monkeypatch):
+        import lane3d.gaussians as gaussians
+        import lane3d.losses as losses
+
+        batches = []
+        real = losses.segment_symmetric_klds
+
+        def counted(*args, **kwargs):
+            batches.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a per-segment SegmentGaussian was built")
+
+        monkeypatch.setattr(losses, "segment_symmetric_klds", counted)
+        monkeypatch.setattr(gaussians, "SegmentGaussian", forbidden)
+        gt = [flat_lane(-2.0), flat_lane(2.0, visibility=(1.0, 0.0)),
+              flat_lane(6.0)]
+        pred = FramePrediction(
+            lanes=[flat_lane(-2.0, dx=(0.1, 0.2)), flat_lane(2.0, dx=(0.3, 0)),
+                   flat_lane(6.0, dx=(0.0, -0.1))],
+            curves=[const_curve(100), const_curve(300), const_curve(500)],
+            uncertainties=[[(0.2, 0.1)]] * 3,
+        )
+        match = MatchResult(pairs=((0, 0), (1, 1), (2, 2)), total_cost=0.0)
+        got = loss_unc(gt, pred, match)
+        monkeypatch.undo()
+        assert batches == [2]  # the segment with an invisible end is out
+        want = math.fsum(
+            symmetric_kld(*paired_segment_gaussians(
+                p.points[0], p.points[1], g.points[0], g.points[1], 0.2, 0.1))
+            for g, p in ((gt[0], pred.lanes[0]), (gt[2], pred.lanes[2]))
+        )
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_invisible_endpoint_drops_segment(self):
         gt = [flat_lane(2.0, visibility=(1.0, 0.0))]
