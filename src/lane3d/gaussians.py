@@ -286,7 +286,6 @@ def segment_symmetric_klds(
     gt_a,
     gt_b,
     widths,
-    direction_aligned: bool = False,
 ) -> np.ndarray:
     """Symmetric divergences of m (prediction, ground-truth) segment pairs.
 
@@ -322,8 +321,8 @@ def segment_symmetric_klds(
     half = w / 2.0
     s_p = np.column_stack([len_p / 2.0, half])
     s_g = np.column_stack([len_g / 2.0, half])
-    rot_p = _rotations(tx_p, tz_p, direction_aligned)
-    rot_g = _rotations(tx_g, tz_g, direction_aligned)
+    rot_p = _rotations(tx_p, tz_p, False)
+    rot_g = _rotations(tx_g, tz_g, False)
     return 0.5 * (_kl(*_kld_terms(mu_p, s_p, rot_p, mu_g, s_g, rot_g))
                   + _kl(*_kld_terms(mu_g, s_g, rot_g, mu_p, s_p, rot_p)))
 

@@ -331,9 +331,6 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # treated as dependent on the other columns; its candidate row is scored
 # by the full least-squares solve instead.
 _DEPENDENT = 1e-8
-# Golden-section steps scored per call (2 + 4 + 8 reachable points); it
-# divides the 6 steps of a round.
-_LOOKAHEAD = 3
 
 
 def _lstsq_scaled(a: np.ndarray, b: np.ndarray):
@@ -396,38 +393,6 @@ def _projected_ss(v: np.ndarray, y: np.ndarray, basis: np.ndarray,
     ss = (r * r) @ ones
     ss[dep] = np.nan
     return ss
-
-
-def _golden_step(bracket, left: bool):
-    """One golden-section step on the bracket (a, b, c, d).
-
-    ``left`` (f(c) < f(d)) keeps [a, d], otherwise [c, b] is kept.
-    Returns the new bracket and the one new point to evaluate.
-    """
-    a, b, c, d = bracket
-    if left:
-        b, d = d, c
-        c = b - _INVPHI * (b - a)
-        return (a, b, c, d), c
-    a, c = c, d
-    d = a + _INVPHI * (b - a)
-    return (a, b, c, d), d
-
-
-def _golden_tree(bracket, depth: int):
-    """Brackets and points of the next ``depth`` steps, in heap order.
-
-    Node 0 is ``bracket``; the step from node i leads to node 2i+1 when
-    f(c) < f(d) and to node 2i+2 otherwise, and reaching node j > 0
-    evaluates ``points[j - 1]``.
-    """
-    brackets, points = [bracket], []
-    for i in range(2**depth - 1):
-        for left in (True, False):
-            nxt, point = _golden_step(brackets[i], left)
-            brackets.append(nxt)
-            points.append(point)
-    return brackets, points
 
 
 def fit_curves(lanes_2d: Sequence[np.ndarray], image_size: tuple[int, int],
@@ -526,20 +491,16 @@ def fit_curves(lanes_2d: Sequence[np.ndarray], image_size: tuple[int, int],
     c = b_br - _INVPHI * (b_br - a_br)
     d = a_br + _INVPHI * (b_br - a_br)
     fc, fd = (accept(p, ss) for p, ss in zip((c, d), scored([c, d])))
-    bracket = (a_br, b_br, c, d)
     for _ in range(n_iter):
-        for _ in range(6 // _LOOKAHEAD):
-            # the steps are sequential: score every point the next few
-            # can reach in one call, then follow the comparisons
-            brackets, points = _golden_tree(bracket, _LOOKAHEAD)
-            values = scored(points)
-            node = 0
-            for _ in range(_LOOKAHEAD):
-                left = bool(fc < fd)
-                node = 2 * node + (1 if left else 2)
-                f = accept(points[node - 1], values[node - 1])
-                fc, fd = (f, fc) if left else (fd, f)
-            bracket = brackets[node]
+        for _ in range(6):
+            if fc < fd:
+                b_br, d, fd = d, c, fc
+                c = b_br - _INVPHI * (b_br - a_br)
+                fc = accept(c, scored([c])[0])
+            else:
+                a_br, c, fc = c, d, fd
+                d = a_br + _INVPHI * (b_br - a_br)
+                fd = accept(d, scored([d])[0])
         history.append(math.sqrt(best["ss"] / n_pts))
 
     a_fin = _rational_columns(v_all, best["rho2"], bias)

@@ -420,13 +420,13 @@ def scalar_segment_gaussian(p_a, p_b, lambda_w, lambda_h):
     )
 
 
-def scalar_segment_klds(pred_a, pred_b, gt_a, gt_b, widths, aligned=False):
+def scalar_segment_klds(pred_a, pred_b, gt_a, gt_b, widths):
     """The per-segment loop ``loss_unc`` ran before the batched kernel."""
     out = []
     for pa, pb, ga, gb, (lw, lh) in zip(pred_a, pred_b, gt_a, gt_b, widths):
         pred = scalar_segment_gaussian(pa, pb, lw, lh)
         gt = scalar_segment_gaussian(ga, gb, lw, lh)
-        out.append(scalar_symmetric_kld(pred, gt, aligned))
+        out.append(scalar_symmetric_kld(pred, gt))
     return out
 
 
@@ -472,12 +472,11 @@ class TestBatchedKernel:
             assert symmetric_kld(a, b, aligned) == pytest.approx(
                 scalar_symmetric_kld(a, b, aligned), rel=1e-12)
 
-    @pytest.mark.parametrize("aligned", [False, True])
-    def test_segment_klds_match_per_segment_loop(self, aligned):
+    def test_segment_klds_match_per_segment_loop(self):
         rng = np.random.default_rng(47)
         segments = random_segments(rng, 1200)
-        got = segment_symmetric_klds(*segments, direction_aligned=aligned)
-        want = scalar_segment_klds(*segments, aligned=aligned)
+        got = segment_symmetric_klds(*segments)
+        want = scalar_segment_klds(*segments)
         assert got.shape == (1200,)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
