@@ -25,7 +25,7 @@ represent).
 
 Divergences have one implementation, over stacks of Gaussians:
 ``segment_symmetric_klds`` scores a batch of segment pairs from their
-endpoints and widths, and ``kld_components`` / ``kld`` /
+endpoints and widths (default rotation), and ``kld_components`` / ``kld`` /
 ``symmetric_kld`` are batches of one.  A batch fails on its first bad
 segment with the error and message that segment alone would raise.
 """
