@@ -194,7 +194,7 @@ def _fit_matrix(
         for j, (pred, (u_pred, _, m_pred)) in enumerate(
             zip(pred_curves, pred_samples)
         ):
-            both = m_gt & m_pred
+            both = (m_gt & m_pred).astype(bool)
             u_term = float(np.abs(u_pred[both] - u_gt[both]).sum())
             extent = abs(pred.v_low - gt.v_low) + abs(pred.v_up - gt.v_up)
             fit[k, j] = config.gamma[4] * u_term + config.gamma[5] * extent

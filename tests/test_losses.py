@@ -74,6 +74,18 @@ class TestCurveMatchCost:
         )
         assert cost[0, 0] == pytest.approx(16.0, abs=1e-12)
 
+    def test_one_shared_row_is_charged(self, camera):
+        # rows 5-10 against rows 10-15: only row 10 (v = 378) is valid in
+        # both curves, and there they differ by 0.15 px
+        cost = curve_match_cost(
+            [const_curve(300.0, v_low=180.0, v_up=378.0)],
+            [const_curve(300.15, v_low=378.0, v_up=560.0)],
+            camera,
+            GRID,
+        )
+        extent = 2.0 * ((378.0 - 180.0) + (560.0 - 378.0))
+        assert cost[0, 0] - extent == pytest.approx(5.0 * 0.15, rel=1e-9)
+
     def test_low_confidence_charges_gamma4(self, camera):
         cost = curve_match_cost(
             [const_curve(300)], [const_curve(300, confidence=0.25)], camera, GRID
