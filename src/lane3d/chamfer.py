@@ -38,12 +38,24 @@ global cell indices, so the IoU of two lanes never depends on which
 other lanes share the frame.  Only x/y enter the rasterization; a
 stroke covers cells whose center lies within ``lane_width / 2`` of the
 polyline (boundary inclusive).  A stroke is a list of per-row runs
-``(iy, lo, hi)``, sorted and merged.  Each segment tests its predicate
-only on the cells of each row that lie within half a cell more than
-``lane_width / 2`` of its line, a window that holds every cell the
-predicate can pass, so the runs equal a cell-by-cell scan.  The IoU of
-two strokes counts the overlap of their runs; strokes whose row or
-column ranges are disjoint score 0 without that count.
+``(iy, lo, hi)``, sorted and merged.  The points within
+``lane_width / 2`` of a segment meet a row in one interval (the chords
+of the two end disks and the band between them); for each
+(segment, row) pair the rasterizer computes that interval and takes its
+end cells from it wherever a forward rounding bound puts the cell
+centers on both sides of each end clear of it (``_decided_cells`` states
+the bound).  The few other pairs test the cell-by-cell predicate on the
+cells of the row within half a cell more than ``lane_width / 2`` of the
+segment's line, so the runs equal a cell-by-cell scan.  Lanes are
+rasterized in blocks of at most ``_BLOCK_PAIRS`` pairs.  The IoU of two
+strokes counts the overlap of their runs; strokes whose row or column
+ranges are disjoint score 0 without that count.
+
+The IoU-gated protocols work on blocks of frames: one raster call
+strokes every lane of a block, and the matched pairs are interpolated by
+one ``resample_polylines`` call and scored by one
+``polyline_mean_pairs`` call, bitwise as ``interpolate_lane`` and
+``point_to_polyline_stats`` would score them pair by pair.
 """
 
 from __future__ import annotations
@@ -62,6 +74,7 @@ from .kernels import (
     nearest_pair_rows,
     pair_mean_matrices,
     point_to_polyline_stats,
+    polyline_mean_pairs,
     resample_polylines,
 )
 from .matching import hungarian
@@ -192,6 +205,30 @@ def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
 _BLOCK_POINTS = 1 << 13
 
 
+def _frame_blocks(frames, n: int, scored):
+    """Consecutive runs of frames whose scored lanes (``scored(frame)``),
+    times the largest of their point counts and ``n``, stay within
+    ``_BLOCK_POINTS``; a frame over the bound forms a block alone."""
+    block, lanes, width = [], 0, n
+    for frame in frames:
+        frame_lanes = scored(frame)
+        frame_width = max([n, *(len(lane.points) for lane in frame_lanes)])
+        if block and (lanes + len(frame_lanes)) * max(width, frame_width) > _BLOCK_POINTS:
+            yield block
+            block, lanes, width = [], 0, n
+        block.append(frame)
+        lanes += len(frame_lanes)
+        width = max(width, frame_width)
+    yield block
+
+
+def _bcd_lanes(frame) -> tuple:
+    """A frame's lanes the bidirectional protocol scores: predictions
+    first, and none without predictions."""
+    gt_lanes, pred_lanes = frame
+    return (*pred_lanes, *gt_lanes) if pred_lanes else ()
+
+
 def _bcd_rows(frames, n: int) -> list[np.ndarray]:
     """Per-frame ``(n_pred, n_gt)`` matrices for the bidirectional protocol.
 
@@ -201,33 +238,16 @@ def _bcd_rows(frames, n: int) -> list[np.ndarray]:
     way.  Frames are searched in blocks of bounded size, and the
     values do not depend on the blocks.
     """
-    blocks, block, lanes, width = [], [], 0, n
-    for frame in frames:
-        gt_lanes, pred_lanes = frame
-        frame_lanes, frame_width = 0, n
-        if pred_lanes:
-            frame_lanes = len(pred_lanes) + len(gt_lanes)
-            for lane in (*pred_lanes, *gt_lanes):
-                frame_width = max(frame_width, len(lane.points))
-        if block and (lanes + frame_lanes) * max(width, frame_width) > _BLOCK_POINTS:
-            blocks.append(block)
-            block, lanes, width = [], 0, n
-        block.append(frame)
-        lanes += frame_lanes
-        width = max(width, frame_width)
-    blocks.append(block)
-    return [d for block in blocks for d in _bcd_block(block, n)]
+    return [
+        d for block in _frame_blocks(frames, n, _bcd_lanes)
+        for d in _bcd_block(block, n)
+    ]
 
 
 def _bcd_block(frames, n: int) -> list[np.ndarray]:
     # Every lane of a frame with predictions is interpolated, predictions
     # first, as _bcd_matrix does; so the same lane raises DegenerateLane.
-    lanes = [
-        lane
-        for gt_lanes, pred_lanes in frames
-        if pred_lanes
-        for lane in (*pred_lanes, *gt_lanes)
-    ]
+    lanes = [lane for frame in frames for lane in _bcd_lanes(frame)]
     if not lanes:
         return [np.zeros((0, len(gt_lanes))) for gt_lanes, _ in frames]
     sizes = np.array([len(lane.points) for lane in lanes])
@@ -329,45 +349,314 @@ class _Runs(NamedTuple):
 _ROW = np.int64(1) << np.int64(32)
 
 
-def _stroke_runs(points: np.ndarray, config: EvalConfig) -> _Runs:
-    """Grid cells covered by the stroked polyline, as per-row runs.
+# (segment, row) pairs the rasterizer works on at once: bounds its working
+# memory.  Lanes are grouped into blocks up to this many pairs, and a lane
+# with more forms a block of its own.
+_BLOCK_PAIRS = 1 << 13
 
-    Cell ``(ix, iy)`` has center ``((ix + 0.5) * res, (iy + 0.5) * res)``
-    in ground x/y; a cell is covered when its center lies within half the
-    lane width of some polyline segment, which the predicate below
-    decides cell by cell.  Each segment tests, in every row of its scan
-    box (its cell bounding box grown by ``margin``), only the cells
-    whose centers lie within half a cell more than half the lane width
-    of the segment's line.  That window holds every cell the predicate
-    can pass, since the rounding error of both stays far below half a
-    cell.  ``points`` must have strictly increasing y, as ``Lane3D``
-    guarantees.
+# Unit roundoff of binary64, for the rounding bounds below.
+_U = 2.0**-53
+
+
+def _stroke_runs(points: np.ndarray, config: EvalConfig) -> _Runs:
+    """Grid cells covered by one stroked polyline, as per-row runs; see
+    ``_strokes``."""
+    return _strokes([points], config)[0]
+
+
+def _strokes(point_sets: list[np.ndarray], config: EvalConfig) -> list[_Runs]:
+    """Strokes of several polylines (each ``(n, 2+)`` with strictly
+    increasing y), as per-row runs.
+
+    Each (segment, row) pair whose row comes within half a cell more
+    than ``lane_width / 2`` of the segment's y-range is decided from the
+    segment's interval on the row where ``_decided_cells`` proves that
+    interval's end cells; the other pairs run the window scan of
+    ``_window_runs``.  Pairs are decided in blocks of whole lanes of at
+    most ``_BLOCK_PAIRS`` pairs (a lane with more forms a block alone),
+    and undecided pairs are scanned in batches of about that many; the
+    runs depend on neither.
+
+    A row whose pairs are all decided takes the union of their intervals
+    by a per-row min/max: the row meets each segment's stroke in one
+    interval, and for a polyline whose y strictly increases their union
+    is one interval too (the points within ``lane_width / 2`` of the row
+    form one stretch of the polyline, and their chords on the row sweep
+    a connected set).  Other rows merge their runs on the key line
+    ``row * _ROW + ix``.
+
+    The first polyline with fewer than 2 points raises ``DegenerateLane``.
     """
-    if points.shape[0] < 2:
-        raise DegenerateLane(
-            f"stroke needs at least 2 visible points, got {points.shape[0]}"
-        )
+    for points in point_sets:
+        if points.shape[0] < 2:
+            raise DegenerateLane(
+                f"stroke needs at least 2 visible points, got {points.shape[0]}"
+            )
+    if not point_sets:
+        return []
     res = config.bev_resolution
     half = config.lane_width / 2.0
+    reach = half + res / 2.0
+    sizes = np.array([points.shape[0] for points in point_sets])
+    xy = np.concatenate([points[:, :2] for points in point_sets])
+    starts = np.ones(xy.shape[0], dtype=bool)
+    starts[np.cumsum(sizes) - 1] = False
+    a = np.flatnonzero(starts)
+    ax, ay = xy[a, 0], xy[a, 1]
+    bx, by = xy[a + 1, 0], xy[a + 1, 1]
+    # every row within ``reach`` of each segment's y-range, as far as the
+    # window scan's box around the segment goes
     margin = int(math.ceil(half / res)) + 1
-    ax, ay = points[:-1, 0], points[:-1, 1]
-    bx, by = points[1:, 0], points[1:, 1]
+    first = np.maximum(
+        np.ceil(ay / res - 0.5) - 1 - margin, np.ceil((ay - reach) / res - 0.5)
+    ).astype(np.int64)
+    last = np.minimum(
+        np.floor(by / res - 0.5) + 1 + margin, np.floor((by + reach) / res - 0.5)
+    ).astype(np.int64)
+    n_rows = np.maximum(last - first + 1, 0)
+
+    # one row index for all lanes: lane l's row iy is row iy + shift
+    seg_start = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes - 1, out=seg_start[1:])
+    row0 = np.minimum.reduceat(first, seg_start[:-1])
+    lane_rows = np.maximum(np.maximum.reduceat(last, seg_start[:-1]) - row0 + 1, 0)
+    base = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(lane_rows, out=base[1:])
+    shift = np.repeat(base[:-1] - row0, sizes - 1)
+    row_lo = np.full(base[-1], np.iinfo(np.int64).max)
+    row_hi = np.full(base[-1], np.iinfo(np.int64).min)
+    open_rows = np.zeros(base[-1], dtype=bool)
+    # open rows' decided intervals and undecided pairs, then their runs
+    held, merged = [], []
+
+    def flush():
+        rows, lo, hi, seg, iy = (np.concatenate(parts) for parts in zip(*held))
+        scanned = _window_runs(ax, ay, bx, by, seg, iy, iy + shift[seg], res, half)
+        merged.append(np.stack(_merge_runs(
+            *(np.concatenate(parts) for parts in zip((rows, lo, hi), scanned))
+        )))
+        held.clear()
+
+    lane_pairs = np.add.reduceat(n_rows, seg_start[:-1])
+    lane = n_held = 0
+    while lane < sizes.size:
+        stop, pairs = lane + 1, lane_pairs[lane]
+        while stop < sizes.size and pairs + lane_pairs[stop] <= _BLOCK_PAIRS:
+            pairs += lane_pairs[stop]
+            stop += 1
+        s0, s1 = seg_start[lane], seg_start[stop]
+        lane = stop
+        if not pairs:
+            continue
+        seg = np.repeat(np.arange(s0, s1), n_rows[s0:s1])
+        iy = _ranges(first[s0:s1], n_rows[s0:s1])
+        row = iy + shift[seg]
+        lo, hi, decided = _decided_cells(
+            ax[s0:s1], ay[s0:s1], bx[s0:s1], by[s0:s1], n_rows[s0:s1], iy, res, half
+        )
+        undecided = np.flatnonzero(~decided)
+        open_rows[row[undecided]] = True
+        filled = decided & (lo <= hi)
+        closed = filled & ~open_rows[row]
+        np.minimum.at(row_lo, row[closed], lo[closed])
+        np.maximum.at(row_hi, row[closed], hi[closed])
+        if undecided.size:
+            mixed = filled & ~closed
+            held.append((row[mixed], lo[mixed], hi[mixed], seg[undecided], iy[undecided]))
+            n_held += undecided.size
+            if n_held >= _BLOCK_PAIRS:
+                flush()
+                n_held = 0
+    if held:
+        flush()
+
+    # all runs in row order: a closed row holds one run at most, and the
+    # merged runs' rows are open rows, in order
+    one = np.flatnonzero(row_lo <= row_hi)
+    runs = np.stack([one, row_lo[one], row_hi[one]])
+    if merged:
+        more = np.concatenate(merged, axis=1)
+        both = np.empty((3, one.size + more.shape[1]), dtype=np.int64)
+        both[:, np.arange(one.size) + np.searchsorted(more[0], one)] = runs
+        both[:, np.arange(more.shape[1]) + np.searchsorted(one, more[0])] = more
+        runs = both
+    ends = np.searchsorted(runs[0], base)
+    return [
+        _Runs(runs[0, s:e] - base[l] + row0[l], runs[1, s:e], runs[2, s:e])
+        for l, (s, e) in enumerate(zip(ends[:-1], ends[1:]))
+    ]
+
+
+def _merge_runs(row, lo, hi):
+    """Union of runs ``(row, lo, hi)``, sorted by row, then column, with
+    runs of one row neither overlapping nor touching."""
+    if not row.size:
+        return row, lo, hi
+    key_row = row * _ROW
+    key_lo = key_row + lo
+    order = np.argsort(key_lo, kind="stable")
+    key_lo = key_lo[order]
+    key_hi = np.maximum.accumulate((key_row + hi)[order])
+    fresh = np.ones(key_lo.size, dtype=bool)
+    fresh[1:] = key_lo[1:] > key_hi[:-1] + 1
+    fresh = np.flatnonzero(fresh)
+    stop = np.append(fresh[1:], key_lo.size) - 1
+    key_row = key_row[order][fresh]
+    return key_row // _ROW, key_lo[fresh] - key_row, key_hi[stop] - key_row
+
+
+def _decided_cells(ax, ay, bx, by, n_rows, iy, res, half):
+    """The cells of row ``iy`` whose centers lie within ``half`` of the
+    segment, for each (segment, row) pair (segment ``s`` holds the next
+    ``n_rows[s]`` pairs), as ``[lo, hi]``, wherever a rounding bound proves
+    that the predicate of ``_window_runs`` passes exactly there.
+
+    Returns ``(lo, hi, decided)``; ``lo > hi`` is an empty decided pair,
+    and undecided pairs hold arbitrary values.
+
+    Geometry.  Let ``A``, ``B`` be the endpoints (``ay < by``),
+    ``e = B - A``, ``l = |e|``, and ``dy = cy - ay`` for the row's
+    center ``cy``.  The points within ``r`` of the segment meet the row
+    in one interval ``I(r)``, empty unless ``ay - r <= cy <= by + r``.
+    Its right end is the band's right edge on the row,
+    ``ax + dy * ex / ey + r * l / ey``, when that point's projection
+    ``s = (dy + r * ex / l) / ey`` on the segment lies in [0, 1], and the
+    larger right end of the end disks' chords, ``ax + sqrt(r**2 - dy**2)``
+    and ``bx + sqrt(r**2 - (dy - ey)**2)``, otherwise; it always lies
+    between the two, so where ``s`` is too close to 0 or 1 to place,
+    both bracket it.  The left end is symmetric.
+
+    The bound (``u = 2**-53``; Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., ch. 3, one rounding of relative size
+    ``u`` per operation).  Let ``G`` be the largest coordinate magnitude
+    of the segment plus ``2 * half + res``, which bounds every cell
+    center the predicate can pass (a center beyond it lies more than
+    ``half + res`` from the segment), ``k = u * (G + half)`` and
+    ``E = 32 * k + 2**-470``.
+
+    1. Predicate: a cell center within ``half - E`` of the segment
+       passes, one farther than ``half + E`` fails.  (The computed
+       ``w`` and ``e`` are within ``4.3 * u * G`` and ``2.9 * u * G`` of
+       exact; any ``t`` in [0, 1] gives a point of the segment, and the
+       computed ``t`` costs at most ``6 * u * |w| + 2**-480`` more than
+       the best one; ``dx``, ``dy``, the squares and the sum add
+       ``2.9 * u * G`` and a relative ``2 * u``: ``28 * u * G +
+       3 * u * half + 2**-478`` in all.)
+    2. Radius: if ``I(half)`` is not empty, ``I(half + E)`` lies within
+       ``D = E * (1 + |ex| / ey) + sqrt(E * (2 * half + E))`` of it, and
+       ``I(half)`` shrunk by ``D`` lies in ``I(half - E)``.  (A point of
+       the segment within ``r + E`` of the row moves by at most
+       ``E / ey`` along it, or ``E * |ex| / ey`` in x, to come within
+       ``r``; its chord then shrinks by at most ``sqrt(2 * r * E + E**2)``.
+       If ``I(half - E)`` is empty, ``I(half)`` is shorter than ``2 * D``.)
+    3. Ends: the computed band edges are within
+       ``16 * k * (1 + l / ey)`` of exact, the chord ends within
+       ``sqrt(33 * k * half) + 2 * k``.  ``s`` is placed only beyond a
+       margin of ``16 * k / ey``, a chord only where
+       ``half**2 - dy**2`` clears ``16 * k * (half + |dy|)``, and a row
+       only when it lies ``8 * k`` inside ``[ay - half, by + half]``, or
+       ``E + 8 * k`` outside it (decided empty).
+    4. Cells: with ``mu`` the sum of the terms in 2 and 3, times
+       ``1 + 2**-30``, an end is decided when the cell centers just
+       inside and just outside it lie more than ``mu`` from the computed
+       end, after ``4 * u * (2 * G + 2 * mu + res)`` for the three
+       roundings of the cell index.  Cells then pass exactly on
+       ``[lo, hi]``.
+
+    A segment with ``E >= half / 2``, ``G >= 2**500``, ``ey < 2**-400``
+    or ``l >= 2**100 * ey`` is never decided.
+    """
+    h = half
+    ex, ey = bx - ax, by - ay
+    with np.errstate(all="ignore"):
+        big = np.maximum(np.maximum(np.abs(ax), np.abs(bx)),
+                         np.maximum(np.abs(ay), np.abs(by))) + (2.0 * h + res)
+        k = _U * (big + h)
+        err = 32.0 * k + 2.0**-470
+        length = np.sqrt(ex * ex + ey * ey)
+        mu = ((err + 16.0 * k) * (1.0 + length / ey) + np.sqrt(err * (2.0 * h + err))
+              + np.sqrt(33.0 * k * h) + 2.0 * k + 2.0**-400) * (1.0 + 2.0**-30)
+        trusted = ((err < h / 2.0) & (big < 2.0**500) & (ey >= 2.0**-400)
+                   & (length < 2.0**100 * ey))
+        pad = np.where(trusted, mu + 4.0 * _U * (2.0 * big + 2.0 * mu + res), np.inf)
+        far = np.where(trusted, h + err + 8.0 * k, np.inf)
+        (ax_p, ay_p, bx_p, by_p, slope, width, inv_ey, tilt, row_margin,
+         s_margin, cut_margin, pad, far) = np.repeat(np.stack([
+            ax, ay, bx, by, ex / ey, h * length / ey, 1.0 / ey,
+            h * (ex / length) / ey, 8.0 * k, 16.0 * k / ey, 16.0 * k, pad, far,
+        ]), n_rows, axis=1)
+
+        cy = (iy + 0.5) * res
+        da = cy - ay_p
+        db = cy - by_p
+        outside = (da < -far) | (db > far)
+        inside = (da >= row_margin - h) & (db <= h - row_margin)
+        # band edges, and where their projections surely lie
+        center = ax_p + da * slope
+        low_r = up_r = center + width
+        low_l = up_l = center - width
+        s = da * inv_ey
+        s_r = s + tilt
+        s_l = s - tilt
+        in_r = (s_r >= s_margin) & (s_r <= 1.0 - s_margin)
+        in_l = (s_l >= s_margin) & (s_l <= 1.0 - s_margin)
+
+        # pairs near the segment's ends: the chords bracket the ends too
+        near = np.flatnonzero(inside & ~(in_r & in_l))
+        sure = inside.copy()
+        if near.size:
+            low_r, up_r, low_l, up_l = (v.copy() for v in (low_r, up_r, low_l, up_l))
+            chord_r = np.full(near.size, -np.inf)
+            chord_l = np.full(near.size, np.inf)
+            for d, cx in ((da[near], ax_p[near]), (db[near], bx_p[near])):
+                r2 = h * h - d * d
+                margin = cut_margin[near] * (h + np.abs(d))
+                cuts = r2 >= margin
+                sure[near] &= cuts | (r2 < -margin)
+                w = np.sqrt(np.where(cuts, r2, 0.0))
+                chord_r = np.where(cuts, np.maximum(chord_r, cx + w), chord_r)
+                chord_l = np.where(cuts, np.minimum(chord_l, cx - w), chord_l)
+            se = s_margin[near]
+            sr, sl = s_r[near], s_l[near]
+            band_r, band_l = low_r[near], low_l[near]
+            low_r[near] = np.where(in_r[near], band_r, chord_r)
+            up_r[near] = np.where((sr < -se) | (sr > 1.0 + se), chord_r, band_r)
+            low_l[near] = np.where((sl < -se) | (sl > 1.0 + se), chord_l, band_l)
+            up_l[near] = np.where(in_l[near], band_l, chord_l)
+
+        hi = np.floor((low_r - pad) / res - 0.5)
+        lo = np.ceil((up_l + pad) / res - 0.5)
+        sure &= (hi == np.floor((up_r + pad) / res - 0.5))
+        sure &= (lo == np.ceil((low_l - pad) / res - 0.5))
+    lo = np.where(sure, lo, 1.0).astype(np.int64)
+    hi = np.where(sure, hi, 0.0).astype(np.int64)
+    return lo, hi, sure | outside
+
+
+def _window_runs(ax, ay, bx, by, seg, iy, row, res, half):
+    """Runs of cells that pass the stroke predicate, for (segment, row)
+    pairs ``(seg, iy)``; each run is reported with block row ``row``.
+
+    Cell ``(ix, iy)`` has center ``((ix + 0.5) * res, (iy + 0.5) * res)``
+    in ground x/y and passes when its center lies within half the lane
+    width of the segment, which the predicate below decides cell by
+    cell.  Each segment tests, in every row of its scan box (its cell
+    bounding box grown by ``margin``), only the cells whose centers lie
+    within half a cell more than half the lane width of the segment's
+    line.  That window holds every cell the predicate can pass, since
+    the rounding error of both stays far below half a cell.
+    """
+    nothing = (np.empty(0, dtype=np.int64),) * 3
+    if not seg.size:
+        return nothing
+    margin = int(math.ceil(half / res)) + 1
+    reach = half + res / 2.0
     ex, ey = bx - ax, by - ay
     c2 = ex * ex + ey * ey
     # c2 is 0 only by underflow; t = num / inf is then 0, as for a point
     c2 = np.where(c2 > 0.0, c2, np.inf)
     ix0 = np.ceil(np.minimum(ax, bx) / res - 0.5) - 1 - margin
     ix1 = np.floor(np.maximum(ax, bx) / res - 0.5) + 1 + margin
-    iy0 = np.ceil(ay / res - 0.5) - 1 - margin
-    iy1 = np.floor(by / res - 0.5) + 1 + margin
-
-    # (segment, row) pairs: rows within the window's reach of [ay, by]
-    reach = half + res / 2.0
-    first = np.maximum(iy0, np.ceil((ay - reach) / res - 0.5)).astype(np.int64)
-    last = np.minimum(iy1, np.floor((by + reach) / res - 0.5)).astype(np.int64)
-    n_rows = np.maximum(last - first + 1, 0)
-    seg = np.repeat(np.arange(ax.size), n_rows)
-    iy = _ranges(first, n_rows)
     wy = (iy + 0.5) * res - ay[seg]
     # each row's window: |signed distance to the segment's line| <= reach,
     # with the unit direction (ux, uy).  uy rounds to 0 on a segment flat
@@ -382,10 +671,10 @@ def _stroke_runs(points: np.ndarray, config: EvalConfig) -> _Runs:
     hi = np.fmin(np.floor(x1 / res - 0.5), ix1[seg])
     n_cols = np.maximum(hi - lo + 1, 0)
     some = n_cols > 0
-    seg, iy, wy = seg[some], iy[some], wy[some]
+    seg, row, wy = seg[some], row[some], wy[some]
     n_cols = n_cols[some].astype(np.int64)
     if not n_cols.size:
-        return _Runs(*(np.empty(0, dtype=np.int64),) * 3)
+        return nothing
 
     # the predicate, on every cell of every window
     def per_cell(values):
@@ -411,19 +700,11 @@ def _stroke_runs(points: np.ndarray, config: EvalConfig) -> _Runs:
     open_right[window_end] = False
     begin = np.flatnonzero(hit & ~open_left)
     end = np.flatnonzero(hit & ~open_right)
-    if not begin.size:
-        return _Runs(*(np.empty(0, dtype=np.int64),) * 3)
-
-    # merge the segments' runs row by row on the key line
-    row = iy[np.searchsorted(window_end, begin)] * _ROW
-    key_lo = row + ix[begin].astype(np.int64)
-    order = np.argsort(key_lo, kind="stable")
-    key_lo = key_lo[order]
-    key_hi = np.maximum.accumulate((row + ix[end].astype(np.int64))[order])
-    fresh = np.flatnonzero(np.concatenate(([True], key_lo[1:] > key_hi[:-1] + 1)))
-    row = row[order][fresh]
-    stop = np.append(fresh[1:], key_lo.size) - 1
-    return _Runs(row // _ROW, key_lo[fresh] - row, key_hi[stop] - row)
+    return (
+        row[np.searchsorted(window_end, begin)],
+        ix[begin].astype(np.int64),
+        ix[end].astype(np.int64),
+    )
 
 
 def _iou_matrix(a: list[_Runs], b: list[_Runs]) -> np.ndarray:
@@ -472,10 +753,8 @@ def _shared_cells(a: _Runs, b: _Runs) -> int:
 def bev_iou(gt: Lane3D, pred: Lane3D, config: EvalConfig | None = None) -> float:
     """IoU of the two lanes' stroked footprints on the BEV grid."""
     config = config or EvalConfig()
-    return float(_iou_matrix(
-        [_stroke_runs(gt.visible_points(), config)],
-        [_stroke_runs(pred.visible_points(), config)],
-    )[0, 0])
+    a, b = _strokes([gt.visible_points(), pred.visible_points()], config)
+    return float(_iou_matrix([a], [b])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -483,41 +762,68 @@ def bev_iou(gt: Lane3D, pred: Lane3D, config: EvalConfig | None = None) -> float
 # ---------------------------------------------------------------------------
 
 
-def _iou_matched_pairs(
-    gt_lanes: list[Lane3D],
-    pred_lanes: list[Lane3D],
-    config: EvalConfig,
-    with_maxes: bool,
-) -> list[dict]:
-    """IoU-maximizing assignment plus per-pair distances for one frame.
+def _iou_lanes(frame) -> tuple:
+    """A frame's lanes the IoU-gated protocols score: ground truths
+    first, and none unless the frame has both kinds."""
+    gt_lanes, pred_lanes = frame
+    return (*gt_lanes, *pred_lanes) if gt_lanes and pred_lanes else ()
 
-    Returns one record per matched pair: indices, IoU, unilateral CD,
-    and (when ``with_maxes``) the two directed maximum distances.
+
+def _matched_frames(frames, config: EvalConfig, with_maxes: bool):
+    """``(pairs, n_gt, n_pred)`` per frame; see ``_iou_matched_block``."""
+    return [
+        matched
+        for block in _frame_blocks(frames, config.n_interp, _iou_lanes)
+        for matched in _iou_matched_block(block, config, with_maxes)
+    ]
+
+
+def _iou_matched_block(frames, config: EvalConfig, with_maxes: bool):
+    """IoU-maximizing assignment plus per-pair distances for each frame.
+
+    Returns ``(pairs, n_gt, n_pred)`` per frame, with one record per
+    matched pair: indices, IoU, unilateral CD, and (when ``with_maxes``
+    and the IoU exceeds ``tau_iou``) the two directed maximum distances.
+    The strokes of every scored lane of the block come from one
+    ``_strokes`` call, so the first lane with fewer than 2 visible points
+    raises ``DegenerateLane``; the matched lanes are interpolated by one
+    ``resample_polylines`` call, which equals ``interpolate_lane``
+    bitwise, and their CDs come from one ``polyline_mean_pairs`` call.
     """
-    if not gt_lanes or not pred_lanes:
-        return []
-    iou = _iou_matrix(
-        [_stroke_runs(lane.visible_points(), config) for lane in gt_lanes],
-        [_stroke_runs(lane.visible_points(), config) for lane in pred_lanes],
-    )
-    match = hungarian(-iou)
-    pairs = []
-    for i, j in match.pairs:
-        gt_pts = interpolate_lane(gt_lanes[i], config.n_interp)
-        pred_pts = interpolate_lane(pred_lanes[j], config.n_interp)
-        record = {
-            "gt": i,
-            "pred": j,
-            "iou": float(iou[i, j]),
-            "ucd": point_to_polyline_stats(gt_pts, pred_pts)[0],
-        }
-        if with_maxes and iou[i, j] > config.tau_iou:
-            _, max_pg = directed_point_stats(pred_pts, gt_pts)
-            _, max_gp = directed_point_stats(gt_pts, pred_pts)
-            record["max_pg"] = max_pg
-            record["max_gp"] = max_gp
-        pairs.append(record)
-    return pairs
+    visible = [
+        lane.visible_points() for frame in frames for lane in _iou_lanes(frame)
+    ]
+    strokes = _strokes(visible, config)
+    matches, at = [], 0  # (frame, gt, pred, iou, gt lane, pred lane)
+    for f, (gt_lanes, pred_lanes) in enumerate(frames):
+        if not _iou_lanes((gt_lanes, pred_lanes)):
+            continue
+        n_gt, n_pred = len(gt_lanes), len(pred_lanes)
+        iou = _iou_matrix(
+            strokes[at:at + n_gt], strokes[at + n_gt:at + n_gt + n_pred]
+        )
+        for i, j in hungarian(-iou).pairs:
+            matches.append((f, i, j, float(iou[i, j]), at + i, at + n_gt + j))
+        at += n_gt + n_pred
+
+    records = [[] for _ in frames]
+    if matches:
+        ends = [visible[g] for *_, g, _ in matches] + [visible[p] for *_, p in matches]
+        curves = resample_polylines(
+            np.concatenate(ends), [len(pts) for pts in ends], config.n_interp
+        )
+        gt_curves, pred_curves = curves[:len(matches)], curves[len(matches):]
+        ucd, _ = polyline_mean_pairs(gt_curves, pred_curves)
+        for k, (f, i, j, iou, _, _) in enumerate(matches):
+            record = {"gt": i, "pred": j, "iou": iou, "ucd": float(ucd[k])}
+            if with_maxes and iou > config.tau_iou:
+                _, record["max_pg"] = directed_point_stats(pred_curves[k], gt_curves[k])
+                _, record["max_gp"] = directed_point_stats(gt_curves[k], pred_curves[k])
+            records[f].append(record)
+    return [
+        (pairs, len(gt_lanes), len(pred_lanes))
+        for pairs, (gt_lanes, pred_lanes) in zip(records, frames)
+    ]
 
 
 def _once_counts(
@@ -539,15 +845,6 @@ def _pair_mbd(record: dict, variant: str) -> float:
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
-
-
-def _matched_frames(frames, config: EvalConfig, with_maxes: bool):
-    """``(pairs, n_gt, n_pred)`` per frame; see ``_iou_matched_pairs``."""
-    return [
-        (_iou_matched_pairs(gt_lanes, pred_lanes, config, with_maxes),
-         len(gt_lanes), len(pred_lanes))
-        for gt_lanes, pred_lanes in frames
-    ]
 
 
 def _bcd_counts(d: np.ndarray, tau: float) -> tuple[int, int, int, list[float]]:

@@ -16,6 +16,12 @@ row's minimum.  Those means scan a few target points around each source
 point's y and fall back to the whole target lane where the window does
 not prove the minimum.  ``pair_mean_matrices`` stays the full-matrix
 reference.
+
+The IoU-gated protocols score the unilateral distance of all matched
+pairs with ``polyline_mean_pairs``, which scans, for each point, the
+prediction segments around its y and falls back to the whole lane where
+the y gap to the other segments does not prove the minimum; it equals
+``point_to_polyline_stats``, the full-matrix reference, bitwise.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ __all__ = [
     "nearest_pair_rows",
     "pair_mean_matrices",
     "point_to_polyline_stats",
+    "polyline_mean_pairs",
     "resample_polyline",
     "resample_polylines",
 ]
@@ -202,8 +209,10 @@ def point_to_polyline_stats(points, polyline) -> tuple[float, float]:
 # runs along a lane, and lay per-pair tables out with the pairs last, so
 # each step is a pass over contiguous memory across many lanes or pairs.
 
-# Target points per source point in the windowed nearest-neighbor scan.
+# Target points per source point in the windowed nearest-neighbor scan,
+# and target segments per source point in the point-to-polyline scan.
 _WINDOW = 2
+_WINDOW_SEGMENTS = 3
 # Contiguous chunks per lane whose x/y boxes bound the pair distances.
 _CHUNKS = 4
 # Relative margin that keeps a rounded bound at or below the exact value:
@@ -367,6 +376,103 @@ def directed_mean_pairs(src, dst) -> tuple[np.ndarray, int]:
     sp = np.asarray(src, dtype=np.float64).transpose(2, 0, 1)
     dp = np.ascontiguousarray(np.asarray(dst, dtype=np.float64).transpose(2, 0, 1))
     return _window_means(sp, dp, np.arange(sp.shape[1]))
+
+
+def _segment_d2(ax, ay, az, q, k, i):
+    """``_polyline_core``'s squared distance from points ``(ax, ay, az)``
+    to segment ``k`` of lane ``i`` in the ``(3, L, m)`` planes ``q``."""
+    qx, qy, qz = q
+    ex = qx[i, k + 1] - qx[i, k]
+    ey = qy[i, k + 1] - qy[i, k]
+    ez = qz[i, k + 1] - qz[i, k]
+    wx = ax - qx[i, k]
+    wy = ay - qy[i, k]
+    wz = az - qz[i, k]
+    c2 = (ex * ex + ey * ey) + ez * ez
+    c1 = (wx * ex + wy * ey) + wz * ez
+    t = np.clip(c1 / np.where(c2 > 0.0, c2, 1.0), 0.0, 1.0)
+    t = np.where(c2 > 0.0, t, 0.0)
+    dx = wx - t * ex
+    dy = wy - t * ey
+    dz = wz - t * ez
+    return (dx * dx + dy * dy) + dz * dz
+
+
+def polyline_mean_pairs(src, dst) -> tuple[np.ndarray, int]:
+    """Mean distance from each src lane's points to its dst lane's polyline.
+
+    ``src`` is ``(q, n, 3)`` and ``dst`` ``(q, m, 3)``, both finite.
+    ``means[i]`` equals ``point_to_polyline_stats(src[i], dst[i])[0]``
+    bitwise: every squared distance uses ``_polyline_core``'s operations,
+    the minima are the same values, and each row sums ``sqrt`` of its
+    minima in point order before dividing by ``n``.
+
+    On a dst lane whose y never decreases, each point first scans the
+    ``_WINDOW_SEGMENTS`` segments around its y position.  Every segment
+    before the window lies at or below the window's first vertex, every
+    one after it at or above its last, so a point at least ``g`` above
+    that first vertex is at least ``g`` from each earlier segment, and
+    the computed y component of its distance to one is within
+    ``13 * u * Y`` of it (``u = 2**-53``, ``Y`` the largest |y| of the
+    point and the lane: two subtractions, one product with ``t`` in
+    [0, 1] and the last subtraction).  Since
+    ``(dx*dx + dy*dy) + dz*dz >= dy*dy`` holds in floating point, the
+    window's minimum is the lane's when, on both sides, ``g`` less a
+    margin of ``2**-40 * Y``, squared, reaches it.  Other points, and
+    every point of a lane whose y decreases somewhere, scan all
+    segments.  Returns ``(means, fallbacks)``, the second the number of
+    points that scanned all segments.
+    """
+    sp = np.asarray(src, dtype=np.float64).transpose(2, 0, 1)
+    q = np.ascontiguousarray(np.asarray(dst, dtype=np.float64).transpose(2, 0, 1))
+    _, n_lanes, n = sp.shape
+    m = q.shape[2]
+    qy = q[1]
+    width = min(_WINDOW_SEGMENTS, m - 1)
+    monotone = (qy[:, 1:] >= qy[:, :-1]).all(axis=1)
+    # sentinels: no segment lies before the first vertex or after the last
+    below = qy.copy()
+    below[:, 0] = -np.inf
+    above = qy.copy()
+    above[:, -1] = np.inf
+    y_big = np.abs(qy).max(axis=1)
+    span = qy[:, -1] - qy[:, 0]
+    scale = np.where(span > 0.0, (m - 1) / np.where(span > 0.0, span, 1.0), 0.0)
+    chunk = max(1, _SCAN_POINTS // n)
+    means = np.empty(n_lanes)
+    fallbacks = 0
+    for s in range(0, n_lanes, chunk):
+        xs, ys, zs = sp[:, s:s + chunk]
+        i = np.arange(s, min(s + chunk, n_lanes))[:, None]
+        # the segment holding each point's y, guessed for uniform spacing
+        # and corrected by one vertex each way; the test makes any guess safe
+        at = ((ys - qy[i, 0]) * scale[i]).astype(np.int64)
+        np.clip(at, 0, m - 2, out=at)
+        at += qy[i, at + 1] < ys
+        at -= qy[i, np.minimum(at, m - 1)] > ys
+        k0 = np.clip(at - 1, 0, m - 1 - width)
+        best = None
+        for o in range(width):
+            d2 = _segment_d2(xs, ys, zs, q, k0 + o, i)
+            best = d2 if best is None else np.minimum(best, d2, out=best)
+        slack = 2.0**-40 * np.maximum(np.abs(ys), y_big[i])
+        gap = ys - below[i, k0] - slack
+        ok = (gap > 0.0) & (gap * gap * (1.0 - 2.0**-40) >= best)
+        gap = above[i, k0 + width] - ys - slack
+        ok &= (gap > 0.0) & (gap * gap * (1.0 - 2.0**-40) >= best)
+        ok &= monotone[i]
+        if not ok.all():
+            rows, cols = np.nonzero(~ok)
+            fallbacks += rows.size
+            step = max(1, _SCAN_POINTS // m)
+            for f in range(0, rows.size, step):
+                r, c = rows[f:f + step], cols[f:f + step]
+                lane = (s + r)[:, None]
+                d2 = _segment_d2(xs[r, c][:, None], ys[r, c][:, None],
+                                 zs[r, c][:, None], q, np.arange(m - 1), lane)
+                best[r, c] = d2.min(axis=1)
+        means[s:s + chunk] = np.cumsum(np.sqrt(best), axis=1)[:, -1] / n
+    return means, fallbacks
 
 
 def _chunk_boxes(planes: np.ndarray):

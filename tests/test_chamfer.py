@@ -11,6 +11,7 @@ from lane3d.chamfer import (
     _bcd_matrix,
     _bcd_rows,
     _stroke_runs,
+    _strokes,
     bcd_report,
     bcd_select_tp_fp,
     bev_iou,
@@ -399,6 +400,166 @@ def test_stroke_near_axis_segments_and_distances_on_the_boundary():
         assert decode_runs(_stroke_runs(pts, config)) == oracle_cells(pts, config)
 
 
+def window_scan_runs(points, config):
+    """Runs of the cells that pass the stroke predicate, evaluated with
+    the predicate's own operations on every cell of a padded box, for
+    every segment."""
+    res = config.bev_resolution
+    half = config.lane_width / 2.0
+    xy = points[:, :2]
+    pad = half + 2 * res
+    ix = np.arange(math.floor((xy[:, 0].min() - pad) / res),
+                   math.ceil((xy[:, 0].max() + pad) / res) + 1, dtype=np.float64)
+    iy = np.arange(math.floor((xy[:, 1].min() - pad) / res),
+                   math.ceil((xy[:, 1].max() + pad) / res) + 1)
+    hit = np.zeros((iy.size, ix.size), dtype=bool)
+    for (ax, ay), (bx, by) in zip(xy[:-1], xy[1:]):
+        ex, ey = bx - ax, by - ay
+        c2 = ex * ex + ey * ey
+        c2 = c2 if c2 > 0.0 else np.inf
+        wx = ((ix + 0.5) * res - ax)[None, :]
+        wy = ((iy + 0.5) * res - ay)[:, None]
+        t = np.clip((wx * ex + wy * ey) / c2, 0.0, 1.0)
+        dx = wx - t * ex
+        dy = wy - t * ey
+        hit |= (dx * dx + dy * dy) <= half * half
+    edges = np.diff(np.pad(hit, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    rows, lo = np.nonzero(edges == 1)
+    _, hi = np.nonzero(edges == -1)
+    return iy[rows], ix[lo].astype(np.int64), ix[hi - 1].astype(np.int64)
+
+
+def assert_same_runs(got, expected):
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+
+
+def random_lanes(rng, kind, count):
+    """Small random polylines with strictly increasing y, of one kind."""
+    lanes = []
+    for _ in range(count):
+        n = int(rng.integers(2, 8))
+        if kind == "near_horizontal":
+            y = rng.uniform(-2.0, 2.0) + np.cumsum(rng.uniform(1e-12, 1e-6, n))
+            x = np.cumsum(rng.uniform(-1.5, 1.5, n))
+        elif kind == "half_cell":
+            # vertices on multiples of half a cell (0.025 m): cell centers
+            # sit exactly half a lane width from vertices and edges
+            y = np.cumsum(rng.integers(1, 20, n)) * 0.025
+            x = rng.integers(-40, 40, n) * 0.025
+        elif kind == "far":
+            origin = rng.choice([-1e4, 1e4], 2) + rng.uniform(-1, 1, 2)
+            y = origin[1] + np.cumsum(rng.uniform(0.01, 4.0 / n, n))
+            x = origin[0] + rng.uniform(-2.0, 2.0, n)
+        else:
+            y = np.cumsum(rng.uniform(0.01, 4.0 / n, n))
+            x = rng.uniform(-2.0, 2.0, n)
+        lanes.append(np.stack([x, y, np.zeros(n)], axis=1))
+    return lanes
+
+
+RASTER_CONFIGS = [
+    EvalConfig(lane_width=0.3, bev_resolution=0.05),
+    EvalConfig(lane_width=0.31, bev_resolution=0.07),
+    EvalConfig(lane_width=0.5, bev_resolution=0.1),
+    EvalConfig(lane_width=0.02, bev_resolution=0.05),  # thinner than a cell
+]
+
+
+@pytest.mark.parametrize("kind", ["plain", "near_horizontal", "half_cell", "far"])
+def test_strokes_equal_the_window_scan_on_random_lanes(kind):
+    # 4 kinds x 4 configurations x 125 lanes: 2,000 lanes
+    rng = np.random.default_rng(["plain", "near_horizontal", "half_cell",
+                                 "far"].index(kind) + 101)
+    for config in RASTER_CONFIGS:
+        lanes = random_lanes(rng, kind, 125)
+        for got, pts in zip(_strokes(lanes, config), lanes):
+            assert_same_runs(got, window_scan_runs(pts, config))
+
+
+def test_strokes_on_cell_centers_an_ulp_from_the_stroke_boundary():
+    # Cell centers within an ulp or two of the boundary: on the band of
+    # segments in many directions, on rows tangent to the end disks, and
+    # beside vertical and horizontal edges.
+    config = EvalConfig(lane_width=0.3, bev_resolution=0.05)
+    res, half = 0.05, 0.15
+    rng = np.random.default_rng(77)
+    lanes = []
+    for _ in range(300):
+        cx, cy = (rng.integers(-40, 40, 2) + 0.5) * res
+        angle = rng.uniform(0.05, math.pi - 0.05)
+        ux, uy = math.cos(angle), math.sin(angle)
+        side = rng.choice([-1.0, 1.0])
+        # the band's edge passes through (cx, cy)
+        px, py = cx + side * half * uy, cy - side * half * ux
+        length = rng.uniform(0.2, 2.0)
+        a = np.array([px - ux * length / 2, py - uy * length / 2])
+        b = np.array([px + ux * length / 2, py + uy * length / 2])
+        a += rng.integers(-2, 3, 2) * np.spacing(a)
+        lanes.append(np.column_stack([np.stack([a, b]), np.zeros(2)]))
+    for _ in range(300):
+        cx, cy = (rng.integers(-40, 40, 2) + 0.5) * res
+        # an end vertex half a lane width below or above a cell center,
+        # so that the center's row is tangent to that end's disk
+        dx = rng.choice([0.0, rng.uniform(-0.5, 0.5) * res])
+        tip = np.array([cx + dx, cy - half])
+        tip += rng.integers(-2, 3, 2) * np.spacing(tip)
+        other = tip - [rng.uniform(-1.0, 1.0), rng.uniform(0.05, 1.0)]
+        pts = np.stack([other, tip])
+        if rng.random() < 0.5:  # the lower end instead
+            tip = np.array([cx + dx, cy + half])
+            tip += rng.integers(-2, 3, 2) * np.spacing(tip)
+            pts = np.stack([tip, tip + [rng.uniform(-1.0, 1.0), rng.uniform(0.05, 1.0)]])
+        lanes.append(np.column_stack([pts, np.zeros(2)]))
+    for _ in range(100):
+        cx = (rng.integers(-40, 40) + 0.5) * res
+        x = cx + rng.choice([-1.0, 1.0]) * half
+        x += rng.integers(-2, 3) * np.spacing(x)
+        y0 = rng.uniform(-1.0, 1.0)
+        lanes.append(np.array([[x, y0, 0.0], [x, y0 + rng.uniform(0.1, 2.0), 0.0]]))
+        lanes.append(np.array([[x - 1.0, y0, 0.0], [x + 1.0, y0 + 1e-9, 0.0]]))
+    for got, pts in zip(_strokes(lanes, config), lanes):
+        assert_same_runs(got, window_scan_runs(pts, config))
+
+
+def test_strokes_do_not_depend_on_the_block_bound(monkeypatch):
+    rng = np.random.default_rng(61)
+    config = EvalConfig()
+    lanes = [*random_lanes(rng, "plain", 20), *random_lanes(rng, "half_cell", 20)]
+    whole = _strokes(lanes, config)
+    for bound in (1, 1 << 62):  # a lane per block, and every lane in one
+        monkeypatch.setattr(chamfer, "_BLOCK_PAIRS", bound)
+        for got, expected in zip(_strokes(lanes, config), whole):
+            assert_same_runs(got, expected)
+
+
+def test_undecided_pairs_stay_rare_on_the_synth_scenario(tmp_path, monkeypatch):
+    # a looser rounding bound would send more pairs to the window scan;
+    # past 5% the rasterizer is no longer a per-row computation
+    from lane3d.cli import main
+    from lane3d.scenario_io import read_frames
+
+    gt, pred = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
+    assert main(["synth", "--frames", "40", "--seed", "5", "--sigma-w0", "0.1",
+                 "--out", str(gt), "--emit-pred", str(pred)]) == 0
+    lanes = [lane.visible_points() for path in (gt, pred)
+             for record in read_frames(path) for lane in record.gt_lanes]
+    counts = [0, 0]
+    decide = chamfer._decided_cells
+
+    def counted(*args):
+        lo, hi, decided = decide(*args)
+        counts[0] += decided.size
+        counts[1] += int((~decided).sum())
+        return lo, hi, decided
+
+    monkeypatch.setattr(chamfer, "_decided_cells", counted)
+    _strokes(lanes, EvalConfig())
+    pairs, undecided = counts
+    assert pairs > 100_000
+    assert undecided <= 0.05 * pairs
+
+
 def lane_of(pts):
     return Lane3D(points=pts, visibility=np.ones(len(pts)))
 
@@ -609,6 +770,68 @@ def test_mbd_counts_equal_once_counts():
     once = once_report(frames, config)
     mbd = mbd_report(frames, config)
     assert (once.tp, once.fp, once.fn) == (mbd.tp, mbd.fp, mbd.fn)
+
+
+def test_iou_protocols_score_pairs_from_batched_curves(monkeypatch):
+    # once/mbd interpolate matched lanes in one batch and score them with
+    # the windowed kernel: no per-pair interpolation or full-matrix CD
+    rng = np.random.default_rng(19)
+    frames = [
+        ([jitter_lane(rng, x) for x in (-3.0, 0.0, 3.0)],
+         [jitter_lane(rng, x + rng.uniform(-0.3, 0.3)) for x in (-3.0, 3.0)])
+        for _ in range(6)
+    ]
+    config = EvalConfig(tau_iou=0.1)
+    expected = [once_report(frames, config), mbd_report(frames, config)]
+
+    def forbidden(*args):
+        raise AssertionError("per-pair call")
+
+    monkeypatch.setattr(chamfer, "interpolate_lane", forbidden)
+    monkeypatch.setattr(chamfer, "point_to_polyline_stats", forbidden)
+    assert [once_report(frames, config), mbd_report(frames, config)] == expected
+    # the CDs are those of the per-pair functions
+    monkeypatch.undo()
+    for (gts, preds), stats in zip(frames, expected[0].per_frame):
+        ucds = sorted(
+            kernels.point_to_polyline_stats(interpolate_lane(g, 100),
+                                            interpolate_lane(p, 100))[0]
+            for g in gts for p in preds
+        )
+        assert all(e in ucds for e in stats.pair_errors)
+
+
+def one_visible(count):
+    vis = np.zeros(3)
+    vis[:count] = 1.0
+    return lane_from([0.0, 0.1, 0.2], [0.0, 1.0, 2.0], vis=vis)
+
+
+@pytest.mark.parametrize("report", [once_report, mbd_report])
+def test_iou_reports_raise_for_the_first_unstrokable_lane(report):
+    good = straight_lane(0.0)
+    # frame 0 is not scored (no predictions), so its lane is not stroked;
+    # frame 1's first lane short of 2 visible points is its second ground truth
+    frames = [([one_visible(0)], []),
+              ([good, one_visible(1)], [one_visible(0), good]),
+              ([one_visible(0)], [good])]
+    with pytest.raises(DegenerateLane) as got:
+        report(frames)
+    assert type(got.value) is DegenerateLane
+    assert str(got.value) == "stroke needs at least 2 visible points, got 1"
+    assert report([([one_visible(1)], [])]).fn == 1
+
+
+def test_bev_iou_raises_for_the_ground_truth_first():
+    good = straight_lane(0.0)
+    for gt, pred, count in ((one_visible(1), one_visible(0), 1),
+                            (good, one_visible(0), 0),
+                            (one_visible(0), good, 0)):
+        with pytest.raises(DegenerateLane) as got:
+            bev_iou(gt, pred)
+        assert type(got.value) is DegenerateLane
+        assert str(got.value) == (
+            f"stroke needs at least 2 visible points, got {count}")
 
 
 # ---------------------------------------------------------------------------

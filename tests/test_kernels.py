@@ -143,6 +143,72 @@ class TestDirectedPointStats:
             kernels.directed_point_stats(good, np.empty((0, 3)))
 
 
+class TestPolylineMeanPairs:
+    """The windowed unilateral CD against the full-matrix reference."""
+
+    @staticmethod
+    def assert_matches_reference(src, dst):
+        means, fallbacks = kernels.polyline_mean_pairs(src, dst)
+        for mean, a, q in zip(means, src, dst):
+            assert mean == kernels.point_to_polyline_stats(a, q)[0]
+        return fallbacks
+
+    def test_close_lanes_take_the_window(self):
+        rng = np.random.default_rng(41)
+        y = np.linspace(3.0, 103.0, 30)
+        src = np.stack([
+            kernels.resample_polyline(np.column_stack(
+                [rng.uniform(-5, 5) + rng.uniform(-0.05, 0.05) * y
+                 + rng.uniform(-2e-3, 2e-3) * y * y, y, 0.01 * y]), 100)
+            for _ in range(40)
+        ])
+        dst = src + rng.normal(0.0, 0.1, (40, 1, 3)) * [1.0, 1.0, 0.1]
+        dst = np.stack([kernels.resample_polyline(d, 100) for d in dst])
+        assert self.assert_matches_reference(src, dst) < 40 * 100 // 10
+
+    def test_far_and_short_lanes_fall_back(self):
+        rng = np.random.default_rng(43)
+        src = np.stack([random_lane(rng, 50) for _ in range(20)])
+        dst = np.stack([random_lane(rng, 7) for _ in range(20)])
+        assert self.assert_matches_reference(src, dst) > 0
+
+    def test_duplicate_consecutive_points(self):
+        rng = np.random.default_rng(47)
+        src = np.stack([random_lane(rng, 60) for _ in range(10)])
+        dst = np.stack([random_lane(rng, 60) for _ in range(10)])
+        dst[:, 20] = dst[:, 19]
+        dst[:, 40:44] = dst[:, 40:41]
+        dst[3] = dst[3, 0]  # every segment of length 0
+        self.assert_matches_reference(src, dst)
+
+    def test_y_an_ulp_out_of_order(self):
+        rng = np.random.default_rng(53)
+        src = np.stack([kernels.resample_polyline(random_lane(rng, 30), 100)
+                        for _ in range(10)])
+        dst = src + [0.05, 0.0, 0.0]
+        for lane in dst:  # as a rounded resample can leave it
+            k = int(rng.integers(1, 99))
+            lane[k, 1] = np.nextafter(lane[k - 1, 1], -np.inf)
+        self.assert_matches_reference(src, dst)
+
+    def test_lane_doubling_back_scans_every_segment(self):
+        # the lane runs back down to y = 4.6 and up again, passing close
+        # to points the window around y = 4.5 would settle 5 m from
+        y = np.linspace(0.0, 100.0, 20)
+        dst = np.column_stack([np.full(20, 5.0), y, np.zeros(20)])
+        dst = np.vstack([dst, [0.0, 4.6, 0.0], [5.0, 200.0, 0.0]])[None]
+        src = np.array([[[0.0, 4.5, 0.0], [0.1, 4.55, 0.0]]])
+        self.assert_matches_reference(src, dst)
+        assert kernels.polyline_mean_pairs(src, dst)[0][0] < 1.0
+
+    def test_single_segment_predictions(self):
+        rng = np.random.default_rng(59)
+        src = np.stack([random_lane(rng, 40) for _ in range(10)])
+        dst = np.stack([random_lane(rng, 2) for _ in range(10)])
+        self.assert_matches_reference(src, dst)
+        self.assert_matches_reference(src[:, :1], dst)
+
+
 class TestPairMeanMatrices:
     def test_matches_per_pair_calls(self):
         rng = np.random.default_rng(23)
