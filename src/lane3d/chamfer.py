@@ -52,8 +52,8 @@ strokes counts the overlap of their runs; strokes whose row or column
 ranges are disjoint score 0 without that count.
 
 The IoU-gated protocols work on blocks of frames: one raster call
-strokes every lane of a block, and the matched pairs are interpolated by
-one ``resample_polylines`` call and scored by one
+strokes every lane of a frame, and a block's matched pairs are
+interpolated by one ``resample_polylines`` call and scored by one
 ``polyline_mean_pairs`` call, bitwise as ``interpolate_lane`` and
 ``point_to_polyline_stats`` would score them pair by pair.
 """
@@ -423,11 +423,9 @@ def _strokes(point_sets: list[np.ndarray], config: EvalConfig) -> list[_Runs]:
     base = np.zeros(sizes.size + 1, dtype=np.int64)
     np.cumsum(lane_rows, out=base[1:])
     shift = np.repeat(base[:-1] - row0, sizes - 1)
-    row_lo = np.full(base[-1], np.iinfo(np.int64).max)
-    row_hi = np.full(base[-1], np.iinfo(np.int64).min)
-    open_rows = np.zeros(base[-1], dtype=bool)
-    # open rows' decided intervals and undecided pairs, then their runs
-    held, merged = [], []
+    # runs of rows whose pairs are all decided, per block; open rows'
+    # decided intervals and undecided pairs, and then their merged runs
+    closed_runs, held, merged = [], [], []
 
     def flush():
         rows, lo, hi, seg, iy = (np.concatenate(parts) for parts in zip(*held))
@@ -445,24 +443,31 @@ def _strokes(point_sets: list[np.ndarray], config: EvalConfig) -> list[_Runs]:
             pairs += lane_pairs[stop]
             stop += 1
         s0, s1 = seg_start[lane], seg_start[stop]
+        r0, r1 = base[lane], base[stop]
         lane = stop
         if not pairs:
             continue
         seg = np.repeat(np.arange(s0, s1), n_rows[s0:s1])
         iy = _ranges(first[s0:s1], n_rows[s0:s1])
-        row = iy + shift[seg]
+        row = iy + (shift[seg] - r0)  # the block's rows from 0
         lo, hi, decided = _decided_cells(
             ax[s0:s1], ay[s0:s1], bx[s0:s1], by[s0:s1], n_rows[s0:s1], iy, res, half
         )
         undecided = np.flatnonzero(~decided)
+        open_rows = np.zeros(r1 - r0, dtype=bool)
         open_rows[row[undecided]] = True
         filled = decided & (lo <= hi)
         closed = filled & ~open_rows[row]
+        row_lo = np.full(r1 - r0, np.iinfo(np.int64).max)
+        row_hi = np.full(r1 - r0, np.iinfo(np.int64).min)
         np.minimum.at(row_lo, row[closed], lo[closed])
         np.maximum.at(row_hi, row[closed], hi[closed])
+        one = np.flatnonzero(row_lo <= row_hi)
+        closed_runs.append(np.stack([one + r0, row_lo[one], row_hi[one]]))
         if undecided.size:
             mixed = filled & ~closed
-            held.append((row[mixed], lo[mixed], hi[mixed], seg[undecided], iy[undecided]))
+            held.append((row[mixed] + r0, lo[mixed], hi[mixed],
+                         seg[undecided], iy[undecided]))
             n_held += undecided.size
             if n_held >= _BLOCK_PAIRS:
                 flush()
@@ -470,15 +475,14 @@ def _strokes(point_sets: list[np.ndarray], config: EvalConfig) -> list[_Runs]:
     if held:
         flush()
 
-    # all runs in row order: a closed row holds one run at most, and the
-    # merged runs' rows are open rows, in order
-    one = np.flatnonzero(row_lo <= row_hi)
-    runs = np.stack([one, row_lo[one], row_hi[one]])
+    # all runs in row order: a closed row holds one run, and the merged
+    # runs' rows are open rows, in order
+    runs = np.concatenate(closed_runs or [np.empty((3, 0), dtype=np.int64)], axis=1)
     if merged:
         more = np.concatenate(merged, axis=1)
-        both = np.empty((3, one.size + more.shape[1]), dtype=np.int64)
-        both[:, np.arange(one.size) + np.searchsorted(more[0], one)] = runs
-        both[:, np.arange(more.shape[1]) + np.searchsorted(one, more[0])] = more
+        both = np.empty((3, runs.shape[1] + more.shape[1]), dtype=np.int64)
+        both[:, np.arange(runs.shape[1]) + np.searchsorted(more[0], runs[0])] = runs
+        both[:, np.arange(more.shape[1]) + np.searchsorted(runs[0], more[0])] = more
         runs = both
     ends = np.searchsorted(runs[0], base)
     return [
@@ -784,24 +788,22 @@ def _iou_matched_block(frames, config: EvalConfig, with_maxes: bool):
     Returns ``(pairs, n_gt, n_pred)`` per frame, with one record per
     matched pair: indices, IoU, unilateral CD, and (when ``with_maxes``
     and the IoU exceeds ``tau_iou``) the two directed maximum distances.
-    The strokes of every scored lane of the block come from one
-    ``_strokes`` call, so the first lane with fewer than 2 visible points
-    raises ``DegenerateLane``; the matched lanes are interpolated by one
+    Each frame's lanes are stroked by one ``_strokes`` call, so the first
+    lane with fewer than 2 visible points raises ``DegenerateLane``; the
+    matched lanes of all frames are interpolated by one
     ``resample_polylines`` call, which equals ``interpolate_lane``
     bitwise, and their CDs come from one ``polyline_mean_pairs`` call.
     """
     visible = [
         lane.visible_points() for frame in frames for lane in _iou_lanes(frame)
     ]
-    strokes = _strokes(visible, config)
     matches, at = [], 0  # (frame, gt, pred, iou, gt lane, pred lane)
     for f, (gt_lanes, pred_lanes) in enumerate(frames):
         if not _iou_lanes((gt_lanes, pred_lanes)):
             continue
         n_gt, n_pred = len(gt_lanes), len(pred_lanes)
-        iou = _iou_matrix(
-            strokes[at:at + n_gt], strokes[at + n_gt:at + n_gt + n_pred]
-        )
+        strokes = _strokes(visible[at:at + n_gt + n_pred], config)
+        iou = _iou_matrix(strokes[:n_gt], strokes[n_gt:])
         for i, j in hungarian(-iou).pairs:
             matches.append((f, i, j, float(iou[i, j]), at + i, at + n_gt + j))
         at += n_gt + n_pred
