@@ -90,21 +90,32 @@ def _polyline_core(a: np.ndarray, q: np.ndarray) -> tuple[float, float]:
         d2 = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
         dist = np.sqrt(d2)
         return float(np.cumsum(dist)[-1]), float(dist.max())
-    e = q[1:] - q[:-1]  # (m-1, 3)
-    w = a[:, None, :] - q[None, :-1, :]  # (n, m-1, 3)
-    c2 = (e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]) + e[:, 2] * e[:, 2]
-    c1 = (w[:, :, 0] * e[None, :, 0] + w[:, :, 1] * e[None, :, 1]) + w[
-        :, :, 2
-    ] * e[None, :, 2]
-    safe = np.where(c2 > 0.0, c2, 1.0)
-    t = np.clip(c1 / safe[None, :], 0.0, 1.0)
-    t = np.where(c2[None, :] > 0.0, t, 0.0)
-    dx = w[:, :, 0] - t * e[None, :, 0]
-    dy = w[:, :, 1] - t * e[None, :, 1]
-    dz = w[:, :, 2] - t * e[None, :, 2]
-    d2 = (dx * dx + dy * dy) + dz * dz
+    d2 = _segment_d2(a[:, :1], a[:, 1:2], a[:, 2:], q.T[:, None, :],
+                     np.arange(q.shape[0] - 1), 0)
     dist = np.sqrt(d2.min(axis=1))
     return float(np.cumsum(dist)[-1]), float(dist.max())
+
+
+def _segment_d2(ax, ay, az, q, k, i):
+    """Squared distance from points ``(ax, ay, az)`` to segment ``k`` of
+    lane ``i`` in the ``(3, L, m)`` planes ``q``, the segment joining
+    points ``k`` and ``k + 1``; the arguments broadcast together.  A
+    zero-length segment degenerates to its first point."""
+    qx, qy, qz = q
+    ex = qx[i, k + 1] - qx[i, k]
+    ey = qy[i, k + 1] - qy[i, k]
+    ez = qz[i, k + 1] - qz[i, k]
+    wx = ax - qx[i, k]
+    wy = ay - qy[i, k]
+    wz = az - qz[i, k]
+    c2 = (ex * ex + ey * ey) + ez * ez
+    c1 = (wx * ex + wy * ey) + wz * ez
+    t = np.clip(c1 / np.where(c2 > 0.0, c2, 1.0), 0.0, 1.0)
+    t = np.where(c2 > 0.0, t, 0.0)
+    dx = wx - t * ex
+    dy = wy - t * ey
+    dz = wz - t * ez
+    return (dx * dx + dy * dy) + dz * dz
 
 
 def _resample_core(pts: np.ndarray, n: int) -> np.ndarray:
@@ -378,44 +389,24 @@ def directed_mean_pairs(src, dst) -> tuple[np.ndarray, int]:
     return _window_means(sp, dp, np.arange(sp.shape[1]))
 
 
-def _segment_d2(ax, ay, az, q, k, i):
-    """``_polyline_core``'s squared distance from points ``(ax, ay, az)``
-    to segment ``k`` of lane ``i`` in the ``(3, L, m)`` planes ``q``."""
-    qx, qy, qz = q
-    ex = qx[i, k + 1] - qx[i, k]
-    ey = qy[i, k + 1] - qy[i, k]
-    ez = qz[i, k + 1] - qz[i, k]
-    wx = ax - qx[i, k]
-    wy = ay - qy[i, k]
-    wz = az - qz[i, k]
-    c2 = (ex * ex + ey * ey) + ez * ez
-    c1 = (wx * ex + wy * ey) + wz * ez
-    t = np.clip(c1 / np.where(c2 > 0.0, c2, 1.0), 0.0, 1.0)
-    t = np.where(c2 > 0.0, t, 0.0)
-    dx = wx - t * ex
-    dy = wy - t * ey
-    dz = wz - t * ez
-    return (dx * dx + dy * dy) + dz * dz
-
-
 def polyline_mean_pairs(src, dst) -> tuple[np.ndarray, int]:
     """Mean distance from each src lane's points to its dst lane's polyline.
 
     ``src`` is ``(q, n, 3)`` and ``dst`` ``(q, m, 3)``, both finite.
     ``means[i]`` equals ``point_to_polyline_stats(src[i], dst[i])[0]``
-    bitwise: every squared distance uses ``_polyline_core``'s operations,
-    the minima are the same values, and each row sums ``sqrt`` of its
+    bitwise: both take every squared distance from ``_segment_d2``, the
+    minima are the same values, and each row sums ``sqrt`` of its
     minima in point order before dividing by ``n``.
 
     On a dst lane whose y never decreases, each point first scans the
     ``_WINDOW_SEGMENTS`` segments around its y position.  Every segment
     before the window lies at or below the window's first vertex, every
-    one after it at or above its last, so a point at least ``g`` above
-    that first vertex is at least ``g`` from each earlier segment, and
-    the computed y component of its distance to one is within
-    ``13 * u * Y`` of it (``u = 2**-53``, ``Y`` the largest |y| of the
-    point and the lane: two subtractions, one product with ``t`` in
-    [0, 1] and the last subtraction).  Since
+    one after it at or above its last, so a point ``g`` above that first
+    vertex is at least ``g`` from each earlier segment, and the computed
+    y component of its distance to one is at least ``g - 13 * u * Y``
+    (``u = 2**-53``, ``Y`` the largest |y| of the point and the lane: two
+    subtractions, one product with ``t`` in [0, 1] and the last
+    subtraction); likewise below the last vertex.  Since
     ``(dx*dx + dy*dy) + dz*dz >= dy*dy`` holds in floating point, the
     window's minimum is the lane's when, on both sides, ``g`` less a
     margin of ``2**-40 * Y``, squared, reaches it.  Other points, and
