@@ -415,7 +415,8 @@ def _strokes(point_sets: list[np.ndarray], config: EvalConfig) -> list[_Runs]:
     ).astype(np.int64)
     n_rows = np.maximum(last - first + 1, 0)
 
-    # one row index for all lanes: lane l's row iy is row iy + shift
+    # one row index for all lanes: a row iy of segment s's lane is
+    # row iy + shift[s]
     seg_start = np.zeros(sizes.size + 1, dtype=np.int64)
     np.cumsum(sizes - 1, out=seg_start[1:])
     row0 = np.minimum.reduceat(first, seg_start[:-1])
@@ -639,7 +640,7 @@ def _decided_cells(ax, ay, bx, by, n_rows, iy, res, half):
 
 def _window_runs(ax, ay, bx, by, seg, iy, row, res, half):
     """Runs of cells that pass the stroke predicate, for (segment, row)
-    pairs ``(seg, iy)``; each run is reported with block row ``row``.
+    pairs ``(seg, iy)``; each run is reported with its pair's ``row``.
 
     Cell ``(ix, iy)`` has center ``((ix + 0.5) * res, (iy + 0.5) * res)``
     in ground x/y and passes when its center lies within half the lane

@@ -174,7 +174,9 @@ def test_eval_non_finite_coordinate_is_exit_3(tmp_path, capsys, protocol):
 
 # sha256 of the reports on one seeded scenario, taken before BEV strokes
 # became per-row runs; any change to a byte of these reports is a change
-# of the protocols' results.
+# of the protocols' results.  The other worst-case variants, the
+# worst-case sweep and a coarser raster with a wider stroke were added
+# before strokes were rasterized in blocks.
 GOLDEN_IOU_REPORTS = {
     ("eval", "once"):
         "d29123265c26d1b34b8c9ba5c0daeea85890ebee935147bc41d0c4c62b6439f5",
@@ -182,6 +184,14 @@ GOLDEN_IOU_REPORTS = {
         "d868e6c1f02a222a9a1bcc3927d866257d7abe11b6abfcc4547f18213361b4f1",
     ("sweep", "once"):
         "7c4f6a600a79564e67b6479419ed2de1dd80d60d2abca588578922e403e7ff74",
+    ("eval", "mbd", "--mbd-variant", "hausdorff_max"):
+        "7219f9313759c8b9938706f87963ed2d82fa39857574e6f2fffa4cfcdb225b0a",
+    ("eval", "mbd", "--mbd-variant", "directed_max_mean"):
+        "3beeeed061b6051b1cbfc240b82129696ee3b00b0dd86d78c2b54035960d68a0",
+    ("sweep", "mbd"):
+        "7c4f6a600a79564e67b6479419ed2de1dd80d60d2abca588578922e403e7ff74",
+    ("eval", "once", "--lane-width", "0.5", "--bev-resolution", "0.1"):
+        "c115131cc59f6465bc6fe5c531f64eab6f67c180ec6be520f57bbb522a7e5ce2",
 }
 
 
@@ -190,40 +200,15 @@ def test_iou_protocol_reports_match_golden_digests(tmp_path):
     assert run("synth", "--frames", "40", "--seed", "5", "--sigma-w0", "0.1",
                "--out", str(gt), "--emit-pred", str(pred)) == 0
     # a gate near the median IoU, so that matching and gating both bite
-    for (command, protocol), digest in GOLDEN_IOU_REPORTS.items():
-        out = tmp_path / f"{command}_{protocol}"
-        extra = ("--taus", "0.05:1.5:0.05") if command == "sweep" else ()
-        assert run(command, "--gt", str(gt), "--pred", str(pred),
-                   "--protocol", protocol, "--tau-iou", "0.65",
-                   "--out", str(out), *extra) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
-
-# sha256 of further IoU-gated reports on the same scenario and gate: the
-# other worst-case variants, the worst-case sweep, and a coarser raster
-# with a wider stroke, taken before strokes were rasterized in blocks.
-GOLDEN_IOU_VARIANT_REPORTS = {
-    ("eval", "mbd", "--mbd-variant", "hausdorff_max"):
-        "7219f9313759c8b9938706f87963ed2d82fa39857574e6f2fffa4cfcdb225b0a",
-    ("eval", "mbd", "--mbd-variant", "directed_max_mean"):
-        "3beeeed061b6051b1cbfc240b82129696ee3b00b0dd86d78c2b54035960d68a0",
-    ("sweep", "mbd", "--taus", "0.05:1.5:0.05"):
-        "7c4f6a600a79564e67b6479419ed2de1dd80d60d2abca588578922e403e7ff74",
-    ("eval", "once", "--lane-width", "0.5", "--bev-resolution", "0.1"):
-        "c115131cc59f6465bc6fe5c531f64eab6f67c180ec6be520f57bbb522a7e5ce2",
-}
-
-
-def test_iou_protocol_variants_match_golden_digests(tmp_path):
-    gt, pred = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
-    assert run("synth", "--frames", "40", "--seed", "5", "--sigma-w0", "0.1",
-               "--out", str(gt), "--emit-pred", str(pred)) == 0
-    for (command, protocol, *extra), digest in GOLDEN_IOU_VARIANT_REPORTS.items():
+    for (command, protocol, *extra), digest in GOLDEN_IOU_REPORTS.items():
         out = tmp_path / "report.json"
+        if command == "sweep":
+            extra += ["--taus", "0.05:1.5:0.05"]
         assert run(command, "--gt", str(gt), "--pred", str(pred),
                    "--protocol", protocol, "--tau-iou", "0.65",
                    "--out", str(out), *extra) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, extra
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, \
+            (command, protocol, extra)
 
 
 # sha256 of the remaining commands' reports on the same scenario, at
