@@ -52,15 +52,24 @@ strokes counts the overlap of their runs; strokes whose row or column
 ranges are disjoint score 0 without that count.
 
 The IoU-gated protocols work on blocks of frames: one raster call
-strokes every lane of a frame, and a block's matched pairs are
-interpolated by one ``resample_polylines`` call and scored by one
+strokes every lane of a frame, and a block's IoU-qualified matched pairs
+are interpolated by one ``resample_polylines`` call and scored by one
 ``polyline_mean_pairs`` call, bitwise as ``interpolate_lane`` and
 ``point_to_polyline_stats`` would score them pair by pair.
+
+Reports and sweeps
+------------------
+Each protocol computes per-frame *cores* once and *gates* them per
+threshold (see ``report``).  A ``bcd`` core is each prediction's nearest
+ground truth and its distance, and its gate is the greedy claim.  A
+``once`` core is the unilateral CD of each matched pair above the IoU
+gate, and its gate is the CD test; ``mbd`` counts with the same cores
+and gate, and its cores add each pair's worst-case distance.  The ``mbd``
+sweep gates ``once``'s cores, so it never computes directed maxima.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -78,7 +87,8 @@ from .kernels import (
     resample_polylines,
 )
 from .matching import hungarian
-from .report import MetricReport, _assemble, _frame_ids, _tau_list, prf
+from .pointwise import pointwise_sweep
+from .report import MetricReport, _assemble, _frame_ids, _sweep, _tau_list
 
 __all__ = [
     "MBD_VARIANTS",
@@ -164,26 +174,28 @@ def _bcd_matrix(
     return (d_pg + d_gp) / 2.0
 
 
-def _bcd_nearest(d: np.ndarray) -> list[tuple[int, float]]:
-    """Each prediction's nearest ground truth (lowest index on ties) and
-    its distance, from an ``(n_pred, n_gt)`` matrix; empty without ground
-    truths."""
-    if d.shape[1] == 0:
-        return []
-    nearest = d.argmin(axis=1)
-    return list(zip(nearest.tolist(), d[np.arange(d.shape[0]), nearest].tolist()))
+def _bcd_cores(frames, n: int) -> list[tuple[list[tuple[int, float]], int, int]]:
+    """Per frame, each prediction's nearest ground truth (lowest index on
+    ties) and its distance, none without ground truths, with the frame's
+    ``n_pred`` and ``n_gt``."""
+    cores = []
+    for d in _bcd_rows(frames, n):
+        nearest = d.argmin(axis=1) if d.shape[1] else np.zeros(0, dtype=np.int64)
+        values = d[np.arange(nearest.size), nearest]
+        cores.append((list(zip(nearest.tolist(), values.tolist())), *d.shape))
+    return cores
 
 
-def _bcd_claim(
-    nearest: list[tuple[int, float]], n_pred: int, n_gt: int, tau: float
-) -> tuple[list[bool], list[bool], list[float]]:
-    """Greedy acceptance over predictions in input order.
+def _bcd_claim(core, tau: float) -> tuple[list[bool], list[bool], list[float]]:
+    """Greedy acceptance over a ``_bcd_cores`` core's predictions in
+    input order.
 
     Each prediction targets its nearest ground truth; it is accepted when
     the distance is within ``tau`` and that ground truth is not yet
     claimed.  Returns per-prediction TP flags, per-ground-truth covered
     flags and the accepted distances.
     """
+    nearest, n_pred, n_gt = core
     tp_flags = [False] * n_pred
     covered = [False] * n_gt
     tp_errors: list[float] = []
@@ -192,6 +204,13 @@ def _bcd_claim(
             covered[i] = tp_flags[j] = True
             tp_errors.append(dist)
     return tp_flags, covered, tp_errors
+
+
+def _bcd_gate(core, tau: float) -> tuple[int, int, int, list[float]]:
+    """``(tp, fp, fn, accepted distances)`` of one frame's core."""
+    tp_flags, covered, errors = _bcd_claim(core, tau)
+    tp = len(errors)
+    return tp, len(tp_flags) - tp, len(covered) - tp, errors
 
 
 def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -234,7 +253,7 @@ def _bcd_rows(frames, n: int) -> list[np.ndarray]:
 
     Entries a row's argmin and minimum can come from hold
     ``_bcd_matrix``'s values bitwise; every other entry is ``+inf``
-    (see ``nearest_pair_rows``), which ``_bcd_nearest`` reads the same
+    (see ``nearest_pair_rows``), which ``_bcd_cores`` reads the same
     way.  Frames are searched in blocks of bounded size, and the
     values do not depend on the blocks.
     """
@@ -320,12 +339,8 @@ def bcd_select_tp_fp(
     prediction in input order and ``covered`` is per ground truth.
     """
     config = config or EvalConfig()
-    if not pred_lanes:
-        return [], [], [False] * len(gt_lanes)
-    d = _bcd_rows([(gt_lanes, pred_lanes)], config.n_interp)[0]
-    tp_flags, covered, _ = _bcd_claim(
-        _bcd_nearest(d), len(pred_lanes), len(gt_lanes), config.tau_bcd
-    )
+    core = _bcd_cores([(gt_lanes, pred_lanes)], config.n_interp)[0]
+    tp_flags, covered, _ = _bcd_claim(core, config.tau_bcd)
     return tp_flags, [not tp for tp in tp_flags], covered
 
 
@@ -356,12 +371,6 @@ _BLOCK_PAIRS = 1 << 13
 
 # Unit roundoff of binary64, for the rounding bounds below.
 _U = 2.0**-53
-
-
-def _stroke_runs(points: np.ndarray, config: EvalConfig) -> _Runs:
-    """Grid cells covered by one stroked polyline, as per-row runs; see
-    ``_strokes``."""
-    return _strokes([points], config)[0]
 
 
 def _strokes(point_sets: list[np.ndarray], config: EvalConfig) -> list[_Runs]:
@@ -774,87 +783,86 @@ def _iou_lanes(frame) -> tuple:
     return (*gt_lanes, *pred_lanes) if gt_lanes and pred_lanes else ()
 
 
-def _matched_frames(frames, config: EvalConfig, with_maxes: bool):
-    """``(pairs, n_gt, n_pred)`` per frame; see ``_iou_matched_block``."""
+class _IouCore(NamedTuple):
+    """One frame's matched pairs whose IoU exceeds ``tau_iou``, in
+    assignment order: their unilateral CDs and, when asked for, their
+    worst-case distances (the configured variant); plus its lane
+    counts."""
+
+    ucd: list[float]
+    worst: list[float]
+    n_gt: int
+    n_pred: int
+
+
+def _matched_frames(frames, config: EvalConfig, with_maxes: bool) -> list[_IouCore]:
+    """One ``_IouCore`` per frame; see ``_iou_matched_block``."""
     return [
-        matched
+        core
         for block in _frame_blocks(frames, config.n_interp, _iou_lanes)
-        for matched in _iou_matched_block(block, config, with_maxes)
+        for core in _iou_matched_block(block, config, with_maxes)
     ]
 
 
-def _iou_matched_block(frames, config: EvalConfig, with_maxes: bool):
-    """IoU-maximizing assignment plus per-pair distances for each frame.
+def _iou_matched_block(frames, config: EvalConfig, with_maxes: bool) -> list[_IouCore]:
+    """IoU-maximizing assignment plus the distances of each frame's pairs
+    above the IoU gate (no other pair can count or qualify).
 
-    Returns ``(pairs, n_gt, n_pred)`` per frame, with one record per
-    matched pair: indices, IoU, unilateral CD, and (when ``with_maxes``
-    and the IoU exceeds ``tau_iou``) the two directed maximum distances.
     Each frame's lanes are stroked by one ``_strokes`` call, so the first
     lane with fewer than 2 visible points raises ``DegenerateLane``; the
-    matched lanes of all frames are interpolated by one
+    qualified pairs' lanes of all frames are interpolated by one
     ``resample_polylines`` call, which equals ``interpolate_lane``
     bitwise, and their CDs come from one ``polyline_mean_pairs`` call.
+    With ``with_maxes``, each pair's two directed maximum distances make
+    its worst-case distance.
     """
     visible = [
         lane.visible_points() for frame in frames for lane in _iou_lanes(frame)
     ]
-    matches, at = [], 0  # (frame, gt, pred, iou, gt lane, pred lane)
+    matches, at = [], 0  # (frame, gt lane, pred lane) of each qualified pair
     for f, (gt_lanes, pred_lanes) in enumerate(frames):
         if not _iou_lanes((gt_lanes, pred_lanes)):
             continue
         n_gt, n_pred = len(gt_lanes), len(pred_lanes)
         strokes = _strokes(visible[at:at + n_gt + n_pred], config)
         iou = _iou_matrix(strokes[:n_gt], strokes[n_gt:])
-        for i, j in hungarian(-iou).pairs:
-            matches.append((f, i, j, float(iou[i, j]), at + i, at + n_gt + j))
+        matches.extend(
+            (f, at + i, at + n_gt + j)
+            for i, j in hungarian(-iou).pairs if iou[i, j] > config.tau_iou
+        )
         at += n_gt + n_pred
 
-    records = [[] for _ in frames]
+    cores = [_IouCore([], [], len(gt), len(pred)) for gt, pred in frames]
     if matches:
-        ends = [visible[g] for *_, g, _ in matches] + [visible[p] for *_, p in matches]
+        ends = [visible[g] for _, g, _ in matches] + [visible[p] for *_, p in matches]
         curves = resample_polylines(
             np.concatenate(ends), [len(pts) for pts in ends], config.n_interp
         )
         gt_curves, pred_curves = curves[:len(matches)], curves[len(matches):]
         ucd, _ = polyline_mean_pairs(gt_curves, pred_curves)
-        for k, (f, i, j, iou, _, _) in enumerate(matches):
-            record = {"gt": i, "pred": j, "iou": iou, "ucd": float(ucd[k])}
-            if with_maxes and iou > config.tau_iou:
-                _, record["max_pg"] = directed_point_stats(pred_curves[k], gt_curves[k])
-                _, record["max_gp"] = directed_point_stats(gt_curves[k], pred_curves[k])
-            records[f].append(record)
-    return [
-        (pairs, len(gt_lanes), len(pred_lanes))
-        for pairs, (gt_lanes, pred_lanes) in zip(records, frames)
-    ]
+        for k, (f, _, _) in enumerate(matches):
+            cores[f].ucd.append(float(ucd[k]))
+            if with_maxes:
+                _, max_pg = directed_point_stats(pred_curves[k], gt_curves[k])
+                _, max_gp = directed_point_stats(gt_curves[k], pred_curves[k])
+                if config.mbd_variant == "directed_max_mean":
+                    cores[f].worst.append((max_pg + max_gp) / 2.0)
+                else:
+                    cores[f].worst.append(max(max_pg, max_gp))
+    return cores
 
 
-def _once_counts(
-    pairs: list[dict], n_gt: int, n_pred: int, config: EvalConfig
-) -> tuple[int, int, int, list[float]]:
-    accepted = [
-        p for p in pairs if p["iou"] > config.tau_iou and p["ucd"] < config.tau_cd
-    ]
+def _once_gate(core: _IouCore, tau: float) -> tuple[int, int, int, list[float]]:
+    """``(tp, fp, fn, accepted CDs)``: a qualified pair is accepted when its
+    unilateral CD is below ``tau``."""
+    accepted = [d for d in core.ucd if d < tau]
     tp = len(accepted)
-    return tp, n_pred - tp, n_gt - tp, [p["ucd"] for p in accepted]
-
-
-def _pair_mbd(record: dict, variant: str) -> float:
-    if variant == "directed_max_mean":
-        return (record["max_pg"] + record["max_gp"]) / 2.0
-    return max(record["max_pg"], record["max_gp"])
+    return tp, core.n_pred - tp, core.n_gt - tp, accepted
 
 
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
-
-
-def _bcd_counts(d: np.ndarray, tau: float) -> tuple[int, int, int, list[float]]:
-    """``(tp, fp, fn, accepted distances)`` of one frame's matrix."""
-    tp_flags, covered, errors = _bcd_claim(_bcd_nearest(d), *d.shape, tau)
-    tp = sum(tp_flags)
-    return tp, len(tp_flags) - tp, len(covered) - tp, errors
 
 
 def bcd_report(
@@ -866,8 +874,8 @@ def bcd_report(
     config = config or EvalConfig()
     ids = _frame_ids(frames, frame_ids)
     counts = [
-        _bcd_counts(d, config.tau_bcd)
-        for d in _bcd_rows(frames, config.n_interp)
+        _bcd_gate(core, config.tau_bcd)
+        for core in _bcd_cores(frames, config.n_interp)
     ]
     return _assemble("bcd", ids, counts, "mean_bcd")
 
@@ -880,8 +888,10 @@ def once_report(
     """IoU-gated evaluation with the unilateral-CD acceptance test."""
     config = config or EvalConfig()
     ids = _frame_ids(frames, frame_ids)
-    matched = _matched_frames(frames, config, with_maxes=False)
-    counts = [_once_counts(*frame, config) for frame in matched]
+    counts = [
+        _once_gate(core, config.tau_cd)
+        for core in _matched_frames(frames, config, with_maxes=False)
+    ]
     return _assemble("once", ids, counts, "cde")
 
 
@@ -898,15 +908,10 @@ def mbd_report(
     """
     config = config or EvalConfig()
     ids = _frame_ids(frames, frame_ids)
-    counts = []
-    for pairs, n_gt, n_pred in _matched_frames(frames, config, with_maxes=True):
-        tp, fp, fn, _ = _once_counts(pairs, n_gt, n_pred, config)
-        values = [
-            _pair_mbd(p, config.mbd_variant)
-            for p in pairs
-            if p["iou"] > config.tau_iou
-        ]
-        counts.append((tp, fp, fn, values))
+    counts = [
+        (*_once_gate(core, config.tau_cd)[:3], core.worst)
+        for core in _matched_frames(frames, config, with_maxes=True)
+    ]
     aggregate = "max" if config.mbd_variant == "hausdorff_max" else "mean"
     return _assemble(
         "mbd",
@@ -934,37 +939,17 @@ def threshold_sweep(
     """(tau, precision, recall, f1) rows for a sweep of the protocol's
     distance threshold.
 
-    Pair distances are computed once and re-gated per threshold, which is
+    Each frame's core is computed once and gated per threshold, which is
     exactly equivalent to running the protocol separately at each tau.
     """
     config = config or EvalConfig()
     taus = _tau_list(taus)
     _frame_ids(frames, frame_ids)
-
-    rows = []
     if protocol == "bcd":
-        matrices = _bcd_rows(frames, config.n_interp)
-        nearest = [(_bcd_nearest(d), *d.shape) for d in matrices]
-        n_pred = sum(d.shape[0] for d in matrices)
-        n_gt = sum(d.shape[1] for d in matrices)
-        for tau in taus:
-            tp = sum(sum(_bcd_claim(*frame, tau)[0]) for frame in nearest)
-            rows.append((tau, *prf(tp, n_pred - tp, n_gt - tp)))
-    elif protocol in ("once", "mbd"):
+        return _sweep(_bcd_cores(frames, config.n_interp), _bcd_gate, taus)
+    if protocol in ("once", "mbd"):
         cores = _matched_frames(frames, config, with_maxes=False)
-        for tau in taus:
-            gated = dataclasses.replace(config, tau_cd=tau)
-            tp = fp = fn = 0
-            for pairs, n_gt, n_pred in cores:
-                t, f, n, _ = _once_counts(pairs, n_gt, n_pred, gated)
-                tp += t
-                fp += f
-                fn += n
-            rows.append((tau, *prf(tp, fp, fn)))
-    elif protocol == "openlane":
-        from .pointwise import pointwise_sweep
-
-        rows = list(pointwise_sweep(frames, taus, pointwise_config))
-    else:
-        raise ConfigError(f"unknown sweep protocol {protocol!r}")
-    return tuple(rows)
+        return _sweep(cores, _once_gate, taus)
+    if protocol == "openlane":
+        return pointwise_sweep(frames, taus, pointwise_config)
+    raise ConfigError(f"unknown sweep protocol {protocol!r}")

@@ -2,7 +2,8 @@
 
 Configuration resolution
 ------------------------
-Values merge in precedence order: built-in defaults, then a JSON config
+Values merge in precedence order: built-in defaults (those of
+``EvalConfig``, ``PointwiseConfig`` and ``LossConfig``), then a JSON config
 file (``--config``), then ``LANE3D_*`` environment variables, then
 explicit flags.  The resolved configuration is echoed into every report
 together with the list of safety-relevant values that were left at
@@ -29,11 +30,12 @@ tables).  Frames are evaluated one after another on one thread.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,7 +57,6 @@ from .errors import (
     Underdetermined,
 )
 from .geometry import (
-    CameraModel,
     Lane3D,
     SampleGrid,
     fit_curves,
@@ -77,19 +78,16 @@ from .scenario_io import (
 
 __all__ = ["main", "CliConfig"]
 
+_EVAL_KEYS = tuple(f.name for f in fields(EvalConfig))
+_POINTWISE_KEYS = ("tau_dist", "tp_fraction", "cap_multiplier")
+
+# The library configs' own defaults (a dataclass keeps each field's default
+# as a class attribute).
 _DEFAULTS = {
-    "tau_cd": 0.3,
-    "tau_iou": 0.3,
-    "tau_bcd": 0.3,
-    "lane_width": 0.3,
-    "bev_resolution": 0.05,
-    "n_interp": 100,
-    "mbd_variant": "hausdorff_mean",
-    "tau_dist": 1.5,
-    "tp_fraction": 0.75,
-    "cap_multiplier": 1.5,
-    "gammas": (0.5, 2.0, 10.0, 3.0, 5.0, 2.0),
-    "background_weight": 1.0,
+    **{key: getattr(EvalConfig, key) for key in _EVAL_KEYS},
+    **{key: getattr(PointwiseConfig, key) for key in _POINTWISE_KEYS},
+    "gammas": LossConfig.gamma,
+    "background_weight": LossConfig.background_weight,
 }
 
 # Values with no reference anchor: always disclosed when left at default.
@@ -186,25 +184,11 @@ class CliConfig:
 
     @property
     def eval_config(self) -> EvalConfig:
-        v = self.values
-        return EvalConfig(
-            tau_cd=v["tau_cd"],
-            tau_iou=v["tau_iou"],
-            tau_bcd=v["tau_bcd"],
-            lane_width=v["lane_width"],
-            bev_resolution=v["bev_resolution"],
-            n_interp=v["n_interp"],
-            mbd_variant=v["mbd_variant"],
-        )
+        return EvalConfig(**{key: self.values[key] for key in _EVAL_KEYS})
 
     @property
     def pointwise_config(self) -> PointwiseConfig:
-        v = self.values
-        return PointwiseConfig(
-            tau_dist=v["tau_dist"],
-            tp_fraction=v["tp_fraction"],
-            cap_multiplier=v["cap_multiplier"],
-        )
+        return PointwiseConfig(**{key: self.values[key] for key in _POINTWISE_KEYS})
 
     @property
     def loss_config(self) -> LossConfig:
@@ -212,10 +196,6 @@ class CliConfig:
             gamma=self.values["gammas"],
             background_weight=self.values["background_weight"],
         )
-
-    @property
-    def grid(self) -> SampleGrid:
-        return SampleGrid()
 
     def echo(self) -> dict:
         out = {key: (list(v) if isinstance(v := self.values[key], tuple) else v)
@@ -304,9 +284,7 @@ def cmd_eval(args) -> int:
     frames = [(r.gt_lanes, r.pred_lanes) for r in records]
     ids = [r.frame_id for r in records]
     if args.protocol == "openlane":
-        report = openlane_report(
-            frames, config.pointwise_config, config.grid, ids
-        )
+        report = openlane_report(frames, config.pointwise_config, frame_ids=ids)
     else:
         report_fn = {
             "once": once_report, "bcd": bcd_report, "mbd": mbd_report
@@ -513,7 +491,7 @@ def cmd_loss(args) -> int:
     records = _load_records(args.gt, args.pred)
     if not records:
         raise ConfigError("no frames to compute losses for")
-    grid = config.grid
+    grid = SampleGrid()
     loss_config = config.loss_config
     breakdowns = [(r.frame_id, _frame_loss(r, grid, loss_config))
                   for r in records]
@@ -644,45 +622,51 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                        "report whose config block is reused)")
     group.add_argument("--tau-cd", dest="tau_cd", type=float, default=None,
                        help="unilateral-CD acceptance threshold, meters "
-                       "(default 0.3)")
+                       f"(default {_DEFAULTS['tau_cd']})")
     group.add_argument("--tau-iou", dest="tau_iou", type=float, default=None,
-                       help="BEV IoU gate (default 0.3, assumed)")
+                       help=f"BEV IoU gate (default {_DEFAULTS['tau_iou']}, assumed)")
     group.add_argument("--tau-bcd", dest="tau_bcd", type=float, default=None,
                        help="bidirectional-CD acceptance threshold, meters "
-                       "(default 0.3)")
+                       f"(default {_DEFAULTS['tau_bcd']})")
     group.add_argument("--lane-width", dest="lane_width", type=float,
                        default=None,
-                       help="BEV stroke width, meters (default 0.3, assumed)")
+                       help="BEV stroke width, meters "
+                       f"(default {_DEFAULTS['lane_width']}, assumed)")
     group.add_argument("--bev-resolution", dest="bev_resolution", type=float,
                        default=None,
-                       help="BEV cell size, meters (default 0.05, assumed)")
+                       help="BEV cell size, meters "
+                       f"(default {_DEFAULTS['bev_resolution']}, assumed)")
     group.add_argument("--n-interp", dest="n_interp", type=int, default=None,
-                       help="points per lane interpolation (default 100)")
+                       help="points per lane interpolation "
+                       f"(default {_DEFAULTS['n_interp']})")
     group.add_argument("--mbd-variant", dest="mbd_variant",
                        choices=MBD_VARIANTS, default=None,
                        help="worst-case statistic variant "
-                       "(default hausdorff_mean)")
+                       f"(default {_DEFAULTS['mbd_variant']})")
     group.add_argument("--tau-dist", dest="tau_dist", type=float, default=None,
                        help="pointwise anchor distance threshold, meters "
-                       "(default 1.5)")
+                       f"(default {_DEFAULTS['tau_dist']})")
     group.add_argument("--tp-fraction", dest="tp_fraction", type=float,
                        default=None,
                        help="fraction of visible anchors that must be "
-                       "in-threshold (default 0.75)")
+                       f"in-threshold (default {_DEFAULTS['tp_fraction']})")
     group.add_argument("--cap-multiplier", dest="cap_multiplier", type=float,
                        default=None,
                        help="pointwise per-anchor cost cap as a multiple of "
-                       "tau-dist (default 1.5)")
+                       f"tau-dist (default {_DEFAULTS['cap_multiplier']})")
     group.add_argument("--gammas", default=None,
                        help="six comma-separated loss weights "
-                       "(default 0.5,2,10,3,5,2)")
+                       f"(default {','.join(f'{g:g}' for g in _DEFAULTS['gammas'])})")
     group.add_argument("--background-weight", dest="background_weight",
                        type=float, default=None,
                        help="weight of unmatched-prediction confidence "
-                       "penalty (default 1.0)")
+                       f"penalty (default {_DEFAULTS['background_weight']})")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it
+    unchanged)."""
     parser = argparse.ArgumentParser(
         prog="lane3d",
         description="3D lane representations, losses, and evaluation "
@@ -766,32 +750,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code of each error class; any other class takes that of its
+# nearest listed base (SchemaVersionMismatch: ParseError's).
+_EXIT_CODES = {
+    ConfigError: 2,
+    ParseError: 3,
+    MissingFrame: 4,
+    MissingField: 5,
+    Underdetermined: 6,
+    IoError: 7,
+    Lane3DError: 1,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:  # includes SchemaVersionMismatch
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except MissingFrame as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except MissingField as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except Underdetermined as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except IoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 7
     except Lane3DError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ how a short prediction fails to explain the far ground truth.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ import numpy as np
 from .errors import AnchorMismatch, ConfigError
 from .geometry import Lane3D, SampleGrid, resample_at_y
 from .matching import MatchResult, hungarian
-from .report import MetricReport, _assemble, _frame_ids, _tau_list, prf
+from .report import MetricReport, _assemble, _frame_ids, _sweep, _tau_list
 
 __all__ = [
     "PointwiseConfig",
@@ -148,8 +147,7 @@ def _frame_arrays(
     return _FrameArrays(anchors=anchors, gt_vis=gv, dist=dist, dx=dx, dz=dz)
 
 
-def _cost_matrix(arrays: _FrameArrays, config: PointwiseConfig) -> np.ndarray:
-    cap = config.cost_cap
+def _cost_matrix(arrays: _FrameArrays, cap: float) -> np.ndarray:
     cost = np.full((arrays.n_gt, arrays.n_pred), cap)
     for i in range(arrays.n_gt):
         vis = arrays.gt_vis[i]
@@ -161,7 +159,7 @@ def _cost_matrix(arrays: _FrameArrays, config: PointwiseConfig) -> np.ndarray:
 
 
 def _tp_flags(
-    arrays: _FrameArrays, pairs, config: PointwiseConfig
+    arrays: _FrameArrays, pairs, tau: float, config: PointwiseConfig
 ) -> list[bool]:
     flags = []
     for i, j in pairs:
@@ -170,7 +168,7 @@ def _tp_flags(
         if total == 0:
             flags.append(False)
             continue
-        inside = int((arrays.dist[i, j][vis] <= config.tau_dist).sum())
+        inside = int((arrays.dist[i, j][vis] <= tau).sum())
         flags.append(inside / total >= config.tp_fraction)
     return flags
 
@@ -195,7 +193,7 @@ def pointwise_match(
         return MatchResult(pairs=(), total_cost=0.0)
     anchors = _shared_anchors(gt_lanes + pred_lanes)
     arrays = _frame_arrays(gt_lanes, pred_lanes, anchors)
-    return hungarian(_cost_matrix(arrays, config))
+    return hungarian(_cost_matrix(arrays, config.cost_cap))
 
 
 def pointwise_tp(
@@ -205,7 +203,7 @@ def pointwise_tp(
     config = config or PointwiseConfig()
     anchors = _shared_anchors([gt, pred])
     arrays = _frame_arrays([gt], [pred], anchors)
-    return _tp_flags(arrays, [(0, 0)], config)[0]
+    return _tp_flags(arrays, [(0, 0)], config.tau_dist, config)[0]
 
 
 def xz_errors(
@@ -255,12 +253,15 @@ def _accumulate_errors(
 
 
 def _gate_frame(
-    arrays: _FrameArrays, config: PointwiseConfig
+    arrays: _FrameArrays, tau: float, config: PointwiseConfig
 ) -> tuple[int, int, int, list[tuple[int, int]]]:
+    """``(tp, fp, fn, accepted pairs)`` of one frame's arrays at threshold
+    ``tau``: matching runs at cost cap ``cap_multiplier * tau``, and the
+    75% rule counts anchors within ``tau``."""
     if arrays.n_gt == 0 or arrays.n_pred == 0:
         return 0, arrays.n_pred, arrays.n_gt, []
-    match = hungarian(_cost_matrix(arrays, config))
-    flags = _tp_flags(arrays, match.pairs, config)
+    match = hungarian(_cost_matrix(arrays, config.cap_multiplier * tau))
+    flags = _tp_flags(arrays, match.pairs, tau, config)
     tp_pairs = [pair for pair, ok in zip(match.pairs, flags) if ok]
     tp = len(tp_pairs)
     return tp, arrays.n_pred - tp, arrays.n_gt - tp, tp_pairs
@@ -288,7 +289,7 @@ def openlane_report(
     n_anchors = [0] * 4
     for gt_lanes, pred_lanes in frames:
         arrays = _frame_arrays(gt_lanes, pred_lanes, anchors)
-        tp, fp, fn, tp_pairs = _gate_frame(arrays, config)
+        tp, fp, fn, tp_pairs = _gate_frame(arrays, config.tau_dist, config)
         pair_costs = [
             float(np.minimum(arrays.dist[i, j][arrays.gt_vis[i]], config.cost_cap).mean())
             for i, j in tp_pairs
@@ -308,23 +309,14 @@ def pointwise_sweep(
 ) -> tuple[tuple[float, float, float, float], ...]:
     """(tau, precision, recall, f1) rows re-gating cached frame arrays.
 
-    Matching is re-run per tau (the cost cap scales with it), on the
-    same cached distances a standalone run would use, so each row equals
-    the standalone report at that threshold.
+    Each frame's anchor arrays are the core; matching is re-run per tau
+    (the cost cap scales with it) on the distances a standalone run
+    would use, so each row equals the standalone report at that
+    threshold.
     """
     config = config or PointwiseConfig()
     grid = grid or SampleGrid()
     taus = _tau_list(taus)
     anchors = np.asarray(grid.y_anchors, dtype=float)
     cores = [_frame_arrays(gt, pred, anchors) for gt, pred in frames]
-    rows = []
-    for tau in taus:
-        gated = dataclasses.replace(config, tau_dist=tau)
-        tp = fp = fn = 0
-        for arrays in cores:
-            t, f, n, _ = _gate_frame(arrays, gated)
-            tp += t
-            fp += f
-            fn += n
-        rows.append((tau, *prf(tp, fp, fn)))
-    return tuple(rows)
+    return _sweep(cores, lambda arrays, tau: _gate_frame(arrays, tau, config), taus)

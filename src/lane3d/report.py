@@ -1,9 +1,15 @@
 """Metric report containers and the frame plumbing of every protocol.
 
 Besides the report types, this module holds what the protocol modules
-share: the frame-id and tau-list checks, and the assembly of a
-``MetricReport`` from per-frame counts (``_assemble``).  Every protocol
-evaluates its frames in order on the calling thread.
+share: the frame-id and tau-list checks, the assembly of a
+``MetricReport`` from per-frame counts (``_assemble``) and the one
+threshold-sweep loop (``_sweep``).  Every protocol splits its work in
+two: per-frame *cores* hold what does not depend on the swept threshold,
+and a *gate* ``gate(core, tau) -> (tp, fp, fn, errors)`` does the rest.
+A report is ``_assemble`` over each core gated at the configured
+threshold; a sweep gates the same cores at every threshold, so each row
+equals the standalone report there.  Every protocol evaluates its frames
+in order on the calling thread.
 """
 
 from __future__ import annotations
@@ -199,3 +205,19 @@ def _assemble(
             [s.tp + s.fp for s in stats],
         ),
     )
+
+
+def _sweep(cores, gate, taus) -> tuple[tuple[float, float, float, float], ...]:
+    """``(tau, precision, recall, f1)`` rows, one per threshold of the
+    checked list ``taus``, from the counts ``gate(core, tau)`` gives for
+    every frame's core."""
+    rows = []
+    for tau in taus:
+        tp = fp = fn = 0
+        for core in cores:
+            t, f, n, _ = gate(core, tau)
+            tp += t
+            fp += f
+            fn += n
+        rows.append((tau, *prf(tp, fp, fn)))
+    return tuple(rows)

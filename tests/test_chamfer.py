@@ -10,7 +10,6 @@ from lane3d.chamfer import (
     EvalConfig,
     _bcd_matrix,
     _bcd_rows,
-    _stroke_runs,
     _strokes,
     bcd_report,
     bcd_select_tp_fp,
@@ -23,6 +22,7 @@ from lane3d.chamfer import (
 )
 from lane3d.errors import ConfigError, DegenerateLane
 from lane3d.geometry import Lane3D, interpolate_lane
+from lane3d.pointwise import PointwiseConfig, openlane_report
 
 
 def straight_lane(x0=0.0, y0=3.0, y1=103.0, n=21, z=0.0):
@@ -347,14 +347,14 @@ def test_stroke_cells_match_brute_force():
         y = np.cumsum(np.concatenate([[y[0]], np.diff(y) + 0.05]))
         x = rng.uniform(-2.0, 2.0, n)
         pts = np.stack([x, y, np.zeros(n)], axis=1)
-        got = decode_runs(_stroke_runs(pts, config))
+        got = decode_runs(_strokes([pts], config)[0])
         assert got == oracle_cells(pts, config)
 
 
 def test_stroke_negative_coordinates():
     config = EvalConfig()
     pts = np.array([[-1.3, -0.9, 0.0], [-0.2, 1.4, 0.0]])
-    assert decode_runs(_stroke_runs(pts, config)) == oracle_cells(pts, config)
+    assert decode_runs(_strokes([pts], config)[0]) == oracle_cells(pts, config)
 
 
 @pytest.mark.parametrize("lane_width, res, origin", [
@@ -370,7 +370,7 @@ def test_stroke_random_lanes_match_brute_force(lane_width, res, origin):
     config = EvalConfig(lane_width=lane_width, bev_resolution=res)
     for _ in range(20):
         pts = random_polyline(rng, int(rng.integers(2, 7)), origin=origin)
-        assert decode_runs(_stroke_runs(pts, config)) == oracle_cells(pts, config)
+        assert decode_runs(_strokes([pts], config)[0]) == oracle_cells(pts, config)
 
 
 def test_stroke_near_axis_segments_and_distances_on_the_boundary():
@@ -397,7 +397,7 @@ def test_stroke_near_axis_segments_and_distances_on_the_boundary():
     for lane in lanes:
         xy = np.array(lane)
         pts = np.column_stack([xy, np.zeros(len(xy))])
-        assert decode_runs(_stroke_runs(pts, config)) == oracle_cells(pts, config)
+        assert decode_runs(_strokes([pts], config)[0]) == oracle_cells(pts, config)
 
 
 def window_scan_runs(points, config):
@@ -588,18 +588,18 @@ def test_run_iou_matches_cell_set_iou():
         (upright, upright + [0.0, 1.25, 0.0]),
     ]
     for a, b in pairs:
-        cells_a = decode_runs(_stroke_runs(a, config))
-        cells_b = decode_runs(_stroke_runs(b, config))
+        cells_a = decode_runs(_strokes([a], config)[0])
+        cells_b = decode_runs(_strokes([b], config)[0])
         assert bev_iou(lane_of(a), lane_of(b), config) == set_iou(cells_a, cells_b)
     # the box-overlapping pair really shares rows and columns but no cell
-    a = decode_runs(_stroke_runs(diagonal, config))
-    b = decode_runs(_stroke_runs(diagonal + [1.0, 0.0, 0.0], config))
+    a = decode_runs(_strokes([diagonal], config)[0])
+    b = decode_runs(_strokes([diagonal + [1.0, 0.0, 0.0]], config)[0])
     assert not a & b
     assert min(ix for ix, _ in b) < max(ix for ix, _ in a)
     # one empty stroke, and two: cell centers sit 0.025 m off a lane on a
     # cell edge, and nothing lies within 0.01 m of it
     empty = np.array([[0.05, 0.0, 0.0], [0.05, 3.0, 0.0]])
-    assert decode_runs(_stroke_runs(empty, thin)) == set()
+    assert decode_runs(_strokes([empty], thin)[0]) == set()
     assert bev_iou(lane_of(empty), lane_of(diagonal), thin) == 0.0
     assert bev_iou(lane_of(empty), lane_of(empty), thin) == 0.0
 
@@ -638,8 +638,8 @@ def test_iou_parallel_offset_oracle():
     config = EvalConfig(lane_width=0.3, bev_resolution=0.05)
     gt = straight_lane(0.0)
     pred = straight_lane(0.1)
-    a = decode_runs(_stroke_runs(gt.visible_points(), config))
-    b = decode_runs(_stroke_runs(pred.visible_points(), config))
+    a = decode_runs(_strokes([gt.visible_points()], config)[0])
+    b = decode_runs(_strokes([pred.visible_points()], config)[0])
     shifted = {(ix + 2, iy) for ix, iy in a}
     assert shifted == b
     inter = len(a & b)
@@ -865,15 +865,19 @@ def test_sweep_rows_match_standalone_reports_exactly():
         (sweep_fixture(), [0.1, 0.3]),
         (shared, [0.05 * k for k in range(1, 11)]),
     ):
-        for protocol, make_config in (
-            ("bcd", lambda t: EvalConfig(tau_bcd=t)),
-            ("once", lambda t: EvalConfig(tau_cd=t)),
+        # the openlane sweep replaces its config's tau_dist by each tau
+        for protocol, report_at in (
+            ("bcd", lambda t: bcd_report(frames, EvalConfig(tau_bcd=t))),
+            ("once", lambda t: once_report(frames, EvalConfig(tau_cd=t))),
+            ("mbd", lambda t: mbd_report(frames, EvalConfig(tau_cd=t))),
+            ("openlane",
+             lambda t: openlane_report(frames, PointwiseConfig(tau_dist=t))),
         ):
-            rows = threshold_sweep(frames, taus, protocol)
+            rows = threshold_sweep(frames, taus, protocol,
+                                   pointwise_config=PointwiseConfig(tau_dist=9.0))
             assert [row[0] for row in rows] == taus
-            report_fn = bcd_report if protocol == "bcd" else once_report
             for tau, precision, recall, f1 in rows:
-                rep = report_fn(frames, make_config(tau))
+                rep = report_at(tau)
                 assert (precision, recall, f1) == (
                     rep.precision, rep.recall, rep.f1)
 

@@ -101,7 +101,7 @@ def test_eval_missing_pred_lanes_is_exit_5(tmp_path):
     assert run("eval", "--gt", str(gt), "--protocol", "once") == 5
 
 
-def test_eval_exit_codes_for_bad_files(tmp_path):
+def test_eval_exit_codes_for_bad_files(tmp_path, capsys):
     gt, pred = synth(tmp_path)
     # 7: unreadable file
     assert run("eval", "--gt", str(tmp_path / "nope.jsonl"),
@@ -123,6 +123,18 @@ def test_eval_exit_codes_for_bad_files(tmp_path):
                "--protocol", "once", "--tau-cd", "0") == 2
     assert run("eval", "--gt", str(gt), "--pred", str(pred),
                "--protocol", "once", "--lane-width", "inf") == 2
+    # 1: any other library failure (DegenerateLane: one visible point)
+    lines = pred.read_text().splitlines()
+    obj = json.loads(lines[0])
+    vis = obj["lanes"][0]["visibility"]
+    obj["lanes"][0]["visibility"] = [1.0] + [0.0] * (len(vis) - 1)
+    degenerate = tmp_path / "degenerate.jsonl"
+    degenerate.write_text("".join(line + "\n" for line in [json.dumps(obj), *lines[1:]]))
+    capsys.readouterr()
+    assert run("eval", "--gt", str(gt), "--pred", str(degenerate),
+               "--protocol", "once") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2 visible points" in err
 
 
 def test_eval_unknown_prediction_frame_is_exit_4(tmp_path):
@@ -147,6 +159,26 @@ def test_eval_failure_leaves_no_output_file(tmp_path):
     assert not (tmp_path / "sub").exists()
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def test_successive_calls_parse_only_their_own_arguments(tmp_path):
+    # the parser is built once per process and reused by every call
+    from lane3d.cli import build_parser
+
+    assert build_parser() is build_parser()
+    gt, pred = synth(tmp_path)
+    swept, evaluated = tmp_path / "sweep.json", tmp_path / "eval.json"
+    assert run("sweep", "--gt", str(gt), "--pred", str(pred), "--protocol",
+               "bcd", "--taus", "0.3", "--tau-iou", "0.5", "--format",
+               "structured", "--out", str(swept)) == 0
+    assert run("eval", "--gt", str(gt), "--pred", str(pred), "--protocol",
+               "bcd", "--out", str(evaluated)) == 0
+    first = json.loads(swept.read_text())
+    second = json.loads(evaluated.read_text())
+    assert first["config"]["tau_iou"] == 0.5 and "sweep" in first
+    assert "tau_iou" not in first["config"]["assumed_defaults"]
+    assert second["config"]["tau_iou"] == 0.3 and "sweep" not in second
+    assert "tau_iou" in second["config"]["assumed_defaults"]
 
 
 def test_threads_flag_is_gone(tmp_path):
