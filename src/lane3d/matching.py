@@ -19,6 +19,15 @@ exactly rather than in accumulation order: rows are walked in order and
 each takes the smallest tight column that an alternating path can free
 without moving an earlier row.  ``total_cost`` is the ``math.fsum`` of
 the chosen entries.
+
+A certificate is checked on the float matrix first.  Orient it so that
+rows are the shorter side.  If every row's minimum is finite, strictly
+below the rest of its row and in a column no other row's minimum uses,
+taking each row's minimum is the unique optimum: the sum of the row
+minima is a lower bound on every full assignment, reached only by that
+one.  Being unique, it is also the lexicographically smallest, so it is
+returned without the exact solve.  Any tie, ``-0.0`` against ``0.0``
+included, sends the matrix to the solver.
 """
 
 from __future__ import annotations
@@ -77,17 +86,40 @@ def hungarian(cost) -> MatchResult:
     if (c == -np.inf).any():
         raise ValueError("cost matrix contains -inf")
 
-    allowed = np.isfinite(c)
-    work = _exact_costs(c, allowed)
-    col4row, row4col, u, v = _augment(work)
-    if not all(allowed[r, col] for r, col in enumerate(col4row[:n]) if col < m):
-        raise NoFeasibleAssignment(
-            "every full-size assignment uses a forbidden (inf) pair"
-        )
-    _smallest_optimum(work, u, v, col4row, row4col, n, m)
-    pairs = tuple((r, col) for r, col in enumerate(col4row[:n]) if col < m)
+    pairs = _row_minima(c)
+    if pairs is None:
+        allowed = np.isfinite(c)
+        work = _exact_costs(c, allowed)
+        col4row, row4col, u, v = _augment(work)
+        if not all(allowed[r, col]
+                   for r, col in enumerate(col4row[:n]) if col < m):
+            raise NoFeasibleAssignment(
+                "every full-size assignment uses a forbidden (inf) pair"
+            )
+        _smallest_optimum(work, u, v, col4row, row4col, n, m)
+        pairs = tuple((r, col) for r, col in enumerate(col4row[:n]) if col < m)
     total = math.fsum(c[r, col] for r, col in pairs)
     return MatchResult(pairs=pairs, total_cost=total)
+
+
+def _row_minima(c: np.ndarray) -> tuple[tuple[int, int], ...] | None:
+    """The pairs of the certificate, sorted by row, or None when it fails.
+
+    With ``n <= m`` each row must own a finite minimum that no other
+    entry of the row equals, in a column of its own; with ``n > m`` the
+    same holds for the columns.
+    """
+    flip = c.shape[0] > c.shape[1]
+    t = c.T if flip else c
+    picks = t.argmin(axis=1)
+    mins = t.min(axis=1)
+    if not (mins.max() < np.inf
+            and np.count_nonzero(t == mins[:, None]) == t.shape[0]
+            and len(set(picks.tolist())) == t.shape[0]):
+        return None
+    if flip:
+        return tuple(sorted(zip(picks.tolist(), range(t.shape[0]))))
+    return tuple(enumerate(picks.tolist()))
 
 
 def _exact_costs(c: np.ndarray, allowed: np.ndarray) -> list[list[int]]:

@@ -109,13 +109,21 @@ def _shared_anchors(lanes: list[Lane3D]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _FrameArrays:
-    """Per-frame anchor-aligned coordinates and pair distances."""
+    """Per-frame anchor-aligned pair data: everything that does not
+    depend on the threshold."""
 
     anchors: np.ndarray  # (J,)
     gt_vis: np.ndarray  # (Ng, J) bool
     dist: np.ndarray  # (Ng, Np, J) xz Euclidean distance
     dx: np.ndarray  # (Ng, Np, J) |delta x|
     dz: np.ndarray  # (Ng, Np, J) |delta z|
+    # One (rows, distances) entry per visible-anchor count k: the ground
+    # truths with k visible anchors and their (G, k, Np) xz distances to
+    # every prediction at those anchors, in anchor order.
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    # (Ng, Np): the pair passes the 75% rule at tau exactly when this is
+    # <= tau; inf for a ground truth with no visible anchor.
+    tp_threshold: np.ndarray
 
     @property
     def n_gt(self) -> int:
@@ -127,7 +135,10 @@ class _FrameArrays:
 
 
 def _frame_arrays(
-    gt_lanes: list[Lane3D], pred_lanes: list[Lane3D], anchors: np.ndarray
+    gt_lanes: list[Lane3D],
+    pred_lanes: list[Lane3D],
+    anchors: np.ndarray,
+    tp_fraction: float,
 ) -> _FrameArrays:
     j = anchors.shape[0]
     gx = np.zeros((len(gt_lanes), j))
@@ -144,33 +155,31 @@ def _frame_arrays(
     dx = np.abs(gx[:, None, :] - px[None, :, :])
     dz = np.abs(gz[:, None, :] - pz[None, :, :])
     dist = np.sqrt(dx * dx + dz * dz)
-    return _FrameArrays(anchors=anchors, gt_vis=gv, dist=dist, dx=dx, dz=dz)
+
+    groups = []
+    threshold = np.full(dist.shape[:2], np.inf)
+    n_vis = gv.sum(axis=1)
+    for k in np.unique(n_vis[n_vis > 0]).tolist():
+        rows = np.flatnonzero(n_vis == k)
+        cols = np.nonzero(gv[rows])[1].reshape(rows.size, k, 1)
+        stack = np.take_along_axis(dist[rows].transpose(0, 2, 1), cols, axis=1)
+        groups.append((rows, stack))
+        # At least ``rank`` of the k anchors must lie within tau, so the
+        # rank-th smallest distance is the least passing tau.
+        rank = next(c for c in range(1, k + 1) if c / k >= tp_fraction)
+        threshold[rows] = np.partition(stack, rank - 1, axis=1)[:, rank - 1]
+    return _FrameArrays(anchors=anchors, gt_vis=gv, dist=dist, dx=dx, dz=dz,
+                        groups=tuple(groups), tp_threshold=threshold)
 
 
 def _cost_matrix(arrays: _FrameArrays, cap: float) -> np.ndarray:
     cost = np.full((arrays.n_gt, arrays.n_pred), cap)
-    for i in range(arrays.n_gt):
-        vis = arrays.gt_vis[i]
-        if not vis.any():
-            continue
-        capped = np.minimum(arrays.dist[i][:, vis], cap)
-        cost[i] = capped.mean(axis=1)
+    for rows, stack in arrays.groups:
+        # Each (k, Np) slab lies in memory as a ground truth's (Np, k)
+        # selection of ``dist`` does, so NumPy sums it in the same order:
+        # the means are bit for bit the per-row ``.mean(axis=1)``.
+        cost[rows] = np.minimum(stack, cap).sum(axis=1) / stack.shape[1]
     return cost
-
-
-def _tp_flags(
-    arrays: _FrameArrays, pairs, tau: float, config: PointwiseConfig
-) -> list[bool]:
-    flags = []
-    for i, j in pairs:
-        vis = arrays.gt_vis[i]
-        total = int(vis.sum())
-        if total == 0:
-            flags.append(False)
-            continue
-        inside = int((arrays.dist[i, j][vis] <= tau).sum())
-        flags.append(inside / total >= config.tp_fraction)
-    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +201,7 @@ def pointwise_match(
     if not gt_lanes or not pred_lanes:
         return MatchResult(pairs=(), total_cost=0.0)
     anchors = _shared_anchors(gt_lanes + pred_lanes)
-    arrays = _frame_arrays(gt_lanes, pred_lanes, anchors)
+    arrays = _frame_arrays(gt_lanes, pred_lanes, anchors, config.tp_fraction)
     return hungarian(_cost_matrix(arrays, config.cost_cap))
 
 
@@ -202,8 +211,8 @@ def pointwise_tp(
     """75%-rule acceptance for one matched, anchor-aligned pair."""
     config = config or PointwiseConfig()
     anchors = _shared_anchors([gt, pred])
-    arrays = _frame_arrays([gt], [pred], anchors)
-    return _tp_flags(arrays, [(0, 0)], config.tau_dist, config)[0]
+    arrays = _frame_arrays([gt], [pred], anchors, config.tp_fraction)
+    return bool(arrays.tp_threshold[0, 0] <= config.tau_dist)
 
 
 def xz_errors(
@@ -221,7 +230,7 @@ def xz_errors(
     counts = [0] * 4
     for gt, pred in matched_pairs:
         anchors = _shared_anchors([gt, pred])
-        arrays = _frame_arrays([gt], [pred], anchors)
+        arrays = _frame_arrays([gt], [pred], anchors, config.tp_fraction)
         _accumulate_errors(arrays, [(0, 0)], config, sums, counts)
     return tuple(
         (s / c if c else None) for s, c in zip(sums, counts)
@@ -230,21 +239,25 @@ def xz_errors(
 
 def _accumulate_errors(
     arrays: _FrameArrays,
-    tp_pairs,
+    pairs,
     config: PointwiseConfig,
     sums: list[float],
     counts: list[int],
 ) -> None:
+    """Add each pair's |dx| and |dz| sums over its ground truth's visible
+    anchors in the near and far ranges to ``sums`` (E_x near, E_x far,
+    E_z near, E_z far), one pair at a time in order, and the anchor
+    counts to ``counts``."""
     near, far = _range_masks(arrays.anchors, config)
-    for i, j in tp_pairs:
-        vis = arrays.gt_vis[i]
-        for slot, (mask, grid) in enumerate(
-            [(near, arrays.dx), (far, arrays.dx), (near, arrays.dz), (far, arrays.dz)]
+    ranges = (arrays.gt_vis & near, arrays.gt_vis & far)  # (Ng, J) each
+    sizes = [sel.sum(axis=1).tolist() for sel in ranges]
+    for i, j in pairs:
+        for slot, (grid, r) in enumerate(
+            [(arrays.dx, 0), (arrays.dx, 1), (arrays.dz, 0), (arrays.dz, 1)]
         ):
-            sel = vis & mask
-            if sel.any():
-                sums[slot] += float(grid[i, j][sel].sum())
-                counts[slot] += int(sel.sum())
+            if sizes[r][i]:
+                sums[slot] += float(grid[i, j][ranges[r][i]].sum())
+                counts[slot] += sizes[r][i]
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +269,12 @@ def _gate_frame(
     arrays: _FrameArrays, tau: float, config: PointwiseConfig
 ) -> tuple[int, int, int, list[tuple[int, int]]]:
     """``(tp, fp, fn, accepted pairs)`` of one frame's arrays at threshold
-    ``tau``: matching runs at cost cap ``cap_multiplier * tau``, and the
-    75% rule counts anchors within ``tau``."""
+    ``tau``: matching runs at cost cap ``cap_multiplier * tau``, and a
+    matched pair is accepted when its TP threshold is ``<= tau``."""
     if arrays.n_gt == 0 or arrays.n_pred == 0:
         return 0, arrays.n_pred, arrays.n_gt, []
     match = hungarian(_cost_matrix(arrays, config.cap_multiplier * tau))
-    flags = _tp_flags(arrays, match.pairs, tau, config)
-    tp_pairs = [pair for pair, ok in zip(match.pairs, flags) if ok]
+    tp_pairs = [p for p in match.pairs if arrays.tp_threshold[p] <= tau]
     tp = len(tp_pairs)
     return tp, arrays.n_pred - tp, arrays.n_gt - tp, tp_pairs
 
@@ -288,7 +300,7 @@ def openlane_report(
     sums = [0.0] * 4
     n_anchors = [0] * 4
     for gt_lanes, pred_lanes in frames:
-        arrays = _frame_arrays(gt_lanes, pred_lanes, anchors)
+        arrays = _frame_arrays(gt_lanes, pred_lanes, anchors, config.tp_fraction)
         tp, fp, fn, tp_pairs = _gate_frame(arrays, config.tau_dist, config)
         pair_costs = [
             float(np.minimum(arrays.dist[i, j][arrays.gt_vis[i]], config.cost_cap).mean())
@@ -309,14 +321,18 @@ def pointwise_sweep(
 ) -> tuple[tuple[float, float, float, float], ...]:
     """(tau, precision, recall, f1) rows re-gating cached frame arrays.
 
-    Each frame's anchor arrays are the core; matching is re-run per tau
-    (the cost cap scales with it) on the distances a standalone run
-    would use, so each row equals the standalone report at that
-    threshold.
+    Each frame's anchor arrays are the core: visible-anchor distances
+    grouped by visible count and each pair's TP threshold.  Per tau the
+    gate builds the capped cost matrix (one reduction per group), re-runs
+    the matching, since the cost cap scales with tau, and compares TP
+    thresholds with tau, so each row equals the standalone report at
+    that threshold.
     """
     config = config or PointwiseConfig()
     grid = grid or SampleGrid()
     taus = _tau_list(taus)
     anchors = np.asarray(grid.y_anchors, dtype=float)
-    cores = [_frame_arrays(gt, pred, anchors) for gt, pred in frames]
+    cores = [
+        _frame_arrays(gt, pred, anchors, config.tp_fraction) for gt, pred in frames
+    ]
     return _sweep(cores, lambda arrays, tau: _gate_frame(arrays, tau, config), taus)

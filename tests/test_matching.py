@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from lane3d import matching
 from lane3d.errors import NoFeasibleAssignment
 from lane3d.matching import MatchResult, hungarian
 
@@ -357,3 +358,105 @@ def test_totals_equal_after_rounding_are_not_a_tie():
     result = hungarian(c)
     assert result.pairs == ((0, 1), (1, 0))
     assert result.total_cost == 2.0
+
+
+# ---------------------------------------------------------------------------
+# row-minima certificate
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Records the size of every matrix that reaches the exact solve."""
+    sizes = []
+    real = matching._augment
+
+    def spy(cost):
+        sizes.append(len(cost))
+        return real(cost)
+
+    monkeypatch.setattr(matching, "_augment", spy)
+    return sizes
+
+
+def certified(rng, shape, low=1.0, high=10.0):
+    """Entries in [low, high), except that each line of the shorter side
+    gets a smaller entry of its own, in a line of the longer side no
+    other gets."""
+    n, m = shape
+    t = rng.uniform(low, high, size=(min(n, m), max(n, m)))
+    lines = rng.permutation(t.shape[1])[:t.shape[0]]
+    t[np.arange(t.shape[0]), lines] = rng.uniform(-low, 0.99 * low, t.shape[0])
+    return t.T if n > m else t
+
+
+def assert_exact_optimum(c):
+    _, pairs = exact_oracle(c)
+    got = hungarian(c)
+    assert got.pairs == pairs
+    assert got.total_cost == math.fsum(c[r, k] for r, k in pairs)
+
+
+class TestRowMinimaCertificate:
+    @pytest.mark.parametrize("shape", [
+        (1, 1), (3, 3), (5, 5),  # square
+        (1, 4), (2, 5), (3, 5),  # wide
+        (4, 1), (5, 2), (5, 3),  # tall
+    ])
+    def test_certified_matrices_skip_the_exact_solve(self, solves, shape):
+        rng = np.random.default_rng(103 + 7 * shape[0] + shape[1])
+        for _ in range(40):
+            c = certified(rng, shape)
+            assert_exact_optimum(c)
+            assert hungarian(c).pairs == oracle(c).pairs
+        assert solves == []
+
+    @pytest.mark.parametrize("c", [
+        # a row minimum tied within its row
+        [[1.0, 1.0, 2.0], [3.0, 0.5, 4.0]],
+        # -0.0 against 0.0 is a tie too
+        [[-0.0, 0.0, 2.0], [3.0, 4.0, 1.0]],
+        [[0.0, -0.0], [1.0, 2.0]],
+        # two rows sharing their argmin
+        [[0.0, 1.0, 5.0], [0.5, 2.0, 5.0]],
+        # tall: a column minimum tied, then two columns sharing a row
+        [[1.0, 4.0], [1.0, 0.0], [3.0, 2.0]],
+        [[0.0, 0.5], [2.0, 3.0], [1.0, 1.0]],
+        # a subnormal tie
+        [[5e-324, 5e-324], [1.0, 2.0]],
+    ])
+    def test_near_misses_take_the_exact_solve(self, solves, c):
+        c = np.array(c)
+        assert_exact_optimum(c)
+        assert hungarian(c).pairs == oracle(c).pairs
+        assert solves == [max(c.shape)] * 2
+
+    def test_all_inf_row_still_raises(self, solves):
+        with pytest.raises(NoFeasibleAssignment):
+            hungarian([[np.inf, np.inf], [1.0, 2.0]])
+        with pytest.raises(NoFeasibleAssignment):
+            hungarian([[np.inf, np.inf, np.inf], [0.0, 1.0, 2.0]])
+        assert solves == [2, 3]
+        # a tall matrix's all-inf row that no column's minimum needs
+        c = [[0.0, np.inf], [np.inf, np.inf], [1.0, 0.0]]
+        assert hungarian(c).pairs == ((0, 0), (2, 1)) == oracle(c).pairs
+        assert solves == [2, 3]
+
+    def test_extreme_magnitudes(self, solves):
+        # subnormals and 1e+-300 entries: the certificate compares the
+        # floats themselves, so it holds exactly whenever it is taken
+        rng = np.random.default_rng(107)
+        taken = 0
+        for _ in range(200):
+            n, m = random_shape(rng, 1, 5)
+            c = rng.choice([-1.0, 1.0], size=(n, m)) * 10.0 ** rng.uniform(
+                -300.0, 300.0, size=(n, m))
+            c[rng.random((n, m)) < 0.3] = 5e-324
+            before = len(solves)
+            assert_exact_optimum(c)
+            taken += len(solves) == before
+        assert 20 < taken < 180
+        solves.clear()
+        c = np.array([[5e-324, 1e-300], [1e300, 0.0]])
+        assert_exact_optimum(c)
+        assert solves == []

@@ -1,15 +1,21 @@
 """Pointwise (anchor-grid) protocol tests against brute-force oracles."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from lane3d.cli import _parse_taus
 from lane3d.errors import AnchorMismatch, ConfigError
 from lane3d.geometry import Lane3D, SampleGrid
+from lane3d.matching import hungarian
 from lane3d.pointwise import (
     PointwiseConfig,
+    _cost_matrix,
+    _frame_arrays,
+    _gate_frame,
     openlane_report,
     pointwise_match,
     pointwise_sweep,
@@ -361,6 +367,123 @@ def test_sweep_rows_equal_standalone_reports():
             report.recall,
             report.f1,
         )
+
+
+def counting_gate(arrays, tau, config):
+    """The gate as it stood before TP thresholds and grouped means: one
+    capped mean per ground truth, and the 75% rule by counting the
+    visible anchors within tau."""
+    if arrays.n_gt == 0 or arrays.n_pred == 0:
+        return 0, arrays.n_pred, arrays.n_gt, []
+    dist = arrays.dist
+    cap = config.cap_multiplier * tau
+    cost = np.full((arrays.n_gt, arrays.n_pred), cap)
+    for i in range(arrays.n_gt):
+        vis = arrays.gt_vis[i]
+        if vis.any():
+            cost[i] = np.minimum(dist[i][:, vis], cap).mean(axis=1)
+    assert _cost_matrix(arrays, cap).tobytes() == cost.tobytes()
+    accepted = []
+    for i, j in hungarian(cost).pairs:
+        vis = arrays.gt_vis[i]
+        total = int(vis.sum())
+        if total == 0:
+            continue
+        inside = int((dist[i, j][vis] <= tau).sum())
+        if inside / total >= config.tp_fraction:
+            accepted.append((i, j))
+    tp = len(accepted)
+    return tp, arrays.n_pred - tp, arrays.n_gt - tp, accepted
+
+
+def counting_flags(arrays, tau, config):
+    """The old ``_tp_flags`` rule for every (gt, pred) pair."""
+    dist = arrays.dist
+    flags = np.zeros((arrays.n_gt, arrays.n_pred), dtype=bool)
+    for i, j in np.ndindex(flags.shape):
+        vis = arrays.gt_vis[i]
+        total = int(vis.sum())
+        if total:
+            inside = int((dist[i, j][vis] <= tau).sum())
+            flags[i, j] = inside / total >= config.tp_fraction
+    return flags
+
+
+def mixed_frames(taus):
+    """Frames whose ground truths fall into several visible-count groups,
+    with an invisible ground truth, Ng != Np, empty sides, and anchors
+    exactly at grid thresholds."""
+    rng = np.random.default_rng(2610)
+    frames = [random_frame(rng, max_lanes=5) for _ in range(8)]
+    # a ground truth between two anchors: no visible anchor at all
+    blind = Lane3D(points=np.array([[0.5, 4.0, 0.0], [0.5, 5.0, 0.0]]),
+                   visibility=np.ones(2))
+    gts, preds = random_frame(rng)
+    frames.append((gts + [blind], preds))
+    frames.append(([blind], [lane_on(ANCHORS, 0.5)]))
+    frames.append(([], [lane_on(ANCHORS, 0.0)]))
+    frames.append(([lane_on(ANCHORS, 0.0)], []))
+    # per-anchor offsets equal to grid taus: the rule's closed boundary
+    offsets = np.resize(taus[::3], ANCHORS.size)
+    frames.append(([lane_on(ANCHORS, 0.0), lane_on(ANCHORS, 9.0)],
+                   [lane_on(ANCHORS, offsets), lane_on(ANCHORS, 9.0 - offsets),
+                    lane_on(ANCHORS, -6.0)]))
+    return frames
+
+
+@pytest.mark.parametrize("fraction", [0.3, 0.7, 0.75, 1.0])
+def test_sweep_rows_equal_standalone_reports_on_the_cli_grid(fraction):
+    taus = _parse_taus("0.05:1.5:0.05")
+    assert len(taus) == 30
+    frames = mixed_frames(taus)
+    config = PointwiseConfig(tp_fraction=fraction)
+    cores = [_frame_arrays(g, p, ANCHORS, fraction) for g, p in frames]
+    groups = {stack.shape[1] for core in cores for _, stack in core.groups}
+    assert len(groups) >= 4
+    rows = pointwise_sweep(frames, taus, config)
+    tp_seen = 0
+    for tau, row in zip(taus, rows):
+        at = dataclasses.replace(config, tau_dist=tau)
+        report = openlane_report(frames, at)
+        assert row == (tau, report.precision, report.recall, report.f1)
+        for core, stats in zip(cores, report.per_frame):
+            want = counting_gate(core, tau, config)
+            assert _gate_frame(core, tau, config) == want
+            assert (stats.tp, stats.fp, stats.fn) == want[:3]
+            assert ((core.tp_threshold <= tau)
+                    == counting_flags(core, tau, config)).all()
+            tp_seen += want[0]
+    assert tp_seen > 0
+
+
+@pytest.mark.parametrize("n_pred", [1, 2, 5])
+def test_grouped_capped_means_are_bitwise_per_row_means(n_pred):
+    # one ground truth (two for even counts) per visible count 1..300,
+    # across NumPy's pairwise-summation block sizes
+    rng = np.random.default_rng(2611 + n_pred)
+    anchors = np.arange(300.0)
+    half = np.repeat(anchors, 2) + np.tile([-0.25, 0.25], anchors.size)
+    gts = []
+    for k in range(1, 301):
+        for _ in range(1 + (k % 2 == 0)):
+            start = int(rng.integers(0, 301 - k))
+            vis = np.zeros(half.size)
+            vis[2 * start:2 * (start + k)] = 1.0
+            x = rng.uniform(-1.0, 1.0, half.size)
+            z = rng.uniform(-0.2, 0.2, half.size)
+            gts.append(Lane3D(points=np.stack([x, half, z], axis=1),
+                              visibility=vis))
+    preds = [lane_on(anchors, rng.uniform(-1.0, 1.0, anchors.size),
+                     rng.uniform(-0.2, 0.2, anchors.size))
+             for _ in range(n_pred)]
+    arrays = _frame_arrays(gts, preds, anchors, 0.75)
+    assert sorted(stack.shape[1] for _, stack in arrays.groups) == list(
+        range(1, 301))
+    for cap in (0.3, 1.5):
+        cost = _cost_matrix(arrays, cap)
+        for i, vis in enumerate(arrays.gt_vis):
+            want = np.minimum(arrays.dist[i][:, vis], cap).mean(axis=1)
+            assert cost[i].tobytes() == want.tobytes()
 
 
 def test_sweep_f1_monotone_on_separated_lanes():
