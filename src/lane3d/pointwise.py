@@ -20,6 +20,15 @@ Predictions are evaluated wherever the ground truth is visible: a
 prediction that does not cover an anchor is charged the distance to its
 nearest covered value (endpoint clamping of the resampler), mirroring
 how a short prediction fails to explain the far ground truth.
+
+Each frame's core holds what does not depend on the threshold.  Ground
+truths are grouped by their number k of visible anchors, with a stack
+of their visible-anchor distances per group, so a cost matrix at any
+cap is one capped mean per group.  Each pair also gets its TP
+threshold: the c-th smallest of its k visible distances, where c is the
+least count with ``c / k >= tp_fraction``.  At least c anchors lie
+within tau exactly when that distance is ``<= tau``, so the 75% rule at
+any tau is one comparison.
 """
 
 from __future__ import annotations
@@ -159,7 +168,7 @@ def _frame_arrays(
     groups = []
     threshold = np.full(dist.shape[:2], np.inf)
     n_vis = gv.sum(axis=1)
-    for k in np.unique(n_vis[n_vis > 0]).tolist():
+    for k in sorted(set(n_vis.tolist()) - {0}):
         rows = np.flatnonzero(n_vis == k)
         cols = np.nonzero(gv[rows])[1].reshape(rows.size, k, 1)
         stack = np.take_along_axis(dist[rows].transpose(0, 2, 1), cols, axis=1)
@@ -167,7 +176,7 @@ def _frame_arrays(
         # At least ``rank`` of the k anchors must lie within tau, so the
         # rank-th smallest distance is the least passing tau.
         rank = next(c for c in range(1, k + 1) if c / k >= tp_fraction)
-        threshold[rows] = np.partition(stack, rank - 1, axis=1)[:, rank - 1]
+        threshold[rows] = np.sort(stack, axis=1)[:, rank - 1]
     return _FrameArrays(anchors=anchors, gt_vis=gv, dist=dist, dx=dx, dz=dz,
                         groups=tuple(groups), tp_threshold=threshold)
 
@@ -251,10 +260,9 @@ def _accumulate_errors(
     near, far = _range_masks(arrays.anchors, config)
     ranges = (arrays.gt_vis & near, arrays.gt_vis & far)  # (Ng, J) each
     sizes = [sel.sum(axis=1).tolist() for sel in ranges]
+    slots = [(arrays.dx, 0), (arrays.dx, 1), (arrays.dz, 0), (arrays.dz, 1)]
     for i, j in pairs:
-        for slot, (grid, r) in enumerate(
-            [(arrays.dx, 0), (arrays.dx, 1), (arrays.dz, 0), (arrays.dz, 1)]
-        ):
+        for slot, (grid, r) in enumerate(slots):
             if sizes[r][i]:
                 sums[slot] += float(grid[i, j][ranges[r][i]].sum())
                 counts[slot] += sizes[r][i]

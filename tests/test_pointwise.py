@@ -369,20 +369,23 @@ def test_sweep_rows_equal_standalone_reports():
         )
 
 
+def per_row_cost(arrays, cap):
+    """The cost matrix as it stood before grouping: one capped mean per
+    ground truth, ``cap`` for one without visible anchors."""
+    cost = np.full((arrays.n_gt, arrays.n_pred), cap)
+    for i, vis in enumerate(arrays.gt_vis):
+        if vis.any():
+            cost[i] = np.minimum(arrays.dist[i][:, vis], cap).mean(axis=1)
+    return cost
+
+
 def counting_gate(arrays, tau, config):
-    """The gate as it stood before TP thresholds and grouped means: one
-    capped mean per ground truth, and the 75% rule by counting the
-    visible anchors within tau."""
+    """The gate as it stood before TP thresholds: per-row costs, and the
+    75% rule by counting the visible anchors within tau."""
     if arrays.n_gt == 0 or arrays.n_pred == 0:
         return 0, arrays.n_pred, arrays.n_gt, []
     dist = arrays.dist
-    cap = config.cap_multiplier * tau
-    cost = np.full((arrays.n_gt, arrays.n_pred), cap)
-    for i in range(arrays.n_gt):
-        vis = arrays.gt_vis[i]
-        if vis.any():
-            cost[i] = np.minimum(dist[i][:, vis], cap).mean(axis=1)
-    assert _cost_matrix(arrays, cap).tobytes() == cost.tobytes()
+    cost = per_row_cost(arrays, config.cap_multiplier * tau)
     accepted = []
     for i, j in hungarian(cost).pairs:
         vis = arrays.gt_vis[i]
@@ -446,7 +449,10 @@ def test_sweep_rows_equal_standalone_reports_on_the_cli_grid(fraction):
         at = dataclasses.replace(config, tau_dist=tau)
         report = openlane_report(frames, at)
         assert row == (tau, report.precision, report.recall, report.f1)
+        cap = config.cap_multiplier * tau
         for core, stats in zip(cores, report.per_frame):
+            assert (_cost_matrix(core, cap).tobytes()
+                    == per_row_cost(core, cap).tobytes())
             want = counting_gate(core, tau, config)
             assert _gate_frame(core, tau, config) == want
             assert (stats.tp, stats.fp, stats.fn) == want[:3]
@@ -480,10 +486,8 @@ def test_grouped_capped_means_are_bitwise_per_row_means(n_pred):
     assert sorted(stack.shape[1] for _, stack in arrays.groups) == list(
         range(1, 301))
     for cap in (0.3, 1.5):
-        cost = _cost_matrix(arrays, cap)
-        for i, vis in enumerate(arrays.gt_vis):
-            want = np.minimum(arrays.dist[i][:, vis], cap).mean(axis=1)
-            assert cost[i].tobytes() == want.tobytes()
+        assert (_cost_matrix(arrays, cap).tobytes()
+                == per_row_cost(arrays, cap).tobytes())
 
 
 def test_sweep_f1_monotone_on_separated_lanes():
