@@ -370,8 +370,8 @@ def test_sweep_rows_equal_standalone_reports():
 
 
 def per_row_cost(arrays, cap):
-    """The cost matrix as it stood before grouping: one capped mean per
-    ground truth, ``cap`` for one without visible anchors."""
+    """The cost matrix one ground truth at a time: each row's capped means
+    over its visible anchors, ``cap`` for a row without any."""
     cost = np.full((arrays.n_gt, arrays.n_pred), cap)
     for i, vis in enumerate(arrays.gt_vis):
         if vis.any():
@@ -380,8 +380,8 @@ def per_row_cost(arrays, cap):
 
 
 def counting_gate(arrays, tau, config):
-    """The gate as it stood before TP thresholds: per-row costs, and the
-    75% rule by counting the visible anchors within tau."""
+    """The gate from per-row costs, with the 75% rule decided by counting
+    the visible anchors within tau."""
     if arrays.n_gt == 0 or arrays.n_pred == 0:
         return 0, arrays.n_pred, arrays.n_gt, []
     dist = arrays.dist
@@ -400,7 +400,7 @@ def counting_gate(arrays, tau, config):
 
 
 def counting_flags(arrays, tau, config):
-    """The old ``_tp_flags`` rule for every (gt, pred) pair."""
+    """The 75% rule by counting, for every (gt, pred) pair."""
     dist = arrays.dist
     flags = np.zeros((arrays.n_gt, arrays.n_pred), dtype=bool)
     for i, j in np.ndindex(flags.shape):
