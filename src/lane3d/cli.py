@@ -24,7 +24,9 @@ required component; 6 underdetermined curve fit; 7 file I/O failure;
 Output files are written to a temporary name and renamed into place, so
 a failing command never leaves a partial file.  Standard output is
 machine-parsable ``key = value`` lines (plus one line per pair/row in
-tables).  Frames are evaluated one after another on one thread.
+tables).  Frames are evaluated one after another on one thread; ``loss``
+fits the curves of up to ``_LOSS_BLOCK`` frames together before scoring
+them in order.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ from .errors import (
 from .geometry import (
     Lane3D,
     SampleGrid,
+    _check_frame,
+    _fit_problems,
+    _FitProblem,
     fit_curves,
     project_ground_to_image,
     resample_at_y,
@@ -407,6 +412,13 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Frames whose curve fits are searched in one lockstep call.  Bounds the
+# stacked search the way chamfer._BLOCK_PAIRS bounds the raster: its grid
+# step holds 2 columns x 33 candidates x points floats per fit, up to two
+# fits per frame (3.4 MB per array for 32 frames of 100-point sides).
+_LOSS_BLOCK = 32
+
+
 def _on_grid(lane: Lane3D, anchors: np.ndarray) -> bool:
     y = lane.points[:, 1]
     return y.shape == anchors.shape and float(np.abs(y - anchors).max()) <= 1e-9
@@ -423,8 +435,9 @@ def _grid_lane(lane: Lane3D, anchors: np.ndarray) -> Lane3D:
     )
 
 
-def _frame_curves(lanes, existing, camera, who: str):
-    """Stored curves when complete; otherwise a shared-rho fit of the frame.
+def _side_curves(lanes, existing, camera, who: str):
+    """A side's stored curves when complete, none when it has no lanes,
+    and otherwise the checked input of a shared-rho fit of the side.
 
     Fitting uses each lane's visible points that project inside the
     image; a lane with no stored curve and no in-image points cannot be
@@ -432,6 +445,8 @@ def _frame_curves(lanes, existing, camera, who: str):
     """
     if existing is not None and all(c is not None for c in existing):
         return list(existing)
+    if not lanes:
+        return []
     h, w = camera.image_size
     uv = []
     for i, lane in enumerate(lanes):
@@ -448,23 +463,18 @@ def _frame_curves(lanes, existing, camera, who: str):
                 "projects inside the image, so none can be fit"
             )
         uv.append(pixels[inside])
-    fitted = fit_curves(uv, camera.image_size).curves
-    for lane, curve in zip(lanes, fitted):
-        if lane.score is not None:
-            curve.confidence = lane.score
-    return fitted
+    return _check_frame(uv, camera.image_size, "rational")
 
 
-def _frame_loss(record, grid: SampleGrid, config: LossConfig):
-    anchors = np.asarray(grid.y_anchors)
-    gt_lanes = [_grid_lane(lane, anchors) for lane in record.gt_lanes]
-    pred_lanes = [_grid_lane(lane, anchors) for lane in record.pred_lanes]
-    gt_curves = _frame_curves(
-        gt_lanes, record.gt_curves, record.camera, "ground-truth"
-    )
-    pred_curves = _frame_curves(
-        pred_lanes, record.pred_curves, record.camera, "prediction"
-    )
+def _gather(record, anchors: np.ndarray):
+    """A frame's gridded lanes and curves (or fit inputs) per side, and
+    its per-segment uncertainties; raises what checking them raises."""
+    lanes = ([_grid_lane(lane, anchors) for lane in record.gt_lanes],
+             [_grid_lane(lane, anchors) for lane in record.pred_lanes])
+    curves = [
+        _side_curves(lanes[0], record.gt_curves, record.camera, "ground-truth"),
+        _side_curves(lanes[1], record.pred_curves, record.camera, "prediction"),
+    ]
     uncertainties = None
     if record.pred_uncertainties is not None and all(
         u is not None for u in record.pred_uncertainties
@@ -479,11 +489,44 @@ def _frame_loss(record, grid: SampleGrid, config: LossConfig):
             [(float(w), float(h)) for w, h in np.asarray(unc)]
             for unc in record.pred_uncertainties
         ]
-    gt = FrameGroundTruth(lanes=gt_lanes, curves=gt_curves)
-    pred = FramePrediction(
-        lanes=pred_lanes, curves=pred_curves, uncertainties=uncertainties
-    )
-    return loss_total(gt, pred, record.camera, grid, config)
+    return lanes, curves, uncertainties
+
+
+def _loss_block(records, grid: SampleGrid, config: LossConfig):
+    """Loss breakdowns of consecutive frames, whose curve fits are
+    searched together in one call.
+
+    Frames are gathered in order up to the first that fails to check;
+    its error is raised after the frames before it are scored, so a run
+    fails with the error a frame-by-frame run would meet first.
+    """
+    anchors = np.asarray(grid.y_anchors)
+    gathered, error = [], None
+    for record in records:
+        try:
+            gathered.append((record, *_gather(record, anchors)))
+        except Lane3DError as exc:
+            error = exc
+            break
+    todo = [(lanes[side], curves, side)
+            for _, lanes, curves, _ in gathered for side in (0, 1)
+            if isinstance(curves[side], _FitProblem)]
+    fits = _fit_problems([curves[side] for _, curves, side in todo])
+    for (lanes, curves, side), fit in zip(todo, fits):
+        for lane, curve in zip(lanes, fit.curves):
+            if lane.score is not None:
+                curve.confidence = lane.score
+        curves[side] = fit.curves
+    breakdowns = []
+    for record, lanes, curves, uncertainties in gathered:
+        gt = FrameGroundTruth(lanes=lanes[0], curves=curves[0])
+        pred = FramePrediction(
+            lanes=lanes[1], curves=curves[1], uncertainties=uncertainties
+        )
+        breakdowns.append(loss_total(gt, pred, record.camera, grid, config))
+    if error is not None:
+        raise error
+    return breakdowns
 
 
 def cmd_loss(args) -> int:
@@ -493,8 +536,11 @@ def cmd_loss(args) -> int:
         raise ConfigError("no frames to compute losses for")
     grid = SampleGrid()
     loss_config = config.loss_config
-    breakdowns = [(r.frame_id, _frame_loss(r, grid, loss_config))
-                  for r in records]
+    breakdowns = []
+    for start in range(0, len(records), _LOSS_BLOCK):
+        block = records[start:start + _LOSS_BLOCK]
+        breakdowns += zip((r.frame_id for r in block),
+                          _loss_block(block, grid, loss_config))
     for frame_id, b in breakdowns:
         print(
             f"frame={frame_id} unc={_fmt(b.loss_unc)} vis={_fmt(b.loss_vis)} "
@@ -576,6 +622,12 @@ def cmd_fit(args) -> int:
         raise ParseError("frame-2d file holds no lanes", 1, "lanes")
     camera_obj = _load_json(args.camera, "camera file")
     camera = _parse_camera(camera_obj, 1)
+    h, w = camera.image_size
+    for i, arr in enumerate(lanes):
+        if (np.any(arr < 0) or np.any(arr[:, 0] >= w)
+                or np.any(arr[:, 1] >= h)):
+            raise ParseError("lane points must lie inside the image", 1,
+                             f"lanes[{i}]")
     result = fit_curves(lanes, camera.image_size, form=args.form)
     rho = result.curves[0].rho
     _print_kv([

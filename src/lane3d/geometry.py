@@ -24,11 +24,14 @@ poles sit on the horizon.  A plain cubic form ("poly3",
 u = rho1 + rho2*v + rho3*v^2 + rho4*v^3 + beta1*v + beta2) is available
 for testing.
 
-``fit_curves`` fits one frame.  In the rational form only rho2 enters
-nonlinearly: it is searched by a grid and golden-section refinement, each
-candidate scored by variable projection (the linear parameters eliminated
-in closed form), and the linear parameters are solved once at the chosen
-row.
+``fit_frames`` fits frames of lanes, and ``fit_curves`` is it on one
+frame.  In the rational form only rho2 enters nonlinearly: it is searched
+by a grid and golden-section refinement, each candidate scored by
+variable projection (the linear parameters eliminated in closed form),
+and the linear parameters are solved once at the chosen row.  Frames with
+equal point and lane counts take each search step together, one stacked
+scoring call per step; each keeps its own bracket and gets the result it
+would get alone.
 """
 
 from __future__ import annotations
@@ -364,63 +367,55 @@ def _bias_basis(v: np.ndarray, lane_of: np.ndarray, k: int) -> np.ndarray:
 
 def _projected_ss(v: np.ndarray, y: np.ndarray, basis: np.ndarray,
                   rho2: np.ndarray) -> np.ndarray:
-    """Variable-projection residuals of the rational fit, one per rho2.
+    """Variable-projection residuals of rational fits, one per rho2.
 
-    ``y`` is the target with the bias span already projected out.  For
-    each candidate the two rational columns are projected off the bias
-    span, orthogonalized by Gram-Schmidt with one reorthogonalization,
-    and taken off ``y``; the residual is formed explicitly and its
-    squared norm returned.  NaN marks a candidate whose reduced columns
-    are zero or dependent (see ``_DEPENDENT``).
+    ``v`` and ``y`` are (fit, point), ``basis`` is (fit, point, 2k) and
+    ``rho2`` is (fit, candidate); the result is (fit, candidate).  ``y``
+    is the target with the bias span already projected out.  For each
+    candidate the two rational columns are projected off the bias span,
+    orthogonalized by Gram-Schmidt with one reorthogonalization, and
+    taken off ``y``; the residual is formed explicitly and its squared
+    norm returned.  NaN marks a candidate whose reduced columns are zero
+    or dependent (see ``_DEPENDENT``).  Every product is a stack of one
+    fit's (candidate, point) operands, so a fit's scores do not depend
+    on the other fits scored with it.
     """
-    ones = np.ones(v.shape[0])
-    cols = np.empty((2, rho2.shape[0], v.shape[0]))  # (column, rho2, point)
-    np.divide(1.0, v - rho2[:, None], out=cols[1])
+    ones = np.ones(v.shape[-1])
+    cols = np.empty((2, *rho2.shape, v.shape[-1]))  # (column, fit, rho2, point)
+    np.divide(1.0, v[:, None, :] - rho2[..., None], out=cols[1])
     np.multiply(cols[1], cols[1], out=cols[0])
     raw = (cols * cols) @ ones
-    cols -= (cols @ basis) @ basis.T
+    cols -= (cols @ basis) @ basis.swapaxes(-1, -2)
     a, b = cols
     aa, ab = (cols * a) @ ones
     dep = aa <= _DEPENDENT**2 * raw[0]
     aa[dep] = 1.0
-    b -= a * (ab / aa)[:, None]
-    b -= a * (((a * b) @ ones) / aa)[:, None]
+    b -= a * (ab / aa)[..., None]
+    b -= a * (((a * b) @ ones) / aa)[..., None]
     bb = (b * b) @ ones
     dep |= bb <= _DEPENDENT**2 * raw[1]
     bb[dep] = 1.0
-    r = y - a * ((a @ y) / aa)[:, None]
-    r -= b * (((b * r) @ ones) / bb)[:, None]
+    r = y[:, None, :] - a * ((a @ y[..., None])[..., 0] / aa)[..., None]
+    r -= b * (((b * r) @ ones) / bb)[..., None]
     ss = (r * r) @ ones
     ss[dep] = np.nan
     return ss
 
 
-def fit_curves(lanes_2d: Sequence[np.ndarray], image_size: tuple[int, int],
-               form: str = "rational", n_iter: int = 10) -> FitResult:
-    """Fit one frame of FV lanes with shared rho and per-lane biases.
+@dataclass
+class _FitProblem:
+    """One frame's checked fit input, its lanes stacked one after another."""
 
-    ``lanes_2d`` holds one (n_i, 2) array of (u, v) pixels per lane; all
-    points must be finite and lie inside the image, and each lane needs
-    at least 4 points on at least two distinct rows.
+    lanes: list[np.ndarray]
+    u: np.ndarray
+    v: np.ndarray
+    lane_of: np.ndarray
+    bias: np.ndarray
 
-    For the "rational" form the horizon row rho2 is the one nonlinear
-    parameter.  It is searched below the lowest sample row: a 33-point
-    grid, then ``n_iter`` rounds of 6 golden-section steps around the
-    best grid point.  Each candidate is scored by variable projection
-    (Golub & Pereyra 1973): with rho2 fixed the problem is linear, the
-    per-lane bias columns are projected out in closed form, and only the
-    two rational columns remain.  The best candidate seen is kept, so the
-    reported rms_history is non-increasing, and all linear parameters
-    are then solved once, by least squares at that rho2.
 
-    The constant term rho4 is pinned to 0 in every fit: with per-lane
-    beta'' biases a shared constant column is a pure gauge freedom.  The
-    "poly3" form likewise pins its constant and linear shared
-    coefficients, keeping only the v^2 and v^3 columns shared; it is one
-    least-squares solve.
-    """
-    if form not in CURVE_FORMS:
-        raise ValueError(f"unknown curve form {form!r}")
+def _check_frame(lanes_2d: Sequence[np.ndarray], image_size: tuple[int, int],
+                 form: str) -> _FitProblem:
+    """Check one frame of FV lanes for fitting and stack its lanes."""
     h, w = image_size
     lanes = [np.asarray(l, dtype=np.float64).reshape(-1, 2) for l in lanes_2d]
     if not lanes:
@@ -444,72 +439,150 @@ def fit_curves(lanes_2d: Sequence[np.ndarray], image_size: tuple[int, int],
     n_params = (3 if form == "rational" else 2) + 2 * k
     if n_pts < n_params:
         raise Underdetermined(f"{n_pts} points for {n_params} parameters")
-
     bias = np.zeros((n_pts, 2 * k))
     bias[np.arange(n_pts), 2 * lane_of] = v_all
     bias[np.arange(n_pts), 2 * lane_of + 1] = 1.0
+    return _FitProblem(lanes, u_all, v_all, lane_of, bias)
 
+
+def fit_frames(frames: Sequence[tuple[Sequence[np.ndarray], tuple[int, int]]],
+               form: str = "rational", n_iter: int = 10) -> list[FitResult]:
+    """Fit each frame of FV lanes with shared rho and per-lane biases.
+
+    ``frames`` holds one ``(lanes_2d, image_size)`` pair per frame, and
+    the result one ``FitResult`` per frame, in order.  ``lanes_2d`` holds
+    one (n_i, 2) array of (u, v) pixels per lane; all points must be
+    finite and lie inside the image, and each lane needs at least 4
+    points on at least two distinct rows.  Every frame is checked before
+    any is fit.
+
+    For the "rational" form the horizon row rho2 is the one nonlinear
+    parameter.  It is searched below the lowest sample row: a 33-point
+    grid, then ``n_iter`` rounds of 6 golden-section steps around the
+    best grid point.  Each candidate is scored by variable projection
+    (Golub & Pereyra 1973): with rho2 fixed the problem is linear, the
+    per-lane bias columns are projected out in closed form, and only the
+    two rational columns remain.  The best candidate seen is kept, so the
+    reported rms_history is non-increasing, and all linear parameters
+    are then solved once, by least squares at that rho2.  Frames with
+    equal point and lane counts are searched in lockstep: one scoring
+    call serves every such frame's candidates at each step, and each
+    frame keeps its own bracket, so its result does not depend on the
+    other frames of the call.
+
+    The constant term rho4 is pinned to 0 in every fit: with per-lane
+    beta'' biases a shared constant column is a pure gauge freedom.  The
+    "poly3" form likewise pins its constant and linear shared
+    coefficients, keeping only the v^2 and v^3 columns shared; it is one
+    least-squares solve.
+    """
+    if form not in CURVE_FORMS:
+        raise ValueError(f"unknown curve form {form!r}")
+    problems = [_check_frame(lanes_2d, image_size, form)
+                for lanes_2d, image_size in frames]
+    return _fit_problems(problems, form, n_iter)
+
+
+def fit_curves(lanes_2d: Sequence[np.ndarray], image_size: tuple[int, int],
+               form: str = "rational", n_iter: int = 10) -> FitResult:
+    """Fit one frame of FV lanes: ``fit_frames`` on that frame alone."""
+    return fit_frames([(lanes_2d, image_size)], form, n_iter)[0]
+
+
+def _fit_problems(problems: Sequence[_FitProblem], form: str = "rational",
+                  n_iter: int = 10) -> list[FitResult]:
+    """Fit checked frames; rational ones in lockstep groups of equal
+    (point count, lane count), so stacked candidates stay unpadded."""
     if form == "poly3":
-        a = np.column_stack([v_all**2, v_all**3, bias])
-        x, ss = _lstsq_scaled(a, u_all)
-        rms = math.sqrt(ss / n_pts)
-        residual = a @ x - u_all
-        curves = _build_curves(lanes, form, (0.0, 0.0, x[0], x[1]), x[2:])
-        return FitResult(curves, rms, _per_lane_rms(residual, lane_of, k),
-                         [rms])
+        return [_fit_poly3(p) for p in problems]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, p in enumerate(problems):
+        groups.setdefault((p.u.shape[0], len(p.lanes)), []).append(i)
+    results: list[FitResult] = [None] * len(problems)
+    for members in groups.values():
+        fits = _fit_rational([problems[i] for i in members], n_iter)
+        for i, fit in zip(members, fits):
+            results[i] = fit
+    return results
 
-    # rational: bracket rho2 below the lowest sample row and refine by
-    # golden-section over the projected residual.
-    vmin = float(v_all.min())
-    span = max(float(v_all.max()) - vmin, 32.0)
-    hi = vmin - max(1.0, 1e-3 * span)
+
+def _fit_poly3(p: _FitProblem) -> FitResult:
+    a = np.column_stack([p.v**2, p.v**3, p.bias])
+    x, ss = _lstsq_scaled(a, p.u)
+    rms = math.sqrt(ss / p.u.shape[0])
+    residual = a @ x - p.u
+    curves = _build_curves(p.lanes, "poly3", (0.0, 0.0, x[0], x[1]), x[2:])
+    return FitResult(curves, rms, _per_lane_rms(residual, p.lane_of, len(p.lanes)),
+                     [rms])
+
+
+def _fit_rational(group: Sequence[_FitProblem], n_iter: int) -> list[FitResult]:
+    """Rational fits of frames with equal point and lane counts.
+
+    Every fit brackets rho2 below its lowest sample row and refines it by
+    golden-section over the projected residual; each step scores one
+    candidate of every fit in one ``_projected_ss`` call.
+    """
+    n = group[0].u.shape[0]
+    k = len(group[0].lanes)
+    v = np.stack([p.v for p in group])
+    bases = [_bias_basis(p.v, p.lane_of, k) for p in group]
+    y = np.stack([p.u - q @ (q.T @ p.u) for p, q in zip(group, bases)])
+    basis = np.stack(bases)
+    vmin = v.min(axis=1)
+    span = np.maximum(v.max(axis=1) - vmin, 32.0)
+    hi = vmin - np.maximum(1.0, 1e-3 * span)
     lo = vmin - 5.0 * span
+    fits = np.arange(len(group))
+    best_ss = np.full(len(group), math.inf)
+    best_rho2 = hi.copy()
 
-    basis = _bias_basis(v_all, lane_of, k)
-    y = u_all - basis @ (basis.T @ u_all)
-    best = {"ss": math.inf, "rho2": hi}
-
-    def scored(rho2) -> np.ndarray:
-        return _projected_ss(v_all, y, basis, np.asarray(rho2, np.float64))
-
-    def accept(rho2, ss) -> float:
-        """A candidate on the search path, in evaluation order: solve it
-        in full if projection could not score it, then keep it if best."""
-        if math.isnan(ss):
-            ss = _lstsq_scaled(_rational_columns(v_all, rho2, bias), u_all)[1]
-        if ss < best["ss"]:
-            best.update(ss=float(ss), rho2=float(rho2))
+    def accept(rho2: np.ndarray) -> np.ndarray:
+        """Score candidates (fit, evaluation order): solve in full those
+        projection could not score, then keep each fit's best if better
+        than its best so far (the first of equal scores wins)."""
+        ss = _projected_ss(v, y, basis, rho2)
+        for f, j in zip(*np.nonzero(np.isnan(ss))):
+            p = group[f]
+            ss[f, j] = _lstsq_scaled(
+                _rational_columns(p.v, float(rho2[f, j]), p.bias), p.u)[1]
+        j = np.argmin(ss, axis=1)
+        better = ss[fits, j] < best_ss
+        best_ss[better] = ss[fits, j][better]
+        best_rho2[better] = rho2[fits, j][better]
         return ss
 
-    grid = np.linspace(lo, hi, 33)
-    costs = [accept(r2, ss) for r2, ss in zip(grid, scored(grid))]
-    i0 = int(np.argmin(costs))
-    a_br = float(grid[max(i0 - 1, 0)])
-    b_br = float(grid[min(i0 + 1, len(grid) - 1)])
+    grid = np.linspace(lo, hi, 33, axis=1)
+    i0 = np.argmin(accept(grid), axis=1)
+    a = grid[fits, np.maximum(i0 - 1, 0)]
+    b = grid[fits, np.minimum(i0 + 1, 32)]
 
-    history: list[float] = []
-    c = b_br - _INVPHI * (b_br - a_br)
-    d = a_br + _INVPHI * (b_br - a_br)
-    fc, fd = (accept(p, ss) for p, ss in zip((c, d), scored([c, d])))
-    for _ in range(n_iter):
+    history = np.empty((len(group), n_iter))
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = accept(np.stack([c, d], axis=1)).T
+    for it in range(n_iter):
         for _ in range(6):
-            if fc < fd:
-                b_br, d, fd = d, c, fc
-                c = b_br - _INVPHI * (b_br - a_br)
-                fc = accept(c, scored([c])[0])
-            else:
-                a_br, c, fc = c, d, fd
-                d = a_br + _INVPHI * (b_br - a_br)
-                fd = accept(d, scored([d])[0])
-        history.append(math.sqrt(best["ss"] / n_pts))
+            # fc < fd keeps [a, d]: c moves to d and a new c is scored;
+            # otherwise [c, b] is kept, d moves to c and a new d is scored
+            left = fc < fd
+            a, b = np.where(left, a, c), np.where(left, d, b)
+            new = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+            f_new = accept(new[:, None])[:, 0]
+            c, d = np.where(left, new, d), np.where(left, c, new)
+            fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+        history[:, it] = np.sqrt(best_ss / n)
 
-    a_fin = _rational_columns(v_all, best["rho2"], bias)
-    x, ss = _lstsq_scaled(a_fin, u_all)
-    rho = (float(x[0]), best["rho2"], float(x[1]), 0.0)
-    residual = a_fin @ x - u_all
-    curves = _build_curves(lanes, form, rho, x[2:])
-    rms = math.sqrt(ss / n_pts)
-    return FitResult(curves, rms, _per_lane_rms(residual, lane_of, k), history)
+    results = []
+    for p, rho2, hist in zip(group, best_rho2.tolist(), history.tolist()):
+        a_fin = _rational_columns(p.v, rho2, p.bias)
+        x, ss = _lstsq_scaled(a_fin, p.u)
+        rho = (float(x[0]), rho2, float(x[1]), 0.0)
+        residual = a_fin @ x - p.u
+        curves = _build_curves(p.lanes, "rational", rho, x[2:])
+        results.append(FitResult(curves, math.sqrt(ss / n),
+                                 _per_lane_rms(residual, p.lane_of, k), hist))
+    return results
 
 
 def _per_lane_rms(residual: np.ndarray, lane_of: np.ndarray, k: int):

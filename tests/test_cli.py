@@ -6,12 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lane3d
+from lane3d import cli
 from lane3d.cli import main
 from lane3d.geometry import CameraModel, Curve2D, Lane3D, SampleGrid, sample_curve
 from lane3d.scenario_io import FrameRecord, write_frames
@@ -457,6 +459,79 @@ def test_loss_unfittable_lane_is_exit_5(tmp_path):
     assert run("loss", "--gt", str(path)) == 5
 
 
+def loss_report(tmp_path, gt, pred, tag="loss"):
+    out = tmp_path / f"{tag}.json"
+    assert run("loss", "--gt", str(gt), "--pred", str(pred),
+               "--out", str(out)) == 0
+    return json.loads(out.read_text())
+
+
+def test_loss_frame_without_predictions(tmp_path):
+    gt, pred = synth(tmp_path, frames=3, lanes=2, sigma_w0=0.05)
+    lines = pred.read_text().splitlines(keepends=True)
+    pred.write_text(lines[0] + lines[2])  # frame 1 gets no predictions
+    frames = loss_report(tmp_path, gt, pred)["per_frame"]
+    assert frames[1]["total"] == 0.0
+    assert frames[0]["total"] > 0.0 and frames[2]["total"] > 0.0
+
+
+def test_loss_frame_without_ground_truth(tmp_path):
+    gt, pred = synth(tmp_path, frames=3, lanes=2, sigma_w0=0.05)
+    edit_first_record(gt, lambda obj: obj["lanes"].clear())
+    entry = loss_report(tmp_path, gt, pred)["per_frame"][0]
+    assert entry["loss_ce"] > 0.0
+    assert entry["total"] == entry["loss_curve"] == entry["loss_ce"]
+    assert entry["loss_vis"] == entry["loss_loc"] == entry["loss_fit"] == 0.0
+
+
+def test_loss_blocks_match_single_frame_runs(tmp_path):
+    n = cli._LOSS_BLOCK + 1
+    gt, pred = synth(tmp_path, frames=n, lanes=3, sigma_w0=0.1, seed=8)
+    frames = loss_report(tmp_path, gt, pred)["per_frame"]
+    assert len(frames) == n
+    gt_lines = gt.read_text().splitlines(keepends=True)
+    pred_lines = pred.read_text().splitlines(keepends=True)
+    for i in range(n):
+        one_gt, one_pred = tmp_path / "one_gt.jsonl", tmp_path / "one_pred.jsonl"
+        one_gt.write_text(gt_lines[i])
+        one_pred.write_text(pred_lines[i])
+        assert loss_report(tmp_path, one_gt, one_pred, "one")["per_frame"] \
+            == [frames[i]]
+
+
+def error_order_frames():
+    """An off-grid prediction with uncertainties (exit 2), and a lane that
+    projects outside the image and so cannot be fit (exit 5)."""
+    camera = CameraModel(fx=1000.0, fy=1000.0, cx=480.0, cy=360.0,
+                         height=1.5, pitch=0.0, image_size=(720, 960))
+
+    def lane(x, y):
+        return Lane3D(points=np.stack([np.full_like(y, x), y,
+                                       np.zeros_like(y)], 1),
+                      visibility=np.ones_like(y))
+
+    off_grid = lane(1.8, np.linspace(5.0, 100.0, 20))
+    on_grid = lane(1.8, np.linspace(3.0, 103.0, 20))
+    unc = np.full((19, 2), 0.1)
+    return (FrameRecord("f_unc", camera, [on_grid], pred_lanes=[off_grid],
+                        pred_uncertainties=[unc]),
+            FrameRecord("f_side", camera, [lane(500.0, on_grid.points[:, 1])],
+                        pred_lanes=[on_grid]))
+
+
+@pytest.mark.parametrize("order, code, words", [
+    ((0, 1), 2, "already sampled on the anchor grid"),
+    ((1, 0), 5, "ground-truth lane 0 has no stored curve"),
+])
+def test_loss_first_error_wins_within_a_block(tmp_path, capsys, order, code,
+                                              words):
+    frames = error_order_frames()
+    path = tmp_path / "mixed.jsonl"
+    write_frames(path, [frames[i] for i in order])
+    assert run("loss", "--gt", str(path)) == code
+    assert words in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -527,6 +602,9 @@ def test_fit_malformed_inputs_are_exit_3(tmp_path):
     # every point on one row: no rational or bias column can be fit
     ("[[100, 500], [110, 500], [120, 500], [130, 500], [140, 500]]", 6,
      "single row"),
+    # one column past the 960-pixel image width
+    ("[[100, 300], [110, 400], [960, 500], [130, 600]]", 3,
+     "inside the image"),
 ])
 def test_fit_bad_lane_is_typed(tmp_path, capsys, lane, code, words):
     _, camera_path = write_fit_inputs(tmp_path)
@@ -564,3 +642,14 @@ def test_import_does_not_load_scipy():
     proc = run_python("-c", "import lane3d, sys; assert not [m for m in "
                       "sys.modules if m.split('.')[0] == 'scipy']")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_version_has_one_source():
+    # pyproject.toml takes the package version from lane3d.__version__
+    config = pytest.importorskip("setuptools.config.pyprojecttoml")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] is flagged beta
+        project = config.read_configuration(pyproject)["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == lane3d.__version__

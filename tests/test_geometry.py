@@ -7,6 +7,7 @@ Projection oracle (pitch=0):
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -525,4 +526,110 @@ class TestFitSolves:
         calls = count_solves(monkeypatch)
         with pytest.raises(Underdetermined, match="lane 1"):
             fit_curves(lanes, self.IMAGE, form=form)
+        assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# frames fitted together
+# ---------------------------------------------------------------------------
+
+
+def mixed_batch():
+    """Frames of several (point count, lane count) groups and two image
+    sizes: random frames, noisy copies sharing their shapes, one frame
+    that fits only the wider image, and the two-row dependent-column frame
+    of TestFitSolves among independent fits of its shape."""
+    rng = np.random.default_rng(79)
+    frames = []
+    for t in range(8):
+        lanes = random_fit_frame(rng, 1.0)
+        frames.append((lanes, (720, 960)))
+        if t % 2:
+            copy = [np.column_stack([np.clip(l[:, 0] + rng.normal(0.0, 2.0, len(l)),
+                                             0.0, 959.0), l[:, 1]])
+                    for l in lanes]
+            frames.append((copy, (1080, 1920)))
+    wide = [l * [1.5, 1.0] for l in random_fit_frame(rng, 0.5)]
+    frames.append((wide, (1080, 1920)))
+    frames.append(([np.array([[300.0, 400.0], [302.0, 400.0],
+                              [340.0, 500.0], [338.0, 500.0]]),
+                    np.array([[600.0, 450.0], [604.0, 450.0],
+                              [650.0, 650.0], [651.0, 650.0]])], (720, 960)))
+    for _ in range(2):
+        frames.append(([np.column_stack([rng.uniform(100.0, 800.0, 4),
+                                         np.sort(rng.uniform(400.0, 700.0, 4))])
+                        for _ in range(2)], (720, 960)))
+    return frames
+
+
+def fit_shape(frame):
+    lanes, _ = frame
+    return sum(len(l) for l in lanes), len(lanes)
+
+
+def fit_fields(fit):
+    return (fit.rms, fit.lane_rms, fit.rms_history,
+            [(c.rho, c.beta_prime, c.beta_dprime, c.v_low, c.v_up, c.form)
+             for c in fit.curves])
+
+
+class TestFitFrames:
+    def test_batch_has_shared_and_single_groups(self):
+        shapes = Counter(fit_shape(frame) for frame in mixed_batch())
+        assert len(shapes) >= 5 and max(shapes.values()) >= 3
+        assert (8, 2) in shapes and shapes[(8, 2)] == 3
+
+    @pytest.mark.parametrize("form", ["rational", "poly3"])
+    def test_batch_composition_does_not_matter(self, form):
+        frames = mixed_batch()
+        batch = geometry.fit_frames(frames, form=form)
+        backwards = geometry.fit_frames(frames[::-1], form=form)[::-1]
+        assert len(batch) == len(frames)
+        for frame, fit, back in zip(frames, batch, backwards):
+            alone = fit_fields(geometry.fit_frames([frame], form=form)[0])
+            assert fit_fields(fit) == alone == fit_fields(back)
+
+    def test_fit_curves_is_a_batch_of_one(self):
+        lanes, size = mixed_batch()[0]
+        assert (fit_fields(fit_curves(lanes, size))
+                == fit_fields(geometry.fit_frames([(lanes, size)])[0]))
+
+    def test_one_scoring_call_per_step_per_group(self, monkeypatch):
+        frames = mixed_batch()
+        calls = []
+        real = geometry._projected_ss
+
+        def counted(v, y, basis, rho2):
+            calls.append(rho2.shape)
+            return real(v, y, basis, rho2)
+
+        monkeypatch.setattr(geometry, "_projected_ss", counted)
+        geometry.fit_frames(frames)
+        groups = Counter(fit_shape(frame) for frame in frames)
+        expected = Counter()
+        for size in groups.values():
+            expected[size, 33] += 1  # the grid
+            expected[size, 2] += 1  # the first golden-section pair
+            expected[size, 1] += 60  # 10 rounds of 6 steps
+        assert len(calls) == 62 * len(groups) < 62 * len(frames)
+        assert Counter(calls) == expected
+
+    @pytest.mark.parametrize("spoil, error, words", [
+        (lambda lane: lane[:3], Underdetermined, "points; need >= 4"),
+        (lambda lane: lane * [np.nan, 1.0], ValueError, "non-finite"),
+        (lambda lane: lane + [2000.0, 0.0], ValueError, "inside the image"),
+    ])
+    def test_first_invalid_frame_fails_the_call_before_any_fit(
+            self, monkeypatch, spoil, error, words):
+        frames = mixed_batch()
+        lanes, size = frames[4]
+        bad = (lanes[:-1] + [spoil(lanes[-1])], size)
+        later = ([np.array([[100.0, 300.0], [110.0, 400.0]])], (720, 960))
+        frames[4:5] = [bad, later]
+        with pytest.raises(error) as alone:
+            fit_curves(*bad)
+        calls = count_solves(monkeypatch)
+        with pytest.raises(error, match=words) as batch:
+            geometry.fit_frames(frames)
+        assert str(batch.value) == str(alone.value)
         assert calls == []
