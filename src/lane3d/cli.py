@@ -414,8 +414,9 @@ def cmd_synth(args) -> int:
 
 # Frames whose curve fits are searched in one lockstep call.  Bounds the
 # stacked search the way chamfer._BLOCK_PAIRS bounds the raster: its grid
-# step holds 2 columns x 33 candidates x points floats per fit, up to two
-# fits per frame (3.4 MB per array for 32 frames of 100-point sides).
+# step holds 2 columns x 33 candidates x the block's most points floats per
+# fit, up to two fits per frame (3.4 MB per array for 32 frames of 100-point
+# sides).
 _LOSS_BLOCK = 32
 
 

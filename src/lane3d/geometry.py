@@ -28,14 +28,15 @@ for testing.
 frame.  In the rational form only rho2 enters nonlinearly: it is searched
 by a grid and golden-section refinement, each candidate scored by
 variable projection (the linear parameters eliminated in closed form),
-and the linear parameters are solved once at the chosen row.  Frames with
-equal point and lane counts take each search step together, one stacked
-scoring call per step; each keeps its own bracket and gets the result it
-would get alone.
+and the linear parameters are solved once at the chosen row.  All frames
+of a call take each search step together, one scoring call per step
+whatever their point and lane counts; each keeps its own bracket and
+gets the result it would get alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -365,39 +366,60 @@ def _bias_basis(v: np.ndarray, lane_of: np.ndarray, k: int) -> np.ndarray:
     return q
 
 
-def _projected_ss(v: np.ndarray, y: np.ndarray, basis: np.ndarray,
+def _projected_ss(v: np.ndarray, y: np.ndarray, groups: Sequence,
                   rho2: np.ndarray) -> np.ndarray:
     """Variable-projection residuals of rational fits, one per rho2.
 
-    ``v`` and ``y`` are (fit, point), ``basis`` is (fit, point, 2k) and
-    ``rho2`` is (fit, candidate); the result is (fit, candidate).  ``y``
-    is the target with the bias span already projected out.  For each
-    candidate the two rational columns are projected off the bias span,
-    orthogonalized by Gram-Schmidt with one reorthogonalization, and
-    taken off ``y``; the residual is formed explicitly and its squared
-    norm returned.  NaN marks a candidate whose reduced columns are zero
-    or dependent (see ``_DEPENDENT``).  Every product is a stack of one
-    fit's (candidate, point) operands, so a fit's scores do not depend
-    on the other fits scored with it.
+    ``v`` and ``y`` are (fit, point) and ``rho2`` is (fit, candidate); the
+    result is (fit, candidate).  ``groups`` splits the fits into runs of
+    consecutive fits with equal point and lane counts, one
+    ``(fits, n, basis)`` per run: a slice of fits, their point count and
+    their (fit, n, 2k) bias bases.  Fits with fewer points than the
+    widest are padded; a pad must keep ``v - rho2`` nonzero, and no
+    product reads it.  ``y`` is the target with the bias span already
+    projected out.  For each candidate the two rational columns are
+    projected off the bias span, orthogonalized by Gram-Schmidt with one
+    reorthogonalization, and taken off ``y``; the residual is formed
+    explicitly and its squared norm returned.  NaN marks a candidate
+    whose reduced columns are zero or dependent (see ``_DEPENDENT``).
+
+    Elementwise steps run once over all fits.  Every sum over points is
+    a product per group whose stack holds one fit's (candidate, n)
+    operand per fit, a view of the padded stack, so a fit's scores do
+    not depend on the other fits scored with it.  The per-group products
+    are the only work that grows with the number of groups.
     """
     ones = np.ones(v.shape[-1])
+
+    def sums(x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+        """(..., fit, candidate, point) -> (..., fit, candidate): each
+        fit's own points summed, weighted by its row of ``w`` if given."""
+        if len(groups) == 1:  # no pads: the whole stack is one product
+            return x @ ones if w is None else (x @ w[..., None])[..., 0]
+        parts = [x[..., f, :, :n] @ ones[:n] if w is None
+                 else (x[..., f, :, :n] @ w[f, :n, None])[..., 0]
+                 for f, n, _ in groups]
+        return np.concatenate(parts, axis=-2)
+
     cols = np.empty((2, *rho2.shape, v.shape[-1]))  # (column, fit, rho2, point)
     np.divide(1.0, v[:, None, :] - rho2[..., None], out=cols[1])
     np.multiply(cols[1], cols[1], out=cols[0])
-    raw = (cols * cols) @ ones
-    cols -= (cols @ basis) @ basis.swapaxes(-1, -2)
+    raw = sums(cols * cols)
+    for f, n, basis in groups:
+        part = cols[:, f, :, :n]
+        part -= (part @ basis) @ basis.swapaxes(-1, -2)
     a, b = cols
-    aa, ab = (cols * a) @ ones
+    aa, ab = sums(cols * a)
     dep = aa <= _DEPENDENT**2 * raw[0]
     aa[dep] = 1.0
     b -= a * (ab / aa)[..., None]
-    b -= a * (((a * b) @ ones) / aa)[..., None]
-    bb = (b * b) @ ones
+    b -= a * (sums(a * b) / aa)[..., None]
+    bb = sums(b * b)
     dep |= bb <= _DEPENDENT**2 * raw[1]
     bb[dep] = 1.0
-    r = y[:, None, :] - a * ((a @ y[..., None])[..., 0] / aa)[..., None]
-    r -= b * (((b * r) @ ones) / bb)[..., None]
-    ss = (r * r) @ ones
+    r = y[:, None, :] - a * (sums(a, y) / aa)[..., None]
+    r -= b * (sums(b * r) / bb)[..., None]
+    ss = sums(r * r)
     ss[dep] = np.nan
     return ss
 
@@ -464,11 +486,10 @@ def fit_frames(frames: Sequence[tuple[Sequence[np.ndarray], tuple[int, int]]],
     per-lane bias columns are projected out in closed form, and only the
     two rational columns remain.  The best candidate seen is kept, so the
     reported rms_history is non-increasing, and all linear parameters
-    are then solved once, by least squares at that rho2.  Frames with
-    equal point and lane counts are searched in lockstep: one scoring
-    call serves every such frame's candidates at each step, and each
-    frame keeps its own bracket, so its result does not depend on the
-    other frames of the call.
+    are then solved once, by least squares at that rho2.  The frames are
+    searched in lockstep: one scoring call serves every frame's
+    candidates at each step, and each frame keeps its own bracket, so
+    its result does not depend on the other frames of the call.
 
     The constant term rho4 is pinned to 0 in every fit: with per-lane
     beta'' biases a shared constant column is a pure gauge freedom.  The
@@ -491,18 +512,16 @@ def fit_curves(lanes_2d: Sequence[np.ndarray], image_size: tuple[int, int],
 
 def _fit_problems(problems: Sequence[_FitProblem], form: str = "rational",
                   n_iter: int = 10) -> list[FitResult]:
-    """Fit checked frames; rational ones in lockstep groups of equal
-    (point count, lane count), so stacked candidates stay unpadded."""
+    """Fit checked frames; the rational ones all in one lockstep search."""
     if form == "poly3":
         return [_fit_poly3(p) for p in problems]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, p in enumerate(problems):
-        groups.setdefault((p.u.shape[0], len(p.lanes)), []).append(i)
+    # Sorted by (point count, lane count), the fits of a group sit next
+    # to each other and its products take one slice of the stack.
+    order = sorted(range(len(problems)),
+                   key=lambda i: (problems[i].u.shape[0], len(problems[i].lanes)))
     results: list[FitResult] = [None] * len(problems)
-    for members in groups.values():
-        fits = _fit_rational([problems[i] for i in members], n_iter)
-        for i, fit in zip(members, fits):
-            results[i] = fit
+    for i, fit in zip(order, _fit_rational([problems[i] for i in order], n_iter)):
+        results[i] = fit
     return results
 
 
@@ -516,34 +535,49 @@ def _fit_poly3(p: _FitProblem) -> FitResult:
                      [rms])
 
 
-def _fit_rational(group: Sequence[_FitProblem], n_iter: int) -> list[FitResult]:
-    """Rational fits of frames with equal point and lane counts.
+def _fit_rational(problems: Sequence[_FitProblem],
+                  n_iter: int) -> list[FitResult]:
+    """Rational fits, sorted by (point count, lane count), in lockstep.
 
     Every fit brackets rho2 below its lowest sample row and refines it by
     golden-section over the projected residual; each step scores one
     candidate of every fit in one ``_projected_ss`` call.
     """
-    n = group[0].u.shape[0]
-    k = len(group[0].lanes)
-    v = np.stack([p.v for p in group])
-    bases = [_bias_basis(p.v, p.lane_of, k) for p in group]
-    y = np.stack([p.u - q @ (q.T @ p.u) for p, q in zip(group, bases)])
-    basis = np.stack(bases)
+    if not problems:
+        return []
+    count = len(problems)
+    n = np.array([p.u.shape[0] for p in problems])
+    # Each pad repeats its fit's first row: no minimum or maximum moves,
+    # and every rational column of the pad stays finite.
+    v = np.repeat(np.array([p.v[0] for p in problems])[:, None], n.max(), 1)
+    y = np.zeros_like(v)
+    bases = []
+    for f, p in enumerate(problems):
+        q = _bias_basis(p.v, p.lane_of, len(p.lanes))
+        v[f, :n[f]] = p.v
+        y[f, :n[f]] = p.u - q @ (q.T @ p.u)
+        bases.append(q)
+    groups, start = [], 0
+    for size, run in itertools.groupby(
+            (p.u.shape[0], len(p.lanes)) for p in problems):
+        stop = start + len(list(run))
+        groups.append((slice(start, stop), size[0], np.stack(bases[start:stop])))
+        start = stop
     vmin = v.min(axis=1)
     span = np.maximum(v.max(axis=1) - vmin, 32.0)
     hi = vmin - np.maximum(1.0, 1e-3 * span)
     lo = vmin - 5.0 * span
-    fits = np.arange(len(group))
-    best_ss = np.full(len(group), math.inf)
+    fits = np.arange(count)
+    best_ss = np.full(count, math.inf)
     best_rho2 = hi.copy()
 
     def accept(rho2: np.ndarray) -> np.ndarray:
         """Score candidates (fit, evaluation order): solve in full those
         projection could not score, then keep each fit's best if better
         than its best so far (the first of equal scores wins)."""
-        ss = _projected_ss(v, y, basis, rho2)
+        ss = _projected_ss(v, y, groups, rho2)
         for f, j in zip(*np.nonzero(np.isnan(ss))):
-            p = group[f]
+            p = problems[f]
             ss[f, j] = _lstsq_scaled(
                 _rational_columns(p.v, float(rho2[f, j]), p.bias), p.u)[1]
         j = np.argmin(ss, axis=1)
@@ -557,7 +591,7 @@ def _fit_rational(group: Sequence[_FitProblem], n_iter: int) -> list[FitResult]:
     a = grid[fits, np.maximum(i0 - 1, 0)]
     b = grid[fits, np.minimum(i0 + 1, 32)]
 
-    history = np.empty((len(group), n_iter))
+    history = np.empty((count, n_iter))
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = accept(np.stack([c, d], axis=1)).T
@@ -574,14 +608,15 @@ def _fit_rational(group: Sequence[_FitProblem], n_iter: int) -> list[FitResult]:
         history[:, it] = np.sqrt(best_ss / n)
 
     results = []
-    for p, rho2, hist in zip(group, best_rho2.tolist(), history.tolist()):
+    for p, rho2, hist in zip(problems, best_rho2.tolist(), history.tolist()):
         a_fin = _rational_columns(p.v, rho2, p.bias)
         x, ss = _lstsq_scaled(a_fin, p.u)
         rho = (float(x[0]), rho2, float(x[1]), 0.0)
         residual = a_fin @ x - p.u
         curves = _build_curves(p.lanes, "rational", rho, x[2:])
-        results.append(FitResult(curves, math.sqrt(ss / n),
-                                 _per_lane_rms(residual, p.lane_of, k), hist))
+        results.append(FitResult(curves, math.sqrt(ss / p.u.shape[0]),
+                                 _per_lane_rms(residual, p.lane_of, len(p.lanes)),
+                                 hist))
     return results
 
 

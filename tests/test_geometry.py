@@ -594,25 +594,24 @@ class TestFitFrames:
         assert (fit_fields(fit_curves(lanes, size))
                 == fit_fields(geometry.fit_frames([(lanes, size)])[0]))
 
-    def test_one_scoring_call_per_step_per_group(self, monkeypatch):
+    def test_one_scoring_call_per_step_for_all_groups(self, monkeypatch):
         frames = mixed_batch()
         calls = []
         real = geometry._projected_ss
 
-        def counted(v, y, basis, rho2):
-            calls.append(rho2.shape)
-            return real(v, y, basis, rho2)
+        def counted(v, y, groups, rho2):
+            calls.append((rho2.shape, len(groups)))
+            return real(v, y, groups, rho2)
 
         monkeypatch.setattr(geometry, "_projected_ss", counted)
         geometry.fit_frames(frames)
-        groups = Counter(fit_shape(frame) for frame in frames)
-        expected = Counter()
-        for size in groups.values():
-            expected[size, 33] += 1  # the grid
-            expected[size, 2] += 1  # the first golden-section pair
-            expected[size, 1] += 60  # 10 rounds of 6 steps
-        assert len(calls) == 62 * len(groups) < 62 * len(frames)
-        assert Counter(calls) == expected
+        fits = len(frames)
+        groups = len(Counter(fit_shape(frame) for frame in frames))
+        assert Counter(calls) == {
+            ((fits, 33), groups): 1,  # the grid
+            ((fits, 2), groups): 1,  # the first golden-section pair
+            ((fits, 1), groups): 60,  # 10 rounds of 6 steps
+        }
 
     @pytest.mark.parametrize("spoil, error, words", [
         (lambda lane: lane[:3], Underdetermined, "points; need >= 4"),
