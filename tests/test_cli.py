@@ -279,6 +279,67 @@ def test_reports_match_golden_digests(tmp_path):
             (command, protocol)
 
 
+def write_scored_scenario(tmp_path, frames=40, seed=12):
+    """A seeded `loss` input: partly visible ground truths off the anchor
+    grid, and scored predictions on it with soft visibility and one
+    (lateral, vertical) width per segment.  Some frames carry a false
+    positive, some miss a lane."""
+    rng = np.random.default_rng(seed)
+    camera = CameraModel(fx=1000.0, fy=1000.0, cx=480.0, cy=360.0,
+                         height=1.5, pitch=0.05, image_size=(720, 960))
+    anchors = SampleGrid().y_anchors
+    gt_records, pred_records = [], []
+    for f in range(frames):
+        gts, preds, uncs = [], [], []
+        n_lanes = int(rng.integers(2, 5))
+        for k in range(n_lanes + int(rng.integers(-1, 2))):
+            x0 = (k - (n_lanes - 1) / 2) * 3.7 + rng.uniform(-0.3, 0.3)
+            bend, slope = rng.uniform(-2e-3, 2e-3), rng.uniform(-5e-3, 5e-3)
+
+            def at(y):
+                return np.stack([x0 + 0.5 * bend * y * y, y, slope * y], 1)
+
+            if k < n_lanes:
+                n = int(rng.integers(15, 40))
+                y = np.linspace(rng.uniform(3.0, 15.0), rng.uniform(85.0, 103.0), n)
+                vis = np.ones(n)
+                vis[:int(rng.integers(0, 3))] = 0.0
+                vis[n - int(rng.integers(0, 3)):] = 0.0
+                gts.append(Lane3D(points=at(y), visibility=vis))
+            pts = at(anchors)
+            pts[:, 0] += rng.normal(0.0, 0.15, anchors.size)
+            preds.append(Lane3D(points=pts,
+                                visibility=rng.uniform(0.45, 1.0, anchors.size),
+                                score=float(rng.uniform(0.2, 1.0))))
+            uncs.append(np.stack([rng.uniform(0.05, 0.4, anchors.size - 1),
+                                  rng.uniform(0.02, 0.2, anchors.size - 1)], 1))
+        gt_records.append(FrameRecord(f"f{f:03d}", camera, gts))
+        pred_records.append(FrameRecord(f"f{f:03d}", camera, preds,
+                                        gt_uncertainties=uncs))
+    gt, pred = tmp_path / "scored_gt.jsonl", tmp_path / "scored_pred.jsonl"
+    write_frames(gt, gt_records)
+    write_frames(pred, pred_records)
+    return gt, pred
+
+
+# sha256 of the `loss` report on write_scored_scenario, taken while `loss`
+# still resampled, projected and scored lane by lane and pair by pair; it
+# pins the resampling and the uncertainty term, which GOLDEN_REPORTS'
+# on-grid synth scenario without uncertainties or scores leaves out.
+GOLDEN_SCORED_LOSS = \
+    "85e8adbca9b919ac0134d844c96cab935cb0d86c0b950cbe5165354bfd385d88"
+
+
+def test_scored_loss_report_matches_golden_digest(tmp_path):
+    gt, pred = write_scored_scenario(tmp_path)
+    out = tmp_path / "loss.json"
+    assert run("loss", "--gt", str(gt), "--pred", str(pred),
+               "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert all(frame["loss_unc"] > 0.0 for frame in report["per_frame"])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SCORED_LOSS
+
+
 # ---------------------------------------------------------------------------
 # config precedence
 # ---------------------------------------------------------------------------
