@@ -59,16 +59,19 @@ from .errors import (
     Underdetermined,
 )
 from .geometry import (
+    EPS_DEPTH,
     Lane3D,
     SampleGrid,
+    _camera_coords,
     _check_frame,
     _fit_problems,
-    _FitProblem,
+    _resample_lanes_at_y,
+    _stack_problem,
     fit_curves,
     project_ground_to_image,
     resample_at_y,
 )
-from .losses import FrameGroundTruth, FramePrediction, LossConfig, loss_total
+from .losses import LossConfig, _Block, _score_block, _Side
 from .pointwise import PointwiseConfig, openlane_report
 from .report import MetricReport, ordering_hash
 from .scenario_io import (
@@ -436,95 +439,210 @@ def _grid_lane(lane: Lane3D, anchors: np.ndarray) -> Lane3D:
     )
 
 
-def _side_curves(lanes, existing, camera, who: str):
-    """A side's stored curves when complete, none when it has no lanes,
-    and otherwise the checked input of a shared-rho fit of the side.
+def _fits(n_lanes: int, stored) -> bool:
+    """Whether a side's curves are fit: it has lanes and a missing curve."""
+    return n_lanes > 0 and (stored is None or any(c is None for c in stored))
 
-    Fitting uses each lane's visible points that project inside the
-    image; a lane with no stored curve and no in-image points cannot be
-    fit.
+
+def _has_widths(record) -> bool:
+    return record.pred_uncertainties is not None and all(
+        u is not None for u in record.pred_uncertainties)
+
+
+def _check_lanes(record, anchors: np.ndarray) -> None:
+    """Check one frame lane by lane and raise the first error.
+
+    The checks run in the order ``_gather``'s array checks stand for: each
+    lane put on the grid (ground truths, then predictions), then each side
+    to fit projected and checked, then the widths' grid.  Fitting uses each
+    lane's visible points that project inside the image; a lane with no
+    stored curve and no in-image points cannot be fit.  Only a frame the
+    array checks reject is walked, to name its first failing lane.
     """
-    if existing is not None and all(c is not None for c in existing):
-        return list(existing)
-    if not lanes:
-        return []
-    h, w = camera.image_size
-    uv = []
-    for i, lane in enumerate(lanes):
-        pixels = np.atleast_2d(
-            project_ground_to_image(camera, lane.visible_points())
-        )
-        inside = (
-            (pixels[:, 0] >= 0) & (pixels[:, 0] < w)
-            & (pixels[:, 1] >= 0) & (pixels[:, 1] < h)
-        )
-        if not inside.any():
-            raise MissingField(
-                f"{who} lane {i} has no stored curve and no visible point "
-                "projects inside the image, so none can be fit"
-            )
-        uv.append(pixels[inside])
-    return _check_frame(uv, camera.image_size, "rational")
-
-
-def _gather(record, anchors: np.ndarray):
-    """A frame's gridded lanes and curves (or fit inputs) per side, and
-    its per-segment uncertainties; raises what checking them raises."""
-    lanes = ([_grid_lane(lane, anchors) for lane in record.gt_lanes],
-             [_grid_lane(lane, anchors) for lane in record.pred_lanes])
-    curves = [
-        _side_curves(lanes[0], record.gt_curves, record.camera, "ground-truth"),
-        _side_curves(lanes[1], record.pred_curves, record.camera, "prediction"),
-    ]
-    uncertainties = None
-    if record.pred_uncertainties is not None and all(
-        u is not None for u in record.pred_uncertainties
-    ):
-        for lane, unc in zip(record.pred_lanes, record.pred_uncertainties):
-            if not _on_grid(lane, anchors):
-                raise ConfigError(
-                    "per-segment uncertainties require prediction lanes "
-                    "already sampled on the anchor grid"
+    h, w = record.camera.image_size
+    sides = [[_grid_lane(lane, anchors) for lane in lanes]
+             for lanes in (record.gt_lanes, record.pred_lanes)]
+    for lanes, stored, who in zip(sides, (record.gt_curves, record.pred_curves),
+                                  ("ground-truth", "prediction")):
+        if not _fits(len(lanes), stored):
+            continue
+        uv = []
+        for i, lane in enumerate(lanes):
+            pixels = np.atleast_2d(
+                project_ground_to_image(record.camera, lane.visible_points()))
+            inside = ((pixels[:, 0] >= 0) & (pixels[:, 0] < w)
+                      & (pixels[:, 1] >= 0) & (pixels[:, 1] < h))
+            if not inside.any():
+                raise MissingField(
+                    f"{who} lane {i} has no stored curve and no visible point "
+                    "projects inside the image, so none can be fit"
                 )
-        uncertainties = [
-            [(float(w), float(h)) for w, h in np.asarray(unc)]
-            for unc in record.pred_uncertainties
-        ]
-    return lanes, curves, uncertainties
+            uv.append(pixels[inside])
+        _check_frame(uv, record.camera.image_size, "rational")
+    if _has_widths(record) and not all(
+            _on_grid(lane, anchors) for lane in record.pred_lanes):
+        raise ConfigError(
+            "per-segment uncertainties require prediction lanes "
+            "already sampled on the anchor grid"
+        )
+    raise AssertionError(f"frame {record.frame_id!r} passes its lane checks")
+
+
+def _grid_lanes(points, vis, sizes, anchors: np.ndarray):
+    """Every lane on the anchor grid as ``_grid_lane`` puts it, in array
+    passes: each lane's ``sizes`` rows of ``points`` and ``vis`` follow
+    the last lane's.
+
+    Returns (on_grid, degenerate, points (lanes, anchors, 3), visibility
+    (lanes, anchors)).  A lane on the grid keeps its own points; one off
+    it is resampled, unless it has fewer than two visible points
+    (``degenerate``; left at zero).
+    """
+    n_lanes, n_anchors = sizes.shape[0], anchors.shape[0]
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    near = np.flatnonzero(sizes == n_anchors)
+    rows = starts[near, None] + np.arange(n_anchors)
+    close = np.abs(points[rows, 1] - anchors).max(axis=1) <= 1e-9
+    on_grid = np.zeros(n_lanes, dtype=bool)
+    on_grid[near[close]] = True
+    grid_pts = np.zeros((n_lanes, n_anchors, 3))
+    grid_vis = np.zeros((n_lanes, n_anchors))
+    grid_pts[near[close]], grid_vis[near[close]] = points[rows[close]], vis[rows[close]]
+    lane_of = np.repeat(np.arange(n_lanes), sizes)
+    seen = vis > 0.5
+    n_seen = np.bincount(lane_of[seen], minlength=n_lanes)
+    degenerate = ~on_grid & (n_seen < 2)
+    off = ~on_grid & ~degenerate
+    take = seen & off[lane_of]
+    x, z, off_vis = _resample_lanes_at_y(
+        points[take, 1], points[take, 0], points[take, 2],
+        np.concatenate([[0], np.cumsum(n_seen[off])]), anchors)
+    grid_pts[off] = np.stack([x, np.broadcast_to(anchors, x.shape), z], axis=-1)
+    grid_vis[off] = off_vis
+    return on_grid, degenerate, grid_pts, grid_vis
+
+
+def _image_points(cameras, points, frame_of):
+    """Project ground points, each by its frame's camera, as
+    ``project_ground_to_image`` does; returns (behind, u, v, inside)."""
+    cams = np.array([(math.sin(c.pitch), math.cos(c.pitch), c.height, c.fx, c.fy,
+                      c.cx, c.cy, *c.image_size) for c in cameras]).reshape(-1, 9)
+    sin, cos, height, fx, fy, cx, cy, h, w = cams[frame_of].T
+    xc, yc, zc = _camera_coords(points, sin, cos, height)
+    behind = zc <= EPS_DEPTH
+    zc = np.where(behind, 1.0, zc)  # the frame of a point behind fails
+    u = cx + fx * xc / zc
+    v = cy + fy * yc / zc
+    return behind, u, v, ~behind & (u >= 0) & (u < w) & (v >= 0) & (v < h)
+
+
+def _gather(records, anchors: np.ndarray):
+    """Gather, check and fit consecutive frames in array passes over all
+    their lanes.
+
+    Returns the block of the frames before the first that fails a check,
+    with every side's curves (stored, fitted, or none for a side without
+    lanes), and that frame's error, or None.  Each check is one of
+    ``_check_lanes`` taken elementwise, and each value bitwise that of
+    the lane alone.
+    """
+    n_frames = len(records)
+    lanes = [lane for r in records for side in (r.gt_lanes, r.pred_lanes)
+             for lane in side]
+    # side s holds frame s // 2's ground truths (s even) or predictions
+    per_side = np.array([(len(r.gt_lanes), len(r.pred_lanes)) for r in records],
+                        dtype=np.int64).reshape(-1)
+    side_first = np.concatenate([[0], np.cumsum(per_side)])
+    side_of = np.repeat(np.arange(2 * n_frames), per_side)
+    on_grid, degenerate, grid_pts, grid_vis = _grid_lanes(
+        np.concatenate([lane.points for lane in lanes] or [np.empty((0, 3))]),
+        np.concatenate([lane.visibility for lane in lanes] or [np.empty(0)]),
+        np.array([lane.points.shape[0] for lane in lanes], dtype=np.int64),
+        anchors)
+
+    # The visible points of every side to fit, in the image.
+    stored = [c for r in records for c in (r.gt_curves, r.pred_curves)]
+    fit_side = np.array([_fits(n, c) for n, c in zip(per_side.tolist(), stored)],
+                        dtype=bool)
+    fit_lanes = np.flatnonzero(fit_side[side_of])
+    shown = grid_vis[fit_lanes] > 0.5
+    pt_lane = fit_lanes[np.nonzero(shown)[0]]
+    behind, u, v, inside = _image_points([r.camera for r in records],
+                                         grid_pts[fit_lanes][shown],
+                                         side_of[pt_lane] // 2)
+    in_lane, u, v = pt_lane[inside], u[inside], v[inside]
+    n_in = np.bincount(in_lane, minlength=len(lanes))
+    single = np.zeros(len(lanes), dtype=bool)
+    has = np.flatnonzero(n_in)
+    if has.size:
+        first = (np.cumsum(n_in) - n_in)[has]
+        single[has] = np.minimum.reduceat(v, first) == np.maximum.reduceat(v, first)
+    side_pts = np.bincount(side_of, weights=n_in, minlength=2 * n_frames)
+
+    # The first frame that fails any check; _check_lanes names its error.
+    wide = np.array([_has_widths(r) for r in records], dtype=bool)
+    bad_lane = degenerate | single | ((n_in < 4) & fit_side[side_of])
+    bad_lane[pt_lane[behind]] = True
+    bad_lane |= ~on_grid & (side_of % 2 == 1) & wide[side_of // 2]
+    bad = np.zeros(n_frames, dtype=bool)
+    bad[side_of[bad_lane] // 2] = True
+    bad[np.flatnonzero(fit_side & (side_pts < 3 + 2 * per_side)) // 2] = True
+    stop = int(np.argmax(bad)) if bad.any() else n_frames
+    error = None
+    if stop < n_frames:
+        try:
+            _check_lanes(records[stop], anchors)
+        except Lane3DError as exc:
+            error = exc
+
+    # Each side's curves: stored, none, or fitted from its in-image points.
+    curves = [list(c) if n and not fit else []
+              for n, c, fit in zip(per_side.tolist(), stored, fit_side.tolist())]
+    fitted = np.flatnonzero(fit_side[:2 * stop]).tolist()
+    cut = np.concatenate([[0], np.cumsum(side_pts.astype(np.int64))])
+    problems = []
+    for s in fitted:
+        a, b = cut[s], cut[s + 1]
+        per_lane = np.cumsum(n_in[side_first[s]:side_first[s + 1]])[:-1]
+        problems.append(_stack_problem(
+            np.split(np.stack([u[a:b], v[a:b]], axis=1), per_lane),
+            u[a:b], v[a:b], in_lane[a:b] - side_first[s]))
+    for s, fit in zip(fitted, _fit_problems(problems)):
+        for lane, curve in zip(lanes[side_first[s]:side_first[s + 1]], fit.curves):
+            if lane.score is not None:
+                curve.confidence = lane.score
+        curves[s] = fit.curves
+
+    def side(parity: int) -> _Side:
+        kept = np.flatnonzero(side_of[:side_first[2 * stop]] % 2 == parity)
+        return _Side(grid_pts[kept].reshape(-1, 3), grid_vis[kept].reshape(-1),
+                     anchors.shape[0] * np.arange(kept.shape[0] + 1),
+                     np.concatenate([[0], np.cumsum(per_side[parity:2 * stop:2])]),
+                     [c for s in range(parity, 2 * stop, 2) for c in curves[s]])
+
+    gt, pred = side(0), side(1)
+    uncs = [u for r, w in zip(records[:stop], wide.tolist()) if w
+            for u in r.pred_uncertainties]
+    widths = None
+    if uncs:  # each on a prediction lane on the grid
+        widths = np.zeros((pred.starts.shape[0] - 1, anchors.shape[0], 2))
+        widths[np.repeat(wide[:stop], per_side[1:2 * stop:2]), :-1] = np.stack(uncs)
+        widths = widths.reshape(-1, 2)
+    sizes = np.array([r.camera.image_size for r in records[:stop]],
+                     dtype=np.int64).reshape(-1, 2)
+    return _Block(gt, pred, widths, wide[:stop], sizes), error
 
 
 def _loss_block(records, grid: SampleGrid, config: LossConfig):
-    """Loss breakdowns of consecutive frames, whose curve fits are
-    searched together in one call.
+    """Loss breakdowns of consecutive frames, gathered, fitted and scored
+    together.
 
-    Frames are gathered in order up to the first that fails to check;
-    its error is raised after the frames before it are scored, so a run
-    fails with the error a frame-by-frame run would meet first.
+    The frames before the first that fails to check are scored, and then
+    its error is raised, so a run fails with the error a frame-by-frame
+    run would meet first.
     """
-    anchors = np.asarray(grid.y_anchors)
-    gathered, error = [], None
-    for record in records:
-        try:
-            gathered.append((record, *_gather(record, anchors)))
-        except Lane3DError as exc:
-            error = exc
-            break
-    todo = [(lanes[side], curves, side)
-            for _, lanes, curves, _ in gathered for side in (0, 1)
-            if isinstance(curves[side], _FitProblem)]
-    fits = _fit_problems([curves[side] for _, curves, side in todo])
-    for (lanes, curves, side), fit in zip(todo, fits):
-        for lane, curve in zip(lanes, fit.curves):
-            if lane.score is not None:
-                curve.confidence = lane.score
-        curves[side] = fit.curves
-    breakdowns = []
-    for record, lanes, curves, uncertainties in gathered:
-        gt = FrameGroundTruth(lanes=lanes[0], curves=curves[0])
-        pred = FramePrediction(
-            lanes=lanes[1], curves=curves[1], uncertainties=uncertainties
-        )
-        breakdowns.append(loss_total(gt, pred, record.camera, grid, config))
+    block, error = _gather(records, np.asarray(grid.y_anchors))
+    breakdowns = _score_block(block, grid, config)
     if error is not None:
         raise error
     return breakdowns

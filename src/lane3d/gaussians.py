@@ -218,20 +218,24 @@ def _kld_terms(mu_a, s_a, rot_a, mu_b, s_b, rot_b):
 
     ``mu`` is (m, 3), ``s`` the (m, 3) axis scales and ``rot`` the
     (m, 3, 3) orientations.  Returns (trace, shift, logdet) arrays of
-    shape (m,), computed in whitened form from the factors.
+    shape (m,), computed in whitened form from the factors.  Extreme
+    scales may overflow to a non-finite term without a warning; callers
+    reject such pairs.
     """
-    cross = np.swapaxes(rot_b, 1, 2) @ rot_a
-    m = (cross * s_a[:, None, :]) / s_b[:, :, None]
-    trace = (m * m).sum(axis=(1, 2)) - 3.0
-    w = (np.swapaxes(rot_b, 1, 2) @ (mu_b - mu_a)[:, :, None])[:, :, 0] / s_b
-    shift = (w * w).sum(axis=1)
-    logdet = 2.0 * (np.log(s_b).sum(axis=1) - np.log(s_a).sum(axis=1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cross = np.swapaxes(rot_b, 1, 2) @ rot_a
+        m = (cross * s_a[:, None, :]) / s_b[:, :, None]
+        trace = (m * m).sum(axis=(1, 2)) - 3.0
+        w = (np.swapaxes(rot_b, 1, 2) @ (mu_b - mu_a)[:, :, None])[:, :, 0] / s_b
+        shift = (w * w).sum(axis=1)
+        logdet = 2.0 * (np.log(s_b).sum(axis=1) - np.log(s_a).sum(axis=1))
     return trace, shift, logdet
 
 
 def _kl(trace, shift, logdet):
     """KL from its terms, clamped at zero against rounding."""
-    return np.maximum(0.5 * (trace + shift + logdet), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.maximum(0.5 * (trace + shift + logdet), 0.0)
 
 
 def _stacked(g: SegmentGaussian, direction_aligned: bool):
@@ -266,9 +270,17 @@ def kld(
 
     ``0.5 * (tr(Sigma_b^-1 Sigma_a) - 3 + shift + ln(det Sigma_b / det
     Sigma_a))``, clamped at zero against rounding on near-identical pairs.
+    Raises NumericallySingular when the divergence is not finite, as
+    when one scale is so much larger than another that it overflows.
     """
     parts = kld_components(a, b, direction_aligned)
-    return float(_kl(parts["trace"], parts["shift"], parts["logdet"]))
+    value = float(_kl(parts["trace"], parts["shift"], parts["logdet"]))
+    if not math.isfinite(value):
+        raise NumericallySingular(
+            f"divergence is not finite between Gaussians of scales "
+            f"{a.scales.tolist()} and {b.scales.tolist()}"
+        )
+    return value
 
 
 def symmetric_kld(
@@ -297,7 +309,8 @@ def segment_symmetric_klds(
     rounding.  The pairs are checked in order, and the first pair that
     ``paired_segment_gaussians`` or ``kld`` would reject raises the same
     error, with the same message: ``NumericallySingular``,
-    ``ZeroLengthSegment`` or ``ValueError``.
+    ``ZeroLengthSegment`` or ``ValueError``.  A pair whose divergence is
+    not finite raises ``NumericallySingular``, with no warning.
     """
     p_a, p_b, g_a, g_b = (np.asarray(p, dtype=np.float64).reshape(-1, 3)
                           for p in (pred_a, pred_b, gt_a, gt_b))
@@ -313,18 +326,28 @@ def segment_symmetric_klds(
         ok &= (length >= MIN_SCALE) & np.isfinite(length)
         ok &= np.isfinite(mu).all(axis=1) & np.isfinite(theta_z)
         ok &= np.abs(theta_x) < math.pi / 2
-    for i in np.flatnonzero(~ok):
-        pred, gt = paired_segment_gaussians(
-            p_a[i], p_b[i], g_a[i], g_b[i], *widths[i])
-        _check_conditioning(pred)
-        _check_conditioning(gt)
     half = w / 2.0
     s_p = np.column_stack([len_p / 2.0, half])
     s_g = np.column_stack([len_g / 2.0, half])
     rot_p = _rotations(tx_p, tz_p, False)
     rot_g = _rotations(tx_g, tz_g, False)
-    return 0.5 * (_kl(*_kld_terms(mu_p, s_p, rot_p, mu_g, s_g, rot_g))
-                  + _kl(*_kld_terms(mu_g, s_g, rot_g, mu_p, s_p, rot_p)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = 0.5 * (_kl(*_kld_terms(mu_p, s_p, rot_p, mu_g, s_g, rot_g))
+                     + _kl(*_kld_terms(mu_g, s_g, rot_g, mu_p, s_p, rot_p)))
+    bad = ~ok | ~np.isfinite(out)
+    if bad.any():
+        i = int(np.argmax(bad))
+        lambda_w, lambda_h = w[i].tolist()
+        if not ok[i]:
+            pred, gt = paired_segment_gaussians(
+                p_a[i], p_b[i], g_a[i], g_b[i], lambda_w, lambda_h)
+            _check_conditioning(pred)
+            _check_conditioning(gt)
+        raise NumericallySingular(
+            f"segment divergence is not finite (lambda_w={lambda_w!r}, "
+            f"lambda_h={lambda_h!r})"
+        )
+    return out
 
 
 def paired_segment_gaussians(

@@ -205,40 +205,52 @@ def sample_curve(curve: Curve2D, camera: CameraModel, grid: SampleGrid):
     Returns (u, v, m) arrays.  m[j] = 1 iff v[j] lies in [v_low, v_up]
     and the evaluated u lies in [0, W).  Invalid rows carry m = 0 and
     the sentinel column u = -1.  Rows at the curve singularity are
-    simply invalid, never an error.
+    simply invalid, never an error.  A batch of one of ``_sample_curves``.
     """
-    h, w = camera.image_size
-    v = (np.arange(grid.j_prime, dtype=np.float64) + 0.5) * (h / grid.j_prime)
-    u = np.full(grid.j_prime, -1.0)
-    m = np.zeros(grid.j_prime, dtype=np.int64)
-    if curve.form == "rational" and (curve.rho[0] != 0.0 or curve.rho[2] != 0.0):
-        ok = np.abs(v - curve.rho[1]) >= EPS_DEN
-    else:
-        ok = np.ones(grid.j_prime, dtype=bool)
-    if np.any(ok):
-        sub = Curve2D(curve.rho, curve.beta_prime, curve.beta_dprime,
-                      curve.v_low, curve.v_up, curve.confidence, curve.form)
-        u_ok = curve_eval(sub, v[ok])
-        valid = ((v[ok] >= curve.v_low) & (v[ok] <= curve.v_up)
-                 & (u_ok >= 0.0) & (u_ok < w))
-        idx = np.flatnonzero(ok)[valid]
-        u[idx] = u_ok[valid]
-        m[idx] = 1
-    return u, v, m
+    u, v, valid = _sample_curves([curve], [camera.image_size], grid.j_prime)
+    return u[0], v[0], valid[0].astype(np.int64)
+
+
+def _sample_curves(curves: Sequence[Curve2D], sizes, j_prime: int):
+    """``sample_curve`` of many curves in one evaluation.
+
+    Curve i is sampled on the rows of an image of size ``sizes[i]`` =
+    (H, W).  Returns (u, v, valid), each (curves, j_prime), with ``valid``
+    boolean.  Every entry is computed by the elementwise operations of
+    ``curve_eval``, so each row equals the curve sampled alone.
+    """
+    sizes = np.asarray(sizes, dtype=np.float64).reshape(-1, 2)
+    h, w = sizes[:, :1], sizes[:, 1:]
+    v = (np.arange(j_prime, dtype=np.float64) + 0.5) * (h / j_prime)
+    params = np.array([(*c.rho, c.beta_prime, c.beta_dprime, c.v_low, c.v_up)
+                       for c in curves], dtype=np.float64).reshape(-1, 8)
+    r1, r2, r3, r4, bp, bd, v_low, v_up = (params[:, i:i + 1] for i in range(8))
+    rational = np.array([c.form == "rational" for c in curves],
+                        dtype=bool).reshape(-1, 1)
+    active = rational & ((r1 != 0.0) | (r3 != 0.0))  # denominators in use
+    ok = ~active | (np.abs(v - r2) >= EPS_DEN)
+    den = np.where(ok, v - r2, 1.0)
+    # Rows off the curve's span or the image may overflow; they are invalid.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.where(rational,
+                     np.where(active, r1 / (den * den) + r3 / den + r4, r4),
+                     r1 + r2 * v + r3 * v**2 + r4 * v**3)
+        u = u + bp * v + bd
+        valid = (ok & (v >= v_low) & (v <= v_up) & (u >= 0.0) & (u < w))
+    return np.where(valid, u, -1.0), v, valid
 
 
 # ── Camera projection ────────────────────────────────────────────────────
 
-def _to_camera(camera: CameraModel, p: np.ndarray) -> np.ndarray:
-    """Ground points (n, 3) to camera-frame coordinates (n, 3)."""
-    s, c = math.sin(camera.pitch), math.cos(camera.pitch)
-    dx = p[:, 0]
+def _camera_coords(p: np.ndarray, s, c, height):
+    """Camera-frame (x, y, z) columns of ground points p (n, 3).
+
+    ``s`` and ``c`` are the sine and cosine of the camera pitch; they and
+    the camera height may be one value or one per point.
+    """
     dy = p[:, 1]
-    dz = p[:, 2] - camera.height
-    xc = dx
-    yc = -s * dy - c * dz
-    zc = c * dy - s * dz
-    return np.stack([xc, yc, zc], axis=1)
+    dz = p[:, 2] - height
+    return p[:, 0], -s * dy - c * dz, c * dy - s * dz
 
 
 def project_ground_to_image(camera: CameraModel, p) -> np.ndarray:
@@ -250,11 +262,12 @@ def project_ground_to_image(camera: CameraModel, p) -> np.ndarray:
     arr = np.asarray(p, dtype=np.float64)
     single = arr.ndim == 1
     pts = np.atleast_2d(arr)
-    cam = _to_camera(camera, pts)
-    if np.any(cam[:, 2] <= EPS_DEPTH):
+    xc, yc, zc = _camera_coords(pts, math.sin(camera.pitch),
+                                math.cos(camera.pitch), camera.height)
+    if np.any(zc <= EPS_DEPTH):
         raise BehindCamera(f"camera-frame depth <= {EPS_DEPTH} m")
-    u = camera.cx + camera.fx * cam[:, 0] / cam[:, 2]
-    v = camera.cy + camera.fy * cam[:, 1] / cam[:, 2]
+    u = camera.cx + camera.fx * xc / zc
+    v = camera.cy + camera.fy * yc / zc
     uv = np.stack([u, v], axis=1)
     return uv[0] if single else uv
 
@@ -316,6 +329,45 @@ def resample_at_y(lane: Lane3D, y_anchors: np.ndarray):
     z = np.interp(y, pts[:, 1], pts[:, 2])
     vis = ((y >= pts[0, 1]) & (y <= pts[-1, 1])).astype(np.float64)
     return x, z, vis
+
+
+def _resample_lanes_at_y(y: np.ndarray, x: np.ndarray, z: np.ndarray,
+                         starts: np.ndarray, y_anchors: np.ndarray):
+    """``resample_at_y`` of many lanes in array passes, bitwise equal.
+
+    ``y``, ``x`` and ``z`` hold the lanes' visible points one lane after
+    another, lane i on rows ``starts[i]:starts[i + 1]``, at least two per
+    lane.  Returns (x, z, vis), each (lanes, anchors).  Each sample is
+    taken as ``np.interp`` takes it: the endpoint value outside the span,
+    the point's own value on a point, and otherwise the slope form from
+    the bracket's lower end (from its upper end if that gives NaN).
+    """
+    n_lanes, n_anchors = starts.shape[0] - 1, y_anchors.shape[0]
+    lane = np.repeat(np.arange(n_lanes), np.diff(starts))
+    # Points of each lane at or below each anchor: a cumulative count over
+    # the anchor slot each point falls in.
+    slot = lane * (n_anchors + 1) + np.searchsorted(y_anchors, y, side="left")
+    below = np.bincount(slot, minlength=n_lanes * (n_anchors + 1))
+    below = below.reshape(n_lanes, n_anchors + 1).cumsum(axis=1)[:, :-1]
+    first, last = starts[:-1, None], starts[1:, None] - 1
+    j = first + below - 1  # last point at or below the anchor (first - 1: none)
+    k = np.clip(j, first, last - 1)  # the bracket's lower end
+    a, y0, y1 = y_anchors[None, :], y[k], y[k + 1]
+
+    def interp(f: np.ndarray) -> np.ndarray:
+        f0, f1 = f[k], f[k + 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = (f1 - f0) / (y1 - y0)
+            out = slope * (a - y0) + f0
+            retry = slope * (a - y1) + f1
+        retry = np.where(np.isnan(retry) & (f0 == f1), f0, retry)
+        out = np.where(np.isnan(out), retry, out)
+        out = np.where(y0 == a, f0, out)
+        out = np.where(j < first, f[first], out)
+        return np.where(j >= last, f[last], out)
+
+    vis = ((a >= y[first]) & (a <= y[last])).astype(np.float64)
+    return interp(x), interp(z), vis
 
 
 # ── Curve fitting ────────────────────────────────────────────────────────
@@ -461,10 +513,18 @@ def _check_frame(lanes_2d: Sequence[np.ndarray], image_size: tuple[int, int],
     n_params = (3 if form == "rational" else 2) + 2 * k
     if n_pts < n_params:
         raise Underdetermined(f"{n_pts} points for {n_params} parameters")
-    bias = np.zeros((n_pts, 2 * k))
-    bias[np.arange(n_pts), 2 * lane_of] = v_all
-    bias[np.arange(n_pts), 2 * lane_of + 1] = 1.0
-    return _FitProblem(lanes, u_all, v_all, lane_of, bias)
+    return _stack_problem(lanes, u_all, v_all, lane_of)
+
+
+def _stack_problem(lanes: list[np.ndarray], u: np.ndarray, v: np.ndarray,
+                   lane_of: np.ndarray) -> _FitProblem:
+    """The fit input of checked lanes: ``u``, ``v`` and ``lane_of`` hold
+    their points one lane after another, each a contiguous array."""
+    rows, k = np.arange(u.shape[0]), len(lanes)
+    bias = np.zeros((u.shape[0], 2 * k))
+    bias[rows, 2 * lane_of] = v
+    bias[rows, 2 * lane_of + 1] = 1.0
+    return _FitProblem(lanes, u, v, lane_of, bias)
 
 
 def fit_frames(frames: Sequence[tuple[Sequence[np.ndarray], tuple[int, int]]],

@@ -12,10 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import loss_oracle
+
 import lane3d
 from lane3d import cli
 from lane3d.cli import main
 from lane3d.geometry import CameraModel, Curve2D, Lane3D, SampleGrid, sample_curve
+from lane3d.losses import FrameGroundTruth, FramePrediction
 from lane3d.scenario_io import FrameRecord, write_frames
 
 
@@ -591,6 +594,230 @@ def test_loss_first_error_wins_within_a_block(tmp_path, capsys, order, code,
     write_frames(path, [frames[i] for i in order])
     assert run("loss", "--gt", str(path)) == code
     assert words in capsys.readouterr().err
+
+
+# The block gather and scorer against `loss` frame by frame (loss_oracle).
+
+CAMERAS = (
+    CameraModel(fx=1000.0, fy=1000.0, cx=480.0, cy=360.0, height=1.5,
+                pitch=0.05, image_size=(720, 960)),
+    CameraModel(fx=1400.0, fy=1400.0, cx=960.0, cy=540.0, height=1.6,
+                pitch=0.02, image_size=(1080, 1920)),
+)
+ANCHORS = SampleGrid().y_anchors
+
+
+def random_record(rng, name):
+    """A frame of 0-4 ground truths and 0-5 predictions.
+
+    Lanes lie off the anchor grid, on it exactly, or within 1e-9 of it;
+    ground truths are partly visible, predictions softly.  A side may
+    store its curves, all or some (then it is fit); predictions may carry
+    scores and, on the grid, widths.
+    """
+    camera = CAMERAS[rng.integers(0, 2)]
+    bend = rng.uniform(-2e-3, 2e-3)
+
+    def lane(x0, on_grid, soft):
+        if on_grid:
+            y = ANCHORS + rng.choice([0.0, 4e-10])
+        else:
+            y = np.linspace(rng.uniform(-2.0, 20.0), rng.uniform(60.0, 120.0),
+                            int(rng.integers(4, 40)))
+        pts = np.stack([x0 + 0.5 * bend * y * y + rng.normal(0.0, 0.1, y.size), y,
+                        rng.uniform(-0.01, 0.01) * y], axis=1)
+        if soft:
+            vis = rng.uniform(0.3, 1.0, y.size)
+            vis[rng.random(y.size) < 0.1] = rng.choice([0.0, 0.5, 1.0])
+        else:
+            vis = np.ones(y.size)
+            vis[:rng.integers(0, 4)] = 0.0
+            vis[y.size - rng.integers(0, 4):] = 0.0
+        score = float(rng.uniform()) if soft and rng.random() < 0.8 else None
+        return Lane3D(points=pts, visibility=vis, score=score)
+
+    def curves(n):
+        stored = [Curve2D((0.0, 0.0, 0.0, 0.0), rng.uniform(-0.5, 0.5),
+                          rng.uniform(0, camera.image_size[1]), rng.uniform(0, 300),
+                          rng.uniform(400, 720), float(rng.uniform()))
+                  for _ in range(n)]
+        if n and rng.random() < 0.3:
+            stored[rng.integers(0, n)] = None  # one missing: the side is fit
+        return stored if rng.random() < 0.3 else None
+
+    slots = np.arange(-2.0, 3.0) * 3.7
+    n_gt, n_pred = int(rng.integers(0, 5)), int(rng.integers(0, 6))
+    gts = [lane(slots[k] + rng.uniform(-0.3, 0.3), rng.random() < 0.3, False)
+           for k in range(n_gt)]
+    widths = rng.random() < 0.6
+    preds = [lane(slots[k % 5] + rng.uniform(-0.5, 0.5), widths or rng.random() < 0.5,
+                  True) for k in range(n_pred)]
+    uncertainties = None
+    if widths and n_pred:
+        uncertainties = [rng.uniform(0.02, 0.5, (ANCHORS.size - 1, 2)) for _ in preds]
+    return FrameRecord(name, camera, gts, pred_lanes=preds, gt_curves=curves(n_gt),
+                       pred_curves=curves(n_pred), pred_uncertainties=uncertainties)
+
+
+def random_records(rng, n):
+    """n random frames the oracle scores without error."""
+    records = []
+    while len(records) < n:
+        record = random_record(rng, f"f{len(records)}")
+        if isinstance(oracle_outcome([record]), list):
+            records.append(record)
+    return records
+
+
+def oracle_outcome(records, grid=SampleGrid(), config=cli.LossConfig()):
+    out = []
+    for record in records:
+        try:
+            gt_l, gt_c, pred_l, pred_c, unc = loss_oracle.frame_inputs(
+                record, grid.y_anchors)
+            out.append(loss_oracle.loss_total(
+                FrameGroundTruth(gt_l, gt_c), FramePrediction(pred_l, pred_c, unc),
+                record.camera, grid, config))
+        except Exception as exc:  # noqa: BLE001 - compared by type and text
+            return type(exc), str(exc)
+    return [breakdown_bits(b) for b in out]
+
+
+def block_outcome(records, grid=SampleGrid(), config=cli.LossConfig()):
+    try:
+        return [breakdown_bits(b) for b in cli._loss_block(records, grid, config)]
+    except Exception as exc:  # noqa: BLE001
+        return type(exc), str(exc)
+
+
+def breakdown_bits(b):
+    return ({k: None if v is None else v.hex() for k, v in b.as_dict().items()},
+            b.match.pairs, b.match.total_cost.hex())
+
+
+def spoiled_record(how):
+    """A frame whose gathering or scoring fails with the named error."""
+    camera = CAMERAS[0]
+
+    def lane(x, y, z=0.0, vis=None):
+        return Lane3D(points=np.stack([np.full(y.size, x), y, np.full(y.size, z)], 1),
+                      visibility=np.ones(y.size) if vis is None else vis)
+
+    off_grid = np.linspace(5.0, 100.0, 12)
+    gts = [lane(1.8, off_grid), lane(-1.8, off_grid)]
+    preds = [lane(1.9, ANCHORS), lane(-1.7, ANCHORS)]
+    widths = [np.full((19, 2), 0.2), np.full((19, 2), 0.2)]
+    if how == "DegenerateLane":
+        gts[1] = lane(-1.8, off_grid, vis=np.eye(12)[4])
+    elif how == "BehindCamera":
+        gts[0] = lane(1.8, off_grid, z=500.0)
+    elif how == "MissingField":
+        preds[1] = lane(400.0, ANCHORS)
+    elif how == "Underdetermined":
+        vis = np.zeros(20)
+        vis[10:13] = 1.0
+        preds[0] = lane(1.9, ANCHORS, vis=vis)
+    elif how == "Underdetermined-params":
+        # one lane with 4 points in view, on 4 anchors: 4 points for 5 parameters
+        gts = [lane(1.8, np.array([7.0, 12.0, 20.0, 26.0, 60.0, 100.0]),
+                    vis=np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]))]
+    elif how == "NumericallySingular":
+        widths[1][6] = (0.2, 1e-7)
+    elif how == "ConfigError":
+        preds[0] = lane(1.9, off_grid)
+        widths[0] = widths[0][:11]
+    return FrameRecord(f"spoiled_{how}", camera, gts, pred_lanes=preds,
+                       pred_uncertainties=widths)
+
+
+GATHER_SPOILS = ("DegenerateLane", "BehindCamera", "MissingField", "Underdetermined",
+                 "Underdetermined-params", "NumericallySingular", "ConfigError")
+
+
+class TestLossBlockOracle:
+    def test_random_frames_in_mixed_blocks(self):
+        rng = np.random.default_rng(77)
+        records = random_records(rng, 220)
+        want = oracle_outcome(records)
+        assert isinstance(want, list)
+        stored = sum(r.gt_curves is not None and all(c is not None for c in r.gt_curves)
+                     for r in records)
+        assert stored >= 20 and sum(not r.gt_lanes for r in records) >= 20
+        assert sum(b[0]["loss_unc"] not in (None, "0x0.0p+0") for b in want) >= 60
+        start = 0
+        while start < len(records):
+            stop = start + int(rng.integers(1, 2 * cli._LOSS_BLOCK))
+            assert block_outcome(records[start:stop]) == want[start:stop]
+            start = stop
+
+    @pytest.mark.parametrize("how", GATHER_SPOILS)
+    @pytest.mark.parametrize("at", [0, 6, 13])
+    def test_spoiled_frame_raises_as_the_oracle(self, how, at):
+        rng = np.random.default_rng(3)
+        records = random_records(rng, 14)
+        records[at] = spoiled_record(how)
+        want = oracle_outcome(records)
+        assert isinstance(want, tuple) and want[0].__name__ == how.split("-")[0]
+        assert block_outcome(records) == want
+
+    @pytest.mark.parametrize("first, second", [
+        ("NumericallySingular", "MissingField"),
+        ("MissingField", "NumericallySingular"),
+        ("BehindCamera", "DegenerateLane"),
+        ("Underdetermined", "ConfigError"),
+    ])
+    def test_earlier_frame_error_wins(self, first, second):
+        rng = np.random.default_rng(4)
+        records = random_records(rng, 10)
+        records[3], records[7] = spoiled_record(first), spoiled_record(second)
+        want = oracle_outcome(records)
+        assert want[0].__name__ == first.split("-")[0]
+        assert block_outcome(records) == want
+
+
+def test_loss_block_path_avoids_lane_and_curve_calls(tmp_path, monkeypatch):
+    # Gathering and scoring run as array passes: no per-lane projection,
+    # resampling or fit check and no per-curve sampling, and one
+    # assignment per frame.
+    from lane3d import geometry, losses
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a per-lane or per-curve call")
+
+    for module in (geometry, cli, losses):
+        for name in ("sample_curve", "project_ground_to_image", "_check_frame",
+                     "resample_at_y"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    calls = []
+    real = losses.hungarian
+
+    def counted(cost):
+        calls.append(np.shape(cost))
+        return real(cost)
+
+    monkeypatch.setattr(losses, "hungarian", counted)
+    gt, pred = write_scored_scenario(tmp_path)
+    out = tmp_path / "loss.json"
+    assert run("loss", "--gt", str(gt), "--pred", str(pred), "--out", str(out)) == 0
+    assert len(calls) == 40
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SCORED_LOSS
+
+
+def test_loss_with_an_overflowing_width_is_typed(tmp_path, capsys):
+    # A finite but huge width overflows the divergence: exit 1 naming it,
+    # no warning and no report, where Infinity was once written.
+    gt, pred = write_scored_scenario(tmp_path, frames=3)
+
+    def widen(obj):
+        for lane in obj["lanes"]:
+            lane["uncertainty"] = [[1e308, h] for _, h in lane["uncertainty"]]
+
+    edit_first_record(pred, widen)
+    out = tmp_path / "loss.json"
+    assert run("loss", "--gt", str(gt), "--pred", str(pred), "--out", str(out)) == 1
+    assert "divergence is not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -521,3 +521,30 @@ class TestBatchedKernel:
         assert str(got.value) == str(want.value)
         assert want.type in (ZeroLengthSegment, NumericallySingular,
                              ValueError)
+
+    def test_overflowing_divergence_is_numerically_singular(self):
+        # A finite but huge width overflows the divergence: the first such
+        # pair raises, in pair order with the other checks, and no
+        # RuntimeWarning leaks (the test suite turns one into an error).
+        rng = np.random.default_rng(61)
+        pred_a, pred_b, gt_a, gt_b, widths = random_segments(rng, 6)
+        widths = [tuple(w) for w in widths]
+        widths[3] = (1e308, 0.2)
+        widths[5] = (1e-9, 0.2)
+        with pytest.raises(NumericallySingular, match="not finite") as got:
+            segment_symmetric_klds(pred_a, pred_b, gt_a, gt_b, widths)
+        assert "lambda_w=1e+308" in str(got.value)
+        widths[1] = (1e-9, 0.2)  # an earlier offender wins
+        with pytest.raises(NumericallySingular, match="uncertainty widths"):
+            segment_symmetric_klds(pred_a, pred_b, gt_a, gt_b, widths)
+
+    def test_kld_of_overflowing_scales_is_numerically_singular(self):
+        a = SegmentGaussian(mu=(0.0, 0.0, 0.0), lambda_l=4.0, lambda_w=1e308,
+                            lambda_h=0.2, theta_x=0.0, theta_z=0.3)
+        b = SegmentGaussian(mu=(0.1, 0.0, 0.0), lambda_l=4.0, lambda_w=0.2,
+                            lambda_h=0.2, theta_x=0.0, theta_z=0.0)
+        with pytest.raises(NumericallySingular, match="not finite"):
+            kld(a, b)
+        assert math.isfinite(kld(b, a))  # the narrow one inside the wide
+        with pytest.raises(NumericallySingular, match="not finite"):
+            symmetric_kld(b, a)

@@ -2,18 +2,20 @@
 
 import math
 
+import loss_oracle
 import numpy as np
 import pytest
 
 from lane3d.errors import AnchorMismatch
 from lane3d.gaussians import paired_segment_gaussians, symmetric_kld
-from lane3d.geometry import Curve2D, Lane3D, SampleGrid
+from lane3d.geometry import CameraModel, Curve2D, Lane3D, SampleGrid, fit_curves
 from lane3d.losses import (
     FrameGroundTruth,
     FramePrediction,
     LossConfig,
     curve_match_cost,
     loss_curve,
+    loss_frames,
     loss_loc,
     loss_total,
     loss_unc,
@@ -113,13 +115,13 @@ class TestCurveMatchCost:
         import lane3d.losses as losses
 
         sampled = []
-        real = losses.sample_curve
+        real = losses._sample_curves
 
-        def counted(curve, *args):
-            sampled.append(curve)
-            return real(curve, *args)
+        def counted(curves, *args):
+            sampled.extend(curves)
+            return real(curves, *args)
 
-        monkeypatch.setattr(losses, "sample_curve", counted)
+        monkeypatch.setattr(losses, "_sample_curves", counted)
         gt = FrameGroundTruth(
             lanes=[flat_lane(-2.0), flat_lane(2.0)],
             curves=[const_curve(300), const_curve(500)],
@@ -480,3 +482,206 @@ class TestLossTotal:
             LossConfig(gamma=(0.5, -2.0, 10.0, 3.0, 5.0, 2.0))
         with pytest.raises(ValueError):
             LossConfig(gamma=(1.0, 2.0, 3.0))
+
+
+# ---------------------------------------------------------------------------
+# block scorer against the frame-by-frame oracle
+# ---------------------------------------------------------------------------
+
+CAMERAS = (
+    CameraModel(fx=1000.0, fy=1000.0, cx=480.0, cy=360.0, height=1.5,
+                pitch=0.05, image_size=(720, 960)),
+    CameraModel(fx=1400.0, fy=1400.0, cx=960.0, cy=540.0, height=1.6,
+                pitch=0.02, image_size=(1080, 1920)),
+)
+
+
+def random_curves(rng, n, size):
+    """n curves of one kind: fitted to a shared rational family, stored
+    rational (some constant, some with a horizon inside the image), or
+    stored poly3; random extents and confidences, some exactly 0 or 1."""
+    h, w = size
+    kind = rng.integers(0, 3)
+    if kind == 0 and n:
+        r1, r2, r3 = rng.uniform(1e3, 1e5), rng.uniform(-50.0, 0.4 * h), rng.uniform(-3e3, 3e3)
+        lanes = []
+        for _ in range(n):
+            rows = np.sort(rng.uniform(rng.uniform(r2 + 20.0, 0.8 * h), h - 1.0,
+                                       int(rng.integers(5, 20))))
+            den = rows - r2
+            u = (r1 / den**2 + r3 / den + rng.uniform(-0.5, 0.5) * rows
+                 + rng.uniform(0.1, 0.8) * w + rng.normal(0.0, 1.0, rows.size))
+            lanes.append(np.stack([np.clip(u, 0.0, w - 1.0), rows], axis=1))
+        curves = fit_curves(lanes, size).curves
+    else:
+        curves = []
+        for _ in range(n):
+            low = rng.uniform(0.0, 0.7 * h)
+            up = low + rng.uniform(1.0, h)
+            if kind == 1:
+                rho = (rng.choice([0.0, rng.uniform(-1e5, 1e5)]),
+                       rng.choice([rng.uniform(-100.0, h), (rng.integers(0, 20) + 0.5) * h / 20]),
+                       rng.choice([0.0, rng.uniform(-1e3, 1e3)]), rng.uniform(-50, 50))
+                curves.append(Curve2D(rho, rng.uniform(-0.5, 0.5), rng.uniform(0, w),
+                                      low, up))
+            else:
+                rho = (rng.uniform(0, w), rng.uniform(-1, 1), rng.uniform(-1e-3, 1e-3),
+                       rng.uniform(-1e-6, 1e-6))
+                curves.append(Curve2D(rho, 0.0, 0.0, low, up, form="poly3"))
+    for c in curves:
+        c.confidence = float(rng.choice([0.0, 1.0, rng.uniform(), rng.uniform()]))
+    return curves
+
+
+def random_lanes(rng, n, y, soft):
+    """n lanes on the anchors y: ground truths (hard visibility, some
+    partly or not at all visible) or predictions (soft visibility)."""
+    lanes = []
+    for _ in range(n):
+        pts = np.stack([rng.uniform(-8.0, 8.0) + rng.normal(0.0, 0.3, y.size),
+                        y + (rng.uniform(-5e-10, 5e-10) if soft else 0.0),
+                        rng.normal(0.0, 0.2, y.size)], axis=1)
+        if soft:
+            vis = rng.uniform(0.0, 1.0, y.size)
+            vis[rng.random(y.size) < 0.2] = rng.choice([0.0, 0.5, 1.0])
+        else:
+            vis = np.ones(y.size)
+            vis[:rng.integers(0, y.size // 2 + 1)] = 0.0
+            vis[y.size - rng.integers(0, y.size // 3 + 1):] = 0.0
+            if rng.random() < 0.1:
+                vis[:] = 0.0
+        lanes.append(Lane3D(points=pts, visibility=vis,
+                            score=float(rng.uniform()) if soft else None))
+    return lanes
+
+
+def random_loss_frame(rng):
+    """One frame of 0-4 ground truths and 0-5 predictions on its own
+    anchors, with or without per-segment widths (arrays or pairs)."""
+    camera = CAMERAS[rng.integers(0, 2)]
+    y = 3.0 + np.cumsum(rng.uniform(0.5, 9.0, int(rng.integers(2, 22))))
+    n_gt, n_pred = int(rng.integers(0, 5)), int(rng.integers(0, 6))
+    gt = FrameGroundTruth(random_lanes(rng, n_gt, y, soft=False),
+                          random_curves(rng, n_gt, camera.image_size))
+    uncertainties = None
+    if rng.random() < 0.6:
+        uncertainties = [rng.uniform(0.02, 1.5, (y.size - 1, 2)) for _ in range(n_pred)]
+        if rng.random() < 0.5:
+            uncertainties = [[tuple(w) for w in u.tolist()] for u in uncertainties]
+    pred = FramePrediction(random_lanes(rng, n_pred, y, soft=True),
+                           random_curves(rng, n_pred, camera.image_size),
+                           uncertainties)
+    return gt, pred, camera
+
+
+def breakdown_bits(b):
+    return ({k: None if v is None else v.hex() for k, v in b.as_dict().items()},
+            b.match.pairs, b.match.total_cost.hex())
+
+
+def oracle_outcome(frames, grid=GRID, config=LossConfig()):
+    """The oracle's breakdowns, or (type, message) of the first error."""
+    out = []
+    for gt, pred, camera in frames:
+        try:
+            out.append(loss_oracle.loss_total(gt, pred, camera, grid, config))
+        except Exception as exc:  # noqa: BLE001 - compared by type and text
+            return type(exc), str(exc)
+    return [breakdown_bits(b) for b in out]
+
+
+def block_outcome(frames, grid=GRID, config=LossConfig()):
+    try:
+        return [breakdown_bits(b) for b in loss_frames(frames, grid, config)]
+    except Exception as exc:  # noqa: BLE001
+        return type(exc), str(exc)
+
+
+def spoiled(rng, how):
+    """A frame whose scoring fails with the named error."""
+    y = np.linspace(5.0, 50.0, 6)
+    gt_lanes = [flat_lane_on(y, 1.0), flat_lane_on(y, -2.0)]
+    pred_lanes = [flat_lane_on(y, 1.1), flat_lane_on(y, -2.1)]
+    widths = [np.full((5, 2), 0.3), np.full((5, 2), 0.3)]
+    if how == "AnchorMismatch":
+        pred_lanes[1] = flat_lane_on(y[:-1], -2.1)
+        widths[1] = widths[1][:-1]
+    elif how == "AnchorMismatch-y":
+        pred_lanes[0] = flat_lane_on(y + 1e-6, 1.1)
+    elif how == "NumericallySingular":
+        widths[1][2] = (1e-8, 0.3)
+    elif how == "NumericallySingular-overflow":
+        pred_lanes[0] = Lane3D(points=np.stack([1.1 + 0.05 * y, y, np.zeros(6)], 1),
+                               visibility=np.ones(6))
+        widths[0][1] = (1e308, 0.3)
+    elif how == "ZeroLengthSegment":
+        y = np.array([5.0, 10.0, 10.0 + 5e-10, 20.0, 30.0, 40.0])
+        gt_lanes[1], pred_lanes[1] = flat_lane_on(y, -2.0), flat_lane_on(y, -2.1)
+    curves = [const_curve(300), const_curve(600)]
+    return (FrameGroundTruth(gt_lanes, curves),
+            FramePrediction(pred_lanes, [const_curve(302), const_curve(598)], widths),
+            CAMERAS[0])
+
+
+def flat_lane_on(y, x):
+    return Lane3D(points=np.stack([np.full(y.size, x), y, np.zeros(y.size)], 1),
+                  visibility=np.ones(y.size))
+
+
+SPOILS = ("AnchorMismatch", "AnchorMismatch-y", "NumericallySingular",
+          "NumericallySingular-overflow", "ZeroLengthSegment")
+
+
+class TestScoreOracle:
+    def test_random_frames_in_mixed_blocks(self):
+        rng = np.random.default_rng(2024)
+        frames = [random_loss_frame(rng) for _ in range(240)]
+        features = {
+            "widths": sum(p.uncertainties is not None for _, p, _ in frames),
+            "no widths": sum(p.uncertainties is None for _, p, _ in frames),
+            "no gt": sum(not g.lanes for g, _, _ in frames),
+            "no pred": sum(not p.lanes for _, p, _ in frames),
+            "poly3": sum(c.form == "poly3" for g, _, _ in frames for c in g.curves),
+        }
+        assert min(features.values()) >= 10, features
+        want = oracle_outcome(frames)
+        assert isinstance(want, list)
+        unc = [b[0]["loss_unc"] for b in want]
+        assert sum(u is not None and u != "0x0.0p+0" for u in unc) >= 50
+        start = 0
+        while start < len(frames):
+            stop = start + int(rng.integers(1, 40))
+            assert block_outcome(frames[start:stop]) == want[start:stop]
+            start = stop
+
+    def test_gammas_and_background_weight_are_applied_alike(self):
+        rng = np.random.default_rng(7)
+        frames = [random_loss_frame(rng) for _ in range(30)]
+        config = LossConfig(gamma=(1.5, 0.3, 7.0, 2.5, 0.7, 3.0),
+                            background_weight=0.25)
+        grid = SampleGrid(j_prime=37)
+        assert block_outcome(frames, grid, config) == oracle_outcome(frames, grid, config)
+
+    @pytest.mark.parametrize("how", SPOILS)
+    @pytest.mark.parametrize("at", [0, 5, 11])
+    def test_spoiled_frame_raises_as_the_oracle(self, how, at):
+        rng = np.random.default_rng(31)
+        frames = [random_loss_frame(rng) for _ in range(12)]
+        frames[at] = spoiled(rng, how)
+        want = oracle_outcome(frames)
+        assert isinstance(want, tuple) and want[0].__name__ == how.split("-")[0]
+        assert block_outcome(frames) == want
+
+    @pytest.mark.parametrize("first, second", [
+        ("ZeroLengthSegment", "AnchorMismatch"),
+        ("AnchorMismatch-y", "NumericallySingular"),
+        ("NumericallySingular", "AnchorMismatch"),
+    ])
+    def test_earlier_frame_error_wins(self, first, second):
+        rng = np.random.default_rng(5)
+        frames = [random_loss_frame(rng) for _ in range(8)]
+        frames[2], frames[6] = spoiled(rng, first), spoiled(rng, second)
+        want = oracle_outcome(frames)
+        assert want[0].__name__ == first.split("-")[0]
+        assert block_outcome(frames) == want
+        assert block_outcome(frames[3:]) == oracle_outcome(frames[3:])
