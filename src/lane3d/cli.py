@@ -25,8 +25,7 @@ Output files are written to a temporary name and renamed into place, so
 a failing command never leaves a partial file.  Standard output is
 machine-parsable ``key = value`` lines (plus one line per pair/row in
 tables).  Frames are evaluated one after another on one thread; ``loss``
-fits the curves of up to ``_LOSS_BLOCK`` frames together before scoring
-them in order.
+gathers, fits and scores up to ``_LOSS_BLOCK`` frames together.
 """
 
 from __future__ import annotations
@@ -415,11 +414,11 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Frames whose curve fits are searched in one lockstep call.  Bounds the
-# stacked search the way chamfer._BLOCK_PAIRS bounds the raster: its grid
-# step holds 2 columns x 33 candidates x the block's most points floats per
-# fit, up to two fits per frame (3.4 MB per array for 32 frames of 100-point
-# sides).
+# Frames gathered and scored together, whose curve fits are searched in
+# one lockstep call.  Bounds the stacked search the way chamfer._BLOCK_PAIRS
+# bounds the raster: its grid step holds 2 columns x 33 candidates x the
+# block's most points floats per fit, up to two fits per frame (3.4 MB per
+# array for 32 frames of 100-point sides).
 _LOSS_BLOCK = 32
 
 

@@ -185,9 +185,6 @@ class LossBreakdown:
 # pairwise sum for the fitting cost), so a frame scores the same
 # whatever block it is in.
 
-_LOG_LOW, _LOG_HIGH = PROB_CLAMP, 1.0 - PROB_CLAMP
-
-
 @dataclass
 class _Side:
     """One side's lanes and curves of a block of frames.
@@ -286,7 +283,7 @@ def _log(p: np.ndarray) -> np.ndarray:
 
 
 def _clamped_log(p: np.ndarray) -> np.ndarray:
-    return _log(np.clip(p, _LOG_LOW, _LOG_HIGH))
+    return _log(np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))
 
 
 def _frame_sums(values: np.ndarray, frame: np.ndarray, n_frames: int):

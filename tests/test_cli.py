@@ -711,6 +711,12 @@ def spoiled_record(how):
         gts[1] = lane(-1.8, off_grid, vis=np.eye(12)[4])
     elif how == "BehindCamera":
         gts[0] = lane(1.8, off_grid, z=500.0)
+    elif how == "BehindCamera-one":  # the others in view
+        preds[1].points[0, 2] = 500.0
+    elif how == "Underdetermined-row":  # at the height of a level camera
+        camera = CameraModel(fx=1000.0, fy=1000.0, cx=480.0, cy=360.0,
+                             height=1.5, pitch=0.0, image_size=(720, 960))
+        gts[1] = lane(-1.8, off_grid, z=1.5)
     elif how == "MissingField":
         preds[1] = lane(400.0, ANCHORS)
     elif how == "Underdetermined":
@@ -730,8 +736,9 @@ def spoiled_record(how):
                        pred_uncertainties=widths)
 
 
-GATHER_SPOILS = ("DegenerateLane", "BehindCamera", "MissingField", "Underdetermined",
-                 "Underdetermined-params", "NumericallySingular", "ConfigError")
+GATHER_SPOILS = ("DegenerateLane", "BehindCamera", "BehindCamera-one", "MissingField",
+                 "Underdetermined", "Underdetermined-params", "Underdetermined-row",
+                 "NumericallySingular", "ConfigError")
 
 
 class TestLossBlockOracle:

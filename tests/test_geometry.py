@@ -255,6 +255,34 @@ class TestResampleAtY:
         assert x[0] == pytest.approx(1.0) and z[0] == pytest.approx(2.0)
         assert vis[0] == 1.0
 
+    def test_lanes_in_one_pass_equal_each_lane_alone(self):
+        # points on anchors, spans inside and beyond them, tiny and wide
+        # gaps, flat stretches, and neighbours whose slope overflows
+        rng = np.random.default_rng(17)
+        anchors = np.linspace(3.0, 103.0, 20)
+        lanes = []
+        for i in range(600):
+            n = int(rng.integers(2, 40))
+            y = np.unique(np.concatenate([
+                rng.choice(anchors, int(rng.integers(0, 4))),
+                rng.uniform(rng.uniform(-20.0, 60.0), rng.uniform(60.0, 130.0), n),
+                np.cumsum(rng.uniform(1e-9, 1e-6, int(rng.integers(0, 3)))) + 50.0]))
+            x = rng.normal(0.0, 5.0, y.size) * 10.0 ** rng.integers(-3, 4)
+            if i % 10 == 0:
+                x[:] = x[0]
+            if i % 7 == 0:
+                k = int(rng.integers(0, y.size))
+                x[k:] = rng.choice([-1.7e308, 1.7e308], y.size - k)
+            lanes.append(Lane3D(points=np.stack([x, y, rng.normal(0.0, 1.0, y.size)], 1),
+                                visibility=np.ones(y.size)))
+        pts = np.concatenate([lane.points for lane in lanes])
+        starts = np.cumsum([0] + [len(lane.points) for lane in lanes])
+        got = geometry._resample_lanes_at_y(pts[:, 1], pts[:, 0], pts[:, 2],
+                                            starts, anchors)
+        for i, lane in enumerate(lanes):
+            want = resample_at_y(lane, anchors)
+            assert all(w.tobytes() == g[i].tobytes() for w, g in zip(want, got)), i
+
 
 class TestLaneValidation:
     def test_y_must_increase(self):
