@@ -303,7 +303,8 @@ def _masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """
     counts = mask.sum(axis=1)
     out = np.zeros(values.shape[0])
-    for n in np.unique(counts[counts > 0]).tolist():
+    # the counts present; np.unique would import numpy.ma (about 1 MB)
+    for n in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
         rows = np.flatnonzero(counts == n)
         out[rows] = values[rows][mask[rows]].reshape(-1, n).sum(axis=1)
     return out
@@ -481,7 +482,7 @@ def _score_block(block: _Block, grid: SampleGrid,
     """
     try:
         return _score(block, grid, config)
-    except (Lane3DError, ValueError):
+    except (Lane3DError, ValueError, ArithmeticError):
         if block.n_frames == 1:
             raise
     return [_score(block.frame(f), grid, config)[0]
