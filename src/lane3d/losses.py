@@ -113,15 +113,16 @@ class FrameGroundTruth:
 class FramePrediction:
     """Predicted lanes, curves, and optional per-segment uncertainties.
 
-    ``uncertainties[i]`` lists ``(lateral, vertical)`` widths for the
-    segments of lane ``i`` — one entry per consecutive point pair.
+    ``uncertainties[i]`` holds ``(lateral, vertical)`` widths for the
+    segments of lane ``i`` — one row per consecutive point pair, as an
+    (n - 1, 2) array or a list of pairs.
     ``None`` means the predictor supplies no uncertainties; the
     uncertainty loss is then reported absent rather than zero.
     """
 
     lanes: list[Lane3D]
     curves: list[Curve2D]
-    uncertainties: list[list[tuple[float, float]]] | None = None
+    uncertainties: list[np.ndarray | list[tuple[float, float]]] | None = None
 
     def __post_init__(self):
         _check_lane_curve_lists(self.lanes, self.curves, "prediction")
