@@ -79,9 +79,9 @@ import numpy as np
 from .errors import ConfigError, DegenerateLane
 from .geometry import Lane3D, interpolate_lane
 from .kernels import (
+    directed_mean_pairs,
     directed_point_stats,
     nearest_pair_rows,
-    pair_mean_matrices,
     point_to_polyline_stats,
     polyline_mean_pairs,
     resample_polylines,
@@ -164,16 +164,6 @@ def bidirectional_cd(gt: Lane3D, pred: Lane3D, n: int = 100) -> float:
     return (d_pg + d_gp) / 2.0
 
 
-def _bcd_matrix(
-    gt_lanes: list[Lane3D], pred_lanes: list[Lane3D], n: int
-) -> np.ndarray:
-    """Bidirectional distances for every (prediction, ground-truth) pair."""
-    pred_pts = [interpolate_lane(lane, n) for lane in pred_lanes]
-    gt_pts = [interpolate_lane(lane, n) for lane in gt_lanes]
-    d_pg, d_gp = pair_mean_matrices(pred_pts, gt_pts)
-    return (d_pg + d_gp) / 2.0
-
-
 def _bcd_cores(frames, n: int) -> list[tuple[list[tuple[int, float]], int, int]]:
     """Per frame, each prediction's nearest ground truth (lowest index on
     ties) and its distance, none without ground truths, with the frame's
@@ -248,11 +238,31 @@ def _bcd_lanes(frame) -> tuple:
     return (*pred_lanes, *gt_lanes) if pred_lanes else ()
 
 
+def _curves_sorted_by_y(curves: np.ndarray) -> np.ndarray:
+    """``(L, n, 3)`` curves with each lane sorted stably by y.
+
+    Rounding can leave a resampled y an ulp past the next vertex's; only
+    such lanes are sorted, in a copy.  The window kernels need their
+    targets sorted, and sorting leaves every nearest-neighbor minimum and
+    maximum as it is.
+    """
+    y = curves[..., 1]
+    unsorted = (y[:, 1:] < y[:, :-1]).any(axis=1)
+    if not unsorted.any():
+        return curves
+    curves = curves.copy()
+    for lane in np.flatnonzero(unsorted):
+        curves[lane] = curves[lane][np.argsort(y[lane], kind="stable")]
+    return curves
+
+
 def _bcd_rows(frames, n: int) -> list[np.ndarray]:
     """Per-frame ``(n_pred, n_gt)`` matrices for the bidirectional protocol.
 
-    Entries a row's argmin and minimum can come from hold
-    ``_bcd_matrix``'s values bitwise; every other entry is ``+inf``
+    Entries a row's argmin and minimum can come from hold the full
+    matrix's values bitwise (the mean of a pair's two directed means,
+    each lane interpolated and sorted stably by y); every other entry is
+    ``+inf``
     (see ``nearest_pair_rows``), which ``_bcd_cores`` reads the same
     way.  Frames are searched in blocks of bounded size, and the
     values do not depend on the blocks.
@@ -265,7 +275,8 @@ def _bcd_rows(frames, n: int) -> list[np.ndarray]:
 
 def _bcd_block(frames, n: int) -> list[np.ndarray]:
     # Every lane of a frame with predictions is interpolated, predictions
-    # first, as _bcd_matrix does; so the same lane raises DegenerateLane.
+    # first; so the first lane short of 2 visible points raises
+    # DegenerateLane, as interpolating the lanes in that order would.
     lanes = [lane for frame in frames for lane in _bcd_lanes(frame)]
     if not lanes:
         return [np.zeros((0, len(gt_lanes))) for gt_lanes, _ in frames]
@@ -282,14 +293,7 @@ def _bcd_block(frames, n: int) -> list[np.ndarray]:
         )
     if not keep.all():
         points = points.compress(keep, axis=0)
-    curves = resample_polylines(points, counts, n)
-    # Rounding can leave a sample's y an ulp past the next vertex's; such
-    # lanes are sorted stably by y, as pair_mean_matrices sorts them.
-    y = curves[..., 1]
-    unsorted = y[:, 1:] < y[:, :-1]
-    if unsorted.any():
-        for lane in np.flatnonzero(unsorted.any(axis=1)):
-            curves[lane] = curves[lane][np.argsort(y[lane], kind="stable")]
+    curves = _curves_sorted_by_y(resample_polylines(points, counts, n))
 
     # One row per prediction of a searched frame, over the frame's ground
     # truths in order; starts[f] locates frame f's pairs (None: not searched).
@@ -813,8 +817,9 @@ def _iou_matched_block(frames, config: EvalConfig, with_maxes: bool) -> list[_Io
     qualified pairs' lanes of all frames are interpolated by one
     ``resample_polylines`` call, which equals ``interpolate_lane``
     bitwise, and their CDs come from one ``polyline_mean_pairs`` call.
-    With ``with_maxes``, each pair's two directed maximum distances make
-    its worst-case distance.
+    With ``with_maxes``, one ``directed_mean_pairs`` call gives each
+    pair's two directed maximum distances, which make its worst-case
+    distance.
     """
     visible = [
         lane.visible_points() for frame in frames for lane in _iou_lanes(frame)
@@ -838,13 +843,17 @@ def _iou_matched_block(frames, config: EvalConfig, with_maxes: bool) -> list[_Io
         curves = resample_polylines(
             np.concatenate(ends), [len(pts) for pts in ends], config.n_interp
         )
-        gt_curves, pred_curves = curves[:len(matches)], curves[len(matches):]
-        ucd, _ = polyline_mean_pairs(gt_curves, pred_curves)
-        for k, (f, _, _) in enumerate(matches):
-            cores[f].ucd.append(float(ucd[k]))
-            if with_maxes:
-                _, max_pg = directed_point_stats(pred_curves[k], gt_curves[k])
-                _, max_gp = directed_point_stats(gt_curves[k], pred_curves[k])
+        k = len(matches)
+        gt_curves, pred_curves = curves[:k], curves[k:]
+        ucd, _, _ = polyline_mean_pairs(gt_curves, pred_curves)
+        for (f, _, _), d in zip(matches, ucd.tolist()):
+            cores[f].ucd.append(d)
+        if with_maxes:
+            # ground truths to predictions, then predictions to ground truths
+            targets = _curves_sorted_by_y(np.concatenate([pred_curves, gt_curves]))
+            _, maxes, _ = directed_mean_pairs(curves, targets)
+            for (f, _, _), max_gp, max_pg in zip(matches, maxes[:k].tolist(),
+                                                 maxes[k:].tolist()):
                 if config.mbd_variant == "directed_max_mean":
                     cores[f].worst.append((max_pg + max_gp) / 2.0)
                 else:

@@ -1,27 +1,33 @@
 """Numeric kernels for nearest-neighbor distance statistics.
 
-Every per-lane statistic is a vectorized NumPy computation over the full
-distance matrix of a lane pair.  The results are **bit-identical** to a
-plain double loop: the squared distance is evaluated with the operation
-order ``(dx*dx + dy*dy) + dz*dz``, minima are pure value selections,
-``sqrt`` is applied per source point, and sums accumulate in
-source-point order, so reports are the same bytes on every run.
+Each statistic has one implementation, a batched NumPy kernel over many
+lane pairs at once:
 
-The bidirectional protocol scores blocks of frames with batched kernels
-that give the same bits (``resample_polylines``, ``directed_mean_pairs``,
-``nearest_pair_rows``): lanes are resampled all at once, each
-(prediction, ground truth) pair gets a lower bound from chunk bounding
-boxes, and exact means are computed only for pairs that can hold their
-row's minimum.  Those means scan a few target points around each source
-point's y and fall back to the whole target lane where the window does
-not prove the minimum.  ``pair_mean_matrices`` stays the full-matrix
-reference.
+* ``directed_mean_pairs``: the mean and max nearest-neighbor distance
+  from each source lane's points to its target lane's point set;
+* ``polyline_mean_pairs``: the mean and max distance from each source
+  lane's points to its target lane's polyline;
+* ``resample_polylines``: arc-length-uniform resampling of many lanes.
 
-The IoU-gated protocols score the unilateral distance of all matched
-pairs with ``polyline_mean_pairs``, which scans, for each point, the
-prediction segments around its y and falls back to the whole lane where
-the y gap to the other segments does not prove the minimum; it equals
-``point_to_polyline_stats``, the full-matrix reference, bitwise.
+The results are **bit-identical** to a plain double loop: the squared
+distance is evaluated with the operation order ``(dx*dx + dy*dy) +
+dz*dz``, minima are pure value selections, ``sqrt`` is applied per
+source point, sums accumulate in source-point order and the max is a
+selection of the same square roots, so reports are the same bytes on
+every run.  The distance kernels scan, for each source point, a few
+target points or segments around its y and fall back to the whole
+target lane where the window does not prove the minimum.
+
+The single-pair functions (``directed_point_stats``,
+``point_to_polyline_stats``, ``resample_polyline``) are batches of one
+of these kernels, and ``pair_mean_matrices`` sends each of its pairs
+through ``directed_mean_pairs``.  They reject points that are not
+finite with ``ValueError``.
+
+The bidirectional protocol scores blocks of frames with
+``nearest_pair_rows``: each (prediction, ground truth) pair gets a lower
+bound from chunk bounding boxes, and exact means are computed only for
+pairs that can hold their row's minimum.
 """
 
 from __future__ import annotations
@@ -54,6 +60,8 @@ def _as_points(arr, name: str) -> np.ndarray:
         raise ValueError(f"{name} must have shape (n, 3), got {pts.shape}")
     if pts.shape[0] == 0:
         raise ValueError(f"{name} must contain at least one point")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{name} must be finite")
     return pts
 
 
@@ -62,87 +70,6 @@ def _sorted_by_y(pts: np.ndarray) -> np.ndarray:
     if np.all(y[1:] >= y[:-1]):
         return pts
     return np.ascontiguousarray(pts[np.argsort(y, kind="stable")])
-
-
-# ---------------------------------------------------------------------------
-# per-lane cores
-# ---------------------------------------------------------------------------
-
-
-def _point_core(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Sum (in a-point order) and max of nearest-neighbor distances a -> b."""
-    dx = a[:, 0][:, None] - b[None, :, 0]
-    dy = a[:, 1][:, None] - b[None, :, 1]
-    dz = a[:, 2][:, None] - b[None, :, 2]
-    d2 = (dx * dx + dy * dy) + dz * dz
-    dist = np.sqrt(d2.min(axis=1))
-    return float(np.cumsum(dist)[-1]), float(dist.max())
-
-
-def _polyline_core(a: np.ndarray, q: np.ndarray) -> tuple[float, float]:
-    """Sum and max of point-to-polyline distances in a-point order.
-
-    The polyline is the chain of segments joining consecutive q-points;
-    a single q-point degenerates to point-to-point distance.
-    """
-    if q.shape[0] == 1:
-        d = a - q[0]
-        d2 = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
-        dist = np.sqrt(d2)
-        return float(np.cumsum(dist)[-1]), float(dist.max())
-    d2 = _segment_d2(a[:, :1], a[:, 1:2], a[:, 2:], q.T[:, None, :],
-                     np.arange(q.shape[0] - 1), 0)
-    dist = np.sqrt(d2.min(axis=1))
-    return float(np.cumsum(dist)[-1]), float(dist.max())
-
-
-def _segment_d2(ax, ay, az, q, k, i):
-    """Squared distance from points ``(ax, ay, az)`` to segment ``k`` of
-    lane ``i`` in the ``(3, L, m)`` planes ``q``, the segment joining
-    points ``k`` and ``k + 1``; the arguments broadcast together.  A
-    zero-length segment degenerates to its first point."""
-    qx, qy, qz = q
-    ex = qx[i, k + 1] - qx[i, k]
-    ey = qy[i, k + 1] - qy[i, k]
-    ez = qz[i, k + 1] - qz[i, k]
-    wx = ax - qx[i, k]
-    wy = ay - qy[i, k]
-    wz = az - qz[i, k]
-    c2 = (ex * ex + ey * ey) + ez * ez
-    c1 = (wx * ex + wy * ey) + wz * ez
-    t = np.clip(c1 / np.where(c2 > 0.0, c2, 1.0), 0.0, 1.0)
-    t = np.where(c2 > 0.0, t, 0.0)
-    dx = wx - t * ex
-    dy = wy - t * ey
-    dz = wz - t * ez
-    return (dx * dx + dy * dy) + dz * dz
-
-
-def _resample_core(pts: np.ndarray, n: int) -> np.ndarray:
-    """Arc-length-uniform resampling of a polyline to n points.
-
-    Interior samples use the weight ``w = (t - cum[k]) / span`` applied
-    as ``p[k] + w * (p[k+1] - p[k])``; both endpoints are copied exactly.
-    The segment index k is the smallest with ``cum[k+1] >= t``.
-    """
-    seg = pts[1:] - pts[:-1]
-    d = np.sqrt(
-        (seg[:, 0] * seg[:, 0] + seg[:, 1] * seg[:, 1]) + seg[:, 2] * seg[:, 2]
-    )
-    cum = np.empty(pts.shape[0])
-    cum[0] = 0.0
-    np.cumsum(d, out=cum[1:])
-    step = cum[-1] / (n - 1)
-    t = step * np.arange(1, n - 1, dtype=np.float64)
-    k = np.clip(np.searchsorted(cum, t, side="left") - 1, 0, pts.shape[0] - 2)
-    span = cum[k + 1] - cum[k]
-    zero = span == 0.0
-    w = np.where(zero, 0.0, (t - cum[k]) / np.where(zero, 1.0, span))
-    out = np.empty((n, 3))
-    out[0] = pts[0]
-    out[-1] = pts[-1]
-    out[1:-1] = pts[k] + w[:, None] * (pts[k + 1] - pts[k])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -156,24 +83,30 @@ def resample_polyline(points, n: int) -> np.ndarray:
     The first and last input points are preserved exactly and every
     sample lies on the input chain.  Duplicate consecutive points are
     tolerated (their zero-length segment is never selected for a strictly
-    interior target).
+    interior target).  A batch of one of ``resample_polylines``.
     """
     pts = _as_points(points, "points")
     if n < 2:
         raise ValueError("n must be >= 2")
     if pts.shape[0] < 2:
         raise ValueError("need at least two points to resample")
-    return _resample_core(pts, n)
+    return np.ascontiguousarray(resample_polylines(pts, [pts.shape[0]], n)[0])
+
+
+def _directed_stats(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """``directed_point_stats`` of checked points, ``b`` sorted by y."""
+    means, maxes, _ = directed_mean_pairs(a[None], b[None])
+    return float(means[0]), float(maxes[0])
 
 
 def directed_point_stats(a, b) -> tuple[float, float]:
     """Mean and max nearest-neighbor distance from points ``a`` to set ``b``.
 
-    Returns ``(mean, max)`` of ``min_j ||a_i - b_j||`` over a-points.
+    Returns ``(mean, max)`` of ``min_j ||a_i - b_j||`` over a-points,
+    summed in a-point order.  ``b`` is sorted stably by y first, which
+    leaves every minimum as it is.
     """
-    pa = _as_points(a, "a")
-    total, biggest = _point_core(pa, _as_points(b, "b"))
-    return total / pa.shape[0], biggest
+    return _directed_stats(_as_points(a, "a"), _sorted_by_y(_as_points(b, "b")))
 
 
 def pair_mean_matrices(
@@ -196,8 +129,8 @@ def pair_mean_matrices(
     d_gp = np.zeros((len(preds), len(gts)))
     for i, p in enumerate(preds):
         for j, g in enumerate(gts):
-            d_pg[i, j] = _point_core(p, g)[0] / p.shape[0]
-            d_gp[i, j] = _point_core(g, p)[0] / g.shape[0]
+            d_pg[i, j] = _directed_stats(p, g)[0]
+            d_gp[i, j] = _directed_stats(g, p)[0]
     return d_pg, d_gp
 
 
@@ -205,15 +138,17 @@ def point_to_polyline_stats(points, polyline) -> tuple[float, float]:
     """Mean and max distance from each point to the polyline through ``polyline``.
 
     Distances are to the nearest point on any segment of the chain (its
-    vertices included), not merely to the vertices.
+    vertices included), not merely to the vertices; a single vertex is a
+    segment of length 0.  A batch of one of ``polyline_mean_pairs``.
     """
     pa = _as_points(points, "points")
-    total, biggest = _polyline_core(pa, _as_points(polyline, "polyline"))
-    return total / pa.shape[0], biggest
+    q = _as_points(polyline, "polyline")
+    means, maxes, _ = polyline_mean_pairs(pa[None], q[None])
+    return float(means[0]), float(maxes[0])
 
 
 # ---------------------------------------------------------------------------
-# batched NumPy kernels for the bidirectional row search
+# batched NumPy kernels
 # ---------------------------------------------------------------------------
 #
 # These work on coordinate planes, ``(3, L, n)`` arrays whose last axis
@@ -241,12 +176,14 @@ def resample_polylines(points, counts, n: int) -> np.ndarray:
     """Batched ``resample_polyline``: ragged polylines to an ``(L, n, 3)`` array.
 
     ``points`` stacks the polylines' points in order and ``counts`` holds
-    their lengths (each at least 2).  Row ``l`` equals
-    ``resample_polyline(polyline_l, n)`` bitwise: segment lengths, the
-    cumulative sum along each row, the sample positions and the weights
-    use the operations of ``_resample_core``.  Only the segment search
-    differs: every sample's segment comes from an exact
-    count of the cumulative lengths below it, which equals the per-lane
+    their lengths (each at least 2).  Segment lengths are
+    ``sqrt((sx*sx + sy*sy) + sz*sz)``, cumulated along each row into
+    ``cum``; sample ``j`` sits at ``t = (cum[-1] / (n - 1)) * j`` on the
+    segment ``k``, the smallest with ``cum[k+1] >= t``, and interior
+    samples are ``p[k] + w * (p[k+1] - p[k])`` with ``w = (t - cum[k]) /
+    (cum[k+1] - cum[k])`` (0 on a zero-length segment); both endpoints
+    are copied exactly.  Every sample's segment comes from an exact count
+    of the cumulative lengths below it, which equals a per-lane
     ``searchsorted``.  The result is a view of ``(3, L, n)`` planes.
     """
     planes = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
@@ -308,11 +245,12 @@ def resample_polylines(points, counts, n: int) -> np.ndarray:
 
 
 def _window_means(sp: np.ndarray, dp: np.ndarray, dst: np.ndarray):
-    """Mean nearest-neighbor distance from source lanes to target lanes.
+    """Mean and max nearest-neighbor distance from source lanes to target
+    lanes.
 
     ``sp`` holds the ``(3, q, n)`` planes of the source lanes and ``dp``
     the contiguous ``(3, L, m)`` planes of the candidates; source ``i`` is
-    measured against lane ``dst[i]``.  All lanes are sorted by y.
+    measured against lane ``dst[i]``.  Every target lane is sorted by y.
 
     Each point first scans ``_WINDOW`` target points around its y
     position.  The window's minimum is the lane's minimum when the target
@@ -320,7 +258,8 @@ def _window_means(sp: np.ndarray, dp: np.ndarray, dst: np.ndarray):
     point's y and its ``dy*dy`` reaches that minimum: every point beyond
     has a larger ``dy*dy``, and ``(dx*dx + dy*dy) + dz*dz >= dy*dy`` holds
     in floating point.  A point failing the test scans its whole target
-    lane.  Returns the means and the number of such full scans.
+    lane.  Returns the means, the maxima and the number of such full
+    scans.
     """
     _, q, n = sp.shape
     n_lanes, m = dp.shape[1:]
@@ -334,6 +273,7 @@ def _window_means(sp: np.ndarray, dp: np.ndarray, dst: np.ndarray):
     xd, yd, zd = (plane.ravel() for plane in padded)
     chunk = max(1, _SCAN_POINTS // n)
     means = np.empty(q)
+    maxes = np.empty(q)
     fallbacks = 0
     for s in range(0, q, chunk):
         xs, ys, zs = sp[:, s:s + chunk]
@@ -369,34 +309,61 @@ def _window_means(sp: np.ndarray, dp: np.ndarray, dst: np.ndarray):
                 dy = ys[r, c][:, None] - by
                 dz = zs[r, c][:, None] - bz
                 best[r, c] = ((dx * dx + dy * dy) + dz * dz).min(axis=1)
-        means[s:s + chunk] = np.cumsum(np.sqrt(best), axis=1)[:, -1] / n
-    return means, fallbacks
+        dist = np.sqrt(best)
+        means[s:s + chunk] = np.cumsum(dist, axis=1)[:, -1] / n
+        maxes[s:s + chunk] = dist.max(axis=1)
+    return means, maxes, fallbacks
 
 
-def directed_mean_pairs(src, dst) -> tuple[np.ndarray, int]:
-    """Mean nearest-neighbor distance from each src lane to its dst lane.
+def directed_mean_pairs(src, dst) -> tuple[np.ndarray, np.ndarray, int]:
+    """Mean and max nearest-neighbor distance from each src lane to its
+    dst lane.
 
-    ``src`` is ``(q, n, 3)`` and ``dst`` ``(q, m, 3)``, both finite and
-    sorted by y along axis 1.  ``means[i]`` equals
-    ``directed_point_stats(src[i], dst[i])[0]`` bitwise: the minima are
-    the same values, and each row sums ``sqrt`` of its minima in point
-    order before dividing by ``n``.  Returns
-    ``(means, fallbacks)``, the second the number of source points whose
-    window test failed and that scanned their whole target lane.
+    ``src`` is ``(q, n, 3)`` and ``dst`` ``(q, m, 3)``, both finite, and
+    each dst lane sorted by y.  Each row's minima are exact selections
+    of ``(dx*dx + dy*dy) + dz*dz``; ``means[i]`` sums ``sqrt`` of them in
+    src point order before dividing by ``n``, and ``maxes[i]`` is the
+    largest ``sqrt``.  Returns ``(means, maxes, fallbacks)``, the last
+    the number of source points whose window test failed and that
+    scanned their whole target lane.
     """
     sp = np.asarray(src, dtype=np.float64).transpose(2, 0, 1)
     dp = np.ascontiguousarray(np.asarray(dst, dtype=np.float64).transpose(2, 0, 1))
     return _window_means(sp, dp, np.arange(sp.shape[1]))
 
 
-def polyline_mean_pairs(src, dst) -> tuple[np.ndarray, int]:
-    """Mean distance from each src lane's points to its dst lane's polyline.
+def _segment_d2(ax, ay, az, q, k, i):
+    """Squared distance from points ``(ax, ay, az)`` to segment ``k`` of
+    lane ``i`` in the ``(3, L, m)`` planes ``q``, the segment joining
+    points ``k`` and ``k + 1``; the arguments broadcast together.  A
+    zero-length segment degenerates to its first point."""
+    qx, qy, qz = q
+    ex = qx[i, k + 1] - qx[i, k]
+    ey = qy[i, k + 1] - qy[i, k]
+    ez = qz[i, k + 1] - qz[i, k]
+    wx = ax - qx[i, k]
+    wy = ay - qy[i, k]
+    wz = az - qz[i, k]
+    c2 = (ex * ex + ey * ey) + ez * ez
+    c1 = (wx * ex + wy * ey) + wz * ez
+    t = np.clip(c1 / np.where(c2 > 0.0, c2, 1.0), 0.0, 1.0)
+    t = np.where(c2 > 0.0, t, 0.0)
+    dx = wx - t * ex
+    dy = wy - t * ey
+    dz = wz - t * ez
+    return (dx * dx + dy * dy) + dz * dz
+
+
+def polyline_mean_pairs(src, dst) -> tuple[np.ndarray, np.ndarray, int]:
+    """Mean and max distance from each src lane's points to its dst lane's
+    polyline.
 
     ``src`` is ``(q, n, 3)`` and ``dst`` ``(q, m, 3)``, both finite.
-    ``means[i]`` equals ``point_to_polyline_stats(src[i], dst[i])[0]``
-    bitwise: both take every squared distance from ``_segment_d2``, the
-    minima are the same values, and each row sums ``sqrt`` of its
-    minima in point order before dividing by ``n``.
+    Every squared distance comes from ``_segment_d2``; a one-vertex dst
+    lane is a segment of length 0, whose ``t = 0`` gives the bits of the
+    point distance.  Each row's minima are exact selections; ``means[i]``
+    sums ``sqrt`` of them in src point order before dividing by ``n``,
+    and ``maxes[i]`` is the largest ``sqrt``.
 
     On a dst lane whose y never decreases, each point first scans the
     ``_WINDOW_SEGMENTS`` segments around its y position.  Every segment
@@ -411,11 +378,14 @@ def polyline_mean_pairs(src, dst) -> tuple[np.ndarray, int]:
     window's minimum is the lane's when, on both sides, ``g`` less a
     margin of ``2**-40 * Y``, squared, reaches it.  Other points, and
     every point of a lane whose y decreases somewhere, scan all
-    segments.  Returns ``(means, fallbacks)``, the second the number of
-    points that scanned all segments.
+    segments.  Returns ``(means, maxes, fallbacks)``, the last the number
+    of points that scanned all segments.
     """
     sp = np.asarray(src, dtype=np.float64).transpose(2, 0, 1)
-    q = np.ascontiguousarray(np.asarray(dst, dtype=np.float64).transpose(2, 0, 1))
+    q = np.asarray(dst, dtype=np.float64).transpose(2, 0, 1)
+    if q.shape[2] == 1:
+        q = np.concatenate([q, q], axis=2)
+    q = np.ascontiguousarray(q)
     _, n_lanes, n = sp.shape
     m = q.shape[2]
     qy = q[1]
@@ -431,6 +401,7 @@ def polyline_mean_pairs(src, dst) -> tuple[np.ndarray, int]:
     scale = np.where(span > 0.0, (m - 1) / np.where(span > 0.0, span, 1.0), 0.0)
     chunk = max(1, _SCAN_POINTS // n)
     means = np.empty(n_lanes)
+    maxes = np.empty(n_lanes)
     fallbacks = 0
     for s in range(0, n_lanes, chunk):
         xs, ys, zs = sp[:, s:s + chunk]
@@ -462,8 +433,10 @@ def polyline_mean_pairs(src, dst) -> tuple[np.ndarray, int]:
                 d2 = _segment_d2(xs[r, c][:, None], ys[r, c][:, None],
                                  zs[r, c][:, None], q, np.arange(m - 1), lane)
                 best[r, c] = d2.min(axis=1)
-        means[s:s + chunk] = np.cumsum(np.sqrt(best), axis=1)[:, -1] / n
-    return means, fallbacks
+        dist = np.sqrt(best)
+        means[s:s + chunk] = np.cumsum(dist, axis=1)[:, -1] / n
+        maxes[s:s + chunk] = dist.max(axis=1)
+    return means, maxes, fallbacks
 
 
 def _chunk_boxes(planes: np.ndarray):
@@ -511,7 +484,7 @@ def _bcd_lower_bounds(boxes, n: int, pi: np.ndarray, gi: np.ndarray) -> np.ndarr
 
 
 def _pair_bcd(planes: np.ndarray, pi: np.ndarray, gi: np.ndarray) -> np.ndarray:
-    means, _ = _window_means(
+    means, _, _ = _window_means(
         planes[:, np.concatenate([pi, gi])], planes, np.concatenate([gi, pi])
     )
     return (means[: pi.size] + means[pi.size:]) / 2.0

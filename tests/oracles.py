@@ -1,0 +1,179 @@
+"""Reference implementations the distance kernels are tested against.
+
+Two kinds, both independent of ``lane3d.kernels``:
+
+* pure-Python double loops over plain floats (``oracle_point_stats``,
+  ``oracle_polyline_stats``);
+* full-matrix NumPy references with the same arithmetic
+  (``point_core``, ``polyline_core``, ``resample_core``), and on them
+  the full bidirectional distance matrices (``pair_mean_matrices``,
+  ``bcd_matrix``).
+
+Every squared distance is ``(dx*dx + dy*dy) + dz*dz``, minima are pure
+selections and sums run in source-point order, so a kernel must match
+these bitwise.
+"""
+
+import math
+
+import numpy as np
+
+from lane3d.errors import DegenerateLane
+
+
+def oracle_point_stats(a, b):
+    """O(n*m) nearest-neighbor mean/max using plain Python floats."""
+    al = [tuple(map(float, row)) for row in a]
+    bl = [tuple(map(float, row)) for row in b]
+    total = 0.0
+    biggest = 0.0
+    for xa, ya, za in al:
+        best = math.inf
+        for xb, yb, zb in bl:
+            dx = xa - xb
+            dy = ya - yb
+            dz = za - zb
+            d2 = (dx * dx + dy * dy) + dz * dz
+            if d2 < best:
+                best = d2
+        dist = math.sqrt(best)
+        total += dist
+        if dist > biggest:
+            biggest = dist
+    return total / len(al), biggest
+
+
+def oracle_polyline_stats(a, q):
+    """O(n*m) point-to-segment-chain mean/max using plain Python floats."""
+    al = [tuple(map(float, row)) for row in a]
+    ql = [tuple(map(float, row)) for row in q]
+    total = 0.0
+    biggest = 0.0
+    for xa, ya, za in al:
+        best = math.inf
+        if len(ql) == 1:
+            dx = xa - ql[0][0]
+            dy = ya - ql[0][1]
+            dz = za - ql[0][2]
+            best = (dx * dx + dy * dy) + dz * dz
+        for k in range(len(ql) - 1):
+            ex = ql[k + 1][0] - ql[k][0]
+            ey = ql[k + 1][1] - ql[k][1]
+            ez = ql[k + 1][2] - ql[k][2]
+            wx = xa - ql[k][0]
+            wy = ya - ql[k][1]
+            wz = za - ql[k][2]
+            c2 = (ex * ex + ey * ey) + ez * ez
+            if c2 > 0.0:
+                t = ((wx * ex + wy * ey) + wz * ez) / c2
+                t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+            else:
+                t = 0.0
+            dx = wx - t * ex
+            dy = wy - t * ey
+            dz = wz - t * ez
+            d2 = (dx * dx + dy * dy) + dz * dz
+            if d2 < best:
+                best = d2
+        dist = math.sqrt(best)
+        total += dist
+        if dist > biggest:
+            biggest = dist
+    return total / len(al), biggest
+
+
+def point_core(a, b):
+    """Mean (summed in a-point order) and max of the nearest-neighbor
+    distances a -> b, from the full distance matrix."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    dx = a[:, 0][:, None] - b[None, :, 0]
+    dy = a[:, 1][:, None] - b[None, :, 1]
+    dz = a[:, 2][:, None] - b[None, :, 2]
+    dist = np.sqrt(((dx * dx + dy * dy) + dz * dz).min(axis=1))
+    return float(np.cumsum(dist)[-1]) / a.shape[0], float(dist.max())
+
+
+def polyline_core(a, q):
+    """Mean and max of point-to-polyline distances in a-point order, from
+    the full (point, segment) matrix; one q-point is point distance."""
+    a, q = np.asarray(a, dtype=float), np.asarray(q, dtype=float)
+    if q.shape[0] == 1:
+        d = a - q[0]
+        dist = np.sqrt((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2])
+        return float(np.cumsum(dist)[-1]) / a.shape[0], float(dist.max())
+    e = q[1:] - q[:-1]  # (m - 1, 3)
+    w = a[:, None, :] - q[None, :-1, :]  # (n, m - 1, 3)
+    ex, ey, ez = e[:, 0], e[:, 1], e[:, 2]
+    wx, wy, wz = w[..., 0], w[..., 1], w[..., 2]
+    c2 = (ex * ex + ey * ey) + ez * ez
+    c1 = (wx * ex + wy * ey) + wz * ez
+    t = np.clip(c1 / np.where(c2 > 0.0, c2, 1.0), 0.0, 1.0)
+    t = np.where(c2 > 0.0, t, 0.0)
+    dx = wx - t * ex
+    dy = wy - t * ey
+    dz = wz - t * ez
+    dist = np.sqrt(((dx * dx + dy * dy) + dz * dz).min(axis=1))
+    return float(np.cumsum(dist)[-1]) / a.shape[0], float(dist.max())
+
+
+def resample_core(pts, n):
+    """Arc-length-uniform resampling of one polyline to n points.
+
+    Interior samples use the weight ``w = (t - cum[k]) / span`` applied
+    as ``p[k] + w * (p[k+1] - p[k])``; both endpoints are copied exactly.
+    The segment index k is the smallest with ``cum[k+1] >= t``, found by
+    ``searchsorted``.
+    """
+    pts = np.asarray(pts, dtype=float)
+    seg = pts[1:] - pts[:-1]
+    d = np.sqrt(
+        (seg[:, 0] * seg[:, 0] + seg[:, 1] * seg[:, 1]) + seg[:, 2] * seg[:, 2]
+    )
+    cum = np.empty(pts.shape[0])
+    cum[0] = 0.0
+    np.cumsum(d, out=cum[1:])
+    step = cum[-1] / (n - 1)
+    t = step * np.arange(1, n - 1, dtype=np.float64)
+    k = np.clip(np.searchsorted(cum, t, side="left") - 1, 0, pts.shape[0] - 2)
+    span = cum[k + 1] - cum[k]
+    zero = span == 0.0
+    w = np.where(zero, 0.0, (t - cum[k]) / np.where(zero, 1.0, span))
+    out = np.empty((n, 3))
+    out[0] = pts[0]
+    out[-1] = pts[-1]
+    out[1:-1] = pts[k] + w[:, None] * (pts[k + 1] - pts[k])
+    return out
+
+
+def interpolate(lane, n):
+    """``interpolate_lane`` on ``resample_core``."""
+    pts = lane.visible_points()
+    if pts.shape[0] < 2:
+        raise DegenerateLane(f"{pts.shape[0]} visible point(s); need >= 2")
+    return resample_core(pts, n)
+
+
+def _sorted_by_y(pts):
+    return pts[np.argsort(pts[:, 1], kind="stable")]
+
+
+def pair_mean_matrices(pred_points, gt_points):
+    """``(d_pg, d_gp)`` directed means of every pair, each lane sorted
+    stably by y first."""
+    preds = [_sorted_by_y(np.asarray(p, dtype=float)) for p in pred_points]
+    gts = [_sorted_by_y(np.asarray(g, dtype=float)) for g in gt_points]
+    d_pg = np.zeros((len(preds), len(gts)))
+    d_gp = np.zeros((len(preds), len(gts)))
+    for i, p in enumerate(preds):
+        for j, g in enumerate(gts):
+            d_pg[i, j] = point_core(p, g)[0]
+            d_gp[i, j] = point_core(g, p)[0]
+    return d_pg, d_gp
+
+
+def bcd_matrix(gt_lanes, pred_lanes, n):
+    """Bidirectional distances of every (prediction, ground truth) pair."""
+    pred_pts = [interpolate(lane, n) for lane in pred_lanes]
+    gt_pts = [interpolate(lane, n) for lane in gt_lanes]
+    d_pg, d_gp = pair_mean_matrices(pred_pts, gt_pts)
+    return (d_pg + d_gp) / 2.0

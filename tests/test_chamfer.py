@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from lane3d import chamfer, kernels
 from lane3d.chamfer import (
     EvalConfig,
-    _bcd_matrix,
     _bcd_rows,
     _strokes,
     bcd_report,
@@ -78,7 +78,7 @@ def test_bcd_matrix_recomposes_pair_values():
     gts = [jitter_lane(rng, -2.0), jitter_lane(rng, 2.0)]
     preds = [jitter_lane(rng, -1.5), jitter_lane(rng, 1.5),
              jitter_lane(rng, 0.0)]
-    d = _bcd_matrix(gts, preds, 100)
+    d = oracles.bcd_matrix(gts, preds, 100)
     assert d.shape == (3, 2)
     for j, pred in enumerate(preds):
         for i, gt in enumerate(gts):
@@ -176,14 +176,14 @@ def lane_from(x, y, z=None, vis=None):
 
 
 def assert_rows_match_full_matrix(frames, n):
-    """Each row's argmin and minimum equal ``_bcd_matrix``'s bitwise; every
+    """Each row's argmin and minimum equal the full matrix's bitwise; every
     scored entry equals the full matrix's and every skipped one exceeds
     its row's minimum."""
     for (gts, preds), d in zip(frames, _bcd_rows(frames, n)):
         assert d.shape == (len(preds), len(gts))
         if not (gts and preds):
             continue
-        full = _bcd_matrix(gts, preds, n)
+        full = oracles.bcd_matrix(gts, preds, n)
         for j in range(len(preds)):
             i_star = int(np.argmin(full[j]))
             assert int(np.argmin(d[j])) == i_star
@@ -261,9 +261,9 @@ def test_row_search_sparse_lanes_take_the_full_scan():
 
     src = interpolate_lane(pred, 100)[None]
     dst = interpolate_lane(gt, 100)[None]
-    means, fallbacks = kernels.directed_mean_pairs(src, dst)
+    means, maxes, fallbacks = kernels.directed_mean_pairs(src, dst)
     assert fallbacks > 0
-    assert means[0] == kernels.directed_point_stats(src[0], dst[0])[0]
+    assert (means[0], maxes[0]) == oracles.point_core(src[0], dst[0])
 
 
 def test_row_search_independent_of_block_size(monkeypatch):
@@ -789,16 +789,39 @@ def test_iou_protocols_score_pairs_from_batched_curves(monkeypatch):
 
     monkeypatch.setattr(chamfer, "interpolate_lane", forbidden)
     monkeypatch.setattr(chamfer, "point_to_polyline_stats", forbidden)
+    monkeypatch.setattr(chamfer, "directed_point_stats", forbidden)
     assert [once_report(frames, config), mbd_report(frames, config)] == expected
-    # the CDs are those of the per-pair functions
+    # the CDs and worst-case distances are those of the full-matrix oracles
     monkeypatch.undo()
-    for (gts, preds), stats in zip(frames, expected[0].per_frame):
-        ucds = sorted(
-            kernels.point_to_polyline_stats(interpolate_lane(g, 100),
-                                            interpolate_lane(p, 100))[0]
-            for g in gts for p in preds
-        )
-        assert all(e in ucds for e in stats.pair_errors)
+    for (gts, preds), once, mbd in zip(frames, expected[0].per_frame,
+                                       expected[1].per_frame):
+        curves = [(oracles.interpolate(g, 100), oracles.interpolate(p, 100))
+                  for g in gts for p in preds]
+        ucds = [oracles.polyline_core(g, p)[0] for g, p in curves]
+        worst = [max(oracles.point_core(p, g)[1], oracles.point_core(g, p)[1])
+                 for g, p in curves]
+        assert all(e in ucds for e in once.pair_errors)
+        assert all(e in worst for e in mbd.pair_errors)
+    assert sum(len(stats.pair_errors) for stats in expected[1].per_frame) > 6
+
+
+def test_mbd_maxima_on_a_curve_with_y_an_ulp_out_of_order():
+    # a vertex on a sample position after a long segment from negative y,
+    # then a jog of one ulp in y: the sample there rounds a few ulps past
+    # the jog, so the interpolated curve's y falls back once
+    y0 = 0.10520315032328138
+    gt = lane_from([0.0, 0.0, 11.376695268362575, 11.376695268362575],
+                   [-32.602795746219115, y0, np.nextafter(y0, np.inf),
+                    96.80711293140516])
+    pred = lane_from(gt.points[:, 0] + 0.05, gt.points[:, 1])
+    a, b = oracles.interpolate(gt, 100), oracles.interpolate(pred, 100)
+    assert np.diff(a[:, 1]).min() < 0.0 and np.diff(b[:, 1]).min() < 0.0
+    max_gp, max_pg = oracles.point_core(a, b)[1], oracles.point_core(b, a)[1]
+    frames = [([gt], [pred])]
+    haus = mbd_report(frames, EvalConfig(mbd_variant="hausdorff_mean"))
+    assert haus.per_frame[0].pair_errors == (max(max_pg, max_gp),)
+    directed = mbd_report(frames, EvalConfig(mbd_variant="directed_max_mean"))
+    assert directed.per_frame[0].pair_errors == ((max_pg + max_gp) / 2.0,)
 
 
 def one_visible(count):

@@ -1,76 +1,16 @@
 """Bit-identity tests for the distance kernels.
 
 The contract is exact: the kernels must reproduce a pure-Python
-double-loop oracle bitwise, not merely within a tolerance.
+double-loop oracle, or a full-matrix reference (``oracles``), bitwise,
+not merely within a tolerance.
 """
-
-import math
 
 import numpy as np
 import pytest
 
+import oracles
 from lane3d import kernels
-
-
-def oracle_point_stats(a, b):
-    """O(n*m) nearest-neighbor mean/max using plain Python floats."""
-    al = [tuple(map(float, row)) for row in a]
-    bl = [tuple(map(float, row)) for row in b]
-    total = 0.0
-    biggest = 0.0
-    for xa, ya, za in al:
-        best = math.inf
-        for xb, yb, zb in bl:
-            dx = xa - xb
-            dy = ya - yb
-            dz = za - zb
-            d2 = (dx * dx + dy * dy) + dz * dz
-            if d2 < best:
-                best = d2
-        dist = math.sqrt(best)
-        total += dist
-        if dist > biggest:
-            biggest = dist
-    return total / len(al), biggest
-
-
-def oracle_polyline_stats(a, q):
-    """O(n*m) point-to-segment-chain mean/max using plain Python floats."""
-    al = [tuple(map(float, row)) for row in a]
-    ql = [tuple(map(float, row)) for row in q]
-    total = 0.0
-    biggest = 0.0
-    for xa, ya, za in al:
-        best = math.inf
-        if len(ql) == 1:
-            dx = xa - ql[0][0]
-            dy = ya - ql[0][1]
-            dz = za - ql[0][2]
-            best = (dx * dx + dy * dy) + dz * dz
-        for k in range(len(ql) - 1):
-            ex = ql[k + 1][0] - ql[k][0]
-            ey = ql[k + 1][1] - ql[k][1]
-            ez = ql[k + 1][2] - ql[k][2]
-            wx = xa - ql[k][0]
-            wy = ya - ql[k][1]
-            wz = za - ql[k][2]
-            c2 = (ex * ex + ey * ey) + ez * ez
-            if c2 > 0.0:
-                t = ((wx * ex + wy * ey) + wz * ez) / c2
-                t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-            else:
-                t = 0.0
-            dx = wx - t * ex
-            dy = wy - t * ey
-            dz = wz - t * ez
-            d2 = (dx * dx + dy * dy) + dz * dz
-            if d2 < best:
-                best = d2
-        dist = math.sqrt(best)
-        total += dist
-        if dist > biggest:
-            biggest = dist
-    return total / len(al), biggest
+from oracles import oracle_point_stats, oracle_polyline_stats
 
 
 def random_lane(rng, n):
@@ -148,9 +88,9 @@ class TestPolylineMeanPairs:
 
     @staticmethod
     def assert_matches_reference(src, dst):
-        means, fallbacks = kernels.polyline_mean_pairs(src, dst)
-        for mean, a, q in zip(means, src, dst):
-            assert mean == kernels.point_to_polyline_stats(a, q)[0]
+        means, maxes, fallbacks = kernels.polyline_mean_pairs(src, dst)
+        for mean, biggest, a, q in zip(means, maxes, src, dst):
+            assert (mean, biggest) == oracles.polyline_core(a, q)
         return fallbacks
 
     def test_close_lanes_take_the_window(self):
@@ -203,10 +143,15 @@ class TestPolylineMeanPairs:
 
     def test_single_segment_predictions(self):
         rng = np.random.default_rng(59)
-        src = np.stack([random_lane(rng, 40) for _ in range(10)])
-        dst = np.stack([random_lane(rng, 2) for _ in range(10)])
-        self.assert_matches_reference(src, dst)
-        self.assert_matches_reference(src[:, :1], dst)
+        # a one-vertex prediction (m = 1) is a segment of length 0
+        for m in (2, 1):
+            src = np.stack([random_lane(rng, 40) for _ in range(10)])
+            dst = np.stack([random_lane(rng, m) for _ in range(10)])
+            self.assert_matches_reference(src, dst)
+            self.assert_matches_reference(src[:, :1], dst)
+            means, maxes, _ = kernels.polyline_mean_pairs(src, dst)
+            for mean, biggest, a, q in zip(means, maxes, src, dst):
+                assert (mean, biggest) == oracle_polyline_stats(a, q)
 
 
 class TestPairMeanMatrices:
@@ -214,13 +159,13 @@ class TestPairMeanMatrices:
         rng = np.random.default_rng(23)
         preds = [random_lane(rng, rng.integers(5, 60)) for _ in range(4)]
         gts = [random_lane(rng, rng.integers(5, 60)) for _ in range(3)]
+        preds.append(rng.normal(0.0, 10.0, (30, 3)))  # sorted by y first
         d_pg, d_gp = kernels.pair_mean_matrices(preds, gts)
-        assert d_pg.shape == (4, 3)
-        assert d_gp.shape == (4, 3)
-        for i, p in enumerate(preds):
-            for j, g in enumerate(gts):
-                assert d_pg[i, j] == kernels.directed_point_stats(p, g)[0]
-                assert d_gp[i, j] == kernels.directed_point_stats(g, p)[0]
+        assert d_pg.shape == (5, 3)
+        assert d_gp.shape == (5, 3)
+        want_pg, want_gp = oracles.pair_mean_matrices(preds, gts)
+        assert np.array_equal(d_pg, want_pg)
+        assert np.array_equal(d_gp, want_gp)
 
     def test_empty_lane_lists(self):
         d_pg, d_gp = kernels.pair_mean_matrices([], [])
@@ -332,8 +277,7 @@ class TestBatchedKernels:
             out = kernels.resample_polylines(np.concatenate(lanes), counts, n)
             assert out.shape == (len(lanes), n, 3)
             for lane, row in zip(lanes, out):
-                expected = kernels.resample_polyline(lane, n)
-                assert np.array_equal(row, expected)
+                assert np.array_equal(row, oracles.resample_core(lane, n))
 
     @pytest.mark.parametrize("n, at, length", [
         (32, [0, 5, 24, 25, 31], 111.1465185962481),
@@ -345,7 +289,7 @@ class TestBatchedKernels:
         y = length * np.array(at) / (n - 1)
         lane = np.column_stack([np.zeros_like(y), y, np.zeros_like(y)])
         out = kernels.resample_polylines(lane, [len(at)], n)
-        assert np.array_equal(out[0], kernels.resample_polyline(lane, n))
+        assert np.array_equal(out[0], oracles.resample_core(lane, n))
 
     @pytest.mark.parametrize("src, dst", [
         ([[1.0, 1.7, 0.0]],
@@ -358,8 +302,8 @@ class TestBatchedKernels:
     def test_directed_mean_pairs_window_on_the_wrong_side(self, src, dst):
         # Repeated y values and one far point put the first window beside
         # the nearest neighbor, with a neighbor of equal dy*dy outside it.
-        means, _ = kernels.directed_mean_pairs([src], [dst])
-        assert means[0] == oracle_point_stats(np.array(src), np.array(dst))[0]
+        means, maxes, _ = kernels.directed_mean_pairs([src], [dst])
+        assert (means[0], maxes[0]) == oracle_point_stats(src, dst)
 
     def test_directed_mean_pairs_matches_oracle(self):
         rng = np.random.default_rng(29)
@@ -368,10 +312,45 @@ class TestBatchedKernels:
         dst[::3, :, 1] = np.round(dst[::3, :, 1] / 10.0) * 10.0  # y ties
         dst[1::3, :, 0] *= 0.01  # lanes the window alone can settle
         src[1::3, :, 0] *= 0.01
-        means, fallbacks = kernels.directed_mean_pairs(src, dst)
+        means, maxes, fallbacks = kernels.directed_mean_pairs(src, dst)
         assert 0 < fallbacks < src.shape[0] * src.shape[1]
-        for a, b, mean in zip(src, dst, means):
-            assert mean == oracle_point_stats(a, b)[0]
+        for a, b, mean, biggest in zip(src, dst, means, maxes):
+            assert (mean, biggest) == oracle_point_stats(a, b)
+
+
+class TestNonFiniteRejected:
+    """The window kernels assume finite input; the public functions check."""
+
+    good = np.array([[0.0, 0.0, 0.0], [0.5, 1.0, 0.1], [1.0, 2.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_directed_point_stats(self, bad, side):
+        pts = [self.good.copy(), self.good.copy()]
+        pts[side][1, side] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            kernels.directed_point_stats(*pts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_point_to_polyline_stats(self, bad, side):
+        pts = [self.good.copy(), self.good.copy()]
+        pts[side][0, 2] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            kernels.point_to_polyline_stats(*pts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_resample_polyline(self, bad):
+        pts = self.good.copy()
+        pts[0, 0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            kernels.resample_polyline(pts, 4)
+
+    def test_pair_mean_matrices(self):
+        bad = self.good.copy()
+        bad[2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"gt_points\[1\] must be finite"):
+            kernels.pair_mean_matrices([self.good], [self.good, bad])
 
 
 class TestBackendSelection:
