@@ -343,6 +343,79 @@ def test_scored_loss_report_matches_golden_digest(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SCORED_LOSS
 
 
+def write_solver_scenario(tmp_path, frames=40, seed=15):
+    """A seeded `openlane` input with cost matrices the row-minima
+    certificate cannot settle: some frames hold a ground truth beyond the
+    anchors (no visible anchor), some miss a lane, and some predict one
+    lane twice, once as an exact copy."""
+    rng = np.random.default_rng(seed)
+    camera = CameraModel(fx=1000.0, fy=1000.0, cx=480.0, cy=360.0,
+                         height=1.5, pitch=0.05, image_size=(720, 960))
+    gt_records, pred_records = [], []
+    for f in range(frames):
+        gts, preds = [], []
+        n_lanes = int(rng.integers(2, 5))
+        for k in range(n_lanes):
+            x0 = (k - (n_lanes - 1) / 2) * 3.7 + rng.uniform(-0.3, 0.3)
+            bend = rng.uniform(-2e-3, 2e-3)
+            n = int(rng.integers(15, 40))
+            y = np.linspace(rng.uniform(3.0, 20.0), rng.uniform(70.0, 103.0), n)
+            pts = np.stack([x0 + 0.5 * bend * y * y, y, 0.01 * y], 1)
+            gts.append(Lane3D(points=pts, visibility=np.ones(n)))
+            if rng.random() < 0.2:
+                continue  # a missed lane
+            guess = pts.copy()
+            guess[:, 0] += rng.normal(0.0, 0.6) + rng.normal(0.0, 0.15, n)
+            preds.append(Lane3D(points=guess, visibility=np.ones(n)))
+            if rng.random() < 0.25:
+                preds.append(Lane3D(points=guess.copy(), visibility=np.ones(n)))
+        if rng.random() < 0.4:
+            y = np.linspace(200.0, 300.0, 10)
+            beyond = np.stack([np.full(10, rng.uniform(-5.0, 5.0)), y,
+                               np.zeros(10)], 1)
+            gts.insert(int(rng.integers(0, len(gts) + 1)),
+                       Lane3D(points=beyond, visibility=np.ones(10)))
+        gt_records.append(FrameRecord(f"f{f:03d}", camera, gts))
+        pred_records.append(FrameRecord(f"f{f:03d}", camera, preds))
+    gt, pred = tmp_path / "solver_gt.jsonl", tmp_path / "solver_pred.jsonl"
+    write_frames(gt, gt_records)
+    write_frames(pred, pred_records)
+    return gt, pred
+
+
+# sha256 of the `openlane` reports on write_solver_scenario, taken while
+# the gate still ran one `hungarian` call per frame and threshold; unlike
+# GOLDEN_REPORTS' scenario, where the certificate settles every matrix,
+# these pin the exact solve's answers.
+GOLDEN_SOLVER_REPORTS = {
+    "eval":
+        "bddbff3cb268492aeecb0acd916993172018bd5714d24241aa74538495c9aef9",
+    "sweep":
+        "5bffc9ba9a8f1e4d1305469d1a449ea771deb7a8898875dfb54305c33ca984b8",
+}
+
+
+def test_openlane_solver_reports_match_golden_digests(tmp_path, monkeypatch):
+    from lane3d import matching
+    solves = []
+    real = matching._augment
+
+    def counted(cost):
+        solves.append(len(cost))
+        return real(cost)
+
+    monkeypatch.setattr(matching, "_augment", counted)
+    gt, pred = write_solver_scenario(tmp_path)
+    for command, digest in GOLDEN_SOLVER_REPORTS.items():
+        out = tmp_path / f"{command}.json"
+        extra = ["--taus", "0.05:1.5:0.05"] if command == "sweep" else []
+        assert run(command, "--gt", str(gt), "--pred", str(pred), "--protocol",
+                   "openlane", "--out", str(out), *extra) == 0
+        assert solves, command
+        solves.clear()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, command
+
+
 # ---------------------------------------------------------------------------
 # config precedence
 # ---------------------------------------------------------------------------
