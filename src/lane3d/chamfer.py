@@ -80,7 +80,6 @@ from .errors import ConfigError, DegenerateLane
 from .geometry import Lane3D, interpolate_lane
 from .kernels import (
     directed_mean_pairs,
-    directed_point_stats,
     nearest_pair_rows,
     point_to_polyline_stats,
     polyline_mean_pairs,
@@ -156,12 +155,12 @@ def unilateral_cd(gt: Lane3D, pred: Lane3D, n: int = 100) -> float:
 
 
 def bidirectional_cd(gt: Lane3D, pred: Lane3D, n: int = 100) -> float:
-    """Average of the two directed mean nearest-neighbor distances."""
-    gt_pts = interpolate_lane(gt, n)
-    pred_pts = interpolate_lane(pred, n)
-    d_pg, _ = directed_point_stats(pred_pts, gt_pts)
-    d_gp, _ = directed_point_stats(gt_pts, pred_pts)
-    return (d_pg + d_gp) / 2.0
+    """Average of the two directed mean nearest-neighbor distances.
+
+    The pair is scored as a frame of one ground truth and one prediction
+    of the ``bcd`` protocol, so the value is bitwise the protocol's.
+    """
+    return float(_bcd_rows([([gt], [pred])], n)[0][0, 0])
 
 
 def _bcd_cores(frames, n: int) -> list[tuple[list[tuple[int, float]], int, int]]:
@@ -948,17 +947,24 @@ def threshold_sweep(
     """(tau, precision, recall, f1) rows for a sweep of the protocol's
     distance threshold.
 
-    Each frame's core is computed once and gated per threshold, which is
-    exactly equivalent to running the protocol separately at each tau.
+    Each frame's core is computed once and gated at every threshold,
+    which is exactly equivalent to running the protocol separately at each
+    tau.  The ``bcd`` and ``once``/``mbd`` gates take one threshold at a
+    time; ``openlane`` gates all of a frame's thresholds in one pass.
     """
     config = config or EvalConfig()
     taus = _tau_list(taus)
     _frame_ids(frames, frame_ids)
+
+    def each_tau(gate):
+        return lambda core: [gate(core, tau)[:3] for tau in taus]
+
     if protocol == "bcd":
-        return _sweep(_bcd_cores(frames, config.n_interp), _bcd_gate, taus)
+        cores = _bcd_cores(frames, config.n_interp)
+        return _sweep(cores, each_tau(_bcd_gate), taus)
     if protocol in ("once", "mbd"):
         cores = _matched_frames(frames, config, with_maxes=False)
-        return _sweep(cores, _once_gate, taus)
+        return _sweep(cores, each_tau(_once_gate), taus)
     if protocol == "openlane":
         return pointwise_sweep(frames, taus, pointwise_config)
     raise ConfigError(f"unknown sweep protocol {protocol!r}")

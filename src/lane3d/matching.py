@@ -27,7 +27,10 @@ taking each row's minimum is the unique optimum: the sum of the row
 minima is a lower bound on every full assignment, reached only by that
 one.  Being unique, it is also the lexicographically smallest, so it is
 returned without the exact solve.  Any tie, ``-0.0`` against ``0.0``
-included, sends the matrix to the solver.
+included, sends the matrix to the solver.  The check runs on a stack
+of matrices at once (``_row_minima``): ``hungarian`` checks a stack of
+one, and ``_assign_stack`` a whole stack, sending only the matrices that
+fail it to ``hungarian``.
 """
 
 from __future__ import annotations
@@ -86,8 +89,10 @@ def hungarian(cost) -> MatchResult:
     if (c == -np.inf).any():
         raise ValueError("cost matrix contains -inf")
 
-    pairs = _row_minima(c)
-    if pairs is None:
+    certified, rows, cols = _row_minima(c[None])
+    if certified[0]:
+        pairs = tuple(zip(rows[0].tolist(), cols[0].tolist()))
+    else:
         allowed = np.isfinite(c)
         work = _exact_costs(c, allowed)
         col4row, row4col, u, v = _augment(work)
@@ -102,24 +107,51 @@ def hungarian(cost) -> MatchResult:
     return MatchResult(pairs=pairs, total_cost=total)
 
 
-def _row_minima(c: np.ndarray) -> tuple[tuple[int, int], ...] | None:
-    """The pairs of the certificate, sorted by row, or None when it fails.
+def _row_minima(stack: np.ndarray):
+    """The certificate over a ``(T, n, m)`` stack of NaN-free matrices.
 
-    With ``n <= m`` each row must own a finite minimum that no other
-    entry of the row equals, in a column of its own; with ``n > m`` the
-    same holds for the columns.
+    Returns ``(certified, rows, cols)``: ``certified[t]`` tells whether
+    matrix t passes, and ``rows[t]``, ``cols[t]`` hold its ``min(n, m)``
+    row-minima pairs sorted by row, which mean nothing where it fails.
+    With ``n <= m`` each row must own a finite minimum that no other entry
+    of the row equals, in a column of its own; with ``n > m`` the same
+    holds for the columns.
     """
-    flip = c.shape[0] > c.shape[1]
-    t = c.T if flip else c
-    picks = t.argmin(axis=1)
-    mins = t.min(axis=1)
-    if not (mins.max() < np.inf
-            and np.count_nonzero(t == mins[:, None]) == t.shape[0]
-            and len(set(picks.tolist())) == t.shape[0]):
-        return None
-    if flip:
-        return tuple(sorted(zip(picks.tolist(), range(t.shape[0]))))
-    return tuple(enumerate(picks.tolist()))
+    flip = stack.shape[1] > stack.shape[2]
+    t = stack.transpose(0, 2, 1) if flip else stack
+    size, lines = t.shape[:2]
+    mins = t.min(axis=2, keepdims=True)
+    hits = t == mins
+    # Every line hits its minimum, so ``lines`` hits in all means one per
+    # line, and hits in ``lines`` columns mean no column is shared.
+    certified = (
+        (mins.reshape(size, lines) < np.inf).all(axis=1)
+        & (hits.reshape(size, -1).sum(axis=1) == lines)
+        & (hits.any(axis=1).sum(axis=1) == lines)
+    )
+    picks = hits.argmax(axis=2)
+    if not flip:
+        return certified, np.tile(np.arange(lines), (size, 1)), picks
+    order = picks.argsort(axis=1)
+    return certified, np.take_along_axis(picks, order, axis=1), order
+
+
+def _assign_stack(stack: np.ndarray):
+    """``hungarian``'s pairs for every matrix of a ``(T, n, m)`` stack
+    without NaN or ``-inf``.
+
+    Returns ``(rows, cols)``, each ``(T, min(n, m))``: matrix t's pairs
+    sorted by row.  The certificate is checked on the whole stack at once,
+    and only the matrices it fails on go to ``hungarian`` one by one, so
+    every matrix gets exactly ``hungarian``'s answer.
+    """
+    if 0 in stack.shape[1:]:
+        none = np.zeros((stack.shape[0], 0), dtype=np.intp)
+        return none, none
+    certified, rows, cols = _row_minima(stack)
+    for t in np.flatnonzero(~certified).tolist():
+        rows[t], cols[t] = np.array(hungarian(stack[t]).pairs).T
+    return rows, cols
 
 
 def _exact_costs(c: np.ndarray, allowed: np.ndarray) -> list[list[int]]:

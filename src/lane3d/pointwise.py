@@ -28,18 +28,21 @@ cap is one capped mean per group.  Each pair also gets its TP
 threshold: the c-th smallest of its k visible distances, where c is the
 least count with ``c / k >= tp_fraction``.  At least c anchors lie
 within tau exactly when that distance is ``<= tau``, so the 75% rule at
-any tau is one comparison.
+any tau is one comparison.  The gate takes any number of thresholds in
+one call: the cost matrices of every cap form one ``(tau, Ng, Np)``
+stack, matched together (``matching._assign_stack``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AnchorMismatch, ConfigError
 from .geometry import Lane3D, SampleGrid, resample_at_y
-from .matching import MatchResult, hungarian
+from .matching import MatchResult, _assign_stack, hungarian
 from .report import MetricReport, _assemble, _frame_ids, _sweep, _tau_list
 
 __all__ = [
@@ -86,10 +89,6 @@ class PointwiseConfig:
                 f"cap_multiplier must be > 0, got {self.cap_multiplier!r}"
             )
         object.__setattr__(self, "cap_multiplier", float(self.cap_multiplier))
-
-    @property
-    def cost_cap(self) -> float:
-        return self.cap_multiplier * self.tau_dist
 
 
 def _range_masks(
@@ -181,13 +180,37 @@ def _frame_arrays(
                         groups=tuple(groups), tp_threshold=threshold)
 
 
-def _cost_matrix(arrays: _FrameArrays, cap: float) -> np.ndarray:
-    cost = np.full((arrays.n_gt, arrays.n_pred), cap)
+def _cost_caps(config: PointwiseConfig, taus) -> np.ndarray:
+    """The per-anchor cost cap ``cap_multiplier * tau`` of each threshold.
+
+    Raises ConfigError for a cap that is not finite: a ground truth
+    without a visible anchor costs the cap against every prediction, so
+    an infinite cap would leave no feasible assignment.
+    """
+    caps = [config.cap_multiplier * tau for tau in taus]
+    for tau, cap in zip(taus, caps):
+        if not math.isfinite(cap):
+            raise ConfigError(
+                f"cost cap cap_multiplier * tau = {config.cap_multiplier!r} "
+                f"* {tau!r} is not finite"
+            )
+    return np.array(caps)
+
+
+def _cost_stack(arrays: _FrameArrays, caps: np.ndarray) -> np.ndarray:
+    """``(T, Ng, Np)`` cost matrices, one per cap of ``caps``.
+
+    Each group's ``(G, k, Np)`` stack is capped at every cap at once and
+    summed over its k anchors.  Each (k, Np) slab lies in memory as a
+    ground truth's (Np, k) selection of ``dist`` does, so NumPy sums it in
+    the same order: the means are bit for bit the per-row
+    ``.mean(axis=1)`` at each cap.
+    """
+    cost = np.empty((caps.size, arrays.n_gt, arrays.n_pred))
+    cost[...] = caps[:, None, None]
     for rows, stack in arrays.groups:
-        # Each (k, Np) slab lies in memory as a ground truth's (Np, k)
-        # selection of ``dist`` does, so NumPy sums it in the same order:
-        # the means are bit for bit the per-row ``.mean(axis=1)``.
-        cost[rows] = np.minimum(stack, cap).sum(axis=1) / stack.shape[1]
+        capped = np.minimum(stack, caps[:, None, None, None])
+        cost[:, rows] = capped.sum(axis=2) / stack.shape[1]
     return cost
 
 
@@ -209,9 +232,10 @@ def pointwise_match(
     config = config or PointwiseConfig()
     if not gt_lanes or not pred_lanes:
         return MatchResult(pairs=(), total_cost=0.0)
+    caps = _cost_caps(config, [config.tau_dist])
     anchors = _shared_anchors(gt_lanes + pred_lanes)
     arrays = _frame_arrays(gt_lanes, pred_lanes, anchors, config.tp_fraction)
-    return hungarian(_cost_matrix(arrays, config.cost_cap))
+    return hungarian(_cost_stack(arrays, caps)[0])
 
 
 def pointwise_tp(
@@ -273,18 +297,31 @@ def _accumulate_errors(
 # ---------------------------------------------------------------------------
 
 
+# Thresholds gated per array pass: bounds the (taus, G, k, Np) capped
+# stacks of one frame for long threshold lists.
+_TAU_CHUNK = 64
+
+
 def _gate_frame(
-    arrays: _FrameArrays, tau: float, config: PointwiseConfig
-) -> tuple[int, int, int, list[tuple[int, int]]]:
-    """``(tp, fp, fn, accepted pairs)`` of one frame's arrays at threshold
-    ``tau``: matching runs at cost cap ``cap_multiplier * tau``, and a
-    matched pair is accepted when its TP threshold is ``<= tau``."""
-    if arrays.n_gt == 0 or arrays.n_pred == 0:
-        return 0, arrays.n_pred, arrays.n_gt, []
-    match = hungarian(_cost_matrix(arrays, config.cap_multiplier * tau))
-    tp_pairs = [p for p in match.pairs if arrays.tp_threshold[p] <= tau]
-    tp = len(tp_pairs)
-    return tp, arrays.n_pred - tp, arrays.n_gt - tp, tp_pairs
+    arrays: _FrameArrays, taus: np.ndarray, caps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One frame's matched pairs at every threshold of ``taus``.
+
+    Returns ``(rows, cols, accepted)``, each ``(T, min(Ng, Np))``: the
+    pairs of the matching at cost cap ``caps[t]``, sorted by ground truth,
+    and whether each pair's TP threshold is ``<= taus[t]``.  The cost
+    matrices of up to ``_TAU_CHUNK`` thresholds are built and matched in
+    one pass.
+    """
+    parts = []
+    for start in range(0, taus.size, _TAU_CHUNK):
+        chunk = slice(start, start + _TAU_CHUNK)
+        rows, cols = _assign_stack(_cost_stack(arrays, caps[chunk]))
+        accepted = arrays.tp_threshold[rows, cols] <= taus[chunk, None]
+        parts.append((rows, cols, accepted))
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def openlane_report(
@@ -303,18 +340,23 @@ def openlane_report(
     grid = grid or SampleGrid()
     ids = _frame_ids(frames, frame_ids)
     anchors = np.asarray(grid.y_anchors, dtype=float)
+    caps = _cost_caps(config, [config.tau_dist])
+    taus = np.array([config.tau_dist])
 
     counts = []
     sums = [0.0] * 4
     n_anchors = [0] * 4
     for gt_lanes, pred_lanes in frames:
         arrays = _frame_arrays(gt_lanes, pred_lanes, anchors, config.tp_fraction)
-        tp, fp, fn, tp_pairs = _gate_frame(arrays, config.tau_dist, config)
+        rows, cols, accepted = _gate_frame(arrays, taus, caps)
+        tp_pairs = list(zip(rows[0][accepted[0]].tolist(),
+                            cols[0][accepted[0]].tolist()))
         pair_costs = [
-            float(np.minimum(arrays.dist[i, j][arrays.gt_vis[i]], config.cost_cap).mean())
+            float(np.minimum(arrays.dist[i, j][arrays.gt_vis[i]], caps[0]).mean())
             for i, j in tp_pairs
         ]
-        counts.append((tp, fp, fn, pair_costs))
+        tp = len(tp_pairs)
+        counts.append((tp, arrays.n_pred - tp, arrays.n_gt - tp, pair_costs))
         _accumulate_errors(arrays, tp_pairs, config, sums, n_anchors)
     names = ("e_x_near", "e_x_far", "e_z_near", "e_z_far")
     errors = {k: (s / c if c else None) for k, s, c in zip(names, sums, n_anchors)}
@@ -330,17 +372,28 @@ def pointwise_sweep(
     """(tau, precision, recall, f1) rows re-gating cached frame arrays.
 
     Each frame's anchor arrays are the core: visible-anchor distances
-    grouped by visible count and each pair's TP threshold.  Per tau the
-    gate builds the capped cost matrix (one reduction per group), re-runs
-    the matching, since the cost cap scales with tau, and compares TP
-    thresholds with tau, so each row equals the standalone report at
-    that threshold.
+    grouped by visible count and each pair's TP threshold.  The gate takes
+    every threshold of a frame in one call: it caps each group's
+    distances at every ``cap_multiplier * tau`` at once, so one reduction
+    per group gives the cost matrices of all thresholds; it checks the
+    matching's row-minima certificate on the whole stack, solving only
+    the matrices it fails on one by one, since the cost cap scales with
+    tau and can change the matching; and it compares the matched pairs'
+    TP thresholds with each tau.  So each row equals the standalone
+    report at that threshold.
     """
     config = config or PointwiseConfig()
     grid = grid or SampleGrid()
     taus = _tau_list(taus)
+    caps = _cost_caps(config, taus)
+    thresholds = np.array(taus)
     anchors = np.asarray(grid.y_anchors, dtype=float)
     cores = [
         _frame_arrays(gt, pred, anchors, config.tp_fraction) for gt, pred in frames
     ]
-    return _sweep(cores, lambda arrays, tau: _gate_frame(arrays, tau, config), taus)
+
+    def gate(arrays: _FrameArrays) -> np.ndarray:
+        tp = np.count_nonzero(_gate_frame(arrays, thresholds, caps)[2], axis=1)
+        return np.column_stack((tp, arrays.n_pred - tp, arrays.n_gt - tp))
+
+    return _sweep(cores, gate, taus)

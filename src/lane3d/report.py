@@ -5,10 +5,10 @@ share: the frame-id and tau-list checks, the assembly of a
 ``MetricReport`` from per-frame counts (``_assemble``) and the one
 threshold-sweep loop (``_sweep``).  Every protocol splits its work in
 two: per-frame *cores* hold what does not depend on the swept threshold,
-and a *gate* ``gate(core, tau) -> (tp, fp, fn, errors)`` does the rest.
-A report is ``_assemble`` over each core gated at the configured
-threshold; a sweep gates the same cores at every threshold, so each row
-equals the standalone report there.  Every protocol evaluates its frames
+and a *gate* turns a core into the frame's counts and errors at a
+threshold.  A report is ``_assemble`` over each core gated at the
+configured threshold; a sweep hands each core's gate every threshold in
+one call, so each row equals the standalone report there.  Every protocol evaluates its frames
 in order on the calling thread.
 """
 
@@ -17,6 +17,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -209,15 +211,9 @@ def _assemble(
 
 def _sweep(cores, gate, taus) -> tuple[tuple[float, float, float, float], ...]:
     """``(tau, precision, recall, f1)`` rows, one per threshold of the
-    checked list ``taus``, from the counts ``gate(core, tau)`` gives for
-    every frame's core."""
-    rows = []
-    for tau in taus:
-        tp = fp = fn = 0
-        for core in cores:
-            t, f, n, _ = gate(core, tau)
-            tp += t
-            fp += f
-            fn += n
-        rows.append((tau, *prf(tp, fp, fn)))
-    return tuple(rows)
+    checked list ``taus``.  ``gate(core)`` gives one frame's
+    ``(tp, fp, fn)`` at every threshold of ``taus`` in one call."""
+    totals = np.zeros((len(taus), 3), dtype=np.int64)
+    for core in cores:
+        totals += gate(core)
+    return tuple((tau, *prf(*counts)) for tau, counts in zip(taus, totals.tolist()))

@@ -1,6 +1,7 @@
-"""Reference implementations the distance kernels are tested against.
+"""Reference implementations the kernels and gates are tested against.
 
-Two kinds, both independent of ``lane3d.kernels``:
+For the distance kernels, two kinds, both independent of
+``lane3d.kernels``:
 
 * pure-Python double loops over plain floats (``oracle_point_stats``,
   ``oracle_polyline_stats``);
@@ -12,6 +13,10 @@ Two kinds, both independent of ``lane3d.kernels``:
 Every squared distance is ``(dx*dx + dy*dy) + dz*dz``, minima are pure
 selections and sums run in source-point order, so a kernel must match
 these bitwise.
+
+For the ``openlane`` gate, the gate one threshold at a time
+(``openlane_gate``: ``cost_matrix`` and one ``hungarian`` call), and the
+row-minima certificate in plain Python (``row_minima``).
 """
 
 import math
@@ -19,6 +24,7 @@ import math
 import numpy as np
 
 from lane3d.errors import DegenerateLane
+from lane3d.matching import hungarian
 
 
 def oracle_point_stats(a, b):
@@ -177,3 +183,45 @@ def bcd_matrix(gt_lanes, pred_lanes, n):
     gt_pts = [interpolate(lane, n) for lane in gt_lanes]
     d_pg, d_gp = pair_mean_matrices(pred_pts, gt_pts)
     return (d_pg + d_gp) / 2.0
+
+
+def cost_matrix(arrays, cap):
+    """``openlane`` costs at one cap: one capped mean per visible-count
+    group of the frame arrays, ``cap`` for a ground truth without any
+    visible anchor."""
+    cost = np.full((arrays.n_gt, arrays.n_pred), cap)
+    for rows, stack in arrays.groups:
+        cost[rows] = np.minimum(stack, cap).sum(axis=1) / stack.shape[1]
+    return cost
+
+
+def openlane_gate(arrays, tau, config):
+    """``(tp, fp, fn, accepted pairs)`` of one frame at one threshold:
+    ``hungarian`` on ``cost_matrix`` at cap ``cap_multiplier * tau``, and
+    a matched pair accepted when its TP threshold is ``<= tau``."""
+    if arrays.n_gt == 0 or arrays.n_pred == 0:
+        return 0, arrays.n_pred, arrays.n_gt, []
+    match = hungarian(cost_matrix(arrays, config.cap_multiplier * tau))
+    accepted = [p for p in match.pairs if arrays.tp_threshold[p] <= tau]
+    tp = len(accepted)
+    return tp, arrays.n_pred - tp, arrays.n_gt - tp, accepted
+
+
+def row_minima(cost):
+    """The pairs of the row-minima certificate on a non-empty matrix,
+    sorted by row, or None when it fails: along the shorter side, each
+    line's minimum must be finite, below every other entry of its line,
+    and in a line of the longer side no other line's minimum uses."""
+    lines = [list(map(float, line)) for line in np.asarray(cost, dtype=float)]
+    flip = len(lines) > len(lines[0])
+    if flip:
+        lines = [list(col) for col in zip(*lines)]
+    pairs = []
+    for k, line in enumerate(lines):
+        low = min(line)
+        if not low < math.inf or line.count(low) > 1:
+            return None
+        pairs.append((line.index(low), k) if flip else (k, line.index(low)))
+    if len({p[not flip] for p in pairs}) < len(pairs):
+        return None
+    return sorted(pairs)

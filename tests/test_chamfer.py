@@ -789,7 +789,8 @@ def test_iou_protocols_score_pairs_from_batched_curves(monkeypatch):
 
     monkeypatch.setattr(chamfer, "interpolate_lane", forbidden)
     monkeypatch.setattr(chamfer, "point_to_polyline_stats", forbidden)
-    monkeypatch.setattr(chamfer, "directed_point_stats", forbidden)
+    # chamfer no longer imports the single-pair directed distance
+    monkeypatch.setattr(kernels, "directed_point_stats", forbidden)
     assert [once_report(frames, config), mbd_report(frames, config)] == expected
     # the CDs and worst-case distances are those of the full-matrix oracles
     monkeypatch.undo()
@@ -822,6 +823,26 @@ def test_mbd_maxima_on_a_curve_with_y_an_ulp_out_of_order():
     assert haus.per_frame[0].pair_errors == (max(max_pg, max_gp),)
     directed = mbd_report(frames, EvalConfig(mbd_variant="directed_max_mean"))
     assert directed.per_frame[0].pair_errors == ((max_pg + max_gp) / 2.0,)
+
+
+def test_bidirectional_cd_is_the_protocols_distance_on_unsorted_curves():
+    # the curve of the test above, whose interpolated y falls back once:
+    # the protocol sorts both lanes by y, so the single-pair distance must
+    # too, or the summation order of a directed mean can differ
+    y0 = 0.10520315032328138
+    gt = lane_from([0.0, 0.0, 11.376695268362575, 11.376695268362575],
+                   [-32.602795746219115, y0, np.nextafter(y0, np.inf),
+                    96.80711293140516])
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        pred = lane_from(gt.points[:, 0] + rng.normal(0.0, 0.3, 4),
+                         gt.points[:, 1], rng.normal(0.0, 0.05, 4))
+        frame = [([gt], [pred])]
+        want = chamfer._bcd_rows(frame, 100)[0][0, 0]
+        assert want == oracles.bcd_matrix([gt], [pred], 100)[0, 0]
+        assert bidirectional_cd(gt, pred) == want
+        assert bcd_report(frame, EvalConfig(tau_bcd=10.0)).per_frame[0] \
+            .pair_errors == (want,)
 
 
 def one_visible(count):

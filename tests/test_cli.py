@@ -416,6 +416,45 @@ def test_openlane_solver_reports_match_golden_digests(tmp_path, monkeypatch):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, command
 
 
+def write_anchorless_frame(tmp_path):
+    """One frame whose second ground truth, at y 200-300 m, has no visible
+    anchor, so its costs are the cap against every prediction."""
+    camera = CameraModel(fx=1000.0, fy=1000.0, cx=480.0, cy=360.0,
+                         height=1.5, pitch=0.0, image_size=(720, 960))
+
+    def lane(x, y0, y1):
+        y = np.linspace(y0, y1, 20)
+        return Lane3D(points=np.stack([np.full(20, x), y, np.zeros(20)], 1),
+                      visibility=np.ones(20))
+
+    gt, pred = tmp_path / "anchorless_gt.jsonl", tmp_path / "anchorless_pred.jsonl"
+    write_frames(gt, [FrameRecord("f0", camera,
+                                  [lane(0.0, 3.0, 103.0), lane(3.7, 200.0, 300.0)])])
+    write_frames(pred, [FrameRecord("f0", camera,
+                                    [lane(0.1, 3.0, 103.0), lane(3.8, 3.0, 103.0)])])
+    return gt, pred
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["sweep", "--taus", "0.5,inf"], "1.5 * inf"),
+    (["sweep", "--taus", "1.5e308"], "1.5 * 1.5e+308"),
+    (["eval", "--tau-dist", "inf"], "1.5 * inf"),
+    (["eval", "--cap-multiplier", "1e308", "--tau-dist", "10"], "1e+308 * 10.0"),
+])
+def test_openlane_infinite_cost_cap_is_exit_2(tmp_path, capsys, argv, shown):
+    gt, pred = write_anchorless_frame(tmp_path)
+    out = tmp_path / "report.out"
+    base = ["--gt", str(gt), "--pred", str(pred), "--protocol", "openlane"]
+    # finite caps pass on the same frame
+    finite = ["--taus", "0.5,1.5"] if argv[0] == "sweep" else []
+    assert run(argv[0], *finite, *base, "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run(*argv, *base, "--out", str(out.with_suffix(".bad"))) == 2
+    err = capsys.readouterr().err
+    assert "cost cap" in err and shown in err and "not finite" in err
+    assert not out.with_suffix(".bad").exists()
+
+
 # ---------------------------------------------------------------------------
 # config precedence
 # ---------------------------------------------------------------------------

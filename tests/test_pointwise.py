@@ -7,13 +7,17 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+
+from lane3d import matching, pointwise
 from lane3d.cli import _parse_taus
 from lane3d.errors import AnchorMismatch, ConfigError
 from lane3d.geometry import Lane3D, SampleGrid
 from lane3d.matching import hungarian
 from lane3d.pointwise import (
     PointwiseConfig,
-    _cost_matrix,
+    _cost_caps,
+    _cost_stack,
     _frame_arrays,
     _gate_frame,
     openlane_report,
@@ -22,6 +26,7 @@ from lane3d.pointwise import (
     pointwise_tp,
     xz_errors,
 )
+from lane3d.report import prf
 
 GRID = SampleGrid()
 ANCHORS = np.asarray(GRID.y_anchors)
@@ -379,6 +384,17 @@ def per_row_cost(arrays, cap):
     return cost
 
 
+def gate_at(arrays, tau, config):
+    """The batched gate at one threshold, as ``(tp, fp, fn, accepted
+    pairs)``."""
+    rows, cols, accepted = _gate_frame(arrays, np.array([tau]),
+                                       _cost_caps(config, [tau]))
+    pairs = [(i, j) for i, j, ok in zip(rows[0].tolist(), cols[0].tolist(),
+                                        accepted[0].tolist()) if ok]
+    tp = len(pairs)
+    return tp, arrays.n_pred - tp, arrays.n_gt - tp, pairs
+
+
 def counting_gate(arrays, tau, config):
     """The gate from per-row costs, with the 75% rule decided by counting
     the visible anchors within tau."""
@@ -451,10 +467,10 @@ def test_sweep_rows_equal_standalone_reports_on_the_cli_grid(fraction):
         assert row == (tau, report.precision, report.recall, report.f1)
         cap = config.cap_multiplier * tau
         for core, stats in zip(cores, report.per_frame):
-            assert (_cost_matrix(core, cap).tobytes()
+            assert (oracles.cost_matrix(core, cap).tobytes()
                     == per_row_cost(core, cap).tobytes())
             want = counting_gate(core, tau, config)
-            assert _gate_frame(core, tau, config) == want
+            assert gate_at(core, tau, config) == want
             assert (stats.tp, stats.fp, stats.fn) == want[:3]
             assert ((core.tp_threshold <= tau)
                     == counting_flags(core, tau, config)).all()
@@ -485,9 +501,114 @@ def test_grouped_capped_means_are_bitwise_per_row_means(n_pred):
     arrays = _frame_arrays(gts, preds, anchors, 0.75)
     assert sorted(stack.shape[1] for _, stack in arrays.groups) == list(
         range(1, 301))
-    for cap in (0.3, 1.5):
-        assert (_cost_matrix(arrays, cap).tobytes()
-                == per_row_cost(arrays, cap).tobytes())
+    caps = np.array([0.3, 1.5])
+    for cap, cost in zip(caps, _cost_stack(arrays, caps)):
+        assert cost.tobytes() == per_row_cost(arrays, cap).tobytes()
+        assert cost.tobytes() == oracles.cost_matrix(arrays, cap).tobytes()
+
+
+def solver_frame(rng):
+    """A random frame for the gate oracle.  Either side may be the longer
+    or empty; some ground truths have no visible anchor, which ties their
+    whole row at the cap, and some predictions come twice, which ties two
+    columns: the certificate fails on those matrices."""
+    gts, preds = random_frame(rng, max_lanes=5)
+    if rng.random() < 0.5:
+        # predictions of some of the ground truths, in shuffled order
+        picked = rng.permutation(len(gts))[:int(rng.integers(1, len(gts) + 1))]
+        preds = [lane_on(ANCHORS, gts[k].points[:, 0]
+                         + 0.3 * rng.standard_normal(ANCHORS.size),
+                         gts[k].points[:, 2]) for k in picked]
+    for _ in range(int(rng.integers(0, 3))):
+        x = rng.uniform(-8.0, 8.0)
+        blind = Lane3D(points=np.array([[x, 4.0, 0.0], [x, 5.0, 0.0]]),
+                       visibility=np.ones(2))
+        gts.insert(int(rng.integers(0, len(gts) + 1)), blind)
+    if rng.random() < 0.3:
+        preds.append(preds[int(rng.integers(0, len(preds)))])
+    if rng.random() < 0.1:
+        preds = []
+    return gts, preds
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts the matrices that reach the exact solve."""
+    calls = []
+    real = matching._augment
+
+    def counted(cost):
+        calls.append(len(cost))
+        return real(cost)
+
+    monkeypatch.setattr(matching, "_augment", counted)
+    return calls
+
+
+@pytest.mark.parametrize("taus, chunk", [
+    ([1.5], None),
+    (_parse_taus("0.01:3.0:0.01"), None),
+    (_parse_taus("0.05:1.5:0.05"), 7),  # 30 taus: chunks of 7, 7, 7, 7, 2
+])
+def test_batched_gate_equals_the_per_threshold_oracle(monkeypatch, solves,
+                                                      taus, chunk):
+    # 300 taus cross the default chunk's boundaries too
+    if chunk is not None:
+        monkeypatch.setattr(pointwise, "_TAU_CHUNK", chunk)
+    rng = np.random.default_rng(2615 + len(taus))
+    config = PointwiseConfig()
+    frames = [solver_frame(rng) for _ in range(60 if len(taus) < 300 else 12)]
+    cores = [_frame_arrays(g, p, ANCHORS, config.tp_fraction) for g, p in frames]
+    caps = _cost_caps(config, taus)
+    assert caps.tolist() == [config.cap_multiplier * tau for tau in taus]
+    limits = np.array(taus)
+    totals = np.zeros((len(taus), 3), dtype=int)
+    uncertified = certified = taller = 0
+    for core in cores:
+        before = len(solves)
+        rows, cols, accepted = _gate_frame(core, limits, caps)
+        solved = len(solves) - before
+        assert rows.shape == cols.shape == accepted.shape == (
+            len(taus), min(core.n_gt, core.n_pred))
+        taller += core.n_gt > core.n_pred > 0
+        for t, tau in enumerate(taus):
+            tp, fp, fn, want = oracles.openlane_gate(core, tau, config)
+            got = [(i, j) for i, j, ok in zip(
+                rows[t].tolist(), cols[t].tolist(), accepted[t].tolist()) if ok]
+            assert got == want, (tau, core.n_gt, core.n_pred)
+            assert (tp, fp, fn) == (len(got), core.n_pred - len(got),
+                                    core.n_gt - len(got))
+            totals[t] += (tp, fp, fn)
+            if core.n_gt and core.n_pred:
+                cost = oracles.cost_matrix(core, caps[t])
+                pairs = list(zip(rows[t].tolist(), cols[t].tolist()))
+                assert pairs == list(hungarian(cost).pairs)
+                minima = oracles.row_minima(cost)
+                if minima is None:
+                    uncertified += 1
+                    solved -= 1
+                else:
+                    assert pairs == minima
+                    certified += 1
+        # the exact solve ran once for each uncertified matrix, no more
+        assert solved == 0
+    assert uncertified > 0 and certified > 0 and taller > 0
+    rows = pointwise_sweep(frames, taus, config)
+    assert rows == tuple((tau, *prf(*counts))
+                         for tau, counts in zip(taus, totals.tolist()))
+
+
+def test_infinite_cost_cap_is_a_config_error():
+    frames = [([lane_on(ANCHORS, 0.0)], [lane_on(ANCHORS, 0.1)])]
+    with pytest.raises(ConfigError, match=r"= 1\.5 \* inf is not finite"):
+        pointwise_sweep(frames, [0.5, math.inf])
+    with pytest.raises(ConfigError, match=r"= 1\.5 \* 1\.5e\+308 is not"):
+        pointwise_sweep(frames, [1.5e308])
+    with pytest.raises(ConfigError, match="not finite"):
+        openlane_report(frames, PointwiseConfig(tau_dist=math.inf))
+    with pytest.raises(ConfigError, match=r"= 1e\+308 \* 10\.0 is not"):
+        pointwise_match(*frames[0], PointwiseConfig(cap_multiplier=1e308,
+                                                     tau_dist=10.0))
 
 
 def test_sweep_f1_monotone_on_separated_lanes():

@@ -3,7 +3,8 @@
 ``e2ebench/spans.py`` rebinds the library functions it lists at every
 module binding.  It is loaded here by path, unchanged, and each command
 is run plainly and under its ``Tracer``: the report bytes must be equal,
-and every function the tracer lists must still exist.
+and every function the tracer lists must still exist.  The commands are
+those the benchmark times, except ``synth``, which writes no report.
 """
 
 import contextlib
@@ -46,6 +47,9 @@ def _report(argv, out: Path) -> bytes:
 @pytest.mark.parametrize("command", [
     ["eval", "--protocol", "bcd"],
     ["eval", "--protocol", "once"],
+    ["eval", "--protocol", "openlane"],
+    ["eval", "--protocol", "mbd"],
+    ["sweep", "--protocol", "bcd", "--taus", "0.5,1.5"],
     ["sweep", "--protocol", "openlane", "--taus", "0.5,1.5"],
     ["loss"],
 ])
