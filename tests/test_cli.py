@@ -15,7 +15,7 @@ import pytest
 import loss_oracle
 
 import lane3d
-from lane3d import cli
+from lane3d import cli, matching
 from lane3d.cli import main
 from lane3d.geometry import CameraModel, Curve2D, Lane3D, SampleGrid, sample_curve
 from lane3d.losses import FrameGroundTruth, FramePrediction
@@ -396,7 +396,6 @@ GOLDEN_SOLVER_REPORTS = {
 
 
 def test_openlane_solver_reports_match_golden_digests(tmp_path, monkeypatch):
-    from lane3d import matching
     solves = []
     real = matching._augment
 
