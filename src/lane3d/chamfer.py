@@ -76,8 +76,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateLane
-from .geometry import Lane3D, interpolate_lane
+from .errors import ConfigError
+from .geometry import Lane3D, _visible_points, interpolate_lane
 from .kernels import (
     directed_mean_pairs,
     nearest_pair_rows,
@@ -87,7 +87,8 @@ from .kernels import (
 )
 from .matching import hungarian
 from .pointwise import pointwise_sweep
-from .report import MetricReport, _assemble, _frame_ids, _sweep, _tau_list
+from .report import (MetricReport, _assemble, _frame_blocks, _frame_ids, _sweep,
+                     _tau_list)
 
 __all__ = [
     "MBD_VARIANTS",
@@ -208,28 +209,6 @@ def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) + np.repeat(first - (ends - counts), counts)
 
 
-# Lanes times their largest point count (input or interpolated) per frame
-# block: bounds the memory of one block of the bidirectional row search.
-_BLOCK_POINTS = 1 << 13
-
-
-def _frame_blocks(frames, n: int, scored):
-    """Consecutive runs of frames whose scored lanes (``scored(frame)``),
-    times the largest of their point counts and ``n``, stay within
-    ``_BLOCK_POINTS``; a frame over the bound forms a block alone."""
-    block, lanes, width = [], 0, n
-    for frame in frames:
-        frame_lanes = scored(frame)
-        frame_width = max([n, *(len(lane.points) for lane in frame_lanes)])
-        if block and (lanes + len(frame_lanes)) * max(width, frame_width) > _BLOCK_POINTS:
-            yield block
-            block, lanes, width = [], 0, n
-        block.append(frame)
-        lanes += len(frame_lanes)
-        width = max(width, frame_width)
-    yield block
-
-
 def _bcd_lanes(frame) -> tuple:
     """A frame's lanes the bidirectional protocol scores: predictions
     first, and none without predictions."""
@@ -274,25 +253,11 @@ def _bcd_rows(frames, n: int) -> list[np.ndarray]:
 
 def _bcd_block(frames, n: int) -> list[np.ndarray]:
     # Every lane of a frame with predictions is interpolated, predictions
-    # first; so the first lane short of 2 visible points raises
-    # DegenerateLane, as interpolating the lanes in that order would.
+    # first; so the first lane short of 2 visible points raises.
     lanes = [lane for frame in frames for lane in _bcd_lanes(frame)]
     if not lanes:
         return [np.zeros((0, len(gt_lanes))) for gt_lanes, _ in frames]
-    sizes = np.array([len(lane.points) for lane in lanes])
-    offsets = np.zeros(len(lanes), dtype=np.int64)
-    np.cumsum(sizes[:-1], out=offsets[1:])
-    points = np.concatenate([lane.points for lane in lanes])
-    keep = np.concatenate([lane.visibility for lane in lanes]) > 0.5
-    counts = np.add.reduceat(keep, offsets)
-    short = np.flatnonzero(counts < 2)
-    if short.size:
-        raise DegenerateLane(
-            f"{counts[short[0]]} visible point(s); need >= 2"
-        )
-    if not keep.all():
-        points = points.compress(keep, axis=0)
-    curves = _curves_sorted_by_y(resample_polylines(points, counts, n))
+    curves = _curves_sorted_by_y(resample_polylines(*_visible_points(lanes), n))
 
     # One row per prediction of a searched frame, over the frame's ground
     # truths in order; starts[f] locates frame f's pairs (None: not searched).
@@ -376,9 +341,10 @@ _BLOCK_PAIRS = 1 << 13
 _U = 2.0**-53
 
 
-def _strokes(point_sets: list[np.ndarray], config: EvalConfig) -> list[_Runs]:
-    """Strokes of several polylines (each ``(n, 2+)`` with strictly
-    increasing y), as per-row runs.
+def _strokes(points: np.ndarray, sizes, config: EvalConfig) -> list[_Runs]:
+    """Strokes of several polylines, as per-row runs: polyline i holds the
+    next ``sizes[i]`` rows of ``points`` (``(rows, 2+)``), at least 2, with
+    strictly increasing y.
 
     Each (segment, row) pair whose row comes within half a cell more
     than ``lane_width / 2`` of the segment's y-range is decided from the
@@ -396,21 +362,14 @@ def _strokes(point_sets: list[np.ndarray], config: EvalConfig) -> list[_Runs]:
     form one stretch of the polyline, and their chords on the row sweep
     a connected set).  Other rows merge their runs on the key line
     ``row * _ROW + ix``.
-
-    The first polyline with fewer than 2 points raises ``DegenerateLane``.
     """
-    for points in point_sets:
-        if points.shape[0] < 2:
-            raise DegenerateLane(
-                f"stroke needs at least 2 visible points, got {points.shape[0]}"
-            )
-    if not point_sets:
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if not sizes.size:
         return []
     res = config.bev_resolution
     half = config.lane_width / 2.0
     reach = half + res / 2.0
-    sizes = np.array([points.shape[0] for points in point_sets])
-    xy = np.concatenate([points[:, :2] for points in point_sets])
+    xy = points[:, :2]
     starts = np.ones(xy.shape[0], dtype=bool)
     starts[np.cumsum(sizes) - 1] = False
     a = np.flatnonzero(starts)
@@ -770,7 +729,7 @@ def _shared_cells(a: _Runs, b: _Runs) -> int:
 def bev_iou(gt: Lane3D, pred: Lane3D, config: EvalConfig | None = None) -> float:
     """IoU of the two lanes' stroked footprints on the BEV grid."""
     config = config or EvalConfig()
-    a, b = _strokes([gt.visible_points(), pred.visible_points()], config)
+    a, b = _strokes(*_visible_points([gt, pred]), config)
     return float(_iou_matrix([a], [b])[0, 0])
 
 
@@ -811,36 +770,37 @@ def _iou_matched_block(frames, config: EvalConfig, with_maxes: bool) -> list[_Io
     """IoU-maximizing assignment plus the distances of each frame's pairs
     above the IoU gate (no other pair can count or qualify).
 
-    Each frame's lanes are stroked by one ``_strokes`` call, so the first
-    lane with fewer than 2 visible points raises ``DegenerateLane``; the
-    qualified pairs' lanes of all frames are interpolated by one
+    The block's lanes are gathered by one ``_visible_points`` call, so
+    the first lane with fewer than 2 visible points raises, and each
+    frame's lanes are stroked by one ``_strokes`` call.  The qualified
+    pairs' lanes of all frames are interpolated by one
     ``resample_polylines`` call, which equals ``interpolate_lane``
     bitwise, and their CDs come from one ``polyline_mean_pairs`` call.
     With ``with_maxes``, one ``directed_mean_pairs`` call gives each
     pair's two directed maximum distances, which make its worst-case
     distance.
     """
-    visible = [
-        lane.visible_points() for frame in frames for lane in _iou_lanes(frame)
-    ]
+    points, counts = _visible_points(
+        [lane for frame in frames for lane in _iou_lanes(frame)])
+    first = np.concatenate([[0], np.cumsum(counts)])  # each lane's first point
     matches, at = [], 0  # (frame, gt lane, pred lane) of each qualified pair
     for f, (gt_lanes, pred_lanes) in enumerate(frames):
         if not _iou_lanes((gt_lanes, pred_lanes)):
             continue
-        n_gt, n_pred = len(gt_lanes), len(pred_lanes)
-        strokes = _strokes(visible[at:at + n_gt + n_pred], config)
+        n_gt, stop = len(gt_lanes), at + len(gt_lanes) + len(pred_lanes)
+        strokes = _strokes(points[first[at]:first[stop]], counts[at:stop], config)
         iou = _iou_matrix(strokes[:n_gt], strokes[n_gt:])
         matches.extend(
             (f, at + i, at + n_gt + j)
             for i, j in hungarian(-iou).pairs if iou[i, j] > config.tau_iou
         )
-        at += n_gt + n_pred
+        at = stop
 
     cores = [_IouCore([], [], len(gt), len(pred)) for gt, pred in frames]
     if matches:
-        ends = [visible[g] for _, g, _ in matches] + [visible[p] for *_, p in matches]
+        ends = np.array([g for _, g, _ in matches] + [p for *_, p in matches])
         curves = resample_polylines(
-            np.concatenate(ends), [len(pts) for pts in ends], config.n_interp
+            points[_ranges(first[ends], counts[ends])], counts[ends], config.n_interp
         )
         k = len(matches)
         gt_curves, pred_curves = curves[:k], curves[k:]

@@ -58,12 +58,14 @@ from .errors import (
     Underdetermined,
 )
 from .geometry import (
+    _ANCHOR_TOL,
     EPS_DEPTH,
     Lane3D,
     SampleGrid,
     _camera_coords,
     _check_frame,
     _fit_problems,
+    _lane_columns,
     _resample_lanes_at_y,
     _stack_problem,
     fit_curves,
@@ -424,7 +426,7 @@ _LOSS_BLOCK = 32
 
 def _on_grid(lane: Lane3D, anchors: np.ndarray) -> bool:
     y = lane.points[:, 1]
-    return y.shape == anchors.shape and float(np.abs(y - anchors).max()) <= 1e-9
+    return y.shape == anchors.shape and float(np.abs(y - anchors).max()) <= _ANCHOR_TOL
 
 
 def _grid_lane(lane: Lane3D, anchors: np.ndarray) -> Lane3D:
@@ -501,7 +503,7 @@ def _grid_lanes(points, vis, sizes, anchors: np.ndarray):
     starts = np.concatenate([[0], np.cumsum(sizes)])
     near = np.flatnonzero(sizes == n_anchors)
     rows = starts[near, None] + np.arange(n_anchors)
-    close = np.abs(points[rows, 1] - anchors).max(axis=1) <= 1e-9
+    close = np.abs(points[rows, 1] - anchors).max(axis=1) <= _ANCHOR_TOL
     on_grid = np.zeros(n_lanes, dtype=bool)
     on_grid[near[close]] = True
     grid_pts = np.zeros((n_lanes, n_anchors, 3))
@@ -553,11 +555,8 @@ def _gather(records, anchors: np.ndarray):
                         dtype=np.int64).reshape(-1)
     side_first = np.concatenate([[0], np.cumsum(per_side)])
     side_of = np.repeat(np.arange(2 * n_frames), per_side)
-    on_grid, degenerate, grid_pts, grid_vis = _grid_lanes(
-        np.concatenate([lane.points for lane in lanes] or [np.empty((0, 3))]),
-        np.concatenate([lane.visibility for lane in lanes] or [np.empty(0)]),
-        np.array([lane.points.shape[0] for lane in lanes], dtype=np.int64),
-        anchors)
+    on_grid, degenerate, grid_pts, grid_vis = _grid_lanes(*_lane_columns(lanes),
+                                                          anchors)
 
     # The visible points of every side to fit, in the image.
     stored = [c for r in records for c in (r.gt_curves, r.pred_curves)]

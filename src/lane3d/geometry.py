@@ -299,6 +299,31 @@ def unproject_to_ground(camera: CameraModel, u, v) -> np.ndarray:
 
 # ── Lane resampling ──────────────────────────────────────────────────────
 
+# Anchor-grid tolerance, meters: a y this close to its anchor lies on it.
+_ANCHOR_TOL = 1e-9
+
+
+def _lane_columns(lanes: Sequence[Lane3D]):
+    """The points and visibility of ``lanes``, one lane after another, and
+    each lane's point count."""
+    return (np.concatenate([lane.points for lane in lanes] or [np.empty((0, 3))]),
+            np.concatenate([lane.visibility for lane in lanes] or [np.empty(0)]),
+            np.array([lane.points.shape[0] for lane in lanes], dtype=np.int64))
+
+
+def _visible_points(lanes: Sequence[Lane3D]) -> tuple[np.ndarray, np.ndarray]:
+    """The visible points of ``lanes``, one lane after another, and each
+    lane's count of them.  Every scorer gathers its lanes here: the first
+    lane with fewer than two visible points raises DegenerateLane."""
+    points, vis, sizes = _lane_columns(lanes)
+    keep = vis > 0.5
+    counts = np.add.reduceat(keep, np.cumsum(sizes) - sizes).astype(np.int64)
+    short = np.flatnonzero(counts < 2)
+    if short.size:
+        raise DegenerateLane(f"{counts[short[0]]} visible point(s); need >= 2")
+    return (points if keep.all() else points[keep]), counts
+
+
 def interpolate_lane(lane: Lane3D, n: int) -> np.ndarray:
     """Arc-length-uniform piecewise-linear resampling to n points.
 
@@ -308,10 +333,7 @@ def interpolate_lane(lane: Lane3D, n: int) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    pts = lane.visible_points()
-    if pts.shape[0] < 2:
-        raise DegenerateLane(f"{pts.shape[0]} visible point(s); need >= 2")
-    return resample_polyline(pts, n)
+    return resample_polyline(_visible_points([lane])[0], n)
 
 
 def resample_at_y(lane: Lane3D, y_anchors: np.ndarray):
@@ -319,16 +341,16 @@ def resample_at_y(lane: Lane3D, y_anchors: np.ndarray):
 
     Returns (x, z, vis) arrays; an anchor is visible iff it lies within
     the y-span of the visible sub-polyline.  Values outside the span are
-    clamped endpoint values and flagged invisible.
+    clamped endpoint values and flagged invisible.  A batch of one of
+    ``_resample_lanes_at_y``; the anchors may come in any order and shape.
     """
-    pts = lane.visible_points()
-    if pts.shape[0] < 2:
-        raise DegenerateLane(f"{pts.shape[0]} visible point(s); need >= 2")
+    pts, counts = _visible_points([lane])
     y = np.asarray(y_anchors, dtype=np.float64)
-    x = np.interp(y, pts[:, 1], pts[:, 0])
-    z = np.interp(y, pts[:, 1], pts[:, 2])
-    vis = ((y >= pts[0, 1]) & (y <= pts[-1, 1])).astype(np.float64)
-    return x, z, vis
+    order = np.argsort(y, axis=None, kind="stable")
+    sampled = _resample_lanes_at_y(pts[:, 1], pts[:, 0], pts[:, 2],
+                                   np.array([0, counts[0]]), y.ravel()[order])
+    back = np.argsort(order)
+    return tuple(s[0][back].reshape(y.shape) for s in sampled)
 
 
 def _resample_lanes_at_y(y: np.ndarray, x: np.ndarray, z: np.ndarray,

@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import AnchorMismatch, Lane3DError
 from .gaussians import segment_symmetric_klds
-from .geometry import CameraModel, Curve2D, Lane3D, SampleGrid, _sample_curves
+from .geometry import (_ANCHOR_TOL, CameraModel, Curve2D, Lane3D, SampleGrid,
+                       _lane_columns, _sample_curves)
 from .matching import MatchResult, hungarian
 
 __all__ = [
@@ -208,14 +209,11 @@ class _Side:
         """Pack per-frame lists of lanes or curves (or both, equally long)."""
         per_frame = lanes if lanes is not None else curves
         frames = np.cumsum([0] + [len(x) for x in per_frame])
-        flat = [lane for frame in lanes for lane in frame] if lanes else []
-        starts = (np.cumsum([0] + [len(lane.points) for lane in flat])
-                  if lanes is not None else np.zeros(frames[-1] + 1, dtype=int))
-        return cls(
-            np.concatenate([lane.points for lane in flat] or [np.empty((0, 3))]),
-            np.concatenate([lane.visibility for lane in flat] or [np.empty(0)]),
-            starts, frames,
-            None if curves is None else [c for frame in curves for c in frame])
+        points, vis, sizes = _lane_columns([l for frame in lanes or () for l in frame])
+        starts = (np.cumsum([0, *sizes]) if lanes is not None
+                  else np.zeros(frames[-1] + 1, dtype=int))
+        return cls(points, vis, starts, frames,
+                   None if curves is None else [c for frame in curves for c in frame])
 
     def frame(self, f: int) -> "_Side":
         lanes = slice(self.frames[f], self.frames[f + 1] + 1)
@@ -386,7 +384,7 @@ def _point_losses(block: _Block, frame: np.ndarray, g: np.ndarray,
     offset = np.arange(pair.shape[0]) - np.repeat(np.cumsum(n) - n, n)
     rg, rp = gt.starts[g][pair] + offset, pred.starts[p][pair] + offset
     bad = n_gt != n_pred
-    bad[pair[np.abs(gt.points[rg, 1] - pred.points[rp, 1]) > 1e-9]] = True
+    bad[pair[np.abs(gt.points[rg, 1] - pred.points[rp, 1]) > _ANCHOR_TOL]] = True
     if bad.any():
         q = int(np.argmax(bad))
         f = frame[q]

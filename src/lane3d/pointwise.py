@@ -41,9 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnchorMismatch, ConfigError
-from .geometry import Lane3D, SampleGrid, resample_at_y
+from .geometry import (_ANCHOR_TOL, Lane3D, SampleGrid, _resample_lanes_at_y,
+                       _visible_points)
 from .matching import MatchResult, _assign_stack, hungarian
-from .report import MetricReport, _assemble, _frame_ids, _sweep, _tau_list
+from .report import (MetricReport, _assemble, _frame_blocks, _frame_ids, _sweep,
+                     _tau_list)
 
 __all__ = [
     "PointwiseConfig",
@@ -108,7 +110,7 @@ def _shared_anchors(lanes: list[Lane3D]) -> np.ndarray:
     anchors = lanes[0].points[:, 1]
     for k, lane in enumerate(lanes[1:], start=1):
         other = lane.points[:, 1]
-        if other.shape != anchors.shape or np.abs(other - anchors).max() > 1e-9:
+        if other.shape != anchors.shape or np.abs(other - anchors).max() > _ANCHOR_TOL:
             raise AnchorMismatch(
                 f"lane {k} is not on the shared y-anchor grid"
             )
@@ -142,42 +144,54 @@ class _FrameArrays:
         return self.dist.shape[1]
 
 
-def _frame_arrays(
-    gt_lanes: list[Lane3D],
-    pred_lanes: list[Lane3D],
-    anchors: np.ndarray,
-    tp_fraction: float,
-) -> _FrameArrays:
-    j = anchors.shape[0]
-    gx = np.zeros((len(gt_lanes), j))
-    gz = np.zeros((len(gt_lanes), j))
-    gv = np.zeros((len(gt_lanes), j), dtype=bool)
-    for i, lane in enumerate(gt_lanes):
-        x, z, vis = resample_at_y(lane, anchors)
-        gx[i], gz[i], gv[i] = x, z, vis > 0.5
-    px = np.zeros((len(pred_lanes), j))
-    pz = np.zeros((len(pred_lanes), j))
-    for i, lane in enumerate(pred_lanes):
-        x, z, _ = resample_at_y(lane, anchors)
-        px[i], pz[i] = x, z
-    dx = np.abs(gx[:, None, :] - px[None, :, :])
-    dz = np.abs(gz[:, None, :] - pz[None, :, :])
-    dist = np.sqrt(dx * dx + dz * dz)
+def _frame_arrays(gt_lanes, pred_lanes, anchors, tp_fraction) -> _FrameArrays:
+    """One frame's arrays: a block of one of ``_block_arrays``."""
+    return _block_arrays([(gt_lanes, pred_lanes)], anchors, tp_fraction)[0]
 
-    groups = []
-    threshold = np.full(dist.shape[:2], np.inf)
-    n_vis = gv.sum(axis=1)
-    for k in sorted(set(n_vis.tolist()) - {0}):
-        rows = np.flatnonzero(n_vis == k)
-        cols = np.nonzero(gv[rows])[1].reshape(rows.size, k, 1)
-        stack = np.take_along_axis(dist[rows].transpose(0, 2, 1), cols, axis=1)
-        groups.append((rows, stack))
-        # At least ``rank`` of the k anchors must lie within tau, so the
-        # rank-th smallest distance is the least passing tau.
-        rank = next(c for c in range(1, k + 1) if c / k >= tp_fraction)
-        threshold[rows] = np.sort(stack, axis=1)[:, rank - 1]
-    return _FrameArrays(anchors=anchors, gt_vis=gv, dist=dist, dx=dx, dz=dz,
-                        groups=tuple(groups), tp_threshold=threshold)
+
+def _block_arrays(
+    frames, anchors: np.ndarray, tp_fraction: float
+) -> list[_FrameArrays]:
+    """Each frame's arrays, its lanes resampled with the whole block's in
+    one call.  Every lane is resampled, frame by frame and ground truths
+    first, so the first lane short of 2 visible points raises."""
+    points, counts = _visible_points(
+        [lane for gt, pred in frames for lane in (*gt, *pred)])
+    x, z, vis = _resample_lanes_at_y(
+        points[:, 1], points[:, 0], points[:, 2],
+        np.concatenate([[0], np.cumsum(counts)]), anchors)
+    out, at = [], 0
+    for gt_lanes, pred_lanes in frames:
+        g = slice(at, at + len(gt_lanes))
+        p = slice(g.stop, g.stop + len(pred_lanes))
+        at = p.stop
+        gv = vis[g] > 0.5
+        dx = np.abs(x[g, None, :] - x[None, p, :])
+        dz = np.abs(z[g, None, :] - z[None, p, :])
+        dist = np.sqrt(dx * dx + dz * dz)
+
+        groups = []
+        threshold = np.full(dist.shape[:2], np.inf)
+        n_vis = gv.sum(axis=1)
+        for k in sorted(set(n_vis.tolist()) - {0}):
+            rows = np.flatnonzero(n_vis == k)
+            cols = np.nonzero(gv[rows])[1].reshape(rows.size, k, 1)
+            stack = np.take_along_axis(dist[rows].transpose(0, 2, 1), cols, axis=1)
+            groups.append((rows, stack))
+            # At least ``rank`` of the k anchors must lie within tau, so the
+            # rank-th smallest distance is the least passing tau.
+            rank = next(c for c in range(1, k + 1) if c / k >= tp_fraction)
+            threshold[rows] = np.sort(stack, axis=1)[:, rank - 1]
+        out.append(_FrameArrays(anchors=anchors, gt_vis=gv, dist=dist, dx=dx, dz=dz,
+                                groups=tuple(groups), tp_threshold=threshold))
+    return out
+
+
+def _frame_cores(frames, anchors: np.ndarray, tp_fraction: float):
+    """Every frame's arrays in order, resampled a block of frames at a
+    time (see ``report._frame_blocks``)."""
+    for block in _frame_blocks(frames, anchors.size, lambda f: (*f[0], *f[1])):
+        yield from _block_arrays(block, anchors, tp_fraction)
 
 
 def _cost_caps(config: PointwiseConfig, taus) -> np.ndarray:
@@ -346,8 +360,7 @@ def openlane_report(
     counts = []
     sums = [0.0] * 4
     n_anchors = [0] * 4
-    for gt_lanes, pred_lanes in frames:
-        arrays = _frame_arrays(gt_lanes, pred_lanes, anchors, config.tp_fraction)
+    for arrays in _frame_cores(frames, anchors, config.tp_fraction):
         rows, cols, accepted = _gate_frame(arrays, taus, caps)
         tp_pairs = list(zip(rows[0][accepted[0]].tolist(),
                             cols[0][accepted[0]].tolist()))
@@ -388,9 +401,7 @@ def pointwise_sweep(
     caps = _cost_caps(config, taus)
     thresholds = np.array(taus)
     anchors = np.asarray(grid.y_anchors, dtype=float)
-    cores = [
-        _frame_arrays(gt, pred, anchors, config.tp_fraction) for gt, pred in frames
-    ]
+    cores = _frame_cores(frames, anchors, config.tp_fraction)
 
     def gate(arrays: _FrameArrays) -> np.ndarray:
         tp = np.count_nonzero(_gate_frame(arrays, thresholds, caps)[2], axis=1)

@@ -154,6 +154,28 @@ def _tau_list(taus) -> list[float]:
     return taus
 
 
+# Lanes times their largest point count (input or resampled) per frame
+# block: bounds the memory of one block of any protocol's lane arrays.
+_BLOCK_POINTS = 1 << 13
+
+
+def _frame_blocks(frames, n: int, scored):
+    """Consecutive runs of frames whose scored lanes (``scored(frame)``),
+    times the largest of their point counts and ``n``, stay within
+    ``_BLOCK_POINTS``; a frame over the bound forms a block alone."""
+    block, lanes, width = [], 0, n
+    for frame in frames:
+        frame_lanes = scored(frame)
+        frame_width = max([n, *(len(lane.points) for lane in frame_lanes)])
+        if block and (lanes + len(frame_lanes)) * max(width, frame_width) > _BLOCK_POINTS:
+            yield block
+            block, lanes, width = [], 0, n
+        block.append(frame)
+        lanes += len(frame_lanes)
+        width = max(width, frame_width)
+    yield block
+
+
 def _assemble(
     protocol: str,
     frame_ids: list[str],

@@ -10,6 +10,8 @@ For the distance kernels, two kinds, both independent of
   the full bidirectional distance matrices (``pair_mean_matrices``,
   ``bcd_matrix``).
 
+For the anchor resampler, ``np.interp`` on each lane (``resample_at_y``).
+
 Every squared distance is ``(dx*dx + dy*dy) + dz*dz``, minima are pure
 selections and sums run in source-point order, so a kernel must match
 these bitwise.
@@ -157,6 +159,18 @@ def interpolate(lane, n):
     if pts.shape[0] < 2:
         raise DegenerateLane(f"{pts.shape[0]} visible point(s); need >= 2")
     return resample_core(pts, n)
+
+
+def resample_at_y(lane, y_anchors):
+    """``resample_at_y`` by ``np.interp`` on the visible polyline."""
+    pts = lane.visible_points()
+    if pts.shape[0] < 2:
+        raise DegenerateLane(f"{pts.shape[0]} visible point(s); need >= 2")
+    y = np.asarray(y_anchors, dtype=np.float64)
+    x = np.interp(y, pts[:, 1], pts[:, 0])
+    z = np.interp(y, pts[:, 1], pts[:, 2])
+    vis = ((y >= pts[0, 1]) & (y <= pts[-1, 1])).astype(np.float64)
+    return x, z, vis
 
 
 def _sorted_by_y(pts):

@@ -21,7 +21,7 @@ from lane3d.chamfer import (
     unilateral_cd,
 )
 from lane3d.errors import ConfigError, DegenerateLane
-from lane3d.geometry import Lane3D, interpolate_lane
+from lane3d.geometry import Lane3D, interpolate_lane, resample_at_y
 from lane3d.pointwise import PointwiseConfig, openlane_report
 
 
@@ -269,7 +269,7 @@ def test_row_search_sparse_lanes_take_the_full_scan():
 def test_row_search_independent_of_block_size(monkeypatch):
     frames = sweep_fixture(seed=43, n_frames=15)
     whole = _bcd_rows(frames, 100)
-    monkeypatch.setattr(chamfer, "_BLOCK_POINTS", 1)
+    monkeypatch.setattr("lane3d.report._BLOCK_POINTS", 1)
     for a, b in zip(whole, _bcd_rows(frames, 100)):
         assert np.array_equal(a, b)
 
@@ -319,6 +319,11 @@ def oracle_cells(points, config):
     return cells
 
 
+def strokes(point_sets, config):
+    """``_strokes`` of a list of polylines."""
+    return _strokes(np.concatenate(point_sets), [len(p) for p in point_sets], config)
+
+
 def decode_runs(runs):
     """The cells ``(ix, iy)`` of a stroke's runs, checking that the runs
     are sorted by row, then column, and that runs of one row neither
@@ -347,14 +352,14 @@ def test_stroke_cells_match_brute_force():
         y = np.cumsum(np.concatenate([[y[0]], np.diff(y) + 0.05]))
         x = rng.uniform(-2.0, 2.0, n)
         pts = np.stack([x, y, np.zeros(n)], axis=1)
-        got = decode_runs(_strokes([pts], config)[0])
+        got = decode_runs(strokes([pts], config)[0])
         assert got == oracle_cells(pts, config)
 
 
 def test_stroke_negative_coordinates():
     config = EvalConfig()
     pts = np.array([[-1.3, -0.9, 0.0], [-0.2, 1.4, 0.0]])
-    assert decode_runs(_strokes([pts], config)[0]) == oracle_cells(pts, config)
+    assert decode_runs(strokes([pts], config)[0]) == oracle_cells(pts, config)
 
 
 @pytest.mark.parametrize("lane_width, res, origin", [
@@ -370,7 +375,7 @@ def test_stroke_random_lanes_match_brute_force(lane_width, res, origin):
     config = EvalConfig(lane_width=lane_width, bev_resolution=res)
     for _ in range(20):
         pts = random_polyline(rng, int(rng.integers(2, 7)), origin=origin)
-        assert decode_runs(_strokes([pts], config)[0]) == oracle_cells(pts, config)
+        assert decode_runs(strokes([pts], config)[0]) == oracle_cells(pts, config)
 
 
 def test_stroke_near_axis_segments_and_distances_on_the_boundary():
@@ -397,7 +402,7 @@ def test_stroke_near_axis_segments_and_distances_on_the_boundary():
     for lane in lanes:
         xy = np.array(lane)
         pts = np.column_stack([xy, np.zeros(len(xy))])
-        assert decode_runs(_strokes([pts], config)[0]) == oracle_cells(pts, config)
+        assert decode_runs(strokes([pts], config)[0]) == oracle_cells(pts, config)
 
 
 def window_scan_runs(points, config):
@@ -473,7 +478,7 @@ def test_strokes_equal_the_window_scan_on_random_lanes(kind):
                                  "far"].index(kind) + 101)
     for config in RASTER_CONFIGS:
         lanes = random_lanes(rng, kind, 125)
-        for got, pts in zip(_strokes(lanes, config), lanes):
+        for got, pts in zip(strokes(lanes, config), lanes):
             assert_same_runs(got, window_scan_runs(pts, config))
 
 
@@ -518,7 +523,7 @@ def test_strokes_on_cell_centers_an_ulp_from_the_stroke_boundary():
         y0 = rng.uniform(-1.0, 1.0)
         lanes.append(np.array([[x, y0, 0.0], [x, y0 + rng.uniform(0.1, 2.0), 0.0]]))
         lanes.append(np.array([[x - 1.0, y0, 0.0], [x + 1.0, y0 + 1e-9, 0.0]]))
-    for got, pts in zip(_strokes(lanes, config), lanes):
+    for got, pts in zip(strokes(lanes, config), lanes):
         assert_same_runs(got, window_scan_runs(pts, config))
 
 
@@ -526,10 +531,10 @@ def test_strokes_do_not_depend_on_the_block_bound(monkeypatch):
     rng = np.random.default_rng(61)
     config = EvalConfig()
     lanes = [*random_lanes(rng, "plain", 20), *random_lanes(rng, "half_cell", 20)]
-    whole = _strokes(lanes, config)
+    whole = strokes(lanes, config)
     for bound in (1, 1 << 62):  # a lane per block, and every lane in one
         monkeypatch.setattr(chamfer, "_BLOCK_PAIRS", bound)
-        for got, expected in zip(_strokes(lanes, config), whole):
+        for got, expected in zip(strokes(lanes, config), whole):
             assert_same_runs(got, expected)
 
 
@@ -554,7 +559,7 @@ def test_undecided_pairs_stay_rare_on_the_synth_scenario(tmp_path, monkeypatch):
         return lo, hi, decided
 
     monkeypatch.setattr(chamfer, "_decided_cells", counted)
-    _strokes(lanes, EvalConfig())
+    strokes(lanes, EvalConfig())
     pairs, undecided = counts
     assert pairs > 100_000
     assert undecided <= 0.05 * pairs
@@ -588,18 +593,18 @@ def test_run_iou_matches_cell_set_iou():
         (upright, upright + [0.0, 1.25, 0.0]),
     ]
     for a, b in pairs:
-        cells_a = decode_runs(_strokes([a], config)[0])
-        cells_b = decode_runs(_strokes([b], config)[0])
+        cells_a = decode_runs(strokes([a], config)[0])
+        cells_b = decode_runs(strokes([b], config)[0])
         assert bev_iou(lane_of(a), lane_of(b), config) == set_iou(cells_a, cells_b)
     # the box-overlapping pair really shares rows and columns but no cell
-    a = decode_runs(_strokes([diagonal], config)[0])
-    b = decode_runs(_strokes([diagonal + [1.0, 0.0, 0.0]], config)[0])
+    a = decode_runs(strokes([diagonal], config)[0])
+    b = decode_runs(strokes([diagonal + [1.0, 0.0, 0.0]], config)[0])
     assert not a & b
     assert min(ix for ix, _ in b) < max(ix for ix, _ in a)
     # one empty stroke, and two: cell centers sit 0.025 m off a lane on a
     # cell edge, and nothing lies within 0.01 m of it
     empty = np.array([[0.05, 0.0, 0.0], [0.05, 3.0, 0.0]])
-    assert decode_runs(_strokes([empty], thin)[0]) == set()
+    assert decode_runs(strokes([empty], thin)[0]) == set()
     assert bev_iou(lane_of(empty), lane_of(diagonal), thin) == 0.0
     assert bev_iou(lane_of(empty), lane_of(empty), thin) == 0.0
 
@@ -638,8 +643,8 @@ def test_iou_parallel_offset_oracle():
     config = EvalConfig(lane_width=0.3, bev_resolution=0.05)
     gt = straight_lane(0.0)
     pred = straight_lane(0.1)
-    a = decode_runs(_strokes([gt.visible_points()], config)[0])
-    b = decode_runs(_strokes([pred.visible_points()], config)[0])
+    a = decode_runs(strokes([gt.visible_points()], config)[0])
+    b = decode_runs(strokes([pred.visible_points()], config)[0])
     shifted = {(ix + 2, iy) for ix, iy in a}
     assert shifted == b
     inter = len(a & b)
@@ -862,7 +867,7 @@ def test_iou_reports_raise_for_the_first_unstrokable_lane(report):
     with pytest.raises(DegenerateLane) as got:
         report(frames)
     assert type(got.value) is DegenerateLane
-    assert str(got.value) == "stroke needs at least 2 visible points, got 1"
+    assert str(got.value) == "1 visible point(s); need >= 2"
     assert report([([one_visible(1)], [])]).fn == 1
 
 
@@ -874,8 +879,51 @@ def test_bev_iou_raises_for_the_ground_truth_first():
         with pytest.raises(DegenerateLane) as got:
             bev_iou(gt, pred)
         assert type(got.value) is DegenerateLane
-        assert str(got.value) == (
-            f"stroke needs at least 2 visible points, got {count}")
+        assert str(got.value) == f"{count} visible point(s); need >= 2"
+
+
+def assert_short_lane_message(call, count):
+    with pytest.raises(DegenerateLane) as got:
+        call()
+    assert type(got.value) is DegenerateLane
+    assert str(got.value) == f"{count} visible point(s); need >= 2"
+
+
+REPORTS = {"bcd": bcd_report, "once": once_report, "mbd": mbd_report,
+           "openlane": openlane_report}
+
+
+@pytest.mark.parametrize("sweep", [False, True], ids=["report", "sweep"])
+@pytest.mark.parametrize("protocol", list(REPORTS))
+def test_every_protocol_gives_one_message_for_a_short_lane(protocol, sweep):
+    def score(frames):
+        if sweep:
+            return threshold_sweep(frames, [0.1, 0.5], protocol)
+        return REPORTS[protocol](frames)
+
+    good = straight_lane(0.0)
+    # frame 0 has no predictions; frame 1 has a short ground truth (0
+    # visible) after a good one, and a short prediction (1 visible) first
+    frames = [([one_visible(1)], []),
+              ([good, one_visible(0)], [one_visible(1), good])]
+    # bcd scores the frames with predictions, predictions first; once and
+    # mbd those with both kinds, and openlane every frame, ground truths first
+    count = {"bcd": 1, "once": 0, "mbd": 0, "openlane": 1}[protocol]
+    assert_short_lane_message(lambda: score(frames), count)
+    if protocol != "openlane":  # a frame the protocol does not score
+        score([([one_visible(0)], [])])
+    if protocol in ("once", "mbd"):
+        score([([], [one_visible(0)])])
+
+
+@pytest.mark.parametrize("call, count", [
+    (lambda: bev_iou(one_visible(0), one_visible(1)), 0),
+    (lambda: bev_iou(straight_lane(0.0), one_visible(1)), 1),
+    (lambda: interpolate_lane(one_visible(1), 100), 1),
+    (lambda: resample_at_y(one_visible(0), np.arange(3.0)), 0),
+], ids=["bev_iou_gt_first", "bev_iou_pred", "interpolate_lane", "resample_at_y"])
+def test_every_lane_function_gives_one_message_for_a_short_lane(call, count):
+    assert_short_lane_message(call, count)
 
 
 # ---------------------------------------------------------------------------

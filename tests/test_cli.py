@@ -139,7 +139,7 @@ def test_eval_exit_codes_for_bad_files(tmp_path, capsys):
     assert run("eval", "--gt", str(gt), "--pred", str(degenerate),
                "--protocol", "once") == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "2 visible points" in err
+    assert err.startswith("error: ") and "1 visible point(s); need >= 2" in err
 
 
 def test_eval_unknown_prediction_frame_is_exit_4(tmp_path):
@@ -233,6 +233,10 @@ GOLDEN_IOU_REPORTS = {
 
 
 def test_iou_protocol_reports_match_golden_digests(tmp_path):
+    check_golden_iou_reports(tmp_path)
+
+
+def check_golden_iou_reports(tmp_path):
     gt, pred = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
     assert run("synth", "--frames", "40", "--seed", "5", "--sigma-w0", "0.1",
                "--out", str(gt), "--emit-pred", str(pred)) == 0
@@ -267,10 +271,14 @@ GOLDEN_REPORTS = {
 
 
 def test_reports_match_golden_digests(tmp_path):
+    check_golden_reports(tmp_path, GOLDEN_REPORTS)
+
+
+def check_golden_reports(tmp_path, golden):
     gt, pred = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
     assert run("synth", "--frames", "40", "--seed", "5", "--sigma-w0", "0.1",
                "--out", str(gt), "--emit-pred", str(pred)) == 0
-    for (command, protocol), digest in GOLDEN_REPORTS.items():
+    for (command, protocol), digest in golden.items():
         out = tmp_path / f"{command}_{protocol}"
         argv = [command, "--gt", str(gt), "--pred", str(pred)]
         if protocol is not None:
@@ -280,6 +288,29 @@ def test_reports_match_golden_digests(tmp_path):
         assert run(*argv, "--out", str(out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, \
             (command, protocol)
+
+
+def test_reports_do_not_depend_on_the_block_bound(tmp_path, monkeypatch):
+    # one frame per block: every protocol's reports keep their digests
+    monkeypatch.setattr("lane3d.report._BLOCK_POINTS", 1)
+    check_golden_reports(tmp_path, {
+        key: digest for key, digest in GOLDEN_REPORTS.items() if key[0] != "loss"})
+    check_golden_iou_reports(tmp_path)
+
+
+def test_openlane_reports_make_no_per_lane_call(tmp_path, monkeypatch):
+    # eval and sweep resample each block of frames in one call
+    from lane3d import geometry, pointwise
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a per-lane call")
+
+    for module in (geometry, pointwise, cli):
+        for name in ("resample_at_y", "interpolate_lane"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    check_golden_reports(tmp_path, {
+        key: digest for key, digest in GOLDEN_REPORTS.items() if key[1] == "openlane"})
 
 
 def write_scored_scenario(tmp_path, frames=40, seed=12):

@@ -12,6 +12,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import oracles
+
 import lane3d.geometry as geometry
 from lane3d.errors import (
     BehindCamera,
@@ -280,8 +282,30 @@ class TestResampleAtY:
         got = geometry._resample_lanes_at_y(pts[:, 1], pts[:, 0], pts[:, 2],
                                             starts, anchors)
         for i, lane in enumerate(lanes):
-            want = resample_at_y(lane, anchors)
+            want = oracles.resample_at_y(lane, anchors)
             assert all(w.tobytes() == g[i].tobytes() for w, g in zip(want, got)), i
+
+    def test_one_lane_equals_np_interp_at_anchors_in_any_order(self):
+        # partly visible lanes; anchors shuffled, repeated, on points, and
+        # as a scalar or a 2-D array
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            y = np.cumsum(rng.uniform(0.1, 10.0, int(rng.integers(2, 30))))
+            vis = np.ones(y.size)
+            vis[rng.random(y.size) < 0.2] = 0.0
+            vis[[0, -1]] = 1.0
+            lane = Lane3D(points=np.stack([rng.normal(0.0, 3.0, y.size), y,
+                                           rng.normal(0.0, 1.0, y.size)], 1),
+                          visibility=vis)
+            anchors = np.concatenate([rng.uniform(-10.0, y[-1] + 10.0, 13),
+                                      rng.choice(y, 3), [y[0]] * 2])
+            rng.shuffle(anchors)
+            for shaped in (anchors, anchors.reshape(3, 6), anchors[0]):
+                got = resample_at_y(lane, shaped)
+                want = oracles.resample_at_y(lane, shaped)
+                for g, w in zip(got, want):
+                    assert np.shape(g) == np.shape(w)
+                    assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
 class TestLaneValidation:
