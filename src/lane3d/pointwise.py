@@ -321,18 +321,20 @@ def _gate_frame(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One frame's matched pairs at every threshold of ``taus``.
 
-    Returns ``(rows, cols, accepted)``, each ``(T, min(Ng, Np))``: the
-    pairs of the matching at cost cap ``caps[t]``, sorted by ground truth,
-    and whether each pair's TP threshold is ``<= taus[t]``.  The cost
-    matrices of up to ``_TAU_CHUNK`` thresholds are built and matched in
-    one pass.
+    Returns ``(rows, cols, accepted, costs)``, each ``(T, min(Ng, Np))``:
+    the pairs of the matching at cost cap ``caps[t]``, sorted by ground
+    truth, whether each pair's TP threshold is ``<= taus[t]``, and each
+    pair's entry of the cost matrix it was matched on.  The cost matrices
+    of up to ``_TAU_CHUNK`` thresholds are built and matched in one pass.
     """
     parts = []
     for start in range(0, taus.size, _TAU_CHUNK):
         chunk = slice(start, start + _TAU_CHUNK)
-        rows, cols = _assign_stack(_cost_stack(arrays, caps[chunk]))
+        cost = _cost_stack(arrays, caps[chunk])
+        rows, cols = _assign_stack(cost)
         accepted = arrays.tp_threshold[rows, cols] <= taus[chunk, None]
-        parts.append((rows, cols, accepted))
+        costs = cost[np.arange(cost.shape[0])[:, None], rows, cols]
+        parts.append((rows, cols, accepted, costs))
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(part) for part in zip(*parts))
@@ -361,15 +363,12 @@ def openlane_report(
     sums = [0.0] * 4
     n_anchors = [0] * 4
     for arrays in _frame_cores(frames, anchors, config.tp_fraction):
-        rows, cols, accepted = _gate_frame(arrays, taus, caps)
+        rows, cols, accepted, costs = _gate_frame(arrays, taus, caps)
         tp_pairs = list(zip(rows[0][accepted[0]].tolist(),
                             cols[0][accepted[0]].tolist()))
-        pair_costs = [
-            float(np.minimum(arrays.dist[i, j][arrays.gt_vis[i]], caps[0]).mean())
-            for i, j in tp_pairs
-        ]
         tp = len(tp_pairs)
-        counts.append((tp, arrays.n_pred - tp, arrays.n_gt - tp, pair_costs))
+        counts.append((tp, arrays.n_pred - tp, arrays.n_gt - tp,
+                       costs[0][accepted[0]].tolist()))
         _accumulate_errors(arrays, tp_pairs, config, sums, n_anchors)
     names = ("e_x_near", "e_x_far", "e_z_near", "e_z_far")
     errors = {k: (s / c if c else None) for k, s, c in zip(names, sums, n_anchors)}

@@ -387,8 +387,8 @@ def per_row_cost(arrays, cap):
 def gate_at(arrays, tau, config):
     """The batched gate at one threshold, as ``(tp, fp, fn, accepted
     pairs)``."""
-    rows, cols, accepted = _gate_frame(arrays, np.array([tau]),
-                                       _cost_caps(config, [tau]))
+    rows, cols, accepted, _ = _gate_frame(arrays, np.array([tau]),
+                                          _cost_caps(config, [tau]))
     pairs = [(i, j) for i, j, ok in zip(rows[0].tolist(), cols[0].tolist(),
                                         accepted[0].tolist()) if ok]
     tp = len(pairs)
@@ -507,6 +507,31 @@ def test_grouped_capped_means_are_bitwise_per_row_means(n_pred):
         assert cost.tobytes() == oracles.cost_matrix(arrays, cap).tobytes()
 
 
+def test_pair_errors_are_the_entries_the_match_used():
+    # each accepted pair's error is its entry of the cost matrix, summed
+    # as the match summed it, not a second sum over its anchors
+    rng = np.random.default_rng(2612)
+    frames = []
+    for _ in range(60):
+        gts, _ = random_frame(rng, max_lanes=5)
+        preds = [lane_on(ANCHORS, g.points[:, 0] + rng.normal(0.0, 0.4, ANCHORS.size),
+                         g.points[:, 2] + rng.normal(0.0, 0.2, ANCHORS.size))
+                 for g in gts[:int(rng.integers(1, len(gts) + 1))]]
+        frames.append((gts, preds))
+    config = PointwiseConfig()
+    caps = _cost_caps(config, [config.tau_dist])
+    report = openlane_report(frames, config)
+    accepted = 0
+    for (gts, preds), stats in zip(frames, report.per_frame):
+        arrays = _frame_arrays(gts, preds, ANCHORS, config.tp_fraction)
+        pairs = oracles.openlane_gate(arrays, config.tau_dist, config)[3]
+        cost = _cost_stack(arrays, caps)[0]
+        want = np.array([cost[i, j] for i, j in pairs])
+        assert np.array(stats.pair_errors).tobytes() == want.tobytes()
+        accepted += len(pairs)
+    assert accepted > 100
+
+
 def solver_frame(rng):
     """A random frame for the gate oracle.  Either side may be the longer
     or empty; some ground truths have no visible anchor, which ties their
@@ -566,9 +591,9 @@ def test_batched_gate_equals_the_per_threshold_oracle(monkeypatch, solves,
     uncertified = certified = taller = 0
     for core in cores:
         before = len(solves)
-        rows, cols, accepted = _gate_frame(core, limits, caps)
+        rows, cols, accepted, costs = _gate_frame(core, limits, caps)
         solved = len(solves) - before
-        assert rows.shape == cols.shape == accepted.shape == (
+        assert rows.shape == cols.shape == accepted.shape == costs.shape == (
             len(taus), min(core.n_gt, core.n_pred))
         taller += core.n_gt > core.n_pred > 0
         for t, tau in enumerate(taus):
@@ -583,6 +608,7 @@ def test_batched_gate_equals_the_per_threshold_oracle(monkeypatch, solves,
                 cost = oracles.cost_matrix(core, caps[t])
                 pairs = list(zip(rows[t].tolist(), cols[t].tolist()))
                 assert pairs == list(hungarian(cost).pairs)
+                assert costs[t].tobytes() == cost[rows[t], cols[t]].tobytes()
                 minima = oracles.row_minima(cost)
                 if minima is None:
                     uncertified += 1
