@@ -51,11 +51,13 @@ rasterized in blocks of at most ``_BLOCK_PAIRS`` pairs.  The IoU of two
 strokes counts the overlap of their runs; strokes whose row or column
 ranges are disjoint score 0 without that count.
 
-The IoU-gated protocols work on blocks of frames: one raster call
-strokes every lane of a frame, and a block's IoU-qualified matched pairs
-are interpolated by one ``resample_polylines`` call and scored by one
-``polyline_mean_pairs`` call, bitwise as ``interpolate_lane`` and
-``point_to_polyline_stats`` would score them pair by pair.
+Every protocol works on blocks of frames (``report._frame_blocks``) and
+gathers a block's lanes by one ``geometry._visible_points`` call, which
+raises for the first lane short of 2 visible points.  In the IoU-gated
+protocols one raster call strokes every lane of a frame, and a block's
+IoU-qualified matched pairs are interpolated by one ``resample_polylines``
+call and scored by one ``polyline_mean_pairs`` call, bitwise as
+``interpolate_lane`` and ``point_to_polyline_stats`` would score them.
 
 Reports and sweeps
 ------------------
@@ -240,9 +242,8 @@ def _bcd_rows(frames, n: int) -> list[np.ndarray]:
     Entries a row's argmin and minimum can come from hold the full
     matrix's values bitwise (the mean of a pair's two directed means,
     each lane interpolated and sorted stably by y); every other entry is
-    ``+inf``
-    (see ``nearest_pair_rows``), which ``_bcd_cores`` reads the same
-    way.  Frames are searched in blocks of bounded size, and the
+    ``+inf`` (see ``nearest_pair_rows``), which ``_bcd_cores`` reads the
+    same way.  Frames are searched in blocks of bounded size, and the
     values do not depend on the blocks.
     """
     return [
@@ -277,13 +278,11 @@ def _bcd_block(frames, n: int) -> list[np.ndarray]:
             at += n_pred + n_gt
     if pairs:
         row_len = np.array(row_len)
-        row_starts = np.zeros(row_len.size, dtype=np.int64)
-        np.cumsum(row_len[:-1], out=row_starts[1:])
         values = nearest_pair_rows(
             curves,
             np.repeat(row_pred, row_len),
             _ranges(np.array(row_gt), row_len),
-            row_starts,
+            np.cumsum(row_len) - row_len,
         )
 
     matrices = []
@@ -782,7 +781,7 @@ def _iou_matched_block(frames, config: EvalConfig, with_maxes: bool) -> list[_Io
     """
     points, counts = _visible_points(
         [lane for frame in frames for lane in _iou_lanes(frame)])
-    first = np.concatenate([[0], np.cumsum(counts)])  # each lane's first point
+    first = np.concatenate([[0], np.cumsum(counts)])  # lane i: first[i]:first[i + 1]
     matches, at = [], 0  # (frame, gt lane, pred lane) of each qualified pair
     for f, (gt_lanes, pred_lanes) in enumerate(frames):
         if not _iou_lanes((gt_lanes, pred_lanes)):

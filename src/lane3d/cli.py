@@ -68,9 +68,9 @@ from .geometry import (
     _lane_columns,
     _resample_lanes_at_y,
     _stack_problem,
+    _visible_points,
     fit_curves,
     project_ground_to_image,
-    resample_at_y,
 )
 from .losses import LossConfig, _Block, _score_block, _Side
 from .pointwise import PointwiseConfig, openlane_report
@@ -424,22 +424,6 @@ def cmd_synth(args) -> int:
 _LOSS_BLOCK = 32
 
 
-def _on_grid(lane: Lane3D, anchors: np.ndarray) -> bool:
-    y = lane.points[:, 1]
-    return y.shape == anchors.shape and float(np.abs(y - anchors).max()) <= _ANCHOR_TOL
-
-
-def _grid_lane(lane: Lane3D, anchors: np.ndarray) -> Lane3D:
-    if _on_grid(lane, anchors):
-        return lane
-    x, z, vis = resample_at_y(lane, anchors)
-    return Lane3D(
-        points=np.stack([x, anchors, z], axis=1),
-        visibility=vis,
-        score=lane.score,
-    )
-
-
 def _fits(n_lanes: int, stored) -> bool:
     """Whether a side's curves are fit: it has lanes and a missing curve."""
     return n_lanes > 0 and (stored is None or any(c is None for c in stored))
@@ -461,16 +445,18 @@ def _check_lanes(record, anchors: np.ndarray) -> None:
     array checks reject is walked, to name its first failing lane.
     """
     h, w = record.camera.image_size
-    sides = [[_grid_lane(lane, anchors) for lane in lanes]
-             for lanes in (record.gt_lanes, record.pred_lanes)]
-    for lanes, stored, who in zip(sides, (record.gt_curves, record.pred_curves),
-                                  ("ground-truth", "prediction")):
-        if not _fits(len(lanes), stored):
+    lanes, n_gt = [*record.gt_lanes, *record.pred_lanes], len(record.gt_lanes)
+    on_grid, degenerate, grid_pts, grid_vis = _grid_lanes(lanes, anchors)
+    if degenerate.any():  # raises the gather's error for the first of them
+        _visible_points([lanes[int(np.argmax(degenerate))]])
+    for side, stored, who in ((slice(0, n_gt), record.gt_curves, "ground-truth"),
+                              (slice(n_gt, None), record.pred_curves, "prediction")):
+        if not _fits(len(lanes[side]), stored):
             continue
         uv = []
-        for i, lane in enumerate(lanes):
+        for i, (points, vis) in enumerate(zip(grid_pts[side], grid_vis[side])):
             pixels = np.atleast_2d(
-                project_ground_to_image(record.camera, lane.visible_points()))
+                project_ground_to_image(record.camera, points[vis > 0.5]))
             inside = ((pixels[:, 0] >= 0) & (pixels[:, 0] < w)
                       & (pixels[:, 1] >= 0) & (pixels[:, 1] < h))
             if not inside.any():
@@ -480,8 +466,7 @@ def _check_lanes(record, anchors: np.ndarray) -> None:
                 )
             uv.append(pixels[inside])
         _check_frame(uv, record.camera.image_size, "rational")
-    if _has_widths(record) and not all(
-            _on_grid(lane, anchors) for lane in record.pred_lanes):
+    if _has_widths(record) and not on_grid[n_gt:].all():
         raise ConfigError(
             "per-segment uncertainties require prediction lanes "
             "already sampled on the anchor grid"
@@ -489,16 +474,15 @@ def _check_lanes(record, anchors: np.ndarray) -> None:
     raise AssertionError(f"frame {record.frame_id!r} passes its lane checks")
 
 
-def _grid_lanes(points, vis, sizes, anchors: np.ndarray):
-    """Every lane on the anchor grid as ``_grid_lane`` puts it, in array
-    passes: each lane's ``sizes`` rows of ``points`` and ``vis`` follow
-    the last lane's.
+def _grid_lanes(lanes: list[Lane3D], anchors: np.ndarray):
+    """Every lane put on the anchor grid, in array passes.
 
     Returns (on_grid, degenerate, points (lanes, anchors, 3), visibility
-    (lanes, anchors)).  A lane on the grid keeps its own points; one off
-    it is resampled, unless it has fewer than two visible points
-    (``degenerate``; left at zero).
+    (lanes, anchors)).  A lane whose points lie on the anchors keeps them;
+    one off the grid is resampled (``resample_at_y``), unless it has fewer
+    than two visible points (``degenerate``; left at zero).
     """
+    points, vis, sizes = _lane_columns(lanes)
     n_lanes, n_anchors = sizes.shape[0], anchors.shape[0]
     starts = np.concatenate([[0], np.cumsum(sizes)])
     near = np.flatnonzero(sizes == n_anchors)
@@ -555,8 +539,7 @@ def _gather(records, anchors: np.ndarray):
                         dtype=np.int64).reshape(-1)
     side_first = np.concatenate([[0], np.cumsum(per_side)])
     side_of = np.repeat(np.arange(2 * n_frames), per_side)
-    on_grid, degenerate, grid_pts, grid_vis = _grid_lanes(*_lane_columns(lanes),
-                                                          anchors)
+    on_grid, degenerate, grid_pts, grid_vis = _grid_lanes(lanes, anchors)
 
     # The visible points of every side to fit, in the image.
     stored = [c for r in records for c in (r.gt_curves, r.pred_curves)]

@@ -24,6 +24,10 @@ poles sit on the horizon.  A plain cubic form ("poly3",
 u = rho1 + rho2*v + rho3*v^2 + rho4*v^3 + beta1*v + beta2) is available
 for testing.
 
+Every scorer gathers lanes by ``_visible_points``, the one place a lane
+with fewer than two visible points is rejected; ``interpolate_lane`` and
+``resample_at_y`` are batches of one of the batched resamplers.
+
 ``fit_frames`` fits frames of lanes, and ``fit_curves`` is it on one
 frame.  In the rational form only rho2 enters nonlinearly: it is searched
 by a grid and golden-section refinement, each candidate scored by

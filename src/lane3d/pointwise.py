@@ -21,6 +21,8 @@ prediction that does not cover an anchor is charged the distance to its
 nearest covered value (endpoint clamping of the resampler), mirroring
 how a short prediction fails to explain the far ground truth.
 
+Frames are taken in blocks (``report._frame_blocks``), and each block's
+lanes are resampled onto the anchors in one ``_resample_lanes_at_y`` call.
 Each frame's core holds what does not depend on the threshold.  Ground
 truths are grouped by their number k of visible anchors, with a stack
 of their visible-anchor distances per group, so a cost matrix at any
@@ -145,53 +147,45 @@ class _FrameArrays:
 
 
 def _frame_arrays(gt_lanes, pred_lanes, anchors, tp_fraction) -> _FrameArrays:
-    """One frame's arrays: a block of one of ``_block_arrays``."""
-    return _block_arrays([(gt_lanes, pred_lanes)], anchors, tp_fraction)[0]
-
-
-def _block_arrays(
-    frames, anchors: np.ndarray, tp_fraction: float
-) -> list[_FrameArrays]:
-    """Each frame's arrays, its lanes resampled with the whole block's in
-    one call.  Every lane is resampled, frame by frame and ground truths
-    first, so the first lane short of 2 visible points raises."""
-    points, counts = _visible_points(
-        [lane for gt, pred in frames for lane in (*gt, *pred)])
-    x, z, vis = _resample_lanes_at_y(
-        points[:, 1], points[:, 0], points[:, 2],
-        np.concatenate([[0], np.cumsum(counts)]), anchors)
-    out, at = [], 0
-    for gt_lanes, pred_lanes in frames:
-        g = slice(at, at + len(gt_lanes))
-        p = slice(g.stop, g.stop + len(pred_lanes))
-        at = p.stop
-        gv = vis[g] > 0.5
-        dx = np.abs(x[g, None, :] - x[None, p, :])
-        dz = np.abs(z[g, None, :] - z[None, p, :])
-        dist = np.sqrt(dx * dx + dz * dz)
-
-        groups = []
-        threshold = np.full(dist.shape[:2], np.inf)
-        n_vis = gv.sum(axis=1)
-        for k in sorted(set(n_vis.tolist()) - {0}):
-            rows = np.flatnonzero(n_vis == k)
-            cols = np.nonzero(gv[rows])[1].reshape(rows.size, k, 1)
-            stack = np.take_along_axis(dist[rows].transpose(0, 2, 1), cols, axis=1)
-            groups.append((rows, stack))
-            # At least ``rank`` of the k anchors must lie within tau, so the
-            # rank-th smallest distance is the least passing tau.
-            rank = next(c for c in range(1, k + 1) if c / k >= tp_fraction)
-            threshold[rows] = np.sort(stack, axis=1)[:, rank - 1]
-        out.append(_FrameArrays(anchors=anchors, gt_vis=gv, dist=dist, dx=dx, dz=dz,
-                                groups=tuple(groups), tp_threshold=threshold))
-    return out
+    """One frame's arrays: a block of one of ``_frame_cores``."""
+    return next(_frame_cores([(gt_lanes, pred_lanes)], anchors, tp_fraction))
 
 
 def _frame_cores(frames, anchors: np.ndarray, tp_fraction: float):
-    """Every frame's arrays in order, resampled a block of frames at a
-    time (see ``report._frame_blocks``)."""
+    """Every frame's arrays, in order.  The lanes of each block of frames
+    (``report._frame_blocks``) are resampled in one call: every lane, frame
+    by frame and ground truths first, so the first lane short of 2 visible
+    points raises."""
     for block in _frame_blocks(frames, anchors.size, lambda f: (*f[0], *f[1])):
-        yield from _block_arrays(block, anchors, tp_fraction)
+        points, counts = _visible_points(
+            [lane for gt, pred in block for lane in (*gt, *pred)])
+        x, z, vis = _resample_lanes_at_y(
+            points[:, 1], points[:, 0], points[:, 2],
+            np.concatenate([[0], np.cumsum(counts)]), anchors)
+        at = 0
+        for gt_lanes, pred_lanes in block:
+            g = slice(at, at + len(gt_lanes))
+            p = slice(g.stop, g.stop + len(pred_lanes))
+            at = p.stop
+            gv = vis[g] > 0.5
+            dx = np.abs(x[g, None, :] - x[None, p, :])
+            dz = np.abs(z[g, None, :] - z[None, p, :])
+            dist = np.sqrt(dx * dx + dz * dz)
+
+            groups = []
+            threshold = np.full(dist.shape[:2], np.inf)
+            n_vis = gv.sum(axis=1)
+            for k in sorted(set(n_vis.tolist()) - {0}):
+                rows = np.flatnonzero(n_vis == k)
+                cols = np.nonzero(gv[rows])[1].reshape(rows.size, k, 1)
+                stack = np.take_along_axis(dist[rows].transpose(0, 2, 1), cols, axis=1)
+                groups.append((rows, stack))
+                # At least ``rank`` of the k anchors must lie within tau, so
+                # the rank-th smallest distance is the least passing tau.
+                rank = next(c for c in range(1, k + 1) if c / k >= tp_fraction)
+                threshold[rows] = np.sort(stack, axis=1)[:, rank - 1]
+            yield _FrameArrays(anchors=anchors, gt_vis=gv, dist=dist, dx=dx, dz=dz,
+                               groups=tuple(groups), tp_threshold=threshold)
 
 
 def _cost_caps(config: PointwiseConfig, taus) -> np.ndarray:

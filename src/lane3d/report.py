@@ -1,15 +1,16 @@
 """Metric report containers and the frame plumbing of every protocol.
 
 Besides the report types, this module holds what the protocol modules
-share: the frame-id and tau-list checks, the assembly of a
+share: the frame-id and tau-list checks, the grouping of frames into
+blocks of bounded size (``_frame_blocks``), the assembly of a
 ``MetricReport`` from per-frame counts (``_assemble``) and the one
 threshold-sweep loop (``_sweep``).  Every protocol splits its work in
 two: per-frame *cores* hold what does not depend on the swept threshold,
 and a *gate* turns a core into the frame's counts and errors at a
 threshold.  A report is ``_assemble`` over each core gated at the
 configured threshold; a sweep hands each core's gate every threshold in
-one call, so each row equals the standalone report there.  Every protocol evaluates its frames
-in order on the calling thread.
+one call, so each row equals the standalone report there.  Every
+protocol evaluates its frames in order on the calling thread.
 """
 
 from __future__ import annotations
