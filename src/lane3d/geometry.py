@@ -359,14 +359,15 @@ def resample_at_y(lane: Lane3D, y_anchors: np.ndarray):
 
 def _resample_lanes_at_y(y: np.ndarray, x: np.ndarray, z: np.ndarray,
                          starts: np.ndarray, y_anchors: np.ndarray):
-    """``resample_at_y`` of many lanes in array passes, bitwise equal.
+    """``resample_at_y`` of many lanes in array passes, at sorted anchors.
 
     ``y``, ``x`` and ``z`` hold the lanes' visible points one lane after
     another, lane i on rows ``starts[i]:starts[i + 1]``, at least two per
-    lane.  Returns (x, z, vis), each (lanes, anchors).  Each sample is
-    taken as ``np.interp`` takes it: the endpoint value outside the span,
-    the point's own value on a point, and otherwise the slope form from
-    the bracket's lower end (from its upper end if that gives NaN).
+    lane; ``y_anchors`` is sorted, NaN last.  Returns (x, z, vis), each
+    (lanes, anchors).  Each sample is bitwise ``np.interp``'s: the
+    endpoint value outside the span, the point's own value on a point,
+    NaN at a NaN anchor, and otherwise the slope form from the bracket's
+    lower end (from its upper end if that gives NaN).
     """
     n_lanes, n_anchors = starts.shape[0] - 1, y_anchors.shape[0]
     lane = np.repeat(np.arange(n_lanes), np.diff(starts))
@@ -390,7 +391,8 @@ def _resample_lanes_at_y(y: np.ndarray, x: np.ndarray, z: np.ndarray,
         out = np.where(np.isnan(out), retry, out)
         out = np.where(y0 == a, f0, out)
         out = np.where(j < first, f[first], out)
-        return np.where(j >= last, f[last], out)
+        out = np.where(j >= last, f[last], out)
+        return np.where(np.isnan(a), a, out)
 
     vis = ((a >= y[first]) & (a <= y[last])).astype(np.float64)
     return interp(x), interp(z), vis

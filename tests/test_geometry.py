@@ -286,8 +286,8 @@ class TestResampleAtY:
             assert all(w.tobytes() == g[i].tobytes() for w, g in zip(want, got)), i
 
     def test_one_lane_equals_np_interp_at_anchors_in_any_order(self):
-        # partly visible lanes; anchors shuffled, repeated, on points, and
-        # as a scalar or a 2-D array
+        # partly visible lanes; anchors shuffled, repeated, on points, NaN,
+        # and as a scalar or a 2-D array
         rng = np.random.default_rng(23)
         for _ in range(200):
             y = np.cumsum(rng.uniform(0.1, 10.0, int(rng.integers(2, 30))))
@@ -297,8 +297,8 @@ class TestResampleAtY:
             lane = Lane3D(points=np.stack([rng.normal(0.0, 3.0, y.size), y,
                                            rng.normal(0.0, 1.0, y.size)], 1),
                           visibility=vis)
-            anchors = np.concatenate([rng.uniform(-10.0, y[-1] + 10.0, 13),
-                                      rng.choice(y, 3), [y[0]] * 2])
+            anchors = np.concatenate([rng.uniform(-10.0, y[-1] + 10.0, 12),
+                                      rng.choice(y, 3), [y[0]] * 2, [np.nan]])
             rng.shuffle(anchors)
             for shaped in (anchors, anchors.reshape(3, 6), anchors[0]):
                 got = resample_at_y(lane, shaped)
