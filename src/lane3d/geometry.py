@@ -321,7 +321,7 @@ def _visible_points(lanes: Sequence[Lane3D]) -> tuple[np.ndarray, np.ndarray]:
     lane with fewer than two visible points raises DegenerateLane."""
     points, vis, sizes = _lane_columns(lanes)
     keep = vis > 0.5
-    counts = np.add.reduceat(keep, np.cumsum(sizes) - sizes).astype(np.int64)
+    counts = np.add.reduceat(keep, np.cumsum(sizes) - sizes)
     short = np.flatnonzero(counts < 2)
     if short.size:
         raise DegenerateLane(f"{counts[short[0]]} visible point(s); need >= 2")

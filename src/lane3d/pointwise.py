@@ -312,7 +312,7 @@ _TAU_CHUNK = 64
 
 def _gate_frame(
     arrays: _FrameArrays, taus: np.ndarray, caps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One frame's matched pairs at every threshold of ``taus``.
 
     Returns ``(rows, cols, accepted, costs)``, each ``(T, min(Ng, Np))``:
