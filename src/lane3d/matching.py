@@ -10,27 +10,28 @@ required size uses one.
 The solver works in exact integer arithmetic.  Every float is a dyadic
 rational, so the costs are scaled to Python ints without rounding, and
 the matrix is padded to square with zero-cost dummy rows or columns
-that take the highest indices.  One shortest-augmenting-path solve
-(Jonker & Volgenant, *Computing* 1987; the rectangular form in Crouse,
-IEEE TAES 2016) gives an optimal assignment and exact optimal duals
-``u, v``.  The optimal assignments are then exactly the perfect matchings
-on the tight pairs, where ``cost - u - v == 0``, so ties are decided
-exactly rather than in accumulation order: rows are walked in order and
-each takes the smallest tight column that an alternating path can free
-without moving an earlier row.  ``total_cost`` is the ``math.fsum`` of
-the chosen entries.
+that take the highest indices.  The tie-break is part of those
+integers: every entry is multiplied by ``(m + 1) ** n`` and row ``r``'s
+column adds the digit ``col * (m + 1) ** (n - 1 - r)``, a dummy column
+the digit ``m``.  Read with an unmatched row as column ``m``, two pair
+lists compare as their digit vectors do, and the digits of a whole
+assignment sum to less than one unit of scaled cost.  So the encoded
+matrix has a single optimum: the cheapest assignment with the smallest
+pair list.  One shortest-augmenting-path solve (Jonker & Volgenant,
+*Computing* 1987; the rectangular form in Crouse, IEEE TAES 2016) finds
+it.  ``total_cost`` is the ``math.fsum`` of the chosen entries.
 
-A certificate is checked on the float matrix first.  Orient it so that
-rows are the shorter side.  If every row's minimum is finite, strictly
-below the rest of its row and in a column no other row's minimum uses,
-taking each row's minimum is the unique optimum: the sum of the row
-minima is a lower bound on every full assignment, reached only by that
-one.  Being unique, it is also the lexicographically smallest, so it is
+A certificate is checked on the float matrices first, a whole
+``(T, n, m)`` stack at once (``_row_minima``).  Orient them so that rows
+are the shorter side.  If every row's minimum is finite, strictly below
+the rest of its row and in a column no other row's minimum uses, taking
+each row's minimum is the unique optimum: the sum of the row minima is
+a lower bound on every full assignment, reached only by that one.
+Being unique, it is also the lexicographically smallest, so it is
 returned without the exact solve.  Any tie, ``-0.0`` against ``0.0``
-included, sends the matrix to the solver.  The check runs on a stack
-of matrices at once (``_row_minima``): ``hungarian`` checks a stack of
-one, and ``_assign_stack`` a whole stack, sending only the matrices that
-fail it to ``hungarian``.
+included, sends the matrix to the solver.  ``_assign_stack`` checks the
+stack and solves only the matrices that fail; ``hungarian`` is its
+stack of one.
 """
 
 from __future__ import annotations
@@ -81,30 +82,14 @@ def hungarian(cost) -> MatchResult:
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2:
         raise ValueError(f"cost must be a 2-D matrix, got shape {c.shape}")
-    n, m = c.shape
-    if n == 0 or m == 0:
-        return MatchResult(pairs=(), total_cost=0.0)
     if np.isnan(c).any():
         raise ValueError("cost matrix contains NaN")
     if (c == -np.inf).any():
         raise ValueError("cost matrix contains -inf")
-
-    certified, rows, cols = _row_minima(c[None])
-    if certified[0]:
-        pairs = tuple(zip(rows[0].tolist(), cols[0].tolist()))
-    else:
-        allowed = np.isfinite(c)
-        work = _exact_costs(c, allowed)
-        col4row, row4col, u, v = _augment(work)
-        if not all(allowed[r, col]
-                   for r, col in enumerate(col4row[:n]) if col < m):
-            raise NoFeasibleAssignment(
-                "every full-size assignment uses a forbidden (inf) pair"
-            )
-        _smallest_optimum(work, u, v, col4row, row4col, n, m)
-        pairs = tuple((r, col) for r, col in enumerate(col4row[:n]) if col < m)
-    total = math.fsum(c[r, col] for r, col in pairs)
-    return MatchResult(pairs=pairs, total_cost=total)
+    rows, cols = _assign_stack(c[None])
+    pairs = tuple(zip(rows[0].tolist(), cols[0].tolist()))
+    return MatchResult(pairs=pairs,
+                       total_cost=math.fsum(c[r, col] for r, col in pairs))
 
 
 def _row_minima(stack: np.ndarray):
@@ -142,39 +127,58 @@ def _assign_stack(stack: np.ndarray):
 
     Returns ``(rows, cols)``, each ``(T, min(n, m))``: matrix t's pairs
     sorted by row.  The certificate is checked on the whole stack at once,
-    and only the matrices it fails on go to ``hungarian`` one by one, so
-    every matrix gets exactly ``hungarian``'s answer.
+    and only the matrices it fails on are solved exactly, one by one.
     """
     if 0 in stack.shape[1:]:
         none = np.zeros((stack.shape[0], 0), dtype=np.intp)
         return none, none
     certified, rows, cols = _row_minima(stack)
     for t in np.flatnonzero(~certified).tolist():
-        rows[t], cols[t] = np.array(hungarian(stack[t]).pairs).T
+        rows[t], cols[t] = _exact_pairs(stack[t])
     return rows, cols
 
 
+def _exact_pairs(c: np.ndarray) -> np.ndarray:
+    """The rows and columns, as a ``(2, min(n, m))`` array, of the one
+    optimum of ``c``'s encoded integer costs."""
+    n, m = c.shape
+    allowed = np.isfinite(c)
+    col4row = _augment(_exact_costs(c, allowed))
+    pairs = [(r, col) for r, col in enumerate(col4row[:n]) if col < m]
+    if not all(allowed[r, col] for r, col in pairs):
+        raise NoFeasibleAssignment(
+            "every full-size assignment uses a forbidden (inf) pair"
+        )
+    return np.array(pairs).T
+
+
 def _exact_costs(c: np.ndarray, allowed: np.ndarray) -> list[list[int]]:
-    """``c`` as exact integers, padded with zero rows/columns to square.
+    """``c`` as exact integers with the tie-break encoded, padded with
+    zero rows/columns to square.
 
     Every float is a dyadic rational, ``num / 2**k``, so shifting each
     numerator up to the largest denominator scales all entries by one
-    power of two, exactly.  A forbidden entry costs more than the spread
-    of every all-finite total, so an assignment that avoids forbidden
-    pairs, when one exists, is always the cheaper.
+    power of two, exactly.  Each entry is then multiplied by
+    ``(m + 1) ** n`` and gets its row's digit for its column (see the
+    module docstring): costs that differ still differ by more than any
+    two assignments' digit sums, and equal costs are ordered by pair
+    list.  A forbidden entry costs more than the spread of every
+    all-finite total, so an assignment that avoids forbidden pairs, when
+    one exists, is always the cheaper.
     """
     n, m = c.shape
+    size = max(n, m)
     ratios = [[x.as_integer_ratio() for x in line]
               for line in np.where(allowed, c, 0.0).tolist()]
     bits = max(den for line in ratios for _, den in line).bit_length()
-    work = [[num << (bits - den.bit_length()) for num, den in line]
-            for line in ratios]
+    scale = (m + 1) ** n
+    places = [(m + 1) ** (n - 1 - r) for r in range(n)]
+    work = [[(num << (bits - den.bit_length())) * scale + col * place
+             for col, (num, den) in enumerate(line)] + [m * place] * (size - m)
+            for line, place in zip(ratios, places)]
     forbidden = 2 * sum(abs(x) for line in work for x in line) + 1
     for r, col in np.argwhere(~allowed).tolist():
         work[r][col] = forbidden
-    size = max(n, m)
-    for line in work:
-        line.extend([0] * (size - m))
     work.extend([0] * size for _ in range(size - n))
     return work
 
@@ -185,8 +189,8 @@ def _augment(cost: list[list[int]]):
     Each row in turn joins the matching along a shortest path in the
     reduced costs ``cost - u - v`` (a Dijkstra scan over columns), after
     which the duals are moved so that every reduced cost stays >= 0 and
-    every matched pair's is 0.  Returns ``col4row, row4col, u, v``: an
-    optimal assignment and exact optimal duals.
+    every matched pair's is 0.  Returns ``col4row``, an optimal
+    assignment.
     """
     size = len(cost)
     u = [0] * size
@@ -235,55 +239,4 @@ def _augment(cost: list[list[int]]):
             col4row[row], col = col, col4row[row]
             if row == start:
                 break
-    return col4row, row4col, u, v
-
-
-def _smallest_optimum(cost, u, v, col4row, row4col, n: int, m: int) -> None:
-    """Turn an optimal assignment into the lexicographically smallest one.
-
-    With optimal duals, the optimal assignments are exactly the perfect
-    matchings on the tight pairs (``cost - u - v == 0``).  Rows are
-    fixed in order; each takes its smallest tight real column that an
-    alternating path over the rows not yet fixed can free, or keeps the
-    column it holds.  Dummy columns (``>= m``) are all alike, so a row
-    held by one only tries real columns.  Works in place.
-    """
-    size = len(cost)
-    tight = [[col for col in range(size) if line[col] - ur - v[col] == 0]
-             for line, ur in zip(cost, u)]
-    for row in range(n):
-        limit = min(col4row[row], m)
-        for col in tight[row]:
-            if col >= limit:
-                break
-            if row4col[col] > row and _reroute(
-                tight, col4row, row4col, row, col
-            ):
-                break
-
-
-def _reroute(tight, col4row, row4col, row: int, col: int) -> bool:
-    """Move ``row`` to ``col`` without touching any row before it.
-
-    The row holding ``col`` must reach the column ``row`` gives up by an
-    alternating path of tight pairs through rows after ``row``; if it
-    can, the path is flipped and True returned.
-    """
-    goal = col4row[row]
-    start = row4col[col]
-    via = {col: row}  # so that flipping the path ends by moving ``row``
-    queue = [start]
-    for r in queue:
-        for c in tight[r]:
-            if c in via or row4col[c] < row:
-                continue
-            via[c] = r
-            if c == goal:
-                while True:
-                    r = via[c]
-                    row4col[c] = r
-                    col4row[r], c = c, col4row[r]
-                    if r == row:
-                        return True
-            queue.append(row4col[c])
-    return False
+    return col4row

@@ -301,7 +301,8 @@ class TestAgreesWithScipySolver:
         c = np.zeros(shape)
         assert outcome(hungarian, c) == outcome(scipy_hungarian, c)
 
-    @pytest.mark.parametrize("shape", [(20, 20), (30, 25), (25, 30)])
+    @pytest.mark.parametrize("shape", [(20, 20), (30, 25), (25, 30),
+                                       (40, 12), (12, 40)])
     def test_large_matrices(self, shape):
         rng = np.random.default_rng(97 + sum(shape))
         for make in (integer_ties, capped, negative_iou, with_forbidden):
@@ -460,3 +461,25 @@ class TestRowMinimaCertificate:
         c = np.array([[5e-324, 1e-300], [1e300, 0.0]])
         assert_exact_optimum(c)
         assert solves == []
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 5), (5, 3)])
+def test_stack_checks_its_certificate_once(monkeypatch, solves, shape):
+    # Matrices that fail the certificate are solved exactly, with no
+    # second check of their own.
+    checks = []
+    real = matching._row_minima
+
+    def spy(stack):
+        checks.append(stack.shape)
+        return real(stack)
+
+    monkeypatch.setattr(matching, "_row_minima", spy)
+    rng = np.random.default_rng(109 + sum(shape))
+    stack = np.array([certified(rng, shape) if t % 2 else integer_ties(rng, shape)
+                      for t in range(8)])
+    rows, cols = matching._assign_stack(stack)
+    assert checks == [stack.shape]
+    assert 0 < len(solves) <= 4
+    for t, c in enumerate(stack):
+        assert tuple(zip(rows[t].tolist(), cols[t].tolist())) == oracle(c).pairs
