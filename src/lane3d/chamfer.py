@@ -81,6 +81,7 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import Lane3D, _visible_points, interpolate_lane
 from .kernels import (
+    _sorted_by_y,
     directed_mean_pairs,
     nearest_pair_rows,
     point_to_polyline_stats,
@@ -218,24 +219,6 @@ def _bcd_lanes(frame) -> tuple:
     return (*pred_lanes, *gt_lanes) if pred_lanes else ()
 
 
-def _curves_sorted_by_y(curves: np.ndarray) -> np.ndarray:
-    """``(L, n, 3)`` curves with each lane sorted stably by y.
-
-    Rounding can leave a resampled y an ulp past the next vertex's; only
-    such lanes are sorted, in a copy.  The window kernels need their
-    targets sorted, and sorting leaves every nearest-neighbor minimum and
-    maximum as it is.
-    """
-    y = curves[..., 1]
-    unsorted = (y[:, 1:] < y[:, :-1]).any(axis=1)
-    if not unsorted.any():
-        return curves
-    curves = curves.copy()
-    for lane in np.flatnonzero(unsorted):
-        curves[lane] = curves[lane][np.argsort(y[lane], kind="stable")]
-    return curves
-
-
 def _bcd_rows(frames, n: int) -> list[np.ndarray]:
     """Per-frame ``(n_pred, n_gt)`` matrices for the bidirectional protocol.
 
@@ -258,7 +241,7 @@ def _bcd_block(frames, n: int) -> list[np.ndarray]:
     lanes = [lane for frame in frames for lane in _bcd_lanes(frame)]
     if not lanes:
         return [np.zeros((0, len(gt_lanes))) for gt_lanes, _ in frames]
-    curves = _curves_sorted_by_y(resample_polylines(*_visible_points(lanes), n))
+    curves = _sorted_by_y(resample_polylines(*_visible_points(lanes), n))
 
     # One row per prediction of a searched frame, over the frame's ground
     # truths in order; starts[f] locates frame f's pairs (None: not searched).
@@ -808,7 +791,7 @@ def _iou_matched_block(frames, config: EvalConfig, with_maxes: bool) -> list[_Io
             cores[f].ucd.append(d)
         if with_maxes:
             # ground truths to predictions, then predictions to ground truths
-            targets = _curves_sorted_by_y(np.concatenate([pred_curves, gt_curves]))
+            targets = _sorted_by_y(np.concatenate([pred_curves, gt_curves]))
             _, maxes, _ = directed_mean_pairs(curves, targets)
             for (f, _, _), max_gp, max_pg in zip(matches, maxes[:k].tolist(),
                                                  maxes[k:].tolist()):

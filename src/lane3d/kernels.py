@@ -65,11 +65,22 @@ def _as_points(arr, name: str) -> np.ndarray:
     return pts
 
 
-def _sorted_by_y(pts: np.ndarray) -> np.ndarray:
-    y = pts[:, 1]
-    if np.all(y[1:] >= y[:-1]):
-        return pts
-    return np.ascontiguousarray(pts[np.argsort(y, kind="stable")])
+def _sorted_by_y(curves: np.ndarray) -> np.ndarray:
+    """``(L, n, 3)`` curves with each lane sorted stably by y.
+
+    Only lanes out of order are sorted, in a copy; a single lane is a
+    stack of one.  Rounding can leave a resampled y an ulp past the next
+    vertex's.  The window kernels need their targets sorted, and sorting
+    leaves every nearest-neighbor minimum and maximum as it is.
+    """
+    y = curves[..., 1]
+    unsorted = (y[:, 1:] < y[:, :-1]).any(axis=1)
+    if not unsorted.any():
+        return curves
+    curves = curves.copy()
+    for lane in np.flatnonzero(unsorted):
+        curves[lane] = curves[lane][np.argsort(y[lane], kind="stable")]
+    return curves
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +117,8 @@ def directed_point_stats(a, b) -> tuple[float, float]:
     summed in a-point order.  ``b`` is sorted stably by y first, which
     leaves every minimum as it is.
     """
-    return _directed_stats(_as_points(a, "a"), _sorted_by_y(_as_points(b, "b")))
+    return _directed_stats(_as_points(a, "a"),
+                           _sorted_by_y(_as_points(b, "b")[None])[0])
 
 
 def pair_mean_matrices(
@@ -121,9 +133,9 @@ def pair_mean_matrices(
     Each lane is sorted stably by y first, which sets the order its
     distances are summed in.
     """
-    preds = [_sorted_by_y(_as_points(p, f"pred_points[{i}]"))
+    preds = [_sorted_by_y(_as_points(p, f"pred_points[{i}]")[None])[0]
              for i, p in enumerate(pred_points)]
-    gts = [_sorted_by_y(_as_points(g, f"gt_points[{j}]"))
+    gts = [_sorted_by_y(_as_points(g, f"gt_points[{j}]")[None])[0]
            for j, g in enumerate(gt_points)]
     d_pg = np.zeros((len(preds), len(gts)))
     d_gp = np.zeros((len(preds), len(gts)))
