@@ -59,12 +59,11 @@ from .errors import (
 )
 from .geometry import (
     _ANCHOR_TOL,
-    EPS_DEPTH,
     Lane3D,
     SampleGrid,
-    _camera_coords,
     _check_frame,
     _fit_problems,
+    _image_points,
     _lane_columns,
     _resample_lanes_at_y,
     _stack_problem,
@@ -248,6 +247,9 @@ def _load_records(gt_path, pred_path):
     return gt_records
 
 
+_MAX_TAUS = 2**20  # the most thresholds a --taus range may hold
+
+
 def _parse_taus(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
@@ -259,12 +261,18 @@ def _parse_taus(text: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise ConfigError(f"--taus range {text!r} is not numeric") from None
+        if not all(math.isfinite(x) for x in (start, stop, step)):
+            raise ConfigError(f"--taus range {text!r} must be finite")
         if step <= 0:
             raise ConfigError(f"--taus step must be > 0, got {step!r}")
         if stop < start:
             raise ConfigError("--taus stop must be >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + k * step for k in range(count)]
+        steps = (stop - start) / step + 1e-9
+        if not steps < _MAX_TAUS:  # an overflow to inf fails too
+            raise ConfigError(
+                f"--taus range {text!r} holds more than {_MAX_TAUS} thresholds"
+            )
+        return [start + k * step for k in range(int(math.floor(steps)) + 1)]
     values = [p for p in text.split(",") if p.strip()]
     if not values:
         raise ConfigError("--taus list is empty")
@@ -505,20 +513,6 @@ def _grid_lanes(lanes: list[Lane3D], anchors: np.ndarray):
     grid_pts[off] = np.stack([x, np.broadcast_to(anchors, x.shape), z], axis=-1)
     grid_vis[off] = off_vis
     return on_grid, degenerate, grid_pts, grid_vis
-
-
-def _image_points(cameras, points, frame_of):
-    """Project ground points, each by its frame's camera, as
-    ``project_ground_to_image`` does; returns (behind, u, v, inside)."""
-    cams = np.array([(math.sin(c.pitch), math.cos(c.pitch), c.height, c.fx, c.fy,
-                      c.cx, c.cy, *c.image_size) for c in cameras]).reshape(-1, 9)
-    sin, cos, height, fx, fy, cx, cy, h, w = cams[frame_of].T
-    xc, yc, zc = _camera_coords(points, sin, cos, height)
-    behind = zc <= EPS_DEPTH
-    zc = np.where(behind, 1.0, zc)  # the frame of a point behind fails
-    u = cx + fx * xc / zc
-    v = cy + fy * yc / zc
-    return behind, u, v, ~behind & (u >= 0) & (u < w) & (v >= 0) & (v < h)
 
 
 def _gather(records, anchors: np.ndarray):

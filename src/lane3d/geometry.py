@@ -246,15 +246,25 @@ def _sample_curves(curves: Sequence[Curve2D], sizes, j_prime: int):
 
 # ── Camera projection ────────────────────────────────────────────────────
 
-def _camera_coords(p: np.ndarray, s, c, height):
-    """Camera-frame (x, y, z) columns of ground points p (n, 3).
+def _image_points(cameras, points, frame_of):
+    """Project ground points (n, 3), point i by ``cameras[frame_of[i]]``.
 
-    ``s`` and ``c`` are the sine and cosine of the camera pitch; they and
-    the camera height may be one value or one per point.
+    Returns ``(behind, u, v, inside)`` per point: whether its camera-frame
+    depth is <= EPS_DEPTH (its u, v then mean nothing), its pixel
+    coordinates, and whether it is in front and inside the image.
     """
-    dy = p[:, 1]
-    dz = p[:, 2] - height
-    return p[:, 0], -s * dy - c * dz, c * dy - s * dz
+    cams = np.array([(math.sin(c.pitch), math.cos(c.pitch), c.height, c.fx, c.fy,
+                      c.cx, c.cy, *c.image_size) for c in cameras]).reshape(-1, 9)
+    sin, cos, height, fx, fy, cx, cy, h, w = cams[frame_of].T
+    # camera-frame coordinates: x right, y down, z forward
+    xc, dy, dz = points[:, 0], points[:, 1], points[:, 2] - height
+    yc = -sin * dy - cos * dz
+    zc = cos * dy - sin * dz
+    behind = zc <= EPS_DEPTH
+    zc = np.where(behind, 1.0, zc)
+    u = cx + fx * xc / zc
+    v = cy + fy * yc / zc
+    return behind, u, v, ~behind & (u >= 0) & (u < w) & (v >= 0) & (v < h)
 
 
 def project_ground_to_image(camera: CameraModel, p) -> np.ndarray:
@@ -262,18 +272,15 @@ def project_ground_to_image(camera: CameraModel, p) -> np.ndarray:
 
     Accepts one point (3,) or a stack (n, 3); returns the matching
     shape.  Raises BehindCamera if any camera-frame depth <= EPS_DEPTH.
+    A batch of one camera of ``_image_points``.
     """
     arr = np.asarray(p, dtype=np.float64)
-    single = arr.ndim == 1
     pts = np.atleast_2d(arr)
-    xc, yc, zc = _camera_coords(pts, math.sin(camera.pitch),
-                                math.cos(camera.pitch), camera.height)
-    if np.any(zc <= EPS_DEPTH):
+    behind, u, v, _ = _image_points([camera], pts, np.zeros(len(pts), dtype=np.intp))
+    if behind.any():
         raise BehindCamera(f"camera-frame depth <= {EPS_DEPTH} m")
-    u = camera.cx + camera.fx * xc / zc
-    v = camera.cy + camera.fy * yc / zc
     uv = np.stack([u, v], axis=1)
-    return uv[0] if single else uv
+    return uv[0] if arr.ndim == 1 else uv
 
 
 def unproject_to_ground(camera: CameraModel, u, v) -> np.ndarray:

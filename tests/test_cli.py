@@ -589,6 +589,33 @@ def test_sweep_bad_taus(tmp_path):
     assert run(*base, "--taus", "abc") == 2
 
 
+@pytest.mark.parametrize("taus", ["nan:1:0.1", "0:1:nan", "0:inf:1", "0:1:inf"])
+def test_sweep_non_finite_taus_range(tmp_path, capsys, taus):
+    gt, pred = synth(tmp_path)
+    capsys.readouterr()
+    assert run("sweep", "--gt", str(gt), "--pred", str(pred), "--protocol",
+               "bcd", "--taus", taus) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --taus range {taus!r} must be finite"]
+
+
+@pytest.mark.parametrize("taus", ["1e-300:1:1e-300", "0:2:1e-6",
+                                  "0:1e308:1e-300"])
+def test_sweep_taus_range_too_long(tmp_path, capsys, taus):
+    # rejected before any threshold is built
+    gt, pred = synth(tmp_path)
+    capsys.readouterr()
+    assert run("sweep", "--gt", str(gt), "--pred", str(pred), "--protocol",
+               "bcd", "--taus", taus) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "more than 1048576 thresholds" in err[0]
+
+
+def test_taus_range_at_the_limit():
+    assert len(cli._parse_taus("0:1048575:1")) == 2**20
+    assert cli._parse_taus("0.5:0.5:1e-300") == [0.5]
+
+
 # ---------------------------------------------------------------------------
 # loss
 # ---------------------------------------------------------------------------
