@@ -25,7 +25,7 @@ Output files are written to a temporary name and renamed into place, so
 a failing command never leaves a partial file.  Standard output is
 machine-parsable ``key = value`` lines (plus one line per pair/row in
 tables).  Frames are evaluated one after another on one thread; ``loss``
-gathers, fits and scores up to ``_LOSS_BLOCK`` frames together.
+gathers, fits and scores frames in blocks (``losses._loss_records``).
 """
 
 from __future__ import annotations
@@ -57,21 +57,8 @@ from .errors import (
     ParseError,
     Underdetermined,
 )
-from .geometry import (
-    _ANCHOR_TOL,
-    Lane3D,
-    SampleGrid,
-    _check_frame,
-    _fit_problems,
-    _image_points,
-    _lane_columns,
-    _resample_lanes_at_y,
-    _stack_problem,
-    _visible_points,
-    fit_curves,
-    project_ground_to_image,
-)
-from .losses import LossConfig, _Block, _score_block, _Side
+from .geometry import SampleGrid, fit_curves
+from .losses import LossConfig, _loss_records
 from .pointwise import PointwiseConfig, openlane_report
 from .report import MetricReport, ordering_hash
 from .scenario_io import (
@@ -200,10 +187,13 @@ class CliConfig:
 
     @property
     def loss_config(self) -> LossConfig:
-        return LossConfig(
-            gamma=self.values["gammas"],
-            background_weight=self.values["background_weight"],
-        )
+        try:
+            return LossConfig(
+                gamma=self.values["gammas"],
+                background_weight=self.values["background_weight"],
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def echo(self) -> dict:
         out = {key: (list(v) if isinstance(v := self.values[key], tuple) else v)
@@ -424,217 +414,14 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Frames gathered and scored together, whose curve fits are searched in
-# one lockstep call.  Bounds the stacked search the way chamfer._BLOCK_PAIRS
-# bounds the raster: its grid step holds 2 columns x 33 candidates x the
-# block's most points floats per fit, up to two fits per frame (3.4 MB per
-# array for 32 frames of 100-point sides).
-_LOSS_BLOCK = 32
-
-
-def _fits(n_lanes: int, stored) -> bool:
-    """Whether a side's curves are fit: it has lanes and a missing curve."""
-    return n_lanes > 0 and (stored is None or any(c is None for c in stored))
-
-
-def _has_widths(record) -> bool:
-    return record.pred_uncertainties is not None and all(
-        u is not None for u in record.pred_uncertainties)
-
-
-def _check_lanes(record, anchors: np.ndarray) -> None:
-    """Check one frame lane by lane and raise the first error.
-
-    The checks run in the order ``_gather``'s array checks stand for: each
-    lane put on the grid (ground truths, then predictions), then each side
-    to fit projected and checked, then the widths' grid.  Fitting uses each
-    lane's visible points that project inside the image; a lane with no
-    stored curve and no in-image points cannot be fit.  Only a frame the
-    array checks reject is walked, to name its first failing lane.
-    """
-    h, w = record.camera.image_size
-    lanes, n_gt = [*record.gt_lanes, *record.pred_lanes], len(record.gt_lanes)
-    on_grid, degenerate, grid_pts, grid_vis = _grid_lanes(lanes, anchors)
-    if degenerate.any():  # raises the gather's error for the first of them
-        _visible_points([lanes[int(np.argmax(degenerate))]])
-    for side, stored, who in ((slice(0, n_gt), record.gt_curves, "ground-truth"),
-                              (slice(n_gt, None), record.pred_curves, "prediction")):
-        if not _fits(len(lanes[side]), stored):
-            continue
-        uv = []
-        for i, (points, vis) in enumerate(zip(grid_pts[side], grid_vis[side])):
-            pixels = np.atleast_2d(
-                project_ground_to_image(record.camera, points[vis > 0.5]))
-            inside = ((pixels[:, 0] >= 0) & (pixels[:, 0] < w)
-                      & (pixels[:, 1] >= 0) & (pixels[:, 1] < h))
-            if not inside.any():
-                raise MissingField(
-                    f"{who} lane {i} has no stored curve and no visible point "
-                    "projects inside the image, so none can be fit"
-                )
-            uv.append(pixels[inside])
-        _check_frame(uv, record.camera.image_size, "rational")
-    if _has_widths(record) and not on_grid[n_gt:].all():
-        raise ConfigError(
-            "per-segment uncertainties require prediction lanes "
-            "already sampled on the anchor grid"
-        )
-    raise AssertionError(f"frame {record.frame_id!r} passes its lane checks")
-
-
-def _grid_lanes(lanes: list[Lane3D], anchors: np.ndarray):
-    """Every lane put on the anchor grid, in array passes.
-
-    Returns (on_grid, degenerate, points (lanes, anchors, 3), visibility
-    (lanes, anchors)).  A lane whose points lie on the anchors keeps them;
-    one off the grid is resampled (``resample_at_y``), unless it has fewer
-    than two visible points (``degenerate``; left at zero).
-    """
-    points, vis, sizes = _lane_columns(lanes)
-    n_lanes, n_anchors = sizes.shape[0], anchors.shape[0]
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    near = np.flatnonzero(sizes == n_anchors)
-    rows = starts[near, None] + np.arange(n_anchors)
-    close = np.abs(points[rows, 1] - anchors).max(axis=1) <= _ANCHOR_TOL
-    on_grid = np.zeros(n_lanes, dtype=bool)
-    on_grid[near[close]] = True
-    grid_pts = np.zeros((n_lanes, n_anchors, 3))
-    grid_vis = np.zeros((n_lanes, n_anchors))
-    grid_pts[near[close]], grid_vis[near[close]] = points[rows[close]], vis[rows[close]]
-    lane_of = np.repeat(np.arange(n_lanes), sizes)
-    seen = vis > 0.5
-    n_seen = np.bincount(lane_of[seen], minlength=n_lanes)
-    degenerate = ~on_grid & (n_seen < 2)
-    off = ~on_grid & ~degenerate
-    take = seen & off[lane_of]
-    x, z, off_vis = _resample_lanes_at_y(
-        points[take, 1], points[take, 0], points[take, 2],
-        np.concatenate([[0], np.cumsum(n_seen[off])]), anchors)
-    grid_pts[off] = np.stack([x, np.broadcast_to(anchors, x.shape), z], axis=-1)
-    grid_vis[off] = off_vis
-    return on_grid, degenerate, grid_pts, grid_vis
-
-
-def _gather(records, anchors: np.ndarray):
-    """Gather, check and fit consecutive frames in array passes over all
-    their lanes.
-
-    Returns the block of the frames before the first that fails a check,
-    with every side's curves (stored, fitted, or none for a side without
-    lanes), and that frame's error, or None.  Each check is one of
-    ``_check_lanes`` taken elementwise, and each value bitwise that of
-    the lane alone.
-    """
-    n_frames = len(records)
-    lanes = [lane for r in records for side in (r.gt_lanes, r.pred_lanes)
-             for lane in side]
-    # side s holds frame s // 2's ground truths (s even) or predictions
-    per_side = np.array([(len(r.gt_lanes), len(r.pred_lanes)) for r in records],
-                        dtype=np.int64).reshape(-1)
-    side_first = np.concatenate([[0], np.cumsum(per_side)])
-    side_of = np.repeat(np.arange(2 * n_frames), per_side)
-    on_grid, degenerate, grid_pts, grid_vis = _grid_lanes(lanes, anchors)
-
-    # The visible points of every side to fit, in the image.
-    stored = [c for r in records for c in (r.gt_curves, r.pred_curves)]
-    fit_side = np.array([_fits(n, c) for n, c in zip(per_side.tolist(), stored)],
-                        dtype=bool)
-    fit_lanes = np.flatnonzero(fit_side[side_of])
-    shown = grid_vis[fit_lanes] > 0.5
-    pt_lane = fit_lanes[np.nonzero(shown)[0]]
-    behind, u, v, inside = _image_points([r.camera for r in records],
-                                         grid_pts[fit_lanes][shown],
-                                         side_of[pt_lane] // 2)
-    in_lane, u, v = pt_lane[inside], u[inside], v[inside]
-    n_in = np.bincount(in_lane, minlength=len(lanes))
-    single = np.zeros(len(lanes), dtype=bool)
-    has = np.flatnonzero(n_in)
-    if has.size:
-        first = (np.cumsum(n_in) - n_in)[has]
-        single[has] = np.minimum.reduceat(v, first) == np.maximum.reduceat(v, first)
-    side_pts = np.bincount(side_of, weights=n_in, minlength=2 * n_frames)
-
-    # The first frame that fails any check; _check_lanes names its error.
-    wide = np.array([_has_widths(r) for r in records], dtype=bool)
-    bad_lane = degenerate | single | ((n_in < 4) & fit_side[side_of])
-    bad_lane[pt_lane[behind]] = True
-    bad_lane |= ~on_grid & (side_of % 2 == 1) & wide[side_of // 2]
-    bad = np.zeros(n_frames, dtype=bool)
-    bad[side_of[bad_lane] // 2] = True
-    bad[np.flatnonzero(fit_side & (side_pts < 3 + 2 * per_side)) // 2] = True
-    stop = int(np.argmax(bad)) if bad.any() else n_frames
-    error = None
-    if stop < n_frames:
-        try:
-            _check_lanes(records[stop], anchors)
-        except Lane3DError as exc:
-            error = exc
-
-    # Each side's curves: stored, none, or fitted from its in-image points.
-    curves = [list(c) if n and not fit else []
-              for n, c, fit in zip(per_side.tolist(), stored, fit_side.tolist())]
-    fitted = np.flatnonzero(fit_side[:2 * stop]).tolist()
-    cut = np.concatenate([[0], np.cumsum(side_pts.astype(np.int64))])
-    problems = []
-    for s in fitted:
-        a, b = cut[s], cut[s + 1]
-        per_lane = np.cumsum(n_in[side_first[s]:side_first[s + 1]])[:-1]
-        problems.append(_stack_problem(
-            np.split(np.stack([u[a:b], v[a:b]], axis=1), per_lane),
-            u[a:b], v[a:b], in_lane[a:b] - side_first[s]))
-    for s, fit in zip(fitted, _fit_problems(problems)):
-        for lane, curve in zip(lanes[side_first[s]:side_first[s + 1]], fit.curves):
-            if lane.score is not None:
-                curve.confidence = lane.score
-        curves[s] = fit.curves
-
-    def side(parity: int) -> _Side:
-        kept = np.flatnonzero(side_of[:side_first[2 * stop]] % 2 == parity)
-        return _Side(grid_pts[kept].reshape(-1, 3), grid_vis[kept].reshape(-1),
-                     anchors.shape[0] * np.arange(kept.shape[0] + 1),
-                     np.concatenate([[0], np.cumsum(per_side[parity:2 * stop:2])]),
-                     [c for s in range(parity, 2 * stop, 2) for c in curves[s]])
-
-    gt, pred = side(0), side(1)
-    uncs = [u for r, w in zip(records[:stop], wide.tolist()) if w
-            for u in r.pred_uncertainties]
-    widths = None
-    if uncs:  # each on a prediction lane on the grid
-        widths = np.zeros((pred.starts.shape[0] - 1, anchors.shape[0], 2))
-        widths[np.repeat(wide[:stop], per_side[1:2 * stop:2]), :-1] = np.stack(uncs)
-        widths = widths.reshape(-1, 2)
-    sizes = np.array([r.camera.image_size for r in records[:stop]],
-                     dtype=np.int64).reshape(-1, 2)
-    return _Block(gt, pred, widths, wide[:stop], sizes), error
-
-
-def _loss_block(records, grid: SampleGrid, config: LossConfig):
-    """Loss breakdowns of consecutive frames, gathered, fitted and scored
-    together.
-
-    The frames before the first that fails to check are scored, and then
-    its error is raised, so a run fails with the error a frame-by-frame
-    run would meet first.
-    """
-    block, error = _gather(records, np.asarray(grid.y_anchors))
-    breakdowns = _score_block(block, grid, config)
-    if error is not None:
-        raise error
-    return breakdowns
-
-
 def cmd_loss(args) -> int:
     config = CliConfig.resolve(args)
+    loss_config = config.loss_config
     records = _load_records(args.gt, args.pred)
     if not records:
         raise ConfigError("no frames to compute losses for")
-    grid = SampleGrid()
-    loss_config = config.loss_config
-    breakdowns = []
-    for start in range(0, len(records), _LOSS_BLOCK):
-        block = records[start:start + _LOSS_BLOCK]
-        breakdowns += zip((r.frame_id for r in block),
-                          _loss_block(block, grid, loss_config))
+    breakdowns = list(zip((r.frame_id for r in records),
+                          _loss_records(records, SampleGrid(), loss_config)))
     for frame_id, b in breakdowns:
         print(
             f"frame={frame_id} unc={_fmt(b.loss_unc)} vis={_fmt(b.loss_vis)} "

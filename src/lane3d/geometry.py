@@ -116,6 +116,9 @@ class Curve2D:
         if len(self.rho) != 4:
             raise ValueError("rho must have exactly 4 entries")
         self.rho = tuple(float(r) for r in self.rho)
+        if not all(map(math.isfinite, (*self.rho, self.beta_prime,
+                                       self.beta_dprime, self.v_up))):
+            raise ValueError("rho, beta_prime, beta_dprime and v_up must be finite")
         if not 0.0 <= self.v_low < self.v_up:
             raise ValueError("need 0 <= v_low < v_up")
         if not 0.0 <= self.confidence <= 1.0:
@@ -156,11 +159,10 @@ def _default_y_anchors() -> np.ndarray:
 
 @dataclass
 class SampleGrid:
-    """Sampling resolutions: FV curve rows, 3D y-anchors, dense interp size."""
+    """Sampling resolutions: FV curve rows and 3D y-anchors."""
 
     j_prime: int = 20
     y_anchors: np.ndarray = field(default_factory=_default_y_anchors)
-    n_interp: int = 100
 
     def __post_init__(self):
         self.y_anchors = np.asarray(self.y_anchors, dtype=np.float64)
@@ -168,8 +170,6 @@ class SampleGrid:
             raise ValueError("j_prime must be >= 2")
         if self.y_anchors.ndim != 1 or not np.all(np.diff(self.y_anchors) > 0):
             raise ValueError("y_anchors must be 1-D and strictly increasing")
-        if self.n_interp < 2:
-            raise ValueError("n_interp must be >= 2")
 
 
 DEFAULT_CAMERA = CameraModel(

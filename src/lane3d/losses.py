@@ -11,6 +11,9 @@ level: the cost of pairing GT curve ``k`` with prediction ``k_hat`` is
 ``gamma4 * (1 - confidence)`` plus the same fitting terms the curve loss
 would charge, so the assignment minimizes the loss it precedes.  Rows of
 the cost matrix are ground truths, columns are predictions.
+``lane3d loss`` hands its frame records to ``_loss_records``, which puts
+their lanes on the anchor grid, fits the curves they do not store and
+scores them in blocks.
 
 Conventions shared by all loss terms:
 
@@ -29,14 +32,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AnchorMismatch, Lane3DError
+from .errors import AnchorMismatch, ConfigError, MissingField
 from .gaussians import segment_symmetric_klds
 from .geometry import (_ANCHOR_TOL, CameraModel, Curve2D, Lane3D, SampleGrid,
-                       _lane_columns, _sample_curves)
+                       _check_frame, _fit_problems, _image_points, _lane_columns,
+                       _resample_lanes_at_y, _sample_curves, _stack_problem,
+                       _visible_points, project_ground_to_image)
 from .matching import MatchResult, hungarian
 
 __all__ = [
@@ -82,12 +87,12 @@ class LossConfig:
         gamma = tuple(float(g) for g in self.gamma)
         if len(gamma) != 6:
             raise ValueError(f"gamma must have 6 entries, got {len(gamma)}")
-        if any(g < 0 for g in gamma):
-            raise ValueError(f"gamma weights must be >= 0, got {gamma}")
+        if not all(0 <= g < math.inf for g in gamma):
+            raise ValueError(f"gamma weights must be finite and >= 0, got {gamma}")
         object.__setattr__(self, "gamma", gamma)
         bw = float(self.background_weight)
-        if bw < 0:
-            raise ValueError(f"background_weight must be >= 0, got {bw}")
+        if not 0 <= bw < math.inf:
+            raise ValueError(f"background_weight must be finite and >= 0, got {bw}")
         object.__setattr__(self, "background_weight", bw)
 
 
@@ -136,10 +141,11 @@ class FramePrediction:
             for i, (lane, unc) in enumerate(
                 zip(self.lanes, self.uncertainties)
             ):
-                if len(unc) != len(lane.points) - 1:
+                if np.shape(unc) != (len(lane.points) - 1, 2):
                     raise ValueError(
-                        f"lane {i}: {len(unc)} segment uncertainties for "
-                        f"{len(lane.points)} points (need points - 1)"
+                        f"lane {i}: segment uncertainties of shape "
+                        f"{np.shape(unc)} for {len(lane.points)} points "
+                        "(need (points - 1, 2))"
                     )
 
 
@@ -181,11 +187,13 @@ class LossBreakdown:
 #
 # Every loss is computed by one scorer over a block of frames packed into
 # arrays.  ``loss_total`` and the single-term functions below are blocks
-# of one frame; the CLI scores many frames per block.  Each array pass
-# uses the elementwise operations the terms are defined by, and each
-# frame's sums are taken over its own slice (``math.fsum``; NumPy's
-# pairwise sum for the fitting cost), so a frame scores the same
-# whatever block it is in.
+# of one frame; ``loss_frames`` and ``lane3d loss`` score many frames per
+# block.  Each array pass uses the elementwise operations the terms are
+# defined by, and each frame's sums are taken over its own slice
+# (``math.fsum``; NumPy's pairwise sum for the fitting cost), so a frame
+# scores the same whatever block it is in.  One rule keeps the first
+# error in frame order (``_scored``): a block that fails, in packing or
+# scoring, is packed and scored again one frame at a time.
 
 @dataclass
 class _Side:
@@ -215,14 +223,6 @@ class _Side:
         return cls(points, vis, starts, frames,
                    None if curves is None else [c for frame in curves for c in frame])
 
-    def frame(self, f: int) -> "_Side":
-        lanes = slice(self.frames[f], self.frames[f + 1] + 1)
-        r0, r1 = self.starts[self.frames[f]], self.starts[self.frames[f + 1]]
-        return _Side(self.points[r0:r1], self.visibility[r0:r1],
-                     self.starts[lanes] - r0, self.frames[f:f + 2] - self.frames[f],
-                     None if self.curves is None
-                     else self.curves[self.frames[f]:self.frames[f + 1]])
-
 
 @dataclass
 class _Block:
@@ -244,14 +244,6 @@ class _Block:
     @property
     def n_frames(self) -> int:
         return self.sizes.shape[0]
-
-    def frame(self, f: int) -> "_Block":
-        """Frame f as a block of one."""
-        pred = self.pred
-        rows = slice(pred.starts[pred.frames[f]], pred.starts[pred.frames[f + 1]])
-        return _Block(self.gt.frame(f), pred.frame(f),
-                      None if self.widths is None else self.widths[rows],
-                      self.has_widths[f:f + 1], self.sizes[f:f + 1])
 
 
 def _pack(frames: Sequence[tuple], sizes) -> _Block:
@@ -471,21 +463,20 @@ def _score(block: _Block, grid: SampleGrid, config: LossConfig):
     return out
 
 
-def _score_block(block: _Block, grid: SampleGrid,
-                 config: LossConfig) -> list[LossBreakdown]:
-    """``loss_total`` of every frame of the block.
+def _scored(frames: Sequence, pack: Callable[[Sequence], _Block],
+            grid: SampleGrid, config: LossConfig) -> list[LossBreakdown]:
+    """``loss_total`` of every frame, packed by ``pack`` into one block.
 
-    When the block fails, its frames are scored again one by one, so the
-    error raised is the one a frame-by-frame run meets first, raised
+    When anything raises, the frames are packed and scored again one by
+    one, so the error raised is the first failing frame's own, raised
     after the frames before it are scored.
     """
     try:
-        return _score(block, grid, config)
-    except (Lane3DError, ValueError, ArithmeticError):
-        if block.n_frames == 1:
+        return _score(pack(frames), grid, config)
+    except Exception:
+        if len(frames) == 1:
             raise
-    return [_score(block.frame(f), grid, config)[0]
-            for f in range(block.n_frames)]
+    return [_score(pack([frame]), grid, config)[0] for frame in frames]
 
 
 # ── Public single-frame API: blocks of one ───────────────────────────────
@@ -607,9 +598,206 @@ def loss_frames(
     frame raises the error ``loss_total`` raises for it, and an earlier
     frame's error wins.
     """
+    def pack(frames):
+        return _pack([(gt.lanes, gt.curves, pred.lanes, pred.curves,
+                       pred.uncertainties) for gt, pred, _ in frames],
+                     [camera.image_size for _, _, camera in frames])
+
     if not frames:
         return []
-    block = _pack([(gt.lanes, gt.curves, pred.lanes, pred.curves, pred.uncertainties)
-                   for gt, pred, _ in frames],
-                  [camera.image_size for _, _, camera in frames])
-    return _score_block(block, grid or SampleGrid(), config or LossConfig())
+    return _scored(frames, pack, grid or SampleGrid(), config or LossConfig())
+
+# ── Frame records (``lane3d loss``): gather, fit and score ───────────────
+
+# Frames gathered and scored together, whose curve fits are searched in
+# one lockstep call.  Bounds the stacked search the way chamfer._BLOCK_PAIRS
+# bounds the raster: its grid step holds 2 columns x 33 candidates x the
+# block's most points floats per fit, up to two fits per frame (3.4 MB per
+# array for 32 frames of 100-point sides).
+_LOSS_BLOCK = 32
+
+
+def _fits(n_lanes: int, stored) -> bool:
+    """Whether a side's curves are fit: it has lanes and a missing curve."""
+    return n_lanes > 0 and (stored is None or any(c is None for c in stored))
+
+
+def _has_widths(record) -> bool:
+    return record.pred_uncertainties is not None and all(
+        u is not None for u in record.pred_uncertainties)
+
+
+def _check_lanes(record, anchors: np.ndarray) -> None:
+    """Check one frame lane by lane and raise the first error.
+
+    The checks run in the order ``_gather``'s array checks stand for: each
+    lane put on the grid (ground truths, then predictions), then each side
+    to fit projected and checked, then the widths' grid.  Fitting uses each
+    lane's visible points that project inside the image; a lane with no
+    stored curve and no in-image points cannot be fit.  Only a frame the
+    array checks reject is walked, to name its first failing lane.
+    """
+    h, w = record.camera.image_size
+    lanes, n_gt = [*record.gt_lanes, *record.pred_lanes], len(record.gt_lanes)
+    on_grid, degenerate, grid_pts, grid_vis = _grid_lanes(lanes, anchors)
+    if degenerate.any():  # raises the gather's error for the first of them
+        _visible_points([lanes[int(np.argmax(degenerate))]])
+    for side, stored, who in ((slice(0, n_gt), record.gt_curves, "ground-truth"),
+                              (slice(n_gt, None), record.pred_curves, "prediction")):
+        if not _fits(len(lanes[side]), stored):
+            continue
+        uv = []
+        for i, (points, vis) in enumerate(zip(grid_pts[side], grid_vis[side])):
+            pixels = np.atleast_2d(
+                project_ground_to_image(record.camera, points[vis > 0.5]))
+            inside = ((pixels[:, 0] >= 0) & (pixels[:, 0] < w)
+                      & (pixels[:, 1] >= 0) & (pixels[:, 1] < h))
+            if not inside.any():
+                raise MissingField(
+                    f"{who} lane {i} has no stored curve and no visible point "
+                    "projects inside the image, so none can be fit"
+                )
+            uv.append(pixels[inside])
+        _check_frame(uv, record.camera.image_size, "rational")
+    if _has_widths(record) and not on_grid[n_gt:].all():
+        raise ConfigError(
+            "per-segment uncertainties require prediction lanes "
+            "already sampled on the anchor grid"
+        )
+    raise AssertionError(f"frame {record.frame_id!r} passes its lane checks")
+
+
+def _grid_lanes(lanes: list[Lane3D], anchors: np.ndarray):
+    """Every lane put on the anchor grid, in array passes.
+
+    Returns (on_grid, degenerate, points (lanes, anchors, 3), visibility
+    (lanes, anchors)).  A lane whose points lie on the anchors keeps them;
+    one off the grid is resampled (``resample_at_y``), unless it has fewer
+    than two visible points (``degenerate``; left at zero).
+    """
+    points, vis, sizes = _lane_columns(lanes)
+    n_lanes, n_anchors = sizes.shape[0], anchors.shape[0]
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    near = np.flatnonzero(sizes == n_anchors)
+    rows = starts[near, None] + np.arange(n_anchors)
+    close = np.abs(points[rows, 1] - anchors).max(axis=1) <= _ANCHOR_TOL
+    on_grid = np.zeros(n_lanes, dtype=bool)
+    on_grid[near[close]] = True
+    grid_pts = np.zeros((n_lanes, n_anchors, 3))
+    grid_vis = np.zeros((n_lanes, n_anchors))
+    grid_pts[near[close]], grid_vis[near[close]] = points[rows[close]], vis[rows[close]]
+    lane_of = np.repeat(np.arange(n_lanes), sizes)
+    seen = vis > 0.5
+    n_seen = np.bincount(lane_of[seen], minlength=n_lanes)
+    degenerate = ~on_grid & (n_seen < 2)
+    off = ~on_grid & ~degenerate
+    take = seen & off[lane_of]
+    x, z, off_vis = _resample_lanes_at_y(
+        points[take, 1], points[take, 0], points[take, 2],
+        np.concatenate([[0], np.cumsum(n_seen[off])]), anchors)
+    grid_pts[off] = np.stack([x, np.broadcast_to(anchors, x.shape), z], axis=-1)
+    grid_vis[off] = off_vis
+    return on_grid, degenerate, grid_pts, grid_vis
+
+
+def _gather(records, anchors: np.ndarray):
+    """Gather, check and fit frame records in array passes over all their
+    lanes.
+
+    Returns their block, with every side's curves (stored, fitted, or
+    none for a side without lanes), or raises the error of the first
+    frame that fails a check.  Each check is one of ``_check_lanes`` taken
+    elementwise, and each value bitwise that of the lane alone.
+    """
+    n_frames = len(records)
+    lanes = [lane for r in records for side in (r.gt_lanes, r.pred_lanes)
+             for lane in side]
+    # side s holds frame s // 2's ground truths (s even) or predictions
+    per_side = np.array([(len(r.gt_lanes), len(r.pred_lanes)) for r in records],
+                        dtype=np.int64).reshape(-1)
+    side_first = np.concatenate([[0], np.cumsum(per_side)])
+    side_of = np.repeat(np.arange(2 * n_frames), per_side)
+    on_grid, degenerate, grid_pts, grid_vis = _grid_lanes(lanes, anchors)
+
+    # The visible points of every side to fit, in the image.
+    stored = [c for r in records for c in (r.gt_curves, r.pred_curves)]
+    fit_side = np.array([_fits(n, c) for n, c in zip(per_side.tolist(), stored)],
+                        dtype=bool)
+    fit_lanes = np.flatnonzero(fit_side[side_of])
+    shown = grid_vis[fit_lanes] > 0.5
+    pt_lane = fit_lanes[np.nonzero(shown)[0]]
+    behind, u, v, inside = _image_points([r.camera for r in records],
+                                         grid_pts[fit_lanes][shown],
+                                         side_of[pt_lane] // 2)
+    in_lane, u, v = pt_lane[inside], u[inside], v[inside]
+    n_in = np.bincount(in_lane, minlength=len(lanes))
+    single = np.zeros(len(lanes), dtype=bool)
+    has = np.flatnonzero(n_in)
+    if has.size:
+        first = (np.cumsum(n_in) - n_in)[has]
+        single[has] = np.minimum.reduceat(v, first) == np.maximum.reduceat(v, first)
+    side_pts = np.bincount(side_of, weights=n_in, minlength=2 * n_frames)
+
+    # The first frame that fails any check; _check_lanes names its error.
+    wide = np.array([_has_widths(r) for r in records], dtype=bool)
+    bad_lane = degenerate | single | ((n_in < 4) & fit_side[side_of])
+    bad_lane[pt_lane[behind]] = True
+    bad_lane |= ~on_grid & (side_of % 2 == 1) & wide[side_of // 2]
+    bad = np.zeros(n_frames, dtype=bool)
+    bad[side_of[bad_lane] // 2] = True
+    bad[np.flatnonzero(fit_side & (side_pts < 3 + 2 * per_side)) // 2] = True
+    if bad.any():
+        _check_lanes(records[int(np.argmax(bad))], anchors)
+
+    # Each side's curves: stored, none, or fitted from its in-image points.
+    curves = [list(c) if n and not fit else []
+              for n, c, fit in zip(per_side.tolist(), stored, fit_side.tolist())]
+    fitted = np.flatnonzero(fit_side).tolist()
+    cut = np.concatenate([[0], np.cumsum(side_pts.astype(np.int64))])
+    problems = []
+    for s in fitted:
+        a, b = cut[s], cut[s + 1]
+        per_lane = np.cumsum(n_in[side_first[s]:side_first[s + 1]])[:-1]
+        problems.append(_stack_problem(
+            np.split(np.stack([u[a:b], v[a:b]], axis=1), per_lane),
+            u[a:b], v[a:b], in_lane[a:b] - side_first[s]))
+    for s, fit in zip(fitted, _fit_problems(problems)):
+        for lane, curve in zip(lanes[side_first[s]:side_first[s + 1]], fit.curves):
+            if lane.score is not None:
+                curve.confidence = lane.score
+        curves[s] = fit.curves
+
+    def side(parity: int) -> _Side:
+        kept = np.flatnonzero(side_of % 2 == parity)
+        return _Side(grid_pts[kept].reshape(-1, 3), grid_vis[kept].reshape(-1),
+                     anchors.shape[0] * np.arange(kept.shape[0] + 1),
+                     np.concatenate([[0], np.cumsum(per_side[parity::2])]),
+                     [c for side_curves in curves[parity::2] for c in side_curves])
+
+    gt, pred = side(0), side(1)
+    uncs = [u for r, w in zip(records, wide.tolist()) if w
+            for u in r.pred_uncertainties]
+    widths = None
+    if uncs:  # each on a prediction lane on the grid
+        widths = np.zeros((pred.starts.shape[0] - 1, anchors.shape[0], 2))
+        widths[np.repeat(wide, per_side[1::2]), :-1] = np.stack(uncs)
+        widths = widths.reshape(-1, 2)
+    sizes = np.array([r.camera.image_size for r in records],
+                     dtype=np.int64).reshape(-1, 2)
+    return _Block(gt, pred, widths, wide, sizes)
+
+
+def _loss_records(records, grid: SampleGrid,
+                  config: LossConfig) -> list[LossBreakdown]:
+    """``loss_total`` of each frame record (``scenario_io.FrameRecord``),
+    gathered, fitted and scored ``_LOSS_BLOCK`` frames at a time.
+
+    A block that fails is redone one frame at a time (``_scored``), so a
+    run fails with the error a frame-by-frame run would meet first.
+    """
+    anchors = np.asarray(grid.y_anchors)
+    out = []
+    for start in range(0, len(records), _LOSS_BLOCK):
+        out += _scored(records[start:start + _LOSS_BLOCK],
+                       lambda block: _gather(block, anchors), grid, config)
+    return out

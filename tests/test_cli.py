@@ -15,7 +15,7 @@ import pytest
 import loss_oracle
 
 import lane3d
-from lane3d import cli, matching
+from lane3d import cli, losses, matching
 from lane3d.cli import main
 from lane3d.geometry import CameraModel, Curve2D, Lane3D, SampleGrid, sample_curve
 from lane3d.losses import FrameGroundTruth, FramePrediction
@@ -647,6 +647,34 @@ def test_loss_gamma_override(tmp_path, capsys):
                "--gammas", "1,2,3") == 2
 
 
+@pytest.mark.parametrize("source, key, value", [
+    ("flag", "gammas", "-1,2,10,3,5,2"),
+    ("flag", "gammas", "nan,2,10,3,5,2"),
+    ("flag", "background_weight", "-1"),
+    ("flag", "background_weight", "inf"),
+    ("file", "gammas", [0.5, 2.0, math.inf, 3.0, 5.0, 2.0]),
+    ("file", "background_weight", math.nan),
+    ("env", "gammas", "0.5,2,10,3,5,-2"),
+    ("env", "background_weight", "nan"),
+])
+def test_loss_bad_weights_are_exit_2(tmp_path, capsys, monkeypatch, source, key,
+                                     value):
+    gt, pred = synth(tmp_path, frames=2, lanes=2)
+    argv = ["loss", "--gt", str(gt), "--pred", str(pred)]
+    if source == "flag":
+        argv.append(f"--{key.replace('_', '-')}={value}")
+    elif source == "file":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        argv += ["--config", str(config)]
+    else:
+        monkeypatch.setenv("LANE3D_" + key.upper(), value)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "must be finite and >= 0" in err[0]
+
+
 def edit_first_record(path, change):
     lines = path.read_text().splitlines()
     obj = json.loads(lines[0])
@@ -681,6 +709,25 @@ def test_non_finite_camera_is_exit_3(tmp_path, capsys, key):
     edit_first_record(gt, spoil)
     assert run("loss", "--gt", str(gt), "--pred", str(pred)) == 3
     assert "camera" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, bad", [("v_up", math.inf), ("rho", math.nan),
+                                      ("beta_prime", -math.inf)])
+@pytest.mark.parametrize("sides", [("gt",), ("pred",), ("gt", "pred")])
+def test_loss_non_finite_curve_is_exit_3(tmp_path, capsys, key, bad, sides):
+    gt, pred = synth(tmp_path, frames=2, lanes=2)
+
+    def attach(obj):
+        for lane in obj["lanes"]:
+            lane["curve"] = {"rho": [0.0, 0.0, 0.0, 0.0], "beta_prime": 0.0,
+                             "beta_dprime": 300.0, "v_low": 0.0, "v_up": 720.0}
+            lane["curve"][key] = [0.0, bad, 0.0, 0.0] if key == "rho" else bad
+
+    for side in sides:
+        edit_first_record({"gt": gt, "pred": pred}[side], attach)
+    assert run("loss", "--gt", str(gt), "--pred", str(pred)) == 3
+    err = capsys.readouterr().err
+    assert "lanes[0].curve" in err and "must be finite" in err
 
 
 def test_loss_unfittable_lane_is_exit_5(tmp_path):
@@ -722,7 +769,7 @@ def test_loss_frame_without_ground_truth(tmp_path):
 
 
 def test_loss_blocks_match_single_frame_runs(tmp_path):
-    n = cli._LOSS_BLOCK + 1
+    n = losses._LOSS_BLOCK + 1
     gt, pred = synth(tmp_path, frames=n, lanes=3, sigma_w0=0.1, seed=8)
     frames = loss_report(tmp_path, gt, pred)["per_frame"]
     assert len(frames) == n
@@ -858,7 +905,7 @@ def oracle_outcome(records, grid=SampleGrid(), config=cli.LossConfig()):
 
 def block_outcome(records, grid=SampleGrid(), config=cli.LossConfig()):
     try:
-        return [breakdown_bits(b) for b in cli._loss_block(records, grid, config)]
+        return [breakdown_bits(b) for b in losses._loss_records(records, grid, config)]
     except Exception as exc:  # noqa: BLE001
         return type(exc), str(exc)
 
@@ -926,7 +973,7 @@ class TestLossBlockOracle:
         assert sum(b[0]["loss_unc"] not in (None, "0x0.0p+0") for b in want) >= 60
         start = 0
         while start < len(records):
-            stop = start + int(rng.integers(1, 2 * cli._LOSS_BLOCK))
+            stop = start + int(rng.integers(1, 2 * losses._LOSS_BLOCK))
             assert block_outcome(records[start:stop]) == want[start:stop]
             start = stop
 
@@ -959,7 +1006,7 @@ def test_loss_block_path_avoids_lane_and_curve_calls(tmp_path, monkeypatch):
     # Gathering and scoring run as array passes: no per-lane projection,
     # resampling or fit check and no per-curve sampling, and one
     # assignment per frame.
-    from lane3d import geometry, losses
+    from lane3d import geometry
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a per-lane or per-curve call")

@@ -483,6 +483,21 @@ class TestLossTotal:
         with pytest.raises(ValueError):
             LossConfig(gamma=(1.0, 2.0, 3.0))
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_non_finite_or_negative_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            LossConfig(gamma=(0.5, 2.0, bad, 3.0, 5.0, 2.0))
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            LossConfig(background_weight=bad)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (1,), (2, 2), (0, 2)])
+    def test_uncertainty_shape_checked_at_construction(self, shape):
+        # flat_lane has two points, so one segment: widths must be (1, 2)
+        with pytest.raises(ValueError, match=r"need \(points - 1, 2\)"):
+            FramePrediction([flat_lane(1.0)], [const_curve(300)],
+                            [np.full(shape, 0.2)])
+        FramePrediction([flat_lane(1.0)], [const_curve(300)], [[(0.2, 0.3)]])
+
 
 # ---------------------------------------------------------------------------
 # block scorer against the frame-by-frame oracle
@@ -685,3 +700,18 @@ class TestScoreOracle:
         assert want[0].__name__ == first.split("-")[0]
         assert block_outcome(frames) == want
         assert block_outcome(frames[3:]) == oracle_outcome(frames[3:])
+
+    def test_packing_error_does_not_win_over_an_earlier_frame(self):
+        # Frames are packed inside the first-error rule: frame b's widths
+        # fail to pack, and frame a's own error still comes first.
+        rng = np.random.default_rng(6)
+        a = spoiled(rng, "AnchorMismatch")
+        gt, pred, camera = random_loss_frame(rng)
+        while not pred.lanes:
+            gt, pred, camera = random_loss_frame(rng)
+        words = [[("wide", "wide")] * (len(lane.points) - 1) for lane in pred.lanes]
+        b = (gt, FramePrediction(pred.lanes, pred.curves, words), camera)
+        with pytest.raises(AnchorMismatch):
+            loss_frames([a, b], GRID)
+        with pytest.raises(ValueError, match="could not convert"):
+            loss_frames([b, a], GRID)

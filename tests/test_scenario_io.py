@@ -261,6 +261,23 @@ def test_malformed_uncertainty_is_a_parse_error(tmp_path, uncertainty):
     assert err.value.field == "lanes[0].uncertainty"
 
 
+@pytest.mark.parametrize("key, bad", [
+    ("rho", [0.0, 0.0, math.inf, 0.0]),
+    ("beta_prime", math.nan),
+    ("beta_dprime", -math.inf),
+    ("v_up", math.inf),
+])
+def test_non_finite_curve_is_a_parse_error(tmp_path, key, bad):
+    obj = json.loads(valid_line())
+    obj["lanes"][0]["curve"] = {"rho": [0.0, 0.0, 0.0, 0.0], "beta_prime": 0.0,
+                                "beta_dprime": 300.0, "v_low": 0.0, "v_up": 720.0,
+                                key: bad}
+    path = write_lines(tmp_path, json.dumps(obj))
+    with pytest.raises(ParseError, match="must be finite") as err:
+        list(read_frames(path))
+    assert err.value.field == "lanes[0].curve"
+
+
 def five_point_record(uncertainty):
     y = np.linspace(3.0, 43.0, 5)
     lane = Lane3D(points=np.stack([np.zeros(5), y, np.zeros(5)], axis=1),
