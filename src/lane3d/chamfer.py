@@ -37,19 +37,22 @@ origin sits at integer multiples of the resolution: strokes are runs of
 global cell indices, so the IoU of two lanes never depends on which
 other lanes share the frame.  Only x/y enter the rasterization; a
 stroke covers cells whose center lies within ``lane_width / 2`` of the
-polyline (boundary inclusive).  A stroke is a list of per-row runs
-``(iy, lo, hi)``, sorted and merged.  The points within
-``lane_width / 2`` of a segment meet a row in one interval (the chords
-of the two end disks and the band between them); for each
+polyline (boundary inclusive).  A stroke holds one run ``(iy, lo, hi)``
+per row, from the row's first passing cell to its last.  The points
+within ``lane_width / 2`` of a segment meet a row in one interval (the
+chords of the two end disks and the band between them); for each
 (segment, row) pair the rasterizer computes that interval and takes its
 end cells from it wherever a forward rounding bound puts the cell
 centers on both sides of each end clear of it (``_decided_cells`` states
 the bound).  The few other pairs test the cell-by-cell predicate on the
 cells of the row within half a cell more than ``lane_width / 2`` of the
-segment's line, so the runs equal a cell-by-cell scan.  Lanes are
-rasterized in blocks of at most ``_BLOCK_PAIRS`` pairs.  The IoU of two
-strokes counts the overlap of their runs; strokes whose row or column
-ranges are disjoint score 0 without that count.
+segment's line.  In exact arithmetic a polyline whose y strictly
+increases meets each row in one interval, so the run is the row's cell
+set; every tested input, adversarial ones included, agrees with a
+cell-by-cell scan.  Lanes are rasterized in blocks of at most
+``_BLOCK_PAIRS`` pairs.  The IoU of two strokes sums the overlaps of
+their runs on shared rows; strokes whose row or column ranges are
+disjoint score 0 without that sum.
 
 Every protocol works on blocks of frames (``report._frame_blocks``) and
 gathers a block's lanes by one ``geometry._visible_points`` call, which
@@ -299,19 +302,13 @@ def bcd_select_tp_fp(
 # ---------------------------------------------------------------------------
 
 class _Runs(NamedTuple):
-    """A stroke as per-row runs: row ``iy[k]`` covers the cells with
-    ``lo[k] <= ix <= hi[k]``.  Runs are sorted by row, then column, and
-    runs of one row neither overlap nor touch."""
+    """A stroke as one run per row: row ``iy[k]`` covers the cells with
+    ``lo[k] <= ix <= hi[k]``, from its first passing cell to its last.
+    Rows strictly increase, and a row without a passing cell has no run."""
 
     iy: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-
-
-# Rows are 2**32 apart on the key line iy * 2**32 + ix, so runs of
-# different rows neither touch nor interleave while the columns in play
-# span fewer than 2**32 - 1 cells (2e8 m at 0.05 m cells).
-_ROW = np.int64(1) << np.int64(32)
 
 
 # (segment, row) pairs the rasterizer works on at once: bounds its working
@@ -324,7 +321,7 @@ _U = 2.0**-53
 
 
 def _strokes(points: np.ndarray, sizes, config: EvalConfig) -> list[_Runs]:
-    """Strokes of several polylines, as per-row runs: polyline i holds the
+    """Strokes of several polylines, one run per row: polyline i holds the
     next ``sizes[i]`` rows of ``points`` (``(rows, 2+)``), at least 2, with
     strictly increasing y.
 
@@ -332,18 +329,17 @@ def _strokes(points: np.ndarray, sizes, config: EvalConfig) -> list[_Runs]:
     than ``lane_width / 2`` of the segment's y-range is decided from the
     segment's interval on the row where ``_decided_cells`` proves that
     interval's end cells; the other pairs run the window scan of
-    ``_window_runs``.  Pairs are decided in blocks of whole lanes of at
-    most ``_BLOCK_PAIRS`` pairs (a lane with more forms a block alone),
-    and undecided pairs are scanned in batches of about that many; the
-    runs depend on neither.
+    ``_window_cells``.  Pairs are worked on in blocks of whole lanes of
+    at most ``_BLOCK_PAIRS`` pairs (a lane with more forms a block
+    alone), and the runs do not depend on the blocks.
 
-    A row whose pairs are all decided takes the union of their intervals
-    by a per-row min/max: the row meets each segment's stroke in one
-    interval, and for a polyline whose y strictly increases their union
-    is one interval too (the points within ``lane_width / 2`` of the row
-    form one stretch of the polyline, and their chords on the row sweep
-    a connected set).  Other rows merge their runs on the key line
-    ``row * _ROW + ix``.
+    A row's run spans its first passing cell to its last, a per-row
+    min/max over the decided intervals and the scanned cells.  In exact
+    arithmetic that is the row's cell set: the row meets each segment's
+    stroke in one interval, and for a polyline whose y strictly increases
+    their union is one interval too (the points within ``lane_width / 2``
+    of the row form one stretch of the polyline, and their chords on the
+    row sweep a connected set).
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     if not sizes.size:
@@ -377,97 +373,47 @@ def _strokes(points: np.ndarray, sizes, config: EvalConfig) -> list[_Runs]:
     base = np.zeros(sizes.size + 1, dtype=np.int64)
     np.cumsum(lane_rows, out=base[1:])
     shift = np.repeat(base[:-1] - row0, sizes - 1)
-    # runs of rows whose pairs are all decided, per block; open rows'
-    # decided intervals and undecided pairs, and then their merged runs
-    closed_runs, held, merged = [], [], []
-
-    def flush():
-        rows, lo, hi, seg, iy = (np.concatenate(parts) for parts in zip(*held))
-        scanned = _window_runs(ax, ay, bx, by, seg, iy, iy + shift[seg], res, half)
-        merged.append(np.stack(_merge_runs(
-            *(np.concatenate(parts) for parts in zip((rows, lo, hi), scanned))
-        )))
-        held.clear()
+    # each row's first and last passing cell
+    row_lo = np.full(base[-1], np.iinfo(np.int64).max)
+    row_hi = np.full(base[-1], np.iinfo(np.int64).min)
 
     lane_pairs = np.add.reduceat(n_rows, seg_start[:-1])
-    lane = n_held = 0
+    lane = 0
     while lane < sizes.size:
         stop, pairs = lane + 1, lane_pairs[lane]
         while stop < sizes.size and pairs + lane_pairs[stop] <= _BLOCK_PAIRS:
             pairs += lane_pairs[stop]
             stop += 1
         s0, s1 = seg_start[lane], seg_start[stop]
-        r0, r1 = base[lane], base[stop]
         lane = stop
         if not pairs:
             continue
         seg = np.repeat(np.arange(s0, s1), n_rows[s0:s1])
         iy = _ranges(first[s0:s1], n_rows[s0:s1])
-        row = iy + (shift[seg] - r0)  # the block's rows from 0
-        lo, hi, decided = _decided_cells(
-            ax[s0:s1], ay[s0:s1], bx[s0:s1], by[s0:s1], n_rows[s0:s1], iy, res, half
-        )
-        undecided = np.flatnonzero(~decided)
-        open_rows = np.zeros(r1 - r0, dtype=bool)
-        open_rows[row[undecided]] = True
+        segments = ax[s0:s1], ay[s0:s1], bx[s0:s1], by[s0:s1]
+        lo, hi, decided = _decided_cells(*segments, n_rows[s0:s1], iy, res, half)
+        row = iy + shift[seg]
         filled = decided & (lo <= hi)
-        closed = filled & ~open_rows[row]
-        row_lo = np.full(r1 - r0, np.iinfo(np.int64).max)
-        row_hi = np.full(r1 - r0, np.iinfo(np.int64).min)
-        np.minimum.at(row_lo, row[closed], lo[closed])
-        np.maximum.at(row_hi, row[closed], hi[closed])
-        one = np.flatnonzero(row_lo <= row_hi)
-        closed_runs.append(np.stack([one + r0, row_lo[one], row_hi[one]]))
-        if undecided.size:
-            mixed = filled & ~closed
-            held.append((row[mixed] + r0, lo[mixed], hi[mixed],
-                         seg[undecided], iy[undecided]))
-            n_held += undecided.size
-            if n_held >= _BLOCK_PAIRS:
-                flush()
-                n_held = 0
-    if held:
-        flush()
+        undecided = ~decided
+        hit_row, hit_ix = _window_cells(
+            *segments, seg[undecided] - s0, iy[undecided], row[undecided], res, half)
+        row = np.concatenate([row[filled], hit_row])
+        np.minimum.at(row_lo, row, np.concatenate([lo[filled], hit_ix]))
+        np.maximum.at(row_hi, row, np.concatenate([hi[filled], hit_ix]))
 
-    # all runs in row order: a closed row holds one run, and the merged
-    # runs' rows are open rows, in order
-    runs = np.concatenate(closed_runs or [np.empty((3, 0), dtype=np.int64)], axis=1)
-    if merged:
-        more = np.concatenate(merged, axis=1)
-        both = np.empty((3, runs.shape[1] + more.shape[1]), dtype=np.int64)
-        both[:, np.arange(runs.shape[1]) + np.searchsorted(more[0], runs[0])] = runs
-        both[:, np.arange(more.shape[1]) + np.searchsorted(runs[0], more[0])] = more
-        runs = both
-    ends = np.searchsorted(runs[0], base)
+    rows = np.flatnonzero(row_lo <= row_hi)
+    ends = np.searchsorted(rows, base)
     return [
-        _Runs(runs[0, s:e] - base[l] + row0[l], runs[1, s:e], runs[2, s:e])
+        _Runs(rows[s:e] - base[l] + row0[l], row_lo[rows[s:e]], row_hi[rows[s:e]])
         for l, (s, e) in enumerate(zip(ends[:-1], ends[1:]))
     ]
-
-
-def _merge_runs(row, lo, hi):
-    """Union of runs ``(row, lo, hi)``, sorted by row, then column, with
-    runs of one row neither overlapping nor touching."""
-    if not row.size:
-        return row, lo, hi
-    key_row = row * _ROW
-    key_lo = key_row + lo
-    order = np.argsort(key_lo, kind="stable")
-    key_lo = key_lo[order]
-    key_hi = np.maximum.accumulate((key_row + hi)[order])
-    fresh = np.ones(key_lo.size, dtype=bool)
-    fresh[1:] = key_lo[1:] > key_hi[:-1] + 1
-    fresh = np.flatnonzero(fresh)
-    stop = np.append(fresh[1:], key_lo.size) - 1
-    key_row = key_row[order][fresh]
-    return key_row // _ROW, key_lo[fresh] - key_row, key_hi[stop] - key_row
 
 
 def _decided_cells(ax, ay, bx, by, n_rows, iy, res, half):
     """The cells of row ``iy`` whose centers lie within ``half`` of the
     segment, for each (segment, row) pair (segment ``s`` holds the next
     ``n_rows[s]`` pairs), as ``[lo, hi]``, wherever a rounding bound proves
-    that the predicate of ``_window_runs`` passes exactly there.
+    that the predicate of ``_window_cells`` passes exactly there.
 
     Returns ``(lo, hi, decided)``; ``lo > hi`` is an empty decided pair,
     and undecided pairs hold arbitrary values.
@@ -591,9 +537,9 @@ def _decided_cells(ax, ay, bx, by, n_rows, iy, res, half):
     return lo, hi, sure | outside
 
 
-def _window_runs(ax, ay, bx, by, seg, iy, row, res, half):
-    """Runs of cells that pass the stroke predicate, for (segment, row)
-    pairs ``(seg, iy)``; each run is reported with its pair's ``row``.
+def _window_cells(ax, ay, bx, by, seg, iy, row, res, half):
+    """The cells that pass the stroke predicate for (segment, row) pairs
+    ``(seg, iy)``: each cell's ``ix``, with its pair's ``row``.
 
     Cell ``(ix, iy)`` has center ``((ix + 0.5) * res, (iy + 0.5) * res)``
     in ground x/y and passes when its center lies within half the lane
@@ -604,9 +550,8 @@ def _window_runs(ax, ay, bx, by, seg, iy, row, res, half):
     line.  That window holds every cell the predicate can pass, since
     the rounding error of both stays far below half a cell.
     """
-    nothing = (np.empty(0, dtype=np.int64),) * 3
     if not seg.size:
-        return nothing
+        return row, row  # both empty
     margin = int(math.ceil(half / res)) + 1
     reach = half + res / 2.0
     ex, ey = bx - ax, by - ay
@@ -627,42 +572,22 @@ def _window_runs(ax, ay, bx, by, seg, iy, row, res, half):
         x1 = ax[seg] + (ux * wy + reach) / uy
     lo = np.fmax(np.ceil(x0 / res - 0.5), ix0[seg])
     hi = np.fmin(np.floor(x1 / res - 0.5), ix1[seg])
-    n_cols = np.maximum(hi - lo + 1, 0)
-    some = n_cols > 0
-    seg, row, wy = seg[some], row[some], wy[some]
-    n_cols = n_cols[some].astype(np.int64)
-    if not n_cols.size:
-        return nothing
+    n_cols = np.maximum(hi - lo + 1, 0).astype(np.int64)
 
     # the predicate, on every cell of every window
     def per_cell(values):
         return np.repeat(values, n_cols)
 
-    ix = _ranges(lo[some], n_cols)  # integral floats
-    ex_c, ey_c = per_cell(ex[seg]), per_cell(ey[seg])
-    wx = (ix + 0.5) * res - per_cell(ax[seg])
+    seg, row = per_cell(seg), per_cell(row)
+    ix = _ranges(lo, n_cols)  # integral floats
+    ex_c, ey_c = ex[seg], ey[seg]
+    wx = (ix + 0.5) * res - ax[seg]
     wy_c = per_cell(wy)
-    t = np.clip((wx * ex_c + wy_c * ey_c) / per_cell(c2[seg]), 0.0, 1.0)
+    t = np.clip((wx * ex_c + wy_c * ey_c) / c2[seg], 0.0, 1.0)
     dx = wx - t * ex_c
     dy = wy_c - t * ey_c
     hit = (dx * dx + dy * dy) <= half * half
-
-    # runs of hits within each window
-    window_end = np.cumsum(n_cols) - 1
-    open_left = np.empty_like(hit)
-    open_left[0] = False
-    open_left[1:] = hit[:-1]
-    open_left[window_end[:-1] + 1] = False
-    open_right = np.empty_like(hit)
-    open_right[:-1] = hit[1:]
-    open_right[window_end] = False
-    begin = np.flatnonzero(hit & ~open_left)
-    end = np.flatnonzero(hit & ~open_right)
-    return (
-        row[np.searchsorted(window_end, begin)],
-        ix[begin].astype(np.int64),
-        ix[end].astype(np.int64),
-    )
+    return row[hit], ix[hit].astype(np.int64)
 
 
 def _iou_matrix(a: list[_Runs], b: list[_Runs]) -> np.ndarray:
@@ -696,16 +621,10 @@ def _iou_matrix(a: list[_Runs], b: list[_Runs]) -> np.ndarray:
 
 
 def _shared_cells(a: _Runs, b: _Runs) -> int:
-    """Number of cells in both strokes."""
-    start = a.iy * _ROW + a.lo
-    stop = a.iy * _ROW + a.hi
-    before = np.concatenate(([0], np.cumsum(stop - start + 1)))
-
-    def up_to(key):  # cells of ``a`` on the key line at or below ``key``
-        k = np.searchsorted(start, key, side="right")
-        return before[k] - np.where(k > 0, np.maximum(stop[k - 1] - key, 0), 0)
-
-    return int((up_to(b.iy * _ROW + b.hi) - up_to(b.iy * _ROW + b.lo - 1)).sum())
+    """Number of cells in both strokes, both with at least one run."""
+    k = np.minimum(np.searchsorted(a.iy, b.iy), a.iy.size - 1)
+    overlap = np.minimum(a.hi[k], b.hi) - np.maximum(a.lo[k], b.lo) + 1
+    return int(np.maximum(overlap, 0)[a.iy[k] == b.iy].sum())
 
 
 def bev_iou(gt: Lane3D, pred: Lane3D, config: EvalConfig | None = None) -> float:

@@ -36,7 +36,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -123,10 +123,27 @@ def _coerce(key: str, value):
 
 @dataclass
 class CliConfig:
-    """Fully resolved configuration plus the source of every value."""
+    """Fully resolved configuration plus the source of every value, and
+    the library configs built from it: every value is checked, whichever
+    command runs."""
 
     values: dict
     sources: dict
+    eval_config: EvalConfig = field(init=False)
+    pointwise_config: PointwiseConfig = field(init=False)
+    loss_config: LossConfig = field(init=False)
+
+    def __post_init__(self):
+        self.eval_config = EvalConfig(**{key: self.values[key] for key in _EVAL_KEYS})
+        self.pointwise_config = PointwiseConfig(
+            **{key: self.values[key] for key in _POINTWISE_KEYS})
+        try:
+            self.loss_config = LossConfig(
+                gamma=self.values["gammas"],
+                background_weight=self.values["background_weight"],
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @classmethod
     def resolve(cls, args) -> "CliConfig":
@@ -176,24 +193,6 @@ class CliConfig:
                 sources[key] = "flag"
 
         return cls(values=values, sources=sources)
-
-    @property
-    def eval_config(self) -> EvalConfig:
-        return EvalConfig(**{key: self.values[key] for key in _EVAL_KEYS})
-
-    @property
-    def pointwise_config(self) -> PointwiseConfig:
-        return PointwiseConfig(**{key: self.values[key] for key in _POINTWISE_KEYS})
-
-    @property
-    def loss_config(self) -> LossConfig:
-        try:
-            return LossConfig(
-                gamma=self.values["gammas"],
-                background_weight=self.values["background_weight"],
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
     def echo(self) -> dict:
         out = {key: (list(v) if isinstance(v := self.values[key], tuple) else v)

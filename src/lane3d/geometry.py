@@ -342,8 +342,6 @@ def interpolate_lane(lane: Lane3D, n: int) -> np.ndarray:
     linearly); endpoints are preserved exactly and no sample ever lies
     beyond them.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
     return resample_polyline(_visible_points([lane])[0], n)
 
 

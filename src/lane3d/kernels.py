@@ -97,8 +97,6 @@ def resample_polyline(points, n: int) -> np.ndarray:
     interior target).  A batch of one of ``resample_polylines``.
     """
     pts = _as_points(points, "points")
-    if n < 2:
-        raise ValueError("n must be >= 2")
     if pts.shape[0] < 2:
         raise ValueError("need at least two points to resample")
     return np.ascontiguousarray(resample_polylines(pts, [pts.shape[0]], n)[0])
@@ -197,7 +195,10 @@ def resample_polylines(points, counts, n: int) -> np.ndarray:
     are copied exactly.  Every sample's segment comes from an exact count
     of the cumulative lengths below it, which equals a per-lane
     ``searchsorted``.  The result is a view of ``(3, L, n)`` planes.
+    ``n`` must be an integer of at least 2.
     """
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError("n must be >= 2")
     planes = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
     counts = np.asarray(counts, dtype=np.int64)
     n_lanes = counts.shape[0]

@@ -65,6 +65,13 @@ def test_extension_charges_only_the_bidirectional_distance():
     assert bidirectional_cd(gt, pred) > 1.0
 
 
+@pytest.mark.parametrize("pair_cd", [bidirectional_cd, unilateral_cd])
+@pytest.mark.parametrize("n", [1, 0, -3, 2.5])
+def test_pair_distances_reject_fewer_than_two_samples(pair_cd, n):
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        pair_cd(straight_lane(0.0), straight_lane(0.2), n)
+
+
 def test_bidirectional_is_symmetric():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -452,6 +459,21 @@ def random_lanes(rng, kind, count):
             # sit exactly half a lane width from vertices and edges
             y = np.cumsum(rng.integers(1, 20, n)) * 0.025
             x = rng.integers(-40, 40, n) * 0.025
+        elif kind == "tangent":
+            # near-horizontal zig-zags from a vertex half a lane width (and
+            # an ulp either side) above or below a row's cell centers, for
+            # one of the raster configurations: y rises by one ulp to 1e-13
+            # per segment, over 5-60 m of x
+            n = min(n, 4)
+            config = RASTER_CONFIGS[rng.integers(len(RASTER_CONFIGS))]
+            cy = (rng.integers(-40, 40) + 0.5) * config.bev_resolution
+            y = [cy + rng.choice([-1.0, 1.0]) * config.lane_width / 2.0]
+            y[0] += rng.integers(-1, 2) * np.spacing(y[0])
+            for _ in range(n - 1):
+                y.append(y[-1] + math.exp(rng.uniform(math.log(np.spacing(abs(y[-1]))),
+                                                      math.log(1e-13))))
+            turns = rng.choice([-1.0, 1.0]) * (-1.0) ** np.arange(n - 1)
+            x = np.cumsum([rng.uniform(-2.0, 2.0), *turns * rng.uniform(5.0, 60.0, n - 1)])
         elif kind == "far":
             origin = rng.choice([-1e4, 1e4], 2) + rng.uniform(-1, 1, 2)
             y = origin[1] + np.cumsum(rng.uniform(0.01, 4.0 / n, n))
@@ -471,11 +493,12 @@ RASTER_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("kind", ["plain", "near_horizontal", "half_cell", "far"])
+@pytest.mark.parametrize("kind", ["plain", "near_horizontal", "half_cell", "far",
+                                  "tangent"])
 def test_strokes_equal_the_window_scan_on_random_lanes(kind):
-    # 4 kinds x 4 configurations x 125 lanes: 2,000 lanes
+    # 5 kinds x 4 configurations x 125 lanes: 2,500 lanes
     rng = np.random.default_rng(["plain", "near_horizontal", "half_cell",
-                                 "far"].index(kind) + 101)
+                                 "far", "tangent"].index(kind) + 101)
     for config in RASTER_CONFIGS:
         lanes = random_lanes(rng, kind, 125)
         for got, pts in zip(strokes(lanes, config), lanes):

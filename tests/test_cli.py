@@ -534,6 +534,22 @@ def test_config_file_errors(tmp_path):
     assert run(*base, "--config", str(tmp_path / "absent.json")) == 7
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--protocol", "bcd", "--gammas=nan,-1,2,3,4,5",
+     "--background-weight=-3", "--tau-dist=-1", "--tp-fraction=7"),
+    ("eval", "--protocol", "openlane", "--lane-width=nan", "--n-interp=1"),
+    ("sweep", "--protocol", "bcd", "--taus", "0.1", "--cap-multiplier=0"),
+    ("loss", "--lane-width=-1"),
+])
+def test_every_command_checks_every_config_value(tmp_path, capsys, argv):
+    gt, pred = synth(tmp_path, frames=2, lanes=2)
+    out = tmp_path / "r.json"
+    assert run(*argv, "--gt", str(gt), "--pred", str(pred), "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_report_reusable_as_config(tmp_path):
     gt, pred = synth(tmp_path)
     first = tmp_path / "first.json"
