@@ -125,13 +125,12 @@ class EvalConfig:
     mbd_variant: str = "hausdorff_mean"
 
     def __post_init__(self):
+        # the raster's cell arithmetic needs finite geometry, and the
+        # config echo must stay standard JSON
         for name in ("tau_cd", "tau_iou", "tau_bcd", "lane_width", "bev_resolution"):
             value = float(getattr(self, name))
-            if not value > 0:
-                raise ConfigError(f"{name} must be > 0, got {value!r}")
-            # the raster's cell arithmetic needs finite geometry
-            if name in ("lane_width", "bev_resolution") and value == math.inf:
-                raise ConfigError(f"{name} must be finite, got {value!r}")
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
             object.__setattr__(self, name, value)
         n = int(self.n_interp)
         if n < 2:

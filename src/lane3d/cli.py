@@ -490,8 +490,8 @@ def cmd_fit(args) -> int:
     for i, lane in enumerate(frame["lanes"]):
         try:
             arr = np.asarray(lane, dtype=np.float64)
-        except (TypeError, ValueError):  # ragged or non-numeric
-            arr = None
+        except (TypeError, ValueError, OverflowError):
+            arr = None  # ragged, non-numeric or beyond a double
         if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
             raise ParseError("each lane must be a non-empty array of [u, v]",
                              1, f"lanes[{i}]")

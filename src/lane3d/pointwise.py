@@ -81,6 +81,8 @@ class PointwiseConfig:
         far = tuple(float(v) for v in self.far_range)
         if len(near) != 2 or len(far) != 2:
             raise ConfigError("ranges must be (low, high) pairs")
+        if not all(map(math.isfinite, near + far)):
+            raise ConfigError(f"ranges must be finite, got near={near}, far={far}")
         if not (near[0] < near[1] <= far[0] < far[1]):
             raise ConfigError(
                 "ranges must be increasing and non-overlapping, got "
@@ -93,6 +95,8 @@ class PointwiseConfig:
                 f"cap_multiplier must be > 0, got {self.cap_multiplier!r}"
             )
         object.__setattr__(self, "cap_multiplier", float(self.cap_multiplier))
+        # a finite cap needs a finite tau_dist and cap_multiplier
+        _cost_caps(self, [self.tau_dist])
 
 
 def _range_masks(

@@ -36,6 +36,14 @@ round-trips), so ``read(write(x))`` reproduces every coordinate exactly.
 Writers emit keys in sorted order and never include timestamps, making
 output files byte-deterministic.
 
+The standard ``json`` module defines which lines are accepted and what
+they read as; ``orjson``, where it imports, is only a faster decoder of
+the same lines.  ``read_frames`` hands a line to ``json`` whenever the
+two could part: a line ``orjson`` rejects, a camera whose ``image_h`` or
+``image_w`` ``orjson`` widened to a float, and a line whose record fails
+a check, so every record and every ``ParseError`` is ``json``'s.  Writing
+uses ``json`` alone.
+
 Synthetic scenarios
 -------------------
 ``generate_scenario`` builds smooth polynomial ground-truth lanes and
@@ -164,7 +172,7 @@ def _parse_camera(obj, line: int) -> CameraModel:
             pitch=float(values["pitch"]),
             image_size=(int(values["image_h"]), int(values["image_w"])),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(str(exc), line, "camera") from None
 
 
@@ -183,7 +191,7 @@ def _parse_curve(obj, line: int, where: str) -> Curve2D:
         )
     except ParseError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(str(exc), line, where) from None
 
 
@@ -208,7 +216,7 @@ def _parse_lanes(objs, line: int, key: str):
                     score=None if score is None else float(score),
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(str(exc), line, where) from None
         if "curve" in obj:
             curves.append(_parse_curve(obj["curve"], line, where + ".curve"))
@@ -217,7 +225,7 @@ def _parse_lanes(objs, line: int, key: str):
         if "uncertainty" in obj:
             try:
                 arr = np.asarray(obj["uncertainty"], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(str(exc), line, where + ".uncertainty") from None
             segments = lanes[-1].points.shape[0] - 1
             if arr.shape != (segments, 2) or not np.isfinite(arr).all():
@@ -237,8 +245,76 @@ def _parse_lanes(objs, line: int, key: str):
     return lanes, curves, uncs
 
 
+def _parse_record(obj, line: int, seen: set[str]) -> FrameRecord:
+    if not isinstance(obj, dict):
+        raise ParseError("record must be an object", line)
+    version = _need(obj, "version", line)
+    if version != FORMAT_VERSION:
+        raise SchemaVersionMismatch(
+            f"unsupported format version {version!r} "
+            f"(this reader supports {FORMAT_VERSION})",
+            line,
+            "version",
+        )
+    frame_id = _need(obj, "frame_id", line)
+    if not isinstance(frame_id, str):
+        raise ParseError("frame_id must be a string", line, "frame_id")
+    if frame_id in seen:
+        raise ParseError(f"duplicate frame_id {frame_id!r}", line, "frame_id")
+    camera = _parse_camera(_need(obj, "camera", line), line)
+    lanes, curves, uncs = _parse_lanes(_need(obj, "lanes", line), line, "lanes")
+    pred_lanes = pred_curves = pred_uncs = None
+    if "pred_lanes" in obj:
+        pred_lanes, pred_curves, pred_uncs = _parse_lanes(
+            obj["pred_lanes"], line, "pred_lanes"
+        )
+    return FrameRecord(
+        frame_id=frame_id,
+        camera=camera,
+        gt_lanes=lanes,
+        pred_lanes=pred_lanes,
+        gt_curves=curves,
+        gt_uncertainties=uncs,
+        pred_curves=pred_curves,
+        pred_uncertainties=pred_uncs,
+    )
+
+
+def _json_decode(raw: str, line: int):
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line) from None
+
+
+def _fast_record(raw: str, loads, line: int, seen: set[str]):
+    """The record of a line decoded by ``orjson``, or None where ``json``
+    must read the line: ``orjson`` rejects it (``NaN``/``Infinity``
+    literals, numbers beyond the double range, lone surrogates, nesting
+    deeper than 1024), its camera's ``image_h``/``image_w`` came back as a
+    float (``orjson``'s reading of an integer literal beyond 64 bits), or
+    its record fails a check (the error is ``json``'s reading)."""
+    try:
+        obj = loads(raw)
+    except ValueError:
+        return None
+    camera = obj.get("camera") if isinstance(obj, dict) else None
+    if isinstance(camera, dict) and (
+        isinstance(camera.get("image_h"), float)
+        or isinstance(camera.get("image_w"), float)
+    ):
+        return None
+    try:
+        return _parse_record(obj, line, seen)
+    except ParseError:
+        return None
+
+
 def read_frames(path):
     """Yield FrameRecords from a frame file, validating as it streams.
+
+    Lines decode with ``orjson`` where it imports, at the first read;
+    ``json`` reads the lines ``_fast_record`` turns down.
 
     Raises ParseError (with 1-based line number and field path),
     SchemaVersionMismatch, or IoError.
@@ -249,52 +325,21 @@ def read_frames(path):
         raise IoError(f"cannot read {path}: {exc}") from None
 
     def records():
+        try:
+            from orjson import loads
+        except ImportError:
+            loads = None
         seen: set[str] = set()
         with handle:
             for line_no, raw in enumerate(handle, start=1):
                 if not raw.strip():
                     continue
-                try:
-                    obj = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON: {exc.msg}", line_no) from None
-                if not isinstance(obj, dict):
-                    raise ParseError("record must be an object", line_no)
-                version = _need(obj, "version", line_no)
-                if version != FORMAT_VERSION:
-                    raise SchemaVersionMismatch(
-                        f"unsupported format version {version!r} "
-                        f"(this reader supports {FORMAT_VERSION})",
-                        line_no,
-                        "version",
-                    )
-                frame_id = _need(obj, "frame_id", line_no)
-                if not isinstance(frame_id, str):
-                    raise ParseError("frame_id must be a string", line_no,
-                                     "frame_id")
-                if frame_id in seen:
-                    raise ParseError(f"duplicate frame_id {frame_id!r}",
-                                     line_no, "frame_id")
-                seen.add(frame_id)
-                camera = _parse_camera(_need(obj, "camera", line_no), line_no)
-                lanes, curves, uncs = _parse_lanes(
-                    _need(obj, "lanes", line_no), line_no, "lanes"
-                )
-                pred_lanes = pred_curves = pred_uncs = None
-                if "pred_lanes" in obj:
-                    pred_lanes, pred_curves, pred_uncs = _parse_lanes(
-                        obj["pred_lanes"], line_no, "pred_lanes"
-                    )
-                yield FrameRecord(
-                    frame_id=frame_id,
-                    camera=camera,
-                    gt_lanes=lanes,
-                    pred_lanes=pred_lanes,
-                    gt_curves=curves,
-                    gt_uncertainties=uncs,
-                    pred_curves=pred_curves,
-                    pred_uncertainties=pred_uncs,
-                )
+                record = None if loads is None else _fast_record(
+                    raw, loads, line_no, seen)
+                if record is None:
+                    record = _parse_record(_json_decode(raw, line_no), line_no, seen)
+                seen.add(record.frame_id)
+                yield record
 
     return records()
 

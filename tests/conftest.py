@@ -1,5 +1,7 @@
 """Shared fixtures: cameras, straight/curved lanes, deterministic RNGs."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,13 @@ def camera() -> CameraModel:
     """Flat camera 1.5 m above the ground, no pitch, 720x960 image."""
     return CameraModel(fx=1000.0, fy=1000.0, cx=480.0, cy=360.0,
                        height=1.5, pitch=0.0, image_size=(720, 960))
+
+
+@pytest.fixture
+def without_orjson(monkeypatch):
+    """Hide orjson: frame files decode with json alone, as where it is
+    not installed."""
+    monkeypatch.setitem(sys.modules, "orjson", None)
 
 
 @pytest.fixture

@@ -1063,3 +1063,9 @@ def test_config_validation():
         EvalConfig(n_interp=1)
     with pytest.raises(ConfigError):
         EvalConfig(mbd_variant="median")
+
+
+@pytest.mark.parametrize("name", ["tau_cd", "tau_iou", "tau_bcd"])
+def test_thresholds_must_be_finite(name):
+    with pytest.raises(ConfigError, match=f"{name} must be finite and > 0, got inf"):
+        EvalConfig(**{name: math.inf})

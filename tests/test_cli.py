@@ -209,6 +209,25 @@ def test_eval_non_finite_coordinate_is_exit_3(tmp_path, capsys, protocol):
     assert "finite" in err and "line 2" in err and "lanes[0]" in err
 
 
+@pytest.mark.parametrize("where", ["point", "camera"])
+def test_eval_huge_integer_is_exit_3(tmp_path, capsys, where):
+    gt, pred = synth(tmp_path)
+    lines = pred.read_text().splitlines()
+    obj = json.loads(lines[1])
+    if where == "point":
+        obj["lanes"][0]["points"][2][0] = 10**400 - 1
+    else:
+        obj["camera"]["height"] = 10**400 - 1
+    lines[1] = json.dumps(obj)
+    pred.write_text("".join(line + "\n" for line in lines))
+    assert run("eval", "--gt", str(gt), "--pred", str(pred),
+               "--protocol", "bcd") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: int too large to convert to float")
+    field = "lanes[0]" if where == "point" else "camera"
+    assert f"(line 2, field {field})" in err
+
+
 # sha256 of the reports on one seeded scenario, taken before BEV strokes
 # became per-row runs; any change to a byte of these reports is a change
 # of the protocols' results.  The other worst-case variants, the
@@ -548,6 +567,39 @@ def test_every_command_checks_every_config_value(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--tau-cd", "--tau-iou", "--tau-bcd",
+                                  "--tau-dist", "--cap-multiplier"])
+def test_infinite_threshold_is_exit_2(tmp_path, capsys, flag):
+    gt, pred = synth(tmp_path, frames=2, lanes=2)
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run("eval", "--protocol", "bcd", f"{flag}=inf", "--gt", str(gt),
+               "--pred", str(pred), "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "finite" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--protocol", "once"),
+    ("eval", "--protocol", "bcd"),
+    ("eval", "--protocol", "openlane"),
+    ("eval", "--protocol", "mbd"),
+    ("sweep", "--protocol", "bcd", "--taus", "0.1,0.3", "--format", "structured"),
+    ("sweep", "--protocol", "openlane", "--taus", "0.5,1.5", "--format",
+     "structured"),
+    ("loss",),
+])
+def test_config_echo_is_standard_json(tmp_path, argv):
+    # orjson rejects the Infinity and NaN literals json would write
+    orjson = pytest.importorskip("orjson")
+    gt, pred = synth(tmp_path, frames=2, lanes=2)
+    out = tmp_path / "r.json"
+    assert run(*argv, "--gt", str(gt), "--pred", str(pred), "--out", str(out)) == 0
+    assert orjson.loads(out.read_bytes())["config"] == \
+        json.loads(out.read_text())["config"]
 
 
 def test_report_reusable_as_config(tmp_path):
@@ -1150,6 +1202,16 @@ def test_fit_bad_lane_is_typed(tmp_path, capsys, lane, code, words):
         assert "lanes[1]" in err
 
 
+def test_fit_huge_integer_is_exit_3(tmp_path, capsys):
+    _, camera_path = write_fit_inputs(tmp_path)
+    frame_path = tmp_path / "huge.json"
+    frame_path.write_text(json.dumps(
+        {"lanes": [[[100, 300], [110, 10**400 - 1], [120, 500]]]}))
+    assert run("fit", "--frame-2d", str(frame_path), "--camera",
+               str(camera_path)) == 3
+    assert "(line 1, field lanes[0])" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # module entry point
 # ---------------------------------------------------------------------------
@@ -1172,6 +1234,12 @@ def test_python_m_lane3d_runs_without_runtime_warning():
 def test_import_does_not_load_scipy():
     proc = run_python("-c", "import lane3d, sys; assert not [m for m in "
                       "sys.modules if m.split('.')[0] == 'scipy']")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_does_not_load_orjson():
+    # the frame reader imports orjson at its first read
+    proc = run_python("-c", "import lane3d, sys; assert 'orjson' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
 
 

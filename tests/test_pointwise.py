@@ -659,6 +659,17 @@ def test_sweep_rejects_bad_taus():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tau_dist": math.inf}, r"= 1\.5 \* inf is not finite"),
+    ({"cap_multiplier": math.inf}, r"= inf \* 1\.5 is not finite"),
+    ({"far_range": (40.0, math.inf)}, "ranges must be finite"),
+    ({"near_range": (-math.inf, 40.0)}, "ranges must be finite"),
+], ids=["tau_dist", "cap_multiplier", "far_range", "near_range"])
+def test_config_values_must_be_finite(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        PointwiseConfig(**kwargs)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         PointwiseConfig(tau_dist=0.0)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -276,6 +277,81 @@ def test_non_finite_curve_is_a_parse_error(tmp_path, key, bad):
     with pytest.raises(ParseError, match="must be finite") as err:
         list(read_frames(path))
     assert err.value.field == "lanes[0].curve"
+
+
+HUGE = 10**400 - 1  # a 400-digit integer literal: no double holds it
+CURVE = {"rho": [0.0, 0.0, 0.0, 0.0], "beta_prime": 0.0,
+         "beta_dprime": 300.0, "v_low": 0.0, "v_up": 720.0}
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("lanes", 0, "points", 0), [HUGE, 3.0, 0.0], "lanes[0]"),
+    (("lanes", 0, "score"), HUGE, "lanes[0]"),
+    (("lanes", 0, "uncertainty"), [[0.1, HUGE]], "lanes[0].uncertainty"),
+    (("camera", "height"), HUGE, "camera"),
+    (("lanes", 0, "curve"), {**CURVE, "v_low": HUGE}, "lanes[0].curve"),
+    (("lanes", 0, "curve"), {**CURVE, "rho": [0.0, HUGE, 0.0, 0.0]},
+     "lanes[0].curve"),
+], ids=["point", "score", "uncertainty", "camera", "curve", "rho"])
+def test_huge_integer_is_a_parse_error(tmp_path, path, value, field):
+    obj = json.loads(valid_line("b"))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    path = write_lines(tmp_path, valid_line("a"), json.dumps(obj))
+    with pytest.raises(ParseError, match="int too large to convert to float") as err:
+        list(read_frames(path))
+    assert (err.value.line, err.value.field) == (2, field)
+
+
+def counted(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` in a list of their arguments."""
+    calls = []
+    real = getattr(owner, name)
+
+    def count(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, count)
+    return calls
+
+
+def test_lines_decode_with_orjson_when_it_imports(tmp_path, monkeypatch):
+    orjson = pytest.importorskip("orjson")
+    fast = counted(monkeypatch, orjson, "loads")
+    slow = counted(monkeypatch, json, "loads")
+    path = write_lines(tmp_path, valid_line("a"), "", valid_line("b"))
+    assert [r.frame_id for r in read_frames(path)] == ["a", "b"]
+    assert (len(fast), len(slow)) == (2, 0)
+    monkeypatch.setitem(sys.modules, "orjson", None)
+    assert [r.frame_id for r in read_frames(path)] == ["a", "b"]
+    assert (len(fast), len(slow)) == (2, 2)
+
+
+def test_wide_integers_read_as_json_reads_them(tmp_path):
+    # orjson returns an integer literal beyond 64 bits as a float; json
+    # keeps the int, and json's reading is the one that counts
+    wide = 10**20 + 1
+    for section, key, expected in (
+        ("camera", "image_h", (wide, 960)),
+        ("camera", "image_w", (720, wide)),
+    ):
+        obj = json.loads(valid_line())
+        obj[section][key] = wide
+        path = write_lines(tmp_path, json.dumps(obj))
+        assert next(read_frames(path)).camera.image_size == expected
+    obj = json.loads(valid_line())
+    obj["version"] = wide
+    path = write_lines(tmp_path, json.dumps(obj))
+    with pytest.raises(SchemaVersionMismatch, match=f"version {wide} "):
+        list(read_frames(path))
+    obj = json.loads(valid_line())
+    obj["lanes"][0]["curve"] = {**CURVE, "form": wide}
+    path = write_lines(tmp_path, json.dumps(obj))
+    with pytest.raises(ParseError, match=f"unknown curve form {wide} "):
+        list(read_frames(path))
 
 
 def five_point_record(uncertainty):
