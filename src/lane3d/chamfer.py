@@ -54,13 +54,15 @@ cell-by-cell scan.  Lanes are rasterized in blocks of at most
 their runs on shared rows; strokes whose row or column ranges are
 disjoint score 0 without that sum.
 
-Every protocol works on blocks of frames (``report._frame_blocks``) and
-gathers a block's lanes by one ``geometry._visible_points`` call, which
-raises for the first lane short of 2 visible points.  In the IoU-gated
-protocols one raster call strokes every lane of a frame, and a block's
-IoU-qualified matched pairs are interpolated by one ``resample_polylines``
-call and scored by one ``polyline_mean_pairs`` call, bitwise as
-``interpolate_lane`` and ``point_to_polyline_stats`` would score them.
+Every protocol works on blocks of frames from ``report._frame_blocks``,
+the one gather: it gathers a block's scored lanes by one
+``geometry._visible_points`` call, which raises for the first lane short
+of 2 visible points, and hands the protocol their points with each
+lane's and each frame's offsets.  In the IoU-gated protocols one raster
+call strokes every lane of a frame, and a block's IoU-qualified matched
+pairs are interpolated by one ``resample_polylines`` call and scored by
+one ``polyline_mean_pairs`` call, bitwise as ``interpolate_lane`` and
+``point_to_polyline_stats`` would score them.
 
 Reports and sweeps
 ------------------
@@ -233,51 +235,32 @@ def _bcd_rows(frames, n: int) -> list[np.ndarray]:
     """
     return [
         d for block in _frame_blocks(frames, n, _bcd_lanes)
-        for d in _bcd_block(block, n)
+        for d in _bcd_block(*block, n)
     ]
 
 
-def _bcd_block(frames, n: int) -> list[np.ndarray]:
-    # Every lane of a frame with predictions is interpolated, predictions
-    # first; so the first lane short of 2 visible points raises.
-    lanes = [lane for frame in frames for lane in _bcd_lanes(frame)]
-    if not lanes:
-        return [np.zeros((0, len(gt_lanes))) for gt_lanes, _ in frames]
-    curves = _sorted_by_y(resample_polylines(*_visible_points(lanes), n))
-
-    # One row per prediction of a searched frame, over the frame's ground
-    # truths in order; starts[f] locates frame f's pairs (None: not searched).
-    row_pred, row_gt, row_len, starts = [], [], [], []
-    at = pairs = 0
-    for gt_lanes, pred_lanes in frames:
+def _bcd_block(frames, points, first, at, n: int) -> list[np.ndarray]:
+    # A block of ``report._frame_blocks`` (every lane of a frame with
+    # predictions, predictions first).  One row per prediction of a frame
+    # with ground truths, over them in order; frame f's pairs are
+    # values[starts[f]:starts[f + 1]].
+    row_pred, row_gt, row_len, starts = [], [], [], [0]
+    for (gt_lanes, pred_lanes), lane in zip(frames, at):
         n_pred, n_gt = len(pred_lanes), len(gt_lanes)
-        if n_pred and n_gt:
-            row_pred.extend(range(at, at + n_pred))
-            row_gt.extend([at + n_pred] * n_pred)
+        if n_gt:
+            row_pred.extend(range(lane, lane + n_pred))
+            row_gt.extend([lane + n_pred] * n_pred)
             row_len.extend([n_gt] * n_pred)
-            starts.append(pairs)
-            pairs += n_pred * n_gt
-        else:
-            starts.append(None)
-        if n_pred:
-            at += n_pred + n_gt
-    if pairs:
+        starts.append(starts[-1] + n_pred * n_gt)
+    values = np.zeros(0)
+    if row_len:
+        curves = _sorted_by_y(resample_polylines(points, np.diff(first), n))
         row_len = np.array(row_len)
-        values = nearest_pair_rows(
-            curves,
-            np.repeat(row_pred, row_len),
-            _ranges(np.array(row_gt), row_len),
-            np.cumsum(row_len) - row_len,
-        )
-
-    matrices = []
-    for (gt_lanes, pred_lanes), start in zip(frames, starts):
-        shape = (len(pred_lanes), len(gt_lanes))
-        if start is not None:
-            matrices.append(values[start:start + shape[0] * shape[1]].reshape(shape))
-        else:
-            matrices.append(np.zeros(shape))
-    return matrices
+        values = nearest_pair_rows(curves, np.repeat(row_pred, row_len),
+                                   _ranges(np.array(row_gt), row_len),
+                                   np.cumsum(row_len) - row_len)
+    return [values[start:stop].reshape(len(pred_lanes), len(gt_lanes))
+            for (gt_lanes, pred_lanes), start, stop in zip(frames, starts, starts[1:])]
 
 
 def bcd_select_tp_fp(
@@ -662,39 +645,36 @@ def _matched_frames(frames, config: EvalConfig, with_maxes: bool) -> list[_IouCo
     return [
         core
         for block in _frame_blocks(frames, config.n_interp, _iou_lanes)
-        for core in _iou_matched_block(block, config, with_maxes)
+        for core in _iou_matched_block(*block, config, with_maxes)
     ]
 
 
-def _iou_matched_block(frames, config: EvalConfig, with_maxes: bool) -> list[_IouCore]:
+def _iou_matched_block(frames, points, first, at, config: EvalConfig,
+                       with_maxes: bool) -> list[_IouCore]:
     """IoU-maximizing assignment plus the distances of each frame's pairs
     above the IoU gate (no other pair can count or qualify).
 
-    The block's lanes are gathered by one ``_visible_points`` call, so
-    the first lane with fewer than 2 visible points raises, and each
-    frame's lanes are stroked by one ``_strokes`` call.  The qualified
-    pairs' lanes of all frames are interpolated by one
+    The block and its gathered lanes come from ``report._frame_blocks``,
+    and each frame's lanes are stroked by one ``_strokes`` call.  The
+    qualified pairs' lanes of all frames are interpolated by one
     ``resample_polylines`` call, which equals ``interpolate_lane``
     bitwise, and their CDs come from one ``polyline_mean_pairs`` call.
     With ``with_maxes``, one ``directed_mean_pairs`` call gives each
     pair's two directed maximum distances, which make its worst-case
     distance.
     """
-    points, counts = _visible_points(
-        [lane for frame in frames for lane in _iou_lanes(frame)])
-    first = np.concatenate([[0], np.cumsum(counts)])  # lane i: first[i]:first[i + 1]
-    matches, at = [], 0  # (frame, gt lane, pred lane) of each qualified pair
-    for f, (gt_lanes, pred_lanes) in enumerate(frames):
-        if not _iou_lanes((gt_lanes, pred_lanes)):
+    counts = np.diff(first)
+    matches = []  # (frame, gt lane, pred lane) of each qualified pair
+    for f, ((gt_lanes, _), lane, stop) in enumerate(zip(frames, at, at[1:])):
+        if lane == stop:
             continue
-        n_gt, stop = len(gt_lanes), at + len(gt_lanes) + len(pred_lanes)
-        strokes = _strokes(points[first[at]:first[stop]], counts[at:stop], config)
+        n_gt = len(gt_lanes)
+        strokes = _strokes(points[first[lane]:first[stop]], counts[lane:stop], config)
         iou = _iou_matrix(strokes[:n_gt], strokes[n_gt:])
         matches.extend(
-            (f, at + i, at + n_gt + j)
+            (f, lane + i, lane + n_gt + j)
             for i, j in hungarian(-iou).pairs if iou[i, j] > config.tau_iou
         )
-        at = stop
 
     cores = [_IouCore([], [], len(gt), len(pred)) for gt, pred in frames]
     if matches:
@@ -815,16 +795,14 @@ def threshold_sweep(
     config = config or EvalConfig()
     taus = _tau_list(taus)
     _frame_ids(frames, frame_ids)
-
-    def each_tau(gate):
-        return lambda core: [gate(core, tau)[:3] for tau in taus]
-
-    if protocol == "bcd":
-        cores = _bcd_cores(frames, config.n_interp)
-        return _sweep(cores, each_tau(_bcd_gate), taus)
-    if protocol in ("once", "mbd"):
-        cores = _matched_frames(frames, config, with_maxes=False)
-        return _sweep(cores, each_tau(_once_gate), taus)
-    if protocol == "openlane":
+    if protocol == "openlane":  # its cost caps reject an infinite tau
         return pointwise_sweep(frames, taus, pointwise_config)
-    raise ConfigError(f"unknown sweep protocol {protocol!r}")
+    if protocol not in ("bcd", "once", "mbd"):
+        raise ConfigError(f"unknown sweep protocol {protocol!r}")
+    if math.inf in taus:  # the rows must stay standard JSON
+        raise ConfigError("tau values must be finite, got inf")
+    if protocol == "bcd":
+        cores, gate = _bcd_cores(frames, config.n_interp), _bcd_gate
+    else:
+        cores, gate = _matched_frames(frames, config, with_maxes=False), _once_gate
+    return _sweep(cores, lambda core: [gate(core, tau)[:3] for tau in taus], taus)

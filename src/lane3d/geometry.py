@@ -416,6 +416,7 @@ class FitResult:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_FIT_ROUNDS = 10  # rounds of 6 golden-section steps in the search of rho2
 # A reduced rational column shorter than this fraction of its raw norm is
 # treated as dependent on the other columns; its candidate row is scored
 # by the full least-squares solve instead.
@@ -561,7 +562,7 @@ def _stack_problem(lanes: list[np.ndarray], u: np.ndarray, v: np.ndarray,
 
 
 def fit_frames(frames: Sequence[tuple[Sequence[np.ndarray], tuple[int, int]]],
-               form: str = "rational", n_iter: int = 10) -> list[FitResult]:
+               form: str = "rational") -> list[FitResult]:
     """Fit each frame of FV lanes with shared rho and per-lane biases.
 
     ``frames`` holds one ``(lanes_2d, image_size)`` pair per frame, and
@@ -573,7 +574,7 @@ def fit_frames(frames: Sequence[tuple[Sequence[np.ndarray], tuple[int, int]]],
 
     For the "rational" form the horizon row rho2 is the one nonlinear
     parameter.  It is searched below the lowest sample row: a 33-point
-    grid, then ``n_iter`` rounds of 6 golden-section steps around the
+    grid, then ``_FIT_ROUNDS`` rounds of 6 golden-section steps around the
     best grid point.  Each candidate is scored by variable projection
     (Golub & Pereyra 1973): with rho2 fixed the problem is linear, the
     per-lane bias columns are projected out in closed form, and only the
@@ -594,17 +595,17 @@ def fit_frames(frames: Sequence[tuple[Sequence[np.ndarray], tuple[int, int]]],
         raise ValueError(f"unknown curve form {form!r}")
     problems = [_check_frame(lanes_2d, image_size, form)
                 for lanes_2d, image_size in frames]
-    return _fit_problems(problems, form, n_iter)
+    return _fit_problems(problems, form)
 
 
 def fit_curves(lanes_2d: Sequence[np.ndarray], image_size: tuple[int, int],
-               form: str = "rational", n_iter: int = 10) -> FitResult:
+               form: str = "rational") -> FitResult:
     """Fit one frame of FV lanes: ``fit_frames`` on that frame alone."""
-    return fit_frames([(lanes_2d, image_size)], form, n_iter)[0]
+    return fit_frames([(lanes_2d, image_size)], form)[0]
 
 
-def _fit_problems(problems: Sequence[_FitProblem], form: str = "rational",
-                  n_iter: int = 10) -> list[FitResult]:
+def _fit_problems(problems: Sequence[_FitProblem],
+                  form: str = "rational") -> list[FitResult]:
     """Fit checked frames; the rational ones all in one lockstep search."""
     if form == "poly3":
         return [_fit_poly3(p) for p in problems]
@@ -613,7 +614,7 @@ def _fit_problems(problems: Sequence[_FitProblem], form: str = "rational",
     order = sorted(range(len(problems)),
                    key=lambda i: (problems[i].u.shape[0], len(problems[i].lanes)))
     results: list[FitResult] = [None] * len(problems)
-    for i, fit in zip(order, _fit_rational([problems[i] for i in order], n_iter)):
+    for i, fit in zip(order, _fit_rational([problems[i] for i in order])):
         results[i] = fit
     return results
 
@@ -628,8 +629,7 @@ def _fit_poly3(p: _FitProblem) -> FitResult:
                      [rms])
 
 
-def _fit_rational(problems: Sequence[_FitProblem],
-                  n_iter: int) -> list[FitResult]:
+def _fit_rational(problems: Sequence[_FitProblem]) -> list[FitResult]:
     """Rational fits, sorted by (point count, lane count), in lockstep.
 
     Every fit brackets rho2 below its lowest sample row and refines it by
@@ -684,11 +684,11 @@ def _fit_rational(problems: Sequence[_FitProblem],
     a = grid[fits, np.maximum(i0 - 1, 0)]
     b = grid[fits, np.minimum(i0 + 1, 32)]
 
-    history = np.empty((count, n_iter))
+    history = np.empty((count, _FIT_ROUNDS))
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = accept(np.stack([c, d], axis=1)).T
-    for it in range(n_iter):
+    for it in range(_FIT_ROUNDS):
         for _ in range(6):
             # fc < fd keeps [a, d]: c moves to d and a new c is scored;
             # otherwise [c, b] is kept, d moves to c and a new d is scored

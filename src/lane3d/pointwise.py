@@ -21,12 +21,12 @@ prediction that does not cover an anchor is charged the distance to its
 nearest covered value (endpoint clamping of the resampler), mirroring
 how a short prediction fails to explain the far ground truth.
 
-Frames are taken in blocks (``report._frame_blocks``), and each block's
-lanes are resampled onto the anchors in one ``_resample_lanes_at_y`` call.
-Each frame's core holds what does not depend on the threshold.  Ground
-truths are grouped by their number k of visible anchors, with a stack
-of their visible-anchor distances per group, so a cost matrix at any
-cap is one capped mean per group.  Each pair also gets its TP
+Frames are taken in blocks from ``report._frame_blocks``, which gathers
+each block's lanes once; each block is resampled onto the anchors in one
+``_resample_lanes_at_y`` call.  Each frame's core holds what does not
+depend on the threshold.  Ground truths are grouped by their number k of
+visible anchors, with a stack of their visible-anchor distances per
+group, so a cost matrix at any cap is one capped mean per group.  Each pair also gets its TP
 threshold: the c-th smallest of its k visible distances, where c is the
 least count with ``c / k >= tp_fraction``.  At least c anchors lie
 within tau exactly when that distance is ``<= tau``, so the 75% rule at
@@ -43,8 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnchorMismatch, ConfigError
-from .geometry import (_ANCHOR_TOL, Lane3D, SampleGrid, _resample_lanes_at_y,
-                       _visible_points)
+from .geometry import _ANCHOR_TOL, Lane3D, SampleGrid, _resample_lanes_at_y
 from .matching import MatchResult, _assign_stack, hungarian
 from .report import (MetricReport, _assemble, _frame_blocks, _frame_ids, _sweep,
                      _tau_list)
@@ -156,21 +155,16 @@ def _frame_arrays(gt_lanes, pred_lanes, anchors, tp_fraction) -> _FrameArrays:
 
 
 def _frame_cores(frames, anchors: np.ndarray, tp_fraction: float):
-    """Every frame's arrays, in order.  The lanes of each block of frames
-    (``report._frame_blocks``) are resampled in one call: every lane, frame
-    by frame and ground truths first, so the first lane short of 2 visible
-    points raises."""
-    for block in _frame_blocks(frames, anchors.size, lambda f: (*f[0], *f[1])):
-        points, counts = _visible_points(
-            [lane for gt, pred in block for lane in (*gt, *pred)])
+    """Every frame's arrays, in order.  Every lane is scored, frame by
+    frame and ground truths first; each block of ``report._frame_blocks``
+    is resampled onto the anchors in one call."""
+    for block, points, first, at in _frame_blocks(frames, anchors.size,
+                                                  lambda f: (*f[0], *f[1])):
         x, z, vis = _resample_lanes_at_y(
-            points[:, 1], points[:, 0], points[:, 2],
-            np.concatenate([[0], np.cumsum(counts)]), anchors)
-        at = 0
-        for gt_lanes, pred_lanes in block:
-            g = slice(at, at + len(gt_lanes))
+            points[:, 1], points[:, 0], points[:, 2], first, anchors)
+        for (gt_lanes, pred_lanes), lane in zip(block, at):
+            g = slice(lane, lane + len(gt_lanes))
             p = slice(g.stop, g.stop + len(pred_lanes))
-            at = p.stop
             gv = vis[g] > 0.5
             dx = np.abs(x[g, None, :] - x[None, p, :])
             dz = np.abs(z[g, None, :] - z[None, p, :])

@@ -1,10 +1,11 @@
 """Metric report containers and the frame plumbing of every protocol.
 
 Besides the report types, this module holds what the protocol modules
-share: the frame-id and tau-list checks, the grouping of frames into
-blocks of bounded size (``_frame_blocks``), the assembly of a
-``MetricReport`` from per-frame counts (``_assemble``) and the one
-threshold-sweep loop (``_sweep``).  Every protocol splits its work in
+share: the frame-id and tau-list checks, the one gather of every
+protocol (``_frame_blocks``: frames grouped into blocks of bounded size,
+each block's scored lanes gathered once, with their offsets), the
+assembly of a ``MetricReport`` from per-frame counts (``_assemble``) and
+the one threshold-sweep loop (``_sweep``).  Every protocol splits its work in
 two: per-frame *cores* hold what does not depend on the swept threshold,
 and a *gate* turns a core into the frame's counts and errors at a
 threshold.  A report is ``_assemble`` over each core gated at the
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .geometry import _visible_points
 
 __all__ = ["FrameStats", "MetricReport", "prf", "ordering_hash"]
 
@@ -163,18 +165,31 @@ _BLOCK_POINTS = 1 << 13
 def _frame_blocks(frames, n: int, scored):
     """Consecutive runs of frames whose scored lanes (``scored(frame)``),
     times the largest of their point counts and ``n``, stay within
-    ``_BLOCK_POINTS``; a frame over the bound forms a block alone."""
-    block, lanes, width = [], 0, n
+    ``_BLOCK_POINTS``; a frame over the bound forms a block alone.
+
+    The one gather of every protocol: it yields ``(block, points, first,
+    at)``, the frames and their scored lanes' visible points, lane i on
+    rows ``first[i]:first[i + 1]`` and frame f's lanes ``at[f]:at[f + 1]``.
+    Each block is gathered by one ``_visible_points`` call when asked for,
+    so a short lane raises only after the earlier blocks are scored."""
+    block, lanes, at, width = [], [], [0], n
     for frame in frames:
         frame_lanes = scored(frame)
         frame_width = max([n, *(len(lane.points) for lane in frame_lanes)])
-        if block and (lanes + len(frame_lanes)) * max(width, frame_width) > _BLOCK_POINTS:
-            yield block
-            block, lanes, width = [], 0, n
+        if block and ((len(lanes) + len(frame_lanes)) * max(width, frame_width)
+                      > _BLOCK_POINTS):
+            yield _gathered(block, lanes, at)
+            block, lanes, at, width = [], [], [0], n
         block.append(frame)
-        lanes += len(frame_lanes)
+        lanes.extend(frame_lanes)
+        at.append(len(lanes))
         width = max(width, frame_width)
-    yield block
+    yield _gathered(block, lanes, at)
+
+
+def _gathered(block, lanes, at):
+    points, counts = _visible_points(lanes)
+    return block, points, np.concatenate([[0], np.cumsum(counts)]), at
 
 
 def _assemble(

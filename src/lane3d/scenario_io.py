@@ -38,11 +38,11 @@ output files byte-deterministic.
 
 The standard ``json`` module defines which lines are accepted and what
 they read as; ``orjson``, where it imports, is only a faster decoder of
-the same lines.  ``read_frames`` hands a line to ``json`` whenever the
-two could part: a line ``orjson`` rejects, a camera whose ``image_h`` or
-``image_w`` ``orjson`` widened to a float, and a line whose record fails
-a check, so every record and every ``ParseError`` is ``json``'s.  Writing
-uses ``json`` alone.
+the same lines.  ``read_frames`` hands a line to ``json`` where the two
+could part (see ``_fast_record``); the one gap left is a line under
+``_ORJSON_MAX_LINE`` characters nested deeper than ``json`` goes (about
+1,000 levels) in a key the reader ignores, which ``orjson`` reads.
+Writing uses ``json`` alone.
 
 Synthetic scenarios
 -------------------
@@ -285,15 +285,25 @@ def _json_decode(raw: str, line: int):
         return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nesting too deep", line) from None
+
+
+# Lines this long go to ``json`` alone: ``orjson`` 3.8 has no nesting limit,
+# and a line nested past its stack (about 260,000 characters on an 8 MiB
+# stack, x86-64) kills the process.
+_ORJSON_MAX_LINE = 1 << 16
 
 
 def _fast_record(raw: str, loads, line: int, seen: set[str]):
     """The record of a line decoded by ``orjson``, or None where ``json``
-    must read the line: ``orjson`` rejects it (``NaN``/``Infinity``
-    literals, numbers beyond the double range, lone surrogates, nesting
-    deeper than 1024), its camera's ``image_h``/``image_w`` came back as a
-    float (``orjson``'s reading of an integer literal beyond 64 bits), or
-    its record fails a check (the error is ``json``'s reading)."""
+    must read the line: one of ``_ORJSON_MAX_LINE`` characters or more,
+    one ``orjson`` rejects (``NaN``/``Infinity``, numbers beyond the double
+    range, lone surrogates), a camera ``image_h``/``image_w`` ``orjson``
+    read as a float (an integer literal beyond 64 bits), or a record that
+    fails a check (the error is ``json``'s reading)."""
+    if len(raw) >= _ORJSON_MAX_LINE:
+        return None
     try:
         obj = loads(raw)
     except ValueError:

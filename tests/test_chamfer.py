@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from lane3d import chamfer, kernels
+from lane3d import report as report_module
 from lane3d.chamfer import (
     EvalConfig,
     _bcd_rows,
@@ -879,8 +880,27 @@ def one_visible(count):
     return lane_from([0.0, 0.1, 0.2], [0.0, 1.0, 2.0], vis=vis)
 
 
-@pytest.mark.parametrize("report", [once_report, mbd_report])
-def test_iou_reports_raise_for_the_first_unstrokable_lane(report):
+@pytest.fixture
+def block_points(request, monkeypatch):
+    monkeypatch.setattr("lane3d.report._BLOCK_POINTS", request.param)
+
+
+def at_both_block_bounds(argnames, cases):
+    """Parametrize over ``cases`` at the default ``report._BLOCK_POINTS``,
+    keeping each case's id, and at 1 (id suffix ``-block1``), where each
+    scored frame is a block of its own, so a short lane sits in a later
+    block than the frames scored before it."""
+    return pytest.mark.parametrize(
+        f"{argnames}, block_points",
+        [pytest.param(*case.values, bound, id=case.id + suffix)
+         for case in cases
+         for bound, suffix in ((report_module._BLOCK_POINTS, ""), (1, "-block1"))],
+        indirect=["block_points"])
+
+
+@at_both_block_bounds("report", [pytest.param(once_report, id="once_report"),
+                                 pytest.param(mbd_report, id="mbd_report")])
+def test_iou_reports_raise_for_the_first_unstrokable_lane(report, block_points):
     good = straight_lane(0.0)
     # frame 0 is not scored (no predictions), so its lane is not stroked;
     # frame 1's first lane short of 2 visible points is its second ground truth
@@ -916,9 +936,11 @@ REPORTS = {"bcd": bcd_report, "once": once_report, "mbd": mbd_report,
            "openlane": openlane_report}
 
 
-@pytest.mark.parametrize("sweep", [False, True], ids=["report", "sweep"])
-@pytest.mark.parametrize("protocol", list(REPORTS))
-def test_every_protocol_gives_one_message_for_a_short_lane(protocol, sweep):
+@at_both_block_bounds("protocol, sweep", [
+    pytest.param(protocol, sweep, id=f"{protocol}-{name}")
+    for sweep, name in ((False, "report"), (True, "sweep")) for protocol in REPORTS])
+def test_every_protocol_gives_one_message_for_a_short_lane(protocol, sweep,
+                                                          block_points):
     def score(frames):
         if sweep:
             return threshold_sweep(frames, [0.1, 0.5], protocol)

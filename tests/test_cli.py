@@ -228,6 +228,19 @@ def test_eval_huge_integer_is_exit_3(tmp_path, capsys, where):
     assert f"(line 2, field {field})" in err
 
 
+def test_eval_deeply_nested_line_is_exit_3(tmp_path, capsys):
+    # a valid frame with an ignored key nested past either decoder's depth
+    gt, _ = synth(tmp_path, frames=1)
+    obj = json.loads(gt.read_text())
+    depth = 100_000
+    gt.write_text(json.dumps(obj)[:-1] + ', "note": ' + "[" * depth + "]" * depth
+                  + "}\n")
+    assert run("eval", "--gt", str(gt), "--pred", str(gt), "--protocol",
+               "bcd") == 3
+    err = capsys.readouterr().err
+    assert err == "error: invalid JSON: nesting too deep (line 1)\n"
+
+
 # sha256 of the reports on one seeded scenario, taken before BEV strokes
 # became per-row runs; any change to a byte of these reports is a change
 # of the protocols' results.  The other worst-case variants, the
@@ -677,6 +690,19 @@ def test_sweep_taus_range_too_long(tmp_path, capsys, taus):
                "bcd", "--taus", taus) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "more than 1048576 thresholds" in err[0]
+
+
+@pytest.mark.parametrize("protocol", ["bcd", "once", "mbd"])
+def test_sweep_infinite_tau_is_exit_2(tmp_path, capsys, protocol):
+    gt, pred = synth(tmp_path, frames=2)
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run("sweep", "--gt", str(gt), "--pred", str(pred), "--protocol",
+               protocol, "--taus", "0.5,inf", "--format", "structured",
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: tau values must be finite, got inf"]
+    assert not out.exists()
 
 
 def test_taus_range_at_the_limit():
@@ -1231,15 +1257,32 @@ def test_python_m_lane3d_runs_without_runtime_warning():
     assert "usage: lane3d" in proc.stdout
 
 
-def test_import_does_not_load_scipy():
-    proc = run_python("-c", "import lane3d, sys; assert not [m for m in "
-                      "sys.modules if m.split('.')[0] == 'scipy']")
-    assert proc.returncode == 0, proc.stderr
+IMPORT_BUDGET = """
+import sys
+import lane3d
+
+def assert_unloaded(*names):
+    loaded = sorted(set(names) & set(sys.modules))
+    assert not loaded, loaded
+
+# the frame reader imports orjson at its first read
+assert_unloaded("orjson", "numpy.ma", "numpy.random", "scipy", "hypothesis")
+gt, pred, scored_gt, scored_pred = sys.argv[1:]
+for argv in (["eval", "--gt", gt, "--pred", pred, "--protocol", "once"],
+             ["sweep", "--gt", gt, "--pred", pred, "--protocol", "openlane",
+              "--taus", "0.5,1.5"],
+             ["loss", "--gt", scored_gt, "--pred", scored_pred]):
+    assert lane3d.main(argv) == 0, argv
+assert_unloaded("numpy.ma", "scipy")
+"""
 
 
-def test_import_does_not_load_orjson():
-    # the frame reader imports orjson at its first read
-    proc = run_python("-c", "import lane3d, sys; assert 'orjson' not in sys.modules")
+def test_import_budget(tmp_path):
+    # import, eval, sweep and loss in a fresh interpreter load none of the
+    # slow-to-import modules they do not need
+    gt, pred = synth(tmp_path, frames=2)
+    scored = write_scored_scenario(tmp_path, frames=2)
+    proc = run_python("-c", IMPORT_BUDGET, str(gt), str(pred), *map(str, scored))
     assert proc.returncode == 0, proc.stderr
 
 

@@ -10,6 +10,7 @@ every golden digest hold under both decoders.
 import pytest
 
 from test_cli import (  # noqa: F401
+    test_eval_deeply_nested_line_is_exit_3,
     test_eval_exit_codes_for_bad_files,
     test_eval_huge_integer_is_exit_3,
     test_eval_non_finite_coordinate_is_exit_3,

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from lane3d import scenario_io
 from lane3d.chamfer import once_report
 from lane3d.errors import (
     ConfigError,
@@ -328,6 +329,24 @@ def test_lines_decode_with_orjson_when_it_imports(tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, "orjson", None)
     assert [r.frame_id for r in read_frames(path)] == ["a", "b"]
     assert (len(fast), len(slow)) == (2, 2)
+
+
+def test_long_lines_decode_with_json_alone(tmp_path, monkeypatch):
+    # orjson has no nesting limit: a line long enough to nest past its
+    # stack never reaches it
+    orjson = pytest.importorskip("orjson")
+    fast = counted(monkeypatch, orjson, "loads")
+    slow = counted(monkeypatch, json, "loads")
+
+    def padded(frame_id, length):  # a valid line, newline included
+        line = valid_line(frame_id)[:-1] + ', "note": ""}'
+        return line[:-2] + " " * (length - 1 - len(line)) + line[-2:]
+
+    limit = scenario_io._ORJSON_MAX_LINE
+    path = write_lines(tmp_path, padded("a", limit - 1), padded("b", limit))
+    assert [r.frame_id for r in read_frames(path)] == ["a", "b"]
+    assert [len(args[0]) for args in fast] == [limit - 1]
+    assert [len(args[0]) for args in slow] == [limit]
 
 
 def test_wide_integers_read_as_json_reads_them(tmp_path):
