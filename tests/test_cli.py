@@ -1009,8 +1009,9 @@ def breakdown_bits(b):
             b.match.pairs, b.match.total_cost.hex())
 
 
-def spoiled_record(how):
-    """A frame whose gathering or scoring fails with the named error."""
+def spoiled_record(*hows):
+    """A frame whose gathering or scoring fails with the named error; given
+    several kinds, each spoils its own lanes of the one frame."""
     camera = CAMERAS[0]
 
     def lane(x, y, z=0.0, vis=None):
@@ -1021,38 +1022,59 @@ def spoiled_record(how):
     gts = [lane(1.8, off_grid), lane(-1.8, off_grid)]
     preds = [lane(1.9, ANCHORS), lane(-1.7, ANCHORS)]
     widths = [np.full((19, 2), 0.2), np.full((19, 2), 0.2)]
-    if how == "DegenerateLane":
-        gts[1] = lane(-1.8, off_grid, vis=np.eye(12)[4])
-    elif how == "BehindCamera":
-        gts[0] = lane(1.8, off_grid, z=500.0)
-    elif how == "BehindCamera-one":  # the others in view
-        preds[1].points[0, 2] = 500.0
-    elif how == "Underdetermined-row":  # at the height of a level camera
-        camera = CameraModel(fx=1000.0, fy=1000.0, cx=480.0, cy=360.0,
-                             height=1.5, pitch=0.0, image_size=(720, 960))
-        gts[1] = lane(-1.8, off_grid, z=1.5)
-    elif how == "MissingField":
-        preds[1] = lane(400.0, ANCHORS)
-    elif how == "Underdetermined":
-        vis = np.zeros(20)
-        vis[10:13] = 1.0
-        preds[0] = lane(1.9, ANCHORS, vis=vis)
-    elif how == "Underdetermined-params":
-        # one lane with 4 points in view, on 4 anchors: 4 points for 5 parameters
-        gts = [lane(1.8, np.array([7.0, 12.0, 20.0, 26.0, 60.0, 100.0]),
-                    vis=np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]))]
-    elif how == "NumericallySingular":
-        widths[1][6] = (0.2, 1e-7)
-    elif how == "ConfigError":
-        preds[0] = lane(1.9, off_grid)
-        widths[0] = widths[0][:11]
-    return FrameRecord(f"spoiled_{how}", camera, gts, pred_lanes=preds,
+    for how in hows:
+        if how == "DegenerateLane":
+            gts[1] = lane(-1.8, off_grid, vis=np.eye(12)[4])
+        elif how == "BehindCamera":
+            gts[0] = lane(1.8, off_grid, z=500.0)
+        elif how == "BehindCamera-one":  # the others in view
+            preds[1].points[0, 2] = 500.0
+        elif how == "Underdetermined-row":  # at the height of a level camera
+            camera = CameraModel(fx=1000.0, fy=1000.0, cx=480.0, cy=360.0,
+                                 height=1.5, pitch=0.0, image_size=(720, 960))
+            gts[1] = lane(-1.8, off_grid, z=1.5)
+        elif how == "MissingField":
+            preds[1] = lane(400.0, ANCHORS)
+        elif how == "Underdetermined":
+            vis = np.zeros(20)
+            vis[10:13] = 1.0
+            preds[0] = lane(1.9, ANCHORS, vis=vis)
+        elif how == "Underdetermined-params":
+            # one lane with 4 points in view, on 4 anchors: 4 points for 5 parameters
+            gts = [lane(1.8, np.array([7.0, 12.0, 20.0, 26.0, 60.0, 100.0]),
+                        vis=np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]))]
+        elif how == "NumericallySingular":
+            widths[1][6] = (0.2, 1e-7)
+        elif how == "ConfigError":
+            preds[0] = lane(1.9, off_grid)
+            widths[0] = widths[0][:11]
+    return FrameRecord("spoiled_" + "+".join(hows), camera, gts, pred_lanes=preds,
                        pred_uncertainties=widths)
 
 
 GATHER_SPOILS = ("DegenerateLane", "BehindCamera", "BehindCamera-one", "MissingField",
                  "Underdetermined", "Underdetermined-params", "Underdetermined-row",
                  "NumericallySingular", "ConfigError")
+
+
+# Each kind's check, in the order a frame's checks run, and the parts of
+# the frame it spoils.  Underdetermined-row is left out: its level camera
+# moves every other lane's projection.
+_SPOIL_CHECK = {
+    "DegenerateLane": (0, {"gt1"}),
+    "BehindCamera": (1, {"gt0"}),
+    "Underdetermined-params": (2, {"gt0", "gt1"}),
+    "BehindCamera-one": (3, {"pred1"}),
+    "MissingField": (3, {"pred1"}),
+    "Underdetermined": (4, {"pred0"}),
+    "ConfigError": (5, {"pred0", "widths0"}),
+    "NumericallySingular": (6, {"widths1"}),
+}
+WITHIN_FRAME_PAIRS = [
+    (a, b) for a, (stage_a, parts_a) in _SPOIL_CHECK.items()
+    for b, (stage_b, parts_b) in _SPOIL_CHECK.items()
+    if stage_a < stage_b and not parts_a & parts_b
+]
 
 
 class TestLossBlockOracle:
@@ -1091,6 +1113,18 @@ class TestLossBlockOracle:
         rng = np.random.default_rng(4)
         records = random_records(rng, 10)
         records[3], records[7] = spoiled_record(first), spoiled_record(second)
+        want = oracle_outcome(records)
+        assert want[0].__name__ == first.split("-")[0]
+        assert block_outcome(records) == want
+
+    @pytest.mark.parametrize("first, second", WITHIN_FRAME_PAIRS)
+    def test_first_check_in_frame_order_names_the_error(self, first, second):
+        # Spoiled two ways, a frame raises its earlier check's error: the
+        # grid, then the ground truths' fit (each lane, then the side),
+        # then the predictions', then the widths, then the scoring.
+        rng = np.random.default_rng(5)
+        records = random_records(rng, 4)
+        records[2] = spoiled_record(second, first)
         want = oracle_outcome(records)
         assert want[0].__name__ == first.split("-")[0]
         assert block_outcome(records) == want
