@@ -297,7 +297,7 @@ def cmd_eval(args) -> int:
         }[args.protocol]
         report = report_fn(frames, config.eval_config, ids)
     if args.out:
-        write_report(report, args.out, args.format, config.echo())
+        write_report(report, args.out, config=config.echo())
     pairs = [
         ("protocol", report.protocol),
         ("frames", len(frames)),
@@ -595,6 +595,15 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                        f"penalty (default {_DEFAULTS['background_weight']})")
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends each flag's default to its help, unless it has none."""
+
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing leaves it
@@ -608,22 +617,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser(
         "eval", help="evaluate predictions against ground truth",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        formatter_class=_HelpFormatter)
     p_eval.add_argument("--gt", required=True, help="ground-truth frame file")
     p_eval.add_argument("--pred", default=None,
                         help="prediction frame file (omit if the ground-truth "
                         "file embeds pred_lanes)")
     p_eval.add_argument("--protocol", required=True,
                         choices=("once", "bcd", "openlane", "mbd"))
-    p_eval.add_argument("--out", default=None, help="report file to write")
-    p_eval.add_argument("--format", default="structured",
-                        choices=("structured", "csv"))
+    p_eval.add_argument("--out", default=None,
+                        help="structured JSON report file to write")
     _add_config_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_sweep = sub.add_parser(
         "sweep", help="evaluate across a range of distance thresholds",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        formatter_class=_HelpFormatter)
     p_sweep.add_argument("--gt", required=True)
     p_sweep.add_argument("--pred", default=None)
     p_sweep.add_argument("--protocol", required=True,
@@ -638,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser(
         "synth", help="generate a synthetic scenario",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        formatter_class=_HelpFormatter)
     p_synth.add_argument("--frames", type=int, required=True)
     p_synth.add_argument("--lanes", type=int, default=4,
                          help="lanes per frame")
@@ -660,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_loss = sub.add_parser(
         "loss", help="itemized reference losses per frame",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        formatter_class=_HelpFormatter)
     p_loss.add_argument("--gt", required=True)
     p_loss.add_argument("--pred", default=None)
     p_loss.add_argument("--out", default=None)
@@ -669,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser(
         "fit", help="fit shared-rho front-view curves to 2D lanes",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        formatter_class=_HelpFormatter)
     p_fit.add_argument("--frame-2d", dest="frame_2d", required=True,
                        help="JSON file: {\"lanes\": [[[u, v], ...], ...]}")
     p_fit.add_argument("--camera", required=True,

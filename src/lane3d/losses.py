@@ -617,56 +617,6 @@ def loss_frames(
 _LOSS_BLOCK = 32
 
 
-def _fits(n_lanes: int, stored) -> bool:
-    """Whether a side's curves are fit: it has lanes and a missing curve."""
-    return n_lanes > 0 and (stored is None or any(c is None for c in stored))
-
-
-def _has_widths(record) -> bool:
-    return record.pred_uncertainties is not None and all(
-        u is not None for u in record.pred_uncertainties)
-
-
-def _check_lanes(record, anchors: np.ndarray) -> None:
-    """Check one frame lane by lane and raise the first error.
-
-    The checks run in the order ``_gather``'s array checks stand for: each
-    lane put on the grid (ground truths, then predictions), then each side
-    to fit projected and checked, then the widths' grid.  Fitting uses each
-    lane's visible points that project inside the image; a lane with no
-    stored curve and no in-image points cannot be fit.  Only a frame the
-    array checks reject is walked, to name its first failing lane.
-    """
-    h, w = record.camera.image_size
-    lanes, n_gt = [*record.gt_lanes, *record.pred_lanes], len(record.gt_lanes)
-    on_grid, degenerate, grid_pts, grid_vis = _grid_lanes(lanes, anchors)
-    if degenerate.any():  # raises the gather's error for the first of them
-        _visible_points([lanes[int(np.argmax(degenerate))]])
-    for side, stored, who in ((slice(0, n_gt), record.gt_curves, "ground-truth"),
-                              (slice(n_gt, None), record.pred_curves, "prediction")):
-        if not _fits(len(lanes[side]), stored):
-            continue
-        uv = []
-        for i, (points, vis) in enumerate(zip(grid_pts[side], grid_vis[side])):
-            pixels = np.atleast_2d(
-                project_ground_to_image(record.camera, points[vis > 0.5]))
-            inside = ((pixels[:, 0] >= 0) & (pixels[:, 0] < w)
-                      & (pixels[:, 1] >= 0) & (pixels[:, 1] < h))
-            if not inside.any():
-                raise MissingField(
-                    f"{who} lane {i} has no stored curve and no visible point "
-                    "projects inside the image, so none can be fit"
-                )
-            uv.append(pixels[inside])
-        _check_frame(uv, record.camera.image_size, "rational")
-    if _has_widths(record) and not on_grid[n_gt:].all():
-        raise ConfigError(
-            "per-segment uncertainties require prediction lanes "
-            "already sampled on the anchor grid"
-        )
-    raise AssertionError(f"frame {record.frame_id!r} passes its lane checks")
-
-
 def _grid_lanes(lanes: list[Lane3D], anchors: np.ndarray):
     """Every lane put on the anchor grid, in array passes.
 
@@ -706,8 +656,10 @@ def _gather(records, anchors: np.ndarray):
 
     Returns their block, with every side's curves (stored, fitted, or
     none for a side without lanes), or raises the error of the first
-    frame that fails a check.  Each check is one of ``_check_lanes`` taken
-    elementwise, and each value bitwise that of the lane alone.
+    frame that fails a check, named from the same arrays in the order
+    the frame alone meets its checks: its lanes put on the grid, then
+    each side to fit (ground truths first) lane by lane and as a whole,
+    then the widths' grid.  Each value is bitwise that of the lane alone.
     """
     n_frames = len(records)
     lanes = [lane for r in records for side in (r.gt_lanes, r.pred_lanes)
@@ -719,10 +671,11 @@ def _gather(records, anchors: np.ndarray):
     side_of = np.repeat(np.arange(2 * n_frames), per_side)
     on_grid, degenerate, grid_pts, grid_vis = _grid_lanes(lanes, anchors)
 
-    # The visible points of every side to fit, in the image.
+    # The visible points of every side to fit (one with lanes and a
+    # missing curve), in the image.
     stored = [c for r in records for c in (r.gt_curves, r.pred_curves)]
-    fit_side = np.array([_fits(n, c) for n, c in zip(per_side.tolist(), stored)],
-                        dtype=bool)
+    fit_side = np.array([n > 0 and (c is None or any(x is None for x in c))
+                         for n, c in zip(per_side.tolist(), stored)], dtype=bool)
     fit_lanes = np.flatnonzero(fit_side[side_of])
     shown = grid_vis[fit_lanes] > 0.5
     pt_lane = fit_lanes[np.nonzero(shown)[0]]
@@ -737,9 +690,17 @@ def _gather(records, anchors: np.ndarray):
         first = (np.cumsum(n_in) - n_in)[has]
         single[has] = np.minimum.reduceat(v, first) == np.maximum.reduceat(v, first)
     side_pts = np.bincount(side_of, weights=n_in, minlength=2 * n_frames)
+    cut = np.concatenate([[0], np.cumsum(side_pts.astype(np.int64))])
 
-    # The first frame that fails any check; _check_lanes names its error.
-    wide = np.array([_has_widths(r) for r in records], dtype=bool)
+    def side_uv(s: int):
+        """Side s's rows of u and v, and its points (n, 2) lane by lane."""
+        rows = slice(cut[s], cut[s + 1])
+        return rows, np.split(np.stack([u[rows], v[rows]], axis=1),
+                              np.cumsum(n_in[side_first[s]:side_first[s + 1]])[:-1])
+
+    # The first frame that fails any check raises its first error.
+    wide = np.array([r.pred_uncertainties is not None and all(
+        w is not None for w in r.pred_uncertainties) for r in records], dtype=bool)
     bad_lane = degenerate | single | ((n_in < 4) & fit_side[side_of])
     bad_lane[pt_lane[behind]] = True
     bad_lane |= ~on_grid & (side_of % 2 == 1) & wide[side_of // 2]
@@ -747,20 +708,35 @@ def _gather(records, anchors: np.ndarray):
     bad[side_of[bad_lane] // 2] = True
     bad[np.flatnonzero(fit_side & (side_pts < 3 + 2 * per_side)) // 2] = True
     if bad.any():
-        _check_lanes(records[int(np.argmax(bad))], anchors)
+        f = int(np.argmax(bad))
+        camera, a, b = records[f].camera, side_first[2 * f], side_first[2 * f + 2]
+        if degenerate[a:b].any():  # the gather's error for the first of them
+            _visible_points([lanes[a + int(np.argmax(degenerate[a:b]))]])
+        for s, who in ((2 * f, "ground-truth"), (2 * f + 1, "prediction")):
+            if not fit_side[s]:
+                continue
+            for i, lane in enumerate(range(side_first[s], side_first[s + 1])):
+                if behind[pt_lane == lane].any():
+                    project_ground_to_image(camera, grid_pts[lane][grid_vis[lane] > 0.5])
+                if not n_in[lane]:
+                    raise MissingField(
+                        f"{who} lane {i} has no stored curve and no visible point "
+                        "projects inside the image, so none can be fit")
+            _check_frame(side_uv(s)[1], camera.image_size, "rational")
+        if wide[f] and not on_grid[side_first[2 * f + 1]:b].all():
+            raise ConfigError("per-segment uncertainties require prediction lanes "
+                              "already sampled on the anchor grid")
+        raise AssertionError(f"frame {records[f].frame_id!r} passes its checks")
 
     # Each side's curves: stored, none, or fitted from its in-image points.
     curves = [list(c) if n and not fit else []
               for n, c, fit in zip(per_side.tolist(), stored, fit_side.tolist())]
     fitted = np.flatnonzero(fit_side).tolist()
-    cut = np.concatenate([[0], np.cumsum(side_pts.astype(np.int64))])
     problems = []
     for s in fitted:
-        a, b = cut[s], cut[s + 1]
-        per_lane = np.cumsum(n_in[side_first[s]:side_first[s + 1]])[:-1]
-        problems.append(_stack_problem(
-            np.split(np.stack([u[a:b], v[a:b]], axis=1), per_lane),
-            u[a:b], v[a:b], in_lane[a:b] - side_first[s]))
+        rows, side_lanes = side_uv(s)
+        problems.append(_stack_problem(side_lanes, u[rows], v[rows],
+                                       in_lane[rows] - side_first[s]))
     for s, fit in zip(fitted, _fit_problems(problems)):
         for lane, curve in zip(lanes[side_first[s]:side_first[s + 1]], fit.curves):
             if lane.score is not None:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -193,6 +194,29 @@ def test_threads_flag_is_gone(tmp_path):
             "--protocol", "once", "--threads", "2")
     assert exc.value.code == 2
 
+
+def test_eval_format_flag_is_gone_before_any_input_is_read(tmp_path, capsys):
+    # eval writes structured JSON only; the flag fails in the parser, so
+    # the missing input is never opened (that would be exit 7)
+    with pytest.raises(SystemExit) as exc:
+        run("eval", "--gt", str(tmp_path / "missing.jsonl"), "--protocol", "bcd",
+            "--format", "structured", "--out", str(tmp_path / "report.json"))
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep", "synth", "loss", "fit"])
+def test_help_states_each_default_once(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--help")
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default: None)" not in text
+    assert re.search(r"\(default[^)]*\) \(default", text) is None
+    if command in ("eval", "sweep", "loss"):
+        assert "--tau-cd TAU_CD unilateral-CD acceptance threshold, meters " \
+            "(default 0.3) --tau-iou" in text
 
 
 @pytest.mark.parametrize("protocol", ["once", "mbd", "bcd", "openlane"])
