@@ -32,6 +32,7 @@ from test_scenario_io import (  # noqa: F401
     test_round_trip_many_random_records,
     test_round_trip_preserves_awkward_floats,
     test_streaming_reader_is_lazy,
+    test_the_earlier_of_two_lane_faults_names_the_error,
     test_truncated_line_names_line_number,
     test_unknown_version_raises_mismatch,
     test_wide_integers_read_as_json_reads_them,

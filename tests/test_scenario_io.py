@@ -306,6 +306,61 @@ def test_huge_integer_is_a_parse_error(tmp_path, path, value, field):
     assert (err.value.line, err.value.field) == (2, field)
 
 
+def three_point_lane(x):
+    return {"points": [[x, 3.0, 0.0], [x, 10.0, 0.0], [x, 20.0, 0.0]],
+            "visibility": [1.0, 1.0, 1.0]}
+
+
+def spoil(lane, kind):
+    """Spoil one lane of ``three_point_lane``; returns the field suffix and
+    the message of the ``ParseError`` the spoil alone gives."""
+    if kind == "visibility":
+        lane["visibility"][1] = 1.5
+        return "", "visibility entries must lie in [0, 1]"
+    if kind == "nan":
+        lane["points"][1][0] = math.nan
+        return "", "points must be finite (no NaN or Inf)"
+    if kind == "uncertainty":  # one row per point, not per segment
+        lane["uncertainty"] = [[0.1, 0.1]] * 3
+        return ".uncertainty", ("uncertainty must be an array of finite "
+                                "[lateral, vertical] pairs, one per segment (2)")
+    if kind == "y":
+        lane["points"][2][1] = 10.0
+        return "", "y-coordinates must be strictly increasing"
+    if kind == "curve":
+        lane["curve"] = {**CURVE, "v_up": math.inf}
+        return ".curve", "rho, beta_prime, beta_dprime and v_up must be finite"
+    assert kind == "ragged"
+    lane["points"][1] = lane["points"][1][:2]
+    return "", "inhomogeneous shape"
+
+
+@pytest.mark.parametrize("layout", [
+    (("lanes", 0), ("lanes", 1)),
+    (("lanes", 1), ("pred_lanes", 0)),
+], ids=["lanes", "sides"])
+@pytest.mark.parametrize("first, second", [
+    ("visibility", "nan"), ("nan", "visibility"),
+    ("uncertainty", "y"), ("y", "uncertainty"),
+    ("curve", "ragged"), ("ragged", "curve"),
+])
+def test_the_earlier_of_two_lane_faults_names_the_error(tmp_path, layout, first,
+                                                        second):
+    # The reader checks ground truths, then predictions, lane by lane, and
+    # within a lane the geometry, then the curve, then the uncertainty.
+    obj = json.loads(valid_line("b"))
+    obj["lanes"] = [three_point_lane(-2.0), three_point_lane(2.0)]
+    obj["pred_lanes"] = [three_point_lane(-1.9), three_point_lane(2.1)]
+    (key, i), (later_key, later_i) = layout
+    suffix, message = spoil(obj[key][i], first)
+    spoil(obj[later_key][later_i], second)
+    path = write_lines(tmp_path, valid_line("a"), json.dumps(obj))
+    with pytest.raises(ParseError) as err:
+        list(read_frames(path))
+    assert (err.value.line, err.value.field) == (2, f"{key}[{i}]{suffix}")
+    assert message in str(err.value)
+
+
 def counted(monkeypatch, owner, name):
     """Count the calls of ``owner.name`` in a list of their arguments."""
     calls = []
