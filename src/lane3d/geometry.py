@@ -95,6 +95,15 @@ class Lane3D:
         self.points = pts
         self.visibility = vis
 
+    @classmethod
+    def _checked(cls, points: np.ndarray, visibility: np.ndarray,
+                 score: float | None) -> Lane3D:
+        """A lane of float64 arrays that already pass ``__post_init__``'s
+        checks, built without running them again."""
+        lane = cls.__new__(cls)
+        lane.points, lane.visibility, lane.score = points, visibility, score
+        return lane
+
     def visible_points(self) -> np.ndarray:
         """Points whose visibility exceeds 0.5, in order."""
         return self.points[self.visibility > 0.5]

@@ -44,6 +44,10 @@ could part (see ``_fast_record``); the one gap left is a line under
 1,000 levels) in a key the reader ignores, which ``orjson`` reads.
 Writing uses ``json`` alone.
 
+Each side of a frame takes one ``np.asarray`` per field and one set of
+array checks; a side that fails one is walked lane by lane only to raise
+the first failing lane's error (see ``_parse_lanes``).
+
 Synthetic scenarios
 -------------------
 ``generate_scenario`` builds smooth polynomial ground-truth lanes and
@@ -196,11 +200,72 @@ def _parse_curve(obj, line: int, where: str) -> Curve2D:
 
 
 def _parse_lanes(objs, line: int, key: str):
+    """Side ``key`` (``lanes``/``pred_lanes``) of a frame: its lanes,
+    curves and uncertainties.  ``_side_lanes`` converts and checks the
+    points, visibility and uncertainties of the whole side, and each lane
+    holds row slices of its arrays; where a check fails, ``_walk_lanes``
+    raises the first failing lane's error.  Curves are read lane by lane.
+    """
     if not isinstance(objs, list):
         raise ParseError(f"{key} must be an array", line, key)
-    lanes: list[Lane3D] = []
-    curves: list[Curve2D | None] = []
-    uncs: list[np.ndarray | None] = []
+    side = _side_lanes(objs) if objs else ([], None)
+    if side is None:
+        _walk_lanes(objs, line, key)
+        raise AssertionError(f"{key} on line {line} failed a check no lane fails")
+    curves = [_parse_curve(obj["curve"], line, f"{key}[{i}].curve")
+              if "curve" in obj else None for i, obj in enumerate(objs)]
+    return side[0], _unless_all_none(curves), side[1]
+
+
+def _unless_all_none(attachments: list) -> list | None:
+    return None if all(a is None for a in attachments) else attachments
+
+
+def _side_lanes(objs):
+    """``_parse_lanes``' lanes and uncertainties from one conversion and
+    one set of checks per field, or None where any check fails."""
+    if not all(isinstance(obj, dict) and isinstance(obj.get("points"), list)
+               and isinstance(obj.get("visibility"), list)
+               and len(obj["visibility"]) == len(obj["points"]) > 0
+               and ("uncertainty" not in obj or isinstance(obj["uncertainty"], list)
+                    and len(obj["uncertainty"]) == len(obj["points"]) - 1 > 0)
+               for obj in objs):
+        return None
+    sizes = [len(obj["points"]) for obj in objs]
+    segments = [n - 1 if "uncertainty" in obj else 0 for obj, n in zip(objs, sizes)]
+    try:
+        points, vis, unc = (
+            np.asarray([row for obj in objs for row in obj.get(field, ())],
+                       dtype=np.float64)
+            for field in ("points", "visibility", "uncertainty"))
+        scores = [None if obj.get("score") is None else float(obj["score"])
+                  for obj in objs]
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if points.ndim != 2 or points.shape[1] != 3 or vis.ndim != 1:
+        return None
+    ends = np.add.accumulate(sizes)
+    rising = points[1:, 1] > points[:-1, 1]
+    rising[ends[:-1] - 1] = True  # the steps from one lane to the next
+    if not (np.isfinite(points).all() and rising.all()
+            and 0.0 <= vis.min() and vis.max() <= 1.0  # False on a NaN
+            and all(s is None or 0.0 <= s <= 1.0 for s in scores)):
+        return None
+    lanes = [Lane3D._checked(points[b - n:b], vis[b - n:b], s)
+             for b, n, s in zip(ends.tolist(), sizes, scores)]
+    if not any(segments):
+        return lanes, None
+    if unc.ndim != 2 or unc.shape[1] != 2 or not np.isfinite(unc).all():
+        return None
+    cuts = np.add.accumulate(segments).tolist()
+    return lanes, [unc[b - k:b] if k else None for b, k in zip(cuts, segments)]
+
+
+def _walk_lanes(objs, line: int, key: str):
+    """``_parse_lanes`` lane by lane, each lane converted and checked
+    alone: the reader's error path, which raises the first failing lane's
+    error, and the reference its array passes are tested against."""
+    lanes, curves, uncs = [], [], []
     for i, obj in enumerate(objs):
         where = f"{key}[{i}]"
         if not isinstance(obj, dict):
@@ -209,40 +274,25 @@ def _parse_lanes(objs, line: int, key: str):
         visibility = _need(obj, "visibility", line, where + ".")
         score = obj.get("score")
         try:
-            lanes.append(
-                Lane3D(
-                    points=np.asarray(points, dtype=np.float64),
-                    visibility=np.asarray(visibility, dtype=np.float64),
-                    score=None if score is None else float(score),
-                )
-            )
+            lanes.append(Lane3D(np.asarray(points, dtype=np.float64),
+                                np.asarray(visibility, dtype=np.float64),
+                                None if score is None else float(score)))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(str(exc), line, where) from None
-        if "curve" in obj:
-            curves.append(_parse_curve(obj["curve"], line, where + ".curve"))
-        else:
-            curves.append(None)
+        curves.append(_parse_curve(obj["curve"], line, where + ".curve")
+                      if "curve" in obj else None)
+        uncs.append(None)
         if "uncertainty" in obj:
             try:
-                arr = np.asarray(obj["uncertainty"], dtype=np.float64)
+                uncs[-1] = np.asarray(obj["uncertainty"], dtype=np.float64)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(str(exc), line, where + ".uncertainty") from None
-            segments = lanes[-1].points.shape[0] - 1
-            if arr.shape != (segments, 2) or not np.isfinite(arr).all():
-                raise ParseError(
-                    "uncertainty must be an array of finite [lateral, "
-                    f"vertical] pairs, one per segment ({segments})",
-                    line,
-                    where + ".uncertainty",
-                )
-            uncs.append(arr)
-        else:
-            uncs.append(None)
-    if all(c is None for c in curves):
-        curves = None
-    if all(u is None for u in uncs):
-        uncs = None
-    return lanes, curves, uncs
+            segments = len(lanes[-1].points) - 1
+            if uncs[-1].shape != (segments, 2) or not np.isfinite(uncs[-1]).all():
+                raise ParseError("uncertainty must be an array of finite [lateral, "
+                                 f"vertical] pairs, one per segment ({segments})",
+                                 line, where + ".uncertainty")
+    return lanes, _unless_all_none(curves), _unless_all_none(uncs)
 
 
 def _parse_record(obj, line: int, seen: set[str]) -> FrameRecord:

@@ -29,6 +29,7 @@ from test_scenario_io import (  # noqa: F401
     test_malformed_uncertainty_is_a_parse_error,
     test_missing_fields_name_their_path,
     test_non_finite_curve_is_a_parse_error,
+    test_reading_valid_files_runs_no_per_lane_check,
     test_round_trip_many_random_records,
     test_round_trip_preserves_awkward_floats,
     test_streaming_reader_is_lazy,

@@ -1,15 +1,23 @@
-"""Property tests: ``read_frames`` reads alike with and without orjson.
+"""Property tests of the frame reader.
 
-Frame files are generated as JSON text, number by number, so that they
-hold the literals where the two decoders part: integers of 19-60 and
-~309 digits (orjson returns those beyond 64 bits as floats), ``NaN``,
-``Infinity`` and ``1e400`` (orjson rejects them), lone surrogates,
-duplicate keys, ``-0``/``-0.0``, subnormals and 17-25-digit mantissas.
+``read_frames`` reads alike with and without orjson.  Frame files are
+generated as JSON text, number by number, so that they hold the
+literals where the two decoders part: integers of 19-60 and ~309 digits
+(orjson returns those beyond 64 bits as floats), ``NaN``, ``Infinity``
+and ``1e400`` (orjson rejects them), lone surrogates, duplicate keys,
+``-0``/``-0.0``, subnormals and 17-25-digit mantissas.
 Each file must give the same records, floats compared by ``repr``, or
 the same error, whichever decoder reads it.
+
+The reader converts and checks a side of a frame as whole arrays and
+walks it lane by lane only to name an error.  Generated sides, valid
+and spoiled, must read as the walk reads them: the same arrays bit for
+bit, scores and curves, or the same ``ParseError``.
 """
 
+import copy
 import json
+import math
 import sys
 
 import numpy as np
@@ -17,6 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lane3d import scenario_io
+from lane3d.errors import ParseError
 from lane3d.scenario_io import read_frames
 
 orjson = pytest.importorskip("orjson")
@@ -213,3 +223,139 @@ def test_number_literals_decode_to_the_same_double(literal):
     assert type(fast) in (type(slow), float)
     assert repr(float(fast)) == repr(float(slow))
     assert "%.17g" % fast == "%.17g" % slow
+
+
+# ---------------------------------------------------------------------------
+# a side's array pass against the per-lane walk
+# ---------------------------------------------------------------------------
+
+coordinates = st.one_of(st.floats(-50, 50), st.integers(-50, 50))
+unit_values = st.sampled_from([0, 1, 0.0, 1.0, 0.25, 0.5, 1e-300])
+CURVE = {"rho": [0.0, 0.0, 0.0, 0.0], "beta_prime": 0.0, "beta_dprime": 300.0,
+         "v_low": 0.0, "v_up": 720.0}
+
+
+@st.composite
+def lane_objects(draw):
+    """A valid lane object as ``json`` decodes one."""
+    n = draw(st.integers(1, 6))
+    y = np.cumsum([draw(st.floats(1e-3, 20.0)) for _ in range(n)]).tolist()
+    obj = {"points": [[draw(coordinates), v, draw(coordinates)] for v in y],
+           "visibility": [draw(unit_values) for _ in range(n)]}
+    if draw(st.booleans()):
+        obj["score"] = draw(st.one_of(st.none(), unit_values))
+    if n > 1 and draw(st.booleans()):
+        obj["uncertainty"] = [[draw(st.floats(0, 1)), draw(st.integers(0, 2))]
+                              for _ in range(n - 1)]
+    if draw(st.integers(0, 3)) == 0:
+        obj["curve"] = dict(CURVE, beta_prime=draw(st.floats(-1, 1)))
+    return obj
+
+
+def rows_in(obj, key):
+    """The lists of numbers under ``key`` of a lane object, as far as
+    earlier spoils left them lists: the visibility list itself, or the
+    point or uncertainty rows."""
+    value = obj.get(key)
+    if not isinstance(value, list):
+        return []
+    return [value] if key == "visibility" else [
+        row for row in value if isinstance(row, list)]
+
+
+MUTATIONS = ("ragged", "width", "string", "boolean", "non-finite", "empty",
+             "nested", "missing", "visibility", "score", "uncertainty", "type",
+             "curve", "order")
+
+
+def mutate(draw, obj, kind):
+    """Spoil (or, for some values, keep valid) one part of a lane object;
+    a part an earlier spoil took away is left alone."""
+    key = draw(st.sampled_from(["points", "visibility", "uncertainty"]))
+    numbers = [(row, i) for row in rows_in(obj, key) for i in range(len(row))]
+    rows = rows_in(obj, "uncertainty" if key == "uncertainty" else "points")
+    if kind == "ragged" and rows:  # one row one entry longer or shorter
+        row = draw(st.sampled_from(rows))
+        row.append(0.5) if draw(st.booleans()) or not row else row.pop()
+    elif kind == "width" and rows_in(obj, key):  # every row, or every entry
+        wider = draw(st.booleans())
+        for row in rows_in(obj, key):
+            if key == "visibility":
+                row[:] = [[v] for v in row]
+            else:
+                row.append(0.5) if wider or not row else row.pop()
+    elif kind in ("string", "boolean", "non-finite", "nested") and numbers:
+        row, i = draw(st.sampled_from(numbers))
+        row[i] = draw({
+            "string": st.sampled_from(["1.5", "abc", "", " 2 ", "nan", "1e400"]),
+            "boolean": st.booleans(),
+            "non-finite": st.sampled_from([math.nan, math.inf, -math.inf]),
+            "nested": st.just([row[i]]),
+        }[kind])
+    elif kind == "empty":
+        obj[key] = []
+    elif kind == "missing":
+        obj.pop(key, None)
+    elif kind == "visibility" and rows_in(obj, "visibility") and obj["visibility"]:
+        vis = obj["visibility"]
+        vis[draw(st.integers(0, len(vis) - 1))] = draw(
+            st.sampled_from([1.5, -0.1, 1 + 1e-15, -1e-300]))
+    elif kind == "score":
+        obj["score"] = draw(st.sampled_from([1.5, -0.5, "0.5", True, [0.5], {}]))
+    elif kind == "uncertainty":
+        unc = obj.get("uncertainty")
+        if not isinstance(unc, list) or not unc or draw(st.booleans()):
+            obj["uncertainty"] = (unc if isinstance(unc, list) else []) + [[0.1, 0.1]]
+        else:
+            unc.pop()
+    elif kind == "type":
+        obj[key] = draw(st.sampled_from([{}, "abc", 1.0, None, {"a": [1, 2, 3]}]))
+    elif kind == "curve":
+        obj["curve"] = dict(CURVE, v_up=math.inf)
+    elif kind == "order":  # y repeated or falling
+        ys = [row for row in rows_in(obj, "points") if len(row) > 1]
+        if len(ys) > 1:
+            k = draw(st.integers(1, len(ys) - 1))
+            ys[k][1] = draw(st.sampled_from([ys[k - 1][1], ys[k - 1][1] - 1]))
+
+
+@st.composite
+def mutated_sides(draw):
+    side = draw(st.lists(lane_objects(), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(1, 2))):
+        mutate(draw, draw(st.sampled_from(side)), draw(st.sampled_from(MUTATIONS)))
+    if draw(st.integers(0, 9)) == 9:  # a lane that is no object
+        side.insert(draw(st.integers(0, len(side))), draw(st.sampled_from(
+            [[], None, "lane", 1])))
+    return side
+
+
+def side_outcome(read, side):
+    """A side's lanes, curves and uncertainties, arrays by dtype, shape and
+    bytes; or the ``ParseError`` reading it raises."""
+    def array(a):
+        return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+
+    try:
+        lanes, curves, uncs = read(copy.deepcopy(side), 7, "pred_lanes")
+    except ParseError as exc:
+        return str(exc), exc.line, exc.field
+    return ([(array(lane.points), array(lane.visibility), repr(lane.score))
+             for lane in lanes],
+            None if curves is None else [repr(c) for c in curves],
+            None if uncs is None else [array(u) for u in uncs])
+
+
+@fixed(300)
+@given(side=st.lists(lane_objects(), max_size=4))
+def test_a_valid_side_reads_as_the_walk_reads_it(side):
+    fast = side_outcome(scenario_io._parse_lanes, side)
+    assert isinstance(fast[0], list)
+    assert fast == side_outcome(scenario_io._walk_lanes, side)
+
+
+@fixed(1000)
+@given(side=mutated_sides())
+def test_a_spoiled_side_reads_or_fails_as_the_walk_does(side):
+    assert side_outcome(scenario_io._parse_lanes, side) == side_outcome(
+        scenario_io._walk_lanes, side)

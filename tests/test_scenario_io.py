@@ -374,6 +374,25 @@ def counted(monkeypatch, owner, name):
     return calls
 
 
+def test_reading_valid_files_runs_no_per_lane_check(tmp_path, monkeypatch):
+    # A valid side is converted and checked as whole arrays; only the
+    # error path's walk builds lanes through Lane3D's own checks.
+    path = tmp_path / "frames.jsonl"
+    rng = np.random.default_rng(11)
+    write_frames(path, [random_record(rng, k) for k in range(60)])
+    checks = counted(monkeypatch, Lane3D, "__post_init__")
+    records = list(read_frames(path))
+    assert any(r.pred_uncertainties for r in records)
+    assert any(r.gt_curves for r in records)
+    assert checks == []
+    # a library caller's lane is still checked
+    lane = records[0].gt_lanes[0]
+    Lane3D(points=lane.points, visibility=lane.visibility)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Lane3D(points=lane.points[::-1], visibility=lane.visibility)
+    assert len(checks) == 2
+
+
 def test_lines_decode_with_orjson_when_it_imports(tmp_path, monkeypatch):
     orjson = pytest.importorskip("orjson")
     fast = counted(monkeypatch, orjson, "loads")
