@@ -243,25 +243,18 @@ def _bcd_block(frames, points, first, at, n: int) -> list[np.ndarray]:
     # A block of ``report._frame_blocks`` (every lane of a frame with
     # predictions, predictions first).  One row per prediction of a frame
     # with ground truths, over them in order; frame f's pairs are
-    # values[starts[f]:starts[f + 1]].  Only the lanes of frames with rows
-    # (``scored``) are resampled, as curves 0, 1, ... in block order.
-    row_pred, row_gt, row_len, scored, starts = [], [], [], [], [0]
+    # values[starts[f]:starts[f + 1]].
+    row_pred, row_gt, row_len, starts = [], [], [], [0]
     for (gt_lanes, pred_lanes), lane in zip(frames, at):
         n_pred, n_gt = len(pred_lanes), len(gt_lanes)
-        if n_gt and n_pred:
-            curve = len(scored)
-            row_pred.extend(range(curve, curve + n_pred))
-            row_gt.extend([curve + n_pred] * n_pred)
+        if n_gt:
+            row_pred.extend(range(lane, lane + n_pred))
+            row_gt.extend([lane + n_pred] * n_pred)
             row_len.extend([n_gt] * n_pred)
-            scored.extend(range(lane, lane + n_pred + n_gt))
         starts.append(starts[-1] + n_pred * n_gt)
     values = np.zeros(0)
     if row_len:
-        counts = np.diff(first)
-        if len(scored) < len(counts):
-            counts = counts[scored]
-            points = points[_ranges(first[scored], counts)]
-        curves = _sorted_by_y(resample_polylines(points, counts, n))
+        curves = _sorted_by_y(resample_polylines(points, np.diff(first), n))
         row_len = np.array(row_len)
         values = nearest_pair_rows(curves, np.repeat(row_pred, row_len),
                                    _ranges(np.array(row_gt), row_len),

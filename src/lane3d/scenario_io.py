@@ -214,11 +214,7 @@ def _parse_lanes(objs, line: int, key: str):
         raise AssertionError(f"{key} on line {line} failed a check no lane fails")
     curves = [_parse_curve(obj["curve"], line, f"{key}[{i}].curve")
               if "curve" in obj else None for i, obj in enumerate(objs)]
-    return side[0], _unless_all_none(curves), side[1]
-
-
-def _unless_all_none(attachments: list) -> list | None:
-    return None if all(a is None for a in attachments) else attachments
+    return side[0], None if all(c is None for c in curves) else curves, side[1]
 
 
 def _side_lanes(objs):
@@ -265,7 +261,9 @@ def _walk_lanes(objs, line: int, key: str):
     """``_parse_lanes`` lane by lane, each lane converted and checked
     alone: the reader's error path, which raises the first failing lane's
     error, and the reference its array passes are tested against."""
-    lanes, curves, uncs = [], [], []
+    lanes: list[Lane3D] = []
+    curves: list[Curve2D | None] = []
+    uncs: list[np.ndarray | None] = []
     for i, obj in enumerate(objs):
         where = f"{key}[{i}]"
         if not isinstance(obj, dict):
@@ -274,25 +272,40 @@ def _walk_lanes(objs, line: int, key: str):
         visibility = _need(obj, "visibility", line, where + ".")
         score = obj.get("score")
         try:
-            lanes.append(Lane3D(np.asarray(points, dtype=np.float64),
-                                np.asarray(visibility, dtype=np.float64),
-                                None if score is None else float(score)))
+            lanes.append(
+                Lane3D(
+                    points=np.asarray(points, dtype=np.float64),
+                    visibility=np.asarray(visibility, dtype=np.float64),
+                    score=None if score is None else float(score),
+                )
+            )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(str(exc), line, where) from None
-        curves.append(_parse_curve(obj["curve"], line, where + ".curve")
-                      if "curve" in obj else None)
-        uncs.append(None)
+        if "curve" in obj:
+            curves.append(_parse_curve(obj["curve"], line, where + ".curve"))
+        else:
+            curves.append(None)
         if "uncertainty" in obj:
             try:
-                uncs[-1] = np.asarray(obj["uncertainty"], dtype=np.float64)
+                arr = np.asarray(obj["uncertainty"], dtype=np.float64)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(str(exc), line, where + ".uncertainty") from None
-            segments = len(lanes[-1].points) - 1
-            if uncs[-1].shape != (segments, 2) or not np.isfinite(uncs[-1]).all():
-                raise ParseError("uncertainty must be an array of finite [lateral, "
-                                 f"vertical] pairs, one per segment ({segments})",
-                                 line, where + ".uncertainty")
-    return lanes, _unless_all_none(curves), _unless_all_none(uncs)
+            segments = lanes[-1].points.shape[0] - 1
+            if arr.shape != (segments, 2) or not np.isfinite(arr).all():
+                raise ParseError(
+                    "uncertainty must be an array of finite [lateral, "
+                    f"vertical] pairs, one per segment ({segments})",
+                    line,
+                    where + ".uncertainty",
+                )
+            uncs.append(arr)
+        else:
+            uncs.append(None)
+    if all(c is None for c in curves):
+        curves = None
+    if all(u is None for u in uncs):
+        uncs = None
+    return lanes, curves, uncs
 
 
 def _parse_record(obj, line: int, seen: set[str]) -> FrameRecord:

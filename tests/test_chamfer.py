@@ -1,7 +1,5 @@
 """Chamfer-protocol tests: pair distances, rasterization, and reports."""
 
-import hashlib
-import json
 import math
 
 import numpy as np
@@ -282,39 +280,6 @@ def test_row_search_independent_of_block_size(monkeypatch):
     monkeypatch.setattr("lane3d.report._BLOCK_POINTS", 1)
     for a, b in zip(whole, _bcd_rows(frames, 100)):
         assert np.array_equal(a, b)
-
-
-# bcd_report on the frames of test_bcd_resamples_only_the_scored_frames_lanes
-GOLDEN_MIXED_BCD = "6a0605b4a3ded6b05b64537afa7af68b14d759c728e9d77ffa141454b021d20b"
-
-
-def test_bcd_resamples_only_the_scored_frames_lanes(monkeypatch):
-    # A frame with predictions but no ground truths has no rows: its
-    # lanes are gathered, and so checked, but never resampled.
-    frames = sweep_fixture(seed=47, n_frames=6)
-    frames[2] = ([], frames[2][1])
-    frames[4] = (frames[4][0], [])
-    resampled = []
-    real = chamfer.resample_polylines
-
-    def spy(points, counts, n):
-        resampled.append((points.copy(), list(counts)))
-        return real(points, counts, n)
-
-    monkeypatch.setattr(chamfer, "resample_polylines", spy)
-    report = bcd_report(frames)
-    digest = hashlib.sha256(
-        json.dumps(report.as_dict(), sort_keys=True).encode()).hexdigest()
-    assert digest == GOLDEN_MIXED_BCD
-    scored = [lane for gts, preds in frames if gts and preds
-              for lane in (*preds, *gts)]
-    assert [c for _, counts in resampled for c in counts] == [
-        len(lane.visible_points()) for lane in scored]
-    assert np.array_equal(np.concatenate([p for p, _ in resampled]),
-                          np.concatenate([lane.visible_points() for lane in scored]))
-    frames[2] = ([], [one_visible(1)])
-    with pytest.raises(DegenerateLane, match="1 visible point"):
-        bcd_report(frames)
 
 
 def test_bcd_report_degenerate_lane_raises_like_interpolate_lane():
