@@ -95,10 +95,10 @@ def _parse_gammas(value) -> tuple[float, ...]:
     if isinstance(value, str):
         parts = [p for p in value.split(",") if p.strip()]
     else:
-        parts = list(value)
+        parts = value
     try:
         gammas = tuple(float(p) for p in parts)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"gammas must be 6 numbers, got {value!r}") from None
     if len(gammas) != 6:
         raise ConfigError(f"gammas must have exactly 6 entries, got {len(gammas)}")
@@ -113,11 +113,11 @@ def _coerce(key: str, value):
     if key == "n_interp":
         try:
             return int(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{key} must be an integer, got {value!r}") from None
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
 
 

@@ -8,16 +8,13 @@ and pitch (elevation of the segment direction).
 
 Rotation convention
 -------------------
-``rotation_matrix`` returns ``Rz(theta_z) @ Rx(theta_x)``.  Note the
-first column is the *horizontal* heading ``(cos theta_z, sin theta_z, 0)``:
-pitch tilts the lateral/vertical axes about the heading rather than
-aligning the length axis with the sloped segment direction.  This is the
-reference parameterization and the default everywhere.  Passing
-``direction_aligned=True`` selects ``Rz(theta_z) @ Ry(-theta_x)`` instead,
-whose first column is the true unit segment direction; it is provided for
-comparison and is off by default.
+``rotation_matrix`` returns ``Rz(theta_z) @ Rx(theta_x)``, the one
+orientation every function here uses.  Its first column is the
+*horizontal* heading ``(cos theta_z, sin theta_z, 0)``: pitch tilts the
+lateral and vertical axes about the heading rather than aligning the
+length axis with the sloped segment direction.
 
-A consequence of the default parameterization is that KL values between
+A consequence of this parameterization is that KL values between
 two segment Gaussians are invariant under a common yaw rotation plus
 translation of both segments, but not under arbitrary 3D rotations
 (rolling the scene mixes pitch into a frame the parameterization cannot
@@ -25,7 +22,7 @@ represent).
 
 Divergences have one implementation, over stacks of Gaussians:
 ``segment_symmetric_klds`` scores a batch of segment pairs from their
-endpoints and widths (default rotation), and ``kld_components`` / ``kld`` /
+endpoints and widths, and ``kld_components`` / ``kld`` /
 ``symmetric_kld`` are batches of one.  A batch fails on its first bad
 segment with the error and message that segment alone would raise.
 """
@@ -160,42 +157,31 @@ def segment_gaussian(p_a, p_b, lambda_w: float, lambda_h: float) -> SegmentGauss
     )
 
 
-def _rotations(theta_x, theta_z, direction_aligned: bool) -> np.ndarray:
+def _rotations(theta_x, theta_z) -> np.ndarray:
     """Stack of orientation matrices (m, 3, 3); see ``rotation_matrix``."""
     cx, sx = np.cos(theta_x), np.sin(theta_x)
     cz, sz = np.cos(theta_z), np.sin(theta_z)
     zero = np.zeros_like(cx)
-    if direction_aligned:
-        rows = ((cz * cx, -sz, -cz * sx),
-                (sz * cx, cz, -sz * sx),
-                (sx, zero, cx))
-    else:
-        rows = ((cz, -sz * cx, sz * sx),
-                (sz, cz * cx, -cz * sx),
-                (zero, sx, cx))
+    rows = ((cz, -sz * cx, sz * sx),
+            (sz, cz * cx, -cz * sx),
+            (zero, sx, cx))
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
-def rotation_matrix(
-    theta_x: float, theta_z: float, direction_aligned: bool = False
-) -> np.ndarray:
+def rotation_matrix(theta_x: float, theta_z: float) -> np.ndarray:
     """Orientation matrix for a segment Gaussian.
 
-    Default: ``Rz(theta_z) @ Rx(theta_x)`` written out explicitly — the
-    length axis is the horizontal heading and pitch rotates the lateral
-    and vertical axes about it.  With ``direction_aligned=True``:
-    ``Rz(theta_z) @ Ry(-theta_x)``, whose first column is the true unit
-    direction of the (possibly sloped) segment.
+    ``Rz(theta_z) @ Rx(theta_x)`` written out explicitly: the length axis
+    is the horizontal heading and pitch rotates the lateral and vertical
+    axes about it.
     """
     return _rotations(np.array([float(theta_x)]),
-                      np.array([float(theta_z)]), direction_aligned)[0]
+                      np.array([float(theta_z)]))[0]
 
 
-def covariance(
-    seg: SegmentGaussian, direction_aligned: bool = False
-) -> np.ndarray:
+def covariance(seg: SegmentGaussian) -> np.ndarray:
     """Covariance ``R @ Lambda^2 @ R.T`` with Lambda = diag(scales)."""
-    rot = rotation_matrix(seg.theta_x, seg.theta_z, direction_aligned)
+    rot = rotation_matrix(seg.theta_x, seg.theta_z)
     scaled = rot * (seg.scales**2)[None, :]
     return scaled @ rot.T
 
@@ -238,16 +224,13 @@ def _kl(trace, shift, logdet):
         return np.maximum(0.5 * (trace + shift + logdet), 0.0)
 
 
-def _stacked(g: SegmentGaussian, direction_aligned: bool):
+def _stacked(g: SegmentGaussian):
     """One Gaussian as a batch of one: (mu, scales, rotation)."""
     return (np.array([g.mu]), g.scales[None, :],
-            _rotations(np.array([g.theta_x]), np.array([g.theta_z]),
-                       direction_aligned))
+            _rotations(np.array([g.theta_x]), np.array([g.theta_z])))
 
 
-def kld_components(
-    a: SegmentGaussian, b: SegmentGaussian, direction_aligned: bool = False
-) -> dict[str, float]:
+def kld_components(a: SegmentGaussian, b: SegmentGaussian) -> dict[str, float]:
     """The three terms of KL(a || b), before the 1/2 factor.
 
     Returns ``trace`` (= tr(Sigma_b^-1 Sigma_a) - 3), ``shift``
@@ -257,15 +240,12 @@ def kld_components(
     """
     _check_conditioning(a)
     _check_conditioning(b)
-    trace, shift, logdet = _kld_terms(*_stacked(a, direction_aligned),
-                                      *_stacked(b, direction_aligned))
+    trace, shift, logdet = _kld_terms(*_stacked(a), *_stacked(b))
     return {"trace": float(trace[0]), "shift": float(shift[0]),
             "logdet": float(logdet[0])}
 
 
-def kld(
-    a: SegmentGaussian, b: SegmentGaussian, direction_aligned: bool = False
-) -> float:
+def kld(a: SegmentGaussian, b: SegmentGaussian) -> float:
     """Closed-form KL(a || b) between two segment Gaussians.
 
     ``0.5 * (tr(Sigma_b^-1 Sigma_a) - 3 + shift + ln(det Sigma_b / det
@@ -273,7 +253,7 @@ def kld(
     Raises NumericallySingular when the divergence is not finite, as
     when one scale is so much larger than another that it overflows.
     """
-    parts = kld_components(a, b, direction_aligned)
+    parts = kld_components(a, b)
     value = float(_kl(parts["trace"], parts["shift"], parts["logdet"]))
     if not math.isfinite(value):
         raise NumericallySingular(
@@ -283,13 +263,9 @@ def kld(
     return value
 
 
-def symmetric_kld(
-    a: SegmentGaussian, b: SegmentGaussian, direction_aligned: bool = False
-) -> float:
+def symmetric_kld(a: SegmentGaussian, b: SegmentGaussian) -> float:
     """Symmetrized divergence: the mean of KL(a||b) and KL(b||a)."""
-    return 0.5 * (
-        kld(a, b, direction_aligned) + kld(b, a, direction_aligned)
-    )
+    return 0.5 * (kld(a, b) + kld(b, a))
 
 
 def segment_symmetric_klds(
@@ -329,8 +305,8 @@ def segment_symmetric_klds(
     half = w / 2.0
     s_p = np.column_stack([len_p / 2.0, half])
     s_g = np.column_stack([len_g / 2.0, half])
-    rot_p = _rotations(tx_p, tz_p, False)
-    rot_g = _rotations(tx_g, tz_g, False)
+    rot_p = _rotations(tx_p, tz_p)
+    rot_g = _rotations(tx_g, tz_g)
     with np.errstate(over="ignore", invalid="ignore"):
         out = 0.5 * (_kl(*_kld_terms(mu_p, s_p, rot_p, mu_g, s_g, rot_g))
                      + _kl(*_kld_terms(mu_g, s_g, rot_g, mu_p, s_p, rot_p)))

@@ -143,7 +143,10 @@ class NoiseModel:
             if not 0 <= value < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "seed", int(self.seed))
+        seed = int(self.seed)
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
+        object.__setattr__(self, "seed", seed)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +427,8 @@ def read_frames(path):
 
 def _lane_to_obj(lane: Lane3D, curve: Curve2D | None, unc, where: str) -> dict:
     obj = {
-        "points": [[float(v) for v in row] for row in lane.points],
-        "visibility": [float(v) for v in lane.visibility],
+        "points": np.asarray(lane.points, dtype=np.float64).tolist(),
+        "visibility": np.asarray(lane.visibility, dtype=np.float64).tolist(),
     }
     if lane.score is not None:
         obj["score"] = float(lane.score)
@@ -447,7 +450,7 @@ def _lane_to_obj(lane: Lane3D, curve: Curve2D | None, unc, where: str) -> dict:
                 f"{where}.uncertainty must be an array of finite [lateral, "
                 f"vertical] pairs, one per segment ({segments})"
             )
-        obj["uncertainty"] = [[float(w), float(h)] for w, h in arr]
+        obj["uncertainty"] = arr.tolist()
     return obj
 
 
@@ -635,6 +638,8 @@ def generate_frames(
     standalone prediction file.  Ground-truth synthesis and noise
     injection use independent streams spawned from the seed, so the
     ground truths do not depend on whether predictions are consumed.
+    Noise that makes a prediction an invalid lane (folded back in y)
+    raises ConfigError naming the frame and the lane.
     """
     if n_frames <= 0 or lanes_per_frame <= 0:
         raise ConfigError("n_frames and lanes_per_frame must be positive")
@@ -655,7 +660,15 @@ def generate_frames(
             _gt_lane(gt_rng, slot, lanes_per_frame, (lo, hi), y)
             for slot in range(lanes_per_frame)
         ]
-        preds = [apply_noise(lane, noise, noise_rng) for lane in gts]
+        preds = []
+        for i, lane in enumerate(gts):
+            try:
+                preds.append(apply_noise(lane, noise, noise_rng))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"frame {frame_id!r} lane {i}: the noise makes an invalid "
+                    f"prediction ({exc})"
+                ) from None
         gt_records.append(
             FrameRecord(frame_id=frame_id, camera=camera, gt_lanes=gts)
         )

@@ -52,6 +52,20 @@ def test_synth_deterministic_and_prints_manifest(tmp_path, capsys):
     assert pred_a.read_bytes() == pred_b.read_bytes()
 
 
+# sha256 of (ground truth, predictions) of one seeded noisy scenario
+GOLDEN_SYNTH = (
+    "ae00e2e82fb0fece9c09d1f0baac90bb66d10e2ca943515e3e29fe8061393f24",
+    "21b7efe920e26b1d233610ef16bb17e53f44309350d42a52774c9a9a5101fc7b",
+)
+
+
+def test_synth_files_match_golden_digests(tmp_path):
+    gt, pred = synth(tmp_path, frames=6, lanes=3, sigma_w0=0.1, seed=7,
+                     extra=("--sigma-w-slope", "0.001", "--sigma-h0", "0.02"))
+    assert tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in (gt, pred)) == GOLDEN_SYNTH
+
+
 def test_synth_bad_curvature_range(tmp_path):
     assert run("synth", "--frames", "1", "--curvature", "oops",
                "--out", str(tmp_path / "x.jsonl")) == 2
@@ -65,6 +79,20 @@ def test_synth_bad_curvature_range(tmp_path):
 def test_synth_non_finite_parameter_is_exit_2(tmp_path, flag, value):
     out = tmp_path / "g.jsonl"
     assert run("synth", "--frames", "2", flag, value, "--out", str(out)) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (("--frames", "2", "--seed", "-1"), "seed must be >= 0, got -1"),
+    (("--frames", "200", "--sigma-w0", "10"), "frame 'frame_000002' lane 0"),
+    (("--frames", "200", "--sigma-w-slope", "0.2"), "frame 'frame_000000' lane 1"),
+], ids=["seed", "sigma-w0", "sigma-w-slope"])
+def test_synth_bad_seed_or_folding_noise_is_exit_2(tmp_path, capsys, argv, shown):
+    out = tmp_path / "g.jsonl"
+    capsys.readouterr()
+    assert run("synth", *argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and shown in err[0]
     assert not out.exists()
 
 
@@ -587,7 +615,43 @@ def test_config_file_errors(tmp_path):
     invalid = tmp_path / "invalid.json"
     invalid.write_text("{broken")
     assert run(*base, "--config", str(invalid)) == 2
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps([{"tau_cd": 0.5}]))
+    assert run(*base, "--config", str(listed)) == 2
     assert run(*base, "--config", str(tmp_path / "absent.json")) == 7
+
+
+OVER_RANGE = "1" + "0" * 400  # an integer literal no double holds
+
+
+@pytest.mark.parametrize("source, key, text, shown", [
+    ("file", "gammas", "5", "gammas must be 6 numbers, got 5"),
+    ("env", "gammas", "5", "gammas must be 6 numbers, got 5"),
+    ("env", "gammas", "a,b,c,d,e,f",
+     "gammas must be 6 numbers, got 'a,b,c,d,e,f'"),
+    ("file", "n_interp", "1e400", "n_interp must be an integer, got inf"),
+    ("env", "n_interp", "1e400", "n_interp must be an integer, got inf"),
+    ("env", "n_interp", "abc", "n_interp must be an integer, got 'abc'"),
+    ("file", "tau_cd", OVER_RANGE, f"tau_cd must be a number, got {OVER_RANGE}"),
+    ("env", "tau_bcd", OVER_RANGE, f"tau_bcd must be a number, got {OVER_RANGE}"),
+    ("env", "tau_cd", "abc", "tau_cd must be a number, got 'abc'"),
+], ids=["file-gammas-5", "env-gammas-5", "env-gammas-letters",
+        "file-n_interp-inf", "env-n_interp-inf", "env-n_interp-abc",
+        "file-tau_cd-over-range", "env-tau_bcd-over-range", "env-tau_cd-abc"])
+def test_malformed_config_value_is_exit_2(tmp_path, capsys, monkeypatch, source,
+                                          key, text, shown):
+    # ``text`` is the JSON text of the file's value, or the variable's value
+    gt, pred = synth(tmp_path, frames=2, lanes=2)
+    argv = ["eval", "--protocol", "bcd", "--gt", str(gt), "--pred", str(pred)]
+    if source == "file":
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"{key}": {text}}}')
+        argv += ["--config", str(config)]
+    else:
+        monkeypatch.setenv("LANE3D_" + key.upper(), text)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {shown}"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -692,6 +756,7 @@ def test_sweep_bad_taus(tmp_path):
     assert run(*base, "--taus", "0.1:0.5:-0.1") == 2
     assert run(*base, "--taus", ",") == 2
     assert run(*base, "--taus", "abc") == 2
+    assert run(*base, "--taus", "a:b:c") == 2
 
 
 @pytest.mark.parametrize("taus", ["nan:1:0.1", "0:1:nan", "0:inf:1", "0:1:inf"])
@@ -866,6 +931,14 @@ def loss_report(tmp_path, gt, pred, tag="loss"):
     assert run("loss", "--gt", str(gt), "--pred", str(pred),
                "--out", str(out)) == 0
     return json.loads(out.read_text())
+
+
+def test_loss_on_an_empty_frame_file_is_exit_2(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    capsys.readouterr()
+    assert run("loss", "--gt", str(empty), "--pred", str(empty)) == 2
+    assert capsys.readouterr().err == "error: no frames to compute losses for\n"
 
 
 def test_loss_frame_without_predictions(tmp_path):
@@ -1258,6 +1331,16 @@ def test_fit_malformed_inputs_are_exit_3(tmp_path):
     no_lanes.write_text(json.dumps({"something": 1}))
     assert run("fit", "--frame-2d", str(no_lanes), "--camera",
                str(camera_path)) == 3
+    for lanes in (5, []):
+        no_lanes.write_text(json.dumps({"lanes": lanes}))
+        assert run("fit", "--frame-2d", str(no_lanes), "--camera",
+                   str(camera_path)) == 3
+
+
+def test_fit_missing_camera_file_is_exit_7(tmp_path):
+    frame_path, _ = write_fit_inputs(tmp_path)
+    assert run("fit", "--frame-2d", str(frame_path), "--camera",
+               str(tmp_path / "absent.json")) == 7
 
 
 @pytest.mark.parametrize("lane, code, words", [

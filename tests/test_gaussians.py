@@ -131,18 +131,6 @@ class TestRotationMatrix:
         r = rotation_matrix(0.7, 0.3)
         assert np.allclose(r[:, 0], [math.cos(0.3), math.sin(0.3), 0.0])
 
-    def test_direction_aligned_first_column(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            a = rng.normal(0, 5, 3)
-            b = a + rng.normal(0, 2, 3) + np.array([0, 3, 0])
-            _, length, tx, tz = segment_params(a, b)
-            r = rotation_matrix(tx, tz, direction_aligned=True)
-            direction = (b - a) / length
-            assert np.allclose(r[:, 0], direction, atol=1e-12)
-            assert np.abs(r.T @ r - np.eye(3)).max() < 1e-12
-            assert abs(np.linalg.det(r) - 1.0) < 1e-12
-
 
 class TestCovariance:
     def test_unrotated_diagonal(self):
@@ -350,13 +338,9 @@ class TestPairedSegmentGaussians:
 # ---------------------------------------------------------------------------
 
 
-def scalar_rotation(theta_x, theta_z, direction_aligned=False):
+def scalar_rotation(theta_x, theta_z):
     cx, sx = math.cos(theta_x), math.sin(theta_x)
     cz, sz = math.cos(theta_z), math.sin(theta_z)
-    if direction_aligned:
-        return np.array([[cz * cx, -sz, -cz * sx],
-                         [sz * cx, cz, -sz * sx],
-                         [sx, 0.0, cx]])
     return np.array([[cz, -sz * cx, sz * sx],
                      [sz, cz * cx, -cz * sx],
                      [0.0, sx, cx]])
@@ -371,12 +355,12 @@ def scalar_check_conditioning(seg):
         )
 
 
-def scalar_kld_components(a, b, direction_aligned=False):
+def scalar_kld_components(a, b):
     """The per-pair KL terms as computed before the batched kernel."""
     scalar_check_conditioning(a)
     scalar_check_conditioning(b)
-    rot_a = scalar_rotation(a.theta_x, a.theta_z, direction_aligned)
-    rot_b = scalar_rotation(b.theta_x, b.theta_z, direction_aligned)
+    rot_a = scalar_rotation(a.theta_x, a.theta_z)
+    rot_b = scalar_rotation(b.theta_x, b.theta_z)
     m = (rot_b.T @ rot_a * a.scales[None, :]) / b.scales[:, None]
     w = (rot_b.T @ (b.mu_array - a.mu_array)) / b.scales
     return {
@@ -386,9 +370,9 @@ def scalar_kld_components(a, b, direction_aligned=False):
     }
 
 
-def scalar_symmetric_kld(a, b, direction_aligned=False):
+def scalar_symmetric_kld(a, b):
     def one(x, y):
-        parts = scalar_kld_components(x, y, direction_aligned)
+        parts = scalar_kld_components(x, y)
         return max(0.5 * (parts["trace"] + parts["shift"] + parts["logdet"]),
                    0.0)
     return 0.5 * (one(a, b) + one(b, a))
@@ -440,8 +424,7 @@ def random_segments(rng, m):
 
 
 class TestBatchedKernel:
-    @pytest.mark.parametrize("aligned", [False, True])
-    def test_terms_match_scalar_oracle(self, aligned):
+    def test_terms_match_scalar_oracle(self):
         rng = np.random.default_rng(41)
         pairs = [(random_gaussian(rng), random_gaussian(rng))
                  for _ in range(1200)]
@@ -450,27 +433,26 @@ class TestBatchedKernel:
             return (np.array([g.mu for g in gs]),
                     np.array([g.scales for g in gs]),
                     _rotations(np.array([g.theta_x for g in gs]),
-                               np.array([g.theta_z for g in gs]), aligned))
+                               np.array([g.theta_z for g in gs])))
 
         terms = _kld_terms(*stacked([a for a, _ in pairs]),
                            *stacked([b for _, b in pairs]))
         for i, (a, b) in enumerate(pairs):
-            want = scalar_kld_components(a, b, aligned)
+            want = scalar_kld_components(a, b)
             for name, got in zip(("trace", "shift", "logdet"), terms):
                 assert abs(got[i] - want[name]) <= 1e-12 * abs(want[name]), \
                     (i, name)
 
-    @pytest.mark.parametrize("aligned", [False, True])
-    def test_wrappers_match_scalar_oracle(self, aligned):
+    def test_wrappers_match_scalar_oracle(self):
         rng = np.random.default_rng(43)
         for _ in range(200):
             a, b = random_gaussian(rng), random_gaussian(rng)
-            want = scalar_kld_components(a, b, aligned)
-            got = kld_components(a, b, aligned)
+            want = scalar_kld_components(a, b)
+            got = kld_components(a, b)
             for name in want:
                 assert got[name] == pytest.approx(want[name], rel=1e-12)
-            assert symmetric_kld(a, b, aligned) == pytest.approx(
-                scalar_symmetric_kld(a, b, aligned), rel=1e-12)
+            assert symmetric_kld(a, b) == pytest.approx(
+                scalar_symmetric_kld(a, b), rel=1e-12)
 
     def test_segment_klds_match_per_segment_loop(self):
         rng = np.random.default_rng(47)

@@ -26,6 +26,7 @@ from test_scenario_io import (  # noqa: F401
     test_duplicate_frame_id_rejected,
     test_huge_integer_is_a_parse_error,
     test_invalid_lane_geometry_is_a_parse_error,
+    test_malformed_record_names_its_field,
     test_malformed_uncertainty_is_a_parse_error,
     test_missing_fields_name_their_path,
     test_non_finite_curve_is_a_parse_error,

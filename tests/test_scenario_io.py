@@ -306,6 +306,28 @@ def test_huge_integer_is_a_parse_error(tmp_path, path, value, field):
     assert (err.value.line, err.value.field) == (2, field)
 
 
+@pytest.mark.parametrize("edit, message, field", [
+    (lambda o: {**o, "camera": 5}, "camera must be an object", "camera"),
+    (lambda o: {**o, "camera": {**o["camera"], "roll": 0.0}},
+     "unknown camera keys ['roll']", "camera"),
+    (lambda o: {**o, "lanes": [{**o["lanes"][0], "curve": 5}]},
+     "curve must be an object", "lanes[0].curve"),
+    (lambda o: {**o, "lanes": [{**o["lanes"][0], "curve": {
+        k: v for k, v in CURVE.items() if k != "rho"}}]},
+     "missing required field", "lanes[0].curve.rho"),
+    (lambda o: {**o, "lanes": 5}, "lanes must be an array", "lanes"),
+    (lambda o: [o], "record must be an object", None),
+    (lambda o: {**o, "frame_id": 7}, "frame_id must be a string", "frame_id"),
+], ids=["camera", "camera-key", "curve", "rho", "lanes", "array", "frame-id"])
+def test_malformed_record_names_its_field(tmp_path, edit, message, field):
+    obj = edit(json.loads(valid_line("b")))
+    path = write_lines(tmp_path, valid_line("a"), json.dumps(obj))
+    with pytest.raises(ParseError) as err:
+        list(read_frames(path))
+    assert (err.value.line, err.value.field) == (2, field)
+    assert str(err.value).startswith(message)
+
+
 def three_point_lane(x):
     return {"points": [[x, 3.0, 0.0], [x, 10.0, 0.0], [x, 20.0, 0.0]],
             "visibility": [1.0, 1.0, 1.0]}
@@ -488,6 +510,21 @@ def test_duplicate_frame_id_rejected(tmp_path):
     with pytest.raises(ParseError) as err:
         list(read_frames(path))
     assert err.value.line == 2 and err.value.field == "frame_id"
+
+
+def test_writer_rejects_duplicate_frame_ids(tmp_path):
+    record = random_record(np.random.default_rng(3), 0)
+    path = tmp_path / "f.jsonl"
+    with pytest.raises(ValueError, match="duplicate frame_id 'frame_0'"):
+        write_frames(path, [record, record])
+    assert not path.exists()
+
+
+def test_attachments_must_parallel_their_lanes():
+    record = random_record(np.random.default_rng(3), 0)
+    with pytest.raises(ValueError, match="gt_curves must parallel its lane list"):
+        FrameRecord(record.frame_id, record.camera, record.gt_lanes,
+                    gt_curves=[None] * (len(record.gt_lanes) + 1))
 
 
 def test_missing_file_is_io_error(tmp_path):
