@@ -83,7 +83,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, RasterOverflow
 from .geometry import Lane3D, _visible_points, interpolate_lane
 from .kernels import (
     _sorted_by_y,
@@ -293,16 +293,49 @@ class _Runs(NamedTuple):
     hi: np.ndarray
 
 
+class _Table(NamedTuple):
+    """The strokes of several polylines as one row table: polyline ``l``
+    owns rows ``base[l]:base[l + 1]``, the first of them grid row
+    ``row0[l]``, and a row covers the cells ``lo <= ix <= hi``.  A row
+    without a passing cell holds ``lo = _EMPTY``, ``hi = -_EMPTY``."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    base: np.ndarray
+    row0: np.ndarray
+
+
 # (segment, row) pairs the rasterizer works on at once: bounds its working
 # memory.  Lanes are grouped into blocks up to this many pairs, and a lane
 # with more forms a block of its own.
-_BLOCK_PAIRS = 1 << 13
+_BLOCK_PAIRS = 20_000
+
+# Cells the window scan may test in one block (about 100 bytes each).
+_WINDOW_CELLS = 1 << 20
+
+# A row's bounds before its first cell: every cell index stays within
+# 2**53, so a run's overlap with this row is negative and never overflows.
+_EMPTY = 1 << 62
 
 # Unit roundoff of binary64, for the rounding bounds below.
 _U = 2.0**-53
 
 
 def _strokes(points: np.ndarray, sizes, config: EvalConfig) -> list[_Runs]:
+    """The runs of ``_stroke_table``, one ``_Runs`` per polyline."""
+    if not len(sizes):
+        return []
+    table = _stroke_table(points, sizes, config)
+    rows = np.flatnonzero(table.lo <= table.hi)
+    ends = np.searchsorted(rows, table.base)
+    return [
+        _Runs(rows[s:e] - table.base[l] + table.row0[l], table.lo[rows[s:e]],
+              table.hi[rows[s:e]])
+        for l, (s, e) in enumerate(zip(ends[:-1], ends[1:]))
+    ]
+
+
+def _stroke_table(points: np.ndarray, sizes, config: EvalConfig) -> _Table:
     """Strokes of several polylines, one run per row: polyline i holds the
     next ``sizes[i]`` rows of ``points`` (``(rows, 2+)``), at least 2, with
     strictly increasing y.
@@ -311,9 +344,11 @@ def _strokes(points: np.ndarray, sizes, config: EvalConfig) -> list[_Runs]:
     than ``lane_width / 2`` of the segment's y-range is decided from the
     segment's interval on the row where ``_decided_cells`` proves that
     interval's end cells; the other pairs run the window scan of
-    ``_window_cells``.  Pairs are worked on in blocks of whole lanes of
-    at most ``_BLOCK_PAIRS`` pairs (a lane with more forms a block
-    alone), and the runs do not depend on the blocks.
+    ``_window_cells``, which raises ``RasterOverflow`` (carrying the
+    polyline's index) past ``_WINDOW_CELLS`` cells or a cell index of
+    2**53.  Pairs are worked on in blocks of whole lanes of at most
+    ``_BLOCK_PAIRS`` pairs (a lane with more forms a block alone), and the
+    runs do not depend on the blocks.
 
     A row's run spans its first passing cell to its last, a per-row
     min/max over the decided intervals and the scanned cells.  In exact
@@ -324,8 +359,6 @@ def _strokes(points: np.ndarray, sizes, config: EvalConfig) -> list[_Runs]:
     row sweep a connected set).
     """
     sizes = np.asarray(sizes, dtype=np.int64)
-    if not sizes.size:
-        return []
     res = config.bev_resolution
     half = config.lane_width / 2.0
     reach = half + res / 2.0
@@ -350,55 +383,52 @@ def _strokes(points: np.ndarray, sizes, config: EvalConfig) -> list[_Runs]:
     # row iy + shift[s]
     seg_start = np.zeros(sizes.size + 1, dtype=np.int64)
     np.cumsum(sizes - 1, out=seg_start[1:])
+    lane = np.repeat(np.arange(sizes.size), sizes - 1)
     row0 = np.minimum.reduceat(first, seg_start[:-1])
-    lane_rows = np.maximum(np.maximum.reduceat(last, seg_start[:-1]) - row0 + 1, 0)
+    lane_rows = np.maximum(np.maximum.reduceat(last, seg_start[:-1]) - row0 + 1, 1)
     base = np.zeros(sizes.size + 1, dtype=np.int64)
     np.cumsum(lane_rows, out=base[1:])
-    shift = np.repeat(base[:-1] - row0, sizes - 1)
-    # each row's first and last passing cell
-    row_lo = np.full(base[-1], np.iinfo(np.int64).max)
-    row_hi = np.full(base[-1], np.iinfo(np.int64).min)
+    shift = (base[:-1] - row0)[lane]
+    row_lo = np.full(base[-1], _EMPTY)
+    row_hi = np.full(base[-1], -_EMPTY)
 
     lane_pairs = np.add.reduceat(n_rows, seg_start[:-1])
-    lane = 0
-    while lane < sizes.size:
-        stop, pairs = lane + 1, lane_pairs[lane]
+    l0 = 0
+    while l0 < sizes.size:
+        stop, pairs = l0 + 1, lane_pairs[l0]
         while stop < sizes.size and pairs + lane_pairs[stop] <= _BLOCK_PAIRS:
             pairs += lane_pairs[stop]
             stop += 1
-        s0, s1 = seg_start[lane], seg_start[stop]
-        lane = stop
+        s0, s1 = seg_start[l0], seg_start[stop]
+        l0 = stop
         if not pairs:
             continue
-        seg = np.repeat(np.arange(s0, s1), n_rows[s0:s1])
-        iy = _ranges(first[s0:s1], n_rows[s0:s1])
+        counts = n_rows[s0:s1]
+        iy = _ranges(first[s0:s1], counts)
         segments = ax[s0:s1], ay[s0:s1], bx[s0:s1], by[s0:s1]
-        lo, hi, decided = _decided_cells(*segments, n_rows[s0:s1], iy, res, half)
-        row = iy + shift[seg]
-        filled = decided & (lo <= hi)
-        undecided = ~decided
-        hit_row, hit_ix = _window_cells(
-            *segments, seg[undecided] - s0, iy[undecided], row[undecided], res, half)
-        row = np.concatenate([row[filled], hit_row])
-        np.minimum.at(row_lo, row, np.concatenate([lo[filled], hit_ix]))
-        np.maximum.at(row_hi, row, np.concatenate([hi[filled], hit_ix]))
-
-    rows = np.flatnonzero(row_lo <= row_hi)
-    ends = np.searchsorted(rows, base)
-    return [
-        _Runs(rows[s:e] - base[l] + row0[l], row_lo[rows[s:e]], row_hi[rows[s:e]])
-        for l, (s, e) in enumerate(zip(ends[:-1], ends[1:]))
-    ]
+        lo, hi, decided = _decided_cells(*segments, first[s0:s1], counts, iy, res, half)
+        row = iy + np.repeat(shift[s0:s1], counts)
+        np.minimum.at(row_lo, row, lo)
+        np.maximum.at(row_hi, row, hi)
+        undecided = np.flatnonzero(~decided)
+        if undecided.size:
+            seg = np.searchsorted(np.cumsum(counts), undecided, side="right")
+            hit_row, hit_ix = _window_cells(*segments, lane[s0:s1], seg, iy[undecided],
+                                            row[undecided], res, half)
+            np.minimum.at(row_lo, hit_row, hit_ix)
+            np.maximum.at(row_hi, hit_row, hit_ix)
+    return _Table(row_lo, row_hi, base, row0)
 
 
-def _decided_cells(ax, ay, bx, by, n_rows, iy, res, half):
+def _decided_cells(ax, ay, bx, by, first, n_rows, iy, res, half):
     """The cells of row ``iy`` whose centers lie within ``half`` of the
     segment, for each (segment, row) pair (segment ``s`` holds the next
-    ``n_rows[s]`` pairs), as ``[lo, hi]``, wherever a rounding bound proves
-    that the predicate of ``_window_cells`` passes exactly there.
+    ``n_rows[s]`` pairs, rows ``first[s]`` on), as ``[lo, hi]``, wherever
+    a rounding bound proves that the predicate of ``_window_cells`` passes
+    exactly there.
 
-    Returns ``(lo, hi, decided)``; ``lo > hi`` is an empty decided pair,
-    and undecided pairs hold arbitrary values.
+    Returns ``(lo, hi, decided)``; a pair without a decided cell, empty
+    or undecided, holds ``lo = _EMPTY`` and ``hi = -_EMPTY``.
 
     Geometry.  Let ``A``, ``B`` be the endpoints (``ay < by``),
     ``e = B - A``, ``l = |e|``, and ``dy = cy - ay`` for the row's
@@ -449,8 +479,17 @@ def _decided_cells(ax, ay, bx, by, n_rows, iy, res, half):
        roundings of the cell index.  Cells then pass exactly on
        ``[lo, hi]``.
 
-    A segment with ``E >= half / 2``, ``G >= 2**500``, ``ey < 2**-400``
-    or ``l >= 2**100 * ey`` is never decided.
+    A segment with ``E >= half / 2``, ``G >= 2**500``, ``G >= 2**52 *
+    res``, ``ey < 2**-400`` or ``l >= 2**100 * ey`` is never decided.
+
+    Work.  The row tests (inside the row margin, both edges' ``s``
+    placed in the segment) pass on one stretch of each segment's rows,
+    since every quantity they compare grows with ``iy``; so where they
+    pass on a segment's rows ``j1`` and ``j2``, they pass on every row
+    between.  Those interior rows take their ends from the band edges
+    alone, which every pair computes; the two flanks of rows outside
+    them, where the rows end, the chords matter or a row is undecided,
+    run the full tests as a subset and are written back once.
     """
     h = half
     ex, ey = bx - ax, by - ay
@@ -462,64 +501,127 @@ def _decided_cells(ax, ay, bx, by, n_rows, iy, res, half):
         length = np.sqrt(ex * ex + ey * ey)
         mu = ((err + 16.0 * k) * (1.0 + length / ey) + np.sqrt(err * (2.0 * h + err))
               + np.sqrt(33.0 * k * h) + 2.0 * k + 2.0**-400) * (1.0 + 2.0**-30)
-        trusted = ((err < h / 2.0) & (big < 2.0**500) & (ey >= 2.0**-400)
-                   & (length < 2.0**100 * ey))
+        trusted = ((err < h / 2.0) & (big < 2.0**500) & (big < 2.0**52 * res)
+                   & (ey >= 2.0**-400) & (length < 2.0**100 * ey))
         pad = np.where(trusted, mu + 4.0 * _U * (2.0 * big + 2.0 * mu + res), np.inf)
-        far = np.where(trusted, h + err + 8.0 * k, np.inf)
-        (ax_p, ay_p, bx_p, by_p, slope, width, inv_ey, tilt, row_margin,
-         s_margin, cut_margin, pad, far) = np.repeat(np.stack([
-            ax, ay, bx, by, ex / ey, h * length / ey, 1.0 / ey,
-            h * (ex / length) / ey, 8.0 * k, 16.0 * k / ey, 16.0 * k, pad, far,
-        ]), n_rows, axis=1)
+        slope, width, inv_ey = ex / ey, h * length / ey, 1.0 / ey
+        tilt = h * (ex / length) / ey
+        row_margin, s_margin = 8.0 * k, 16.0 * k / ey
+        # each segment's columns for the row tests and the chords
+        cols = np.stack([ax, ay, bx, by, inv_ey, row_margin, s_margin, tilt, -tilt,
+                         16.0 * k, pad, np.where(trusted, h + err + 8.0 * k, np.inf)])
 
-        cy = (iy + 0.5) * res
-        da = cy - ay_p
-        db = cy - by_p
-        outside = (da < -far) | (db > far)
-        inside = (da >= row_margin - h) & (db <= h - row_margin)
-        # band edges, and where their projections surely lie
-        center = ax_p + da * slope
-        low_r = up_r = center + width
-        low_l = up_l = center - width
-        s = da * inv_ey
-        s_r = s + tilt
-        s_l = s - tilt
-        in_r = (s_r >= s_margin) & (s_r <= 1.0 - s_margin)
-        in_l = (s_l >= s_margin) & (s_l <= 1.0 - s_margin)
+        # each segment's interior rows [j1, j2]: estimated, then checked at
+        # both ends and one row in
+        last = first + n_rows - 1
+        tip = np.abs(tilt)
+        j1 = np.maximum(ay + (row_margin - h), ay + (s_margin + tip) * ey)
+        j2 = np.minimum(by + (h - row_margin), ay + (1.0 - s_margin - tip) * ey)
+        j1 = np.clip(np.ceil(j1 / res - 0.5), first, last).astype(np.int64)
+        j2 = np.clip(np.floor(j2 / res - 0.5), first, last).astype(np.int64)
+        j = np.concatenate([j1, j1 + 1, j2 - 1, j2])
+        each = np.tile(np.arange(n_rows.size), 4)
+        _, _, inside, _, placed = _row_tests((j + 0.5) * res, lambda i: cols[i].take(each, axis=-1), h)
+        ok = (inside & placed.all(axis=0)).reshape(4, -1)
+        j1, j2 = np.where(ok[0], j1, j1 + 1), np.where(ok[3], j2, j2 - 1)
+        ok = trusted & (ok[0] | ok[1]) & (ok[2] | ok[3]) & (j1 <= j2)
+        lead = np.where(ok, j1 - first, n_rows)
+        trail = np.where(ok, last - j2, 0)
 
-        # pairs near the segment's ends: the chords bracket the ends too
-        near = np.flatnonzero(inside & ~(in_r & in_l))
-        sure = inside.copy()
-        if near.size:
-            low_r, up_r, low_l, up_l = (v.copy() for v in (low_r, up_r, low_l, up_l))
-            chord_r = np.full(near.size, -np.inf)
-            chord_l = np.full(near.size, np.inf)
-            for d, cx in ((da[near], ax_p[near]), (db[near], bx_p[near])):
-                r2 = h * h - d * d
-                margin = cut_margin[near] * (h + np.abs(d))
-                cuts = r2 >= margin
-                sure[near] &= cuts | (r2 < -margin)
-                w = np.sqrt(np.where(cuts, r2, 0.0))
-                chord_r = np.where(cuts, np.maximum(chord_r, cx + w), chord_r)
-                chord_l = np.where(cuts, np.minimum(chord_l, cx - w), chord_l)
-            se = s_margin[near]
-            sr, sl = s_r[near], s_l[near]
-            band_r, band_l = low_r[near], low_l[near]
-            low_r[near] = np.where(in_r[near], band_r, chord_r)
-            up_r[near] = np.where((sr < -se) | (sr > 1.0 + se), chord_r, band_r)
-            low_l[near] = np.where((sl < -se) | (sl > 1.0 + se), chord_l, band_l)
-            up_l[near] = np.where(in_l[near], band_l, chord_l)
+        # every pair: the band's edges and their end cells, in place so
+        # that few per-pair arrays are alive at once
+        def per_pair(values):
+            return np.repeat(values, n_rows)
 
-        hi = np.floor((low_r - pad) / res - 0.5)
-        lo = np.ceil((up_l + pad) / res - 0.5)
-        sure &= (hi == np.floor((up_r + pad) / res - 0.5))
-        sure &= (lo == np.ceil((low_l - pad) / res - 0.5))
-    lo = np.where(sure, lo, 1.0).astype(np.int64)
-    hi = np.where(sure, hi, 0.0).astype(np.int64)
-    return lo, hi, sure | outside
+        cy = iy + 0.5
+        cy *= res
+        edge_l = per_pair(ay)
+        np.subtract(cy, edge_l, out=edge_l)
+        edge_l *= per_pair(slope)
+        edge_l += per_pair(ax)
+        edge_r = per_pair(width)
+        edge_r += edge_l
+        np.subtract(edge_l, per_pair(width), out=edge_l)
+        ends = np.cumsum(n_rows)
+        flank = _ranges(np.stack([ends - n_rows, ends - trail], axis=1).ravel(),
+                        np.stack([lead, trail], axis=1).ravel())
+        cy, band = cy[flank], np.stack([edge_r[flank], edge_l[flank]])
+        lo, hi, sure = _end_cells(edge_r, edge_r, edge_l, edge_l, per_pair(pad), res)
+        del edge_r, edge_l
+        decided = sure
+        if flank.size:
+            seg = np.repeat(np.arange(n_rows.size), lead + trail)
+            lo[flank], hi[flank], sure[flank], outside = _flank_cells(
+                cy, band, lambda i: cols[i].take(seg, axis=-1), h, res)
+            decided = sure.copy()
+            decided[flank] |= outside
+    empty = ~(sure & (lo <= hi))
+    np.copyto(lo, _EMPTY, where=empty)
+    np.copyto(hi, -_EMPTY, where=empty)
+    return lo.astype(np.int64), hi.astype(np.int64), decided
 
 
-def _window_cells(ax, ay, bx, by, seg, iy, row, res, half):
+def _row_tests(cy, col, h):
+    # The row tests of rows centered at cy, with col(i) each row's
+    # segment column i (of ``_decided_cells``' cols): the offsets from the
+    # segment's ends, whether the row lies inside the row margin, and each
+    # band edge's projection (right, left) and whether it is placed
+    da, db = cy - col(1), cy - col(3)
+    margin = col(5)
+    inside = (da >= margin - h) & (db <= h - margin)
+    s = da * col(4) + col(slice(7, 9))
+    s_margin = col(6)
+    return da, db, inside, s, (s >= s_margin) & (s <= 1.0 - s_margin)
+
+
+def _flank_cells(cy, band, col, h, res):
+    # ``_end_cells`` of flank rows: near the segment's ends the chords of
+    # the end disks bracket the ends too; also which rows lie outside.
+    # Each array is dropped once used, to bound the working memory.
+    da, db, inside, s, placed = _row_tests(cy, col, h)
+    far = col(11)
+    outside = (da < -far) | (db > far)
+    near = inside & ~placed.all(axis=0)
+    # each end disk's chord (a, then b) where it cuts the row
+    d = np.stack([da, db])
+    del da, db, far
+    r2 = h * h - d * d
+    margin = col(9) * (h + np.abs(d))
+    cuts = r2 >= margin
+    sure = inside & (~near | (cuts | (r2 < -margin)).all(axis=0))
+    del d, margin
+    w = np.sqrt(np.where(cuts, r2, 0.0))
+    centers = col(slice(0, 3, 2))
+    chord = np.stack([np.where(cuts, centers + w, -np.inf).max(axis=0),
+                      np.where(cuts, centers - w, np.inf).min(axis=0)])
+    del r2, cuts, w, centers
+    # each end (right, left) between its inner and outer bound
+    s_margin = col(6)
+    inner = np.where(near & ~placed, chord, band)
+    outer = np.where(near & ((s < -s_margin) | (s > 1.0 + s_margin)), chord, band)
+    del chord, s, placed
+    lo, hi, ends = _end_cells(inner[0], outer[0], outer[1], inner[1], col(10), res)
+    return lo, hi, sure & ends, outside
+
+
+def _end_cells(low_r, up_r, low_l, up_l, pad, res):
+    # The cells [lo, hi] of row intervals whose right end lies in
+    # [low_r, up_r] and left end in [low_l, up_l], and whether the cell of
+    # each end is sure at a distance pad from it (``_decided_cells``, 4.)
+    def cell(end, move, rounding):
+        index = move(end, pad)
+        index /= res
+        index -= 0.5
+        return rounding(index, out=index)
+
+    hi = cell(low_r, np.subtract, np.floor)
+    lo = cell(up_l, np.add, np.ceil)
+    sure = hi == cell(up_r, np.add, np.floor)
+    sure &= lo == cell(low_l, np.subtract, np.ceil)
+    return lo, hi, sure
+
+
+def _window_cells(ax, ay, bx, by, lane, seg, iy, row, res, half):
     """The cells that pass the stroke predicate for (segment, row) pairs
     ``(seg, iy)``: each cell's ``ix``, with its pair's ``row``.
 
@@ -531,89 +633,108 @@ def _window_cells(ax, ay, bx, by, seg, iy, row, res, half):
     within half a cell more than half the lane width of the segment's
     line.  That window holds every cell the predicate can pass, since
     the rounding error of both stays far below half a cell.
+
+    Pairs are tested in chunks of at most ``_WINDOW_CELLS`` cells.  A
+    window of more cells, or with a cell index beyond 2**53, raises
+    ``RasterOverflow`` before any cell is tested, naming the lane
+    (``lane[s]`` for segment ``s``) of the largest.
     """
-    if not seg.size:
-        return row, row  # both empty
     margin = int(math.ceil(half / res)) + 1
     reach = half + res / 2.0
-    ex, ey = bx - ax, by - ay
-    c2 = ex * ex + ey * ey
-    # c2 is 0 only by underflow; t = num / inf is then 0, as for a point
-    c2 = np.where(c2 > 0.0, c2, np.inf)
-    ix0 = np.ceil(np.minimum(ax, bx) / res - 0.5) - 1 - margin
-    ix1 = np.floor(np.maximum(ax, bx) / res - 0.5) + 1 + margin
-    wy = (iy + 0.5) * res - ay[seg]
-    # each row's window: |signed distance to the segment's line| <= reach,
-    # with the unit direction (ux, uy).  uy rounds to 0 on a segment flat
-    # to the last bit: the scan box then wins over an infinite bound, and
-    # fmax/fmin make it win over a NaN one.
-    length = np.hypot(ex, ey)
-    ux, uy = (ex / length)[seg], (ey / length)[seg]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        ex, ey = bx - ax, by - ay
+        c2 = ex * ex + ey * ey
+        # c2 is 0 only by underflow; t = num / inf is then 0, as for a point
+        c2 = np.where(c2 > 0.0, c2, np.inf)
+        ix0 = np.ceil(np.minimum(ax, bx) / res - 0.5) - 1 - margin
+        ix1 = np.floor(np.maximum(ax, bx) / res - 0.5) + 1 + margin
+        wy = (iy + 0.5) * res - ay[seg]
+        # each row's window: |signed distance to the segment's line| <= reach,
+        # with the unit direction (ux, uy).  uy rounds to 0 on a segment flat
+        # to the last bit: the scan box then wins over an infinite bound, and
+        # fmax/fmin make it win over a NaN one.
+        length = np.hypot(ex, ey)
+        ux, uy = (ex / length)[seg], (ey / length)[seg]
         x0 = ax[seg] + (ux * wy - reach) / uy
         x1 = ax[seg] + (ux * wy + reach) / uy
-    lo = np.fmax(np.ceil(x0 / res - 0.5), ix0[seg])
-    hi = np.fmin(np.floor(x1 / res - 0.5), ix1[seg])
-    n_cols = np.maximum(hi - lo + 1, 0).astype(np.int64)
+        lo = np.fmax(np.ceil(x0 / res - 0.5), ix0[seg])
+        hi = np.fmin(np.floor(x1 / res - 0.5), ix1[seg])
+        n_cols = np.maximum(hi - lo + 1, 0)
+        cost = np.where(np.fmax(np.abs(lo), np.abs(hi)) < 2.0**53, n_cols, np.inf)
+    if not cost.max() <= _WINDOW_CELLS:
+        raise RasterOverflow(
+            f"its BEV stroke needs a row window of more than {_WINDOW_CELLS} cells "
+            f"or a cell index beyond 2**53 (bev_resolution {res!r})",
+            int(lane[seg[np.argmax(cost)]]))
+    n_cols = n_cols.astype(np.int64)
+    ends = np.cumsum(n_cols)
 
     # the predicate, on every cell of every window
-    def per_cell(values):
-        return np.repeat(values, n_cols)
+    hit_row, hit_ix, p0 = [], [], 0
+    while p0 < seg.size:
+        p1 = max(int(np.searchsorted(ends, ends[p0] - n_cols[p0] + _WINDOW_CELLS,
+                                     side="right")), p0 + 1)
+        part = slice(p0, p1)
+        p0 = p1
 
-    seg, row = per_cell(seg), per_cell(row)
-    ix = _ranges(lo, n_cols)  # integral floats
-    ex_c, ey_c = ex[seg], ey[seg]
-    wx = (ix + 0.5) * res - ax[seg]
-    wy_c = per_cell(wy)
-    t = np.clip((wx * ex_c + wy_c * ey_c) / c2[seg], 0.0, 1.0)
-    dx = wx - t * ex_c
-    dy = wy_c - t * ey_c
-    hit = (dx * dx + dy * dy) <= half * half
-    return row[hit], ix[hit].astype(np.int64)
+        def per_cell(values):
+            return np.repeat(values[part], n_cols[part])
+
+        s, ix = per_cell(seg), _ranges(lo[part], n_cols[part])  # integral floats
+        ex_c, ey_c = ex[s], ey[s]
+        wx = (ix + 0.5) * res - ax[s]
+        wy_c = per_cell(wy)
+        t = np.clip((wx * ex_c + wy_c * ey_c) / c2[s], 0.0, 1.0)
+        dx = wx - t * ex_c
+        dy = wy_c - t * ey_c
+        hit = (dx * dx + dy * dy) <= half * half
+        hit_row.append(per_cell(row)[hit])
+        hit_ix.append(ix[hit].astype(np.int64))
+    return np.concatenate(hit_row), np.concatenate(hit_ix)
 
 
-def _iou_matrix(a: list[_Runs], b: list[_Runs]) -> np.ndarray:
-    """BEV IoU of every pair of strokes from ``a`` and ``b``.
+def _iou_matrix(table: _Table, n_a: int) -> np.ndarray:
+    """BEV IoU of every pair of strokes from ``table``'s first ``n_a``
+    polylines and the others.
 
-    A pair whose row or column ranges are disjoint shares no cell, so its
-    IoU is 0 without further work, as is a pair with an empty stroke.
+    Each stroke's size and its first and last column are reductions over
+    its rows of the table.  A pair whose row ranges (of the table) or
+    column ranges are disjoint shares no cell, so its IoU is 0 without
+    further work, as is a pair with an empty stroke.  Each other pair's
+    intersection sums the overlaps of the two strokes' runs over aligned
+    slices of their rows.
     """
-    def extent(strokes):
-        # cell counts, and first/last row and first/last column per stroke
-        size = np.array([int((s.hi - s.lo + 1).sum()) for s in strokes])
-        box = np.array([
-            (s.iy[0], s.iy[-1], s.lo.min(), s.hi.max()) if s.iy.size
-            else (0, 0, 0, 0)
-            for s in strokes
-        ]).T
-        return size, box
-
-    size_a, (row0_a, row1_a, col0_a, col1_a) = extent(a)
-    size_b, (row0_b, row1_b, col0_b, col1_b) = extent(b)
+    lo, hi, base, row0 = table
+    starts = base[:-1]
+    size = np.add.reduceat(np.maximum(hi - lo + 1, 0), starts)
+    left, right = np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts)
+    at = starts - row0  # grid row r of stroke l is table row at[l] + r
+    top, bottom = row0, base[1:] - 1 - at
+    a, b = slice(None, n_a), slice(n_a, None)
     meet = (
-        (size_a[:, None] > 0) & (size_b > 0)
-        & (row0_a[:, None] <= row1_b) & (row0_b <= row1_a[:, None])
-        & (col0_a[:, None] <= col1_b) & (col0_b <= col1_a[:, None])
+        (size[a, None] > 0) & (size[b] > 0)
+        & (top[a, None] <= bottom[b]) & (top[b] <= bottom[a, None])
+        & (left[a, None] <= right[b]) & (left[b] <= right[a, None])
     )
-    iou = np.zeros((len(a), len(b)))
+    iou = np.zeros(meet.shape)
+    size, at, top, bottom = size.tolist(), at.tolist(), top.tolist(), bottom.tolist()
     for i, j in zip(*np.nonzero(meet)):
-        inter = _shared_cells(a[i], b[j])
-        iou[i, j] = inter / (int(size_a[i] + size_b[j]) - inter)
+        k = n_a + j
+        r0 = max(top[i], top[k])
+        rows_i = slice(at[i] + r0, at[i] + min(bottom[i], bottom[k]) + 1)
+        rows_k = slice(at[k] + r0, at[k] + min(bottom[i], bottom[k]) + 1)
+        overlap = np.minimum(hi[rows_i], hi[rows_k])
+        overlap -= np.maximum(lo[rows_i], lo[rows_k])
+        overlap += 1
+        inter = int(np.maximum(overlap, 0, out=overlap).sum())
+        iou[i, j] = inter / (size[i] + size[k] - inter)
     return iou
-
-
-def _shared_cells(a: _Runs, b: _Runs) -> int:
-    """Number of cells in both strokes, both with at least one run."""
-    k = np.minimum(np.searchsorted(a.iy, b.iy), a.iy.size - 1)
-    overlap = np.minimum(a.hi[k], b.hi) - np.maximum(a.lo[k], b.lo) + 1
-    return int(np.maximum(overlap, 0)[a.iy[k] == b.iy].sum())
 
 
 def bev_iou(gt: Lane3D, pred: Lane3D, config: EvalConfig | None = None) -> float:
     """IoU of the two lanes' stroked footprints on the BEV grid."""
     config = config or EvalConfig()
-    a, b = _strokes(*_visible_points([gt, pred]), config)
-    return float(_iou_matrix([a], [b])[0, 0])
+    return float(_iou_matrix(_stroke_table(*_visible_points([gt, pred]), config), 1)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -640,22 +761,24 @@ class _IouCore(NamedTuple):
     n_pred: int
 
 
-def _matched_frames(frames, config: EvalConfig, with_maxes: bool) -> list[_IouCore]:
-    """One ``_IouCore`` per frame; see ``_iou_matched_block``."""
-    return [
-        core
-        for block in _frame_blocks(frames, config.n_interp, _iou_lanes)
-        for core in _iou_matched_block(*block, config, with_maxes)
-    ]
+def _matched_frames(frames, ids, config: EvalConfig, with_maxes: bool) -> list[_IouCore]:
+    """One ``_IouCore`` per frame (with id ``ids[f]``); see
+    ``_iou_matched_block``."""
+    cores = []
+    for block in _frame_blocks(frames, config.n_interp, _iou_lanes):
+        cores += _iou_matched_block(*block, ids[len(cores):], config, with_maxes)
+    return cores
 
 
-def _iou_matched_block(frames, points, first, at, config: EvalConfig,
+def _iou_matched_block(frames, points, first, at, ids, config: EvalConfig,
                        with_maxes: bool) -> list[_IouCore]:
     """IoU-maximizing assignment plus the distances of each frame's pairs
     above the IoU gate (no other pair can count or qualify).
 
     The block and its gathered lanes come from ``report._frame_blocks``,
-    and each frame's lanes are stroked by one ``_strokes`` call.  The
+    each frame's lanes are stroked by one ``_stroke_table`` call, whose
+    ``RasterOverflow`` is raised again naming the frame and side, and its
+    IoU is read from that table by ``_iou_matrix``.  The
     qualified pairs' lanes of all frames are interpolated by one
     ``resample_polylines`` call, which equals ``interpolate_lane``
     bitwise, and their CDs come from one ``polyline_mean_pairs`` call.
@@ -669,8 +792,15 @@ def _iou_matched_block(frames, points, first, at, config: EvalConfig,
         if lane == stop:
             continue
         n_gt = len(gt_lanes)
-        strokes = _strokes(points[first[lane]:first[stop]], counts[lane:stop], config)
-        iou = _iou_matrix(strokes[:n_gt], strokes[n_gt:])
+        try:
+            table = _stroke_table(points[first[lane]:first[stop]], counts[lane:stop],
+                                  config)
+        except RasterOverflow as exc:
+            side, index = (("ground truth", exc.lane) if exc.lane < n_gt
+                           else ("prediction", exc.lane - n_gt))
+            raise RasterOverflow(f"frame {ids[f]!r} {side} lane {index}: {exc}",
+                                 exc.lane) from None
+        iou = _iou_matrix(table, n_gt)
         matches.extend(
             (f, lane + i, lane + n_gt + j)
             for i, j in hungarian(-iou).pairs if iou[i, j] > config.tau_iou
@@ -738,7 +868,7 @@ def once_report(
     ids = _frame_ids(frames, frame_ids)
     counts = [
         _once_gate(core, config.tau_cd)
-        for core in _matched_frames(frames, config, with_maxes=False)
+        for core in _matched_frames(frames, ids, config, with_maxes=False)
     ]
     return _assemble("once", ids, counts, "cde")
 
@@ -758,7 +888,7 @@ def mbd_report(
     ids = _frame_ids(frames, frame_ids)
     counts = [
         (*_once_gate(core, config.tau_cd)[:3], core.worst)
-        for core in _matched_frames(frames, config, with_maxes=True)
+        for core in _matched_frames(frames, ids, config, with_maxes=True)
     ]
     aggregate = "max" if config.mbd_variant == "hausdorff_max" else "mean"
     return _assemble(
@@ -794,7 +924,7 @@ def threshold_sweep(
     """
     config = config or EvalConfig()
     taus = _tau_list(taus)
-    _frame_ids(frames, frame_ids)
+    ids = _frame_ids(frames, frame_ids)
     if protocol == "openlane":  # its cost caps reject an infinite tau
         return pointwise_sweep(frames, taus, pointwise_config)
     if protocol not in ("bcd", "once", "mbd"):
@@ -804,5 +934,5 @@ def threshold_sweep(
     if protocol == "bcd":
         cores, gate = _bcd_cores(frames, config.n_interp), _bcd_gate
     else:
-        cores, gate = _matched_frames(frames, config, with_maxes=False), _once_gate
+        cores, gate = _matched_frames(frames, ids, config, with_maxes=False), _once_gate
     return _sweep(cores, lambda core: [gate(core, tau)[:3] for tau in taus], taus)

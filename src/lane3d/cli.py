@@ -55,6 +55,7 @@ from .errors import (
     MissingField,
     MissingFrame,
     ParseError,
+    RasterOverflow,
     Underdetermined,
 )
 from .geometry import SampleGrid, fit_curves
@@ -91,13 +92,20 @@ _ASSUMED_KEYS = ("tau_iou", "lane_width", "bev_resolution")
 _ENV_PREFIX = "LANE3D_"
 
 
+def _real(value) -> float:
+    """``float(value)`` of a number or a numeric string; a boolean is neither."""
+    if isinstance(value, bool):
+        raise TypeError(value)
+    return float(value)
+
+
 def _parse_gammas(value) -> tuple[float, ...]:
     if isinstance(value, str):
         parts = [p for p in value.split(",") if p.strip()]
     else:
         parts = value
     try:
-        gammas = tuple(float(p) for p in parts)
+        gammas = tuple(_real(p) for p in parts)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"gammas must be 6 numbers, got {value!r}") from None
     if len(gammas) != 6:
@@ -112,11 +120,13 @@ def _coerce(key: str, value):
         return str(value)
     if key == "n_interp":
         try:
+            if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+                raise ValueError(value)
             return int(value)
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{key} must be an integer, got {value!r}") from None
     try:
-        return float(value)
+        return _real(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
 
@@ -699,6 +709,7 @@ _EXIT_CODES = {
     MissingField: 5,
     Underdetermined: 6,
     IoError: 7,
+    RasterOverflow: 8,
     Lane3DError: 1,
 }
 

@@ -78,5 +78,15 @@ class MissingField(Lane3DError):
     """A lane record lacks a component required by the requested computation."""
 
 
+class RasterOverflow(Lane3DError):
+    """A BEV stroke needs more window cells, or larger cell indices, than
+    the rasterizer allows.  ``lane`` is the lane's index among those
+    stroked together."""
+
+    def __init__(self, message: str, lane: int):
+        self.lane = lane
+        super().__init__(message)
+
+
 class IoError(Lane3DError):
     """A file could not be read or written."""

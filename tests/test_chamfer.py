@@ -11,6 +11,8 @@ from lane3d import report as report_module
 from lane3d.chamfer import (
     EvalConfig,
     _bcd_rows,
+    _iou_matrix,
+    _stroke_table,
     _strokes,
     bcd_report,
     bcd_select_tp_fp,
@@ -21,7 +23,7 @@ from lane3d.chamfer import (
     threshold_sweep,
     unilateral_cd,
 )
-from lane3d.errors import ConfigError, DegenerateLane
+from lane3d.errors import ConfigError, DegenerateLane, RasterOverflow
 from lane3d.geometry import Lane3D, interpolate_lane, resample_at_y
 from lane3d.pointwise import PointwiseConfig, openlane_report
 
@@ -631,6 +633,89 @@ def test_run_iou_matches_cell_set_iou():
     assert decode_runs(strokes([empty], thin)[0]) == set()
     assert bev_iou(lane_of(empty), lane_of(diagonal), thin) == 0.0
     assert bev_iou(lane_of(empty), lane_of(empty), thin) == 0.0
+
+
+def shared_cells(a, b):
+    """Cells in both strokes, both with at least one run: the pair-by-pair
+    oracle of the IoU's intersection, by a search of one stroke's rows."""
+    k = np.minimum(np.searchsorted(a.iy, b.iy), a.iy.size - 1)
+    overlap = np.minimum(a.hi[k], b.hi) - np.maximum(a.lo[k], b.lo) + 1
+    return int(np.maximum(overlap, 0)[a.iy[k] == b.iy].sum())
+
+
+def pairwise_iou(a, b):
+    """IoU of every pair of strokes from ``a`` and ``b``, one pair at a
+    time."""
+    iou = np.zeros((len(a), len(b)))
+    for i, s in enumerate(a):
+        for j, t in enumerate(b):
+            if s.iy.size and t.iy.size:
+                inter = shared_cells(s, t)
+                size = int((s.hi - s.lo + 1).sum()) + int((t.hi - t.lo + 1).sum())
+                iou[i, j] = inter / (size - inter)
+    return iou
+
+
+def iou_frame(rng, config):
+    """Ground truths then predictions of one random frame, and the number
+    of ground truths: crossing, touching, nested, empty and far-apart
+    strokes beside random lanes of every kind."""
+    res, width = config.bev_resolution, config.lane_width
+    base = random_polyline(rng, int(rng.integers(2, 6)), x_span=0.5)
+    offset = lambda dx, dy=0.0: base + [dx, dy, 0.0]
+    diagonal = np.array([[0.0, 0.0, 0.0], [3.0, 3.0, 0.0]])
+    gts = [base, diagonal, *random_lanes(rng, "near_horizontal", 1)]
+    preds = [
+        offset(rng.normal(0.0, 0.1)),
+        diagonal[::-1] * [1, -1, 1] + [0.0, 3.0, 0.0],  # crossing
+        offset(width + res * rng.integers(0, 2)),  # touching, or one cell apart
+        base[:2] + [0.0, 0.0, 0.0] if len(base) > 2 else offset(0.0, 0.0),  # nested
+        offset(50.0),  # boxes disjoint
+        np.array([[res, 0.0, 0.0], [res, 3.0, 0.0]]),  # empty when thin
+        *random_lanes(rng, "tangent", 1),
+        *random_lanes(rng, str(rng.choice(["plain", "half_cell", "far"])), 1),
+    ]
+    rng.shuffle(preds)
+    return [*gts, *preds], len(gts)
+
+
+@pytest.mark.parametrize("config", RASTER_CONFIGS, ids=["default", "odd", "coarse", "thin"])
+def test_iou_from_the_row_table_matches_the_pairwise_and_cell_set_iou(config):
+    rng = np.random.default_rng(round(1000 * config.lane_width))
+    for _ in range(40):
+        lanes, n_gt = iou_frame(rng, config)
+        whole = strokes(lanes, config)
+        # a whole frame in one block, and one lane per call
+        for got, lane in zip(whole, lanes):
+            assert_same_runs(got, strokes([lane], config)[0])
+        table = _stroke_table(np.concatenate(lanes), [len(p) for p in lanes], config)
+        iou = _iou_matrix(table, n_gt)
+        expected = pairwise_iou(whole[:n_gt], whole[n_gt:])
+        assert np.array_equal(iou.view(np.int64), expected.view(np.int64))
+        cells = [decode_runs(s) for s in whole]
+        by_sets = np.array([[set_iou(a, b) for b in cells[n_gt:]] for a in cells[:n_gt]])
+        assert np.array_equal(iou.view(np.int64), by_sets.view(np.int64))
+
+
+def test_window_scan_in_chunks_equals_one_pass(monkeypatch):
+    # tangent lanes send rows with windows of hundreds of cells to the scan
+    rng = np.random.default_rng(88)
+    config = EvalConfig()
+    lanes = random_lanes(rng, "tangent", 60)
+    whole = strokes(lanes, config)
+    monkeypatch.setattr(chamfer, "_WINDOW_CELLS", 1 << 12)
+    for got, expected in zip(strokes(lanes, config), whole):
+        assert_same_runs(got, expected)
+
+
+@pytest.mark.parametrize("x", [1e13, 1e17, 1e308])
+def test_bev_iou_of_a_huge_coordinate_raises_raster_overflow(x):
+    gt = straight_lane(0.0)
+    points = straight_lane(0.0).points.copy()
+    points[5, 0] = x
+    with pytest.raises(RasterOverflow, match="beyond 2\\*\\*53") as info:
+        bev_iou(gt, Lane3D(points=points, visibility=np.ones(len(points))))
+    assert info.value.lane == 1
 
 
 def test_iou_translation_by_grid_multiples_is_exact():

@@ -280,6 +280,29 @@ def test_eval_huge_integer_is_exit_3(tmp_path, capsys, where):
     assert f"(line 2, field {field})" in err
 
 
+@pytest.mark.parametrize("protocol", ["once", "mbd"])
+@pytest.mark.parametrize("x", [1e17, 1e20, 1e308])
+def test_eval_huge_coordinate_is_exit_8(tmp_path, capsys, protocol, x):
+    # the BEV stroke of a segment reaching x has row windows of about
+    # |x| / bev_resolution cells, or cells with no exact index
+    gt, pred = synth(tmp_path)
+    lines = pred.read_text().splitlines()
+    obj = json.loads(lines[1])
+    lane = obj["lanes"][1]
+    lane["points"][lane["visibility"].index(1.0) + 1][0] = x
+    lines[1] = json.dumps(obj)
+    pred.write_text("".join(line + "\n" for line in lines))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("eval", "--gt", str(gt), "--pred", str(pred),
+                   "--protocol", protocol) == 8
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: frame {obj['frame_id']!r} prediction lane 1: ")
+
+
 def test_eval_deeply_nested_line_is_exit_3(tmp_path, capsys):
     # a valid frame with an ignored key nested past either decoder's depth
     gt, _ = synth(tmp_path, frames=1)
@@ -334,6 +357,52 @@ def check_golden_iou_reports(tmp_path):
                    "--out", str(out), *extra) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, \
             (command, protocol, extra)
+
+
+# The IoU-gated reports hold the same bytes under other BLAS kernels and
+# with NumPy's AVX-512 loops off: no operation they use depends on the
+# CPU's dispatch.
+CPU_VARIANTS = {
+    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "numpy-no-avx512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+}
+
+IOU_EVALS = """
+import sys
+import lane3d
+
+gt, pred, out = sys.argv[1:]
+for protocol in ("once", "mbd"):
+    assert lane3d.main(["eval", "--gt", gt, "--pred", pred, "--protocol", protocol,
+                        "--tau-iou", "0.65", "--out", f"{out}.{protocol}"]) == 0
+"""
+
+
+@pytest.fixture(scope="module")
+def golden_iou_scenario(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden_iou")
+    gt, pred = path / "gt.jsonl", path / "pred.jsonl"
+    assert run("synth", "--frames", "40", "--seed", "5", "--sigma-w0", "0.1",
+               "--out", str(gt), "--emit-pred", str(pred)) == 0
+    return gt, pred
+
+
+@pytest.mark.parametrize("variant", CPU_VARIANTS)
+def test_iou_reports_do_not_depend_on_the_cpu_kernels(tmp_path, golden_iou_scenario,
+                                                       variant):
+    gt, pred = golden_iou_scenario
+    out = tmp_path / "report"
+    src = str(Path(lane3d.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, **CPU_VARIANTS[variant],
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run([sys.executable, "-c", IOU_EVALS, str(gt), str(pred), str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for protocol in ("once", "mbd"):
+        digest = hashlib.sha256(Path(f"{out}.{protocol}").read_bytes()).hexdigest()
+        assert digest == GOLDEN_IOU_REPORTS[("eval", protocol)], protocol
 
 
 # sha256 of the remaining commands' reports on the same scenario, at
@@ -635,9 +704,19 @@ OVER_RANGE = "1" + "0" * 400  # an integer literal no double holds
     ("file", "tau_cd", OVER_RANGE, f"tau_cd must be a number, got {OVER_RANGE}"),
     ("env", "tau_bcd", OVER_RANGE, f"tau_bcd must be a number, got {OVER_RANGE}"),
     ("env", "tau_cd", "abc", "tau_cd must be a number, got 'abc'"),
+    # a fraction is no integer, and a boolean is no number
+    ("file", "n_interp", "2.7", "n_interp must be an integer, got 2.7"),
+    ("env", "n_interp", "2.7", "n_interp must be an integer, got 2.7"),
+    ("file", "n_interp", "true", "n_interp must be an integer, got True"),
+    ("file", "tau_cd", "true", "tau_cd must be a number, got True"),
+    ("env", "tau_iou", "true", "tau_iou must be a number, got True"),
+    ("file", "gammas", "[1, 2, 3, 4, 5, false]",
+     "gammas must be 6 numbers, got [1, 2, 3, 4, 5, False]"),
 ], ids=["file-gammas-5", "env-gammas-5", "env-gammas-letters",
         "file-n_interp-inf", "env-n_interp-inf", "env-n_interp-abc",
-        "file-tau_cd-over-range", "env-tau_bcd-over-range", "env-tau_cd-abc"])
+        "file-tau_cd-over-range", "env-tau_bcd-over-range", "env-tau_cd-abc",
+        "file-n_interp-fraction", "env-n_interp-fraction", "file-n_interp-bool",
+        "file-tau_cd-bool", "env-tau_iou-bool", "file-gammas-bool"])
 def test_malformed_config_value_is_exit_2(tmp_path, capsys, monkeypatch, source,
                                           key, text, shown):
     # ``text`` is the JSON text of the file's value, or the variable's value
