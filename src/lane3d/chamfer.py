@@ -33,26 +33,17 @@ vertex), so a prediction that merely extends past its ground truth is
 not charged for sampling misalignment.
 
 BEV rasterization uses a global grid of ``bev_resolution`` cells whose
-origin sits at integer multiples of the resolution: strokes are runs of
-global cell indices, so the IoU of two lanes never depends on which
-other lanes share the frame.  Only x/y enter the rasterization; a
-stroke covers cells whose center lies within ``lane_width / 2`` of the
-polyline (boundary inclusive).  A stroke holds one run ``(iy, lo, hi)``
-per row, from the row's first passing cell to its last.  The points
-within ``lane_width / 2`` of a segment meet a row in one interval (the
-chords of the two end disks and the band between them); for each
-(segment, row) pair the rasterizer computes that interval and takes its
-end cells from it wherever a forward rounding bound puts the cell
-centers on both sides of each end clear of it (``_decided_cells`` states
-the bound).  The few other pairs test the cell-by-cell predicate on the
-cells of the row within half a cell more than ``lane_width / 2`` of the
-segment's line.  In exact arithmetic a polyline whose y strictly
-increases meets each row in one interval, so the run is the row's cell
-set; every tested input, adversarial ones included, agrees with a
-cell-by-cell scan.  Lanes are rasterized in blocks of at most
-``_BLOCK_PAIRS`` pairs.  The IoU of two strokes sums the overlaps of
-their runs on shared rows; strokes whose row or column ranges are
-disjoint score 0 without that sum.
+origin sits at integer multiples of the resolution, so the IoU of two
+lanes never depends on which other lanes share the frame.  Only x/y
+enter it: a stroke covers the cells whose centers lie within
+``lane_width / 2`` of the polyline (boundary inclusive), held as one run
+per row of a row table (``_stroke_table``).  For most (segment, row)
+pairs the run's ends come from the closed-form interval where the row
+meets the segment's stroke, under a rounding bound (``_decided_cells``);
+the few others test the cell-by-cell predicate on a window of the row
+(``_window_cells``).  Every tested input, adversarial ones included,
+agrees with a cell-by-cell scan.  The IoU of two strokes sums the
+overlaps of their runs over aligned rows of the table (``_iou_matrix``).
 
 Every protocol works on blocks of frames from ``report._frame_blocks``,
 the one gather: it gathers a block's scored lanes by one
@@ -293,28 +284,18 @@ class _Runs(NamedTuple):
     hi: np.ndarray
 
 
-class _Table(NamedTuple):
-    """The strokes of several polylines as one row table: polyline ``l``
-    owns rows ``base[l]:base[l + 1]``, the first of them grid row
-    ``row0[l]``, and a row covers the cells ``lo <= ix <= hi``.  A row
-    without a passing cell holds ``lo = _EMPTY``, ``hi = -_EMPTY``."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    base: np.ndarray
-    row0: np.ndarray
-
-
 # (segment, row) pairs the rasterizer works on at once: bounds its working
-# memory.  Lanes are grouped into blocks up to this many pairs, and a lane
-# with more forms a block of its own.
+# memory.  Lanes are grouped into blocks up to this many pairs (a frame of
+# eight 100 m lanes, at the default raster, is one), and a lane with more
+# forms a block of its own.
 _BLOCK_PAIRS = 20_000
 
-# Cells the window scan may test in one block (about 100 bytes each).
-_WINDOW_CELLS = 1 << 20
+# Cells the window scan tests at once (about 100 bytes each), and at most
+# in one row's window.
+_WINDOW_CELLS = 1 << 18
 
-# A row's bounds before its first cell: every cell index stays within
-# 2**53, so a run's overlap with this row is negative and never overflows.
+# The bounds of a row without a cell: cell indices stay within 2**53, so
+# its overlap with any run is negative and never overflows.
 _EMPTY = 1 << 62
 
 # Unit roundoff of binary64, for the rounding bounds below.
@@ -322,31 +303,29 @@ _U = 2.0**-53
 
 
 def _strokes(points: np.ndarray, sizes, config: EvalConfig) -> list[_Runs]:
-    """The runs of ``_stroke_table``, one ``_Runs`` per polyline."""
-    if not len(sizes):
-        return []
-    table = _stroke_table(points, sizes, config)
-    rows = np.flatnonzero(table.lo <= table.hi)
-    ends = np.searchsorted(rows, table.base)
-    return [
-        _Runs(rows[s:e] - table.base[l] + table.row0[l], table.lo[rows[s:e]],
-              table.hi[rows[s:e]])
-        for l, (s, e) in enumerate(zip(ends[:-1], ends[1:]))
-    ]
+    """The strokes of ``_stroke_table``, one ``_Runs`` per polyline."""
+    lo, hi, base, row0 = _stroke_table(points, sizes, config)
+    rows = np.flatnonzero(lo <= hi)
+    ends = np.searchsorted(rows, base)
+    return [_Runs(rows[s:e] - base[l] + row0[l], lo[rows[s:e]], hi[rows[s:e]])
+            for l, (s, e) in enumerate(zip(ends[:-1], ends[1:]))]
 
 
-def _stroke_table(points: np.ndarray, sizes, config: EvalConfig) -> _Table:
-    """Strokes of several polylines, one run per row: polyline i holds the
-    next ``sizes[i]`` rows of ``points`` (``(rows, 2+)``), at least 2, with
-    strictly increasing y.
+def _stroke_table(points: np.ndarray, sizes, config: EvalConfig):
+    """Strokes of one or more polylines as one row table ``(lo, hi, base,
+    row0)``: polyline i holds the next ``sizes[i]`` rows of ``points``
+    (``(rows, 2+)``), at least 2, with strictly increasing y, and owns
+    table rows ``base[i]:base[i + 1]`` (at least one), the first of them
+    grid row ``row0[i]``.  A row's run covers the cells ``lo <= ix <= hi``;
+    a row without one holds ``lo = _EMPTY``, ``hi = -_EMPTY``.
 
     Each (segment, row) pair whose row comes within half a cell more
     than ``lane_width / 2`` of the segment's y-range is decided from the
     segment's interval on the row where ``_decided_cells`` proves that
     interval's end cells; the other pairs run the window scan of
     ``_window_cells``, which raises ``RasterOverflow`` (carrying the
-    polyline's index) past ``_WINDOW_CELLS`` cells or a cell index of
-    2**53.  Pairs are worked on in blocks of whole lanes of at most
+    polyline's index) for a window past ``_WINDOW_CELLS`` cells or a cell
+    index past 2**53.  Pairs are worked on in blocks of whole lanes of at most
     ``_BLOCK_PAIRS`` pairs (a lane with more forms a block alone), and the
     runs do not depend on the blocks.
 
@@ -413,11 +392,9 @@ def _stroke_table(points: np.ndarray, sizes, config: EvalConfig) -> _Table:
         undecided = np.flatnonzero(~decided)
         if undecided.size:
             seg = np.searchsorted(np.cumsum(counts), undecided, side="right")
-            hit_row, hit_ix = _window_cells(*segments, lane[s0:s1], seg, iy[undecided],
-                                            row[undecided], res, half)
-            np.minimum.at(row_lo, hit_row, hit_ix)
-            np.maximum.at(row_hi, hit_row, hit_ix)
-    return _Table(row_lo, row_hi, base, row0)
+            _window_cells(*segments, lane[s0:s1], seg, iy[undecided], row[undecided],
+                          res, half, row_lo, row_hi)
+    return row_lo, row_hi, base, row0
 
 
 def _decided_cells(ax, ay, bx, by, first, n_rows, iy, res, half):
@@ -511,22 +488,22 @@ def _decided_cells(ax, ay, bx, by, first, n_rows, iy, res, half):
         cols = np.stack([ax, ay, bx, by, inv_ey, row_margin, s_margin, tilt, -tilt,
                          16.0 * k, pad, np.where(trusted, h + err + 8.0 * k, np.inf)])
 
-        # each segment's interior rows [j1, j2]: estimated, then checked at
-        # both ends and one row in
+        # each segment's interior rows [j1, j2], estimated and then checked
+        # at both ends: a segment that fails has none
         last = first + n_rows - 1
         tip = np.abs(tilt)
         j1 = np.maximum(ay + (row_margin - h), ay + (s_margin + tip) * ey)
         j2 = np.minimum(by + (h - row_margin), ay + (1.0 - s_margin - tip) * ey)
-        j1 = np.clip(np.ceil(j1 / res - 0.5), first, last).astype(np.int64)
-        j2 = np.clip(np.floor(j2 / res - 0.5), first, last).astype(np.int64)
-        j = np.concatenate([j1, j1 + 1, j2 - 1, j2])
-        each = np.tile(np.arange(n_rows.size), 4)
-        _, _, inside, _, placed = _row_tests((j + 0.5) * res, lambda i: cols[i].take(each, axis=-1), h)
-        ok = (inside & placed.all(axis=0)).reshape(4, -1)
-        j1, j2 = np.where(ok[0], j1, j1 + 1), np.where(ok[3], j2, j2 - 1)
-        ok = trusted & (ok[0] | ok[1]) & (ok[2] | ok[3]) & (j1 <= j2)
-        lead = np.where(ok, j1 - first, n_rows)
-        trail = np.where(ok, last - j2, 0)
+        j = np.concatenate([np.clip(np.ceil(j1 / res - 0.5), first, last),
+                            np.clip(np.floor(j2 / res - 0.5), first, last)])
+        j = j.astype(np.int64).reshape(2, -1)
+        each = np.tile(np.arange(n_rows.size), 2)
+        _, _, inside, _, placed = _row_tests((j.ravel() + 0.5) * res,
+                                             lambda i: cols[i].take(each, axis=-1), h)
+        ok = trusted & (inside & placed.all(axis=0)).reshape(2, -1).all(axis=0)
+        ok &= j[0] <= j[1]
+        lead = np.where(ok, j[0] - first, n_rows)
+        trail = np.where(ok, last - j[1], 0)
 
         # every pair: the band's edges and their end cells, in place so
         # that few per-pair arrays are alive at once
@@ -621,9 +598,9 @@ def _end_cells(low_r, up_r, low_l, up_l, pad, res):
     return lo, hi, sure
 
 
-def _window_cells(ax, ay, bx, by, lane, seg, iy, row, res, half):
-    """The cells that pass the stroke predicate for (segment, row) pairs
-    ``(seg, iy)``: each cell's ``ix``, with its pair's ``row``.
+def _window_cells(ax, ay, bx, by, lane, seg, iy, row, res, half, row_lo, row_hi):
+    """Merge the cells that pass the stroke predicate for (segment, row)
+    pairs ``(seg, iy)`` into table rows ``row`` of ``row_lo``/``row_hi``.
 
     Cell ``(ix, iy)`` has center ``((ix + 0.5) * res, (iy + 0.5) * res)``
     in ground x/y and passes when its center lies within half the lane
@@ -660,40 +637,35 @@ def _window_cells(ax, ay, bx, by, lane, seg, iy, row, res, half):
         lo = np.fmax(np.ceil(x0 / res - 0.5), ix0[seg])
         hi = np.fmin(np.floor(x1 / res - 0.5), ix1[seg])
         n_cols = np.maximum(hi - lo + 1, 0)
-        cost = np.where(np.fmax(np.abs(lo), np.abs(hi)) < 2.0**53, n_cols, np.inf)
+        exact = (n_cols == 0) | (np.fmax(np.abs(lo), np.abs(hi)) < 2.0**53)
+        cost = np.where(exact, n_cols, np.inf)
     if not cost.max() <= _WINDOW_CELLS:
         raise RasterOverflow(
             f"its BEV stroke needs a row window of more than {_WINDOW_CELLS} cells "
             f"or a cell index beyond 2**53 (bev_resolution {res!r})",
             int(lane[seg[np.argmax(cost)]]))
     n_cols = n_cols.astype(np.int64)
-    ends = np.cumsum(n_cols)
+    step = _WINDOW_CELLS // max(int(n_cols.max()), 1)
 
-    # the predicate, on every cell of every window
-    hit_row, hit_ix, p0 = [], [], 0
-    while p0 < seg.size:
-        p1 = max(int(np.searchsorted(ends, ends[p0] - n_cols[p0] + _WINDOW_CELLS,
-                                     side="right")), p0 + 1)
-        part = slice(p0, p1)
-        p0 = p1
-
+    # the predicate, on every cell of every window, step pairs at a time
+    for p in range(0, seg.size, step):
         def per_cell(values):
-            return np.repeat(values[part], n_cols[part])
+            return np.repeat(values[p:p + step], n_cols[p:p + step])
 
-        s, ix = per_cell(seg), _ranges(lo[part], n_cols[part])  # integral floats
+        s, ix = per_cell(seg), _ranges(lo[p:p + step], n_cols[p:p + step])
         ex_c, ey_c = ex[s], ey[s]
-        wx = (ix + 0.5) * res - ax[s]
+        wx = (ix + 0.5) * res - ax[s]  # ix: integral floats
         wy_c = per_cell(wy)
         t = np.clip((wx * ex_c + wy_c * ey_c) / c2[s], 0.0, 1.0)
         dx = wx - t * ex_c
         dy = wy_c - t * ey_c
         hit = (dx * dx + dy * dy) <= half * half
-        hit_row.append(per_cell(row)[hit])
-        hit_ix.append(ix[hit].astype(np.int64))
-    return np.concatenate(hit_row), np.concatenate(hit_ix)
+        hit_row, hit_ix = per_cell(row)[hit], ix[hit].astype(np.int64)
+        np.minimum.at(row_lo, hit_row, hit_ix)
+        np.maximum.at(row_hi, hit_row, hit_ix)
 
 
-def _iou_matrix(table: _Table, n_a: int) -> np.ndarray:
+def _iou_matrix(table, n_a: int) -> np.ndarray:
     """BEV IoU of every pair of strokes from ``table``'s first ``n_a``
     polylines and the others.
 

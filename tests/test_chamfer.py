@@ -708,6 +708,15 @@ def test_window_scan_in_chunks_equals_one_pass(monkeypatch):
         assert_same_runs(got, expected)
 
 
+def test_a_row_window_past_the_scan_box_is_empty():
+    # segments flat to 1e-179 and 1e-115: rows off their band put the
+    # window 1e166 cells away, past the box, and hold no cell
+    config = EvalConfig(lane_width=3.0, bev_resolution=0.01)
+    pts = np.array([[-1.97491308, -5e-324, 0.0], [14.0224889, 2.98414669e-179, 0.0],
+                    [-43.6393947, 7.74885751e-115, 0.0], [-2.69447681, 5.73716124e-29, 0.0]])
+    assert_same_runs(strokes([pts], config)[0], window_scan_runs(pts, config))
+
+
 @pytest.mark.parametrize("x", [1e13, 1e17, 1e308])
 def test_bev_iou_of_a_huge_coordinate_raises_raster_overflow(x):
     gt = straight_lane(0.0)
