@@ -484,9 +484,11 @@ def _decided_cells(ax, ay, bx, by, first, n_rows, iy, res, half):
         slope, width, inv_ey = ex / ey, h * length / ey, 1.0 / ey
         tilt = h * (ex / length) / ey
         row_margin, s_margin = 8.0 * k, 16.0 * k / ey
-        # each segment's columns for the row tests and the chords
-        cols = np.stack([ax, ay, bx, by, inv_ey, row_margin, s_margin, tilt, -tilt,
-                         16.0 * k, pad, np.where(trusted, h + err + 8.0 * k, np.inf)])
+        # each segment's values for the row tests and the chords
+        cols = {"ay": ay, "by": by, "ends": np.stack([ax, bx]), "inv_ey": inv_ey,
+                "tilts": np.stack([tilt, -tilt]), "row_margin": row_margin,
+                "s_margin": s_margin, "cut": 16.0 * k, "pad": pad,
+                "far": np.where(trusted, h + err + 8.0 * k, np.inf)}
 
         # each segment's interior rows [j1, j2], estimated and then checked
         # at both ends: a segment that fails has none
@@ -499,7 +501,7 @@ def _decided_cells(ax, ay, bx, by, first, n_rows, iy, res, half):
         j = j.astype(np.int64).reshape(2, -1)
         each = np.tile(np.arange(n_rows.size), 2)
         _, _, inside, _, placed = _row_tests((j.ravel() + 0.5) * res,
-                                             lambda i: cols[i].take(each, axis=-1), h)
+                                             lambda key: cols[key].take(each, axis=-1), h)
         ok = trusted & (inside & placed.all(axis=0)).reshape(2, -1).all(axis=0)
         ok &= j[0] <= j[1]
         lead = np.where(ok, j[0] - first, n_rows)
@@ -529,7 +531,7 @@ def _decided_cells(ax, ay, bx, by, first, n_rows, iy, res, half):
         if flank.size:
             seg = np.repeat(np.arange(n_rows.size), lead + trail)
             lo[flank], hi[flank], sure[flank], outside = _flank_cells(
-                cy, band, lambda i: cols[i].take(seg, axis=-1), h, res)
+                cy, band, lambda key: cols[key].take(seg, axis=-1), h, res)
             decided = sure.copy()
             decided[flank] |= outside
     empty = ~(sure & (lo <= hi))
@@ -539,15 +541,15 @@ def _decided_cells(ax, ay, bx, by, first, n_rows, iy, res, half):
 
 
 def _row_tests(cy, col, h):
-    # The row tests of rows centered at cy, with col(i) each row's
-    # segment column i (of ``_decided_cells``' cols): the offsets from the
+    # The row tests of rows centered at cy, with col(key) each row's
+    # segment value (of ``_decided_cells``' cols): the offsets from the
     # segment's ends, whether the row lies inside the row margin, and each
     # band edge's projection (right, left) and whether it is placed
-    da, db = cy - col(1), cy - col(3)
-    margin = col(5)
+    da, db = cy - col("ay"), cy - col("by")
+    margin = col("row_margin")
     inside = (da >= margin - h) & (db <= h - margin)
-    s = da * col(4) + col(slice(7, 9))
-    s_margin = col(6)
+    s = da * col("inv_ey") + col("tilts")
+    s_margin = col("s_margin")
     return da, db, inside, s, (s >= s_margin) & (s <= 1.0 - s_margin)
 
 
@@ -556,28 +558,28 @@ def _flank_cells(cy, band, col, h, res):
     # the end disks bracket the ends too; also which rows lie outside.
     # Each array is dropped once used, to bound the working memory.
     da, db, inside, s, placed = _row_tests(cy, col, h)
-    far = col(11)
+    far = col("far")
     outside = (da < -far) | (db > far)
     near = inside & ~placed.all(axis=0)
     # each end disk's chord (a, then b) where it cuts the row
     d = np.stack([da, db])
     del da, db, far
     r2 = h * h - d * d
-    margin = col(9) * (h + np.abs(d))
+    margin = col("cut") * (h + np.abs(d))
     cuts = r2 >= margin
     sure = inside & (~near | (cuts | (r2 < -margin)).all(axis=0))
     del d, margin
     w = np.sqrt(np.where(cuts, r2, 0.0))
-    centers = col(slice(0, 3, 2))
+    centers = col("ends")
     chord = np.stack([np.where(cuts, centers + w, -np.inf).max(axis=0),
                       np.where(cuts, centers - w, np.inf).min(axis=0)])
     del r2, cuts, w, centers
     # each end (right, left) between its inner and outer bound
-    s_margin = col(6)
+    s_margin = col("s_margin")
     inner = np.where(near & ~placed, chord, band)
     outer = np.where(near & ((s < -s_margin) | (s > 1.0 + s_margin)), chord, band)
     del chord, s, placed
-    lo, hi, ends = _end_cells(inner[0], outer[0], outer[1], inner[1], col(10), res)
+    lo, hi, ends = _end_cells(inner[0], outer[0], outer[1], inner[1], col("pad"), res)
     return lo, hi, sure & ends, outside
 
 
@@ -738,7 +740,8 @@ def _matched_frames(frames, ids, config: EvalConfig, with_maxes: bool) -> list[_
     ``_iou_matched_block``."""
     cores = []
     for block in _frame_blocks(frames, config.n_interp, _iou_lanes):
-        cores += _iou_matched_block(*block, ids[len(cores):], config, with_maxes)
+        block_ids = ids[len(cores):len(cores) + len(block[0])]
+        cores += _iou_matched_block(*block, block_ids, config, with_maxes)
     return cores
 
 
