@@ -669,7 +669,7 @@ def iou_frame(rng, config):
         offset(rng.normal(0.0, 0.1)),
         diagonal[::-1] * [1, -1, 1] + [0.0, 3.0, 0.0],  # crossing
         offset(width + res * rng.integers(0, 2)),  # touching, or one cell apart
-        base[:2] + [0.0, 0.0, 0.0] if len(base) > 2 else offset(0.0, 0.0),  # nested
+        base[:2].copy(),  # nested in the base lane's stroke
         offset(50.0),  # boxes disjoint
         np.array([[res, 0.0, 0.0], [res, 3.0, 0.0]]),  # empty when thin
         *random_lanes(rng, "tangent", 1),
