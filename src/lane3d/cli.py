@@ -347,6 +347,7 @@ def cmd_sweep(args) -> int:
         args.protocol,
         config.eval_config,
         pointwise_config=config.pointwise_config,
+        frame_ids=[r.frame_id for r in records],
     )
     # The sweep's product is its rows; headline ratios echo the last row
     # and counts are intentionally zero (they are per-threshold values).

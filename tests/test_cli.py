@@ -280,9 +280,12 @@ def test_eval_huge_integer_is_exit_3(tmp_path, capsys, where):
     assert f"(line 2, field {field})" in err
 
 
-@pytest.mark.parametrize("protocol", ["once", "mbd"])
+@pytest.mark.parametrize("argv", [("eval", "--protocol", "once"),
+                                  ("eval", "--protocol", "mbd"),
+                                  ("sweep", "--protocol", "once", "--taus", "0.1,0.2")],
+                         ids=["eval-once", "eval-mbd", "sweep-once"])
 @pytest.mark.parametrize("x", [1e17, 1e20, 1e308])
-def test_eval_huge_coordinate_is_exit_8(tmp_path, capsys, protocol, x):
+def test_huge_coordinate_is_exit_8(tmp_path, capsys, argv, x):
     # the BEV stroke of a segment reaching x has row windows of about
     # |x| / bev_resolution cells, or cells with no exact index
     gt, pred = synth(tmp_path)
@@ -295,8 +298,7 @@ def test_eval_huge_coordinate_is_exit_8(tmp_path, capsys, protocol, x):
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert run("eval", "--gt", str(gt), "--pred", str(pred),
-                   "--protocol", protocol) == 8
+        assert run(*argv, "--gt", str(gt), "--pred", str(pred)) == 8
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
