@@ -25,6 +25,10 @@ Divergences have one implementation, over stacks of Gaussians:
 endpoints and widths, and ``kld_components`` / ``kld`` /
 ``symmetric_kld`` are batches of one.  A batch fails on its first bad
 segment with the error and message that segment alone would raise.
+The batch builds each orientation from its segment's direction ratios
+rather than from angles, writes every 3x3 product out elementwise, and
+takes logs with ``math.log``: no divergence goes through BLAS or a NumPy
+loop whose result depends on the CPU.
 """
 
 from __future__ import annotations
@@ -114,12 +118,14 @@ class SegmentGaussian:
 
 
 def _segment_arrays(p_a: np.ndarray, p_b: np.ndarray):
-    """Midpoints, lengths, pitches and yaws of the segments p_a[i] -> p_b[i]."""
+    """Midpoints, directions and lengths of the segments p_a[i] -> p_b[i]."""
     delta = p_b - p_a
-    length = np.sqrt((delta * delta).sum(axis=1))
-    theta_x = np.arctan2(delta[:, 2], np.hypot(delta[:, 0], delta[:, 1]))
-    theta_z = np.arctan2(delta[:, 1], delta[:, 0])
-    return (p_a + p_b) / 2.0, length, theta_x, theta_z
+    return (p_a + p_b) / 2.0, delta, np.sqrt((delta * delta).sum(axis=1))
+
+
+def _pitch(delta: np.ndarray) -> np.ndarray:
+    """``atan2(dz, hypot(dx, dy))`` of each direction."""
+    return np.arctan2(delta[:, 2], np.hypot(delta[:, 0], delta[:, 1]))
 
 
 def segment_params(p_a, p_b) -> tuple[np.ndarray, float, float, float]:
@@ -128,7 +134,7 @@ def segment_params(p_a, p_b) -> tuple[np.ndarray, float, float, float]:
     Pitch is ``atan2(dz, hypot(dx, dy))``; yaw is ``atan2(dy, dx)``.
     Raises ZeroLengthSegment when the endpoints are closer than 1e-9 m.
     """
-    mu, length, theta_x, theta_z = _segment_arrays(
+    mu, delta, length = _segment_arrays(
         np.asarray(p_a, dtype=float).reshape(1, 3),
         np.asarray(p_b, dtype=float).reshape(1, 3),
     )
@@ -136,7 +142,8 @@ def segment_params(p_a, p_b) -> tuple[np.ndarray, float, float, float]:
         raise ZeroLengthSegment(
             f"segment endpoints coincide (length {length[0]:.3e} m)"
         )
-    return mu[0], float(length[0]), float(theta_x[0]), float(theta_z[0])
+    theta_z = np.arctan2(delta[:, 1], delta[:, 0])
+    return mu[0], float(length[0]), float(_pitch(delta)[0]), float(theta_z[0])
 
 
 def segment_gaussian(p_a, p_b, lambda_w: float, lambda_h: float) -> SegmentGaussian:
@@ -159,8 +166,12 @@ def segment_gaussian(p_a, p_b, lambda_w: float, lambda_h: float) -> SegmentGauss
 
 def _rotations(theta_x, theta_z) -> np.ndarray:
     """Stack of orientation matrices (m, 3, 3); see ``rotation_matrix``."""
-    cx, sx = np.cos(theta_x), np.sin(theta_x)
-    cz, sz = np.cos(theta_z), np.sin(theta_z)
+    return _rotation_stack(np.cos(theta_x), np.sin(theta_x),
+                           np.cos(theta_z), np.sin(theta_z))
+
+
+def _rotation_stack(cx, sx, cz, sz) -> np.ndarray:
+    """``_rotations`` from the cosines and sines of pitch and yaw."""
     zero = np.zeros_like(cx)
     rows = ((cz, -sz * cx, sz * sx),
             (sz, cz * cx, -cz * sx),
@@ -199,22 +210,58 @@ def _check_conditioning(seg: SegmentGaussian) -> None:
         )
 
 
-def _kld_terms(mu_a, s_a, rot_a, mu_b, s_b, rot_b):
+def _log(x: np.ndarray) -> np.ndarray:
+    """``math.log`` of each entry (``np.log`` may differ in the last bit
+    from one CPU to another)."""
+    return np.array(list(map(math.log, x.ravel().tolist())),
+                    dtype=np.float64).reshape(x.shape)
+
+
+def _direction_rotations(delta: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """``_rotations`` of the segments along ``delta``, from the direction's
+    ratios: with ``h = hypot(dx, dy)``, the cosine and sine of the pitch are
+    ``h / length`` and ``dz / length``, those of the yaw ``dx / h`` and
+    ``dy / h``.  A vertical or degenerate direction gives NaN entries."""
+    dx, dy, dz = delta.T
+    with np.errstate(invalid="ignore", divide="ignore"):
+        h = np.sqrt(dx * dx + dy * dy)
+        return _rotation_stack(h / length, dz / length, dx / h, dy / h)
+
+
+def _log_volume(s: np.ndarray) -> np.ndarray:
+    """The sum of the logs of each row's three (positive) scales."""
+    logs = _log(s)
+    return logs[:, 0] + logs[:, 1] + logs[:, 2]
+
+
+def _kld_terms(mu_a, s_a, rot_a, mu_b, s_b, rot_b, logdet=None):
     """The three terms of KL(a || b) for stacks of m Gaussians.
 
-    ``mu`` is (m, 3), ``s`` the (m, 3) axis scales and ``rot`` the
-    (m, 3, 3) orientations.  Returns (trace, shift, logdet) arrays of
-    shape (m,), computed in whitened form from the factors.  Extreme
-    scales may overflow to a non-finite term without a warning; callers
-    reject such pairs.
+    ``mu`` is (m, 3), ``s`` the (m, 3) axis scales, all positive, and
+    ``rot`` the (m, 3, 3) orientations.  Returns (trace, shift, logdet)
+    arrays of shape (m,), computed in whitened form from the factors;
+    a caller that has the logdet term may pass it.  Every product and sum
+    is elementwise, in a fixed order, and the logs are ``math.log``'s, so
+    no term depends on the CPU.  Extreme scales may overflow to a
+    non-finite term without a warning; callers reject such pairs.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        cross = np.swapaxes(rot_b, 1, 2) @ rot_a
+        # cross[i, j] = sum over k of rot_b[k, i] * rot_a[k, j]
+        cross = (rot_b[:, 0, :, None] * rot_a[:, 0, None, :]
+                 + rot_b[:, 1, :, None] * rot_a[:, 1, None, :]
+                 + rot_b[:, 2, :, None] * rot_a[:, 2, None, :])
         m = (cross * s_a[:, None, :]) / s_b[:, :, None]
-        trace = (m * m).sum(axis=(1, 2)) - 3.0
-        w = (np.swapaxes(rot_b, 1, 2) @ (mu_b - mu_a)[:, :, None])[:, :, 0] / s_b
-        shift = (w * w).sum(axis=1)
-        logdet = 2.0 * (np.log(s_b).sum(axis=1) - np.log(s_a).sum(axis=1))
+        m = (m * m).reshape(-1, 9)
+        trace = m[:, 0]
+        for k in range(1, 9):
+            trace = trace + m[:, k]
+        trace = trace - 3.0
+        d = mu_b - mu_a
+        w = (rot_b[:, 0] * d[:, :1] + rot_b[:, 1] * d[:, 1:2]
+             + rot_b[:, 2] * d[:, 2:]) / s_b
+        shift = w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1] + w[:, 2] * w[:, 2]
+    if logdet is None:
+        logdet = 2.0 * (_log_volume(s_b) - _log_volume(s_a))
     return trace, shift, logdet
 
 
@@ -293,23 +340,25 @@ def segment_symmetric_klds(
     w = np.asarray(widths, dtype=np.float64).reshape(-1, 2)
     if not p_a.shape == p_b.shape == g_a.shape == g_b.shape == (len(w), 3):
         raise ValueError("endpoints must be (m, 3) and widths (m, 2)")
-    mu_p, len_p, tx_p, tz_p = _segment_arrays(p_a, p_b)
-    mu_g, len_g, tx_g, tz_g = _segment_arrays(g_a, g_b)
-    # every condition under which the single-pair path raises
+    mu_p, d_p, len_p = _segment_arrays(p_a, p_b)
+    mu_g, d_g, len_g = _segment_arrays(g_a, g_b)
+    # every condition under which the single-pair path raises; the pitch
+    # decides the domain only, as it does there
     ok = (w >= MIN_SCALE).all(axis=1) & np.isfinite(w).all(axis=1)
-    for mu, length, theta_x, theta_z in ((mu_p, len_p, tx_p, tz_p),
-                                         (mu_g, len_g, tx_g, tz_g)):
+    for mu, delta, length in ((mu_p, d_p, len_p), (mu_g, d_g, len_g)):
         ok &= (length >= MIN_SCALE) & np.isfinite(length)
-        ok &= np.isfinite(mu).all(axis=1) & np.isfinite(theta_z)
-        ok &= np.abs(theta_x) < math.pi / 2
+        ok &= np.isfinite(mu).all(axis=1)
+        ok &= np.abs(_pitch(delta)) < math.pi / 2
     half = w / 2.0
     s_p = np.column_stack([len_p / 2.0, half])
     s_g = np.column_stack([len_g / 2.0, half])
-    rot_p = _rotations(tx_p, tz_p)
-    rot_g = _rotations(tx_g, tz_g)
+    s_p[~ok] = s_g[~ok] = 1.0  # logs are taken of checked scales only
+    rot_p, rot_g = _direction_rotations(d_p, len_p), _direction_rotations(d_g, len_g)
+    # ln det Sigma_g - ln det Sigma_p, and its negation the other way round
+    logdet = 2.0 * (_log_volume(s_g) - _log_volume(s_p))
     with np.errstate(over="ignore", invalid="ignore"):
-        out = 0.5 * (_kl(*_kld_terms(mu_p, s_p, rot_p, mu_g, s_g, rot_g))
-                     + _kl(*_kld_terms(mu_g, s_g, rot_g, mu_p, s_p, rot_p)))
+        out = 0.5 * (_kl(*_kld_terms(mu_p, s_p, rot_p, mu_g, s_g, rot_g, logdet))
+                     + _kl(*_kld_terms(mu_g, s_g, rot_g, mu_p, s_p, rot_p, -logdet)))
     bad = ~ok | ~np.isfinite(out)
     if bad.any():
         i = int(np.argmax(bad))

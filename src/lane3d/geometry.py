@@ -32,15 +32,17 @@ with fewer than two visible points is rejected; ``interpolate_lane`` and
 frame.  In the rational form only rho2 enters nonlinearly: it is searched
 by a grid and golden-section refinement, each candidate scored by
 variable projection (the linear parameters eliminated in closed form),
-and the linear parameters are solved once at the chosen row.  All frames
-of a call take each search step together, one scoring call per step
-whatever their point and lane counts; each keeps its own bracket and
-gets the result it would get alone.
+and the best candidate's scoring gives the linear parameters.  All
+frames of a call lie end to end in flat arrays and take each search step
+together, one scoring call per step whatever their point and lane
+counts; each keeps its own bracket and gets the result it would get
+alone.  Every sum over a frame's or a lane's points is one
+``np.add.reduceat`` segment and nothing goes through BLAS or LAPACK, so
+a fit is the same bytes on any CPU.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -426,113 +428,91 @@ class FitResult:
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _FIT_ROUNDS = 10  # rounds of 6 golden-section steps in the search of rho2
-# A reduced rational column shorter than this fraction of its raw norm is
-# treated as dependent on the other columns; its candidate row is scored
-# by the full least-squares solve instead.
+# A reduced shared column shorter than this fraction of its raw norm is
+# treated as dependent on the columns before it and gets coefficient 0.
 _DEPENDENT = 1e-8
 
 
-def _lstsq_scaled(a: np.ndarray, b: np.ndarray):
-    """Least squares with column equilibration; returns (x, ss)."""
-    scale = np.sqrt((a * a).sum(axis=0))
-    scale[scale == 0.0] = 1.0
-    x = np.linalg.lstsq(a / scale, b, rcond=None)[0] / scale
-    r = a @ x - b
-    return x, float(r @ r)
+class _Flat:
+    """Fits laid end to end: ``u`` and ``v`` hold every fit's points, lane
+    after lane and fit after fit, and ``lane_n`` and ``fit_n`` count each
+    lane's and each fit's points.
 
-
-def _rational_columns(v: np.ndarray, rho2: float, bias: np.ndarray):
-    den = v - rho2
-    return np.column_stack([1.0 / (den * den), 1.0 / den, bias])
-
-
-def _bias_basis(v: np.ndarray, lane_of: np.ndarray, k: int) -> np.ndarray:
-    """Orthonormal basis (n, 2k) of the per-lane [v, 1] bias columns.
-
-    Every lane must span at least two distinct rows.
+    Every sum over one lane's or one fit's points is one ``np.add.reduceat``
+    segment, so it depends on that segment alone: a fit's result does not
+    depend on the fits laid out with it, and no sum goes through BLAS.
+    ``c`` holds each lane's rows about their centre, ``centre``, and ``y``
+    is ``u`` with each lane's [v, 1] span projected out.
     """
-    q = np.zeros((v.shape[0], 2 * k))
-    for i in range(k):
-        sel = lane_of == i
-        c = v[sel] - v[sel].mean()
-        c -= c.mean()  # re-centre: one pass leaves a rounding offset
-        q[sel, 2 * i] = c / math.sqrt(float(c @ c))
-        q[sel, 2 * i + 1] = 1.0 / math.sqrt(c.shape[0])
-    return q
+
+    def __init__(self, u: np.ndarray, v: np.ndarray, lane_n: np.ndarray,
+                 fit_n: np.ndarray):
+        self.v, self.lane_n, self.fit_n = v, lane_n, fit_n
+        self.lane_start = np.cumsum(lane_n) - lane_n
+        self.fit_start = np.cumsum(fit_n) - fit_n
+        mean = self.lane_sum(v) / lane_n
+        c = v - self.per_lane(mean)
+        offset = self.lane_sum(c) / lane_n  # one pass leaves a rounding offset
+        self.c = c - self.per_lane(offset)
+        self.centre, self.cc = mean + offset, self.lane_sum(self.c * self.c)
+        self.y = u - self.bias_part(u)
+
+    def lane_sum(self, x: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(x, self.lane_start, axis=-1)
+
+    def fit_sum(self, x: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(x, self.fit_start, axis=-1)
+
+    def per_lane(self, s: np.ndarray) -> np.ndarray:
+        return s.repeat(self.lane_n, axis=-1)
+
+    def per_fit(self, s: np.ndarray) -> np.ndarray:
+        return s.repeat(self.fit_n, axis=-1)
+
+    def bias_fit(self, x: np.ndarray):
+        """Each lane's least-squares slope on ``c`` and mean of ``x``."""
+        return self.lane_sum(x * self.c) / self.cc, self.lane_sum(x) / self.lane_n
+
+    def bias_part(self, x: np.ndarray) -> np.ndarray:
+        """The projection of ``x`` on each lane's [v, 1] span."""
+        slope, mean = self.bias_fit(x)
+        return self.per_lane(mean) + self.c * self.per_lane(slope)
 
 
-def _projected_ss(v: np.ndarray, y: np.ndarray, groups: Sequence,
-                  rho2: np.ndarray) -> np.ndarray:
-    """Variable-projection residuals of rational fits, one per rho2.
+def _score_candidates(fits: _Flat, cols: np.ndarray):
+    """Variable-projection scores of every fit's candidates in one pass.
 
-    ``v`` and ``y`` are (fit, point) and ``rho2`` is (fit, candidate); the
-    result is (fit, candidate).  ``groups`` splits the fits into runs of
-    consecutive fits with equal point and lane counts, one
-    ``(fits, n, basis)`` per run: a slice of fits, their point count and
-    their (fit, n, 2k) bias bases.  Fits with fewer points than the
-    widest are padded; a pad must keep ``v - rho2`` nonzero, and no
-    product reads it.  ``y`` is the target with the bias span already
-    projected out.  For each candidate the two rational columns are
-    projected off the bias span, orthogonalized by Gram-Schmidt with one
-    reorthogonalization, and taken off ``y``; the residual is formed
-    explicitly and its squared norm returned.  NaN marks a candidate
-    whose reduced columns are zero or dependent (see ``_DEPENDENT``).
-
-    Elementwise steps run once over all fits.  Every sum over points is
-    a product per group whose stack holds one fit's (candidate, n)
-    operand per fit, a view of the padded stack, so a fit's scores do
-    not depend on the other fits scored with it.  The per-group products
-    are the only work that grows with the number of groups.
+    ``cols`` is (column, candidate, point): each candidate's two shared
+    columns at every point, and it is overwritten.  Both columns are
+    projected off each lane's [v, 1] span, orthogonalized by Gram-Schmidt
+    with one reorthogonalization, and taken off ``fits.y``.  A reduced
+    column shorter than ``_DEPENDENT`` of its raw norm gets coefficient 0.
+    Returns the residual sums of squares and the two columns'
+    coefficients, back-substituted from the Gram-Schmidt ones, each
+    (candidate, fit).
     """
-    ones = np.ones(v.shape[-1])
-
-    def sums(x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-        """(..., fit, candidate, point) -> (..., fit, candidate): each
-        fit's own points summed, weighted by its row of ``w`` if given."""
-        if len(groups) == 1:  # no pads: the whole stack is one product
-            return x @ ones if w is None else (x @ w[..., None])[..., 0]
-        parts = [x[..., f, :, :n] @ ones[:n] if w is None
-                 else (x[..., f, :, :n] @ w[f, :n, None])[..., 0]
-                 for f, n, _ in groups]
-        return np.concatenate(parts, axis=-2)
-
-    cols = np.empty((2, *rho2.shape, v.shape[-1]))  # (column, fit, rho2, point)
-    np.divide(1.0, v[:, None, :] - rho2[..., None], out=cols[1])
-    np.multiply(cols[1], cols[1], out=cols[0])
-    raw = sums(cols * cols)
-    for f, n, basis in groups:
-        part = cols[:, f, :, :n]
-        part -= (part @ basis) @ basis.swapaxes(-1, -2)
+    raw = fits.fit_sum(cols * cols)
+    cols -= fits.bias_part(cols)
     a, b = cols
-    aa, ab = sums(cols * a)
-    dep = aa <= _DEPENDENT**2 * raw[0]
-    aa[dep] = 1.0
-    b -= a * (ab / aa)[..., None]
-    b -= a * (sums(a * b) / aa)[..., None]
-    bb = sums(b * b)
-    dep |= bb <= _DEPENDENT**2 * raw[1]
-    bb[dep] = 1.0
-    r = y[:, None, :] - a * (sums(a, y) / aa)[..., None]
-    r -= b * (sums(b * r) / bb)[..., None]
-    ss = sums(r * r)
-    ss[dep] = np.nan
-    return ss
-
-
-@dataclass
-class _FitProblem:
-    """One frame's checked fit input, its lanes stacked one after another."""
-
-    lanes: list[np.ndarray]
-    u: np.ndarray
-    v: np.ndarray
-    lane_of: np.ndarray
-    bias: np.ndarray
+    aa, ab = fits.fit_sum(cols * a)
+    # an infinite norm sets every ratio with it to 0: the column drops out
+    aa[aa <= _DEPENDENT**2 * raw[0]] = np.inf
+    mu = ab / aa
+    b -= a * fits.per_fit(mu)
+    mu2 = fits.fit_sum(a * b) / aa
+    b -= a * fits.per_fit(mu2)
+    bb = fits.fit_sum(b * b)
+    bb[bb <= _DEPENDENT**2 * raw[1]] = np.inf
+    ga = fits.fit_sum(a * fits.y) / aa
+    r = fits.y - a * fits.per_fit(ga)
+    gb = fits.fit_sum(b * r) / bb
+    r -= b * fits.per_fit(gb)
+    return fits.fit_sum(r * r), ga - gb * (mu + mu2), gb
 
 
 def _check_frame(lanes_2d: Sequence[np.ndarray], image_size: tuple[int, int],
-                 form: str) -> _FitProblem:
-    """Check one frame of FV lanes for fitting and stack its lanes."""
+                 form: str) -> list[np.ndarray]:
+    """Check one frame of FV lanes for fitting; returns its (n_i, 2) lanes."""
     h, w = image_size
     lanes = [np.asarray(l, dtype=np.float64).reshape(-1, 2) for l in lanes_2d]
     if not lanes:
@@ -548,26 +528,11 @@ def _check_frame(lanes_2d: Sequence[np.ndarray], image_size: tuple[int, int],
         if l[:, 1].min() == l[:, 1].max():
             raise Underdetermined(
                 f"lane {i} lies on a single row; need >= 2 distinct rows")
-    k = len(lanes)
-    u_all = np.concatenate([l[:, 0] for l in lanes])
-    v_all = np.concatenate([l[:, 1] for l in lanes])
-    lane_of = np.concatenate([np.full(l.shape[0], i) for i, l in enumerate(lanes)])
-    n_pts = u_all.shape[0]
-    n_params = (3 if form == "rational" else 2) + 2 * k
+    n_pts = sum(l.shape[0] for l in lanes)
+    n_params = (3 if form == "rational" else 2) + 2 * len(lanes)
     if n_pts < n_params:
         raise Underdetermined(f"{n_pts} points for {n_params} parameters")
-    return _stack_problem(lanes, u_all, v_all, lane_of)
-
-
-def _stack_problem(lanes: list[np.ndarray], u: np.ndarray, v: np.ndarray,
-                   lane_of: np.ndarray) -> _FitProblem:
-    """The fit input of checked lanes: ``u``, ``v`` and ``lane_of`` hold
-    their points one lane after another, each a contiguous array."""
-    rows, k = np.arange(u.shape[0]), len(lanes)
-    bias = np.zeros((u.shape[0], 2 * k))
-    bias[rows, 2 * lane_of] = v
-    bias[rows, 2 * lane_of + 1] = 1.0
-    return _FitProblem(lanes, u, v, lane_of, bias)
+    return lanes
 
 
 def fit_frames(frames: Sequence[tuple[Sequence[np.ndarray], tuple[int, int]]],
@@ -588,23 +553,27 @@ def fit_frames(frames: Sequence[tuple[Sequence[np.ndarray], tuple[int, int]]],
     (Golub & Pereyra 1973): with rho2 fixed the problem is linear, the
     per-lane bias columns are projected out in closed form, and only the
     two rational columns remain.  The best candidate seen is kept, so the
-    reported rms_history is non-increasing, and all linear parameters
-    are then solved once, by least squares at that rho2.  The frames are
-    searched in lockstep: one scoring call serves every frame's
-    candidates at each step, and each frame keeps its own bracket, so
-    its result does not depend on the other frames of the call.
+    reported rms_history is non-increasing, and its coefficients are the
+    fit's: the shared ones from its scoring, each lane's biases by least
+    squares on what the shared columns leave.  The frames are searched in
+    lockstep: one scoring call serves every frame's candidates at each
+    step, and each frame keeps its own bracket, so its result does not
+    depend on the other frames of the call.
 
     The constant term rho4 is pinned to 0 in every fit: with per-lane
     beta'' biases a shared constant column is a pure gauge freedom.  The
     "poly3" form likewise pins its constant and linear shared
     coefficients, keeping only the v^2 and v^3 columns shared; it is one
-    least-squares solve.
+    scoring call with a single candidate.
     """
     if form not in CURVE_FORMS:
         raise ValueError(f"unknown curve form {form!r}")
-    problems = [_check_frame(lanes_2d, image_size, form)
-                for lanes_2d, image_size in frames]
-    return _fit_problems(problems, form)
+    checked = [_check_frame(lanes_2d, image_size, form)
+               for lanes_2d, image_size in frames]
+    lanes = [l for frame in checked for l in frame]
+    return _fit_flat(np.concatenate([l[:, 0] for l in lanes] or [np.empty(0)]),
+                     np.concatenate([l[:, 1] for l in lanes] or [np.empty(0)]),
+                     [l.shape[0] for l in lanes], [len(f) for f in checked], form)
 
 
 def fit_curves(lanes_2d: Sequence[np.ndarray], image_size: tuple[int, int],
@@ -613,90 +582,90 @@ def fit_curves(lanes_2d: Sequence[np.ndarray], image_size: tuple[int, int],
     return fit_frames([(lanes_2d, image_size)], form)[0]
 
 
-def _fit_problems(problems: Sequence[_FitProblem],
-                  form: str = "rational") -> list[FitResult]:
-    """Fit checked frames; the rational ones all in one lockstep search."""
+def _fit_flat(u: np.ndarray, v: np.ndarray, lane_n, fit_lanes,
+              form: str = "rational") -> list[FitResult]:
+    """Fit checked frames laid end to end (see ``_Flat``): ``lane_n``
+    counts each lane's points and ``fit_lanes`` each fit's lanes."""
+    lane_n = np.asarray(lane_n, dtype=np.int64)
+    fit_lanes = np.asarray(fit_lanes, dtype=np.int64)
+    if not fit_lanes.size:
+        return []
+    first_lane = np.cumsum(fit_lanes) - fit_lanes
+    fits = _Flat(u, v, lane_n, np.add.reduceat(lane_n, first_lane))
     if form == "poly3":
-        return [_fit_poly3(p) for p in problems]
-    # Sorted by (point count, lane count), the fits of a group sit next
-    # to each other and its products take one slice of the stack.
-    order = sorted(range(len(problems)),
-                   key=lambda i: (problems[i].u.shape[0], len(problems[i].lanes)))
-    results: list[FitResult] = [None] * len(problems)
-    for i, fit in zip(order, _fit_rational([problems[i] for i in order])):
-        results[i] = fit
-    return results
+        cols = np.stack([v * v, v * v * v])
+        _, x_a, x_b = _score_candidates(fits, cols[:, None].copy())
+        x_a, x_b = x_a[0], x_b[0]
+        shared = fits.per_fit(x_a) * cols[0] + fits.per_fit(x_b) * cols[1]
+        rhos = [(0.0, 0.0, a, b) for a, b in zip(x_a.tolist(), x_b.tolist())]
+    else:
+        rho2, x_a, x_b, history = _search_rho2(fits)
+        den = v - fits.per_fit(rho2)
+        shared = fits.per_fit(x_a) / (den * den) + fits.per_fit(x_b) / den
+        rhos = [(a, r2, b, 0.0)
+                for a, r2, b in zip(x_a.tolist(), rho2.tolist(), x_b.tolist())]
+    slope, mean = fits.bias_fit(u - shared)
+    beta_dprime = mean - slope * fits.centre
+    residual = (shared + fits.per_lane(slope) * v + fits.per_lane(beta_dprime)) - u
+    squares = residual * residual
+    rms = np.sqrt(fits.fit_sum(squares) / fits.fit_n).tolist()
+    lane_rms = np.sqrt(fits.lane_sum(squares) / lane_n).tolist()
+    if form == "poly3":
+        history = np.array(rms)[:, None]
+    curves = [Curve2D(rho=rho, beta_prime=bp, beta_dprime=bd, v_low=lo, v_up=up,
+                      form=form)
+              for rho, bp, bd, lo, up in zip(
+                  [rho for rho, k in zip(rhos, fit_lanes.tolist()) for _ in range(k)],
+                  slope.tolist(), beta_dprime.tolist(),
+                  np.minimum.reduceat(v, fits.lane_start).tolist(),
+                  np.maximum.reduceat(v, fits.lane_start).tolist())]
+    return [FitResult(curves[i:i + k], rms[f], lane_rms[i:i + k], history[f].tolist())
+            for f, (i, k) in enumerate(zip(first_lane.tolist(), fit_lanes.tolist()))]
 
 
-def _fit_poly3(p: _FitProblem) -> FitResult:
-    a = np.column_stack([p.v**2, p.v**3, p.bias])
-    x, ss = _lstsq_scaled(a, p.u)
-    rms = math.sqrt(ss / p.u.shape[0])
-    residual = a @ x - p.u
-    curves = _build_curves(p.lanes, "poly3", (0.0, 0.0, x[0], x[1]), x[2:])
-    return FitResult(curves, rms, _per_lane_rms(residual, p.lane_of, len(p.lanes)),
-                     [rms])
-
-
-def _fit_rational(problems: Sequence[_FitProblem]) -> list[FitResult]:
-    """Rational fits, sorted by (point count, lane count), in lockstep.
+def _search_rho2(fits: _Flat):
+    """The rational fits' rho2 search, every fit in lockstep.
 
     Every fit brackets rho2 below its lowest sample row and refines it by
     golden-section over the projected residual; each step scores one
-    candidate of every fit in one ``_projected_ss`` call.
+    candidate of every fit in one ``_score_candidates`` call.  Returns
+    each fit's best rho2, the two shared coefficients scored there, and
+    its rms after each round (fit, round).
     """
-    if not problems:
-        return []
-    count = len(problems)
-    n = np.array([p.u.shape[0] for p in problems])
-    # Each pad repeats its fit's first row: no minimum or maximum moves,
-    # and every rational column of the pad stays finite.
-    v = np.repeat(np.array([p.v[0] for p in problems])[:, None], n.max(), 1)
-    y = np.zeros_like(v)
-    bases = []
-    for f, p in enumerate(problems):
-        q = _bias_basis(p.v, p.lane_of, len(p.lanes))
-        v[f, :n[f]] = p.v
-        y[f, :n[f]] = p.u - q @ (q.T @ p.u)
-        bases.append(q)
-    groups, start = [], 0
-    for size, run in itertools.groupby(
-            (p.u.shape[0], len(p.lanes)) for p in problems):
-        stop = start + len(list(run))
-        groups.append((slice(start, stop), size[0], np.stack(bases[start:stop])))
-        start = stop
-    vmin = v.min(axis=1)
-    span = np.maximum(v.max(axis=1) - vmin, 32.0)
+    v, count = fits.v, fits.fit_n.shape[0]
+    vmin = np.minimum.reduceat(v, fits.fit_start)
+    span = np.maximum(np.maximum.reduceat(v, fits.fit_start) - vmin, 32.0)
     hi = vmin - np.maximum(1.0, 1e-3 * span)
     lo = vmin - 5.0 * span
-    fits = np.arange(count)
+    every = np.arange(count)
     best_ss = np.full(count, math.inf)
-    best_rho2 = hi.copy()
+    best = [hi.copy(), np.zeros(count), np.zeros(count)]  # rho2, x_a, x_b
 
     def accept(rho2: np.ndarray) -> np.ndarray:
-        """Score candidates (fit, evaluation order): solve in full those
-        projection could not score, then keep each fit's best if better
-        than its best so far (the first of equal scores wins)."""
-        ss = _projected_ss(v, y, groups, rho2)
-        for f, j in zip(*np.nonzero(np.isnan(ss))):
-            p = problems[f]
-            ss[f, j] = _lstsq_scaled(
-                _rational_columns(p.v, float(rho2[f, j]), p.bias), p.u)[1]
-        j = np.argmin(ss, axis=1)
-        better = ss[fits, j] < best_ss
-        best_ss[better] = ss[fits, j][better]
-        best_rho2[better] = rho2[fits, j][better]
+        """Score candidates (evaluation order, fit), then keep each fit's
+        best if better than its best so far (the first of equal scores
+        wins)."""
+        cols = np.empty((2, *rho2.shape[:1], v.shape[0]))
+        np.divide(1.0, v - fits.per_fit(rho2), out=cols[1])
+        np.multiply(cols[1], cols[1], out=cols[0])
+        ss, x_a, x_b = _score_candidates(fits, cols)
+        j = ss.argmin(axis=0)
+        pick = ss[j, every]
+        better = pick < best_ss
+        best_ss[better] = pick[better]
+        for kept, new in zip(best, (rho2, x_a, x_b)):
+            kept[better] = new[j, every][better]
         return ss
 
-    grid = np.linspace(lo, hi, 33, axis=1)
-    i0 = np.argmin(accept(grid), axis=1)
-    a = grid[fits, np.maximum(i0 - 1, 0)]
-    b = grid[fits, np.minimum(i0 + 1, 32)]
+    grid = np.linspace(lo, hi, 33)
+    i0 = accept(grid).argmin(axis=0)
+    a = grid[np.maximum(i0 - 1, 0), every]
+    b = grid[np.minimum(i0 + 1, 32), every]
 
     history = np.empty((count, _FIT_ROUNDS))
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = accept(np.stack([c, d], axis=1)).T
+    fc, fd = accept(np.stack([c, d]))
     for it in range(_FIT_ROUNDS):
         for _ in range(6):
             # fc < fd keeps [a, d]: c moves to d and a new c is scored;
@@ -704,39 +673,8 @@ def _fit_rational(problems: Sequence[_FitProblem]) -> list[FitResult]:
             left = fc < fd
             a, b = np.where(left, a, c), np.where(left, d, b)
             new = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-            f_new = accept(new[:, None])[:, 0]
+            f_new = accept(new[None])[0]
             c, d = np.where(left, new, d), np.where(left, c, new)
             fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
-        history[:, it] = np.sqrt(best_ss / n)
-
-    results = []
-    for p, rho2, hist in zip(problems, best_rho2.tolist(), history.tolist()):
-        a_fin = _rational_columns(p.v, rho2, p.bias)
-        x, ss = _lstsq_scaled(a_fin, p.u)
-        rho = (float(x[0]), rho2, float(x[1]), 0.0)
-        residual = a_fin @ x - p.u
-        curves = _build_curves(p.lanes, "rational", rho, x[2:])
-        results.append(FitResult(curves, math.sqrt(ss / p.u.shape[0]),
-                                 _per_lane_rms(residual, p.lane_of, len(p.lanes)),
-                                 hist))
-    return results
-
-
-def _per_lane_rms(residual: np.ndarray, lane_of: np.ndarray, k: int):
-    return [float(np.sqrt(np.mean(residual[lane_of == i] ** 2)))
-            for i in range(k)]
-
-
-def _build_curves(lanes, form, rho, betas) -> list[Curve2D]:
-    curves = []
-    for i, l in enumerate(lanes):
-        curves.append(Curve2D(
-            rho=rho,
-            beta_prime=float(betas[2 * i]),
-            beta_dprime=float(betas[2 * i + 1]),
-            v_low=float(l[:, 1].min()),
-            v_up=float(l[:, 1].max()),
-            confidence=1.0,
-            form=form,
-        ))
-    return curves
+        history[:, it] = np.sqrt(best_ss / fits.fit_n)
+    return (*best, history)

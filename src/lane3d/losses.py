@@ -37,11 +37,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AnchorMismatch, ConfigError, MissingField
-from .gaussians import segment_symmetric_klds
+from .gaussians import _log, segment_symmetric_klds
 from .geometry import (_ANCHOR_TOL, CameraModel, Curve2D, Lane3D, SampleGrid,
-                       _check_frame, _fit_problems, _image_points, _lane_columns,
-                       _resample_lanes_at_y, _sample_curves, _stack_problem,
-                       _visible_points, project_ground_to_image)
+                       _check_frame, _fit_flat, _image_points, _lane_columns,
+                       _resample_lanes_at_y, _sample_curves, _visible_points,
+                       project_ground_to_image)
 from .matching import MatchResult, hungarian
 
 __all__ = [
@@ -266,11 +266,6 @@ def _pack(frames: Sequence[tuple], sizes) -> _Block:
                 widths[rows] = np.asarray(unc, dtype=np.float64).reshape(-1, 2)
     return _Block(gt, pred, widths, has_widths,
                   np.array(sizes, dtype=np.int64).reshape(-1, 2))
-
-
-def _log(p: np.ndarray) -> np.ndarray:
-    """``math.log`` of each entry (``np.log`` may differ in the last bit)."""
-    return np.array(list(map(math.log, p.tolist())), dtype=np.float64)
 
 
 def _clamped_log(p: np.ndarray) -> np.ndarray:
@@ -610,10 +605,10 @@ def loss_frames(
 # ── Frame records (``lane3d loss``): gather, fit and score ───────────────
 
 # Frames gathered and scored together, whose curve fits are searched in
-# one lockstep call.  Bounds the stacked search the way chamfer._BLOCK_PAIRS
+# one lockstep call.  Bounds the flat search the way chamfer._BLOCK_PAIRS
 # bounds the raster: its grid step holds 2 columns x 33 candidates x the
-# block's most points floats per fit, up to two fits per frame (3.4 MB per
-# array for 32 frames of 100-point sides).
+# block's fitted points, up to two fits per frame (3.4 MB per array for
+# 32 frames of 100-point sides).
 _LOSS_BLOCK = 32
 
 
@@ -693,10 +688,10 @@ def _gather(records, anchors: np.ndarray):
     cut = np.concatenate([[0], np.cumsum(side_pts.astype(np.int64))])
 
     def side_uv(s: int):
-        """Side s's rows of u and v, and its points (n, 2) lane by lane."""
+        """Side s's points (n, 2), lane by lane."""
         rows = slice(cut[s], cut[s + 1])
-        return rows, np.split(np.stack([u[rows], v[rows]], axis=1),
-                              np.cumsum(n_in[side_first[s]:side_first[s + 1]])[:-1])
+        return np.split(np.stack([u[rows], v[rows]], axis=1),
+                        np.cumsum(n_in[side_first[s]:side_first[s + 1]])[:-1])
 
     # The first frame that fails any check raises its first error.
     wide = np.array([r.pred_uncertainties is not None and all(
@@ -722,7 +717,7 @@ def _gather(records, anchors: np.ndarray):
                     raise MissingField(
                         f"{who} lane {i} has no stored curve and no visible point "
                         "projects inside the image, so none can be fit")
-            _check_frame(side_uv(s)[1], camera.image_size, "rational")
+            _check_frame(side_uv(s), camera.image_size, "rational")
         if wide[f] and not on_grid[side_first[2 * f + 1]:b].all():
             raise ConfigError("per-segment uncertainties require prediction lanes "
                               "already sampled on the anchor grid")
@@ -731,13 +726,11 @@ def _gather(records, anchors: np.ndarray):
     # Each side's curves: stored, none, or fitted from its in-image points.
     curves = [list(c) if n and not fit else []
               for n, c, fit in zip(per_side.tolist(), stored, fit_side.tolist())]
-    fitted = np.flatnonzero(fit_side).tolist()
-    problems = []
-    for s in fitted:
-        rows, side_lanes = side_uv(s)
-        problems.append(_stack_problem(side_lanes, u[rows], v[rows],
-                                       in_lane[rows] - side_first[s]))
-    for s, fit in zip(fitted, _fit_problems(problems)):
+    # u and v hold the fitted sides' points lane after lane: the flat fit's
+    # layout as it stands
+    fitted = np.flatnonzero(fit_side)
+    for s, fit in zip(fitted.tolist(),
+                      _fit_flat(u, v, n_in[fit_lanes], per_side[fitted])):
         for lane, curve in zip(lanes[side_first[s]:side_first[s + 1]], fit.curves):
             if lane.score is not None:
                 curve.confidence = lane.score

@@ -600,13 +600,15 @@ def apply_noise(lane: Lane3D, noise: NoiseModel, rng) -> Lane3D:
     norm = np.hypot(tangent[:, 0], tangent[:, 1])
     unit = tangent / norm[:, None]
     normal = np.stack([unit[:, 1], -unit[:, 0]], axis=1)
-    sigma_w = noise.sigma_w0 + noise.sigma_w_slope * y
-    sigma_h = noise.sigma_h0 + noise.sigma_h_slope * y
-    eps_w = rng.standard_normal(y.size) * sigma_w
-    eps_h = rng.standard_normal(y.size) * sigma_h
     out = pts.copy()
-    out[:, :2] += eps_w[:, None] * normal
-    out[:, 2] += eps_h
+    # A huge sigma overflows to a non-finite point, which Lane3D rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma_w = noise.sigma_w0 + noise.sigma_w_slope * y
+        sigma_h = noise.sigma_h0 + noise.sigma_h_slope * y
+        eps_w = rng.standard_normal(y.size) * sigma_w
+        eps_h = rng.standard_normal(y.size) * sigma_h
+        out[:, :2] += eps_w[:, None] * normal
+        out[:, 2] += eps_h
     return Lane3D(points=out, visibility=lane.visibility.copy(), score=1.0)
 
 

@@ -25,8 +25,7 @@ from lane3d.geometry import (
     EPS_DEPTH,
     Lane3D,
     _check_frame,
-    _fit_problems,
-    _FitProblem,
+    _fit_flat,
     curve_eval,
     resample_at_y,
 )
@@ -159,10 +158,11 @@ def grid_lane(lane, anchors):
 
 
 def side_curves(lanes, existing, camera, who):
+    """The side's curves, or its checked lanes (n_i, 2) to fit."""
     if existing is not None and all(c is not None for c in existing):
-        return list(existing)
+        return list(existing), False
     if not lanes:
-        return []
+        return [], False
     h, w = camera.image_size
     uv = []
     for i, lane in enumerate(lanes):
@@ -174,7 +174,7 @@ def side_curves(lanes, existing, camera, who):
                 f"{who} lane {i} has no stored curve and no visible point "
                 "projects inside the image, so none can be fit")
         uv.append(pixels[inside])
-    return _check_frame(uv, camera.image_size, "rational")
+    return _check_frame(uv, camera.image_size, "rational"), True
 
 
 def frame_inputs(record, anchors):
@@ -182,8 +182,10 @@ def frame_inputs(record, anchors):
     uncertainties), its sides fitted alone."""
     lanes = ([grid_lane(lane, anchors) for lane in record.gt_lanes],
              [grid_lane(lane, anchors) for lane in record.pred_lanes])
-    curves = [side_curves(lanes[0], record.gt_curves, record.camera, "ground-truth"),
-              side_curves(lanes[1], record.pred_curves, record.camera, "prediction")]
+    (gt_curves, fit_gt), (pred_curves, fit_pred) = (
+        side_curves(lanes[0], record.gt_curves, record.camera, "ground-truth"),
+        side_curves(lanes[1], record.pred_curves, record.camera, "prediction"))
+    curves = [gt_curves, pred_curves]
     uncertainties = None
     if record.pred_uncertainties is not None and all(
             u is not None for u in record.pred_uncertainties):
@@ -193,9 +195,11 @@ def frame_inputs(record, anchors):
                 "already sampled on the anchor grid")
         uncertainties = [[(float(w), float(h)) for w, h in np.asarray(unc)]
                          for unc in record.pred_uncertainties]
-    for side in (0, 1):
-        if isinstance(curves[side], _FitProblem):
-            fit = _fit_problems([curves[side]])[0]
+    for side, to_fit in ((0, fit_gt), (1, fit_pred)):
+        if to_fit:
+            uv = np.concatenate(curves[side])
+            fit = _fit_flat(uv[:, 0].copy(), uv[:, 1].copy(),
+                            [len(l) for l in curves[side]], [len(curves[side])])[0]
             for lane, curve in zip(lanes[side], fit.curves):
                 if lane.score is not None:
                     curve.confidence = lane.score

@@ -82,6 +82,19 @@ def test_synth_non_finite_parameter_is_exit_2(tmp_path, flag, value):
     assert not out.exists()
 
 
+def test_synth_overflowing_noise_is_one_error_line(tmp_path, capsys):
+    # the noise overflows to a non-finite prediction: rejected with the
+    # one error line, and no RuntimeWarning before it
+    out = tmp_path / "g.jsonl"
+    capsys.readouterr()
+    assert run("synth", "--frames", "2", "--sigma-w0", "1e308",
+               "--sigma-w-slope", "1e308", "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "frame 'frame_000000' lane 0" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, shown", [
     (("--frames", "2", "--seed", "-1"), "seed must be >= 0, got -1"),
     (("--frames", "200", "--sigma-w0", "10"), "frame 'frame_000002' lane 0"),
@@ -361,59 +374,15 @@ def check_golden_iou_reports(tmp_path):
             (command, protocol, extra)
 
 
-# The IoU-gated reports hold the same bytes under other BLAS kernels and
-# with NumPy's AVX-512 loops off: no operation they use depends on the
-# CPU's dispatch.
-CPU_VARIANTS = {
-    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
-    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
-    "numpy-no-avx512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
-}
-
-IOU_EVALS = """
-import sys
-import lane3d
-
-gt, pred, out = sys.argv[1:]
-for protocol in ("once", "mbd"):
-    assert lane3d.main(["eval", "--gt", gt, "--pred", pred, "--protocol", protocol,
-                        "--tau-iou", "0.65", "--out", f"{out}.{protocol}"]) == 0
-"""
-
-
-@pytest.fixture(scope="module")
-def golden_iou_scenario(tmp_path_factory):
-    path = tmp_path_factory.mktemp("golden_iou")
-    gt, pred = path / "gt.jsonl", path / "pred.jsonl"
-    assert run("synth", "--frames", "40", "--seed", "5", "--sigma-w0", "0.1",
-               "--out", str(gt), "--emit-pred", str(pred)) == 0
-    return gt, pred
-
-
-@pytest.mark.parametrize("variant", CPU_VARIANTS)
-def test_iou_reports_do_not_depend_on_the_cpu_kernels(tmp_path, golden_iou_scenario,
-                                                       variant):
-    gt, pred = golden_iou_scenario
-    out = tmp_path / "report"
-    src = str(Path(lane3d.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, **CPU_VARIANTS[variant],
-           "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    proc = subprocess.run([sys.executable, "-c", IOU_EVALS, str(gt), str(pred), str(out)],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    for protocol in ("once", "mbd"):
-        digest = hashlib.sha256(Path(f"{out}.{protocol}").read_bytes()).hexdigest()
-        assert digest == GOLDEN_IOU_REPORTS[("eval", protocol)], protocol
-
-
 # sha256 of the remaining commands' reports on the same scenario, at
 # default settings, taken while matching still ran on scipy's solver.
 # The `loss` digest was retaken when the fitting cost's mask of rows
-# valid in both curves became boolean (it had picked rows 0 and 1); the
-# `eval openlane` one when each pair error became the entry of the cost
-# matrix the pair was matched on (it was summed again, pairwise, and 56 of
-# 160 errors differed in the last bits).
+# valid in both curves became boolean (it had picked rows 0 and 1), and
+# again when the curve fit became one flat solve with no BLAS or LAPACK
+# call (`loss_fit` moved by at most 2.3e-7 relative); the `eval openlane`
+# one when each pair error became the entry of the cost matrix the pair
+# was matched on (it was summed again, pairwise, and 56 of 160 errors
+# differed in the last bits).
 GOLDEN_REPORTS = {
     ("eval", "bcd"):
         "da27fc4fe39861ff3f06788829697185becea456d2ff75227dcf6b850624d642",
@@ -424,7 +393,7 @@ GOLDEN_REPORTS = {
     ("sweep", "openlane"):
         "5096c331e84e41354d5a792457bf70907204ad6bfd6ef34029bed5581a12d44e",
     ("loss", None):
-        "a88c26e5dd9e42bf7a1dc8775ce8effc792f99b72eb0f2a09295d21dcae2b8cd",
+        "b6960e13be61d189ff9a98961e2d119ec945abfef3836d0b5b79e88b358ccf8e",
 }
 
 
@@ -518,8 +487,11 @@ def write_scored_scenario(tmp_path, frames=40, seed=12):
 # still resampled, projected and scored lane by lane and pair by pair; it
 # pins the resampling and the uncertainty term, which GOLDEN_REPORTS'
 # on-grid synth scenario without uncertainties or scores leaves out.
+# Retaken when the curve fit became one flat solve and the divergences
+# lost their BLAS products and NumPy logs (`loss_fit` moved by at most
+# 6.0e-8 relative, `loss_unc` by 1.6e-15).
 GOLDEN_SCORED_LOSS = \
-    "85e8adbca9b919ac0134d844c96cab935cb0d86c0b950cbe5165354bfd385d88"
+    "79aaee04000c81cb516365c34da6b3f495d0ccc91a9c3adb807ccf7c9179c4b3"
 
 
 def test_scored_loss_report_matches_golden_digest(tmp_path):
@@ -1392,6 +1364,22 @@ def test_fit_recovers_parameters(tmp_path, capsys):
     assert abs(payload["lanes"][2]["beta_dprime"] - 700.0) < 1e-4
 
 
+# sha256 of the `fit` reports on write_fit_inputs, in each curve form
+GOLDEN_FIT = {
+    "rational": "79adc9b97067b6f957c06f9ff31846627e29c6191541da1b68a0a1af2a97b6ce",
+    "poly3": "eda78412c0744391ffce09ee1ac1aec875449bebe37f46d60853a592db9a7233",
+}
+
+
+def test_fit_reports_match_golden_digests(tmp_path):
+    frame_path, camera_path = write_fit_inputs(tmp_path)
+    for form, digest in GOLDEN_FIT.items():
+        out = tmp_path / f"fit_{form}.json"
+        assert run("fit", "--frame-2d", str(frame_path), "--camera",
+                   str(camera_path), "--form", form, "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, form
+
+
 def test_fit_underdetermined_is_exit_6(tmp_path):
     frame_path = tmp_path / "tiny.json"
     frame_path.write_text(json.dumps(
@@ -1458,6 +1446,75 @@ def test_fit_huge_integer_is_exit_3(tmp_path, capsys):
     assert run("fit", "--frame-2d", str(frame_path), "--camera",
                str(camera_path)) == 3
     assert "(line 1, field lanes[0])" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# reports across CPU kernels
+# ---------------------------------------------------------------------------
+
+# Every report holds the same bytes under other BLAS kernels and with
+# NumPy's AVX-512 loops off: no operation behind it goes through BLAS or
+# LAPACK, or through a NumPy loop whose result depends on the CPU's
+# dispatch.
+CPU_VARIANTS = {
+    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "openblas-sandybridge": {"OPENBLAS_CORETYPE": "SandyBridge"},
+    "numpy-no-avx512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+}
+
+CPU_RUNS = """
+import sys
+import lane3d
+
+gt, pred, scored_gt, scored_pred, frame, camera, out = sys.argv[1:]
+runs = {
+    "once": ["eval", "--gt", gt, "--pred", pred, "--protocol", "once",
+             "--tau-iou", "0.65"],
+    "mbd": ["eval", "--gt", gt, "--pred", pred, "--protocol", "mbd",
+            "--tau-iou", "0.65"],
+    "loss": ["loss", "--gt", gt, "--pred", pred],
+    "scored-loss": ["loss", "--gt", scored_gt, "--pred", scored_pred],
+    "fit-rational": ["fit", "--frame-2d", frame, "--camera", camera],
+    "fit-poly3": ["fit", "--frame-2d", frame, "--camera", camera, "--form", "poly3"],
+}
+for name, argv in runs.items():
+    assert lane3d.main([*argv, "--out", f"{out}.{name}"]) == 0, name
+"""
+
+
+@pytest.fixture(scope="module")
+def cpu_inputs(tmp_path_factory):
+    """GOLDEN_REPORTS' scenario, write_scored_scenario and write_fit_inputs."""
+    path = tmp_path_factory.mktemp("cpu_inputs")
+    gt, pred = path / "gt.jsonl", path / "pred.jsonl"
+    assert run("synth", "--frames", "40", "--seed", "5", "--sigma-w0", "0.1",
+               "--out", str(gt), "--emit-pred", str(pred)) == 0
+    return (gt, pred, *write_scored_scenario(path), *write_fit_inputs(path))
+
+
+@pytest.mark.parametrize("variant", CPU_VARIANTS)
+def test_reports_do_not_depend_on_the_cpu_kernels(tmp_path, cpu_inputs, variant):
+    out = tmp_path / "report"
+    src = str(Path(lane3d.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, **CPU_VARIANTS[variant],
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run([sys.executable, "-c", CPU_RUNS, *map(str, cpu_inputs),
+                           str(out)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    want = {
+        "once": GOLDEN_IOU_REPORTS[("eval", "once")],
+        "mbd": GOLDEN_IOU_REPORTS[("eval", "mbd")],
+        "loss": GOLDEN_REPORTS[("loss", None)],
+        "scored-loss": GOLDEN_SCORED_LOSS,
+        "fit-rational": GOLDEN_FIT["rational"],
+        "fit-poly3": GOLDEN_FIT["poly3"],
+    }
+    for name, digest in want.items():
+        assert hashlib.sha256(Path(f"{out}.{name}").read_bytes()).hexdigest() \
+            == digest, name
 
 
 # ---------------------------------------------------------------------------

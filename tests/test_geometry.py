@@ -522,14 +522,15 @@ class TestFitOracle:
 
 
 def count_solves(monkeypatch):
+    """Record the candidate count of each scoring call."""
     calls = []
-    real = geometry._lstsq_scaled
+    real = geometry._score_candidates
 
-    def counted(a, b):
-        calls.append(a.shape)
-        return real(a, b)
+    def counted(fits, cols):
+        calls.append(cols.shape[1])  # (column, candidate, point)
+        return real(fits, cols)
 
-    monkeypatch.setattr(geometry, "_lstsq_scaled", counted)
+    monkeypatch.setattr(geometry, "_score_candidates", counted)
     return calls
 
 
@@ -542,21 +543,30 @@ class TestFitSolves:
         lanes = random_fit_frame(rng, 1.0)
         calls = count_solves(monkeypatch)
         fit_curves(lanes, self.IMAGE, form=form)
-        assert len(calls) == 1
+        # one scoring call per search step; the best step's coefficients
+        # are the fit's, with no solve after the search
+        assert len(calls) == (62 if form == "rational" else 1)
 
-    def test_dependent_columns_fall_back_to_lstsq(self, monkeypatch):
+    def test_dependent_columns_fall_back_to_lstsq(self):
         # two rows per lane: the per-lane [v, 1] columns span every
         # function of v, so both rational columns reduce to zero
         lanes = [np.array([[300.0, 400.0], [302.0, 400.0],
                            [340.0, 500.0], [338.0, 500.0]]),
                  np.array([[600.0, 450.0], [604.0, 450.0],
                            [650.0, 650.0], [651.0, 650.0]])]
-        calls = count_solves(monkeypatch)
         fit = fit_curves(lanes, self.IMAGE)
-        assert len(calls) == 95 + 1  # every candidate, then the final fit
-        rms, rho2, _ = lstsq_fit(lanes)
+        rms, rho2, x = lstsq_fit(lanes)
         assert fit.rms == pytest.approx(rms, rel=1e-12, abs=1e-12)
-        assert fit.curves[0].rho[1] == rho2
+        # every candidate ties: both rational columns drop out, and each
+        # lane's biases meet its two row means
+        for i, (curve, lane) in enumerate(zip(fit.curves, lanes)):
+            assert curve.rho[0] == curve.rho[2] == 0.0
+            rows = lane[:, 1]
+            den = rows - rho2
+            want = (x[0] / den**2 + x[1] / den + x[2 + 2 * i] * rows
+                    + x[3 + 2 * i])
+            np.testing.assert_allclose(curve_eval(curve, rows), want,
+                                       rtol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("column", [0, 1])
@@ -641,28 +651,24 @@ class TestFitFrames:
             alone = fit_fields(geometry.fit_frames([frame], form=form)[0])
             assert fit_fields(fit) == alone == fit_fields(back)
 
+    @pytest.mark.parametrize("form", ["rational", "poly3"])
+    def test_no_frames_fit_to_nothing(self, form):
+        assert geometry.fit_frames([], form=form) == []
+
     def test_fit_curves_is_a_batch_of_one(self):
         lanes, size = mixed_batch()[0]
         assert (fit_fields(fit_curves(lanes, size))
                 == fit_fields(geometry.fit_frames([(lanes, size)])[0]))
 
     def test_one_scoring_call_per_step_for_all_groups(self, monkeypatch):
-        frames = mixed_batch()
-        calls = []
-        real = geometry._projected_ss
-
-        def counted(v, y, groups, rho2):
-            calls.append((rho2.shape, len(groups)))
-            return real(v, y, groups, rho2)
-
-        monkeypatch.setattr(geometry, "_projected_ss", counted)
-        geometry.fit_frames(frames)
-        fits = len(frames)
-        groups = len(Counter(fit_shape(frame) for frame in frames))
+        # 62 calls whatever the frames' shapes: every fit's candidates of
+        # a step are scored together
+        calls = count_solves(monkeypatch)
+        geometry.fit_frames(mixed_batch())
         assert Counter(calls) == {
-            ((fits, 33), groups): 1,  # the grid
-            ((fits, 2), groups): 1,  # the first golden-section pair
-            ((fits, 1), groups): 60,  # 10 rounds of 6 steps
+            33: 1,  # the grid
+            2: 1,  # the first golden-section pair
+            1: 60,  # 10 rounds of 6 steps
         }
 
     @pytest.mark.parametrize("spoil, error, words", [
