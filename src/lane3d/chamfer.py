@@ -45,15 +45,18 @@ the few others test the cell-by-cell predicate on a window of the row
 agrees with a cell-by-cell scan.  The IoU of two strokes sums the
 overlaps of their runs over aligned rows of the table (``_iou_matrix``).
 
-Every protocol works on blocks of frames from ``report._frame_blocks``,
-the one gather: it gathers a block's scored lanes by one
+Every protocol works on blocks of frames from ``report._frame_blocks``:
+it cuts the frames into blocks, gathers a block's scored lanes by one
 ``geometry._visible_points`` call, which raises for the first lane short
 of 2 visible points, and hands the protocol their points with each
-lane's and each frame's offsets.  In the IoU-gated protocols one raster
-call strokes every lane of a frame, and a block's IoU-qualified matched
-pairs are interpolated by one ``resample_polylines`` call and scored by
-one ``polyline_mean_pairs`` call, bitwise as ``interpolate_lane`` and
-``point_to_polyline_stats`` would score them.
+lane's and each frame's offsets and the block's frame ids.  A block that
+raises is scored again frame by frame (``report._blockwise``), so the
+error of a run is that of the first frame that fails on its own.  In
+the IoU-gated protocols one raster call strokes every lane of a frame,
+and a block's IoU-qualified matched pairs are interpolated by one
+``resample_polylines`` call and scored by one ``polyline_mean_pairs``
+call, bitwise as ``interpolate_lane`` and ``point_to_polyline_stats``
+would score them.
 
 Reports and sweeps
 ------------------
@@ -224,10 +227,8 @@ def _bcd_rows(frames, n: int) -> list[np.ndarray]:
     same way.  Frames are searched in blocks of bounded size, and the
     values do not depend on the blocks.
     """
-    return [
-        d for block in _frame_blocks(frames, n, _bcd_lanes)
-        for d in _bcd_block(*block, n)
-    ]
+    return list(_frame_blocks(frames, n, _bcd_lanes,
+                              lambda *block: _bcd_block(*block, n)))
 
 
 def _bcd_block(frames, points, first, at, n: int) -> list[np.ndarray]:
@@ -736,13 +737,11 @@ class _IouCore(NamedTuple):
 
 
 def _matched_frames(frames, ids, config: EvalConfig, with_maxes: bool) -> list[_IouCore]:
-    """One ``_IouCore`` per frame (with id ``ids[f]``); see
+    """One ``_IouCore`` per frame, frame f with id ``ids[f]``; see
     ``_iou_matched_block``."""
-    cores = []
-    for block in _frame_blocks(frames, config.n_interp, _iou_lanes):
-        block_ids = ids[len(cores):len(cores) + len(block[0])]
-        cores += _iou_matched_block(*block, block_ids, config, with_maxes)
-    return cores
+    return list(_frame_blocks(
+        frames, config.n_interp, _iou_lanes,
+        lambda *block: _iou_matched_block(*block, config, with_maxes), ids))
 
 
 def _iou_matched_block(frames, points, first, at, ids, config: EvalConfig,
@@ -750,16 +749,16 @@ def _iou_matched_block(frames, points, first, at, ids, config: EvalConfig,
     """IoU-maximizing assignment plus the distances of each frame's pairs
     above the IoU gate (no other pair can count or qualify).
 
-    The block and its gathered lanes come from ``report._frame_blocks``,
-    each frame's lanes are stroked by one ``_stroke_table`` call, whose
-    ``RasterOverflow`` is raised again naming the frame and side, and its
-    IoU is read from that table by ``_iou_matrix``.  The
-    qualified pairs' lanes of all frames are interpolated by one
-    ``resample_polylines`` call, which equals ``interpolate_lane``
-    bitwise, and their CDs come from one ``polyline_mean_pairs`` call.
-    With ``with_maxes``, one ``directed_mean_pairs`` call gives each
-    pair's two directed maximum distances, which make its worst-case
-    distance.
+    The block, its gathered lanes and its frame ids come from
+    ``report._frame_blocks``, each frame's lanes are stroked by one
+    ``_stroke_table`` call, whose ``RasterOverflow`` is raised again
+    naming the frame and side, and its IoU is read from that table by
+    ``_iou_matrix``.  The qualified pairs' lanes of all frames are
+    interpolated by one ``resample_polylines`` call, which equals
+    ``interpolate_lane`` bitwise, and their CDs come from one
+    ``polyline_mean_pairs`` call.  With ``with_maxes``, one
+    ``directed_mean_pairs`` call gives each pair's two directed maximum
+    distances, which make its worst-case distance.
     """
     counts = np.diff(first)
     matches = []  # (frame, gt lane, pred lane) of each qualified pair

@@ -19,13 +19,18 @@ Exit codes
 3 parse error in an input file (including schema version mismatches);
 4 prediction frame without ground-truth counterpart; 5 record missing a
 required component; 6 underdetermined curve fit; 7 file I/O failure;
-1 any other library failure.
+8 BEV stroke beyond the raster's bounds; 1 any other library failure.
+The input files are read and aligned before any frame is scored.  Then
+every command scores frames in blocks through one driver
+(``report._blockwise``): ``eval`` and ``sweep`` in blocks of bounded
+lane points, ``loss`` 32 frames at a time (``losses._loss_records``).  A
+block that fails is scored again frame by frame, so a run's error is
+that of the first frame that fails on its own.
 
 Output files are written to a temporary name and renamed into place, so
 a failing command never leaves a partial file.  Standard output is
 machine-parsable ``key = value`` lines (plus one line per pair/row in
-tables).  Frames are evaluated one after another on one thread; ``loss``
-gathers, fits and scores frames in blocks (``losses._loss_records``).
+tables).  Frames are scored in order on one thread.
 """
 
 from __future__ import annotations
@@ -64,8 +69,8 @@ from .pointwise import PointwiseConfig, openlane_report
 from .report import MetricReport, ordering_hash
 from .scenario_io import (
     NoiseModel,
-    _atomic_write,
     _parse_camera,
+    _write_json,
     align,
     generate_scenario,
     read_frames,
@@ -426,12 +431,11 @@ def cmd_synth(args) -> int:
 
 def cmd_loss(args) -> int:
     config = CliConfig.resolve(args)
-    loss_config = config.loss_config
     records = _load_records(args.gt, args.pred)
     if not records:
         raise ConfigError("no frames to compute losses for")
     breakdowns = list(zip((r.frame_id for r in records),
-                          _loss_records(records, SampleGrid(), loss_config)))
+                          _loss_records(records, SampleGrid(), config.loss_config)))
     for frame_id, b in breakdowns:
         print(
             f"frame={frame_id} unc={_fmt(b.loss_unc)} vis={_fmt(b.loss_vis)} "
@@ -439,22 +443,12 @@ def cmd_loss(args) -> int:
             f"ce={_fmt(b.loss_ce)} fit={_fmt(b.loss_fit)} "
             f"curve={_fmt(b.loss_curve)} total={_fmt(b.total)}"
         )
-
-    def agg(values):
-        values = list(values)
-        return math.fsum(values) / len(values) if values else None
-
-    unc_values = [b.loss_unc for _, b in breakdowns if b.loss_unc is not None]
-    aggregate = {
-        "loss_unc": agg(unc_values),
-        "loss_vis": agg(b.loss_vis for _, b in breakdowns),
-        "loss_loc": agg(b.loss_loc for _, b in breakdowns),
-        "loss_point": agg(b.loss_point for _, b in breakdowns),
-        "loss_ce": agg(b.loss_ce for _, b in breakdowns),
-        "loss_fit": agg(b.loss_fit for _, b in breakdowns),
-        "loss_curve": agg(b.loss_curve for _, b in breakdowns),
-        "total": agg(b.total for _, b in breakdowns),
-    }
+    # each term's mean over the frames that have it (loss_unc may be absent)
+    terms = [b.as_dict() for _, b in breakdowns]
+    aggregate = {}
+    for key in terms[0]:
+        values = [t[key] for t in terms if t[key] is not None]
+        aggregate[key] = math.fsum(values) / len(values) if values else None
     gammas = config.values["gammas"]
     _print_kv([
         ("frames", len(breakdowns)),
@@ -465,13 +459,11 @@ def cmd_loss(args) -> int:
         payload = {
             "format_version": 1,
             "config": config.echo(),
-            "per_frame": [
-                {"frame_id": frame_id, **b.as_dict()}
-                for frame_id, b in breakdowns
-            ],
+            "per_frame": [{"frame_id": frame_id, **t}
+                          for (frame_id, _), t in zip(breakdowns, terms)],
             "aggregate": aggregate,
         }
-        _atomic_write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(args.out, payload)
     return 0
 
 
@@ -550,7 +542,7 @@ def cmd_fit(args) -> int:
                 for c, r in zip(result.curves, result.lane_rms)
             ],
         }
-        _atomic_write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(args.out, payload)
     return 0
 
 
@@ -559,51 +551,39 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# (key, type or choices, help) of each configuration flag, ``--tau-cd``
+# for ``tau_cd``; its help ends with the key's default.
+_CONFIG_FLAGS = (
+    ("tau_cd", float, "unilateral-CD acceptance threshold, meters"),
+    ("tau_iou", float, "BEV IoU gate"),
+    ("tau_bcd", float, "bidirectional-CD acceptance threshold, meters"),
+    ("lane_width", float, "BEV stroke width, meters"),
+    ("bev_resolution", float, "BEV cell size, meters"),
+    ("n_interp", int, "points per lane interpolation"),
+    ("mbd_variant", MBD_VARIANTS, "worst-case statistic variant"),
+    ("tau_dist", float, "pointwise anchor distance threshold, meters"),
+    ("tp_fraction", float, "fraction of visible anchors that must be in-threshold"),
+    ("cap_multiplier", float,
+     "pointwise per-anchor cost cap as a multiple of tau-dist"),
+    ("gammas", str, "six comma-separated loss weights"),
+    ("background_weight", float, "weight of unmatched-prediction confidence penalty"),
+)
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("configuration")
     group.add_argument("--config", help="JSON config file (or a structured "
                        "report whose config block is reused)")
-    group.add_argument("--tau-cd", dest="tau_cd", type=float, default=None,
-                       help="unilateral-CD acceptance threshold, meters "
-                       f"(default {_DEFAULTS['tau_cd']})")
-    group.add_argument("--tau-iou", dest="tau_iou", type=float, default=None,
-                       help=f"BEV IoU gate (default {_DEFAULTS['tau_iou']}, assumed)")
-    group.add_argument("--tau-bcd", dest="tau_bcd", type=float, default=None,
-                       help="bidirectional-CD acceptance threshold, meters "
-                       f"(default {_DEFAULTS['tau_bcd']})")
-    group.add_argument("--lane-width", dest="lane_width", type=float,
-                       default=None,
-                       help="BEV stroke width, meters "
-                       f"(default {_DEFAULTS['lane_width']}, assumed)")
-    group.add_argument("--bev-resolution", dest="bev_resolution", type=float,
-                       default=None,
-                       help="BEV cell size, meters "
-                       f"(default {_DEFAULTS['bev_resolution']}, assumed)")
-    group.add_argument("--n-interp", dest="n_interp", type=int, default=None,
-                       help="points per lane interpolation "
-                       f"(default {_DEFAULTS['n_interp']})")
-    group.add_argument("--mbd-variant", dest="mbd_variant",
-                       choices=MBD_VARIANTS, default=None,
-                       help="worst-case statistic variant "
-                       f"(default {_DEFAULTS['mbd_variant']})")
-    group.add_argument("--tau-dist", dest="tau_dist", type=float, default=None,
-                       help="pointwise anchor distance threshold, meters "
-                       f"(default {_DEFAULTS['tau_dist']})")
-    group.add_argument("--tp-fraction", dest="tp_fraction", type=float,
-                       default=None,
-                       help="fraction of visible anchors that must be "
-                       f"in-threshold (default {_DEFAULTS['tp_fraction']})")
-    group.add_argument("--cap-multiplier", dest="cap_multiplier", type=float,
-                       default=None,
-                       help="pointwise per-anchor cost cap as a multiple of "
-                       f"tau-dist (default {_DEFAULTS['cap_multiplier']})")
-    group.add_argument("--gammas", default=None,
-                       help="six comma-separated loss weights "
-                       f"(default {','.join(f'{g:g}' for g in _DEFAULTS['gammas'])})")
-    group.add_argument("--background-weight", dest="background_weight",
-                       type=float, default=None,
-                       help="weight of unmatched-prediction confidence "
-                       f"penalty (default {_DEFAULTS['background_weight']})")
+    for key, kind, text in _CONFIG_FLAGS:
+        default = _DEFAULTS[key]
+        if key == "gammas":
+            default = ",".join(f"{g:g}" for g in default)
+        if key in _ASSUMED_KEYS:
+            default = f"{default}, assumed"
+        group.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                           help=f"{text} (default {default})",
+                           **({"choices": kind} if isinstance(kind, tuple)
+                              else {"type": kind}))
 
 
 class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):

@@ -13,7 +13,8 @@ would charge, so the assignment minimizes the loss it precedes.  Rows of
 the cost matrix are ground truths, columns are predictions.
 ``lane3d loss`` hands its frame records to ``_loss_records``, which puts
 their lanes on the anchor grid, fits the curves they do not store and
-scores them in blocks.
+scores them in blocks through the block driver every command shares
+(``report._blockwise``).
 
 Conventions shared by all loss terms:
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .geometry import (_ANCHOR_TOL, CameraModel, Curve2D, Lane3D, SampleGrid,
                        _resample_lanes_at_y, _sample_curves, _visible_points,
                        project_ground_to_image)
 from .matching import MatchResult, hungarian
+from .report import _blockwise
 
 __all__ = [
     "PROB_CLAMP",
@@ -191,9 +193,9 @@ class LossBreakdown:
 # block.  Each array pass uses the elementwise operations the terms are
 # defined by, and each frame's sums are taken over its own slice
 # (``math.fsum``; NumPy's pairwise sum for the fitting cost), so a frame
-# scores the same whatever block it is in.  One rule keeps the first
-# error in frame order (``_scored``): a block that fails, in packing or
-# scoring, is packed and scored again one frame at a time.
+# scores the same whatever block it is in.  Blocks go through the block
+# driver of every command (``report._blockwise``): a block that fails, in
+# packing or scoring, is packed and scored again one frame at a time.
 
 @dataclass
 class _Side:
@@ -458,22 +460,6 @@ def _score(block: _Block, grid: SampleGrid, config: LossConfig):
     return out
 
 
-def _scored(frames: Sequence, pack: Callable[[Sequence], _Block],
-            grid: SampleGrid, config: LossConfig) -> list[LossBreakdown]:
-    """``loss_total`` of every frame, packed by ``pack`` into one block.
-
-    When anything raises, the frames are packed and scored again one by
-    one, so the error raised is the first failing frame's own, raised
-    after the frames before it are scored.
-    """
-    try:
-        return _score(pack(frames), grid, config)
-    except Exception:
-        if len(frames) == 1:
-            raise
-    return [_score(pack([frame]), grid, config)[0] for frame in frames]
-
-
 # ── Public single-frame API: blocks of one ───────────────────────────────
 
 def curve_match_cost(
@@ -593,14 +579,15 @@ def loss_frames(
     frame raises the error ``loss_total`` raises for it, and an earlier
     frame's error wins.
     """
-    def pack(frames):
-        return _pack([(gt.lanes, gt.curves, pred.lanes, pred.curves,
-                       pred.uncertainties) for gt, pred, _ in frames],
-                     [camera.image_size for _, _, camera in frames])
+    grid, config = grid or SampleGrid(), config or LossConfig()
 
-    if not frames:
-        return []
-    return _scored(frames, pack, grid or SampleGrid(), config or LossConfig())
+    def score(frames):
+        return _score(_pack([(gt.lanes, gt.curves, pred.lanes, pred.curves,
+                              pred.uncertainties) for gt, pred, _ in frames],
+                            [camera.image_size for _, _, camera in frames]),
+                      grid, config)
+
+    return list(_blockwise([frames], score)) if frames else []
 
 # ── Frame records (``lane3d loss``): gather, fit and score ───────────────
 
@@ -759,14 +746,11 @@ def _gather(records, anchors: np.ndarray):
 def _loss_records(records, grid: SampleGrid,
                   config: LossConfig) -> list[LossBreakdown]:
     """``loss_total`` of each frame record (``scenario_io.FrameRecord``),
-    gathered, fitted and scored ``_LOSS_BLOCK`` frames at a time.
-
-    A block that fails is redone one frame at a time (``_scored``), so a
-    run fails with the error a frame-by-frame run would meet first.
-    """
+    gathered, fitted and scored ``_LOSS_BLOCK`` frames at a time by the
+    block driver (``report._blockwise``), so a run fails with the error
+    of the first frame that fails on its own."""
     anchors = np.asarray(grid.y_anchors)
-    out = []
-    for start in range(0, len(records), _LOSS_BLOCK):
-        out += _scored(records[start:start + _LOSS_BLOCK],
-                       lambda block: _gather(block, anchors), grid, config)
-    return out
+    blocks = (records[start:start + _LOSS_BLOCK]
+              for start in range(0, len(records), _LOSS_BLOCK))
+    return list(_blockwise(
+        blocks, lambda block: _score(_gather(block, anchors), grid, config)))

@@ -22,17 +22,19 @@ nearest covered value (endpoint clamping of the resampler), mirroring
 how a short prediction fails to explain the far ground truth.
 
 Frames are taken in blocks from ``report._frame_blocks``, which gathers
-each block's lanes once; each block is resampled onto the anchors in one
-``_resample_lanes_at_y`` call.  Each frame's core holds what does not
-depend on the threshold.  Ground truths are grouped by their number k of
-visible anchors, with a stack of their visible-anchor distances per
-group, so a cost matrix at any cap is one capped mean per group.  Each pair also gets its TP
-threshold: the c-th smallest of its k visible distances, where c is the
-least count with ``c / k >= tp_fraction``.  At least c anchors lie
-within tau exactly when that distance is ``<= tau``, so the 75% rule at
-any tau is one comparison.  The gate takes any number of thresholds in
-one call: the cost matrices of every cap form one ``(tau, Ng, Np)``
-stack, matched together (``matching._assign_stack``).
+each block's lanes once, inside the scored block, and scores a block
+that raises again frame by frame; each block is resampled onto the
+anchors in one ``_resample_lanes_at_y`` call.  Each frame's core holds
+what does not depend on the threshold.  Ground truths are grouped by
+their number k of visible anchors, with a stack of their visible-anchor
+distances per group, so a cost matrix at any cap is one capped mean per
+group.  Each pair also gets its TP threshold: the c-th smallest of its k
+visible distances, where c is the least count with ``c / k >=
+tp_fraction``.  At least c anchors lie within tau exactly when that
+distance is ``<= tau``, so the 75% rule at any tau is one comparison.
+The gate takes any number of thresholds in one call: the cost matrices
+of every cap form one ``(tau, Ng, Np)`` stack, matched together
+(``matching._assign_stack``).
 """
 
 from __future__ import annotations
@@ -158,10 +160,10 @@ def _frame_cores(frames, anchors: np.ndarray, tp_fraction: float):
     """Every frame's arrays, in order.  Every lane is scored, frame by
     frame and ground truths first; each block of ``report._frame_blocks``
     is resampled onto the anchors in one call."""
-    for block, points, first, at in _frame_blocks(frames, anchors.size,
-                                                  lambda f: (*f[0], *f[1])):
+    def score(block, points, first, at):
         x, z, vis = _resample_lanes_at_y(
             points[:, 1], points[:, 0], points[:, 2], first, anchors)
+        cores = []
         for (gt_lanes, pred_lanes), lane in zip(block, at):
             g = slice(lane, lane + len(gt_lanes))
             p = slice(g.stop, g.stop + len(pred_lanes))
@@ -182,8 +184,12 @@ def _frame_cores(frames, anchors: np.ndarray, tp_fraction: float):
                 # the rank-th smallest distance is the least passing tau.
                 rank = next(c for c in range(1, k + 1) if c / k >= tp_fraction)
                 threshold[rows] = np.sort(stack, axis=1)[:, rank - 1]
-            yield _FrameArrays(anchors=anchors, gt_vis=gv, dist=dist, dx=dx, dz=dz,
-                               groups=tuple(groups), tp_threshold=threshold)
+            cores.append(_FrameArrays(anchors=anchors, gt_vis=gv, dist=dist, dx=dx,
+                                      dz=dz, groups=tuple(groups),
+                                      tp_threshold=threshold))
+        return cores
+
+    return _frame_blocks(frames, anchors.size, lambda f: (*f[0], *f[1]), score)
 
 
 def _cost_caps(config: PointwiseConfig, taus) -> np.ndarray:

@@ -1,22 +1,24 @@
 """Metric report containers and the frame plumbing of every protocol.
 
 Besides the report types, this module holds what the protocol modules
-share: the frame-id and tau-list checks, the one gather of every
-protocol (``_frame_blocks``: frames grouped into blocks of bounded size,
-each block's scored lanes gathered once, with their offsets), the
-assembly of a ``MetricReport`` from per-frame counts (``_assemble``) and
-the one threshold-sweep loop (``_sweep``).  Every protocol splits its work in
-two: per-frame *cores* hold what does not depend on the swept threshold,
-and a *gate* turns a core into the frame's counts and errors at a
-threshold.  A report is ``_assemble`` over each core gated at the
-configured threshold; a sweep hands each core's gate every threshold in
-one call, so each row equals the standalone report there.  Every
-protocol evaluates its frames in order on the calling thread.
+share: the frame-id and tau-list checks, the block driver of every
+command (``_blockwise``: a block of frames is scored together, and again
+frame by frame if it raises), every protocol's cut and gather
+(``_frame_blocks``), the assembly of a ``MetricReport`` from per-frame
+counts (``_assemble``) and the one threshold-sweep loop (``_sweep``).
+Every protocol splits its work in two: per-frame *cores* hold what does
+not depend on the swept threshold, and a *gate* turns a core into the
+frame's counts and errors at a threshold.  A report is ``_assemble``
+over each core gated at the configured threshold; a sweep hands each
+core's gate every threshold in one call, so each row equals the
+standalone report there.  Every protocol evaluates its frames in order
+on the calling thread.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -162,34 +164,57 @@ def _tau_list(taus) -> list[float]:
 _BLOCK_POINTS = 1 << 13
 
 
-def _frame_blocks(frames, n: int, scored):
-    """Consecutive runs of frames whose scored lanes (``scored(frame)``),
+def _blockwise(blocks, score):
+    """Every frame's result, block by block: the one driver of every
+    command.  ``score(block)`` gives a list of one result per frame of a
+    block (a list of frames).  A block that raises is scored again one
+    frame at a time, so the error raised is that of the first frame that
+    fails on its own, after every frame before it is scored."""
+    for block in blocks:
+        try:
+            results = score(block)
+        except Exception:
+            if len(block) == 1:
+                raise
+            results = [r for frame in block for r in score([frame])]
+        yield from results
+
+
+def _frame_blocks(frames, n: int, scored, score, *columns):
+    """Every frame's result of ``score``, block by block (``_blockwise``).
+
+    The cut: consecutive frames whose scored lanes (``scored(frame)``),
     times the largest of their point counts and ``n``, stay within
-    ``_BLOCK_POINTS``; a frame over the bound forms a block alone.
+    ``_BLOCK_POINTS``; a frame over the bound forms a block alone.  The
+    gather, inside the scored block, is one ``_visible_points`` call,
+    which raises for the first lane short of 2 visible points.  Then
+    ``score(block, points, first, at, *values)`` gets the block's frames,
+    their scored lanes' visible points, lane i on rows
+    ``first[i]:first[i + 1]`` and frame f's lanes ``at[f]:at[f + 1]``,
+    and the block's share of each of ``columns`` (one value per frame)."""
+    def gathered(rows):
+        block, block_lanes, *values = zip(*rows)
+        at = [0, *itertools.accumulate(map(len, block_lanes))]
+        points, counts = _visible_points([lane for lanes in block_lanes
+                                          for lane in lanes])
+        return score(block, points, np.concatenate([[0], np.cumsum(counts)]), at,
+                     *values)
 
-    The one gather of every protocol: it yields ``(block, points, first,
-    at)``, the frames and their scored lanes' visible points, lane i on
-    rows ``first[i]:first[i + 1]`` and frame f's lanes ``at[f]:at[f + 1]``.
-    Each block is gathered by one ``_visible_points`` call when asked for,
-    so a short lane raises only after the earlier blocks are scored."""
-    block, lanes, at, width = [], [], [0], n
-    for frame in frames:
-        frame_lanes = scored(frame)
-        frame_width = max([n, *(len(lane.points) for lane in frame_lanes)])
-        if block and ((len(lanes) + len(frame_lanes)) * max(width, frame_width)
-                      > _BLOCK_POINTS):
-            yield _gathered(block, lanes, at)
-            block, lanes, at, width = [], [], [0], n
-        block.append(frame)
-        lanes.extend(frame_lanes)
-        at.append(len(lanes))
-        width = max(width, frame_width)
-    yield _gathered(block, lanes, at)
+    def cut():
+        rows, size, width = [], 0, n
+        for frame, *values in zip(frames, *columns):
+            lanes = scored(frame)
+            frame_width = max([n, *(len(lane.points) for lane in lanes)])
+            if rows and (size + len(lanes)) * max(width, frame_width) > _BLOCK_POINTS:
+                yield rows
+                rows, size, width = [], 0, n
+            rows.append((frame, lanes, *values))
+            size += len(lanes)
+            width = max(width, frame_width)
+        if rows:
+            yield rows
 
-
-def _gathered(block, lanes, at):
-    points, counts = _visible_points(lanes)
-    return block, points, np.concatenate([[0], np.cumsum(counts)]), at
+    return _blockwise(cut(), gathered)
 
 
 def _assemble(

@@ -503,6 +503,11 @@ def _atomic_write(path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from None
 
 
+def _write_json(path, payload) -> None:
+    """Every JSON report's writer: sorted keys, indent 2, final newline, atomic."""
+    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def write_frames(path, records) -> None:
     """Write records as one JSON object per line, atomically.
 
@@ -572,17 +577,16 @@ def write_report(report, path, format: str = "structured",
         payload = report.as_dict()
         if config is not None:
             payload["config"] = config
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        _write_json(path, payload)
     elif format == "csv":
         if report.sweep_rows is None:
             raise ConfigError("csv format requires a report with sweep rows")
         lines = ["tau,precision,recall,f1"]
         for tau, precision, recall, f1 in report.sweep_rows:
             lines.append(f"{tau!r},{precision!r},{recall!r},{f1!r}")
-        text = "\n".join(lines) + "\n"
+        _atomic_write(path, "\n".join(lines) + "\n")
     else:
         raise ConfigError(f"unknown report format {format!r}")
-    _atomic_write(path, text)
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,34 @@ def test_huge_coordinate_is_exit_8(tmp_path, capsys, argv, x):
     assert err[0].startswith(f"error: frame {obj['frame_id']!r} prediction lane 1: ")
 
 
+@pytest.mark.parametrize("argv", [("eval", "--protocol", "once"),
+                                  ("eval", "--protocol", "mbd"),
+                                  ("sweep", "--protocol", "once", "--taus", "0.1,0.2"),
+                                  ("sweep", "--protocol", "mbd", "--taus", "0.1,0.2")],
+                         ids=["eval-once", "eval-mbd", "sweep-once", "sweep-mbd"])
+@pytest.mark.parametrize("huge", [0, 1], ids=["overflow-first", "short-first"])
+def test_first_frame_to_fail_alone_names_the_error(tmp_path, capsys, argv, huge):
+    # Two frames of one block: one overflows the raster (exit 8 alone), the
+    # other has a prediction with 1 visible point (exit 1 alone).  The run
+    # fails as the earlier of them fails alone.
+    gt, pred = synth(tmp_path, frames=2)
+    frames = [json.loads(line) for line in pred.read_text().splitlines()]
+    lane = frames[huge]["lanes"][1]
+    lane["points"][lane["visibility"].index(1.0) + 1][0] = 1e20
+    vis = frames[1 - huge]["lanes"][0]["visibility"]
+    frames[1 - huge]["lanes"][0]["visibility"] = [1.0] + [0.0] * (len(vis) - 1)
+    pred.write_text("".join(json.dumps(obj) + "\n" for obj in frames))
+    capsys.readouterr()
+    assert run(*argv, "--gt", str(gt), "--pred", str(pred)) == (8 if huge == 0 else 1)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    if huge == 0:
+        assert err[0].startswith(
+            f"error: frame {frames[0]['frame_id']!r} prediction lane 1: ")
+    else:
+        assert err[0] == "error: 1 visible point(s); need >= 2"
+
+
 def test_eval_deeply_nested_line_is_exit_3(tmp_path, capsys):
     # a valid frame with an ignored key nested past either decoder's depth
     gt, _ = synth(tmp_path, frames=1)

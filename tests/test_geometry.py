@@ -538,7 +538,7 @@ class TestFitSolves:
     IMAGE = (720, 960)
 
     @pytest.mark.parametrize("form", ["rational", "poly3"])
-    def test_one_solve_per_fit(self, monkeypatch, form):
+    def test_one_scoring_call_per_search_step(self, monkeypatch, form):
         rng = np.random.default_rng(71)
         lanes = random_fit_frame(rng, 1.0)
         calls = count_solves(monkeypatch)
@@ -547,7 +547,7 @@ class TestFitSolves:
         # are the fit's, with no solve after the search
         assert len(calls) == (62 if form == "rational" else 1)
 
-    def test_dependent_columns_fall_back_to_lstsq(self):
+    def test_dependent_columns_drop_out(self):
         # two rows per lane: the per-lane [v, 1] columns span every
         # function of v, so both rational columns reduce to zero
         lanes = [np.array([[300.0, 400.0], [302.0, 400.0],
