@@ -54,7 +54,11 @@ Synthetic scenarios
 optional noisy predictions.  Lateral noise displaces each point along
 the local ground-plane normal to the lane heading, vertical noise along
 z, both zero-mean Gaussian with depth-dependent standard deviation
-``sigma0 + slope * y``.
+``sigma0 + slope * y``.  Two draws per call fix the files' bytes: from
+the seed's ground-truth stream, uniforms of shape (frames, lanes, 5)
+(x offset, heading, curvature, z offset, z slope); from its noise
+stream, standard normals of shape (frames, lanes, 2, points) (lateral,
+then vertical).
 """
 
 from __future__ import annotations
@@ -488,40 +492,47 @@ def _record_to_line(record: FrameRecord) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _atomic_write(path, text: str) -> None:
+def _atomic_write(path, chunks) -> None:
+    """Write the strings ``chunks`` yields to ``path`` through a temp file
+    and a rename; a failure, also one raised while ``chunks`` makes them,
+    leaves neither file behind."""
     path = os.fspath(path)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         try:
             os.unlink(tmp)
         except OSError:
             pass
-        raise IoError(f"cannot write {path}: {exc}") from None
+        if isinstance(exc, OSError):
+            raise IoError(f"cannot write {path}: {exc}") from None
+        raise
 
 
 def _write_json(path, payload) -> None:
     """Every JSON report's writer: sorted keys, indent 2, final newline, atomic."""
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _atomic_write(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
 
 
 def write_frames(path, records) -> None:
     """Write records as one JSON object per line, atomically.
 
-    The file appears only when fully written (write-to-temp then
-    rename); a failure leaves no partial file behind.
+    Each line goes to a temp file as it is made, and the file appears
+    only when fully written (a rename); a failure leaves no partial file
+    behind.
     """
-    lines = []
-    seen: set[str] = set()
-    for record in records:
-        if record.frame_id in seen:
-            raise ValueError(f"duplicate frame_id {record.frame_id!r}")
-        seen.add(record.frame_id)
-        lines.append(_record_to_line(record))
-    _atomic_write(path, "".join(line + "\n" for line in lines))
+    def lines():
+        seen: set[str] = set()
+        for record in records:
+            if record.frame_id in seen:
+                raise ValueError(f"duplicate frame_id {record.frame_id!r}")
+            seen.add(record.frame_id)
+            yield _record_to_line(record) + "\n"
+
+    _atomic_write(path, lines())
 
 
 def align(gt_records, pred_records) -> list[FrameRecord]:
@@ -584,7 +595,7 @@ def write_report(report, path, format: str = "structured",
         lines = ["tau,precision,recall,f1"]
         for tau, precision, recall, f1 in report.sweep_rows:
             lines.append(f"{tau!r},{precision!r},{recall!r},{f1!r}")
-        _atomic_write(path, "\n".join(lines) + "\n")
+        _atomic_write(path, ["\n".join(lines) + "\n"])
     else:
         raise ConfigError(f"unknown report format {format!r}")
 
@@ -594,40 +605,33 @@ def write_report(report, path, format: str = "structured",
 # ---------------------------------------------------------------------------
 
 
+def _noisy(points: np.ndarray, noise: NoiseModel, rng) -> np.ndarray:
+    """Lanes ``points`` (..., n, 3) displaced as ``apply_noise`` says, with
+    one draw: each lane's n lateral, then its n vertical normals."""
+    y = points[..., 1]
+    eps = rng.standard_normal((*y.shape[:-1], 2, y.shape[-1]))
+    out = points.copy()
+    # A huge sigma overflows to a non-finite point, which the caller rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tangent = np.gradient(points[..., :2], axis=-2)
+        norm = np.hypot(tangent[..., 0], tangent[..., 1])
+        unit = tangent / norm[..., None]
+        normal = np.stack([unit[..., 1], -unit[..., 0]], axis=-1)
+        sigma_w = noise.sigma_w0 + noise.sigma_w_slope * y
+        sigma_h = noise.sigma_h0 + noise.sigma_h_slope * y
+        eps_w = eps[..., 0, :] * sigma_w
+        eps_h = eps[..., 1, :] * sigma_h
+        out[..., :2] += eps_w[..., None] * normal
+        out[..., 2] += eps_h
+    return out
+
+
 def apply_noise(lane: Lane3D, noise: NoiseModel, rng) -> Lane3D:
     """Displace each point laterally (normal to the local ground-plane
     heading) and vertically by zero-mean Gaussian noise with
     sigma(y) = sigma0 + slope * y."""
-    pts = lane.points
-    y = pts[:, 1]
-    tangent = np.gradient(pts[:, :2], axis=0)
-    norm = np.hypot(tangent[:, 0], tangent[:, 1])
-    unit = tangent / norm[:, None]
-    normal = np.stack([unit[:, 1], -unit[:, 0]], axis=1)
-    out = pts.copy()
-    # A huge sigma overflows to a non-finite point, which Lane3D rejects.
-    with np.errstate(over="ignore", invalid="ignore"):
-        sigma_w = noise.sigma_w0 + noise.sigma_w_slope * y
-        sigma_h = noise.sigma_h0 + noise.sigma_h_slope * y
-        eps_w = rng.standard_normal(y.size) * sigma_w
-        eps_h = rng.standard_normal(y.size) * sigma_h
-        out[:, :2] += eps_w[:, None] * normal
-        out[:, 2] += eps_h
-    return Lane3D(points=out, visibility=lane.visibility.copy(), score=1.0)
-
-
-def _gt_lane(rng, slot: int, n_slots: int, curvature_range, y: np.ndarray):
-    spacing = 3.7
-    x0 = (slot - (n_slots - 1) / 2.0) * spacing + rng.uniform(-0.3, 0.3)
-    heading = rng.uniform(-0.02, 0.02)
-    curvature = rng.uniform(curvature_range[0], curvature_range[1])
-    z0 = rng.uniform(0.0, 0.05)
-    z_slope = rng.uniform(-0.005, 0.005)
-    x = x0 + heading * y + 0.5 * curvature * y * y
-    z = z0 + z_slope * y
-    return Lane3D(
-        points=np.stack([x, y, z], axis=1), visibility=np.ones_like(y)
-    )
+    return Lane3D(points=_noisy(lane.points[None], noise, rng)[0],
+                  visibility=lane.visibility.copy(), score=1.0)
 
 
 def generate_frames(
@@ -644,43 +648,51 @@ def generate_frames(
     standalone prediction file.  Ground-truth synthesis and noise
     injection use independent streams spawned from the seed, so the
     ground truths do not depend on whether predictions are consumed.
-    Noise that makes a prediction an invalid lane (folded back in y)
-    raises ConfigError naming the frame and the lane.
+    A curvature range that overflows a ground-truth lane, or noise that
+    makes a prediction an invalid lane (folded back in y), raises
+    ConfigError; the latter names the first such frame and lane.
     """
     if n_frames <= 0 or lanes_per_frame <= 0:
         raise ConfigError("n_frames and lanes_per_frame must be positive")
     lo, hi = (float(curvature_range[0]), float(curvature_range[1]))
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+    if not (math.isfinite(hi - lo) and lo <= hi):
         raise ConfigError(
-            f"curvature_range must be finite (low, high), got {lo, hi}"
+            f"curvature_range must be finite (low, high) with a finite "
+            f"width, got {lo, hi}"
         )
     camera = camera or DEFAULT_CAMERA
     gt_seq, noise_seq = np.random.SeedSequence(noise.seed).spawn(2)
-    gt_rng = np.random.default_rng(gt_seq)
-    noise_rng = np.random.default_rng(noise_seq)
+    draws = np.random.default_rng(gt_seq).uniform(
+        [-0.3, -0.02, lo, 0.0, -0.005], [0.3, 0.02, hi, 0.05, 0.005],
+        (n_frames, lanes_per_frame, 5))[..., None]
+    x0, heading, curvature, z0, z_slope = np.moveaxis(draws, 2, 0)
+    slot = np.arange(lanes_per_frame)[:, None] - (lanes_per_frame - 1) / 2.0
+    x0 = slot * 3.7 + x0
     y = np.linspace(3.0, 103.0, 20)
-    gt_records, pred_records = [], []
-    for k in range(n_frames):
-        frame_id = f"frame_{k:06d}"
-        gts = [
-            _gt_lane(gt_rng, slot, lanes_per_frame, (lo, hi), y)
-            for slot in range(lanes_per_frame)
-        ]
-        preds = []
-        for i, lane in enumerate(gts):
-            try:
-                preds.append(apply_noise(lane, noise, noise_rng))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"frame {frame_id!r} lane {i}: the noise makes an invalid "
-                    f"prediction ({exc})"
-                ) from None
-        gt_records.append(
-            FrameRecord(frame_id=frame_id, camera=camera, gt_lanes=gts)
-        )
-        pred_records.append(
-            FrameRecord(frame_id=frame_id, camera=camera, gt_lanes=preds)
-        )
+    with np.errstate(over="ignore"):
+        x = x0 + heading * y + 0.5 * curvature * y * y
+    if not np.isfinite(x).all():
+        raise ConfigError(f"curvature_range {lo, hi} overflows a lane's points")
+    gt = np.stack([x, np.broadcast_to(y, x.shape), z0 + z_slope * y], axis=-1)
+    preds = _noisy(gt, noise, np.random.default_rng(noise_seq))
+    valid = (np.isfinite(preds).all(axis=(2, 3))
+             & (preds[..., 1:, 1] > preds[..., :-1, 1]).all(axis=2))
+    if not valid.all():
+        k, i = np.argwhere(~valid)[0].tolist()
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                Lane3D(points=preds[k, i], visibility=np.ones(y.size))
+        except ValueError as exc:
+            raise ConfigError(
+                f"frame 'frame_{k:06d}' lane {i}: the noise makes an invalid "
+                f"prediction ({exc})"
+            ) from None
+    gt_records, pred_records = (
+        [FrameRecord(frame_id=f"frame_{k:06d}", camera=camera,
+                     gt_lanes=[Lane3D._checked(p, v, score)
+                               for p, v in zip(lanes, vis)])
+         for k, (lanes, vis) in enumerate(zip(side, np.ones(side.shape[:-1])))]
+        for side, score in ((gt, None), (preds, 1.0)))
     return gt_records, pred_records
 
 

@@ -19,14 +19,21 @@ these bitwise.
 For the ``openlane`` gate, the gate one threshold at a time
 (``openlane_gate``: ``cost_matrix`` and one ``hungarian`` call), and the
 row-minima certificate in plain Python (``row_minima``).
+
+For the scenario generator, the generator lane by lane: five scalar
+uniform draws per ground-truth lane (``gt_lane``), then its prediction's
+lateral and vertical normal draws and noise (``noisy_lane``), each lane
+checked by ``Lane3D`` (``generate_frames``).
 """
 
 import math
 
 import numpy as np
 
-from lane3d.errors import DegenerateLane
+from lane3d.errors import ConfigError, DegenerateLane
+from lane3d.geometry import DEFAULT_CAMERA, Lane3D
 from lane3d.matching import hungarian
+from lane3d.scenario_io import FrameRecord
 
 
 def oracle_point_stats(a, b):
@@ -239,3 +246,59 @@ def row_minima(cost):
     if len({p[not flip] for p in pairs}) < len(pairs):
         return None
     return sorted(pairs)
+
+
+def noisy_lane(lane, noise, rng):
+    """``apply_noise`` on one lane, its draws ``eps_w`` then ``eps_h``."""
+    pts = lane.points
+    y = pts[:, 1]
+    tangent = np.gradient(pts[:, :2], axis=0)
+    norm = np.hypot(tangent[:, 0], tangent[:, 1])
+    unit = tangent / norm[:, None]
+    normal = np.stack([unit[:, 1], -unit[:, 0]], axis=1)
+    out = pts.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma_w = noise.sigma_w0 + noise.sigma_w_slope * y
+        sigma_h = noise.sigma_h0 + noise.sigma_h_slope * y
+        eps_w = rng.standard_normal(y.size) * sigma_w
+        eps_h = rng.standard_normal(y.size) * sigma_h
+        out[:, :2] += eps_w[:, None] * normal
+        out[:, 2] += eps_h
+    return Lane3D(points=out, visibility=lane.visibility.copy(), score=1.0)
+
+
+def gt_lane(rng, slot, n_slots, curvature_range, y):
+    """One ground-truth lane from five scalar uniform draws."""
+    x0 = (slot - (n_slots - 1) / 2.0) * 3.7 + rng.uniform(-0.3, 0.3)
+    heading = rng.uniform(-0.02, 0.02)
+    curvature = rng.uniform(curvature_range[0], curvature_range[1])
+    z0 = rng.uniform(0.0, 0.05)
+    z_slope = rng.uniform(-0.005, 0.005)
+    x = x0 + heading * y + 0.5 * curvature * y * y
+    z = z0 + z_slope * y
+    return Lane3D(points=np.stack([x, y, z], axis=1), visibility=np.ones_like(y))
+
+
+def generate_frames(n_frames, lanes_per_frame, curvature_range, noise):
+    """``generate_frames`` lane by lane, on a valid range and frame count."""
+    gt_seq, noise_seq = np.random.SeedSequence(noise.seed).spawn(2)
+    gt_rng = np.random.default_rng(gt_seq)
+    noise_rng = np.random.default_rng(noise_seq)
+    y = np.linspace(3.0, 103.0, 20)
+    gt_records, pred_records = [], []
+    for k in range(n_frames):
+        frame_id = f"frame_{k:06d}"
+        gts = [gt_lane(gt_rng, slot, lanes_per_frame, curvature_range, y)
+               for slot in range(lanes_per_frame)]
+        preds = []
+        for i, lane in enumerate(gts):
+            try:
+                preds.append(noisy_lane(lane, noise, noise_rng))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"frame {frame_id!r} lane {i}: the noise makes an invalid "
+                    f"prediction ({exc})"
+                ) from None
+        gt_records.append(FrameRecord(frame_id, DEFAULT_CAMERA, gts))
+        pred_records.append(FrameRecord(frame_id, DEFAULT_CAMERA, preds))
+    return gt_records, pred_records

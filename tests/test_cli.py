@@ -95,6 +95,26 @@ def test_synth_overflowing_noise_is_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("curvature, shown", [
+    # the range's width overflows the draw
+    ("-1e308:1e308", "got (-1e+308, 1e+308)"),
+    # the draws are finite, the lanes' points overflow
+    ("1e306:1e306", "curvature_range (1e+306, 1e+306)"),
+])
+def test_synth_overflowing_curvature_is_one_error_line(tmp_path, capsys,
+                                                       curvature, shown):
+    out = tmp_path / "g.jsonl"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("synth", "--frames", "3", f"--curvature={curvature}",
+                   "--out", str(out), "--emit-pred", str(tmp_path / "p")) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and shown in err[0], err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, shown", [
     (("--frames", "2", "--seed", "-1"), "seed must be >= 0, got -1"),
     (("--frames", "200", "--sigma-w0", "10"), "frame 'frame_000002' lane 0"),
@@ -1480,10 +1500,10 @@ def test_fit_huge_integer_is_exit_3(tmp_path, capsys):
 # reports across CPU kernels
 # ---------------------------------------------------------------------------
 
-# Every report holds the same bytes under other BLAS kernels and with
-# NumPy's AVX-512 loops off: no operation behind it goes through BLAS or
-# LAPACK, or through a NumPy loop whose result depends on the CPU's
-# dispatch.
+# Every report, and synth's files, hold the same bytes under other BLAS
+# kernels and with NumPy's AVX-512 loops off: no operation behind them
+# goes through BLAS or LAPACK, or through a NumPy loop whose result
+# depends on the CPU's dispatch.
 CPU_VARIANTS = {
     "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
     "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
@@ -1505,6 +1525,9 @@ runs = {
     "scored-loss": ["loss", "--gt", scored_gt, "--pred", scored_pred],
     "fit-rational": ["fit", "--frame-2d", frame, "--camera", camera],
     "fit-poly3": ["fit", "--frame-2d", frame, "--camera", camera, "--form", "poly3"],
+    "synth": ["synth", "--frames", "6", "--lanes", "3", "--sigma-w0", "0.1",
+              "--seed", "7", "--sigma-w-slope", "0.001", "--sigma-h0", "0.02",
+              "--emit-pred", f"{out}.synth-pred"],
 }
 for name, argv in runs.items():
     assert lane3d.main([*argv, "--out", f"{out}.{name}"]) == 0, name
@@ -1543,6 +1566,8 @@ def test_reports_do_not_depend_on_the_cpu_kernels(tmp_path, cpu_inputs, variant)
     for name, digest in want.items():
         assert hashlib.sha256(Path(f"{out}.{name}").read_bytes()).hexdigest() \
             == digest, name
+    assert tuple(hashlib.sha256(Path(f"{out}.{name}").read_bytes()).hexdigest()
+                 for name in ("synth", "synth-pred")) == GOLDEN_SYNTH
 
 
 # ---------------------------------------------------------------------------

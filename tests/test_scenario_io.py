@@ -3,8 +3,10 @@
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
+import oracles
 import pytest
 
 from lane3d import scenario_io
@@ -520,6 +522,27 @@ def test_writer_rejects_duplicate_frame_ids(tmp_path):
     assert not path.exists()
 
 
+def test_writer_streams_and_a_late_duplicate_leaves_no_file(tmp_path):
+    # the lines go to the temp file while the records are read; a
+    # duplicate in the last record removes it, and no file appears
+    rng = np.random.default_rng(4)
+    records = [random_record(rng, k) for k in range(5)]
+    path = tmp_path / "f.jsonl"
+
+    def stream():
+        for record in records:
+            assert (tmp_path / "f.jsonl.tmp").exists()
+            yield record
+        yield records[2]
+
+    with pytest.raises(ValueError, match="duplicate frame_id 'frame_2'"):
+        write_frames(path, stream())
+    assert list(tmp_path.iterdir()) == []
+    write_frames(path, iter(records))
+    assert path.read_text() == "".join(
+        scenario_io._record_to_line(r) + "\n" for r in records)
+
+
 def test_attachments_must_parallel_their_lanes():
     record = random_record(np.random.default_rng(3), 0)
     with pytest.raises(ValueError, match="gt_curves must parallel its lane list"):
@@ -643,6 +666,75 @@ def test_gt_independent_of_prediction_output(tmp_path):
     generate_scenario(4, 2, (0.0, 0.001), noise, with_pred,
                       tmp_path / "pred.jsonl")
     assert without_pred.read_bytes() == with_pred.read_bytes()
+
+
+def assert_same_records(got, want):
+    assert [r.frame_id for r in got] == [r.frame_id for r in want]
+    for g, w in zip(got, want):
+        assert g.camera == w.camera and g.pred_lanes is w.pred_lanes is None
+        assert len(g.gt_lanes) == len(w.gt_lanes)
+        for a, b in zip(g.gt_lanes, w.gt_lanes):
+            assert a.points.tobytes() == b.points.tobytes()
+            assert a.visibility.tobytes() == b.visibility.tobytes()
+            assert a.score == b.score
+
+
+SYNTH_NOISES = {
+    "none": {},
+    "quick-start": {"sigma_w0": 0.1},
+    "unc": {"sigma_w0": 0.1, "sigma_w_slope": 0.001, "sigma_h0": 0.02},
+    "depth": {"sigma_w_slope": 0.004, "sigma_h_slope": 0.002},
+}
+
+
+@pytest.mark.parametrize("noise", SYNTH_NOISES)
+@pytest.mark.parametrize("lanes, curvature", [
+    (1, (-0.002, 0.002)), (3, (0.0, 0.0)), (4, (-0.05, 0.01)),
+    (6, (1e300, 1e303)),
+])
+@pytest.mark.parametrize("seed", [0, 7, 2026])
+def test_generator_equals_the_lane_by_lane_reference(seed, lanes, curvature,
+                                                     noise):
+    model = NoiseModel(seed=seed, **SYNTH_NOISES[noise])
+    got = generate_frames(9, lanes, curvature, model)
+    want = oracles.generate_frames(9, lanes, curvature, model)
+    assert_same_records(got[0], want[0])
+    assert_same_records(got[1], want[1])
+
+
+@pytest.mark.parametrize("lanes, noise, shown", [
+    (1, {"sigma_w0": 20.0}, "frame 'frame_000001' lane 0"),
+    (2, {"sigma_w0": 15.0, "sigma_h0": 3.0}, "frame 'frame_000004' lane 0"),
+    (6, {"sigma_w0": 12.0}, "frame 'frame_000001' lane 2"),
+    (4, {"sigma_w0": 10.0}, "frame 'frame_000002' lane 0"),
+    (4, {"sigma_w_slope": 0.2}, "frame 'frame_000000' lane 1"),
+    (3, {"sigma_w0": 1e308, "sigma_w_slope": 1e308}, "frame 'frame_000000' lane 0"),
+])
+def test_folding_noise_names_the_reference_frame_and_lane(lanes, noise, shown):
+    model = NoiseModel(seed=0, **noise)
+    with pytest.raises(ConfigError) as want:
+        oracles.generate_frames(200, lanes, (-0.002, 0.002), model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as got:
+            generate_frames(200, lanes, (-0.002, 0.002), model)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(shown + ": the noise makes an invalid")
+
+
+@pytest.mark.parametrize("n", [2, 5, 30])
+def test_apply_noise_is_one_lane_of_the_stack(n):
+    rng = np.random.default_rng(n)
+    y = np.cumsum(rng.uniform(2.0, 4.0, n))
+    points = np.stack([rng.normal(0.0, 2.0, n), y, rng.normal(0.0, 0.1, n)], 1)
+    lane = Lane3D(points=points, visibility=np.linspace(0.0, 1.0, n))
+    noise = NoiseModel(sigma_w0=0.1, sigma_h0=0.05, sigma_w_slope=0.002)
+    noisy = apply_noise(lane, noise, np.random.default_rng(1))
+    stack = scenario_io._noisy(points[None], noise, np.random.default_rng(1))[0]
+    want = oracles.noisy_lane(lane, noise, np.random.default_rng(1))
+    assert noisy.points.tobytes() == stack.tobytes() == want.points.tobytes()
+    assert noisy.visibility.tobytes() == lane.visibility.tobytes()
+    assert noisy.visibility is not lane.visibility and noisy.score == 1.0
 
 
 def test_zero_noise_predictions_equal_gt_and_score_perfect():
