@@ -275,16 +275,6 @@ def bcd_select_tp_fp(
 # BEV rasterization and IoU
 # ---------------------------------------------------------------------------
 
-class _Runs(NamedTuple):
-    """A stroke as one run per row: row ``iy[k]`` covers the cells with
-    ``lo[k] <= ix <= hi[k]``, from its first passing cell to its last.
-    Rows strictly increase, and a row without a passing cell has no run."""
-
-    iy: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-
 # (segment, row) pairs the rasterizer works on at once: bounds its working
 # memory.  Lanes are grouped into blocks up to this many pairs (a frame of
 # eight 100 m lanes, at the default raster, is one), and a lane with more
@@ -301,15 +291,6 @@ _EMPTY = 1 << 62
 
 # Unit roundoff of binary64, for the rounding bounds below.
 _U = 2.0**-53
-
-
-def _strokes(points: np.ndarray, sizes, config: EvalConfig) -> list[_Runs]:
-    """The strokes of ``_stroke_table``, one ``_Runs`` per polyline."""
-    lo, hi, base, row0 = _stroke_table(points, sizes, config)
-    rows = np.flatnonzero(lo <= hi)
-    ends = np.searchsorted(rows, base)
-    return [_Runs(rows[s:e] - base[l] + row0[l], lo[rows[s:e]], hi[rows[s:e]])
-            for l, (s, e) in enumerate(zip(ends[:-1], ends[1:]))]
 
 
 def _stroke_table(points: np.ndarray, sizes, config: EvalConfig):

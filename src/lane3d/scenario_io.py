@@ -42,7 +42,7 @@ the same lines.  ``read_frames`` hands a line to ``json`` where the two
 could part (see ``_fast_record``); the one gap left is a line under
 ``_ORJSON_MAX_LINE`` characters nested deeper than ``json`` goes (about
 1,000 levels) in a key the reader ignores, which ``orjson`` reads.
-Writing uses ``json`` alone.
+Every JSON written is ``json``'s bytes, which ``orjson`` may write (``_encoder``).
 
 Each side of a frame takes one ``np.asarray`` per field and one set of
 array checks; a side that fails one is walked lane by lane only to raise
@@ -63,9 +63,11 @@ then vertical).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -467,7 +469,7 @@ def _camera_to_obj(camera: CameraModel) -> dict:
     }
 
 
-def _record_to_line(record: FrameRecord) -> str:
+def _record_to_line(record: FrameRecord, encode=None) -> str:
     def lane_objs(key, lanes, curves, uncs):
         curves = curves or [None] * len(lanes)
         uncs = uncs or [None] * len(lanes)
@@ -489,7 +491,38 @@ def _record_to_line(record: FrameRecord) -> str:
             "pred_lanes", record.pred_lanes, record.pred_curves,
             record.pred_uncertainties,
         )
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return (encode or _encoder())(obj)
+
+
+def _encoder(indent: bool = False):
+    """``json.dumps(obj, sort_keys=True)``, indented by 2 or compact, for
+    every JSON lane3d writes.  ``orjson`` (imported at this call) writes
+    first: on ``json``'s types both print the shortest round-trip digits and
+    part only on escapes, non-ASCII, DEL, and outside string literals on NaN
+    and +-inf (``null``), values below 1e-4 (``0.0000``) and exponents.
+    ``json`` writes where the bytes show one, or ``orjson`` raises a
+    ``TypeError`` (ints past 64 bits, NumPy scalars, keys not strings)."""
+    reference = functools.partial(json.dumps, sort_keys=True, **(
+        {"indent": 2} if indent else {"separators": (",", ":")}))
+    try:
+        import orjson
+    except ImportError:
+        return reference
+    option = orjson.OPT_SORT_KEYS | (orjson.OPT_INDENT_2 if indent else 0)
+
+    def encode(obj) -> str:
+        try:
+            raw = orjson.dumps(obj, option=option)
+        except TypeError:
+            return reference(obj)
+        bare = b" ".join(raw.split(b'"')[::2])  # no ``\``: ``"`` bounds each literal
+        if (raw.isascii() and b"\\" not in raw and b"\x7f" not in raw
+                and b"null" not in bare and b"0.0000" not in bare
+                and not re.search(rb"e[\d-]", bare)):
+            return raw.decode()
+        return reference(obj)
+
+    return encode
 
 
 def _atomic_write(path, chunks) -> None:
@@ -514,7 +547,7 @@ def _atomic_write(path, chunks) -> None:
 
 def _write_json(path, payload) -> None:
     """Every JSON report's writer: sorted keys, indent 2, final newline, atomic."""
-    _atomic_write(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
+    _atomic_write(path, [_encoder(indent=True)(payload) + "\n"])
 
 
 def write_frames(path, records) -> None:
@@ -525,12 +558,12 @@ def write_frames(path, records) -> None:
     behind.
     """
     def lines():
-        seen: set[str] = set()
+        encode, seen = _encoder(), set()
         for record in records:
             if record.frame_id in seen:
                 raise ValueError(f"duplicate frame_id {record.frame_id!r}")
             seen.add(record.frame_id)
-            yield _record_to_line(record) + "\n"
+            yield _record_to_line(record, encode) + "\n"
 
     _atomic_write(path, lines())
 

@@ -1,6 +1,7 @@
 """Chamfer-protocol tests: pair distances, rasterization, and reports."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from lane3d.chamfer import (
     _bcd_rows,
     _iou_matrix,
     _stroke_table,
-    _strokes,
     bcd_report,
     bcd_select_tp_fp,
     bev_iou,
@@ -329,9 +329,25 @@ def oracle_cells(points, config):
     return cells
 
 
+class Runs(NamedTuple):
+    """A stroke as one run per row: row ``iy[k]`` covers the cells with
+    ``lo[k] <= ix <= hi[k]``, from its first passing cell to its last.
+    Rows strictly increase, and a row without a passing cell has no run."""
+
+    iy: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
 def strokes(point_sets, config):
-    """``_strokes`` of a list of polylines."""
-    return _strokes(np.concatenate(point_sets), [len(p) for p in point_sets], config)
+    """The strokes of a list of polylines from one ``_stroke_table``, one
+    ``Runs`` per polyline."""
+    lo, hi, base, row0 = _stroke_table(
+        np.concatenate(point_sets), [len(p) for p in point_sets], config)
+    rows = np.flatnonzero(lo <= hi)
+    ends = np.searchsorted(rows, base)
+    return [Runs(rows[s:e] - base[l] + row0[l], lo[rows[s:e]], hi[rows[s:e]])
+            for l, (s, e) in enumerate(zip(ends[:-1], ends[1:]))]
 
 
 def decode_runs(runs):

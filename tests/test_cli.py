@@ -1593,7 +1593,7 @@ IMPORT_BUDGET = """
 import sys
 import lane3d
 
-# the frame reader imports orjson at its first read
+# the frame reader and the writers import orjson at their first file
 unneeded = {"orjson", "numpy.ma", "numpy.random", "scipy", "hypothesis"}
 if sys.argv[1:]:
     gt, pred, scored_gt, scored_pred = sys.argv[1:]

@@ -1,10 +1,12 @@
-"""The frame-reading tests again, with orjson hidden.
+"""The frame-reading and file-writing tests again, with orjson hidden.
 
 ``read_frames`` decodes with orjson when it imports and with json
-otherwise; json's reading is the one that counts.  The tests imported
-here run once in their own module, with orjson as installed, and once
-here under the ``without_orjson`` fixture: the parse and exit-3 tests and
-every golden digest hold under both decoders.
+otherwise, and every JSON file is written by ``scenario_io._encoder``,
+which lets orjson write json's bytes; json's reading and writing are the
+ones that count.  The tests imported here run once in their own module,
+with orjson as installed, and once here under the ``without_orjson``
+fixture: the parse and exit-3 tests and every golden digest, of frame
+files and reports alike, hold under both decoders and both encoders.
 """
 
 import pytest
@@ -14,6 +16,7 @@ from test_cli import (  # noqa: F401
     test_eval_exit_codes_for_bad_files,
     test_eval_huge_integer_is_exit_3,
     test_eval_non_finite_coordinate_is_exit_3,
+    test_fit_reports_match_golden_digests,
     test_iou_protocol_reports_match_golden_digests,
     test_loss_malformed_uncertainty_is_exit_3,
     test_loss_non_finite_curve_is_exit_3,
@@ -21,6 +24,7 @@ from test_cli import (  # noqa: F401
     test_openlane_solver_reports_match_golden_digests,
     test_reports_match_golden_digests,
     test_scored_loss_report_matches_golden_digest,
+    test_synth_files_match_golden_digests,
 )
 from test_scenario_io import (  # noqa: F401
     test_duplicate_frame_id_rejected,

@@ -9,6 +9,14 @@ and ``1e400`` (orjson rejects them), lone surrogates, duplicate keys,
 Each file must give the same records, floats compared by ``repr``, or
 the same error, whichever decoder reads it.
 
+Every JSON lane3d writes goes through ``scenario_io._encoder``, which
+lets orjson write where its bytes are json's.  Generated payloads hold
+the values where the two encoders part: floats at the ends of json's
+positional range (1e-4, 1e16) and their neighbours, subnormals, NaN and
+infinities, integers at the 64-bit bounds, NumPy floats, escapes, DEL,
+non-ASCII text and keys that are not strings.  The encoder must write
+``json``'s bytes, compact and indented, or raise what ``json`` raises.
+
 The reader converts and checks a side of a frame as whole arrays and
 walks it lane by lane only to name an error.  Generated sides, valid
 and spoiled, must read as the walk reads them: the same arrays bit for
@@ -18,6 +26,7 @@ bit, scores and curves, or the same ``ParseError``.
 import copy
 import json
 import math
+import struct
 import sys
 
 import numpy as np
@@ -359,3 +368,63 @@ def test_a_valid_side_reads_as_the_walk_reads_it(side):
 def test_a_spoiled_side_reads_or_fails_as_the_walk_does(side):
     assert side_outcome(scenario_io._parse_lanes, side) == side_outcome(
         scenario_io._walk_lanes, side)
+
+
+# ---------------------------------------------------------------------------
+# the writer's encoder against json
+# ---------------------------------------------------------------------------
+
+edge_floats = st.sampled_from([
+    x for v in (1e-4, 1e16) for x in (
+        math.nextafter(v, 0.0), v, math.nextafter(v, math.inf))] + [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, 20.00001, 1.0000000494736472e-07])
+any_double = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+floats = st.one_of(edge_floats, any_double, subnormals.map(float), st.floats(),
+                   st.floats(-1e16, 1e16), st.floats(-1e-3, 1e-3))
+ints = st.one_of(st.integers(), st.sampled_from(
+    [2**63, -2**63, 2**63 - 1, -2**63 - 1, 2**64, 2**64 - 1, -2**64]))
+texts = st.one_of(
+    st.text(), st.text("ab\"\\\x00\x1f\x7f\u2028é😀 e-1null0.0000"),
+    st.binary(min_size=32, max_size=32).map(bytes.hex),
+    st.sampled_from(['"', "\x7f", "\ud800", "a\udc00b"]))
+scalars = st.one_of(floats, ints, texts, st.booleans(), st.none(),
+                    st.floats().map(np.float64))
+keys = st.one_of(texts, texts, texts, ints, floats, st.booleans(), st.none())
+containers = [lambda inner: st.lists(inner, max_size=3),
+              lambda inner: st.lists(inner, max_size=3).map(tuple),
+              lambda inner: st.dictionaries(keys, inner, max_size=3)]
+# flat payloads as often as nested ones: one value that only json may
+# write sends a whole payload to json
+payloads = st.one_of(scalars, *(c(scalars) for c in containers), st.recursive(
+    scalars, lambda inner: st.one_of(*(c(inner) for c in containers)),
+    max_leaves=12))
+
+
+def encoding(encode, obj):
+    """``encode(obj)``, or the type and message of what it raises."""
+    try:
+        return encode(obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@fixed(1500)
+@given(obj=payloads)
+def test_the_encoder_writes_what_json_writes(obj):
+    for indent, spacing in ((False, {"separators": (",", ":")}),
+                            (True, {"indent": 2})):
+        assert encoding(scenario_io._encoder(indent), obj) == encoding(
+            lambda o: json.dumps(o, sort_keys=True, **spacing), obj)
+
+
+def test_the_encoder_writes_with_orjson_where_the_bytes_agree():
+    frame = {"points": [[0.5, 3.0, -1.25e-3]], "f": 123456789.5, "ok": True}
+    for indent, option in ((False, 0), (True, orjson.OPT_INDENT_2)):
+        encode = scenario_io._encoder(indent)
+        assert encode(frame) == orjson.dumps(
+            frame, option=orjson.OPT_SORT_KEYS | option).decode()
+        assert encode(frame) == json.dumps(
+            frame, sort_keys=True, **({"indent": 2} if indent else
+                                      {"separators": (",", ":")}))
