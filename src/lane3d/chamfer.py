@@ -49,14 +49,13 @@ Every protocol works on blocks of frames from ``report._frame_blocks``:
 it cuts the frames into blocks, gathers a block's scored lanes by one
 ``geometry._visible_points`` call, which raises for the first lane short
 of 2 visible points, and hands the protocol their points with each
-lane's and each frame's offsets and the block's frame ids.  A block that
-raises is scored again frame by frame (``report._blockwise``), so the
-error of a run is that of the first frame that fails on its own.  In
-the IoU-gated protocols one raster call strokes every lane of a frame,
-and a block's IoU-qualified matched pairs are interpolated by one
-``resample_polylines`` call and scored by one ``polyline_mean_pairs``
-call, bitwise as ``interpolate_lane`` and ``point_to_polyline_stats``
-would score them.
+lane's and each frame's offsets.  A block that raises is scored again
+frame by frame (``report._blockwise``), so the error of a run is that of
+the first frame that fails on its own.  In the IoU-gated protocols one
+raster call strokes every lane of a frame, and a block's IoU-qualified
+matched pairs are interpolated by one ``resample_polylines`` call and
+scored by one ``polyline_mean_pairs`` call, bitwise as
+``interpolate_lane`` and ``point_to_polyline_stats`` would score them.
 
 Reports and sweeps
 ------------------
@@ -165,12 +164,13 @@ def bidirectional_cd(gt: Lane3D, pred: Lane3D, n: int = 100) -> float:
     return float(_bcd_rows([([gt], [pred])], n)[0][0, 0])
 
 
-def _bcd_cores(frames, n: int) -> list[tuple[list[tuple[int, float]], int, int]]:
+def _bcd_cores(frames, n: int,
+               ids=None) -> list[tuple[list[tuple[int, float]], int, int]]:
     """Per frame, each prediction's nearest ground truth (lowest index on
     ties) and its distance, none without ground truths, with the frame's
-    ``n_pred`` and ``n_gt``."""
+    ``n_pred`` and ``n_gt``; ``ids`` go to the block driver."""
     cores = []
-    for d in _bcd_rows(frames, n):
+    for d in _bcd_rows(frames, n, ids):
         nearest = d.argmin(axis=1) if d.shape[1] else np.zeros(0, dtype=np.int64)
         values = d[np.arange(nearest.size), nearest]
         cores.append((list(zip(nearest.tolist(), values.tolist())), *d.shape))
@@ -210,14 +210,13 @@ def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) + np.repeat(first - (ends - counts), counts)
 
 
-def _bcd_lanes(frame) -> tuple:
-    """A frame's lanes the bidirectional protocol scores: predictions
+def _bcd_sides(frame) -> tuple:
+    """A frame's sides the bidirectional protocol scores: predictions
     first, and none without predictions."""
-    gt_lanes, pred_lanes = frame
-    return (*pred_lanes, *gt_lanes) if pred_lanes else ()
+    return (1, 0) if frame[1] else ()
 
 
-def _bcd_rows(frames, n: int) -> list[np.ndarray]:
+def _bcd_rows(frames, n: int, ids=None) -> list[np.ndarray]:
     """Per-frame ``(n_pred, n_gt)`` matrices for the bidirectional protocol.
 
     Entries a row's argmin and minimum can come from hold the full
@@ -227,8 +226,8 @@ def _bcd_rows(frames, n: int) -> list[np.ndarray]:
     same way.  Frames are searched in blocks of bounded size, and the
     values do not depend on the blocks.
     """
-    return list(_frame_blocks(frames, n, _bcd_lanes,
-                              lambda *block: _bcd_block(*block, n)))
+    return list(_frame_blocks(frames, n, _bcd_sides,
+                              lambda *block: _bcd_block(*block, n), ids))
 
 
 def _bcd_block(frames, points, first, at, n: int) -> list[np.ndarray]:
@@ -305,7 +304,7 @@ def _stroke_table(points: np.ndarray, sizes, config: EvalConfig):
     than ``lane_width / 2`` of the segment's y-range is decided from the
     segment's interval on the row where ``_decided_cells`` proves that
     interval's end cells; the other pairs run the window scan of
-    ``_window_cells``, which raises ``RasterOverflow`` (carrying the
+    ``_window_cells``, which raises ``RasterOverflow`` (its ``lane`` the
     polyline's index) for a window past ``_WINDOW_CELLS`` cells or a cell
     index past 2**53.  Pairs are worked on in blocks of whole lanes of at most
     ``_BLOCK_PAIRS`` pairs (a lane with more forms a block alone), and the
@@ -627,7 +626,7 @@ def _window_cells(ax, ay, bx, by, lane, seg, iy, row, res, half, row_lo, row_hi)
         raise RasterOverflow(
             f"its BEV stroke needs a row window of more than {_WINDOW_CELLS} cells "
             f"or a cell index beyond 2**53 (bev_resolution {res!r})",
-            int(lane[seg[np.argmax(cost)]]))
+            lane=int(lane[seg[np.argmax(cost)]]))
     n_cols = n_cols.astype(np.int64)
     step = _WINDOW_CELLS // max(int(n_cols.max()), 1)
 
@@ -698,11 +697,10 @@ def bev_iou(gt: Lane3D, pred: Lane3D, config: EvalConfig | None = None) -> float
 # ---------------------------------------------------------------------------
 
 
-def _iou_lanes(frame) -> tuple:
-    """A frame's lanes the IoU-gated protocols score: ground truths
+def _iou_sides(frame) -> tuple:
+    """A frame's sides the IoU-gated protocols score: ground truths
     first, and none unless the frame has both kinds."""
-    gt_lanes, pred_lanes = frame
-    return (*gt_lanes, *pred_lanes) if gt_lanes and pred_lanes else ()
+    return (0, 1) if frame[0] and frame[1] else ()
 
 
 class _IouCore(NamedTuple):
@@ -717,27 +715,25 @@ class _IouCore(NamedTuple):
     n_pred: int
 
 
-def _matched_frames(frames, ids, config: EvalConfig, with_maxes: bool) -> list[_IouCore]:
-    """One ``_IouCore`` per frame, frame f with id ``ids[f]``; see
-    ``_iou_matched_block``."""
+def _matched_frames(frames, config: EvalConfig, with_maxes: bool,
+                    ids=None) -> list[_IouCore]:
+    """One ``_IouCore`` per frame; see ``_iou_matched_block``."""
     return list(_frame_blocks(
-        frames, config.n_interp, _iou_lanes,
+        frames, config.n_interp, _iou_sides,
         lambda *block: _iou_matched_block(*block, config, with_maxes), ids))
 
 
-def _iou_matched_block(frames, points, first, at, ids, config: EvalConfig,
+def _iou_matched_block(frames, points, first, at, config: EvalConfig,
                        with_maxes: bool) -> list[_IouCore]:
     """IoU-maximizing assignment plus the distances of each frame's pairs
     above the IoU gate (no other pair can count or qualify).
 
-    The block, its gathered lanes and its frame ids come from
-    ``report._frame_blocks``, each frame's lanes are stroked by one
-    ``_stroke_table`` call, whose ``RasterOverflow`` is raised again
-    naming the frame and side, and its IoU is read from that table by
-    ``_iou_matrix``.  The qualified pairs' lanes of all frames are
-    interpolated by one ``resample_polylines`` call, which equals
-    ``interpolate_lane`` bitwise, and their CDs come from one
-    ``polyline_mean_pairs`` call.  With ``with_maxes``, one
+    The block and its gathered lanes come from ``report._frame_blocks``,
+    each frame's lanes are stroked by one ``_stroke_table`` call, and its
+    IoU is read from that table by ``_iou_matrix``.  The qualified pairs'
+    lanes of all frames are interpolated by one ``resample_polylines``
+    call, which equals ``interpolate_lane`` bitwise, and their CDs come
+    from one ``polyline_mean_pairs`` call.  With ``with_maxes``, one
     ``directed_mean_pairs`` call gives each pair's two directed maximum
     distances, which make its worst-case distance.
     """
@@ -747,14 +743,7 @@ def _iou_matched_block(frames, points, first, at, ids, config: EvalConfig,
         if lane == stop:
             continue
         n_gt = len(gt_lanes)
-        try:
-            table = _stroke_table(points[first[lane]:first[stop]], counts[lane:stop],
-                                  config)
-        except RasterOverflow as exc:
-            side, index = (("ground truth", exc.lane) if exc.lane < n_gt
-                           else ("prediction", exc.lane - n_gt))
-            raise RasterOverflow(f"frame {ids[f]!r} {side} lane {index}: {exc}",
-                                 exc.lane) from None
+        table = _stroke_table(points[first[lane]:first[stop]], counts[lane:stop], config)
         iou = _iou_matrix(table, n_gt)
         matches.extend(
             (f, lane + i, lane + n_gt + j)
@@ -808,7 +797,7 @@ def bcd_report(
     ids = _frame_ids(frames, frame_ids)
     counts = [
         _bcd_gate(core, config.tau_bcd)
-        for core in _bcd_cores(frames, config.n_interp)
+        for core in _bcd_cores(frames, config.n_interp, ids)
     ]
     return _assemble("bcd", ids, counts, "mean_bcd")
 
@@ -823,7 +812,7 @@ def once_report(
     ids = _frame_ids(frames, frame_ids)
     counts = [
         _once_gate(core, config.tau_cd)
-        for core in _matched_frames(frames, ids, config, with_maxes=False)
+        for core in _matched_frames(frames, config, False, ids)
     ]
     return _assemble("once", ids, counts, "cde")
 
@@ -843,7 +832,7 @@ def mbd_report(
     ids = _frame_ids(frames, frame_ids)
     counts = [
         (*_once_gate(core, config.tau_cd)[:3], core.worst)
-        for core in _matched_frames(frames, ids, config, with_maxes=True)
+        for core in _matched_frames(frames, config, True, ids)
     ]
     aggregate = "max" if config.mbd_variant == "hausdorff_max" else "mean"
     return _assemble(
@@ -881,13 +870,13 @@ def threshold_sweep(
     taus = _tau_list(taus)
     ids = _frame_ids(frames, frame_ids)
     if protocol == "openlane":  # its cost caps reject an infinite tau
-        return pointwise_sweep(frames, taus, pointwise_config)
+        return pointwise_sweep(frames, taus, pointwise_config, frame_ids=ids)
     if protocol not in ("bcd", "once", "mbd"):
         raise ConfigError(f"unknown sweep protocol {protocol!r}")
     if math.inf in taus:  # the rows must stay standard JSON
         raise ConfigError("tau values must be finite, got inf")
     if protocol == "bcd":
-        cores, gate = _bcd_cores(frames, config.n_interp), _bcd_gate
+        cores, gate = _bcd_cores(frames, config.n_interp, ids), _bcd_gate
     else:
-        cores, gate = _matched_frames(frames, ids, config, with_maxes=False), _once_gate
+        cores, gate = _matched_frames(frames, config, False, ids), _once_gate
     return _sweep(cores, lambda core: [gate(core, tau)[:3] for tau in taus], taus)

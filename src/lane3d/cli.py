@@ -25,7 +25,8 @@ every command scores frames in blocks through one driver
 (``report._blockwise``): ``eval`` and ``sweep`` in blocks of bounded
 lane points, ``loss`` 32 frames at a time (``losses._loss_records``).  A
 block that fails is scored again frame by frame, so a run's error is
-that of the first frame that fails on its own.
+that of the first frame that fails on its own, and its line names that
+frame (``error: frame 'f' prediction lane 1: <message>``).
 
 Output files are written to a temporary name and renamed into place, so
 a failing command never leaves a partial file.  Standard output is
@@ -700,7 +701,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Lane3DError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = "".join(f" {part}" for part in (
+            exc.side, None if exc.lane is None else f"lane {exc.lane}") if part)
+        print(f"error: frame {exc.frame!r}{where}: {exc}" if exc.frame is not None
+              else f"error: {exc}", file=sys.stderr)
         return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
 
 

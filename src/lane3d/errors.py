@@ -7,7 +7,16 @@ so the CLI can map it to a distinct exit code.  All of them derive from
 
 
 class Lane3DError(Exception):
-    """Base class for all lane3d errors."""
+    """Base class for all lane3d errors.  Where known, a scoring error
+    names its frame's id (``frame``, set by ``report._blockwise``), its
+    side and its lane's index (set by the gathers); ``str`` of it is its
+    bare message."""
+
+    frame = side = None
+
+    def __init__(self, *args, lane: int | None = None):
+        super().__init__(*args)
+        self.lane = lane
 
 
 class ConfigError(Lane3DError):
@@ -39,7 +48,8 @@ class ZeroLengthSegment(Lane3DError):
 
 
 class NumericallySingular(Lane3DError):
-    """A Gaussian extent falls below the minimum uncertainty floor."""
+    """A Gaussian extent falls below the minimum uncertainty floor, or a
+    loss term is not finite."""
 
 
 class NoFeasibleAssignment(Lane3DError):
@@ -81,11 +91,7 @@ class MissingField(Lane3DError):
 class RasterOverflow(Lane3DError):
     """A BEV stroke needs more window cells, or larger cell indices, than
     the rasterizer allows.  ``lane`` is the lane's index among those
-    stroked together."""
-
-    def __init__(self, message: str, lane: int):
-        self.lane = lane
-        super().__init__(message)
+    stroked together, until the gather names its side."""
 
 
 class IoError(Lane3DError):

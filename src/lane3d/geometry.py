@@ -267,14 +267,16 @@ def _image_points(cameras, points, frame_of):
     cams = np.array([(math.sin(c.pitch), math.cos(c.pitch), c.height, c.fx, c.fy,
                       c.cx, c.cy, *c.image_size) for c in cameras]).reshape(-1, 9)
     sin, cos, height, fx, fy, cx, cy, h, w = cams[frame_of].T
-    # camera-frame coordinates: x right, y down, z forward
-    xc, dy, dz = points[:, 0], points[:, 1], points[:, 2] - height
-    yc = -sin * dy - cos * dz
-    zc = cos * dy - sin * dz
-    behind = zc <= EPS_DEPTH
-    zc = np.where(behind, 1.0, zc)
-    u = cx + fx * xc / zc
-    v = cy + fy * yc / zc
+    # camera-frame coordinates: x right, y down, z forward; a point near
+    # the double range may overflow, and it then lies outside the image
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc, dy, dz = points[:, 0], points[:, 1], points[:, 2] - height
+        yc = -sin * dy - cos * dz
+        zc = cos * dy - sin * dz
+        behind = zc <= EPS_DEPTH
+        zc = np.where(behind, 1.0, zc)
+        u = cx + fx * xc / zc
+        v = cy + fy * yc / zc
     return behind, u, v, ~behind & (u >= 0) & (u < w) & (v >= 0) & (v < h)
 
 
@@ -336,13 +338,15 @@ def _lane_columns(lanes: Sequence[Lane3D]):
 def _visible_points(lanes: Sequence[Lane3D]) -> tuple[np.ndarray, np.ndarray]:
     """The visible points of ``lanes``, one lane after another, and each
     lane's count of them.  Every scorer gathers its lanes here: the first
-    lane with fewer than two visible points raises DegenerateLane."""
+    lane with fewer than two visible points raises DegenerateLane, its
+    ``lane`` the index in ``lanes``."""
     points, vis, sizes = _lane_columns(lanes)
     keep = vis > 0.5
     counts = np.add.reduceat(keep, np.cumsum(sizes) - sizes)
     short = np.flatnonzero(counts < 2)
     if short.size:
-        raise DegenerateLane(f"{counts[short[0]]} visible point(s); need >= 2")
+        raise DegenerateLane(f"{counts[short[0]]} visible point(s); need >= 2",
+                             lane=int(short[0]))
     return (points if keep.all() else points[keep]), counts
 
 

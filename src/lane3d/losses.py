@@ -37,14 +37,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AnchorMismatch, ConfigError, MissingField
+from .errors import (AnchorMismatch, ConfigError, Lane3DError, MissingField,
+                     NumericallySingular)
 from .gaussians import _log, segment_symmetric_klds
 from .geometry import (_ANCHOR_TOL, CameraModel, Curve2D, Lane3D, SampleGrid,
                        _check_frame, _fit_flat, _image_points, _lane_columns,
                        _resample_lanes_at_y, _sample_curves, _visible_points,
                        project_ground_to_image)
 from .matching import MatchResult, hungarian
-from .report import _blockwise
+from .report import _SIDES, _blockwise
 
 __all__ = [
     "PROB_CLAMP",
@@ -275,10 +276,18 @@ def _clamped_log(p: np.ndarray) -> np.ndarray:
 
 
 def _frame_sums(values: np.ndarray, frame: np.ndarray, n_frames: int):
-    """``math.fsum`` of each frame's values; ``frame`` is non-decreasing."""
+    """``math.fsum`` of each frame's values, inf where it overflows;
+    ``frame`` is non-decreasing."""
     cuts = np.searchsorted(frame, np.arange(n_frames + 1)).tolist()
     values = values.tolist()
-    return [math.fsum(values[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return [_fsum(values[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+def _fsum(values) -> float:
+    try:
+        return math.fsum(values)
+    except OverflowError:  # finite terms whose sum is beyond the double range
+        return math.inf
 
 
 def _masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -395,9 +404,10 @@ def _point_losses(block: _Block, frame: np.ndarray, g: np.ndarray,
 
     seen = label > 0.5
     g2, g3 = config.gamma[1], config.gamma[2]
-    loc_terms = np.stack([g2 * np.abs(pred.points[rp[seen], 0] - gt.points[rg[seen], 0]),
-                          g3 * np.abs(pred.points[rp[seen], 2] - gt.points[rg[seen], 2])],
-                         axis=1)
+    with np.errstate(over="ignore"):  # an infinite term fails in _score
+        loc_terms = np.stack([g2 * np.abs(pred.points[rp[seen], 0] - gt.points[rg[seen], 0]),
+                              g3 * np.abs(pred.points[rp[seen], 2] - gt.points[rg[seen], 2])],
+                             axis=1)
     loc = _frame_sums(loc_terms.ravel(), np.repeat(at[seen], 2), n_frames)
 
     unc = [None] * n_frames
@@ -457,6 +467,9 @@ def _score(block: _Block, grid: SampleGrid, config: LossConfig):
             loss_unc=unc[f], loss_vis=vis[f], loss_loc=loc[f],
             loss_point=point, loss_ce=ce[f], loss_fit=fit[f],
             loss_curve=curve, total=point + curve, match=match))
+        for term, value in out[-1].as_dict().items():
+            if value is not None and not math.isfinite(value):
+                raise NumericallySingular(f"{term} is not finite")
     return out
 
 
@@ -632,6 +645,15 @@ def _grid_lanes(lanes: list[Lane3D], anchors: np.ndarray):
     return on_grid, degenerate, grid_pts, grid_vis
 
 
+def _checked(side: int, lane: int | None, check, *args) -> None:
+    """``check(*args)``, naming the side (0 or 1) and lane of its error."""
+    try:
+        check(*args)
+    except Lane3DError as exc:
+        exc.side, exc.lane = _SIDES[side], lane
+        raise
+
+
 def _gather(records, anchors: np.ndarray):
     """Gather, check and fit frame records in array passes over all their
     lanes.
@@ -641,7 +663,9 @@ def _gather(records, anchors: np.ndarray):
     frame that fails a check, named from the same arrays in the order
     the frame alone meets its checks: its lanes put on the grid, then
     each side to fit (ground truths first) lane by lane and as a whole,
-    then the widths' grid.  Each value is bitwise that of the lane alone.
+    then the widths' grid; an error names its side and lane, or the side
+    of a fit, whose message names the lane.  Each value is bitwise that of
+    the lane alone.
     """
     n_frames = len(records)
     lanes = [lane for r in records for side in (r.gt_lanes, r.pred_lanes)
@@ -693,18 +717,21 @@ def _gather(records, anchors: np.ndarray):
         f = int(np.argmax(bad))
         camera, a, b = records[f].camera, side_first[2 * f], side_first[2 * f + 2]
         if degenerate[a:b].any():  # the gather's error for the first of them
-            _visible_points([lanes[a + int(np.argmax(degenerate[a:b]))]])
+            lane = a + int(np.argmax(degenerate[a:b]))
+            _checked(side_of[lane] % 2, lane - side_first[side_of[lane]],
+                     _visible_points, [lanes[lane]])
         for s, who in ((2 * f, "ground-truth"), (2 * f + 1, "prediction")):
             if not fit_side[s]:
                 continue
             for i, lane in enumerate(range(side_first[s], side_first[s + 1])):
                 if behind[pt_lane == lane].any():
-                    project_ground_to_image(camera, grid_pts[lane][grid_vis[lane] > 0.5])
+                    _checked(s % 2, i, project_ground_to_image, camera,
+                             grid_pts[lane][grid_vis[lane] > 0.5])
                 if not n_in[lane]:
                     raise MissingField(
                         f"{who} lane {i} has no stored curve and no visible point "
                         "projects inside the image, so none can be fit")
-            _check_frame(side_uv(s), camera.image_size, "rational")
+            _checked(s % 2, None, _check_frame, side_uv(s), camera.image_size, "rational")
         if wide[f] and not on_grid[side_first[2 * f + 1]:b].all():
             raise ConfigError("per-segment uncertainties require prediction lanes "
                               "already sampled on the anchor grid")
@@ -748,9 +775,10 @@ def _loss_records(records, grid: SampleGrid,
     """``loss_total`` of each frame record (``scenario_io.FrameRecord``),
     gathered, fitted and scored ``_LOSS_BLOCK`` frames at a time by the
     block driver (``report._blockwise``), so a run fails with the error
-    of the first frame that fails on its own."""
+    of the first frame that fails on its own, named by its ``frame_id``."""
     anchors = np.asarray(grid.y_anchors)
     blocks = (records[start:start + _LOSS_BLOCK]
               for start in range(0, len(records), _LOSS_BLOCK))
     return list(_blockwise(
-        blocks, lambda block: _score(_gather(block, anchors), grid, config)))
+        blocks, lambda block: _score(_gather(block, anchors), grid, config),
+        [r.frame_id for r in records]))

@@ -156,7 +156,7 @@ def _frame_arrays(gt_lanes, pred_lanes, anchors, tp_fraction) -> _FrameArrays:
     return next(_frame_cores([(gt_lanes, pred_lanes)], anchors, tp_fraction))
 
 
-def _frame_cores(frames, anchors: np.ndarray, tp_fraction: float):
+def _frame_cores(frames, anchors: np.ndarray, tp_fraction: float, ids=None):
     """Every frame's arrays, in order.  Every lane is scored, frame by
     frame and ground truths first; each block of ``report._frame_blocks``
     is resampled onto the anchors in one call."""
@@ -189,7 +189,7 @@ def _frame_cores(frames, anchors: np.ndarray, tp_fraction: float):
                                       tp_threshold=threshold))
         return cores
 
-    return _frame_blocks(frames, anchors.size, lambda f: (*f[0], *f[1]), score)
+    return _frame_blocks(frames, anchors.size, lambda frame: (0, 1), score, ids)
 
 
 def _cost_caps(config: PointwiseConfig, taus) -> np.ndarray:
@@ -360,7 +360,7 @@ def openlane_report(
     counts = []
     sums = [0.0] * 4
     n_anchors = [0] * 4
-    for arrays in _frame_cores(frames, anchors, config.tp_fraction):
+    for arrays in _frame_cores(frames, anchors, config.tp_fraction, ids):
         rows, cols, accepted, costs = _gate_frame(arrays, taus, caps)
         tp_pairs = list(zip(rows[0][accepted[0]].tolist(),
                             cols[0][accepted[0]].tolist()))
@@ -378,6 +378,7 @@ def pointwise_sweep(
     taus,
     config: PointwiseConfig | None = None,
     grid: SampleGrid | None = None,
+    frame_ids=None,
 ) -> tuple[tuple[float, float, float, float], ...]:
     """(tau, precision, recall, f1) rows re-gating cached frame arrays.
 
@@ -398,7 +399,8 @@ def pointwise_sweep(
     caps = _cost_caps(config, taus)
     thresholds = np.array(taus)
     anchors = np.asarray(grid.y_anchors, dtype=float)
-    cores = _frame_cores(frames, anchors, config.tp_fraction)
+    cores = _frame_cores(frames, anchors, config.tp_fraction,
+                         _frame_ids(frames, frame_ids))
 
     def gate(arrays: _FrameArrays) -> np.ndarray:
         tp = np.count_nonzero(_gate_frame(arrays, thresholds, caps)[2], axis=1)

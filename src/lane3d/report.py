@@ -3,8 +3,9 @@
 Besides the report types, this module holds what the protocol modules
 share: the frame-id and tau-list checks, the block driver of every
 command (``_blockwise``: a block of frames is scored together, and again
-frame by frame if it raises), every protocol's cut and gather
-(``_frame_blocks``), the assembly of a ``MetricReport`` from per-frame
+frame by frame if it raises, which names the failing frame in its
+error), every protocol's cut and gather (``_frame_blocks``, which names
+the side and lane), the assembly of a ``MetricReport`` from per-frame
 counts (``_assemble``) and the one threshold-sweep loop (``_sweep``).
 Every protocol splits its work in two: per-frame *cores* hold what does
 not depend on the swept threshold, and a *gate* turns a core into the
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, Lane3DError
 from .geometry import _visible_points
 
 __all__ = ["FrameStats", "MetricReport", "prf", "ordering_hash"]
@@ -164,57 +165,73 @@ def _tau_list(taus) -> list[float]:
 _BLOCK_POINTS = 1 << 13
 
 
-def _blockwise(blocks, score):
+def _blockwise(blocks, score, ids=None):
     """Every frame's result, block by block: the one driver of every
     command.  ``score(block)`` gives a list of one result per frame of a
     block (a list of frames).  A block that raises is scored again one
     frame at a time, so the error raised is that of the first frame that
-    fails on its own, after every frame before it is scored."""
+    fails on its own, after every frame before it is scored; a block of
+    one frame names it in its ``Lane3DError`` (``frame``, of ``ids``)."""
+    ids = iter(ids) if ids is not None else map(str, itertools.count())
     for block in blocks:
+        names = list(itertools.islice(ids, len(block)))
         try:
             results = score(block)
-        except Exception:
+        except Exception as exc:
             if len(block) == 1:
+                if isinstance(exc, Lane3DError):
+                    exc.frame = names[0]
                 raise
-            results = [r for frame in block for r in score([frame])]
+            results = [r for frame, name in zip(block, names)
+                       for r in _blockwise([[frame]], score, [name])]
         yield from results
 
 
-def _frame_blocks(frames, n: int, scored, score, *columns):
+_SIDES = ("ground truth", "prediction")  # a frame's (gt_lanes, pred_lanes)
+
+
+def _frame_blocks(frames, n: int, sides, score, ids=None):
     """Every frame's result of ``score``, block by block (``_blockwise``).
 
-    The cut: consecutive frames whose scored lanes (``scored(frame)``),
-    times the largest of their point counts and ``n``, stay within
-    ``_BLOCK_POINTS``; a frame over the bound forms a block alone.  The
-    gather, inside the scored block, is one ``_visible_points`` call,
-    which raises for the first lane short of 2 visible points.  Then
-    ``score(block, points, first, at, *values)`` gets the block's frames,
-    their scored lanes' visible points, lane i on rows
-    ``first[i]:first[i + 1]`` and frame f's lanes ``at[f]:at[f + 1]``,
-    and the block's share of each of ``columns`` (one value per frame)."""
+    The cut: consecutive frames whose scored lanes (those of the sides
+    ``sides(frame)``, in order), times the largest of their point counts
+    and ``n``, stay within ``_BLOCK_POINTS``; a frame over the bound forms
+    a block alone.  The gather, inside the scored block, is one
+    ``_visible_points`` call, which raises for the first lane short of 2
+    visible points.  Then ``score(block, points, first, at)`` gets the
+    block's frames, their scored lanes' visible points, lane i on rows
+    ``first[i]:first[i + 1]`` and frame f's lanes ``at[f]:at[f + 1]``.  In
+    a block of one frame, an error's ``lane`` among them gets its side."""
     def gathered(rows):
-        block, block_lanes, *values = zip(*rows)
+        block, orders, block_lanes = zip(*rows)
         at = [0, *itertools.accumulate(map(len, block_lanes))]
-        points, counts = _visible_points([lane for lanes in block_lanes
-                                          for lane in lanes])
-        return score(block, points, np.concatenate([[0], np.cumsum(counts)]), at,
-                     *values)
+        try:
+            points, counts = _visible_points([lane for lanes in block_lanes
+                                              for lane in lanes])
+            return score(block, points, np.concatenate([[0], np.cumsum(counts)]), at)
+        except Lane3DError as exc:
+            if len(block) == 1 and exc.lane is not None:
+                (first, second), n_first = orders[0], len(block[0][orders[0][0]])
+                exc.side, exc.lane = ((_SIDES[first], exc.lane) if exc.lane < n_first
+                                      else (_SIDES[second], exc.lane - n_first))
+            raise
 
     def cut():
         rows, size, width = [], 0, n
-        for frame, *values in zip(frames, *columns):
-            lanes = scored(frame)
+        for frame in frames:
+            order = sides(frame)
+            lanes = [lane for s in order for lane in frame[s]]
             frame_width = max([n, *(len(lane.points) for lane in lanes)])
             if rows and (size + len(lanes)) * max(width, frame_width) > _BLOCK_POINTS:
                 yield rows
                 rows, size, width = [], 0, n
-            rows.append((frame, lanes, *values))
+            rows.append((frame, order, lanes))
             size += len(lanes)
             width = max(width, frame_width)
         if rows:
             yield rows
 
-    return _blockwise(cut(), gathered)
+    return _blockwise(cut(), gathered, ids)
 
 
 def _assemble(

@@ -18,6 +18,7 @@ from lane3d.errors import (
     BehindCamera,
     ConfigError,
     MissingField,
+    NumericallySingular,
 )
 from lane3d.gaussians import segment_symmetric_klds
 from lane3d.geometry import (
@@ -52,6 +53,13 @@ def sample_curve(curve, camera, grid):
         u[idx] = u_ok[valid]
         m[idx] = 1
     return u, v, m
+
+
+def fsum(values):
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 def clamped_log(p):
@@ -100,11 +108,12 @@ def loss_total(gt, pred, camera, grid, config):
     loc_terms = []
     for _, g, p in paired_lanes(gt.lanes, pred.lanes, match):
         seen = g.visibility > 0.5
-        loc_terms.extend(config.gamma[1] * d
-                         for d in np.abs(p.points[seen, 0] - g.points[seen, 0]))
-        loc_terms.extend(config.gamma[2] * d
-                         for d in np.abs(p.points[seen, 2] - g.points[seen, 2]))
-    loc = math.fsum(loc_terms)
+        with np.errstate(over="ignore"):
+            loc_terms.extend(config.gamma[1] * d
+                             for d in np.abs(p.points[seen, 0] - g.points[seen, 0]))
+            loc_terms.extend(config.gamma[2] * d
+                             for d in np.abs(p.points[seen, 2] - g.points[seen, 2]))
+    loc = fsum(loc_terms)
     unc = None
     if pred.uncertainties is not None:
         ends, widths = [], []
@@ -129,20 +138,25 @@ def loss_total(gt, pred, camera, grid, config):
     ce, fit_sum = math.fsum(ce_terms), math.fsum(fit_terms)
     point = vis + loc if unc is None else config.gamma[0] * unc + vis + loc
     curve = ce + fit_sum
-    return LossBreakdown(unc, vis, loc, point, ce, fit_sum, curve, point + curve,
-                         match)
+    breakdown = LossBreakdown(unc, vis, loc, point, ce, fit_sum, curve, point + curve,
+                              match)
+    for term, value in breakdown.as_dict().items():
+        if value is not None and not math.isfinite(value):
+            raise NumericallySingular(f"{term} is not finite")
+    return breakdown
 
 
 # -- gathering ---------------------------------------------------------------
 
 def project(camera, p):
     s, c = math.sin(camera.pitch), math.cos(camera.pitch)
-    dy, dz = p[:, 1], p[:, 2] - camera.height
-    xc, yc, zc = p[:, 0], -s * dy - c * dz, c * dy - s * dz
-    if np.any(zc <= EPS_DEPTH):
-        raise BehindCamera(f"camera-frame depth <= {EPS_DEPTH} m")
-    return np.stack([camera.cx + camera.fx * xc / zc,
-                     camera.cy + camera.fy * yc / zc], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # beyond the image
+        dy, dz = p[:, 1], p[:, 2] - camera.height
+        xc, yc, zc = p[:, 0], -s * dy - c * dz, c * dy - s * dz
+        if np.any(zc <= EPS_DEPTH):
+            raise BehindCamera(f"camera-frame depth <= {EPS_DEPTH} m")
+        return np.stack([camera.cx + camera.fx * xc / zc,
+                         camera.cy + camera.fy * yc / zc], axis=1)
 
 
 def on_grid(lane, anchors):

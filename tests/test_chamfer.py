@@ -1040,6 +1040,7 @@ def assert_short_lane_message(call, count):
         call()
     assert type(got.value) is DegenerateLane
     assert str(got.value) == f"{count} visible point(s); need >= 2"
+    return got.value
 
 
 REPORTS = {"bcd": bcd_report, "once": once_report, "mbd": mbd_report,
@@ -1064,7 +1065,11 @@ def test_every_protocol_gives_one_message_for_a_short_lane(protocol, sweep,
     # bcd scores the frames with predictions, predictions first; once and
     # mbd those with both kinds, and openlane every frame, ground truths first
     count = {"bcd": 1, "once": 0, "mbd": 0, "openlane": 1}[protocol]
-    assert_short_lane_message(lambda: score(frames), count)
+    error = assert_short_lane_message(lambda: score(frames), count)
+    # named by the driver (default ids) and the gather, whatever the block
+    assert (error.frame, error.side, error.lane) == {
+        "bcd": ("1", "prediction", 0), "once": ("1", "ground truth", 1),
+        "mbd": ("1", "ground truth", 1), "openlane": ("0", "ground truth", 0)}[protocol]
     if protocol != "openlane":  # a frame the protocol does not score
         score([([one_visible(0)], [])])
     if protocol in ("once", "mbd"):

@@ -363,7 +363,144 @@ def test_first_frame_to_fail_alone_names_the_error(tmp_path, capsys, argv, huge)
         assert err[0].startswith(
             f"error: frame {frames[0]['frame_id']!r} prediction lane 1: ")
     else:
-        assert err[0] == "error: 1 visible point(s); need >= 2"
+        assert err[0] == (f"error: frame {frames[0]['frame_id']!r} prediction lane 0: "
+                          "1 visible point(s); need >= 2")
+
+
+def spoil_frame(path, at, change):
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[at])
+    change(obj)
+    lines[at] = json.dumps(obj)
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def one_visible(lane):
+    lane["visibility"] = [1.0] + [0.0] * (len(lane["visibility"]) - 1)
+
+
+def overflow_stroke(lane):
+    lane["points"][lane["visibility"].index(1.0) + 1][0] = 1e20
+
+
+def keep_last_visible(n):
+    def change(lane):
+        lane["visibility"] = [0.0] * (len(lane["visibility"]) - n) + [1.0] * n
+    return change
+
+
+def off_image(lane):
+    for point in lane["points"]:
+        point[0] = 500.0
+
+
+def with_widths(width):
+    def change(obj):
+        for lane in obj["lanes"]:
+            lane["uncertainty"] = [[width, 0.1] for _ in lane["points"][1:]]
+    return change
+
+
+def lane_spoil(index, change):
+    return lambda obj: change(obj["lanes"][index])
+
+
+EVAL_COMMANDS = [(command, protocol) for command in ("eval", "sweep")
+                 for protocol in ("once", "bcd", "openlane", "mbd")]
+
+# (command, protocol or None, spoiled file, spoil of frame 2 of 4, exit code,
+# the error line's start): every scoring error the block driver can surface
+SCORING_ERRORS = [
+    *[pytest.param(command, protocol, "pred", lane_spoil(1, one_visible), 1,
+                   "frame 'frame_000002' prediction lane 1: 1 visible point(s); "
+                   "need >= 2", id=f"DegenerateLane-pred-{command}-{protocol}")
+      for command, protocol in EVAL_COMMANDS],
+    # bcd scores a frame's predictions first, the others its ground truths
+    *[pytest.param(command, protocol, "gt", lane_spoil(2, one_visible), 1,
+                   "frame 'frame_000002' ground truth lane 2: 1 visible point(s); "
+                   "need >= 2", id=f"DegenerateLane-gt-{command}-{protocol}")
+      for command, protocol in EVAL_COMMANDS],
+    pytest.param("loss", None, "pred", lane_spoil(1, one_visible), 1,
+                 "frame 'frame_000002' prediction lane 1: 1 visible point(s); "
+                 "need >= 2", id="DegenerateLane-loss"),
+    *[pytest.param(command, protocol, "pred", lane_spoil(1, overflow_stroke), 8,
+                   "frame 'frame_000002' prediction lane 1: its BEV stroke needs ",
+                   id=f"RasterOverflow-{command}-{protocol}")
+      for command in ("eval", "sweep") for protocol in ("once", "mbd")],
+    pytest.param("loss", None, "gt", lane_spoil(1, keep_last_visible(3)), 6,
+                 "frame 'frame_000002' ground truth: lane 1 has ",
+                 id="Underdetermined-loss"),
+    pytest.param("loss", None, "gt", lane_spoil(1, off_image), 5,
+                 "frame 'frame_000002': ground-truth lane 1 has no stored curve",
+                 id="MissingField-loss"),
+    pytest.param("loss", None, "pred", with_widths(0.1), 2,
+                 "frame 'frame_000002': per-segment uncertainties require "
+                 "prediction lanes already sampled", id="ConfigError-loss"),
+]
+
+
+@pytest.fixture(params=["default", "block1"])
+def block_bound(request, monkeypatch):
+    """Every block bound as it is, or one frame per block."""
+    if request.param == "block1":
+        monkeypatch.setattr("lane3d.report._BLOCK_POINTS", 1)
+        monkeypatch.setattr(losses, "_LOSS_BLOCK", 1)
+
+
+@pytest.mark.parametrize("command, protocol, side, spoil, code, named",
+                         SCORING_ERRORS)
+def test_scoring_error_names_its_frame_side_and_lane(tmp_path, capsys, block_bound,
+                                                     command, protocol, side,
+                                                     spoil, code, named):
+    # The spoiled frame sits after two good frames of its block, and is
+    # named the same whether its block holds them or it alone.
+    gt, pred = synth(tmp_path, frames=4, sigma_w0=0.05)
+    spoil_frame({"gt": gt, "pred": pred}[side], 2, spoil)
+    argv = [command, "--gt", str(gt), "--pred", str(pred)]
+    if protocol:
+        argv += ["--protocol", protocol]
+    if command == "sweep":
+        argv += ["--taus", "0.5,1.5"]
+    capsys.readouterr()
+    assert run(*argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: " + named)
+
+
+def test_overflowing_width_names_its_frame(tmp_path, capsys, block_bound):
+    gt, pred = write_scored_scenario(tmp_path, frames=4)
+    spoil_frame(pred, 2, with_widths(1e308))
+    capsys.readouterr()
+    assert run("loss", "--gt", str(gt), "--pred", str(pred)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: frame 'f002': segment divergence is not finite")
+
+
+@pytest.mark.parametrize("xs", [(1e308,), (8e307, 8e307)],
+                         ids=["infinite-term", "infinite-sum"])
+def test_loss_with_an_overflowing_coordinate_is_typed(tmp_path, capsys, xs):
+    # A finite but huge coordinate overflows the location term, or two
+    # finite terms overflow its sum: exit 1 naming the term, no warning and
+    # no report, where Infinity was once written.
+    gt, pred = synth(tmp_path, frames=2, sigma_w0=0.1, seed=3, lanes=4)
+    lane = json.loads(pred.read_text().splitlines()[1])["lanes"][0]
+    at = lane["visibility"].index(1.0) + 2
+
+    def spoil(obj):
+        for k, x in enumerate(xs):
+            obj["lanes"][0]["points"][at + k][0] = x
+
+    spoil_frame(pred, 1, spoil)
+    out = tmp_path / "loss.json"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("loss", "--gt", str(gt), "--pred", str(pred), "--out", str(out)) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err == \
+        "error: frame 'frame_000001': loss_loc is not finite\n"
+    assert not out.exists()
 
 
 def test_eval_deeply_nested_line_is_exit_3(tmp_path, capsys):
@@ -1246,13 +1383,16 @@ def spoiled_record(*hows):
         elif how == "ConfigError":
             preds[0] = lane(1.9, off_grid)
             widths[0] = widths[0][:11]
+        elif how == "NumericallySingular-loc":  # out of the image, so not fit
+            preds[0].points[6, 0] = 1e308
+            widths = None
     return FrameRecord("spoiled_" + "+".join(hows), camera, gts, pred_lanes=preds,
                        pred_uncertainties=widths)
 
 
 GATHER_SPOILS = ("DegenerateLane", "BehindCamera", "BehindCamera-one", "MissingField",
                  "Underdetermined", "Underdetermined-params", "Underdetermined-row",
-                 "NumericallySingular", "ConfigError")
+                 "NumericallySingular", "ConfigError", "NumericallySingular-loc")
 
 
 # Each kind's check, in the order a frame's checks run, and the parts of
@@ -1267,6 +1407,7 @@ _SPOIL_CHECK = {
     "Underdetermined": (4, {"pred0"}),
     "ConfigError": (5, {"pred0", "widths0"}),
     "NumericallySingular": (6, {"widths1"}),
+    "NumericallySingular-loc": (7, {"pred0", "widths0", "widths1"}),
 }
 WITHIN_FRAME_PAIRS = [
     (a, b) for a, (stage_a, parts_a) in _SPOIL_CHECK.items()
@@ -1319,7 +1460,8 @@ class TestLossBlockOracle:
     def test_first_check_in_frame_order_names_the_error(self, first, second):
         # Spoiled two ways, a frame raises its earlier check's error: the
         # grid, then the ground truths' fit (each lane, then the side),
-        # then the predictions', then the widths, then the scoring.
+        # then the predictions', then the widths, then the divergences,
+        # then each term's finiteness.
         rng = np.random.default_rng(5)
         records = random_records(rng, 4)
         records[2] = spoiled_record(second, first)
